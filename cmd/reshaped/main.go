@@ -13,7 +13,9 @@
 // directory to resume with every queued and running job intact (see
 // internal/durability). Recovered running jobs are relaunched on their
 // recovered allocations; rpc/v2 clients reconnect and resubscribe their
-// watches on their own.
+// watches on their own. Concurrent operations share disk flushes (group
+// commit), and a failed write or flush stops the daemon with a non-zero
+// exit rather than acknowledge anything the disk may not hold.
 //
 // Usage:
 //
@@ -164,6 +166,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reshaped: recover wal: %v\n", err)
 			os.Exit(1)
 		}
+		// Restore handed the core the store's commit barrier, so the server
+		// waits for each op's covering fsync after releasing its lock.
 		core = recovered
 		core.SetJournal(store.Append)
 		srv = scheduler.NewServerRecovered(core, info.Seq, info.Clock, starter)
@@ -224,7 +228,20 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	<-sig
+	var walFailed <-chan struct{} // stays nil, and never ready, without a WAL
+	if store != nil {
+		walFailed = store.Failed()
+	}
+	failed := false
+	select {
+	case <-sig:
+	case <-walFailed:
+		// Fail-stop: ops applied since the last good flush may not be on
+		// disk, and the journal now refuses every mutation. Nothing is
+		// retried; a restart recovers exactly what the disk holds.
+		log.Printf("reshaped: %v; exiting so a restart recovers from the log", store.Err())
+		failed = true
+	}
 	close(stopTicks)
 	st := rpcSrv.Stats()
 	log.Printf("reshaped: shutting down (%d v1 conns, %d v2 conns, %d requests, %d watches, %d malformed, %d shed)",
@@ -234,7 +251,20 @@ func main() {
 		if err := store.Close(); err != nil {
 			log.Printf("reshaped: close wal: %v", err)
 		}
+		log.Printf("reshaped: %s", walSummary(store.Stats()))
 	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// walSummary is the shutdown line for the journal's counters.
+func walSummary(ws durability.Stats) string {
+	line := fmt.Sprintf("wal: %d appends, %d fsyncs", ws.Appends, ws.Syncs)
+	if ws.Syncs > 0 {
+		line += fmt.Sprintf(" (mean batch %.2f, largest %d)", float64(ws.Appends)/float64(ws.Syncs), ws.MaxBatch)
+	}
+	return line
 }
 
 // startJob launches one allocated job through the application SDK.

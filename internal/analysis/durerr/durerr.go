@@ -4,15 +4,17 @@
 // acknowledged operation may not survive a crash — discarding it turns
 // "durable" into "probably". The write-ahead contract (journal refusal
 // must propagate so the Core never applies an unjournaled op) only holds
-// if every one of those errors reaches the caller.
+// if every one of those errors reaches the caller. The same goes for
+// Commit, the barrier between applying an op and acknowledging it: a
+// dropped Commit error acknowledges an op no flush ever covered.
 //
-// Flagged forms, for callees named Sync/Write/Rename/Truncate/Close whose
-// final result is an error:
+// Flagged forms, for callees named Sync/Write/Rename/Truncate/Commit/Close
+// whose final result is an error:
 //
 //   - a bare call statement: f.Close()
 //   - an explicit blank discard: _ = w.Sync(), n, _ := f.Write(b)
-//   - defer/go for Sync, Write, Rename and Truncate (their errors are
-//     always meaningful); a *deferred* Close is permitted — it is the
+//   - defer/go for Sync, Write, Rename, Truncate and Commit (their errors
+//     are always meaningful); a *deferred* Close is permitted — it is the
 //     idiomatic cleanup of read-side handles, whose close errors carry no
 //     durability signal.
 //
@@ -38,13 +40,13 @@ var Scope = []string{
 // watched names the durability-significant calls. Close is special-cased
 // in run: only non-deferred discards are flagged.
 var watched = map[string]bool{
-	"Sync": true, "Write": true, "Rename": true, "Truncate": true, "Close": true,
+	"Sync": true, "Write": true, "Rename": true, "Truncate": true, "Commit": true, "Close": true,
 }
 
 // Analyzer is the durability-error-discipline check.
 var Analyzer = &analysis.Analyzer{
 	Name:  "durerr",
-	Doc:   "errors from Sync/Write/Rename/Truncate/Close on durability paths must be handled, not discarded",
+	Doc:   "errors from Sync/Write/Rename/Truncate/Commit/Close on durability paths must be handled, not discarded",
 	Scope: Scope,
 	Run:   run,
 }

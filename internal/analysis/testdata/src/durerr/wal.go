@@ -29,6 +29,27 @@ func deferredSync(f *os.File) {
 	defer f.Sync() // want "deferred Sync discards its error on a durability path"
 }
 
+// store stands in for the WAL store's commit barrier.
+type store struct{}
+
+func (store) Commit() error { return nil }
+
+// ackWithoutCommit acknowledges ops whose covering flush may have failed.
+func ackWithoutCommit(s store) {
+	s.Commit()       // want "Commit error discarded on a durability path"
+	_ = s.Commit()   // want "Commit error explicitly discarded on a durability path"
+	defer s.Commit() // want "deferred Commit discards its error on a durability path"
+}
+
+// ackAfterCommit is the discipline: no acknowledgement past a failed commit.
+func ackAfterCommit(s store, ack func()) error {
+	if err := s.Commit(); err != nil {
+		return err
+	}
+	ack()
+	return nil
+}
+
 // readSide is the idiomatic read-path cleanup: a deferred Close carries
 // no durability signal and is permitted.
 func readSide(path string) ([]byte, error) {

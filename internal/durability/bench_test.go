@@ -1,7 +1,9 @@
 package durability
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/grid"
@@ -95,4 +97,55 @@ func BenchmarkRecovery(b *testing.B) {
 		b.ResetTimer()
 		benchRecover(b, dir)
 	})
+}
+
+// BenchmarkGroupCommit measures the durable write path under a Server on a
+// SyncAlways store with real fsyncs: each committer is a running job making
+// resize-point contacts, one journaled op each. syncs/op is 1 for a lone
+// committer and falls as concurrent committers share flushes; ops/s rises by
+// about the same factor until the server lock, not the disk, is the limit.
+func BenchmarkGroupCommit(b *testing.B) {
+	for _, committers := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("%d-committers", committers), func(b *testing.B) {
+			ctx := context.Background()
+			p := serve(b, b.TempDir(), 2*committers, Options{Sync: SyncAlways, SnapshotEvery: 10000}, nil, nil)
+			ids := make([]int, committers)
+			for i := range ids {
+				id, err := p.srv.Submit(ctx, pairSpec(fmt.Sprintf("job-%d", i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				ids[i] = id
+			}
+			before := p.st.Stats()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i, id := range ids {
+				n := b.N / committers
+				if i < b.N%committers {
+					n++
+				}
+				wg.Add(1)
+				go func(id, n int) {
+					defer wg.Done()
+					for k := 0; k < n; k++ {
+						if _, err := p.srv.Contact(ctx, id, pairTopo, 2.0, 0); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(id, n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			after := p.st.Stats()
+			if ops := after.Appends - before.Appends; ops > 0 {
+				b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
+				b.ReportMetric(float64(after.Syncs-before.Syncs)/float64(ops), "syncs/op")
+			}
+			if err := p.st.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

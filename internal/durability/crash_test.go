@@ -1,10 +1,15 @@
 package durability
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/scheduler"
 )
@@ -229,5 +234,140 @@ func TestCrashRecoveryThenContinue(t *testing.T) {
 			t.Fatalf("seed %d: second restore: %v", seed, err)
 		}
 		requireSameState(t, core2, recovered)
+	}
+}
+
+// TestCrashPowerLossUnderGroupCommit is the crash harness for the one crash
+// point group commit adds: the machine loses power between a batch's writes
+// and the fsync that would have covered them. Eight concurrent committers
+// drive a Server on a real SyncAlways store; at a flush chosen by the seed
+// the power goes, which leaves the segment holding everything the last good
+// flush covered plus, by the seed again, none, some (cut mid-frame) or all
+// of what was written after it. Then the directory is recovered, the run
+// continues on the recovered scheduler and loses power a second time.
+//
+// Against the shadow model — the ops in the order the journal accepted them
+// — every recovery must yield a prefix of that order, exactly (state
+// DeepEqual, so nothing reordered and nothing twice), and the prefix must
+// contain every op a caller was acknowledged for. Ops written but never
+// acknowledged may be in it or not.
+func TestCrashPowerLossUnderGroupCommit(t *testing.T) {
+	const (
+		seeds   = 40
+		workers = 8
+		procs   = 64 // room for both rounds' jobs, orphans of the first crash included
+	)
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(7000 + seed))
+		dir := t.TempDir()
+		snapshotEvery := uint64([]int{0, 7, 25}[rng.Intn(3)])
+		var model []scheduler.Op // what the directory holds, in journal order
+
+		for round := 0; round < 2; round++ {
+			// Flushes take a moment, so records do pile up behind them.
+			seam := &flushSeam{delay: 50 * time.Microsecond, failAt: 2 + rng.Intn(30)}
+			p := serve(t, dir, procs, Options{Sync: SyncAlways, SnapshotEvery: snapshotEvery}, seam, nil)
+			requireSameState(t, replayOpsOn(t, procs, model), p.core)
+
+			// acked counts, per job name, the ops whose caller got a nil error.
+			// A worker runs its jobs one op at a time, so the acknowledged ops
+			// of a job are the first so-many of that job's ops in the journal.
+			acked := make(map[string]int)
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					mine := make(map[string]int)
+					defer func() {
+						mu.Lock()
+						defer mu.Unlock()
+						for name, n := range mine {
+							acked[name] = n
+						}
+					}()
+					for i := 0; ; i++ {
+						name := fmt.Sprintf("r%d-w%d-%d", round, w, i)
+						if err := runJob(p.srv, name, 2, func() { mine[name]++ }); err != nil {
+							if !errors.Is(err, ErrFailed) {
+								t.Errorf("seed %d round %d: %v", seed, round, err)
+							}
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if err := p.st.Close(); !errors.Is(err, ErrFailed) {
+				t.Fatalf("seed %d round %d: close after power loss: %v", seed, round, err)
+			}
+			if t.Failed() {
+				return
+			}
+
+			// Power loss: the segment keeps what the last good flush covered
+			// and an arbitrary amount of what was written after it.
+			if len(seam.atFail) != 1 {
+				t.Fatalf("seed %d round %d: no flush failed", seed, round)
+			}
+			for path, written := range seam.atFail {
+				durable := seam.synced[path] // 0 for a segment no flush covered yet
+				cut := durable
+				switch rng.Intn(3) {
+				case 1:
+					cut = written
+				case 2:
+					cut += rng.Int63n(written - durable + 1)
+				}
+				if err := os.Truncate(path, cut); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st, rec, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("seed %d round %d: reopen: %v", seed, round, err)
+			}
+			recovered, _, err := rec.Restore(buildOn(procs))
+			if err != nil {
+				t.Fatalf("seed %d round %d: restore: %v", seed, round, err)
+			}
+			journal := append(model, p.written...)
+			if len(p.refused) > 0 {
+				journal = append(journal, p.refused[0])
+			}
+			kept := int(st.Index())
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if kept < len(model) || kept > len(journal) {
+				t.Fatalf("seed %d round %d: recovered %d records; %d were durable before the round, %d written in all",
+					seed, round, kept, len(model), len(journal))
+			}
+			model = journal[:kept]
+			requireSameState(t, replayOpsOn(t, procs, model), recovered)
+			if tail := model[len(model)-len(rec.Ops):]; len(rec.Ops) > 0 && !reflect.DeepEqual(tail, rec.Ops) {
+				t.Fatalf("seed %d round %d: the recovered log tail is not the journal's", seed, round)
+			}
+
+			// Every acknowledged op is in the surviving prefix.
+			survived := make(map[string]int)
+			var names []string // job id -> name: ids follow submit order
+			for _, op := range model {
+				if op.Kind == scheduler.OpSubmit {
+					names = append(names, op.Spec.Name)
+					survived[op.Spec.Name]++
+				} else {
+					survived[names[op.JobID]]++
+				}
+			}
+			for name, n := range acked {
+				if survived[name] < n {
+					t.Fatalf("seed %d round %d (flush %d, snapshots every %d): job %s was acknowledged %d ops, %d survived",
+						seed, round, seam.failAt, snapshotEvery, name, n, survived[name])
+				}
+			}
+		}
 	}
 }

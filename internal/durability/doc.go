@@ -31,6 +31,15 @@
 //
 // Ordering is write-ahead: the scheduler journals each validated input
 // before applying it (see scheduler.SetJournal), and an operation is
-// acknowledged only after both. A crash therefore loses at most inputs
-// that were never acknowledged; everything acknowledged replays.
+// acknowledged only after both — under SyncAlways, only after an fsync that
+// covers its record. A crash therefore loses at most inputs that were never
+// acknowledged; everything acknowledged replays.
+//
+// A durable write has two halves. Append writes the record; the scheduler
+// Server calls it through the journal hook with its lock held. Commit waits
+// until the records written so far are flushed; the Server calls it after
+// releasing the lock and before it publishes or acknowledges anything. The
+// callers of Commit share flushes among themselves (group commit), so many
+// concurrent operations cost one fsync and a lone one still costs one. A
+// write or flush error stops the store for good (ErrFailed).
 package durability

@@ -143,7 +143,13 @@ func (d *driver) nextOp() scheduler.Op {
 // test's independent model of what recovery must produce.
 func replayOps(t *testing.T, ops []scheduler.Op) *scheduler.Core {
 	t.Helper()
-	core := scheduler.NewCore(driverProcs, true)
+	return replayOpsOn(t, driverProcs, ops)
+}
+
+// replayOpsOn is replayOps for a cluster of total processors.
+func replayOpsOn(t *testing.T, total int, ops []scheduler.Op) *scheduler.Core {
+	t.Helper()
+	core := scheduler.NewCore(total, true)
 	for i, op := range ops {
 		if err := core.Apply(op); err != nil {
 			t.Fatalf("model replay: op %d (%s): %v", i, op.Kind, err)
@@ -176,8 +182,15 @@ func requireSameState(t *testing.T, want, got *scheduler.Core) {
 
 // buildRecovered is the standard Restore callback for the driver cluster.
 func buildRecovered(st *scheduler.CoreState) (*scheduler.Core, error) {
-	if st == nil {
-		return scheduler.NewCore(driverProcs, true), nil
+	return buildOn(driverProcs)(st)
+}
+
+// buildOn is the Restore callback for a cluster of total processors.
+func buildOn(total int) func(*scheduler.CoreState) (*scheduler.Core, error) {
+	return func(st *scheduler.CoreState) (*scheduler.Core, error) {
+		if st == nil {
+			return scheduler.NewCore(total, true), nil
+		}
+		return scheduler.NewCoreFromState(st)
 	}
-	return scheduler.NewCoreFromState(st)
 }

@@ -1,0 +1,98 @@
+package durability
+
+import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/scheduler"
+)
+
+// parentFormatDir is a WAL directory written by writeFormatFixture at the
+// commit before group commit (PR 11): two snapshots, the segments between
+// them and a log tail. It pins the on-disk format from both sides.
+const parentFormatDir = "testdata/parent-format"
+
+// writeFormatFixture journals a fixed op stream into dir: the seeded random
+// driver's, with a snapshot every 16 records. It returns the live core.
+func writeFormatFixture(t *testing.T, dir string) *scheduler.Core {
+	t.Helper()
+	core := scheduler.NewCore(driverProcs, true)
+	st, _, err := Open(dir, Options{
+		Sync:          SyncNone,
+		SnapshotEvery: 16,
+		Capture:       func() (*scheduler.CoreState, uint64) { return core.PersistState(), uint64(len(core.Events)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetJournal(st.Append)
+	d := newDriver(t, rand.New(rand.NewSource(42)), core)
+	for i := 0; i < 60; i++ {
+		d.step()
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return core
+}
+
+// TestParentFormatDirectoryRecovers: a directory the parent commit wrote
+// recovers under this code to the state the same op stream leads to.
+func TestParentFormatDirectoryRecovers(t *testing.T) {
+	want := writeFormatFixture(t, t.TempDir())
+	// Open appends a fresh segment, so recover a copy, not the fixture.
+	st, rec, err := Open(copyDir(t, parentFormatDir), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rec.State == nil || len(rec.Ops) == 0 {
+		t.Fatalf("fixture should recover from a snapshot plus a tail; got snapshot %v, %d ops", rec.State != nil, len(rec.Ops))
+	}
+	got, info, err := rec.Restore(buildRecovered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, want, got)
+	if info.Seq != uint64(len(want.Events)) {
+		t.Fatalf("recovered seq %d, want %d", info.Seq, len(want.Events))
+	}
+}
+
+// TestWritesParentFormatBytes: this code writes the fixture's op stream to
+// the same files with the same bytes as the parent commit did, so the
+// parent recovers a directory written here just as it recovers its own.
+func TestWritesParentFormatBytes(t *testing.T) {
+	dir := t.TempDir()
+	writeFormatFixture(t, dir)
+	want, err := os.ReadDir(parentFormatDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("wrote %d files, the parent wrote %d", len(got), len(want))
+	}
+	for i, e := range want {
+		if got[i].Name() != e.Name() {
+			t.Fatalf("file %d is %s, the parent's is %s", i, got[i].Name(), e.Name())
+		}
+		a, err := os.ReadFile(filepath.Join(parentFormatDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs from the parent's bytes (%d vs %d bytes)", e.Name(), len(b), len(a))
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/scheduler"
@@ -15,6 +16,18 @@ import (
 // deterministic, so this means the journal and the state it is being
 // replayed into do not belong together.
 var ErrReplay = errors.New("durability: journal replay diverged")
+
+// ErrFailed marks a store that stopped after a write or fsync error. The
+// failing op's bytes may or may not be on disk and, once the commit is
+// deferred, the op is already applied in memory, so nothing after it can be
+// acknowledged: every waiting and later Append and Commit returns an error
+// wrapping ErrFailed, and the process must exit and recover from what the
+// disk holds. The store never retries a failed flush (after a failed fsync
+// the kernel may have dropped the dirty pages; a second fsync that succeeds
+// proves nothing).
+var ErrFailed = errors.New("durability: store failed")
+
+var errClosed = errors.New("durability: store closed")
 
 // Options configures a Store.
 type Options struct {
@@ -37,10 +50,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Store is an open WAL directory: the append side of the journal plus the
-// snapshot machinery. Append is safe for use from the scheduler's journal
-// hook (the scheduler already serializes ops; the Store's own mutex only
-// fences the background sync loop and explicit Snapshot calls).
+// Store is an open WAL directory: the append side of the journal, the
+// commit barrier behind it and the snapshot machinery. The scheduler Server
+// calls Append (its journal hook) with its lock held, so appends arrive one
+// at a time, and Commit after releasing that lock, so commits arrive from
+// many goroutines at once; the Store's mutex orders both against each
+// other, the background sync loop and explicit Snapshot calls. The one
+// thing done outside the mutex is a commit leader's fsync.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -51,6 +67,37 @@ type Store struct {
 	closed   bool
 	stop     chan struct{}
 	loopDone chan struct{}
+
+	// Group commit (see Commit). synced is signalled whenever w.durable
+	// advances, a leader's fsync ends or the store fails.
+	synced *sync.Cond
+	// syncing is set while a commit leader fsyncs outside mu. Rotation and
+	// Close wait for it to clear before they close the file.
+	syncing bool
+	// committing is set by the first Commit call: the consumer has shown it
+	// waits for the covering fsync itself, so Append stops flushing inline.
+	committing bool
+	// failed latches the first write or fsync error, wrapped in ErrFailed;
+	// failedCh is closed when it is set.
+	failed   error
+	failedCh chan struct{}
+
+	appends, syncs, maxBatch atomic.Uint64
+}
+
+// Stats counts the store's journal traffic since Open.
+type Stats struct {
+	// Appends is the number of records written.
+	Appends uint64
+	// Syncs is the number of fsyncs that made at least one record durable.
+	Syncs uint64
+	// MaxBatch is the most records a single fsync made durable.
+	MaxBatch uint64
+}
+
+// Stats returns the counters. Appends/Syncs is the mean group-commit batch.
+func (s *Store) Stats() Stats {
+	return Stats{Appends: s.appends.Load(), Syncs: s.syncs.Load(), MaxBatch: s.maxBatch.Load()}
 }
 
 // Recovery is everything Open found in the directory: the newest valid
@@ -67,6 +114,7 @@ type Recovery struct {
 
 	seq   uint64  // watch-event seq at the snapshot
 	clock float64 // scheduler clock at the snapshot
+	store *Store  // the store Open returned beside this recovery
 }
 
 // RestoreInfo summarizes a completed recovery.
@@ -155,11 +203,13 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		index += uint64(len(ops))
 	}
 
-	w, err := openWALSegment(dir, index, opts.Sync)
+	w, err := openWALSegment(dir, index)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &Store{dir: dir, opts: opts, w: w, lastSnap: snapIndex}
+	st := &Store{dir: dir, opts: opts, w: w, lastSnap: snapIndex, failedCh: make(chan struct{})}
+	st.synced = sync.NewCond(&st.mu)
+	rec.store = st
 	if opts.Sync == SyncInterval {
 		st.stop = make(chan struct{})
 		st.loopDone = make(chan struct{})
@@ -174,6 +224,11 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 // arbitration the crashed process ran, or the replayed decisions could
 // diverge. Restore then re-applies the journaled tail. Install the
 // store's Append as the core's journal hook only after Restore returns.
+//
+// The returned core also carries the store's Commit as its commit barrier
+// (scheduler.Core.SetCommit), which a scheduler.Server built on the core
+// picks up: the Server then waits for the covering fsync after releasing
+// its lock instead of Append flushing under it.
 func (r *Recovery) Restore(build func(st *scheduler.CoreState) (*scheduler.Core, error)) (*scheduler.Core, RestoreInfo, error) {
 	core, err := build(r.State)
 	if err != nil {
@@ -199,6 +254,9 @@ func (r *Recovery) Restore(build func(st *scheduler.CoreState) (*scheduler.Core,
 	// the replayed trace length.
 	info.Seq = r.seq + uint64(len(core.Events))
 	info.Jobs = len(core.Jobs())
+	if r.store != nil {
+		core.SetCommit(r.store.Commit)
+	}
 	return core, info, nil
 }
 
@@ -206,21 +264,149 @@ func (r *Recovery) Restore(build func(st *scheduler.CoreState) (*scheduler.Core,
 // recovered (or fresh) core installs. When the configured snapshot cadence
 // is reached it first captures a snapshot — the op being appended is the
 // first record of the new log generation.
+//
+// Under SyncAlways Append returns with the record on stable storage, one
+// fsync per call, until the store's consumer has called Commit; from then
+// on it returns once the record is written and Commit waits for the flush.
 func (s *Store) Append(op scheduler.Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durability: store closed")
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if s.opts.SnapshotEvery > 0 && s.opts.Capture != nil &&
 		s.w.index-s.lastSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(op.Now); err != nil {
+			if s.failed != nil {
+				return s.failed
+			}
 			// Snapshot failure (disk pressure, say) must not refuse the
 			// op: the log simply keeps growing until a snapshot succeeds.
 			s.opts.Logf("durability: snapshot at record %d failed: %v", s.w.index, err)
 		}
 	}
-	return s.w.append(op)
+	if err := s.w.append(op); err != nil {
+		return s.failLocked(err)
+	}
+	s.appends.Add(1)
+	if s.opts.Sync == SyncAlways && !s.committing {
+		return s.syncLocked()
+	}
+	return nil
+}
+
+// Commit blocks until every record appended before the call is on stable
+// storage: the second half of a durable write, which the scheduler Server
+// calls after releasing its lock and before it publishes or acknowledges
+// anything the op produced. It is the scheduler.CommitFunc Restore installs.
+//
+// Concurrent callers share fsyncs, leader/follower: a caller that finds no
+// fsync in flight becomes the leader, notes how many records are written,
+// flushes the segment with the mutex released (appends continue behind it)
+// and then marks those records durable and wakes everyone; a caller that
+// finds one in flight waits for it, and leads the next one itself if its
+// records were written too late to be covered. There is no timer and no
+// committer goroutine: a batch is whatever was appended while the previous
+// fsync ran, so a lone sequential caller still pays exactly one fsync per
+// op, started after its record was written.
+//
+// Under SyncInterval and SyncNone durability is not part of the
+// acknowledgement, and Commit only reports a failed store.
+func (s *Store) Commit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.opts.Sync != SyncAlways {
+		return s.failed
+	}
+	s.committing = true
+	target := s.w.index
+	for s.failed == nil && s.w.durable < target && s.syncing {
+		s.synced.Wait()
+	}
+	if s.failed != nil || s.w.durable >= target {
+		return s.failed
+	}
+	// Close flushes everything written before it closes the file, so a
+	// commit that finds records still to flush finds the file still open.
+	cover, f := s.w.index, s.w.f
+	s.syncing = true
+	s.mu.Unlock()
+	err := s.w.syncFile(f)
+	s.mu.Lock()
+	s.syncing = false
+	if err != nil {
+		return s.failLocked(err)
+	}
+	s.markDurableLocked(cover)
+	return nil
+}
+
+// usableLocked reports why the store can take no more records, if it cannot.
+func (s *Store) usableLocked() error {
+	if s.failed != nil {
+		return s.failed
+	}
+	if s.closed {
+		return errClosed
+	}
+	return nil
+}
+
+// failLocked latches the store's first write or fsync error and wakes every
+// committer to see it.
+func (s *Store) failLocked(err error) error {
+	if s.failed == nil {
+		s.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+		close(s.failedCh)
+		s.opts.Logf("%v", s.failed)
+	}
+	s.synced.Broadcast()
+	return s.failed
+}
+
+// markDurableLocked records that every record below cover has been flushed.
+func (s *Store) markDurableLocked(cover uint64) {
+	if cover > s.w.durable {
+		batch := cover - s.w.durable
+		s.w.durable = cover
+		s.syncs.Add(1)
+		if batch > s.maxBatch.Load() {
+			s.maxBatch.Store(batch)
+		}
+	}
+	s.synced.Broadcast()
+}
+
+// syncLocked flushes every written record with the mutex held.
+func (s *Store) syncLocked() error {
+	if s.w.durable == s.w.index {
+		return nil
+	}
+	cover := s.w.index
+	if err := s.w.syncFile(s.w.f); err != nil {
+		return s.failLocked(err)
+	}
+	s.markDurableLocked(cover)
+	return nil
+}
+
+// quiesceLocked waits out a commit leader's fsync: the segment file must
+// not be closed under it.
+func (s *Store) quiesceLocked() {
+	for s.syncing {
+		s.synced.Wait()
+	}
+}
+
+// Failed returns a channel that is closed when the store fails (see
+// ErrFailed); Err then returns the cause.
+func (s *Store) Failed() <-chan struct{} { return s.failedCh }
+
+// Err returns the error that failed the store, or nil.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
 }
 
 // Snapshot takes a snapshot immediately, recording clock as the scheduler
@@ -230,8 +416,8 @@ func (s *Store) Append(op scheduler.Op) error {
 func (s *Store) Snapshot(clock float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durability: store closed")
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if s.opts.Capture == nil {
 		return fmt.Errorf("durability: no Capture configured")
@@ -240,8 +426,15 @@ func (s *Store) Snapshot(clock float64) error {
 }
 
 // snapshotLocked rotates the log and publishes a snapshot covering every
-// record before the rotation point, then deletes the superseded files.
+// record before the rotation point, then deletes the superseded files. The
+// old segment is flushed before it is closed, so every record before the
+// rotation point is durable (and every commit waiting on one is released)
+// by the time the new generation starts.
 func (s *Store) snapshotLocked(clock float64) error {
+	s.quiesceLocked()
+	if err := s.syncLocked(); err != nil {
+		return err
+	}
 	state, seq := s.opts.Capture()
 	idx := s.w.index
 	if err := s.w.rotate(); err != nil {
@@ -284,15 +477,14 @@ func (s *Store) truncateObsolete() {
 	}
 }
 
-// Sync flushes outstanding appends to stable storage (a no-op under
-// SyncAlways, where every append already did).
+// Sync flushes outstanding appends to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	return s.w.sync()
+	return s.syncLocked()
 }
 
 // Index returns the global index of the next record to append.
@@ -310,7 +502,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.w.close()
+	s.quiesceLocked()
+	err := s.syncLocked()
+	if cerr := s.w.f.Close(); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("durability: close segment: %w", cerr))
+	}
 	s.mu.Unlock()
 	if s.stop != nil {
 		close(s.stop)
@@ -331,9 +527,8 @@ func (s *Store) syncLoop() {
 		case <-t.C:
 			s.mu.Lock()
 			if !s.closed {
-				if err := s.w.sync(); err != nil {
-					s.opts.Logf("durability: background sync: %v", err)
-				}
+				// A failure is latched and logged by syncLocked.
+				_ = s.syncLocked()
 			}
 			s.mu.Unlock()
 		}

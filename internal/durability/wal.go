@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/scheduler"
 )
@@ -17,8 +16,11 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs every append before acknowledging it: no
-	// acknowledged operation can be lost, at one disk flush per op.
+	// SyncAlways acknowledges an operation only after an fsync that began
+	// after its record was written has completed: no acknowledged operation
+	// can be lost. A consumer that calls Store.Commit (the scheduler Server)
+	// shares one such fsync among every op written before it started — group
+	// commit; one that only calls Append gets one fsync inside each Append.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval batches fsyncs on a timer (Store's SyncInterval): a
 	// crash can lose the last interval's acknowledged operations, but
@@ -87,25 +89,27 @@ func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// wal is one open write-ahead log segment. Callers serialize access (the
-// Store's mutex); the dirty flag alone is shared with the sync loop.
+// wal is one open write-ahead log segment. Every field is guarded by the
+// Store's mutex; the one thing done outside it is a group-commit leader's
+// fsync of f, which rotate and close wait out before closing the file.
 type wal struct {
-	dir    string
-	policy SyncPolicy
+	dir string
 
 	f        *os.File
-	path     string
 	index    uint64 // global index of the next record to append
+	durable  uint64 // records below this index are on stable storage
 	segStart uint64 // global index of this segment's first record
 	size     int64  // bytes written to this segment
 	payload  []byte // scratch encode buffers
 	frame    []byte
-	dirty    atomic.Bool
+	// fsync flushes a segment file. Tests replace it to hold a flush open
+	// or make it fail; everything else leaves it at (*os.File).Sync.
+	fsync func(*os.File) error
 }
 
 // openWALSegment creates (or truncates) the segment starting at first and
 // syncs the directory so the file itself survives a crash.
-func openWALSegment(dir string, first uint64, policy SyncPolicy) (*wal, error) {
+func openWALSegment(dir string, first uint64) (*wal, error) {
 	path := filepath.Join(dir, segmentName(first))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -114,10 +118,11 @@ func openWALSegment(dir string, first uint64, policy SyncPolicy) (*wal, error) {
 	if err := syncDir(dir); err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	return &wal{dir: dir, policy: policy, f: f, path: path, index: first, segStart: first}, nil
+	return &wal{dir: dir, f: f, index: first, durable: first, segStart: first, fsync: (*os.File).Sync}, nil
 }
 
-// append encodes and writes one record frame, fsyncing per policy.
+// append encodes and writes one record frame. It does not flush: the Store
+// decides when the record must reach stable storage.
 func (w *wal) append(op scheduler.Op) error {
 	w.payload = appendOp(w.payload[:0], op)
 	w.frame = appendFrame(w.frame[:0], w.payload)
@@ -126,53 +131,32 @@ func (w *wal) append(op scheduler.Op) error {
 	}
 	w.size += int64(len(w.frame))
 	w.index++
-	if w.policy == SyncAlways {
-		return w.syncFile()
-	}
-	w.dirty.Store(true)
 	return nil
 }
 
-// sync flushes outstanding appends if any.
-func (w *wal) sync() error {
-	if !w.dirty.Swap(false) {
-		return nil
-	}
-	return w.syncFile()
-}
-
-func (w *wal) syncFile() error {
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durability: fsync %s: %w", w.path, err)
+// syncFile flushes f, the open segment file as the caller read it under
+// the Store's mutex. It touches no other field, so a group-commit leader
+// may call it with the mutex released.
+func (w *wal) syncFile(f *os.File) error {
+	if err := w.fsync(f); err != nil {
+		return fmt.Errorf("durability: fsync %s: %w", f.Name(), err)
 	}
 	return nil
 }
 
-// rotate closes the current segment and opens a fresh one at the current
-// index, so a snapshot covering everything before it can truncate the log
-// by whole files.
+// rotate closes the current segment, whose records the caller has already
+// made durable, and opens a fresh one at the current index, so a snapshot
+// covering everything before it can truncate the log by whole files.
 func (w *wal) rotate() error {
-	if err := w.sync(); err != nil {
-		return err
-	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("durability: close segment: %w", err)
 	}
-	nw, err := openWALSegment(w.dir, w.index, w.policy)
+	nw, err := openWALSegment(w.dir, w.index)
 	if err != nil {
 		return err
 	}
-	w.f, w.path, w.segStart, w.size = nw.f, nw.path, nw.segStart, nw.size
-	w.dirty.Store(false)
+	w.f, w.segStart, w.size = nw.f, nw.segStart, nw.size
 	return nil
-}
-
-// close syncs and closes the open segment.
-func (w *wal) close() error {
-	if err := w.sync(); err != nil {
-		return errors.Join(err, w.f.Close())
-	}
-	return w.f.Close()
 }
 
 // syncDir fsyncs a directory so renames and creates in it are durable.

@@ -129,10 +129,13 @@ type Core struct {
 	// journal, when installed, persists every validated input op before it
 	// is applied (see journal.go).
 	journal JournalFunc
-	pool    *Pool
-	nextID  int
-	queue   jobQueue
-	jobs    map[int]*Job
+	// commit, when installed, is the barrier a Server waits on between
+	// applying an op and acknowledging it (see CommitFunc).
+	commit CommitFunc
+	pool   *Pool
+	nextID int
+	queue  jobQueue
+	jobs   map[int]*Job
 	// running is the id-sorted index of running jobs backing EachRunning;
 	// its length is bounded by the pool size, not by job history.
 	running []*Job

@@ -81,6 +81,21 @@ type Op struct {
 // durable.
 type JournalFunc func(Op) error
 
+// CommitFunc is the commit barrier that goes with a JournalFunc whose
+// records reach stable storage after the hook returns: it blocks until every
+// op journaled before the call is durable. The Core never calls it — a Core
+// is single-threaded and waiting inside it would serialize every op behind
+// its own disk flush. Its caller does, after releasing whatever lock guards
+// the Core and before it acknowledges the op or shows anyone its effects
+// (see Server). A non-nil error means durability is lost for good: the ops
+// already applied in memory may not be on disk, so the caller must stop
+// acknowledging and let a restart recover from what is.
+type CommitFunc func() error
+
+// SetCommit installs the commit barrier (nil, the default, means the journal
+// hook itself makes each op durable before it returns).
+func (c *Core) SetCommit(fn CommitFunc) { c.commit = fn }
+
 // SetJournal installs the write-ahead journal hook (nil disables
 // journaling). Install it only after any recovery replay has finished, or
 // replayed operations would be appended to the journal a second time.

@@ -24,6 +24,18 @@ type JobStarter func(job *Job)
 // uniformity with the remote implementations; in-process calls other than
 // Wait/WaitAll never block on it.
 //
+// When the core carries a commit barrier (a durable control plane, see
+// CommitFunc), every mutating call runs in two steps: under the lock it
+// validates, journals and applies the op; then, with the lock released, it
+// waits for the op's record to be durable and only after that publishes the
+// op's watch events, launches the jobs it started, closes Wait channels and
+// returns. Other calls take the lock meanwhile, so one disk flush covers
+// many ops. What an op did is therefore in the core before it is durable:
+// Status reads uncommitted state, while watchers, the JobStarter, Wait and
+// the op's own caller see nothing until the commit. If the barrier fails
+// the call returns the error, its effects are never published, and the
+// journal refuses every later mutation; the process should exit.
+//
 // Mapping to the paper's five components: Submit is the Application
 // Scheduler's command-line submission path; the JobStarter goroutines are
 // the Job Startup thread; Contact is the Remap Scheduler; the Profile
@@ -38,14 +50,17 @@ type Server struct {
 	done    map[int]chan struct{}
 
 	// Event broker state (see watch.go): pubIdx is the high-water mark
-	// into core.Events already fanned out, seq the last published event
-	// sequence number. seq is atomic so durability snapshots can read it
-	// from inside the journal hook, which runs while s.mu is already held
-	// by the mutating call.
+	// into core.Events already fanned out and seq the sequence number of the
+	// last event published. applied is the sequence number of the last event
+	// recorded: seq plus the events of ops still waiting for their commit.
+	// It is atomic so durability snapshots can read it from inside the
+	// journal hook, which runs while s.mu is already held by the mutating
+	// call.
 	subs    map[int]*subscriber
 	nextSub int
 	pubIdx  int
-	seq     atomic.Uint64
+	seq     uint64
+	applied atomic.Uint64
 }
 
 // NewServer wraps a Core with a DefaultShards processor pool. starter may
@@ -83,7 +98,8 @@ func NewServerRecovered(core *Core, seq uint64, clock float64, starter JobStarte
 		done:   make(map[int]chan struct{}),
 		pubIdx: len(core.Events),
 	}
-	s.seq.Store(seq)
+	s.seq = seq
+	s.applied.Store(seq)
 	for _, j := range core.Jobs() {
 		ch := make(chan struct{})
 		if j.State == Done {
@@ -117,10 +133,40 @@ func (s *Server) RelaunchRunning() []*Job {
 //lint:allow detcore Now() is the epoch boundary: the single conversion from wall clock to the deterministic scheduler clock
 func (s *Server) Now() float64 { return time.Since(s.epoch).Seconds() }
 
-// Seq returns the sequence number of the most recently published watch
-// event. Durability snapshots persist it so a recovered server's streams
-// continue the numbering.
-func (s *Server) Seq() uint64 { return s.seq.Load() }
+// Seq returns the sequence number of the most recently recorded watch
+// event, whether already published or still waiting for its op to commit:
+// the number the event after the ops applied so far will follow. Durability
+// snapshots persist it so a recovered server's streams continue the
+// numbering; a snapshot captures the applied state, so it needs the applied
+// count, not the published one.
+func (s *Server) Seq() uint64 { return s.applied.Load() }
+
+// settle ends a mutating call whose op succeeded. The caller holds s.mu and
+// settle releases it. With no commit barrier it publishes the op's events in
+// the same lock hold. With one it releases the lock, waits until the op is
+// durable, and then publishes every event up to the op's own high-water
+// mark: commits complete in journal order, so everything before that mark is
+// durable too, and whichever committer gets here first publishes for the
+// others, in order and without gaps. Events past the mark belong to ops that
+// may not be durable yet and are left to their own callers.
+func (s *Server) settle() error {
+	hwm := len(s.core.Events)
+	s.applied.Store(s.seq + uint64(hwm-s.pubIdx))
+	commit := s.core.commit
+	if commit == nil {
+		s.publishLocked(hwm)
+		s.mu.Unlock()
+		return nil
+	}
+	s.mu.Unlock()
+	if err := commit(); err != nil {
+		return fmt.Errorf("scheduler: commit: %w", err)
+	}
+	s.mu.Lock()
+	s.publishLocked(hwm)
+	s.mu.Unlock()
+	return nil
+}
 
 // Core exposes the underlying state machine for inspection (tests,
 // experiment harnesses). Callers must not mutate it concurrently with
@@ -140,8 +186,9 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (int, error) {
 		return 0, err
 	}
 	s.done[job.ID] = make(chan struct{})
-	s.publishLocked()
-	s.mu.Unlock()
+	if err := s.settle(); err != nil {
+		return 0, err
+	}
 	s.launch(started)
 	return job.ID, nil
 }
@@ -161,10 +208,15 @@ func (s *Server) Contact(ctx context.Context, jobID int, topo grid.Topology, ite
 		return Decision{}, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	d, err := s.core.Contact(jobID, topo, iterTime, redistTime, s.Now())
-	s.publishLocked()
-	return d, err
+	if err != nil {
+		s.mu.Unlock()
+		return Decision{}, err
+	}
+	if err := s.settle(); err != nil {
+		return Decision{}, err
+	}
+	return d, nil
 }
 
 // ResizeComplete reports that a granted resize has finished; freed
@@ -175,9 +227,11 @@ func (s *Server) ResizeComplete(ctx context.Context, jobID int, redistTime float
 	}
 	s.mu.Lock()
 	started, err := s.core.ResizeComplete(jobID, redistTime, s.Now())
-	s.publishLocked()
-	s.mu.Unlock()
 	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	if err := s.settle(); err != nil {
 		return err
 	}
 	s.launch(started)
@@ -194,8 +248,11 @@ func (s *Server) Rebalance(ctx context.Context) error {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.core.Rebalance(s.Now())
+	if err := s.core.Rebalance(s.Now()); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	return s.settle()
 }
 
 // JobEnd is the System Monitor's job-completion signal.
@@ -219,13 +276,12 @@ func (s *Server) JobError(ctx context.Context, jobID int) error {
 func (s *Server) complete(jobID int, fn func(int, float64) ([]*Job, error)) error {
 	s.mu.Lock()
 	started, err := fn(jobID, s.Now())
-	var ch chan struct{}
-	if err == nil {
-		ch = s.done[jobID]
-	}
-	s.publishLocked()
-	s.mu.Unlock()
 	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	ch := s.done[jobID]
+	if err := s.settle(); err != nil {
 		return err
 	}
 	if ch != nil {

@@ -121,6 +121,12 @@ const watchBuffer = 256
 // Status returns a typed snapshot of the scheduler. The context is
 // accepted for interface uniformity with remote schedulers; the in-process
 // call never blocks.
+//
+// Status is read-uncommitted on a durable control plane: it shows ops that
+// are applied but whose journal records are still being flushed, so a job
+// can appear here a moment before its submitter is acknowledged or its
+// events reach a watcher — and, if the flush then fails or the machine
+// dies, never reach them at all.
 func (s *Server) Status(ctx context.Context) (ClusterStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return ClusterStatus{}, err
@@ -188,7 +194,11 @@ func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 
 	s.mu.Lock()
 	// Catch the broker up so the new subscriber doesn't replay history.
-	s.publishLocked()
+	// Behind a commit barrier anything unpublished belongs to an op still
+	// in flight, which publishes it (to this subscriber too) once durable.
+	if s.core.commit == nil {
+		s.publishLocked(len(s.core.Events))
+	}
 	id := s.nextSub
 	s.nextSub++
 	if s.subs == nil {
@@ -218,17 +228,17 @@ func (s *Server) Subscribers() int {
 	return len(s.subs)
 }
 
-// publishLocked fans newly recorded core events out to subscribers. It
-// must run with s.mu held; every mutating Server operation calls it after
-// touching the core.
-func (s *Server) publishLocked() {
-	events := s.core.Events
-	if s.pubIdx >= len(events) {
+// publishLocked fans the recorded core events below index hwm that have not
+// been published yet out to subscribers. It must run with s.mu held; every
+// mutating Server operation ends in it (through settle).
+func (s *Server) publishLocked(hwm int) {
+	if s.pubIdx >= hwm {
 		return
 	}
-	for _, e := range events[s.pubIdx:] {
+	for _, e := range s.core.Events[s.pubIdx:hwm] {
+		s.seq++
 		ev := JobEvent{
-			Seq:   s.seq.Add(1),
+			Seq:   s.seq,
 			Time:  e.Time,
 			JobID: e.JobID,
 			Job:   e.Job,
@@ -248,5 +258,5 @@ func (s *Server) publishLocked() {
 			}
 		}
 	}
-	s.pubIdx = len(events)
+	s.pubIdx = hwm
 }

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -132,5 +133,99 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if st.Jobs[1].State != "queued" || st.Jobs[1].Procs != 0 {
 		t.Fatalf("queued job %+v", st.Jobs[1])
+	}
+}
+
+// TestServerCommitBarrierOrdersPublication drives a Server whose core has a
+// commit barrier the test controls: while the barrier blocks, the op is in
+// the core (Status, Seq) and nowhere else; a later op's commit publishes the
+// earlier op's events too, in order; and an op whose commit fails is never
+// published, launched or acknowledged.
+func TestServerCommitBarrierOrdersPublication(t *testing.T) {
+	ctx := context.Background()
+	core := NewCore(8, true)
+	core.SetJournal(func(Op) error { return nil })
+	gate := make(chan error)
+	core.SetCommit(func() error { return <-gate })
+	launched := make(chan int, 4)
+	srv := NewServerCore(core, func(j *Job) { launched <- j.ID })
+	sub, err := srv.Watch(ctx, AllJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+
+	acks := make(chan error, 3)
+	submit := func(name string) {
+		_, err := srv.Submit(ctx, spec(name, topo(1, 2), 8000))
+		acks <- err
+	}
+	go submit("a")
+	go submit("b")
+	// Both ops are applied once Status, which queues behind them for the
+	// lock, shows them.
+	for {
+		cs, err := srv.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cs.Jobs) == 2 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if srv.Seq() != 4 {
+		t.Fatalf("Seq %d with four events recorded and none published", srv.Seq())
+	}
+	select {
+	case ev := <-sub.C:
+		t.Fatalf("event %q published before any commit returned", ev.Kind)
+	case id := <-launched:
+		t.Fatalf("job %d launched before any commit returned", id)
+	case err := <-acks:
+		t.Fatalf("submit acknowledged (%v) before its commit returned", err)
+	default:
+	}
+
+	// One commit returns. Whichever op it belongs to, everything up to that
+	// op's own events is published in order, and nothing past them.
+	gate <- nil
+	if err := <-acks; err != nil {
+		t.Fatal(err)
+	}
+	first := collectEvents(t, sub, 2)
+	gate <- nil
+	if err := <-acks; err != nil {
+		t.Fatal(err)
+	}
+	evs := append(first, collectEvents(t, sub, len(core.Events)-len(first))...)
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+1) || ev.Kind != core.Events[i].Kind || ev.JobID != core.Events[i].JobID {
+			t.Fatalf("event %d is %q of job %d with seq %d; the trace has %q of job %d",
+				i, ev.Kind, ev.JobID, ev.Seq, core.Events[i].Kind, core.Events[i].JobID)
+		}
+	}
+	<-launched
+	<-launched
+
+	// A failed commit: the op stays applied, and invisible.
+	lost := errors.New("disk gone")
+	go submit("c")
+	gate <- lost
+	if err := <-acks; !errors.Is(err, lost) {
+		t.Fatalf("submit with a failed commit returned %v", err)
+	}
+	if _, err := srv.Status(ctx); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-sub.C:
+		t.Fatalf("event %q published for an op whose commit failed", ev.Kind)
+	case id := <-launched:
+		t.Fatalf("job %d launched by an op whose commit failed", id)
+	default:
+	}
+	if got := srv.Seq(); got != uint64(len(core.Events)) {
+		t.Fatalf("Seq %d, trace holds %d events", got, len(core.Events))
 	}
 }
