@@ -17,15 +17,15 @@ type Comm struct {
 	world *World
 	proc  *proc
 	ctx   int
-	gids  []int // global ids of members; index is the communicator rank
-	rank  int   // caller's rank within this communicator
+	procs []*proc // members' mailboxes, resolved once; index is the communicator rank
+	rank  int     // caller's rank within this communicator
 }
 
 // Rank returns the caller's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.gids) }
+func (c *Comm) Size() int { return len(c.procs) }
 
 // Send delivers v to rank dst with the given tag. The value is delivered by
 // reference: the receiver must not mutate it. Use SendFloats/SendInts for
@@ -35,11 +35,10 @@ func (c *Comm) Send(dst, tag int, v any) {
 }
 
 func (c *Comm) sendCtx(ctx, dst, tag int, v any) {
-	if dst < 0 || dst >= len(c.gids) {
-		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, len(c.gids)))
+	if dst < 0 || dst >= len(c.procs) {
+		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, len(c.procs)))
 	}
-	p := c.world.lookup(c.gids[dst])
-	p.deliver(envelope{ctx: ctx, src: c.rank, tag: tag, data: v})
+	c.procs[dst].deliver(envelope{ctx: ctx, src: c.rank, tag: tag, data: v})
 }
 
 // SendFloats copies xs and delivers the copy to rank dst.
@@ -98,7 +97,7 @@ func (c *Comm) Dup() *Comm {
 		v, _, _ := c.Recv(0, tagDup)
 		ctx = v.(int)
 	}
-	return &Comm{world: c.world, proc: c.proc, ctx: ctx, gids: c.gids, rank: c.rank}
+	return &Comm{world: c.world, proc: c.proc, ctx: ctx, procs: c.procs, rank: c.rank}
 }
 
 // Split partitions the communicator by color, ordering ranks within each new
@@ -115,7 +114,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		if res.ctx < 0 {
 			return nil
 		}
-		return &Comm{world: c.world, proc: c.proc, ctx: res.ctx, gids: res.gids, rank: res.rank}
+		return &Comm{world: c.world, proc: c.proc, ctx: res.ctx, procs: res.procs, rank: res.rank}
 	}
 
 	entries := make([]entry, c.Size())
@@ -149,12 +148,12 @@ func (c *Comm) Split(color, key int) *Comm {
 			return group[i].rank < group[j].rank
 		})
 		ctx := c.world.allocCtx()
-		gids := make([]int, len(group))
+		procs := make([]*proc, len(group))
 		for i, e := range group {
-			gids[i] = c.gids[e.rank]
+			procs[i] = c.procs[e.rank]
 		}
 		for i, e := range group {
-			results[e.rank] = splitResult{ctx: ctx, gids: gids, rank: i}
+			results[e.rank] = splitResult{ctx: ctx, procs: procs, rank: i}
 		}
 	}
 	for r := 1; r < c.Size(); r++ {
@@ -164,13 +163,13 @@ func (c *Comm) Split(color, key int) *Comm {
 	if res.ctx < 0 {
 		return nil
 	}
-	return &Comm{world: c.world, proc: c.proc, ctx: res.ctx, gids: res.gids, rank: res.rank}
+	return &Comm{world: c.world, proc: c.proc, ctx: res.ctx, procs: res.procs, rank: res.rank}
 }
 
 type splitResult struct {
-	ctx  int
-	gids []int
-	rank int
+	ctx   int
+	procs []*proc
+	rank  int
 }
 
 // Sub returns a communicator containing only the listed ranks (in the given

@@ -564,7 +564,7 @@ func TestPersistentRequests(t *testing.T) {
 	}
 }
 
-func TestPersistentStartAllWaitAll(t *testing.T) {
+func TestPersistentAllToAll(t *testing.T) {
 	err := Run(3, func(c *Comm) error {
 		// everyone sends to everyone (including via distinct requests)
 		var sends, recvs []*Request
@@ -580,10 +580,16 @@ func TestPersistentStartAllWaitAll(t *testing.T) {
 			sends = append(sends, c.SendInit(r, 4, sendBufs[r]))
 			recvs = append(recvs, c.RecvInit(r, 4, recvBufs[r]))
 		}
-		StartAll(sends)
-		StartAll(recvs)
-		WaitAll(recvs)
-		WaitAll(sends)
+		for _, reqs := range [][]*Request{sends, recvs} {
+			for _, r := range reqs {
+				r.Start()
+			}
+		}
+		for _, reqs := range [][]*Request{recvs, sends} {
+			for _, r := range reqs {
+				r.Wait()
+			}
+		}
 		for r := 0; r < n; r++ {
 			if r == c.Rank() {
 				continue
@@ -637,142 +643,6 @@ func TestLargePayloadIntegrity(t *testing.T) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRequestSetRecvsPostedBeforeSends(t *testing.T) {
-	// The pipelined redistribution order: every rank arms all its receives
-	// first, then packs and sends. Receives are armed in the background, so
-	// this must complete without any rank reaching its send.
-	err := Run(4, func(c *Comm) error {
-		n := c.Size()
-		var recvSet, sendSet RequestSet
-		recvBufs := make([][]float64, n)
-		for r := 0; r < n; r++ {
-			if r == c.Rank() {
-				continue
-			}
-			recvBufs[r] = make([]float64, 2)
-			recvSet.AddRecv(c, r, 7, recvBufs[r])
-		}
-		recvSet.Startall()
-		for r := 0; r < n; r++ {
-			if r == c.Rank() {
-				continue
-			}
-			sendSet.AddSend(c, r, 7, []float64{float64(c.Rank()), float64(r)})
-		}
-		sendSet.Startall()
-		recvSet.Waitall()
-		sendSet.Waitall()
-		for r := 0; r < n; r++ {
-			if r == c.Rank() {
-				continue
-			}
-			if recvBufs[r][0] != float64(r) || recvBufs[r][1] != float64(c.Rank()) {
-				return fmt.Errorf("rank %d from %d: %v", c.Rank(), r, recvBufs[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRequestSetReuseAcrossRounds(t *testing.T) {
-	// Reset lets one set (and its underlying persistent requests) drive
-	// repeated executions of the same schedule.
-	err := Run(2, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		sendBuf := make([]float64, 3)
-		recvBuf := make([]float64, 3)
-		var set RequestSet
-		for round := 0; round < 4; round++ {
-			set.Reset()
-			if set.Len() != 0 {
-				return fmt.Errorf("reset left %d requests", set.Len())
-			}
-			set.AddRecv(c, peer, 11, recvBuf)
-			set.Startall()
-			for j := range sendBuf {
-				sendBuf[j] = float64(round*100 + c.Rank()*10 + j)
-			}
-			c.SendInit(peer, 11, sendBuf).Start()
-			set.Waitall()
-			for j := range recvBuf {
-				if recvBuf[j] != float64(round*100+peer*10+j) {
-					return fmt.Errorf("round %d: %v", round, recvBuf)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRequestSetPerStepTagsPipeline(t *testing.T) {
-	// Arm the receives for several schedule steps up front (distinct tags
-	// per step), then send the steps in reverse order: each armed receive
-	// must still complete with its own step's payload.
-	const steps = 5
-	err := Run(2, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		bufs := make([][]float64, steps)
-		var set RequestSet
-		for s := 0; s < steps; s++ {
-			bufs[s] = make([]float64, 1)
-			set.AddRecv(c, peer, 100+s, bufs[s])
-		}
-		set.Startall()
-		for s := steps - 1; s >= 0; s-- {
-			c.SendFloats(peer, 100+s, []float64{float64(peer*1000 + s)})
-		}
-		set.Waitall()
-		for s := 0; s < steps; s++ {
-			if bufs[s][0] != float64(c.Rank()*1000+s) {
-				return fmt.Errorf("step %d: got %v", s, bufs[s][0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRequestSetResetRejectsInFlightReceives(t *testing.T) {
-	// Dropping an armed receive would leave its background matcher alive to
-	// steal the next execution's message; Reset must refuse.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() != 0 {
-			v, _, _ := c.Recv(0, 50)
-			if v.(int) != 1 {
-				return fmt.Errorf("handshake payload %v", v)
-			}
-			c.SendFloats(0, 51, []float64{4})
-			return nil
-		}
-		var set RequestSet
-		set.AddRecv(c, 1, 51, make([]float64, 1))
-		set.Startall()
-		panicked := func() (p bool) {
-			defer func() { p = recover() != nil }()
-			set.Reset()
-			return
-		}()
-		if !panicked {
-			t.Error("Reset accepted an armed in-flight receive")
-		}
-		c.Send(1, 50, 1) // let rank 1 send so the armed receive can finish
-		set.Waitall()
-		set.Reset() // completed: now legal
 		return nil
 	})
 	if err != nil {

@@ -4,8 +4,8 @@ import "fmt"
 
 // Request is a persistent communication request bound to a fixed peer, tag
 // and buffer, mirroring MPI_Send_init / MPI_Recv_init. A request may be
-// started and waited on repeatedly; the redistribution library reuses one
-// request per communication-schedule step.
+// started and waited on repeatedly; the per-array redistribution Plan
+// starts and waits one request per communication-schedule step.
 type Request struct {
 	comm    *Comm
 	send    bool
@@ -13,7 +13,6 @@ type Request struct {
 	tag     int
 	buf     []float64
 	started bool
-	done    chan []float64 // armed receive completion (nil for sends)
 }
 
 // SendInit creates a persistent send request. Each Start snapshots the
@@ -25,7 +24,7 @@ func (c *Comm) SendInit(dst, tag int, buf []float64) *Request {
 	return &Request{comm: c, send: true, peer: dst, tag: tag, buf: buf}
 }
 
-// RecvInit creates a persistent receive request. Each Start arms the
+// RecvInit creates a persistent receive request. Each Start posts the
 // request; the matching Wait blocks until a message from src with tag
 // arrives and copies it into buf.
 func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
@@ -36,37 +35,22 @@ func (c *Comm) RecvInit(src, tag int, buf []float64) *Request {
 }
 
 // Start initiates the operation. Sends complete eagerly (the buffer is
-// copied immediately); a lone receive is posted and performed
-// synchronously by Wait, costing nothing when Start is followed
-// immediately by Wait (the single-array redistribution pattern). Batch
-// starts — StartAll or RequestSet.Startall — additionally arm receives in
-// the background, so a rank can post every receive of a schedule before
-// packing and sending its own data and the completion copies overlap with
-// that work. Two armed receives matching the same (source, tag) race for
-// arrival order — callers that pipeline steps must disambiguate with
-// per-step tags.
-func (r *Request) Start() { r.start(false) }
-
-func (r *Request) start(arm bool) {
+// copied immediately); a receive is posted and performed by Wait. The
+// mailbox is unbounded, so posting a receive early buys nothing here:
+// code that wants to overlap steps sends by reference with Send and
+// receives with RecvFloats instead (see redistrib.MultiPlan).
+func (r *Request) Start() {
 	if r.started {
 		panic("mpi: Request started twice without Wait")
 	}
 	r.started = true
 	if r.send {
 		r.comm.SendFloats(r.peer, r.tag, r.buf)
-		return
-	}
-	if arm {
-		done := make(chan []float64, 1)
-		r.done = done
-		comm, peer, tag := r.comm, r.peer, r.tag
-		go func() { done <- comm.RecvFloats(peer, tag) }()
 	}
 }
 
 // Wait completes the operation started by the last Start. For receives it
-// blocks until the message arrives (draining the background arming if the
-// request was batch-started) and fills the bound buffer; the message
+// blocks until the message arrives and fills the bound buffer; the message
 // length must not exceed the buffer length.
 func (r *Request) Wait() {
 	if !r.started {
@@ -76,78 +60,9 @@ func (r *Request) Wait() {
 	if r.send {
 		return
 	}
-	var got []float64
-	if r.done != nil {
-		got = <-r.done
-		r.done = nil
-	} else {
-		got = r.comm.RecvFloats(r.peer, r.tag)
-	}
+	got := r.comm.RecvFloats(r.peer, r.tag)
 	if len(got) > len(r.buf) {
 		panic(fmt.Sprintf("mpi: persistent recv overflow: message %d into buffer %d", len(got), len(r.buf)))
 	}
 	copy(r.buf, got)
-}
-
-// StartAll starts every request as a batch: receives are armed in the
-// background (see Request.Start).
-func StartAll(reqs []*Request) {
-	for _, r := range reqs {
-		r.start(true)
-	}
-}
-
-// WaitAll waits for every request.
-func WaitAll(reqs []*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
-}
-
-// RequestSet is a reusable batch of persistent requests, mirroring
-// MPI_Startall / MPI_Waitall over a request array. The redistribution
-// engine builds one set per execution: all receives are added and started
-// up front (arming them), sends proceed while the receives are in flight,
-// and Waitall drains completions in the order the requests were added.
-type RequestSet struct {
-	reqs []*Request
-}
-
-// Add appends a request to the set and returns it for convenience.
-func (s *RequestSet) Add(r *Request) *Request {
-	s.reqs = append(s.reqs, r)
-	return r
-}
-
-// AddRecv creates a persistent receive on c and adds it to the set.
-func (s *RequestSet) AddRecv(c *Comm, src, tag int, buf []float64) *Request {
-	return s.Add(c.RecvInit(src, tag, buf))
-}
-
-// AddSend creates a persistent send on c and adds it to the set.
-func (s *RequestSet) AddSend(c *Comm, dst, tag int, buf []float64) *Request {
-	return s.Add(c.SendInit(dst, tag, buf))
-}
-
-// Len returns the number of requests in the set.
-func (s *RequestSet) Len() int { return len(s.reqs) }
-
-// Startall starts every request in the set.
-func (s *RequestSet) Startall() { StartAll(s.reqs) }
-
-// Waitall completes every request in the set, in insertion order.
-func (s *RequestSet) Waitall() { WaitAll(s.reqs) }
-
-// Reset empties the set, retaining capacity so a set can be reused across
-// repeated executions of the same schedule. Every armed receive must have
-// been completed with Waitall first: dropping one in flight would leave a
-// background matcher alive to steal the next execution's message, so Reset
-// panics instead.
-func (s *RequestSet) Reset() {
-	for _, r := range s.reqs {
-		if r.started && r.done != nil {
-			panic("mpi: RequestSet.Reset with an armed receive still in flight; call Waitall first")
-		}
-	}
-	s.reqs = s.reqs[:0]
 }

@@ -8,7 +8,7 @@ import "fmt"
 // into a single intracommunicator like MPI_Intercomm_merge.
 type Intercomm struct {
 	local      *Comm
-	remoteGids []int
+	remote     []*proc
 	ctx        int  // context for cross-group point-to-point traffic
 	mergedCtx  int  // pre-agreed context for the merged intracommunicator
 	localFirst bool // true on the parent side: parents precede children after Merge
@@ -18,15 +18,14 @@ type Intercomm struct {
 func (ic *Intercomm) Local() *Comm { return ic.local }
 
 // RemoteSize returns the number of ranks in the remote group.
-func (ic *Intercomm) RemoteSize() int { return len(ic.remoteGids) }
+func (ic *Intercomm) RemoteSize() int { return len(ic.remote) }
 
 // Send delivers v to rank dst of the remote group.
 func (ic *Intercomm) Send(dst, tag int, v any) {
-	if dst < 0 || dst >= len(ic.remoteGids) {
-		panic(fmt.Sprintf("mpi: intercomm Send to invalid remote rank %d (size %d)", dst, len(ic.remoteGids)))
+	if dst < 0 || dst >= len(ic.remote) {
+		panic(fmt.Sprintf("mpi: intercomm Send to invalid remote rank %d (size %d)", dst, len(ic.remote)))
 	}
-	p := ic.local.world.lookup(ic.remoteGids[dst])
-	p.deliver(envelope{ctx: ic.ctx, src: ic.local.rank, tag: tag, data: v})
+	ic.remote[dst].deliver(envelope{ctx: ic.ctx, src: ic.local.rank, tag: tag, data: v})
 }
 
 // Recv blocks for a message from rank src of the remote group (or AnySource).
@@ -41,22 +40,21 @@ func (ic *Intercomm) Recv(src, tag int) (v any, actualSrc, actualTag int) {
 // when growing a processor set. Merge is purely local: the merged context was
 // agreed at spawn time, so no traffic is needed.
 func (ic *Intercomm) Merge() *Comm {
-	var gids []int
+	var procs []*proc
 	var rank int
-	localGids := ic.local.gids
 	if ic.localFirst {
-		gids = append(append([]int{}, localGids...), ic.remoteGids...)
+		procs = append(append([]*proc{}, ic.local.procs...), ic.remote...)
 		rank = ic.local.rank
 	} else {
-		gids = append(append([]int{}, ic.remoteGids...), localGids...)
-		rank = len(ic.remoteGids) + ic.local.rank
+		procs = append(append([]*proc{}, ic.remote...), ic.local.procs...)
+		rank = len(ic.remote) + ic.local.rank
 	}
-	return &Comm{world: ic.local.world, proc: ic.local.proc, ctx: ic.mergedCtx, gids: gids, rank: rank}
+	return &Comm{world: ic.local.world, proc: ic.local.proc, ctx: ic.mergedCtx, procs: procs, rank: rank}
 }
 
 // spawnInfo is the control message broadcast to all parents during Spawn.
 type spawnInfo struct {
-	childGids []int
+	children  []*proc
 	childCtx  int
 	interCtx  int
 	mergedCtx int
@@ -73,9 +71,9 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 	}
 	var info spawnInfo
 	if c.rank == 0 {
-		childGids, childCtx := c.world.allocProcs(k)
+		children, childCtx := c.world.allocProcs(k)
 		info = spawnInfo{
-			childGids: childGids,
+			children:  children,
 			childCtx:  childCtx,
 			interCtx:  c.world.allocCtx(),
 			mergedCtx: c.world.allocCtx(),
@@ -84,18 +82,17 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 	info = c.Bcast(0, info).(spawnInfo)
 
 	if c.rank == 0 {
-		parentGids := append([]int{}, c.gids...)
-		for i := 0; i < k; i++ {
+		for i, p := range info.children {
 			childComm := &Comm{
 				world: c.world,
-				proc:  c.world.lookup(info.childGids[i]),
+				proc:  p,
 				ctx:   info.childCtx,
-				gids:  info.childGids,
+				procs: info.children,
 				rank:  i,
 			}
 			childIC := &Intercomm{
 				local:      childComm,
-				remoteGids: parentGids,
+				remote:     c.procs,
 				ctx:        info.interCtx,
 				mergedCtx:  info.mergedCtx,
 				localFirst: false,
@@ -105,7 +102,7 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 	}
 	return &Intercomm{
 		local:      c,
-		remoteGids: info.childGids,
+		remote:     info.children,
 		ctx:        info.interCtx,
 		mergedCtx:  info.mergedCtx,
 		localFirst: true,

@@ -13,7 +13,6 @@ type World struct {
 	mu      sync.Mutex
 	nextGID int
 	nextCtx int
-	procs   map[int]*proc
 
 	wg    sync.WaitGroup
 	errMu sync.Mutex
@@ -22,7 +21,7 @@ type World struct {
 
 // NewWorld returns an empty World ready to host ranks.
 func NewWorld() *World {
-	return &World{procs: make(map[int]*proc)}
+	return &World{}
 }
 
 // Run creates a fresh World with n ranks, runs fn on every rank, waits for
@@ -39,10 +38,9 @@ func (w *World) Run(n int, fn func(*Comm) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: Run needs at least 1 rank, got %d", n)
 	}
-	gids, ctx := w.allocProcs(n)
-	for i := 0; i < n; i++ {
-		c := &Comm{world: w, proc: w.lookup(gids[i]), ctx: ctx, gids: gids, rank: i}
-		w.launch(c, fn)
+	procs, ctx := w.allocProcs(n)
+	for i, p := range procs {
+		w.launch(&Comm{world: w, proc: p, ctx: ctx, procs: procs, rank: i}, fn)
 	}
 	w.wg.Wait()
 	w.errMu.Lock()
@@ -50,23 +48,22 @@ func (w *World) Run(n int, fn func(*Comm) error) error {
 	return errors.Join(w.errs...)
 }
 
-// allocProcs registers n new ranks and a fresh context, returning the new
-// global ids and the context id.
-func (w *World) allocProcs(n int) (gids []int, ctx int) {
+// allocProcs creates n new ranks and a fresh context, returning the new
+// mailboxes and the context id. Communicators hold their members' mailboxes
+// directly, so a send never goes back through the World.
+func (w *World) allocProcs(n int) (procs []*proc, ctx int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	gids = make([]int, n)
-	for i := range gids {
-		gid := w.nextGID
+	procs = make([]*proc, n)
+	for i := range procs {
+		p := &proc{gid: w.nextGID}
 		w.nextGID++
-		p := &proc{gid: gid}
 		p.cond = sync.NewCond(&p.mu)
-		w.procs[gid] = p
-		gids[i] = gid
+		procs[i] = p
 	}
 	ctx = w.nextCtx
 	w.nextCtx++
-	return gids, ctx
+	return procs, ctx
 }
 
 // allocCtx reserves a fresh communicator context id.
@@ -76,12 +73,6 @@ func (w *World) allocCtx() int {
 	ctx := w.nextCtx
 	w.nextCtx++
 	return ctx
-}
-
-func (w *World) lookup(gid int) *proc {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.procs[gid]
 }
 
 // launch starts fn on comm's rank in a new goroutine tracked by the world.

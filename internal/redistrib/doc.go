@@ -10,19 +10,24 @@
 // processor (the initial-layout and final-layout tables); the generalized
 // circulant matrix formalism then groups the transfers into contention-free
 // communication steps in which every processor sends at most one message
-// and receives at most one message. Data moves with persistent
-// communication requests over the message-passing runtime; a file-based
-// checkpointing baseline (all data staged through one node) is provided
-// for comparison, and Resample covers the generic fallback when block
-// sizes change.
+// and receives at most one message. A file-based checkpointing baseline
+// (all data staged through one node) is provided for comparison, and
+// Resample covers the generic fallback when block sizes change.
 //
-// Plan executes the schedule for a single array. MultiPlan is the fused,
-// pipelined engine the resize library uses: every registered array sharing
-// the (source grid, destination grid) pair rides one schedule execution —
-// one message per communicating pair per step, all receives armed before
-// any send — so a k-array application pays 1/k of the per-array message
-// count at every resize. The single-array path is the reference
-// implementation that differential tests pin the fused engine against.
+// Plan executes the schedule for a single array over persistent
+// communication requests, as the paper does. MultiPlan is the fused engine
+// the resize library uses: every registered array sharing the (source grid,
+// destination grid) pair rides one schedule execution — one message per
+// communicating pair per step — so a k-array application pays 1/k of the
+// per-array message count at every resize. It moves each float as few times
+// as distributed memory allows: a float that changes rank is packed into a
+// pooled wire buffer, handed to the receiver by reference and unpacked out
+// of it (two copies); a float the rank keeps goes block row to block row
+// (one copy); and ExecuteInto writes the new pieces into storage the caller
+// recycles. The ownership rule: a sender never touches a wire buffer after
+// Send, and only the receiver, once it has unpacked, returns it to the
+// pool. The single-array path is the reference implementation that
+// differential tests pin the fused engine against.
 //
 // See DESIGN.md at the repository root for where redistribution sits in
 // the resize pipeline.

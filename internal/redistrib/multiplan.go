@@ -2,6 +2,8 @@ package redistrib
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/blockcyclic"
 	"repro/internal/grid"
@@ -9,10 +11,10 @@ import (
 )
 
 // tagMulti is the base tag for fused multi-array payloads. Each schedule
-// step uses tagMulti+step, so a rank can arm the receives for every step of
-// an execution before any send is posted without two in-flight messages
-// from the same peer becoming ambiguous. Tags [tagMulti, tagMulti+Steps)
-// are reserved during a MultiPlan execution.
+// step uses tagMulti+step, so a rank that posts every send of an execution
+// before its peers start receiving leaves no two in-flight messages
+// ambiguous. Tags [tagMulti, tagMulti+Steps) are reserved during a
+// MultiPlan execution.
 const tagMulti = 10000
 
 // MultiPlan fuses the redistribution of several block-cyclic arrays that
@@ -30,6 +32,11 @@ const tagMulti = 10000
 // to it.
 type MultiPlan struct {
 	plans []*Plan
+	// rowClass[a][s*Q+d] is array a's row block class for the pair (source
+	// grid row s, destination grid row d of Q); colClass likewise for
+	// columns. Built once for every pair, so an execution allocates no
+	// index tables and any rank may execute the plan concurrently.
+	rowClass, colClass [][][]int
 }
 
 // NewMultiPlan validates that every (src, dst) layout pair describes a
@@ -60,7 +67,32 @@ func NewMultiPlan(srcs, dsts []blockcyclic.Layout) (*MultiPlan, error) {
 		}
 		plans[i] = pl
 	}
-	return &MultiPlan{plans: plans}, nil
+	mp := &MultiPlan{plans: plans, rowClass: make([][][]int, len(plans)), colClass: make([][][]int, len(plans))}
+	for a, pl := range plans {
+		mp.rowClass[a] = classTable(pl.Src.BlockRows(), pl.Src.Grid.Rows, pl.Dst.Grid.Rows)
+		mp.colClass[a] = classTable(pl.Src.BlockCols(), pl.Src.Grid.Cols, pl.Dst.Grid.Cols)
+	}
+	return mp, nil
+}
+
+// classTable is classBlocks for every (s, d) pair at once, indexed s*q+d.
+// The classes partition the blocks, so they are carved out of one backing
+// array.
+func classTable(nblocks, p, q int) [][]int {
+	class := func(j int) int { return (j%p)*q + j%q }
+	counts := make([]int, p*q)
+	for j := 0; j < nblocks; j++ {
+		counts[class(j)]++
+	}
+	t := make([][]int, p*q)
+	backing := make([]int, nblocks)
+	for k, n := range counts {
+		t[k], backing = backing[:0:n], backing[n:]
+	}
+	for j := 0; j < nblocks; j++ {
+		t[class(j)] = append(t[class(j)], j)
+	}
+	return t
 }
 
 // newPlanSharedSchedule builds a Plan for one array reusing the schedule
@@ -96,15 +128,38 @@ func (mp *MultiPlan) Steps() int { return mp.plans[0].Steps() }
 func (mp *MultiPlan) SrcGrid() grid.Topology { return mp.plans[0].Src.Grid }
 func (mp *MultiPlan) DstGrid() grid.Topology { return mp.plans[0].Dst.Grid }
 
-// incoming describes one step's inbound fused payload on the receiving
-// rank: the per-array block classes and sizes that frame the wire buffer.
-type incoming struct {
-	step      int
-	buf       []float64 // filled by the armed receive, or the self-transfer
-	sizes     []int     // per-array float counts (framing offsets)
-	rowBlocks [][]int   // per-array row block classes
-	colBlocks [][]int
-	self      bool
+// wireBufs recycles the fused wire buffers, one sync.Pool per power-of-two
+// capacity class so a Get never returns a buffer that is too small. A buffer
+// has one owner at a time: the sender takes it, packs it, hands it to
+// mpi.Comm.Send by reference and never touches it again; the receiver
+// unpacks it and is the only side that returns it. Recycled buffers are not
+// cleared — pack overwrites every float it sends.
+var wireBufs [bits.UintSize]sync.Pool
+
+// getWire returns an empty buffer with room for n (> 0) floats.
+func getWire(n int) []float64 {
+	class := bits.Len(uint(n - 1))
+	if p, _ := wireBufs[class].Get().(*[]float64); p != nil {
+		return (*p)[:0]
+	}
+	return make([]float64, 0, 1<<class)
+}
+
+// putWire returns a (non-empty) buffer the caller has finished unpacking to
+// the pool.
+func putWire(buf []float64) {
+	wireBufs[bits.Len(uint(cap(buf)))-1].Put(&buf)
+}
+
+// frame fills sizes[a] with each array's float count for the block class
+// (row pair ri, column pair ci) — the framing offsets of the step's fused
+// buffer — and returns their sum.
+func (mp *MultiPlan) frame(sizes []int, ri, ci int) (total int) {
+	for a, pl := range mp.plans {
+		sizes[a] = pl.payloadSize(mp.rowClass[a][ri], mp.colClass[a][ci])
+		total += sizes[a]
+	}
+	return total
 }
 
 // Execute redistributes every fused array at once. srcData holds the
@@ -117,12 +172,31 @@ func (mp *MultiPlan) Execute(c *mpi.Comm, srcData [][]float64) [][]float64 {
 	return out
 }
 
-// ExecuteStats is Execute plus per-rank traffic statistics. The execution
-// is pipelined: the rank arms every receive of the whole schedule first
-// (persistent requests started as a batch), then packs and posts its sends
-// step by step, and only then waits and unpacks — pack, send, recv and
-// unpack of different steps overlap instead of serializing.
+// ExecuteStats is Execute plus per-rank traffic statistics. The new pieces
+// are freshly allocated; srcData is only read.
 func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64, Stats) {
+	dst := make([][]float64, len(mp.plans))
+	return dst, mp.ExecuteInto(c, srcData, dst)
+}
+
+// ExecuteInto is ExecuteStats writing the new local pieces into
+// caller-supplied storage: on return dst[a] is array a's new piece (nil on
+// ranks outside the destination grid). An entry with enough capacity is
+// resliced and overwritten in full — it need not be zeroed, because the
+// block classes of the inbound steps tile the destination piece exactly —
+// and any other entry is allocated. dst[a] must not share storage with
+// srcData[a], which is only read.
+//
+// Every float is copied as few times as the distributed-memory model
+// allows: a remote float twice (packed into a pooled wire buffer that is
+// handed to the receiver by reference, unpacked out of it), a float the
+// rank keeps across the resize once (block row to block row). The rank
+// first packs and posts every send — sends are eager and the mailbox is
+// unbounded, so nothing is gained by posting receives ahead of them — then
+// receives step by step, unpacking each delivered buffer and returning it
+// to the pool. A MultiPlan is immutable, so one plan may be executed by
+// every rank concurrently.
+func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 	base := mp.plans[0]
 	me := c.Rank()
 	p := base.Src.Grid.Count()
@@ -130,28 +204,26 @@ func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64
 	if c.Size() < p || c.Size() < q {
 		panic(fmt.Sprintf("redistrib: communicator size %d smaller than grids (%d src, %d dst)", c.Size(), p, q))
 	}
-	if len(srcData) != len(mp.plans) {
-		panic(fmt.Sprintf("redistrib: %d source slices for %d fused arrays", len(srcData), len(mp.plans)))
+	if len(srcData) != len(mp.plans) || len(dst) != len(mp.plans) {
+		panic(fmt.Sprintf("redistrib: %d source and %d destination slices for %d fused arrays", len(srcData), len(dst), len(mp.plans)))
 	}
 	inSrc := me < p
 	inDst := me < q
-	if inSrc {
-		for a, pl := range mp.plans {
-			if len(srcData[a]) != pl.Src.LocalSize(me) {
-				panic(fmt.Sprintf("redistrib: rank %d array %d has %d floats, layout expects %d",
-					me, a, len(srcData[a]), pl.Src.LocalSize(me)))
-			}
+	for a, pl := range mp.plans {
+		if inSrc && len(srcData[a]) != pl.Src.LocalSize(me) {
+			panic(fmt.Sprintf("redistrib: rank %d array %d has %d floats, layout expects %d",
+				me, a, len(srcData[a]), pl.Src.LocalSize(me)))
+		}
+		if !inDst {
+			dst[a] = nil
+		} else if n := pl.Dst.LocalSize(me); dst[a] == nil || cap(dst[a]) < n {
+			dst[a] = make([]float64, n)
+		} else {
+			dst[a] = dst[a][:n]
 		}
 	}
 
 	var stats Stats
-	dstData := make([][]float64, len(mp.plans))
-	if inDst {
-		for a, pl := range mp.plans {
-			dstData[a] = make([]float64, pl.Dst.LocalSize(me))
-		}
-	}
-
 	var sr, sc, dr, dc int
 	if inSrc {
 		sr, sc = base.Src.Coords(me)
@@ -160,112 +232,82 @@ func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64
 		dr, dc = base.Dst.Coords(me)
 	}
 	nc := len(base.colSched)
+	qr, qc := base.Dst.Grid.Rows, base.Dst.Grid.Cols
+	sizes := make([]int, len(mp.plans))
 
-	// Phase 1: compute every inbound step and arm the remote receives as one
-	// persistent-request batch before posting any send.
-	var pending []*incoming
-	selfByStep := make(map[int]*incoming)
-	var recvSet mpi.RequestSet
-	if inDst {
-		for tr := range base.rowSched {
-			for tc := 0; tc < nc; tc++ {
-				fromRow := base.rowRecvFrom[tr][dr]
-				fromCol := base.colRecvFrom[tc][dc]
-				if fromRow < 0 || fromCol < 0 {
-					continue
-				}
-				in := &incoming{
-					step:      tr*nc + tc,
-					sizes:     make([]int, len(mp.plans)),
-					rowBlocks: make([][]int, len(mp.plans)),
-					colBlocks: make([][]int, len(mp.plans)),
-				}
-				total := 0
-				for a, pl := range mp.plans {
-					rb := classBlocks(pl.Src.BlockRows(), pl.Src.Grid.Rows, fromRow, pl.Dst.Grid.Rows, dr)
-					cb := classBlocks(pl.Src.BlockCols(), pl.Src.Grid.Cols, fromCol, pl.Dst.Grid.Cols, dc)
-					in.rowBlocks[a], in.colBlocks[a] = rb, cb
-					in.sizes[a] = pl.payloadSize(rb, cb)
-					total += in.sizes[a]
-				}
-				if total == 0 {
-					continue
-				}
-				source := base.Src.Rank(fromRow, fromCol)
-				if source == me {
-					in.self = true
-					selfByStep[in.step] = in
-				} else {
-					in.buf = make([]float64, total)
-					recvSet.AddRecv(c, source, tagMulti+in.step, in.buf)
-					stats.MessagesRecv++
-					stats.FloatsRecv += total
-				}
-				pending = append(pending, in)
-			}
+	// Outbound: one message per communicating pair per step carries every
+	// array's blocks back to back; blocks this rank keeps go straight from
+	// the old piece to the new one.
+	for tr := 0; inSrc && tr < len(base.rowSched); tr++ {
+		toRow := base.rowSendTo[tr][sr]
+		if toRow < 0 {
+			continue
 		}
-	}
-	recvSet.Startall()
-
-	// Phase 2: pack and post the sends. One message per communicating pair
-	// per step carries every array's blocks; sends complete eagerly while
-	// the armed receives drain concurrently.
-	if inSrc {
-		sendRB := make([][]int, len(mp.plans))
-		sendCB := make([][]int, len(mp.plans))
-		for tr := range base.rowSched {
-			for tc := 0; tc < nc; tc++ {
-				toRow := base.rowSendTo[tr][sr]
-				toCol := base.colSendTo[tc][sc]
-				if toRow < 0 || toCol < 0 {
-					continue
-				}
-				total := 0
-				for a, pl := range mp.plans {
-					rb := classBlocks(pl.Src.BlockRows(), pl.Src.Grid.Rows, sr, pl.Dst.Grid.Rows, toRow)
-					cb := classBlocks(pl.Src.BlockCols(), pl.Src.Grid.Cols, sc, pl.Dst.Grid.Cols, toCol)
-					sendRB[a], sendCB[a] = rb, cb
-					total += pl.payloadSize(rb, cb)
-				}
-				if total == 0 {
-					continue
-				}
-				buf := make([]float64, 0, total)
-				for a, pl := range mp.plans {
-					if len(sendRB[a]) == 0 || len(sendCB[a]) == 0 {
-						continue
-					}
-					buf = pl.packAppend(buf, srcData[a], sr, sc, sendRB[a], sendCB[a])
-				}
-				step := tr*nc + tc
-				dest := base.Dst.Rank(toRow, toCol)
-				if dest == me {
-					selfByStep[step].buf = buf
-					stats.LocalCopies++
-					stats.FloatsCopied += len(buf)
-				} else {
-					c.SendInit(dest, tagMulti+step, buf).Start()
-					stats.MessagesSent++
-					stats.FloatsSent += len(buf)
-				}
+		ri := sr*qr + toRow
+		for tc := 0; tc < nc; tc++ {
+			toCol := base.colSendTo[tc][sc]
+			if toCol < 0 {
+				continue
 			}
+			ci := sc*qc + toCol
+			total := mp.frame(sizes, ri, ci)
+			if total == 0 {
+				continue
+			}
+			dest := base.Dst.Rank(toRow, toCol)
+			if dest == me {
+				for a, pl := range mp.plans {
+					pl.copyBlocks(dst[a], srcData[a], sc, dc, mp.rowClass[a][ri], mp.colClass[a][ci])
+				}
+				stats.LocalCopies++
+				stats.FloatsCopied += total
+				continue
+			}
+			buf := getWire(total)
+			for a, pl := range mp.plans {
+				buf = pl.packAppend(buf, srcData[a], sr, sc, mp.rowClass[a][ri], mp.colClass[a][ci])
+			}
+			c.Send(dest, tagMulti+tr*nc+tc, buf)
+			stats.MessagesSent++
+			stats.FloatsSent += total
 		}
 	}
 
-	// Phase 3: wait for the batch and unpack every inbound step, slicing
-	// each fused buffer at the per-array offsets both sides derived from the
-	// layout tables.
-	recvSet.Waitall()
-	for _, in := range pending {
-		off := 0
-		for a, pl := range mp.plans {
-			if in.sizes[a] > 0 {
-				pl.unpack(in.buf[off:off+in.sizes[a]], dstData[a], dr, dc, in.rowBlocks[a], in.colBlocks[a])
+	// Inbound: unpack each delivered buffer at the per-array offsets both
+	// sides derived from the layout tables, then recycle it.
+	for tr := 0; inDst && tr < len(base.rowSched); tr++ {
+		fromRow := base.rowRecvFrom[tr][dr]
+		if fromRow < 0 {
+			continue
+		}
+		ri := fromRow*qr + dr
+		for tc := 0; tc < nc; tc++ {
+			fromCol := base.colRecvFrom[tc][dc]
+			if fromCol < 0 {
+				continue
 			}
-			off += in.sizes[a]
+			ci := fromCol*qc + dc
+			total := mp.frame(sizes, ri, ci)
+			source := base.Src.Rank(fromRow, fromCol)
+			if total == 0 || source == me {
+				continue
+			}
+			buf := c.RecvFloats(source, tagMulti+tr*nc+tc)
+			if len(buf) != total {
+				panic(fmt.Sprintf("redistrib: rank %d step %d: %d floats from rank %d, layout expects %d",
+					me, tr*nc+tc, len(buf), source, total))
+			}
+			off := 0
+			for a, pl := range mp.plans {
+				pl.unpack(buf[off:off+sizes[a]], dst[a], dr, dc, mp.rowClass[a][ri], mp.colClass[a][ci])
+				off += sizes[a]
+			}
+			putWire(buf)
+			stats.MessagesRecv++
+			stats.FloatsRecv += total
 		}
 	}
-	return dstData, stats
+	return stats
 }
 
 // RedistributeMulti is the one-shot convenience wrapper over NewMultiPlan +

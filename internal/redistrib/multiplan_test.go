@@ -2,7 +2,9 @@ package redistrib
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/blockcyclic"
@@ -10,10 +12,23 @@ import (
 	"repro/internal/mpi"
 )
 
+// poisoned returns n NaNs: a recycled destination piece is not cleared, so
+// any float the inbound block classes fail to overwrite stays NaN and
+// compares unequal to everything.
+func poisoned(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.NaN()
+	}
+	return xs
+}
+
 // runFusedVsReference distributes random global matrices for every array,
 // executes both the fused MultiPlan engine and the per-array reference
 // path on the same inputs, and requires bit-identical outputs (also checked
-// against a direct distribution under the destination layouts).
+// against a direct distribution under the destination layouts). The fused
+// engine runs three times: into fresh pieces, into NaN-filled pieces of the
+// exact size, and into NaN-filled over-capacity spares of the wrong length.
 func runFusedVsReference(srcs, dsts []blockcyclic.Layout, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	n := len(srcs)
@@ -50,28 +65,55 @@ func runFusedVsReference(srcs, dsts []blockcyclic.Layout, seed int64) error {
 				mine[a] = srcPieces[a][c.Rank()].Data
 			}
 		}
-		fused := mp.Execute(c, mine)
+		fresh, freshStats := mp.ExecuteStats(c, mine)
+		exact, roomy := make([][]float64, n), make([][]float64, n)
+		spares := make([][]float64, n)
 		for a := 0; a < n; a++ {
-			ref := refPlans[a].Execute(c, mine[a])
+			size := 3 // ranks outside the destination grid must drop what they offer
+			if c.Rank() < q {
+				size = dsts[a].LocalSize(c.Rank())
+			}
+			exact[a] = poisoned(size)
+			spares[a] = poisoned(size + 5)
+			roomy[a] = spares[a][:1]
+		}
+		exactStats := mp.ExecuteInto(c, mine, exact)
+		roomyStats := mp.ExecuteInto(c, mine, roomy)
+		// Every collective runs before the first check, so a failing rank
+		// reports instead of leaving its peers blocked in a receive.
+		refs := make([][]float64, n)
+		for a := 0; a < n; a++ {
+			refs[a] = refPlans[a].Execute(c, mine[a])
+		}
+		if exactStats != freshStats || roomyStats != freshStats {
+			return fmt.Errorf("rank %d: stats differ by destination: fresh %+v exact %+v roomy %+v",
+				c.Rank(), freshStats, exactStats, roomyStats)
+		}
+		for a, ref := range refs {
 			if c.Rank() >= q {
-				if fused[a] != nil || ref != nil {
+				if fresh[a] != nil || exact[a] != nil || roomy[a] != nil || ref != nil {
 					return fmt.Errorf("rank %d outside dst grid received data for array %d", c.Rank(), a)
 				}
 				continue
 			}
 			want := wantPieces[a][c.Rank()].Data
-			if len(fused[a]) != len(want) || len(ref) != len(want) {
-				return fmt.Errorf("array %d rank %d: fused %d ref %d want %d floats",
-					a, c.Rank(), len(fused[a]), len(ref), len(want))
+			if len(want) > 0 && &roomy[a][0] != &spares[a][0] {
+				return fmt.Errorf("array %d rank %d: a spare with room was not reused", a, c.Rank())
 			}
-			for i := range want {
-				if fused[a][i] != ref[i] {
-					return fmt.Errorf("array %d rank %d: fused[%d]=%v differs from reference %v",
-						a, c.Rank(), i, fused[a][i], ref[i])
+			for name, fused := range map[string][]float64{"fresh": fresh[a], "exact": exact[a], "roomy": roomy[a]} {
+				if len(fused) != len(want) || len(ref) != len(want) {
+					return fmt.Errorf("array %d rank %d: %s %d ref %d want %d floats",
+						a, c.Rank(), name, len(fused), len(ref), len(want))
 				}
-				if fused[a][i] != want[i] {
-					return fmt.Errorf("array %d rank %d: fused[%d]=%v, ground truth %v",
-						a, c.Rank(), i, fused[a][i], want[i])
+				for i := range want {
+					if fused[i] != ref[i] {
+						return fmt.Errorf("array %d rank %d: %s[%d]=%v differs from reference %v",
+							a, c.Rank(), name, i, fused[i], ref[i])
+					}
+					if fused[i] != want[i] {
+						return fmt.Errorf("array %d rank %d: %s[%d]=%v, ground truth %v",
+							a, c.Rank(), name, i, fused[i], want[i])
+					}
 				}
 			}
 		}
@@ -215,6 +257,133 @@ func TestMultiPlanFusesMessages(t *testing.T) {
 	if fused.FloatsSent+fused.FloatsCopied != nArrays*144 {
 		t.Errorf("sent %d + copied %d floats, want every element accounted (%d)",
 			fused.FloatsSent, fused.FloatsCopied, nArrays*144)
+	}
+}
+
+// TestMultiPlanStatsPinned holds the per-rank traffic accounting to the
+// values the armed-receive executor produced for the same grids (3 arrays,
+// 12x12, 2x2 blocks): the rewrite changed how often a byte is touched, not
+// the schedule or the traffic, and perfmodel.CalibrateRedist feeds on these.
+func TestMultiPlanStatsPinned(t *testing.T) {
+	g22, g23, g33 := grid.Topology{Rows: 2, Cols: 2}, grid.Topology{Rows: 2, Cols: 3}, grid.Topology{Rows: 3, Cols: 3}
+	keep := Stats{MessagesSent: 2, MessagesRecv: 1, FloatsSent: 72, FloatsRecv: 36, LocalCopies: 1, FloatsCopied: 36}
+	osc := Stats{MessagesSent: 8, MessagesRecv: 3, FloatsSent: 96, FloatsRecv: 36, LocalCopies: 1, FloatsCopied: 12}
+	joins := Stats{MessagesRecv: 4, FloatsRecv: 48}
+	cases := []struct {
+		from, to grid.Topology
+		want     []Stats
+	}{
+		{g22, g23, []Stats{keep, keep, {MessagesSent: 3, MessagesRecv: 2, FloatsSent: 108, FloatsRecv: 72}, keep,
+			{MessagesRecv: 2, FloatsRecv: 72}, {MessagesRecv: 2, FloatsRecv: 72}}},
+		{g22, g33, []Stats{osc, osc, osc, osc, joins, joins, joins, joins, joins}},
+	}
+	for _, cse := range cases {
+		// The reverse direction is the same traffic with the roles swapped.
+		back := make([]Stats, len(cse.want))
+		for r, w := range cse.want {
+			back[r] = Stats{MessagesSent: w.MessagesRecv, MessagesRecv: w.MessagesSent,
+				FloatsSent: w.FloatsRecv, FloatsRecv: w.FloatsSent, LocalCopies: w.LocalCopies, FloatsCopied: w.FloatsCopied}
+		}
+		for _, dir := range []struct {
+			from, to grid.Topology
+			want     []Stats
+		}{{cse.from, cse.to, cse.want}, {cse.to, cse.from, back}} {
+			srcs := make([]blockcyclic.Layout, 3)
+			dsts := make([]blockcyclic.Layout, 3)
+			for a := range srcs {
+				srcs[a] = blockcyclic.Layout{M: 12, N: 12, MB: 2, NB: 2, Grid: dir.from}
+				dsts[a] = blockcyclic.Layout{M: 12, N: 12, MB: 2, NB: 2, Grid: dir.to}
+			}
+			mp, err := NewMultiPlan(srcs, dsts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]Stats, len(dir.want))
+			err = mpi.Run(len(dir.want), func(c *mpi.Comm) error {
+				mine := make([][]float64, len(srcs))
+				if c.Rank() < dir.from.Count() {
+					for a := range mine {
+						mine[a] = make([]float64, srcs[a].LocalSize(c.Rank()))
+					}
+				}
+				_, got[c.Rank()] = mp.ExecuteStats(c, mine)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range got {
+				if got[r] != dir.want[r] {
+					t.Errorf("%v -> %v rank %d: stats %+v, recorded %+v", dir.from, dir.to, r, got[r], dir.want[r])
+				}
+			}
+		}
+	}
+}
+
+// TestMultiPlanSharedAcrossRanksIsRepeatable is the contract the repo
+// benchmark's ladder relies on: one MultiPlan executed by every rank
+// concurrently, three times over the same source pieces, gives the same
+// pieces and the same Stats each time and leaves the sources untouched —
+// ExecuteStats neither retains, recycles nor writes to what it was given.
+func TestMultiPlanSharedAcrossRanksIsRepeatable(t *testing.T) {
+	from, to := grid.Topology{Rows: 2, Cols: 2}, grid.Topology{Rows: 3, Cols: 3}
+	const nArrays = 2
+	srcs := make([]blockcyclic.Layout, nArrays)
+	dsts := make([]blockcyclic.Layout, nArrays)
+	pieces := make([][]*blockcyclic.Matrix, nArrays)
+	rng := rand.New(rand.NewSource(11))
+	for a := range srcs {
+		srcs[a] = blockcyclic.Layout{M: 50, N: 37, MB: 4, NB: 3, Grid: from}
+		dsts[a] = blockcyclic.Layout{M: 50, N: 37, MB: 4, NB: 3, Grid: to}
+		global := make([]float64, 50*37)
+		for i := range global {
+			global[i] = rng.NormFloat64()
+		}
+		pieces[a] = blockcyclic.Distribute(global, srcs[a])
+	}
+	mp, err := NewMultiPlan(srcs, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(to.Count(), func(c *mpi.Comm) error {
+		mine := make([][]float64, nArrays)
+		before := make([][]float64, nArrays)
+		if c.Rank() < from.Count() {
+			for a := range mine {
+				mine[a] = pieces[a][c.Rank()].Data
+				before[a] = append([]float64(nil), mine[a]...)
+			}
+		}
+		var first [][]float64
+		var firstStats Stats
+		for rep := 0; rep < 3; rep++ {
+			out, st := mp.ExecuteStats(c, mine)
+			if rep == 0 {
+				first, firstStats = out, st
+				continue
+			}
+			if st != firstStats {
+				return fmt.Errorf("rank %d rep %d: stats %+v, first %+v", c.Rank(), rep, st, firstStats)
+			}
+			for a := range out {
+				if !slices.Equal(out[a], first[a]) {
+					return fmt.Errorf("rank %d rep %d: array %d differs from the first execution", c.Rank(), rep, a)
+				}
+				if len(out[a]) > 0 && &out[a][0] == &first[a][0] {
+					return fmt.Errorf("rank %d rep %d: array %d reuses the first execution's piece", c.Rank(), rep, a)
+				}
+			}
+		}
+		for a := range mine {
+			if !slices.Equal(mine[a], before[a]) {
+				return fmt.Errorf("rank %d: source piece %d was modified", c.Rank(), a)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

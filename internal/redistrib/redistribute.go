@@ -273,6 +273,31 @@ func (pl *Plan) unpack(buf, data []float64, prow, pcol int, rowBlocks, colBlocks
 	}
 }
 
+// copyBlocks moves the listed blocks of a rank that is both their source and
+// their destination straight from its source-local array to its
+// destination-local array: pack and unpack in one pass, one copy per block
+// row, no wire buffer. spcol and dpcol are the rank's column coordinates in
+// the source and destination grids.
+func (pl *Plan) copyBlocks(dst, src []float64, spcol, dpcol int, rowBlocks, colBlocks []int) {
+	s, d := pl.Src, pl.Dst
+	sStride, dStride := s.LocalCols(spcol), d.LocalCols(dpcol)
+	for _, bi := range rowBlocks {
+		h := s.BlockHeight(bi)
+		si0 := (bi / s.Grid.Rows) * s.MB
+		di0 := (bi / d.Grid.Rows) * d.MB
+		for _, bj := range colBlocks {
+			w := s.BlockWidth(bj)
+			sj0 := (bj / s.Grid.Cols) * s.NB
+			dj0 := (bj / d.Grid.Cols) * d.NB
+			for ii := 0; ii < h; ii++ {
+				so := (si0+ii)*sStride + sj0
+				do := (di0+ii)*dStride + dj0
+				copy(dst[do:do+w], src[so:so+w])
+			}
+		}
+	}
+}
+
 // Redistribute is the one-shot convenience wrapper: it builds a Plan and
 // executes it. See Plan.Execute for the calling convention.
 func Redistribute(c *mpi.Comm, src blockcyclic.Layout, srcData []float64, dst blockcyclic.Layout) ([]float64, error) {

@@ -1,6 +1,7 @@
 package redistrib
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,8 +111,12 @@ func TestClassBlocksPartitionBlocks(t *testing.T) {
 	// Every block index must appear in exactly one (src,dst) class.
 	nblocks, p, q := 37, 4, 6
 	seen := make([]int, nblocks)
+	table := classTable(nblocks, p, q)
 	for s := 0; s < p; s++ {
 		for d := 0; d < q; d++ {
+			if !slices.Equal(table[s*q+d], classBlocks(nblocks, p, s, q, d)) {
+				t.Fatalf("classTable[%d,%d] = %v, classBlocks %v", s, d, table[s*q+d], classBlocks(nblocks, p, s, q, d))
+			}
 			for _, j := range classBlocks(nblocks, p, s, q, d) {
 				seen[j]++
 				if j%p != s || j%q != d {

@@ -62,11 +62,21 @@ var _ Scheduler = (*scheduler.Server)(nil)
 // Array is one global block-cyclic array registered for redistribution.
 // Data holds the calling rank's local piece under the session's current
 // topology (nil on ranks outside the grid).
+//
+// A resize replaces Data with a different slice, and the storage behind the
+// old one is recycled as the destination of the resize after that. Fetch
+// Data after every resize point; a slice taken before one is invalid after
+// it, even though it may still read plausibly for a while.
 type Array struct {
 	Name   string
 	M, N   int
 	MB, NB int
 	Data   []float64
+
+	// spare is the piece the last redistribution moved out of: dead storage
+	// the next redistribution writes the new piece into when it is large
+	// enough, so oscillating between two grids stops allocating.
+	spare []float64
 }
 
 // LayoutFor returns the array's layout on a given processor topology.
@@ -189,7 +199,9 @@ func (s *Session) RegisterArray(a *Array) {
 	s.planCache = nil
 }
 
-// Arrays returns the registered arrays (with current local pieces).
+// Arrays returns the registered arrays (with current local pieces). The
+// Array handles stay valid across resizes; their Data slices do not (see
+// Array).
 func (s *Session) Arrays() []*Array { return s.arrays }
 
 // Array returns a registered array by name.
@@ -518,12 +530,13 @@ func redistributeFused(comm *mpi.Comm, arrays []*Array, from, to grid.Topology, 
 		}
 	}
 	srcData := make([][]float64, len(arrays))
+	newData := make([][]float64, len(arrays))
 	for i, a := range arrays {
-		srcData[i] = a.Data
+		srcData[i], newData[i] = a.Data, a.spare
 	}
-	newData, stats := mp.ExecuteStats(comm, srcData)
+	stats := mp.ExecuteInto(comm, srcData, newData)
 	for i, a := range arrays {
-		a.Data = newData[i]
+		a.Data, a.spare = newData[i], srcData[i]
 	}
 	totals := comm.Allreduce([]float64{float64(stats.FloatsSent), float64(stats.FloatsCopied)}, mpi.SumOp)
 	return measuredRedist{

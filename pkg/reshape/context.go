@@ -77,11 +77,18 @@ func (rc *Context) FillArray(a *resize.Array, f func(i, j int) float64) {
 	}
 	pr, pc := l.Coords(rank)
 	rows, cols := l.LocalRows(pr), l.LocalCols(pc)
+	// The global row depends only on li and the global column only on lj:
+	// one column table per call instead of an index map per element.
+	gjs := make([]int, cols)
+	for lj := range gjs {
+		_, gjs[lj] = l.LocalToGlobal(pr, pc, 0, lj)
+	}
 	a.Data = make([]float64, rows*cols)
 	for li := 0; li < rows; li++ {
-		for lj := 0; lj < cols; lj++ {
-			gi, gj := l.LocalToGlobal(pr, pc, li, lj)
-			a.Data[li*cols+lj] = f(gi, gj)
+		gi, _ := l.LocalToGlobal(pr, pc, li, 0)
+		row := a.Data[li*cols : (li+1)*cols]
+		for lj, gj := range gjs {
+			row[lj] = f(gi, gj)
 		}
 	}
 }

@@ -33,6 +33,11 @@
 // every topology change; replicated buffers are re-broadcast from rank 0;
 // custom state participates through the Redistributable interface.
 //
+// A resize gives every registered array a new Data slice and recycles the
+// storage behind the old one at the resize after that. Read Array.Data (and
+// Replicated buffers) afresh in every Iterate, as the example does; a slice
+// taken before a resize point is invalid after it.
+//
 // Optional lifecycle hooks refine the default behavior: an App that also
 // implements ResizeHandler is notified after every topology change (and on
 // ranks that just spawned); one that implements Checkpointer is called at
