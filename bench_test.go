@@ -846,7 +846,11 @@ func BenchmarkRealDistCG(b *testing.B) {
 // queue; "steady-arbiter" routes the same contact through the default
 // cluster-wide arbiter so the ClusterSnapshot path is measured;
 // "backlog-arbiter" adds a wait-queue backlog so the queued-window cache
-// and queue-pressure policy branches are on the hot path.
+// and queue-pressure policy branches are on the hot path;
+// "fairshare-backlog" is a contact under the fair-share arbiter against 200
+// running jobs of three tenants and a deep queue, with a standing shrink
+// plan on other jobs — the contact whose cost must not depend on the size
+// of the running set (run it at -benchtime 2000x).
 func BenchmarkSchedulerContact(b *testing.B) {
 	submit := func(b *testing.B, core *scheduler.Core, need int, at float64) *scheduler.Job {
 		job, _, err := core.Submit(scheduler.JobSpec{
@@ -890,4 +894,76 @@ func BenchmarkSchedulerContact(b *testing.B) {
 		}
 		contactLoop(b, core, job)
 	})
+	b.Run("fairshare-backlog", func(b *testing.B) {
+		core, job := fairshareBacklog(b)
+		contactLoop(b, core, job)
+	})
+}
+
+// fairshareBacklog builds the fair-share contact fixture: a 1024-processor
+// cluster running 200 two-processor jobs of three equally weighted tenants,
+// twenty of which have probed one rung up (the donors a shrink plan can
+// draft), and forty queued jobs that each need eight processors more than
+// are idle. One warm-up contact makes the arbiter plan the head's deficit
+// onto four donors; the returned job is not one of them, so each of its
+// contacts finds the plan standing and is told to hold.
+func fairshareBacklog(tb testing.TB) (*scheduler.Core, *scheduler.Job) {
+	core := scheduler.NewCore(1024, false) // no backfill: the backlog stays queued
+	core.DisableTrace()
+	core.SetArbiter(fairshare.New(nil))
+	tenants := []string{"blue", "green", "red"}
+	submit := func(i int, topo grid.Topology) *scheduler.Job {
+		job, _, err := core.Submit(scheduler.JobSpec{
+			Name: "lu", App: "lu", ProblemSize: 12000, Iterations: 1 << 30,
+			Tenant: tenants[i%len(tenants)], InitialTopo: topo,
+			Chain: []grid.Topology{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 2}, {Rows: 2, Cols: 4}},
+		}, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return job
+	}
+	var running []*scheduler.Job
+	for i := 0; i < 200; i++ {
+		running = append(running, submit(i, grid.Topology{Rows: 1, Cols: 2}))
+	}
+	for i := 0; i < len(running); i += 10 {
+		j := running[i]
+		d, err := core.Contact(j.ID, j.Topo, 50, 0, 1)
+		if err != nil || d.Action != scheduler.ActionExpand {
+			tb.Fatalf("fixture: job %d did not probe up: %+v, %v", j.ID, d, err)
+		}
+		if _, err := core.ResizeComplete(j.ID, 0.1, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	need := core.Free() + 8
+	for i := 0; i < 40; i++ {
+		submit(i, grid.Topology{Rows: 8, Cols: need / 8})
+	}
+	caller := running[1]
+	d, err := core.Contact(caller.ID, caller.Topo, 50, 0, 2)
+	if err != nil || d.Reason != "shrink assigned to other jobs" {
+		tb.Fatalf("fixture: warm-up contact answered %+v, %v", d, err)
+	}
+	return core, caller
+}
+
+// TestFairshareContactAllocs holds a fair-share contact with an unchanged
+// shrink plan to two allocations, whatever the size of the running set: the
+// snapshot's tenant usage, the share table and the plan check all run on
+// reused scratch (the profile's own append is what is left).
+func TestFairshareContactAllocs(t *testing.T) {
+	core, job := fairshareBacklog(t)
+	now := 2.0
+	allocs := testing.AllocsPerRun(500, func() {
+		now += 0.01
+		d, err := core.Contact(job.ID, job.Topo, 50, 0, now)
+		if err != nil || d.Reason != "shrink assigned to other jobs" {
+			t.Fatalf("contact answered %+v, %v", d, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("fair-share contact with an unchanged plan: %.0f allocations, want at most 2", allocs)
+	}
 }

@@ -25,6 +25,11 @@
 //	reshaped -procs 64 -wal-dir /var/lib/reshaped  # durable control plane
 //	reshaped -procs 64 -arbiter fairshare -tenant-weights acme=3,beta=1 \
 //	    -tenant-rate 50 -tenant-inflight 64   # multi-tenant fair share + quotas
+//	reshaped -procs 64 -arbiter rebalance -rebalance-every 30s  # planned rebalancing
+//
+// A flag that configures an arbiter the daemon is not running is a startup
+// error (exit 2): -tenant-weights needs -arbiter fairshare, -rebalance-every
+// needs -arbiter rebalance.
 //
 // Submit jobs with reshape-submit.
 package main
@@ -48,6 +53,19 @@ import (
 	sdk "repro/pkg/reshape"
 )
 
+// checkArbiterFlags refuses flags that configure an arbiter other than the
+// selected one: started anyway, the daemon would run a different scheduler
+// than its command line says.
+func checkArbiterFlags(arb, tenantWeights string, rebalanceEvery time.Duration) error {
+	if tenantWeights != "" && arb != "fairshare" {
+		return fmt.Errorf("reshaped: -tenant-weights needs -arbiter fairshare (have -arbiter %s)", arb)
+	}
+	if rebalanceEvery != 0 && arb != "rebalance" {
+		return fmt.Errorf("reshaped: -rebalance-every needs -arbiter rebalance (have -arbiter %s)", arb)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address")
 	procs := flag.Int("procs", 16, "number of processors in the pool")
@@ -70,7 +88,7 @@ func main() {
 	connInflight := flag.Int("conn-inflight", 0,
 		"admission control: concurrent in-flight requests allowed per rpc/v2 connection (0 = unlimited)")
 	rebalanceEvery := flag.Duration("rebalance-every", 0,
-		"global-rebalancer planning-tick interval (0 = ticks disabled; requires -arbiter rebalance to have any effect)")
+		"global-rebalancer planning-tick interval (0 = ticks disabled; requires -arbiter rebalance)")
 	walDir := flag.String("wal-dir", "",
 		"write-ahead-log directory for a durable control plane (empty = volatile scheduler state)")
 	snapshotEvery := flag.Uint64("snapshot-every", 10000,
@@ -85,8 +103,9 @@ func main() {
 	// The arbiter is configuration, not journaled state: a recovering
 	// daemon must install the same arbitration the previous process ran
 	// before any journal record replays through the core.
-	if *tenantWeights != "" && *arb != "fairshare" {
-		log.Printf("reshaped: -tenant-weights is set but -arbiter is %q; weights will be ignored", *arb)
+	if err := checkArbiterFlags(*arb, *tenantWeights, *rebalanceEvery); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	configure := func(core *scheduler.Core) error {
 		switch *arb {
@@ -206,9 +225,6 @@ func main() {
 
 	stopTicks := make(chan struct{})
 	if *rebalanceEvery > 0 {
-		if *arb != "rebalance" {
-			log.Printf("reshaped: -rebalance-every is set but -arbiter is %q; ticks will be no-ops", *arb)
-		}
 		go func() {
 			t := time.NewTicker(*rebalanceEvery)
 			defer t.Stop()

@@ -31,7 +31,11 @@ var Scope = []string{"repro/internal/scheduler"}
 // persists is exactly what replay must be able to reconstruct.
 var GuardedFields = map[string]map[string]bool{
 	"Core": set("nextID", "jobs", "queue", "running", "busySeconds", "lastBusy", "lastBusyTime", "Events"),
-	"Job":  set("State", "Topo", "grant", "pendingFree", "resizeFrom", "Profile", "SubmitTime", "StartTime", "EndTime"),
+	// tenant, itersDone and shrinkable are derived from the journaled fields
+	// (contact.go's runningSet keeps them); a write elsewhere would leave
+	// arbiter snapshots disagreeing with the state replay reconstructs.
+	"Job": set("State", "Topo", "grant", "pendingFree", "resizeFrom", "Profile", "SubmitTime", "StartTime", "EndTime",
+		"tenant", "itersDone", "shrinkable"),
 	// The tenant tag is journaled with the submit record and drives
 	// fair-share arbitration on replay: rewriting it after acknowledgment
 	// would silently shift the job between tenants' shares.

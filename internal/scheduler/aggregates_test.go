@@ -1,0 +1,210 @@
+package scheduler
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/grid"
+)
+
+// sweepRunning rebuilds, from the jobs alone, everything the running set
+// keeps incrementally: the id-ordered views (RemainingIters re-summed from
+// the profile), and through RunningViews the per-tenant usage, the in-flight
+// total and the shrinkable ids.
+func sweepRunning(jobs []*Job) RunningViews {
+	var views RunningViews
+	for _, j := range jobs {
+		if j.State != Running {
+			continue
+		}
+		v := contactView(j)
+		v.RemainingIters = j.Spec.Iterations - profiledIters(j.Profile)
+		views = append(views, v)
+	}
+	return views
+}
+
+func viewIDs(each func(func(*ContactView) bool)) []int {
+	var ids []int
+	each(func(v *ContactView) bool {
+		ids = append(ids, v.ID)
+		return true
+	})
+	return ids
+}
+
+// checkAggregates holds the running set to the plain sweep, and the snapshot
+// an arbiter would be handed to the running set.
+func checkAggregates(rs *runningSet, jobs []*Job, snap ClusterSnapshot) error {
+	want := sweepRunning(jobs)
+	var got RunningViews
+	rs.EachRunning(func(v *ContactView) bool {
+		got = append(got, *v)
+		return true
+	})
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("running views\n got %+v\nwant %+v", got, want)
+	}
+	tenants, pendingFree := want.Aggregates()
+	if !reflect.DeepEqual(snap.Tenants, tenants) && (len(snap.Tenants) > 0 || len(tenants) > 0) {
+		return fmt.Errorf("Tenants %+v, sweep gives %+v", snap.Tenants, tenants)
+	}
+	if snap.PendingFree != pendingFree {
+		return fmt.Errorf("PendingFree %d, sweep gives %d", snap.PendingFree, pendingFree)
+	}
+	if gotIDs, wantIDs := viewIDs(snap.Cluster.EachShrinkable), viewIDs(want.EachShrinkable); !reflect.DeepEqual(gotIDs, wantIDs) {
+		return fmt.Errorf("shrinkable %v, sweep gives %v", gotIDs, wantIDs)
+	}
+	for _, j := range jobs {
+		if j.itersDone != profiledIters(j.Profile) {
+			return fmt.Errorf("job %d: itersDone %d, profile holds %d", j.ID, j.itersDone, profiledIters(j.Profile))
+		}
+		if v, ok := snap.Cluster.Running(j.ID); ok != (j.State == Running) || ok && v.ID != j.ID {
+			return fmt.Errorf("Running(%d) = %+v, %v while the job is %v", j.ID, v, ok, j.State)
+		}
+	}
+	return nil
+}
+
+// diceArbiter answers contacts with random legal (and, now and then,
+// ungrantable) resizes, so op sequences reach every transition of the
+// bookkeeping — repeated shrinks before a ResizeComplete, an expansion whose
+// grant fails, a shrink back down to the starting rung. It also takes the
+// StartPicker and Planner seats, to see the snapshots those are handed.
+type diceArbiter struct {
+	rng   *rand.Rand
+	check func(ClusterSnapshot) // run on every snapshot the arbiter is handed
+}
+
+func (a *diceArbiter) Name() string { return "dice" }
+
+func (a *diceArbiter) Decide(snap ClusterSnapshot) Decision {
+	a.check(snap)
+	switch a.rng.Intn(3) {
+	case 0:
+		if next, ok := NextInChain(snap.Caller.Chain, snap.Caller.Topo); ok &&
+			(next.Count()-snap.Caller.Topo.Count() <= snap.Idle || a.rng.Intn(4) == 0) {
+			return Decision{Action: ActionExpand, Target: next}
+		}
+	case 1:
+		if pts := snap.Caller.Profile.ShrinkPoints(snap.Caller.Topo); len(pts) > 0 {
+			return Decision{Action: ActionShrink, Target: pts[a.rng.Intn(len(pts))]}
+		}
+	}
+	return Decision{}
+}
+
+func (a *diceArbiter) Rebalance(snap ClusterSnapshot) { a.check(snap) }
+
+func (a *diceArbiter) PickStart(snap StartSnapshot) int {
+	a.check(ClusterSnapshot{Tenants: snap.Tenants, PendingFree: snap.PendingFree, Cluster: snap.Cluster})
+	for i, h := range snap.Heads {
+		if h.Need <= snap.Idle {
+			return i
+		}
+	}
+	return -1
+}
+
+// aggregateCore is what the differential test needs of either core.
+type aggregateCore interface {
+	Interface
+	globalSnapshot(now float64) ClusterSnapshot
+}
+
+// TestAggregatesMatchSweep drives both cores through seeded random op
+// sequences — Submit, Contact, ResizeComplete, Finish, Fail and planning
+// ticks over three tenants and three priorities, with a snapshot/restore
+// round trip in the middle of each Core sequence — and after every single op
+// compares Tenants, PendingFree, the per-job iteration counters, the
+// shrinkable index and the running views with a plain sweep over the jobs.
+func TestAggregatesMatchSweep(t *testing.T) {
+	tenants := []string{"", "blue", "green"}
+	for seed := int64(0); seed < 240; seed++ {
+		for _, linear := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			total := 16 + rng.Intn(48)
+			arb := &diceArbiter{rng: rand.New(rand.NewSource(seed + 1000))}
+			var core aggregateCore
+			var rs *runningSet
+			install := func(c aggregateCore, set *runningSet) {
+				core, rs = c, set
+				arb.check = func(snap ClusterSnapshot) {
+					if err := checkAggregates(rs, core.Jobs(), snap); err != nil {
+						t.Fatalf("seed %d linear=%v, snapshot handed to the arbiter: %v", seed, linear, err)
+					}
+				}
+				c.SetArbiter(arb)
+			}
+			if linear {
+				c := NewLinearCore(total, rng.Intn(2) == 0)
+				install(c, &c.running)
+			} else {
+				c := NewCore(total, rng.Intn(2) == 0)
+				install(c, &c.running)
+			}
+			now := 0.0
+			ops := 150 + rng.Intn(150)
+			restoreAt := ops / 2
+			for op := 0; op < ops; op++ {
+				now += rng.Float64() * 5
+				var running []*Job
+				for _, j := range core.Jobs() {
+					if j.State == Running {
+						running = append(running, j)
+					}
+				}
+				pick := func() *Job { return running[rng.Intn(len(running))] }
+				step := "rebalance"
+				var err error
+				switch k := rng.Intn(10); {
+				case k < 3 || len(running) == 0:
+					step = "submit"
+					n := []int{8000, 12000, 14000, 21000}[rng.Intn(4)]
+					start, ok := grid.SmallestConfig(n, 2+rng.Intn(4), total)
+					if !ok {
+						continue
+					}
+					_, _, err = core.Submit(JobSpec{
+						Name: "j", App: "lu", ProblemSize: n, Iterations: 5 + rng.Intn(20),
+						Priority: rng.Intn(3), Tenant: tenants[rng.Intn(len(tenants))],
+						InitialTopo: start, Chain: grid.GrowthChain(start, n, total),
+					}, now)
+				case k < 6:
+					step = "contact"
+					j := pick()
+					_, err = core.Contact(j.ID, j.Topo, 10+rng.Float64()*90, 0, now)
+				case k < 8:
+					step = "resize-complete"
+					_, err = core.ResizeComplete(pick().ID, rng.Float64(), now)
+				case k == 8:
+					step = "finish"
+					if rng.Intn(3) == 0 {
+						step = "fail"
+						_, err = core.Fail(pick().ID, now)
+					} else {
+						_, err = core.Finish(pick().ID, now)
+					}
+				default:
+					err = core.Rebalance(now)
+				}
+				if err != nil {
+					t.Fatalf("seed %d linear=%v op %d %s: %v", seed, linear, op, step, err)
+				}
+				if c, ok := core.(*Core); ok && op == restoreAt {
+					step += " + restore"
+					restored, err := NewCoreFromState(c.PersistState())
+					if err != nil {
+						t.Fatalf("seed %d op %d: restore: %v", seed, op, err)
+					}
+					install(restored, &restored.running)
+				}
+				if err := checkAggregates(rs, core.Jobs(), core.globalSnapshot(now)); err != nil {
+					t.Fatalf("seed %d linear=%v op %d after %s: %v", seed, linear, op, step, err)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package scheduler
 
-import "repro/internal/grid"
+import (
+	"sort"
+
+	"repro/internal/grid"
+)
 
 // This file defines the cluster-wide arbitration layer. Historically every
 // Contact answered the calling job in isolation through Policy.Decide; the
@@ -18,8 +22,10 @@ import "repro/internal/grid"
 // before the arbitration layer existed (pinned by TestPolicyArbiterMatchesPublishedDecide).
 
 // ContactView is a read-only view of one running job handed to arbiters.
-// The Profile pointer aliases live scheduler state: arbiters must treat it
-// as immutable and must not retain it across calls.
+// The Profile pointer and the Chain slice alias live scheduler state:
+// arbiters must treat them as immutable and must not retain them across
+// calls. Every other field is a copy, and building a view is O(1) — the core
+// keeps RemainingIters as a counter rather than re-summing the profile.
 type ContactView struct {
 	ID int
 	// Tenant is the submitting principal ("" for the default tenant).
@@ -51,14 +57,38 @@ type QueuedView struct {
 	Wait float64
 }
 
-// ClusterView grants an arbiter lazy access to cluster-wide state that
-// would be too expensive to materialize on every contact. Both cores
-// implement it; the default arbiter never calls it, keeping the published
-// single-job path allocation-lean.
+// TenantProcs returns the running processors of one tenant from a
+// name-sorted usage list (0 for a tenant with nothing running).
+func TenantProcs(tenants []TenantUsage, name string) int {
+	i := sort.Search(len(tenants), func(k int) bool { return tenants[k].Tenant >= name })
+	if i < len(tenants) && tenants[i].Tenant == name {
+		return tenants[i].Procs
+	}
+	return 0
+}
+
+// ClusterView grants an arbiter lazy access to the running jobs, which
+// would be too expensive to materialize on every contact. A contact is meant
+// to cost what changed since the last one, not the size of the running set:
+// the sums arbiters used to sweep for are snapshot fields (Tenants,
+// PendingFree), EachShrinkable visits only the jobs a shrink plan can draft
+// and Running looks one job up, which leaves EachRunning to the decisions
+// that genuinely rank every job (an expansion veto, a planning tick). The
+// default arbiter calls none of it.
 type ClusterView interface {
 	// EachRunning yields a view of every running job in ascending job-id
-	// order (deterministic), stopping early when yield returns false.
-	EachRunning(yield func(ContactView) bool)
+	// order (deterministic), stopping early when yield returns false. The
+	// pointer is to a view the producer reuses for the next job: read it
+	// during yield, copy it (*v) to keep it for the rest of the call, and do
+	// not start another sweep from inside yield.
+	EachRunning(yield func(*ContactView) bool)
+	// EachShrinkable yields, in the same order and under the same rule, the
+	// running jobs that have visited a configuration smaller than their
+	// current one — exactly those with len(Profile.ShrinkPoints(Topo)) > 0.
+	EachShrinkable(yield func(*ContactView) bool)
+	// Running returns the view of one running job (false when the id is
+	// queued, done or unknown).
+	Running(id int) (ContactView, bool)
 }
 
 // ClusterSnapshot is everything an Arbiter sees at one resize point. The
@@ -85,7 +115,17 @@ type ClusterSnapshot struct {
 	// the Profile pointers.
 	Queued   []QueuedView
 	QueueLen int
-	// Cluster lazily exposes every running job.
+	// Tenants lists every tenant with running jobs in ascending name order:
+	// Running counts them and Procs sums their Topo.Count() (processors an
+	// in-flight shrink has yet to release are in PendingFree, not here);
+	// the Queued count is Status's alone and stays zero — arbiters see the
+	// queue through the Queued window. Producer-owned scratch like Queued:
+	// read it during the call, never retain it.
+	Tenants []TenantUsage
+	// PendingFree sums ContactView.PendingFree over the running set: the
+	// processors in-flight shrinks will return at their ResizeComplete.
+	PendingFree int
+	// Cluster lazily exposes the running jobs.
 	Cluster ClusterView
 
 	// queuedNeeds, when non-nil, is the pre-materialized need list matching
@@ -95,6 +135,57 @@ type ClusterSnapshot struct {
 	// snapshots by hand) fall back to materializing on demand. Same
 	// ownership rule as Queued: scratch, never retain.
 	queuedNeeds []int
+}
+
+// RunningViews is a fixed running set, in ascending id order, for snapshots
+// built by hand (tests, tools): it implements ClusterView by sweeping, and
+// Aggregates recomputes the snapshot's Tenants and PendingFree from the same
+// sweep — the definitions the cores' incremental bookkeeping is held to.
+type RunningViews []ContactView
+
+// EachRunning implements ClusterView.
+func (v RunningViews) EachRunning(yield func(*ContactView) bool) {
+	for i := range v {
+		if !yield(&v[i]) {
+			return
+		}
+	}
+}
+
+// EachShrinkable implements ClusterView.
+func (v RunningViews) EachShrinkable(yield func(*ContactView) bool) {
+	for i := range v {
+		if r := &v[i]; r.Profile != nil && len(r.Profile.ShrinkPoints(r.Topo)) > 0 && !yield(r) {
+			return
+		}
+	}
+}
+
+// Running implements ClusterView.
+func (v RunningViews) Running(id int) (ContactView, bool) {
+	for _, r := range v {
+		if r.ID == id {
+			return r, true
+		}
+	}
+	return ContactView{}, false
+}
+
+// Aggregates sums the set into name-sorted per-tenant usage and the total of
+// in-flight give-backs.
+func (v RunningViews) Aggregates() (tenants []TenantUsage, pendingFree int) {
+	for _, r := range v {
+		pendingFree += r.PendingFree
+		i := sort.Search(len(tenants), func(k int) bool { return tenants[k].Tenant >= r.Tenant })
+		if i == len(tenants) || tenants[i].Tenant != r.Tenant {
+			tenants = append(tenants, TenantUsage{})
+			copy(tenants[i+1:], tenants[i:])
+			tenants[i] = TenantUsage{Tenant: r.Tenant}
+		}
+		tenants[i].Procs += r.Topo.Count()
+		tenants[i].Running++
+	}
+	return tenants, pendingFree
 }
 
 // QueuedNeeds flattens the queued window into the processor-need list the
@@ -156,9 +247,9 @@ type Planner interface {
 
 // StartSnapshot is the view Core hands a StartPicker before each queue
 // start: one QueuedView per tenant with waiting jobs — that tenant's queue
-// head, in ascending tenant order — plus pool occupancy and lazy access to
-// the running set. Like ClusterSnapshot, everything here is read-only and
-// must not be retained across calls.
+// head, in ascending tenant order — plus pool occupancy, per-tenant usage
+// and lazy access to the running set. Like ClusterSnapshot, everything here
+// is read-only producer-owned scratch and must not be retained across calls.
 type StartSnapshot struct {
 	// Now is the scheduler clock at the scheduling attempt.
 	Now float64
@@ -168,7 +259,11 @@ type StartSnapshot struct {
 	// Heads has each tenant's best queued job (queue order within the
 	// tenant), sorted by ascending tenant name. Never empty.
 	Heads []QueuedView
-	// Cluster lazily exposes every running job.
+	// Tenants and PendingFree are the running set's aggregates, as in
+	// ClusterSnapshot.
+	Tenants     []TenantUsage
+	PendingFree int
+	// Cluster lazily exposes the running jobs.
 	Cluster ClusterView
 }
 

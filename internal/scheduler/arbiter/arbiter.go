@@ -28,8 +28,9 @@
 package arbiter
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/scheduler"
@@ -71,19 +72,47 @@ type BenefitRanked struct {
 	// set here, not via SetPolicy.
 	Policy scheduler.Policy
 
-	plan *shrinkPlan
+	plan  shrinkPlan
+	cands []candidate // buildPlan scratch
 }
 
 var _ scheduler.Arbiter = (*BenefitRanked)(nil)
 
 // shrinkPlan is one coordinated reallocation: the queued job it is meant to
-// start and the shrink targets still to be demanded, keyed by donor job id.
-// Demands are removed as donors contact; the plan is rebuilt whenever the
-// head changes or the surviving demands no longer cover the deficit (a
-// donor finished or resized in the meantime).
+// start and the shrink targets still to be demanded of donor jobs. Demands
+// are removed as donors contact; the plan is rebuilt whenever the head
+// changes or the surviving demands no longer cover the deficit (a donor
+// finished or resized in the meantime). A plan is a handful of demands, so
+// they are a slice searched linearly, reused from one plan to the next.
 type shrinkPlan struct {
+	live    bool // false: no plan (demands is then spare capacity)
 	headID  int
-	demands map[int]grid.Topology
+	demands []demand
+}
+
+type demand struct {
+	jobID  int
+	target grid.Topology
+}
+
+// take removes and returns the demand on a job, if the plan has one.
+func (p *shrinkPlan) take(jobID int) (grid.Topology, bool) {
+	for i, d := range p.demands {
+		if d.jobID == jobID {
+			p.demands = slices.Delete(p.demands, i, i+1)
+			return d.target, true
+		}
+	}
+	return grid.Topology{}, false
+}
+
+// candidate is one donor buildPlan ranks: what it needs of the job's view,
+// copied out of it.
+type candidate struct {
+	id, priority int
+	topo         grid.Topology
+	points       []grid.Topology // descending processor count: least freed first
+	loss         float64
 }
 
 // Name identifies the arbiter.
@@ -92,7 +121,7 @@ func (a *BenefitRanked) Name() string { return "benefit-ranked" }
 // Decide implements scheduler.Arbiter.
 func (a *BenefitRanked) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	if len(snap.Queued) == 0 {
-		a.plan = nil
+		a.plan.live = false
 		return a.expand(snap)
 	}
 	head := snap.Queued[0]
@@ -137,36 +166,31 @@ func (a *BenefitRanked) expand(snap scheduler.ClusterSnapshot) scheduler.Decisio
 	return d
 }
 
-// expandGain scores one job's next expansion step: predicted total
-// iteration-time benefit per extra processor over the job's remaining
-// iterations. ok is false when the job is already at its largest
-// configuration; known is false when neither a measurement nor a
+// expandGain scores a job's expansion to next, its next chain step:
+// predicted total iteration-time benefit per extra processor over the job's
+// remaining iterations. known is false when neither a measurement nor a
 // prediction exists (a probe candidate).
-func (a *BenefitRanked) expandGain(r scheduler.ContactView) (next grid.Topology, perProc float64, known, ok bool) {
-	next, ok = scheduler.NextInChain(r.Chain, r.Topo)
-	if !ok {
-		return grid.Topology{}, 0, false, false
-	}
+func (a *BenefitRanked) expandGain(r *scheduler.ContactView, next grid.Topology) (perProc float64, known bool) {
 	cur := r.Profile.Current()
 	// A job mid-resize still carries its previous configuration's visit as
 	// current; scoring against that baseline would inflate the gain, so
 	// treat it as unmeasured until an iteration lands on the new topology.
 	if cur == nil || len(cur.IterTimes) == 0 || cur.Topo != r.Topo {
-		return next, 0, false, true
+		return 0, false
 	}
 	nextTime, measured := r.Profile.TimeAt(next)
 	if !measured && a.Predict != nil {
 		nextTime, measured = a.Predict(r.ID, next)
 	}
 	if !measured {
-		return next, 0, false, true
+		return 0, false
 	}
 	iters := r.RemainingIters
 	if iters < 1 {
 		iters = 1
 	}
 	delta := next.Count() - r.Topo.Count()
-	return next, (cur.Last() - nextTime) * float64(iters) / float64(delta), true, true
+	return (cur.Last() - nextTime) * float64(iters) / float64(delta), true
 }
 
 // betterCandidate reports whether a rival running job outranks the caller
@@ -174,21 +198,27 @@ func (a *BenefitRanked) expandGain(r scheduler.ContactView) (next grid.Topology,
 // the idle pool, conflict with the caller's (the pool cannot serve both),
 // carry a known strictly higher benefit per processor, and belong to a job
 // of at least equal priority. An unmeasured caller is never vetoed —
-// probing is how measurements accrue.
+// probing is how measurements accrue. This is the one contact-path decision
+// that ranks every running job, so the sweep tests contention first — two
+// integer comparisons — and prices only the rivals that pass.
 func (a *BenefitRanked) betterCandidate(snap scheduler.ClusterSnapshot, target grid.Topology) (int, bool) {
-	caller := snap.Caller
-	_, mine, known, _ := a.expandGain(caller)
+	caller := &snap.Caller
+	step, ok := scheduler.NextInChain(caller.Chain, caller.Topo)
+	if !ok {
+		return 0, false
+	}
+	mine, known := a.expandGain(caller, step)
 	if !known {
 		return 0, false
 	}
 	deltaMine := target.Count() - caller.Topo.Count()
 	best, bestGain := -1, mine
-	snap.Cluster.EachRunning(func(r scheduler.ContactView) bool {
+	snap.Cluster.EachRunning(func(r *scheduler.ContactView) bool {
 		if r.ID == caller.ID || r.Priority < caller.Priority {
 			return true
 		}
-		next, gain, rknown, rok := a.expandGain(r)
-		if !rok || !rknown {
+		next, ok := scheduler.NextInChain(r.Chain, r.Topo)
+		if !ok {
 			return true
 		}
 		deltaR := next.Count() - r.Topo.Count()
@@ -197,7 +227,7 @@ func (a *BenefitRanked) betterCandidate(snap scheduler.ClusterSnapshot, target g
 			// contention, no veto.
 			return true
 		}
-		if gain > bestGain {
+		if gain, known := a.expandGain(r, next); known && gain > bestGain {
 			best, bestGain = r.ID, gain
 		}
 		return true
@@ -211,36 +241,29 @@ func (a *BenefitRanked) betterCandidate(snap scheduler.ClusterSnapshot, target g
 // shrink handles queue pressure: compute the head job's processor deficit
 // net of the idle pool and every in-flight shrink, keep (or rebuild) the
 // coordinated donation plan, and issue the caller its assigned shrink if it
-// has one.
+// has one. A covered deficit answers in O(1), a standing plan is revalidated
+// over its own demands, and only a rebuild looks at the cluster — at the
+// shrinkable jobs, the only ones a demand can be drawn from.
 func (a *BenefitRanked) shrink(snap scheduler.ClusterSnapshot, head scheduler.QueuedView) scheduler.Decision {
-	// Donors are the running jobs the head's (aged) priority can draft;
-	// priority-exempt runners take the expand path at their own contacts,
-	// so a demand assigned to one would never be issued — they must not
-	// count toward plan coverage either. Their in-flight frees are real
-	// regardless of exemption.
-	agedHead := a.agedPriority(head)
-	var donors []scheduler.ContactView
-	inflight := 0
-	snap.Cluster.EachRunning(func(r scheduler.ContactView) bool {
-		inflight += r.PendingFree
-		if r.Priority <= agedHead {
-			donors = append(donors, r)
-		}
-		return true
-	})
-	deficit := head.Need - snap.Idle - inflight
+	// In-flight frees are real whoever promised them, priority-exempt
+	// runners included.
+	deficit := head.Need - snap.Idle - snap.PendingFree
 	if deficit <= 0 {
-		a.plan = nil
+		a.plan.live = false
 		return scheduler.Decision{
 			Action: scheduler.ActionNone,
 			Reason: "queued head covered by idle pool and in-flight frees",
 		}
 	}
-	if a.plan == nil || a.plan.headID != head.ID || a.coverage(donors) < deficit {
-		a.plan = a.buildPlan(donors, head.ID, deficit)
+	// Donors are the running jobs the head's (aged) priority can draft;
+	// priority-exempt runners take the expand path at their own contacts,
+	// so a demand assigned to one would never be issued — they must not
+	// count toward plan coverage either.
+	agedHead := a.agedPriority(head)
+	if !a.plan.live || a.plan.headID != head.ID || a.coverage(snap.Cluster, agedHead) < deficit {
+		a.buildPlan(snap.Cluster, agedHead, head.ID, deficit)
 	}
-	if target, ok := a.plan.demands[snap.Caller.ID]; ok {
-		delete(a.plan.demands, snap.Caller.ID)
+	if target, ok := a.plan.take(snap.Caller.ID); ok {
 		// The deficit may have fallen since the plan was built (another
 		// donor finished, frees landed): re-pick the shallowest of the
 		// caller's shrink points that still covers it, never deeper than
@@ -266,17 +289,15 @@ func (a *BenefitRanked) shrink(snap scheduler.ClusterSnapshot, head scheduler.Qu
 }
 
 // coverage sums the processors the plan's outstanding demands would still
-// free, revalidated against the draftable donors' current topologies —
-// demands on jobs that finished, resized away, or became priority-exempt
-// contribute nothing and force a rebuild.
-func (a *BenefitRanked) coverage(donors []scheduler.ContactView) int {
-	if a.plan == nil {
-		return 0
-	}
+// free, revalidated against each donor's current state — demands on jobs
+// that finished, resized away, or became priority-exempt contribute nothing
+// and force a rebuild.
+func (a *BenefitRanked) coverage(cluster scheduler.ClusterView, agedHead int) int {
 	freed := 0
-	for _, r := range donors {
-		if target, ok := a.plan.demands[r.ID]; ok && target.Count() < r.Topo.Count() {
-			freed += r.Topo.Count() - target.Count()
+	for _, d := range a.plan.demands {
+		r, ok := cluster.Running(d.jobID)
+		if ok && r.Priority <= agedHead && d.target.Count() < r.Topo.Count() {
+			freed += r.Topo.Count() - d.target.Count()
 		}
 	}
 	return freed
@@ -285,7 +306,7 @@ func (a *BenefitRanked) coverage(donors []scheduler.ContactView) int {
 // shrinkLoss scores how much a donor hurts by shrinking to point: predicted
 // iteration-time increase per freed processor (0 when no record or
 // prediction exists — shrinking such a job is considered cheap).
-func (a *BenefitRanked) shrinkLoss(r scheduler.ContactView, point grid.Topology) float64 {
+func (a *BenefitRanked) shrinkLoss(r *scheduler.ContactView, point grid.Topology) float64 {
 	cur := r.Profile.Current()
 	// Mid-resize jobs have no measured baseline on their current topology
 	// (see expandGain); score them as cheap rather than against the wrong
@@ -307,35 +328,32 @@ func (a *BenefitRanked) shrinkLoss(r scheduler.ContactView, point grid.Topology)
 	return (t - cur.Last()) / float64(freed)
 }
 
-// buildPlan assembles a fresh donation plan covering deficit processors
-// from the draftable donors: ranked lowest priority first, then least harm
-// per freed processor, then youngest first; each donor contributes its
-// smallest-sufficient shrink point (or, failing that, its deepest one), and
-// donors are taken until the deficit is covered or no candidates remain.
-func (a *BenefitRanked) buildPlan(donors []scheduler.ContactView, headID, deficit int) *shrinkPlan {
-	type candidate struct {
-		view   scheduler.ContactView
-		points []grid.Topology // descending processor count: least freed first
-		loss   float64
-	}
-	var cands []candidate
-	for _, r := range donors {
-		pts := r.Profile.ShrinkPoints(r.Topo)
-		if len(pts) == 0 {
-			continue
+// buildPlan replaces the plan with a fresh one covering deficit processors
+// from the draftable donors among the shrinkable jobs: ranked lowest
+// priority first, then least harm per freed processor, then youngest first;
+// each donor contributes its smallest-sufficient shrink point (or, failing
+// that, its deepest one), and donors are taken until the deficit is covered
+// or no candidates remain.
+func (a *BenefitRanked) buildPlan(cluster scheduler.ClusterView, agedHead, headID, deficit int) {
+	a.cands = a.cands[:0]
+	cluster.EachShrinkable(func(r *scheduler.ContactView) bool {
+		if r.Priority <= agedHead {
+			pts := r.Profile.ShrinkPoints(r.Topo)
+			a.cands = append(a.cands, candidate{
+				id: r.ID, priority: r.Priority, topo: r.Topo,
+				points: pts, loss: a.shrinkLoss(r, pts[0]),
+			})
 		}
-		cands = append(cands, candidate{view: r, points: pts, loss: a.shrinkLoss(r, pts[0])})
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].view.Priority != cands[j].view.Priority {
-			return cands[i].view.Priority < cands[j].view.Priority
-		}
-		if cands[i].loss != cands[j].loss {
-			return cands[i].loss < cands[j].loss
-		}
-		return cands[i].view.ID > cands[j].view.ID
+		return true
 	})
-	demands := make(map[int]grid.Topology)
+	cands := a.cands
+	slices.SortStableFunc(cands, func(x, y candidate) int {
+		return cmp.Or(
+			cmp.Compare(x.priority, y.priority),
+			cmp.Compare(x.loss, y.loss),
+			cmp.Compare(y.id, x.id))
+	})
+	a.plan = shrinkPlan{live: true, headID: headID, demands: a.plan.demands[:0]}
 	for _, c := range cands {
 		if deficit <= 0 {
 			break
@@ -344,13 +362,12 @@ func (a *BenefitRanked) buildPlan(donors []scheduler.ContactView, headID, defici
 		// deepest available step when none does.
 		pick := c.points[len(c.points)-1]
 		for _, p := range c.points {
-			if c.view.Topo.Count()-p.Count() >= deficit {
+			if c.topo.Count()-p.Count() >= deficit {
 				pick = p
 				break
 			}
 		}
-		demands[c.view.ID] = pick
-		deficit -= c.view.Topo.Count() - pick.Count()
+		a.plan.demands = append(a.plan.demands, demand{jobID: c.id, target: pick})
+		deficit -= c.topo.Count() - pick.Count()
 	}
-	return &shrinkPlan{headID: headID, demands: demands}
 }

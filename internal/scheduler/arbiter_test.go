@@ -154,7 +154,7 @@ func TestSnapshotViews(t *testing.T) {
 	}
 
 	var ids []int
-	snap.Cluster.EachRunning(func(v ContactView) bool {
+	snap.Cluster.EachRunning(func(v *ContactView) bool {
 		ids = append(ids, v.ID)
 		return true
 	})
@@ -164,7 +164,7 @@ func TestSnapshotViews(t *testing.T) {
 
 	// Early termination.
 	n := 0
-	snap.Cluster.EachRunning(func(ContactView) bool { n++; return false })
+	snap.Cluster.EachRunning(func(*ContactView) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("EachRunning ignored yield=false (%d yields)", n)
 	}

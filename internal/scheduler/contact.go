@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/grid"
@@ -36,26 +37,42 @@ func newJob(spec JobSpec, id, total int, now float64) (*Job, error) {
 
 // remainingIters estimates how many outer iterations the job still has to
 // run, from the spec's iteration budget and the profiled iteration count.
-func remainingIters(j *Job) int {
+func remainingIters(j *Job) int { return j.Spec.Iterations - j.itersDone }
+
+// recordIteration files a reported iteration time in the job's performance
+// profile and counts it, so remainingIters never re-sums the visits.
+func recordIteration(j *Job, iterTime float64) {
+	j.Profile.RecordIteration(j.Topo, iterTime)
+	j.itersDone++
+}
+
+// profiledIters is the sweep itersDone caches: every iteration time on file.
+func profiledIters(p *Profile) int {
 	done := 0
-	for _, v := range j.Profile.Visits {
+	for _, v := range p.Visits {
 		done += len(v.IterTimes)
 	}
-	return j.Spec.Iterations - done
+	return done
 }
 
 // contactView builds the arbiter's read-only view of a running job.
-func contactView(j *Job) ContactView {
-	return ContactView{
-		ID:             j.ID,
-		Tenant:         j.Spec.Tenant,
-		Priority:       j.Spec.Priority,
-		Topo:           j.Topo,
-		Chain:          j.Spec.Chain,
-		Profile:        j.Profile,
-		RemainingIters: remainingIters(j),
-		PendingFree:    j.pendingFree,
-	}
+func contactView(j *Job) (v ContactView) {
+	v.fill(j)
+	return v
+}
+
+// fill overwrites the view with j's, field by field: sweeps refill one view
+// per job, and assigning a whole ContactView there would build it on the
+// stack first and copy it over.
+func (v *ContactView) fill(j *Job) {
+	v.ID = j.ID
+	v.Tenant = j.Spec.Tenant
+	v.Priority = j.Spec.Priority
+	v.Topo = j.Topo
+	v.Chain = j.Spec.Chain
+	v.Profile = j.Profile
+	v.RemainingIters = remainingIters(j)
+	v.PendingFree = j.pendingFree
 }
 
 // validateContact checks a contact_scheduler call without touching any
@@ -84,7 +101,7 @@ func beginContact(jobs map[int]*Job, jobID int, topo grid.Topology, iterTime flo
 	if err != nil {
 		return nil, err
 	}
-	j.Profile.RecordIteration(j.Topo, iterTime)
+	recordIteration(j, iterTime)
 	return j, nil
 }
 
@@ -107,37 +124,181 @@ func defaultDecide(pol Policy, j *Job, idle int, queuedNeeds []int) Decision {
 	})
 }
 
-// insertRunning adds j to an id-sorted running index. The index bounds
-// EachRunning by the number of *running* jobs (itself bounded by the pool
-// size: every running job holds at least one processor) instead of every
-// job id ever allocated, so arbiter contacts stay O(running) over a
-// long-lived daemon's life.
-func insertRunning(running []*Job, j *Job) []*Job {
-	i := sort.Search(len(running), func(k int) bool { return running[k].ID >= j.ID })
-	running = append(running, nil)
-	copy(running[i+1:], running[i:])
-	running[i] = j
-	return running
+// runningSet is the running-job bookkeeping Core and LinearCore share: the
+// id-sorted index behind EachRunning plus the aggregates cluster-wide
+// arbiters would otherwise recompute by sweeping that index at every contact.
+// Each is maintained where the quantity changes — start, expand, shrink,
+// ResizeComplete, finish — and is a pure function of the running jobs, so a
+// core restored from a snapshot rebuilds it by starting every restored job:
+//
+//	Σ active[i].procs == Σ jobs[i].Topo.Count()
+//	pendingFree      == Σ jobs[i].pendingFree
+//	j in shrinkable  ⇔ len(j.Profile.ShrinkPoints(j.Topo)) > 0
+//
+// The index lengths are bounded by the pool size (every running job holds at
+// least one processor), not by job history.
+type runningSet struct {
+	jobs []*Job // ascending id
+	// shrinkable is the id-ordered subset with at least one previously
+	// visited smaller configuration: the only jobs a shrink plan can draw a
+	// demand from. Iterations are recorded on the current topology, which is
+	// never smaller than itself, so membership moves only when Topo does.
+	shrinkable  []*Job
+	pendingFree int // processors promised back by in-flight shrinks
+
+	// accts holds one accumulator per tenant name ever submitted; active is
+	// the name-sorted subset with running jobs, the order snapshots list
+	// them in. usage is the scratch tenants() fills.
+	accts  map[string]*tenantAcct
+	active []*tenantAcct
+	usage  []TenantUsage
+	view   ContactView // each() scratch
 }
 
-// removeRunning drops j from the id-sorted running index.
-func removeRunning(running []*Job, j *Job) []*Job {
-	i := sort.Search(len(running), func(k int) bool { return running[k].ID >= j.ID })
-	if i < len(running) && running[i] == j {
-		copy(running[i:], running[i+1:])
-		running[len(running)-1] = nil
-		running = running[:len(running)-1]
+// tenantAcct accumulates one tenant's part of the running set. A job
+// resolves its account once, at Submit, so starts, resizes and completions
+// pay pointer arithmetic rather than a string-keyed map operation.
+type tenantAcct struct {
+	name  string
+	procs int // Σ Topo.Count() over the tenant's running jobs
+	jobs  int // running jobs
+}
+
+// account returns the accumulator for a tenant name, creating it on first
+// sight.
+func (r *runningSet) account(name string) *tenantAcct {
+	a, ok := r.accts[name]
+	if !ok {
+		if r.accts == nil {
+			r.accts = make(map[string]*tenantAcct)
+		}
+		a = &tenantAcct{name: name}
+		r.accts[name] = a
 	}
-	return running
+	return a
 }
 
-// eachRunning yields the index's views in ascending id order.
-func eachRunning(running []*Job, yield func(ContactView) bool) {
-	for _, j := range running {
-		if !yield(contactView(j)) {
-			return
+// insertByID adds j to an id-sorted index.
+func insertByID(index []*Job, j *Job) []*Job {
+	i := sort.Search(len(index), func(k int) bool { return index[k].ID >= j.ID })
+	return slices.Insert(index, i, j)
+}
+
+// removeByID drops j from an id-sorted index.
+func removeByID(index []*Job, j *Job) []*Job {
+	i := sort.Search(len(index), func(k int) bool { return index[k].ID >= j.ID })
+	if i < len(index) && index[i] == j {
+		index = slices.Delete(index, i, i+1)
+	}
+	return index
+}
+
+// activeAt returns where a tenant name sits, or belongs, in the active list.
+func (r *runningSet) activeAt(name string) int {
+	return sort.Search(len(r.active), func(k int) bool { return r.active[k].name >= name })
+}
+
+// start enters a job that holds j.Topo (plus j.pendingFree, when it is
+// restored mid-shrink) into the index and every aggregate.
+func (r *runningSet) start(j *Job) {
+	r.jobs = insertByID(r.jobs, j)
+	a := j.tenant
+	if a.jobs == 0 {
+		r.active = slices.Insert(r.active, r.activeAt(a.name), a)
+	}
+	a.jobs++
+	a.procs += j.Topo.Count()
+	r.pendingFree += j.pendingFree
+	r.reindexShrinkable(j)
+}
+
+// finish withdraws a completed job, in-flight give-back included: the
+// caller returns the whole grant to the pool.
+func (r *runningSet) finish(j *Job) {
+	r.jobs = removeByID(r.jobs, j)
+	a := j.tenant
+	a.procs -= j.Topo.Count()
+	a.jobs--
+	if a.jobs == 0 {
+		i := r.activeAt(a.name)
+		r.active = slices.Delete(r.active, i, i+1)
+	}
+	r.released(j)
+	if j.shrinkable {
+		r.shrinkable = removeByID(r.shrinkable, j)
+		j.shrinkable = false
+	}
+}
+
+// retopo moves a running job to its granted configuration.
+func (r *runningSet) retopo(j *Job, to grid.Topology) {
+	j.tenant.procs += to.Count() - j.Topo.Count()
+	j.resizeFrom = j.Topo
+	j.Topo = to
+	r.reindexShrinkable(j)
+}
+
+// reindexShrinkable files j under its current topology.
+func (r *runningSet) reindexShrinkable(j *Job) {
+	can := false
+	for i := range j.Profile.Visits {
+		if j.Profile.Visits[i].Topo.Count() < j.Topo.Count() {
+			can = true
+			break
 		}
 	}
+	switch {
+	case can && !j.shrinkable:
+		r.shrinkable = insertByID(r.shrinkable, j)
+	case !can && j.shrinkable:
+		r.shrinkable = removeByID(r.shrinkable, j)
+	}
+	j.shrinkable = can
+}
+
+// released records that the job's pending give-back went back to the pool.
+func (r *runningSet) released(j *Job) {
+	r.pendingFree -= j.pendingFree
+	j.pendingFree = 0
+}
+
+// tenants lists every tenant with running jobs in ascending name order. The
+// slice is scratch the set reuses: snapshot consumers read it during the
+// call they were handed it in.
+func (r *runningSet) tenants() []TenantUsage {
+	r.usage = r.usage[:0]
+	for _, a := range r.active {
+		r.usage = append(r.usage, TenantUsage{Tenant: a.name, Running: a.jobs, Procs: a.procs})
+	}
+	return r.usage
+}
+
+// EachRunning implements ClusterView: every running job in ascending id
+// order. Arbiters call it lazily; the default single-job path never does.
+func (r *runningSet) EachRunning(yield func(*ContactView) bool) { r.each(r.jobs, yield) }
+
+// EachShrinkable implements ClusterView over the shrinkable index.
+func (r *runningSet) EachShrinkable(yield func(*ContactView) bool) { r.each(r.shrinkable, yield) }
+
+// each yields one reused view per job, so a sweep copies each job's fields
+// once and allocates nothing.
+func (r *runningSet) each(index []*Job, yield func(*ContactView) bool) {
+	for _, j := range index {
+		r.view.fill(j)
+		if !yield(&r.view) {
+			break
+		}
+	}
+	r.view = ContactView{}
+}
+
+// Running implements ClusterView: one running job by id.
+func (r *runningSet) Running(id int) (ContactView, bool) {
+	i := sort.Search(len(r.jobs), func(k int) bool { return r.jobs[k].ID >= id })
+	if i == len(r.jobs) || r.jobs[i].ID != id {
+		return ContactView{}, false
+	}
+	return contactView(r.jobs[i]), true
 }
 
 // applyDecision actuates an arbitration decision on the job. Expansions
@@ -145,7 +306,7 @@ func eachRunning(running []*Job, yield func(ContactView) bool) {
 // processors were still available); shrinks mark the give-back as pending
 // until ResizeComplete. It returns the decision actually applied — an
 // expansion whose grant lost a concurrent race degrades to ActionNone.
-func applyDecision(j *Job, d Decision, grant func(delta int) bool, record func(kind string)) Decision {
+func (r *runningSet) applyDecision(j *Job, d Decision, grant func(delta int) bool, record func(kind string)) Decision {
 	switch d.Action {
 	case ActionExpand:
 		delta := d.Target.Count() - j.Topo.Count()
@@ -154,13 +315,13 @@ func applyDecision(j *Job, d Decision, grant func(delta int) bool, record func(k
 			// the policy decision and the grant; hold steady this iteration.
 			return Decision{Action: ActionNone, Reason: "idle processors claimed concurrently"}
 		}
-		j.resizeFrom = j.Topo
-		j.Topo = d.Target
+		r.retopo(j, d.Target)
 		record("expand")
 	case ActionShrink:
-		j.pendingFree += j.Topo.Count() - d.Target.Count()
-		j.resizeFrom = j.Topo
-		j.Topo = d.Target
+		freed := j.Topo.Count() - d.Target.Count()
+		j.pendingFree += freed
+		r.pendingFree += freed
+		r.retopo(j, d.Target)
 		record("shrink")
 	}
 	return d
@@ -168,9 +329,9 @@ func applyDecision(j *Job, d Decision, grant func(delta int) bool, record func(k
 
 // finishResize records the redistribution cost of a completed resize in the
 // profiler and returns the number of processors a pending shrink should now
-// release (0 when the resize freed nothing). The caller zeroes pendingFree
-// only once the pool release succeeds, so a failed release keeps the
-// give-back pending for a retry instead of leaking the processors.
+// release (0 when the resize freed nothing). The caller reports the give-back
+// as released only once the pool release succeeds, so a failed release keeps
+// it pending for a retry instead of leaking the processors.
 func finishResize(j *Job, redistTime float64) int {
 	if j.resizeFrom.IsValid() {
 		j.Profile.RecordRedist(j.resizeFrom, j.Topo, redistTime)

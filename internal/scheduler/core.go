@@ -75,6 +75,12 @@ type Job struct {
 	pendingFree int
 	// resizeFrom remembers the pre-resize configuration for profiling.
 	resizeFrom grid.Topology
+	// tenant, itersDone and shrinkable are derived state the running-set
+	// bookkeeping keeps (see runningSet): the Spec.Tenant accumulator, the
+	// count of profiled iterations, and membership in the shrinkable index.
+	tenant     *tenantAcct
+	itersDone  int
+	shrinkable bool
 	// qprev/qnext thread the job into its wait-queue priority bucket (see
 	// jobQueue.prioList); both are nil except while State == Queued.
 	qprev, qnext *Job
@@ -136,9 +142,9 @@ type Core struct {
 	nextID int
 	queue  jobQueue
 	jobs   map[int]*Job
-	// running is the id-sorted index of running jobs backing EachRunning;
-	// its length is bounded by the pool size, not by job history.
-	running []*Job
+	// running indexes the running jobs and keeps the per-tenant, in-flight
+	// and shrinkable aggregates arbiter snapshots carry.
+	running runningSet
 
 	// Events is the allocation trace. Tracing can be disabled for huge
 	// simulations (DisableTrace); utilization accounting stays exact either
@@ -161,7 +167,8 @@ type Core struct {
 	winJobs   []*Job       // scratch: raw window from jobQueue.window
 	winNeeds  []int        // queuedNeeds cache, valid for needsVer
 	winViews  []QueuedView // queuedWindow cache, valid for (viewsVer, viewsNow)
-	headViews []QueuedView // startPicked scratch: per-tenant head views
+	headJobs  []*Job       // startPicked scratch: per-tenant queue heads
+	headViews []QueuedView // startPicked scratch: the same heads as views
 	needsVer  uint64
 	needsOK   bool
 	viewsVer  uint64
@@ -285,6 +292,7 @@ func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 		return nil, nil, err
 	}
 	c.nextID++
+	j.tenant = c.running.account(spec.Tenant)
 	c.jobs[j.ID] = j
 	c.queue.push(j)
 	c.record(now, j, "submit")
@@ -339,9 +347,9 @@ func (c *Core) TrySchedule(now float64) []*Job {
 // determinism. Backfill, when enabled, still runs afterwards.
 func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
 	var started []*Job
-	var heads []*Job
 	for {
-		heads = c.queue.tenantHeads(heads[:0])
+		c.headJobs = c.queue.tenantHeads(c.headJobs[:0])
+		heads := c.headJobs
 		if len(heads) == 0 {
 			break
 		}
@@ -350,11 +358,13 @@ func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
 			c.headViews = append(c.headViews, queuedView(j, now))
 		}
 		snap := StartSnapshot{
-			Now:     now,
-			Total:   c.Total,
-			Idle:    c.pool.Free(),
-			Heads:   c.headViews,
-			Cluster: c,
+			Now:         now,
+			Total:       c.Total,
+			Idle:        c.pool.Free(),
+			Heads:       c.headViews,
+			Tenants:     c.running.tenants(),
+			PendingFree: c.running.pendingFree,
+			Cluster:     &c.running,
 		}
 		i := sp.PickStart(snap)
 		if i < 0 || i >= len(heads) {
@@ -380,11 +390,11 @@ func (c *Core) start(j *Job, now float64) bool {
 	// State leaves Queued before the queue drops the job so take's lazy
 	// bucket sweep already sees this entry as dead.
 	j.State = Running
-	c.running = insertRunning(c.running, j)
 	c.queue.take(j)
 	j.StartTime = now
 	j.Topo = j.Spec.InitialTopo
 	j.grant = g
+	c.running.start(j)
 	c.record(now, j, "start")
 	return true
 }
@@ -440,28 +450,14 @@ func queuedView(j *Job, now float64) QueuedView {
 	}
 }
 
-// EachRunning implements ClusterView: it yields every running job in
-// ascending id order. Arbiters call it lazily; the default single-job path
-// never does.
-func (c *Core) EachRunning(yield func(ContactView) bool) {
-	eachRunning(c.running, yield)
-}
-
 // snapshot assembles the arbiter's view of the cluster at a resize point.
-// Queued and queuedNeeds come from the version-keyed window caches, so
-// building a snapshot in a tick where the queue hasn't changed costs O(1)
-// and zero allocations.
+// Queued and queuedNeeds come from the version-keyed window caches and
+// Tenants from the running set's accumulators, so building a snapshot in a
+// tick where the queue hasn't changed costs O(tenants) and zero allocations.
 func (c *Core) snapshot(j *Job, now float64) ClusterSnapshot {
-	return ClusterSnapshot{
-		Now:         now,
-		Total:       c.Total,
-		Idle:        c.pool.Free(),
-		Caller:      contactView(j),
-		Queued:      c.queuedWindow(now),
-		QueueLen:    c.queue.len(),
-		Cluster:     c,
-		queuedNeeds: c.queuedNeeds(),
-	}
+	snap := c.globalSnapshot(now)
+	snap.Caller = contactView(j)
+	return snap
 }
 
 // globalSnapshot assembles the caller-less cluster snapshot a planning
@@ -475,7 +471,9 @@ func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
 		Caller:      ContactView{ID: -1},
 		Queued:      c.queuedWindow(now),
 		QueueLen:    c.queue.len(),
-		Cluster:     c,
+		Tenants:     c.running.tenants(),
+		PendingFree: c.running.pendingFree,
+		Cluster:     &c.running,
 		queuedNeeds: c.queuedNeeds(),
 	}
 }
@@ -497,14 +495,14 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	}); err != nil {
 		return Decision{}, err
 	}
-	j.Profile.RecordIteration(j.Topo, iterTime)
+	recordIteration(j, iterTime)
 	var d Decision
 	if c.arb != nil {
 		d = c.arb.Decide(c.snapshot(j, now))
 	} else {
 		d = defaultDecide(c.Policy, j, c.pool.Free(), c.queuedNeeds())
 	}
-	return applyDecision(j, d,
+	return c.running.applyDecision(j, d,
 		func(delta int) bool { return c.pool.AllocInto(&j.grant, delta) },
 		func(kind string) { c.record(now, j, kind) }), nil
 }
@@ -525,7 +523,7 @@ func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Jo
 		if err := c.pool.Release(&j.grant, freed); err != nil {
 			return nil, err
 		}
-		j.pendingFree = 0
+		c.running.released(j)
 		return c.TrySchedule(now), nil
 	}
 	return nil, nil
@@ -558,9 +556,8 @@ func (c *Core) complete(jobID int, now float64, kind string) ([]*Job, error) {
 	}
 	j.State = Done
 	j.EndTime = now
-	c.running = removeRunning(c.running, j)
+	c.running.finish(j)
 	c.pool.ReleaseAll(&j.grant)
-	j.pendingFree = 0
 	c.record(now, j, kind)
 	return c.TrySchedule(now), nil
 }

@@ -26,6 +26,7 @@ package fairshare
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,6 +54,15 @@ type FairShare struct {
 	Inner *arbiter.BenefitRanked
 
 	inner arbiter.BenefitRanked // backing store when Inner is nil
+	rows  []tenantRow           // shares scratch
+}
+
+// tenantRow is one active tenant in a Decide call: its running processors
+// and its entitled share of the cluster.
+type tenantRow struct {
+	name  string
+	procs int
+	share float64
 }
 
 var (
@@ -94,15 +104,10 @@ func (a *FairShare) weight(tenant string) float64 {
 // better-fitting tenant — backfill, when enabled, may still use the idle
 // remainder. With one tenant this is exactly the published FCFS head loop.
 func (a *FairShare) PickStart(snap scheduler.StartSnapshot) int {
-	usage := make(map[string]int)
-	snap.Cluster.EachRunning(func(r scheduler.ContactView) bool {
-		usage[r.Tenant] += r.Topo.Count()
-		return true
-	})
 	best := -1
 	var bestNorm float64
 	for i, h := range snap.Heads {
-		norm := float64(usage[h.Tenant]) / a.weight(h.Tenant)
+		norm := float64(scheduler.TenantProcs(snap.Tenants, h.Tenant)) / a.weight(h.Tenant)
 		if best < 0 || norm < bestNorm ||
 			(norm == bestNorm && headLess(h, snap.Heads[best])) {
 			best, bestNorm = i, norm
@@ -132,13 +137,14 @@ func headLess(a, b scheduler.QueuedView) bool {
 // while a victim waits. Spare capacity stays work-conserving: with no
 // under-share tenant waiting, expansion beyond the share is allowed.
 func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
-	usage, share, multi := a.shares(snap)
-	if !multi {
+	rows := a.shares(snap)
+	if len(rows) <= 1 {
 		return a.delegate().Decide(snap)
 	}
 	ct := snap.Caller.Tenant
-	victim, pressed := victimTenant(snap, ct, usage, share)
-	if pressed && float64(usage[ct]) > share[ct] {
+	mine := rows[search(rows, ct)]
+	victim, pressed := victimTenant(snap, ct, rows)
+	if pressed && float64(mine.procs) > mine.share {
 		if snap.Caller.PendingFree > 0 {
 			return scheduler.Decision{
 				Action: scheduler.ActionNone,
@@ -163,8 +169,8 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	}
 	d := a.delegate().Decide(snap)
 	if d.Action == scheduler.ActionExpand && pressed {
-		grown := usage[ct] + d.Target.Count() - snap.Caller.Topo.Count()
-		if float64(grown) > share[ct] {
+		grown := mine.procs + d.Target.Count() - snap.Caller.Topo.Count()
+		if float64(grown) > mine.share {
 			return scheduler.Decision{
 				Action: scheduler.ActionNone,
 				Reason: fmt.Sprintf("fair-share cap: expansion would exceed tenant %q share while tenant %q waits", ct, victim),
@@ -174,52 +180,56 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	return d
 }
 
-// shares computes per-tenant running usage and entitled shares from the
-// snapshot. multi is false when at most one tenant is active (running or
-// waiting), in which case the tenant level vanishes and usage/share are
-// nil. Active tenants are collected in encounter order (running set in id
-// order, then the queued window) and sorted, so the weight sum — and with
-// it every share — is accumulated in a deterministic order.
-func (a *FairShare) shares(snap scheduler.ClusterSnapshot) (usage map[string]int, share map[string]float64, multi bool) {
-	usage = make(map[string]int)
-	var active []string
-	seen := make(map[string]bool)
+// shares lists the active tenants — the caller's, every tenant with running
+// jobs and every tenant in the queued window — in ascending name order, each
+// with its running processors and entitled share. With at most one active
+// tenant the tenant level vanishes and the shares are left unset. The
+// snapshot's usage list arrives sorted and the few other names are inserted
+// in place, so the weight sum — and with it every share — is accumulated in
+// one deterministic order. The rows are scratch reused by the next call.
+func (a *FairShare) shares(snap scheduler.ClusterSnapshot) []tenantRow {
+	rows := a.rows[:0]
+	for _, u := range snap.Tenants {
+		rows = append(rows, tenantRow{name: u.Tenant, procs: u.Procs})
+	}
 	note := func(t string) {
-		if !seen[t] {
-			seen[t] = true
-			active = append(active, t)
+		if i := search(rows, t); i == len(rows) || rows[i].name != t {
+			rows = slices.Insert(rows, i, tenantRow{name: t})
 		}
 	}
 	note(snap.Caller.Tenant)
-	snap.Cluster.EachRunning(func(r scheduler.ContactView) bool {
-		usage[r.Tenant] += r.Topo.Count()
-		note(r.Tenant)
-		return true
-	})
 	for _, q := range snap.Queued {
 		note(q.Tenant)
 	}
-	if len(active) <= 1 {
-		return nil, nil, false
+	a.rows = rows
+	if len(rows) <= 1 {
+		return rows
 	}
-	sort.Strings(active)
 	var totalW float64
-	for _, t := range active {
-		totalW += a.weight(t)
+	for _, r := range rows {
+		totalW += a.weight(r.name)
 	}
-	share = make(map[string]float64, len(active))
-	for _, t := range active {
-		share[t] = float64(snap.Total) * a.weight(t) / totalW
+	for i := range rows {
+		rows[i].share = float64(snap.Total) * a.weight(rows[i].name) / totalW
 	}
-	return usage, share, true
+	return rows
+}
+
+// search returns the position of a tenant in name-sorted rows, or where it
+// would be inserted.
+func search(rows []tenantRow, name string) int {
+	return sort.Search(len(rows), func(k int) bool { return rows[k].name >= name })
 }
 
 // victimTenant scans the queued window in queue order for a job from a
 // tenant other than the caller's that sits under its entitled share — the
 // condition under which the tenant level overrides within-tenant logic.
-func victimTenant(snap scheduler.ClusterSnapshot, caller string, usage map[string]int, share map[string]float64) (string, bool) {
+func victimTenant(snap scheduler.ClusterSnapshot, caller string, rows []tenantRow) (string, bool) {
 	for _, q := range snap.Queued {
-		if q.Tenant != caller && float64(usage[q.Tenant]) < share[q.Tenant] {
+		if q.Tenant == caller {
+			continue
+		}
+		if r := rows[search(rows, q.Tenant)]; float64(r.procs) < r.share {
 			return q.Tenant, true
 		}
 	}

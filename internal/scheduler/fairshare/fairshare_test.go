@@ -11,15 +11,20 @@ import (
 
 func topo(r, c int) grid.Topology { return grid.Topology{Rows: r, Cols: c} }
 
-// fakeCluster implements scheduler.ClusterView over a fixed running set.
-type fakeCluster []scheduler.ContactView
+// over points a hand-built contact snapshot at a fixed running set.
+func over(snap scheduler.ClusterSnapshot, running ...scheduler.ContactView) scheduler.ClusterSnapshot {
+	views := scheduler.RunningViews(running)
+	snap.Cluster = views
+	snap.Tenants, snap.PendingFree = views.Aggregates()
+	return snap
+}
 
-func (f fakeCluster) EachRunning(yield func(scheduler.ContactView) bool) {
-	for _, v := range f {
-		if !yield(v) {
-			return
-		}
-	}
+// startOver is over for a start snapshot.
+func startOver(snap scheduler.StartSnapshot, running ...scheduler.ContactView) scheduler.StartSnapshot {
+	views := scheduler.RunningViews(running)
+	snap.Cluster = views
+	snap.Tenants, snap.PendingFree = views.Aggregates()
+	return snap
 }
 
 // prof builds a profile that has visited each topology once with the given
@@ -56,13 +61,12 @@ func TestSingleTenantDelegatesVerbatim(t *testing.T) {
 			Chain:   []grid.Topology{topo(2, 2), topo(2, 4), topo(2, 8)},
 			Profile: prof(visit(topo(2, 2), 100), visit(topo(2, 4), 60)),
 		}
-		return scheduler.ClusterSnapshot{
+		return over(scheduler.ClusterSnapshot{
 			Now: 50, Total: 36, Idle: 2,
 			Caller:   caller,
 			Queued:   []scheduler.QueuedView{{ID: 1, Need: 4, Wait: 10}},
 			QueueLen: 1,
-			Cluster:  fakeCluster{caller},
-		}
+		}, caller)
 	}
 	fs := New(nil)
 	bare := &arbiter.BenefitRanked{}
@@ -73,18 +77,15 @@ func TestSingleTenantDelegatesVerbatim(t *testing.T) {
 }
 
 func TestPickStartPrefersDeficitTenant(t *testing.T) {
-	running := fakeCluster{
-		{ID: 0, Tenant: "a", Topo: topo(2, 5)}, // a holds 10
-		{ID: 1, Tenant: "b", Topo: topo(4, 5)}, // b holds 20
-	}
-	snap := scheduler.StartSnapshot{
+	snap := startOver(scheduler.StartSnapshot{
 		Now: 100, Total: 36, Idle: 6,
 		Heads: []scheduler.QueuedView{
 			{ID: 2, Tenant: "a", Need: 4},
 			{ID: 3, Tenant: "b", Need: 4},
 		},
-		Cluster: running,
-	}
+	},
+		scheduler.ContactView{ID: 0, Tenant: "a", Topo: topo(2, 5)}, // a holds 10
+		scheduler.ContactView{ID: 1, Tenant: "b", Topo: topo(4, 5)}) // b holds 20
 	if got := New(nil).PickStart(snap); got != 0 {
 		t.Fatalf("equal weights: picked %d, want tenant a (index 0)", got)
 	}
@@ -96,11 +97,10 @@ func TestPickStartPrefersDeficitTenant(t *testing.T) {
 }
 
 func TestPickStartSingleTenantMatchesFCFS(t *testing.T) {
-	snap := scheduler.StartSnapshot{
+	snap := startOver(scheduler.StartSnapshot{
 		Now: 0, Total: 36, Idle: 8,
-		Heads:   []scheduler.QueuedView{{ID: 0, Need: 4}},
-		Cluster: fakeCluster{},
-	}
+		Heads: []scheduler.QueuedView{{ID: 0, Need: 4}},
+	})
 	if got := New(nil).PickStart(snap); got != 0 {
 		t.Fatalf("fitting head: picked %d, want 0", got)
 	}
@@ -115,15 +115,13 @@ func TestPickStartSingleTenantMatchesFCFS(t *testing.T) {
 // better-fitting tenant — the deficit tenant keeps its claim on the next
 // processors to free.
 func TestPickStartStallsForDeficitTenant(t *testing.T) {
-	running := fakeCluster{{ID: 0, Tenant: "noisy", Topo: topo(4, 8)}}
-	snap := scheduler.StartSnapshot{
+	snap := startOver(scheduler.StartSnapshot{
 		Now: 100, Total: 36, Idle: 4,
 		Heads: []scheduler.QueuedView{
 			{ID: 1, Tenant: "noisy", Need: 2},  // fits, but over-served
 			{ID: 2, Tenant: "victim", Need: 8}, // deficit tenant, does not fit
 		},
-		Cluster: running,
-	}
+	}, scheduler.ContactView{ID: 0, Tenant: "noisy", Topo: topo(4, 8)})
 	if got := New(nil).PickStart(snap); got != -1 {
 		t.Fatalf("picked %d, want -1 (stall for the deficit tenant)", got)
 	}
@@ -138,13 +136,12 @@ func TestOverShareCallerDrafted(t *testing.T) {
 		Chain:   []grid.Topology{topo(2, 6), topo(4, 6), topo(6, 6)},
 		Profile: prof(visit(topo(2, 6), 100), visit(topo(4, 6), 60)),
 	}
-	snap := scheduler.ClusterSnapshot{
+	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 12,
 		Caller:   caller,
 		Queued:   []scheduler.QueuedView{{ID: 1, Tenant: "victim", Need: 16, Wait: 5}},
 		QueueLen: 1,
-		Cluster:  fakeCluster{caller},
-	}
+	}, caller)
 	d := New(nil).Decide(snap)
 	if d.Action != scheduler.ActionShrink || d.Target != topo(2, 6) {
 		t.Fatalf("decision %+v, want shrink to 2x6", d)
@@ -161,13 +158,12 @@ func TestUnderShareExpansionCapped(t *testing.T) {
 		Profile: prof(visit(topo(4, 4), 100)),
 	}
 	other := scheduler.ContactView{ID: 1, Tenant: "victim", Topo: topo(4, 4), Profile: scheduler.NewProfile()}
-	snap := scheduler.ClusterSnapshot{
+	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 4,
 		Caller:   caller,
 		Queued:   []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Wait: 5}},
 		QueueLen: 1,
-		Cluster:  fakeCluster{caller, other},
-	}
+	}, caller, other)
 	// Sanity: the wrapped arbiter alone would let the exempt caller probe
 	// its next rung.
 	if d := (&arbiter.BenefitRanked{}).Decide(snap); d.Action != scheduler.ActionExpand {

@@ -26,7 +26,7 @@ type LinearCore struct {
 	nextID  int
 	queue   []*Job
 	jobs    map[int]*Job
-	running []*Job // id-sorted index backing EachRunning
+	running runningSet
 
 	Events []AllocEvent
 
@@ -110,6 +110,7 @@ func (c *LinearCore) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 		return nil, nil, err
 	}
 	c.nextID++
+	j.tenant = c.running.account(spec.Tenant)
 	c.jobs[j.ID] = j
 	pos := len(c.queue)
 	for i, q := range c.queue {
@@ -156,10 +157,10 @@ func (c *LinearCore) TrySchedule(now float64) []*Job {
 
 func (c *LinearCore) start(j *Job, now float64) {
 	j.State = Running
-	c.running = insertRunning(c.running, j)
 	j.StartTime = now
 	j.Topo = j.Spec.InitialTopo
 	c.free -= j.Topo.Count()
+	c.running.start(j)
 	c.record(now, j, "start")
 }
 
@@ -194,35 +195,26 @@ func (c *LinearCore) queuedWindow(now float64) []QueuedView {
 	return out
 }
 
-// EachRunning implements ClusterView (ascending job-id order).
-func (c *LinearCore) EachRunning(yield func(ContactView) bool) {
-	eachRunning(c.running, yield)
-}
-
 // snapshot assembles the arbiter's view of the cluster at a resize point.
 func (c *LinearCore) snapshot(j *Job, now float64) ClusterSnapshot {
-	return ClusterSnapshot{
-		Now:      now,
-		Total:    c.Total,
-		Idle:     c.free,
-		Caller:   contactView(j),
-		Queued:   c.queuedWindow(now),
-		QueueLen: len(c.queue),
-		Cluster:  c,
-	}
+	snap := c.globalSnapshot(now)
+	snap.Caller = contactView(j)
+	return snap
 }
 
 // globalSnapshot assembles the caller-less planning-tick snapshot
 // (Caller.ID = -1, mirroring Core).
 func (c *LinearCore) globalSnapshot(now float64) ClusterSnapshot {
 	return ClusterSnapshot{
-		Now:      now,
-		Total:    c.Total,
-		Idle:     c.free,
-		Caller:   ContactView{ID: -1},
-		Queued:   c.queuedWindow(now),
-		QueueLen: len(c.queue),
-		Cluster:  c,
+		Now:         now,
+		Total:       c.Total,
+		Idle:        c.free,
+		Caller:      ContactView{ID: -1},
+		Queued:      c.queuedWindow(now),
+		QueueLen:    len(c.queue),
+		Tenants:     c.running.tenants(),
+		PendingFree: c.running.pendingFree,
+		Cluster:     &c.running,
 	}
 }
 
@@ -248,7 +240,7 @@ func (c *LinearCore) Contact(jobID int, topo grid.Topology, iterTime, redistTime
 	} else {
 		d = defaultDecide(c.Policy, j, c.free, c.queuedNeeds())
 	}
-	return applyDecision(j, d,
+	return c.running.applyDecision(j, d,
 		// Mirror Core's failed-grant degradation: an arbiter decision that
 		// outgrows the free counter comes back as ActionNone instead of
 		// driving the pool negative (unreachable for the fit-checked
@@ -271,7 +263,7 @@ func (c *LinearCore) ResizeComplete(jobID int, redistTime float64, now float64) 
 	}
 	if freed := finishResize(j, redistTime); freed > 0 {
 		c.free += freed
-		j.pendingFree = 0
+		c.running.released(j)
 		return c.TrySchedule(now), nil
 	}
 	return nil, nil
@@ -292,9 +284,8 @@ func (c *LinearCore) complete(jobID int, now float64, kind string) ([]*Job, erro
 	if err != nil {
 		return nil, err
 	}
-	c.running = removeRunning(c.running, j)
 	c.free += j.Topo.Count() + j.pendingFree
-	j.pendingFree = 0
+	c.running.finish(j)
 	c.record(now, j, kind)
 	return c.TrySchedule(now), nil
 }

@@ -138,6 +138,8 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 			// gob decodes an empty map as nil.
 			j.Profile.Redist = make(map[string]float64)
 		}
+		j.tenant = c.running.account(j.Spec.Tenant)
+		j.itersDone = profiledIters(j.Profile)
 		c.jobs[j.ID] = j
 		switch pj.State {
 		case Queued:
@@ -156,7 +158,7 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 					j.ID, need, c.pool.Free())
 			}
 			j.grant = g
-			c.running = insertRunning(c.running, j)
+			c.running.start(j)
 		case Done:
 			// Nothing to index.
 		default:

@@ -386,7 +386,7 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 // measured last.
 func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) []*jobView {
 	var jobs []*jobView
-	snap.Cluster.EachRunning(func(v scheduler.ContactView) bool {
+	snap.Cluster.EachRunning(func(v *scheduler.ContactView) bool {
 		if v.PendingFree > 0 {
 			return true
 		}

@@ -8,19 +8,6 @@ import (
 	"repro/internal/scheduler"
 )
 
-// fakeCluster materializes a fixed running-job set as a ClusterView.
-type fakeCluster struct {
-	views []scheduler.ContactView
-}
-
-func (f fakeCluster) EachRunning(yield func(scheduler.ContactView) bool) {
-	for _, v := range f.views {
-		if !yield(v) {
-			return
-		}
-	}
-}
-
 // runningJob builds a ContactView with a profile holding one visit per
 // (procs, seconds) pair, in order; the last pair is the current
 // configuration. All topologies are 1D rows.
@@ -42,14 +29,18 @@ func runningJob(id, prio int, chain []int, visits [][2]float64, remIters int) sc
 }
 
 func snapOf(idle, total int, queued []scheduler.QueuedView, views ...scheduler.ContactView) scheduler.ClusterSnapshot {
+	running := scheduler.RunningViews(views)
+	tenants, pendingFree := running.Aggregates()
 	return scheduler.ClusterSnapshot{
-		Now:      100,
-		Total:    total,
-		Idle:     idle,
-		Caller:   scheduler.ContactView{ID: -1},
-		Queued:   queued,
-		QueueLen: len(queued),
-		Cluster:  fakeCluster{views: views},
+		Now:         100,
+		Total:       total,
+		Idle:        idle,
+		Caller:      scheduler.ContactView{ID: -1},
+		Queued:      queued,
+		QueueLen:    len(queued),
+		Tenants:     tenants,
+		PendingFree: pendingFree,
+		Cluster:     running,
 	}
 }
 

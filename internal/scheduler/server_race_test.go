@@ -159,7 +159,7 @@ func (snoopArbiter) Name() string { return "snoop" }
 
 func (snoopArbiter) Decide(snap ClusterSnapshot) Decision {
 	procs := 0
-	snap.Cluster.EachRunning(func(v ContactView) bool {
+	snap.Cluster.EachRunning(func(v *ContactView) bool {
 		procs += v.Topo.Count()
 		_ = v.Profile.Current()
 		return true

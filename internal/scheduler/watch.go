@@ -41,8 +41,10 @@ type ClusterStatus struct {
 }
 
 // TenantUsage aggregates one tenant's live footprint: running and queued
-// job counts plus the processors currently allocated to it. Done jobs do
-// not appear; a tenant with no live jobs has no row.
+// job counts plus the processors its running jobs compute on. Done jobs do
+// not appear; a tenant with no live jobs has no row. Arbiter snapshots list
+// the same rows for the tenants with running jobs, Queued left zero
+// (ClusterSnapshot.Tenants).
 type TenantUsage struct {
 	Tenant  string
 	Running int
