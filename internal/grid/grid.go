@@ -5,8 +5,8 @@
 package grid
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Topology is a 2-D processor grid with Rows*Cols processors. A 1-D row
@@ -19,7 +19,19 @@ type Topology struct {
 func (t Topology) Count() int { return t.Rows * t.Cols }
 
 // String formats the topology as "RxC".
-func (t Topology) String() string { return fmt.Sprintf("%dx%d", t.Rows, t.Cols) }
+func (t Topology) String() string {
+	var buf [24]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends the "RxC" form of the topology to b. The bytes are a
+// persisted format: decision reasons, trace lines and the Performance
+// Profiler's redistribution-cost keys in snapshots all carry them.
+func (t Topology) Append(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(t.Rows), 10)
+	b = append(b, 'x')
+	return strconv.AppendInt(b, int64(t.Cols), 10)
+}
 
 // IsValid reports whether both dimensions are positive.
 func (t Topology) IsValid() bool { return t.Rows >= 1 && t.Cols >= 1 }

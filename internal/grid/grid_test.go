@@ -1,9 +1,27 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// TestTopologyStringMatchesFmt pins String's bytes to the "%dx%d" form it
+// replaced: decision reasons, golden traces and the profiler's persisted
+// redistribution keys all carry them.
+func TestTopologyStringMatchesFmt(t *testing.T) {
+	dims := []int{-12, 0, 1, 2, 9, 10, 11, 64, 99, 100, 101, 512, 999, 1000, 1001, 9999}
+	for _, r := range dims {
+		for _, c := range dims {
+			if got, want := (Topology{r, c}).String(), fmt.Sprintf("%dx%d", r, c); got != want {
+				t.Fatalf("Topology{%d, %d}.String() = %q, want %q", r, c, got, want)
+			}
+		}
+	}
+	if got := string((Topology{3, 4}).Append([]byte("1x2->"))); got != "1x2->3x4" {
+		t.Fatalf("Append onto a prefix gave %q", got)
+	}
+}
 
 func TestNearlySquare(t *testing.T) {
 	cases := []struct {

@@ -1,9 +1,6 @@
 package perfmodel
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file is the learned half of the performance model: where IterTime
 // predicts iteration times from first principles (flop rates, bandwidths),
@@ -100,65 +97,58 @@ func (c Curve) Knee() int {
 // non-positive, NaN or infinite Seconds are dropped; with nothing left the
 // zero (invalid) Curve is returned.
 func FitSpeedup(obs []SpeedupObs) Curve {
-	// Aggregate to one mean sample per distinct processor count.
-	sum := make(map[int]float64)
-	cnt := make(map[int]int)
+	// Aggregate to one mean sample per distinct processor count, kept in
+	// ascending count order. Each count's sum accumulates in observation
+	// order, so the means — and with them every bit of the fit — do not
+	// depend on how the samples are stored; profiles rarely visit more than
+	// a handful of counts, so the samples live on the stack.
+	var buf [8]sample
+	pts := buf[:0]
 	for _, o := range obs {
 		if o.Procs < 1 || o.Seconds <= 0 || math.IsNaN(o.Seconds) || math.IsInf(o.Seconds, 0) {
 			continue
 		}
-		sum[o.Procs] += o.Seconds
-		cnt[o.Procs]++
+		i := 0
+		for i < len(pts) && pts[i].procs < o.Procs {
+			i++
+		}
+		if i == len(pts) || pts[i].procs != o.Procs {
+			pts = append(pts, sample{})
+			copy(pts[i+1:], pts[i:])
+			pts[i] = sample{procs: o.Procs}
+		}
+		pts[i].y += o.Seconds
+		pts[i].n++
 	}
-	procs := make([]int, 0, len(sum))
-	for p := range sum {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	if len(procs) == 0 {
+	if len(pts) == 0 {
 		return Curve{}
 	}
-	xs := make([]float64, len(procs))
-	ys := make([]float64, len(procs))
-	for i, p := range procs {
-		xs[i] = float64(p)
-		ys[i] = sum[p] / float64(cnt[p])
+	for i := range pts {
+		pts[i].x = float64(pts[i].procs)
+		pts[i].y /= float64(pts[i].n)
 	}
 
-	if len(procs) == 1 {
-		return Curve{Serial: ys[0], Points: 1}
+	if len(pts) == 1 {
+		return Curve{Serial: pts[0].y, Points: 1}
 	}
 
-	// basis returns the regressor value of term t at processor count x.
-	basis := func(t int, x float64) float64 {
-		switch t {
-		case 0:
-			return 1
-		case 1:
-			return 1 / x
-		default:
-			return x
-		}
-	}
-	// Candidate term subsets, richest first. With only two distinct
-	// counts the three-term system is underdetermined, so restrict to
-	// pairs and singletons.
-	var subsets [][]int
-	if len(procs) >= 3 {
-		subsets = [][]int{{0, 1, 2}, {0, 1}, {1, 2}, {0, 2}, {0}, {1}, {2}}
-	} else {
-		subsets = [][]int{{0, 1}, {1, 2}, {0, 2}, {0}, {1}, {2}}
+	// With only two distinct counts the three-term system is
+	// underdetermined, so restrict to pairs and singletons.
+	subsets := fitSubsets[:]
+	if len(pts) < 3 {
+		subsets = subsets[1:]
 	}
 
 	bestRSS := math.Inf(1)
-	var best []float64 // coefficient per basis term, len 3
+	var best [3]float64 // coefficient per basis term
+	found := false
 	for _, terms := range subsets {
-		coef, ok := solveLS(terms, xs, ys, basis)
+		coef, ok := solveLS(terms, pts)
 		if !ok {
 			continue
 		}
 		feasible := true
-		for _, c := range coef {
+		for _, c := range coef[:len(terms)] {
 			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 				feasible = false
 				break
@@ -167,50 +157,70 @@ func FitSpeedup(obs []SpeedupObs) Curve {
 		if !feasible {
 			continue
 		}
-		full := make([]float64, 3)
+		var full [3]float64
 		for i, t := range terms {
 			full[t] = coef[i]
 		}
 		rss := 0.0
-		for i := range xs {
-			pred := full[0] + full[1]/xs[i] + full[2]*xs[i]
-			d := ys[i] - pred
+		for _, s := range pts {
+			pred := full[0] + full[1]/s.x + full[2]*s.x
+			d := s.y - pred
 			rss += d * d
 		}
 		if rss < bestRSS-1e-12 {
 			bestRSS = rss
-			best = full
+			best, found = full, true
 		}
 	}
-	if best == nil {
+	if !found {
 		// Every subset infeasible (cannot happen for positive ys: the
 		// constant-only fit is always non-negative) — flat fallback.
 		mean := 0.0
-		for _, y := range ys {
-			mean += y
+		for _, s := range pts {
+			mean += s.y
 		}
-		return Curve{Serial: mean / float64(len(ys)), Points: len(procs)}
+		return Curve{Serial: mean / float64(len(pts)), Points: len(pts)}
 	}
-	return Curve{Serial: best[0], Parallel: best[1], Contention: best[2], Points: len(procs)}
+	return Curve{Serial: best[0], Parallel: best[1], Contention: best[2], Points: len(pts)}
+}
+
+// sample is one aggregated observation: the mean seconds y at x = procs
+// processors (y holds the running sum of n samples until the mean is taken).
+type sample struct {
+	procs, n int
+	x, y     float64
+}
+
+// fitSubsets lists the candidate term subsets of the basis, richest first.
+var fitSubsets = [...][]int{{0, 1, 2}, {0, 1}, {1, 2}, {0, 2}, {0}, {1}, {2}}
+
+// basis returns the regressor value of term t at processor count x.
+func basis(t int, x float64) float64 {
+	switch t {
+	case 0:
+		return 1
+	case 1:
+		return 1 / x
+	default:
+		return x
+	}
 }
 
 // solveLS solves the normal equations of an ordinary least-squares fit on
-// the selected basis terms by Gaussian elimination with partial pivoting.
-// ok is false when the system is singular.
-func solveLS(terms []int, xs, ys []float64, basis func(t int, x float64) float64) ([]float64, bool) {
+// the selected basis terms by Gaussian elimination with partial pivoting;
+// the first len(terms) entries of the result are the coefficients. ok is
+// false when the system is singular.
+func solveLS(terms []int, pts []sample) (out [3]float64, ok bool) {
 	k := len(terms)
 	// Build A^T A (k×k) and A^T y (k).
-	m := make([][]float64, k)
-	rhs := make([]float64, k)
-	for i := 0; i < k; i++ {
-		m[i] = make([]float64, k)
-	}
-	for s := range xs {
+	var m [3][3]float64
+	var rhs [3]float64
+	for _, s := range pts {
 		for i := 0; i < k; i++ {
-			bi := basis(terms[i], xs[s])
-			rhs[i] += bi * ys[s]
+			bi := basis(terms[i], s.x)
+			rhs[i] += bi * s.y
 			for j := 0; j < k; j++ {
-				m[i][j] += bi * basis(terms[j], xs[s])
+				m[i][j] += bi * basis(terms[j], s.x)
 			}
 		}
 	}
@@ -223,7 +233,7 @@ func solveLS(terms []int, xs, ys []float64, basis func(t int, x float64) float64
 			}
 		}
 		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, false
+			return out, false
 		}
 		m[col], m[pivot] = m[pivot], m[col]
 		rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
@@ -235,7 +245,6 @@ func solveLS(terms []int, xs, ys []float64, basis func(t int, x float64) float64
 			rhs[r] -= f * rhs[col]
 		}
 	}
-	out := make([]float64, k)
 	for i := k - 1; i >= 0; i-- {
 		v := rhs[i]
 		for j := i + 1; j < k; j++ {

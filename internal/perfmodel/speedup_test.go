@@ -1,8 +1,12 @@
 package perfmodel
 
 import (
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -175,5 +179,76 @@ func TestCurvePredictorContract(t *testing.T) {
 	sec28, ok := predict(1, grid.Topology{Rows: 2, Cols: 8})
 	if !ok || sec28 != sec44 {
 		t.Fatalf("predict must depend only on Count: 2x8=%v vs 4x4=%v", sec28, sec44)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/fitspeedup.golden from the current FitSpeedup")
+
+// goldenObs builds observation set i of the golden suite. Sets cycle
+// through 1, 2, 3–8 and 9–20 distinct processor counts; every count gets
+// one to three noisy samples, the samples are shuffled so a count's
+// duplicates are not adjacent, and every third set is salted with samples
+// FitSpeedup must drop (NaN, ±Inf, zero and negative seconds, Procs < 1).
+func goldenObs(rng *rand.Rand, i int) []SpeedupObs {
+	distinct := []int{1, 2, 3 + rng.Intn(6), 9 + rng.Intn(12)}[i%4]
+	serial := rng.Float64() * 5
+	parallel := 10 + rng.Float64()*1000
+	contention := rng.Float64() * 0.5
+	var obs []SpeedupObs
+	for _, p := range rng.Perm(96)[:distinct] {
+		p++
+		truth := serial + parallel/float64(p) + contention*float64(p)
+		for k := rng.Intn(3); k >= 0; k-- {
+			obs = append(obs, SpeedupObs{Procs: p, Seconds: truth * (0.8 + 0.4*rng.Float64())})
+		}
+	}
+	if i%3 == 0 {
+		obs = append(obs,
+			SpeedupObs{Procs: 4, Seconds: math.NaN()},
+			SpeedupObs{Procs: 8, Seconds: math.Inf(1)},
+			SpeedupObs{Procs: 8, Seconds: math.Inf(-1)},
+			SpeedupObs{Procs: 16, Seconds: 0},
+			SpeedupObs{Procs: 2, Seconds: -1.5},
+			SpeedupObs{Procs: 0, Seconds: 3},
+			SpeedupObs{Procs: -4, Seconds: 3})
+	}
+	rng.Shuffle(len(obs), func(a, b int) { obs[a], obs[b] = obs[b], obs[a] })
+	return obs
+}
+
+// TestFitSpeedupGolden pins every bit of the fitter's output: 1200 seeded
+// observation sets against the Curve bits recorded in
+// testdata/fitspeedup.golden. The rebalancer's plans are a function of
+// these curves and a recovered daemon must recompute them exactly, so a
+// rewrite of the fitter has to keep the summation and elimination order —
+// -update is only right when changing the fit is the point.
+func TestFitSpeedupGolden(t *testing.T) {
+	const sets = 1200
+	rng := rand.New(rand.NewSource(20))
+	var got strings.Builder
+	for i := 0; i < sets; i++ {
+		c := FitSpeedup(goldenObs(rng, i))
+		fmt.Fprintf(&got, "%016x %016x %016x %d\n",
+			math.Float64bits(c.Serial), math.Float64bits(c.Parallel), math.Float64bits(c.Contention), c.Points)
+	}
+	const path = "testdata/fitspeedup.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d golden lines, fitted %d sets", len(wantLines)-1, len(gotLines)-1)
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("set %d: curve bits %q, golden %q", i, gotLines[i], wantLines[i])
+		}
 	}
 }

@@ -154,8 +154,20 @@ func TestAdmissionInflightCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// With a cap of one, a request is shed whenever the tenant's previous
+	// one still holds the slot — the server frees it after writing the
+	// reply, and the Status poll below competes with the wait for it — so
+	// the calls that must get through retry until they are admitted.
+	admitted := func(call func() error) error {
+		for {
+			if err := call(); !errors.Is(err, rpc.ErrOverload) {
+				return err
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	waitErr := make(chan error, 1)
-	go func() { waitErr <- busy.Wait(ctx, id) }()
+	go func() { waitErr <- admitted(func() error { return busy.Wait(ctx, id) }) }()
 
 	// Once the wait occupies the slot, the tenant's next request sheds.
 	deadline := time.Now().Add(5 * time.Second)
@@ -180,7 +192,7 @@ func TestAdmissionInflightCap(t *testing.T) {
 	// The busy tenant cannot end its own job — the parked wait holds its
 	// only slot — so finish it from the other tenant, which resolves the
 	// wait and frees the slot.
-	if err := other.JobEnd(ctx, id); err != nil {
+	if err := admitted(func() error { return other.JobEnd(ctx, id) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-waitErr; err != nil {

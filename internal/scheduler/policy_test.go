@@ -1,6 +1,10 @@
 package scheduler
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/grid"
@@ -178,6 +182,40 @@ func TestProfileShrinkPointsSortedDescending(t *testing.T) {
 	}
 }
 
+// TestAppendShrinkPointsMatchesSortSlice holds the insertion-ordered shrink
+// list to the sort.Slice version it replaced, equal-Count ties included, on
+// random visit histories; the storage handed in is appended to, never
+// rewritten.
+func TestAppendShrinkPointsMatchesSortSlice(t *testing.T) {
+	pool := []grid.Topology{
+		topo(1, 2), topo(2, 1), topo(2, 2), topo(1, 4), topo(4, 1), topo(2, 3),
+		topo(2, 4), topo(4, 2), topo(1, 8), topo(3, 3), topo(3, 4), topo(4, 4),
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		p := NewProfile()
+		for n := rng.Intn(20); n > 0; n-- {
+			p.RecordIteration(pool[rng.Intn(len(pool))], 1)
+		}
+		cur := pool[rng.Intn(len(pool))]
+		var want []grid.Topology
+		for _, v := range p.Visits {
+			if v.Topo.Count() < cur.Count() && !slices.Contains(want, v.Topo) {
+				want = append(want, v.Topo)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Count() > want[j].Count() })
+		if got := p.ShrinkPoints(cur); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ShrinkPoints(%v) = %v, sort.Slice gave %v", trial, cur, got, want)
+		}
+		prefix := []grid.Topology{topo(9, 9), topo(1, 1)}
+		got := p.AppendShrinkPoints(prefix, cur)
+		if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+			t.Fatalf("trial %d: AppendShrinkPoints onto %v = %v, want the prefix then %v", trial, prefix, got, want)
+		}
+	}
+}
+
 func TestProfileLastExpansion(t *testing.T) {
 	p := profileWith(
 		Visit{Topo: topo(1, 2), IterTimes: []float64{10}},
@@ -202,6 +240,38 @@ func TestProfileRedistCosts(t *testing.T) {
 	}
 	if _, ok := p.RedistCost(topo(2, 2), topo(1, 2)); ok {
 		t.Fatal("reverse direction should be unrecorded")
+	}
+}
+
+// TestRedistKeyMatchesFmt pins the Redist key bytes to the format snapshots
+// and testdata/parent-format/ were written with: a cost recorded through the
+// key builder sits under fmt's "%s->%s" key, a cost a restored snapshot put
+// under fmt's key is found by RedistCost, and the lookup does not allocate.
+func TestRedistKeyMatchesFmt(t *testing.T) {
+	dims := []int{1, 2, 9, 10, 12, 99, 100, 128, 999, 1000, 4096}
+	var topos []grid.Topology
+	for _, r := range dims {
+		for _, c := range dims {
+			topos = append(topos, topo(r, c))
+		}
+	}
+	recorded, restored := NewProfile(), NewProfile()
+	for i, from := range topos {
+		to := topos[(i*7+3)%len(topos)]
+		key := fmt.Sprintf("%s->%s", from, to)
+		recorded.RecordRedist(from, to, float64(i))
+		if v, ok := recorded.Redist[key]; !ok || v != float64(i) || len(recorded.Redist) != i+1 {
+			t.Fatalf("RecordRedist(%v, %v): nothing under key %q (%d keys)", from, to, key, len(recorded.Redist))
+		}
+		restored.Redist[key] = float64(i)
+		if v, ok := restored.RedistCost(from, to); !ok || v != float64(i) {
+			t.Fatalf("RedistCost(%v, %v) = %v/%v, want %d from key %q", from, to, v, ok, i, key)
+		}
+	}
+	from, to := topo(128, 4096), topo(999, 1000)
+	restored.Redist[fmt.Sprintf("%s->%s", from, to)] = 1
+	if n := testing.AllocsPerRun(100, func() { restored.RedistCost(from, to) }); n != 0 {
+		t.Fatalf("RedistCost allocates %.0f times per lookup", n)
 	}
 }
 

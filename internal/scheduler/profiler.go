@@ -1,8 +1,7 @@
 package scheduler
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -63,18 +62,28 @@ func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 // RecordRedist stores an observed redistribution cost between two
 // configurations.
 func (p *Profile) RecordRedist(from, to grid.Topology, seconds float64) {
-	p.Redist[redistKey(from, to)] = seconds
+	var buf [64]byte
+	p.Redist[string(appendRedistKey(buf[:0], from, to))] = seconds
 }
 
 // RedistCost returns the recorded redistribution cost between two
-// configurations, if any.
+// configurations, if any. The planning tick asks for every rung of every
+// running job, so the lookup neither formats nor allocates.
 func (p *Profile) RedistCost(from, to grid.Topology) (float64, bool) {
-	v, ok := p.Redist[redistKey(from, to)]
+	if len(p.Redist) == 0 {
+		return 0, false
+	}
+	var buf [64]byte
+	v, ok := p.Redist[string(appendRedistKey(buf[:0], from, to))]
 	return v, ok
 }
 
-func redistKey(from, to grid.Topology) string {
-	return fmt.Sprintf("%s->%s", from, to)
+// appendRedistKey appends the Redist key "RxC->RxC" to b. Snapshots persist
+// these keys, so the bytes are frozen (TestRedistKeyMatchesFmt).
+func appendRedistKey(b []byte, from, to grid.Topology) []byte {
+	b = from.Append(b)
+	b = append(b, "->"...)
+	return to.Append(b)
 }
 
 // Current returns the visit the job is currently in, or nil before the
@@ -109,31 +118,28 @@ func (p *Profile) EverExpanded() bool {
 // least-damaging shrink first). Applications can only shrink to
 // configurations on which they have previously run.
 func (p *Profile) ShrinkPoints(cur grid.Topology) []grid.Topology {
-	// Deduplicate by linear scan over the output: a job visits a handful of
-	// chain configurations, so this beats allocating a map per call (the
-	// published policy asks at every queue-pressure contact). The first-seen
-	// order feeding sort.Slice is identical to the map-guarded version, so
-	// equal-Count ties sort the same.
-	var out []grid.Topology
+	return p.AppendShrinkPoints(nil, cur)
+}
+
+// AppendShrinkPoints appends ShrinkPoints(cur) to dst, for callers that keep
+// the storage (the planning tick asks once per running job).
+func (p *Profile) AppendShrinkPoints(dst []grid.Topology, cur grid.Topology) []grid.Topology {
+	// Deduplicate by linear scan and order by stable insertion: a job visits
+	// a handful of chain configurations, so this beats a map and a
+	// sort.Slice per call (the published policy asks at every queue-pressure
+	// contact). Equal-Count ties keep first-visited order, which is what
+	// sort.Slice's insertion sort gave every list of up to 12 points.
+	base := len(dst)
 	for _, v := range p.Visits {
-		if v.Topo.Count() >= cur.Count() {
+		if v.Topo.Count() >= cur.Count() || slices.Contains(dst[base:], v.Topo) {
 			continue
 		}
-		dup := false
-		for _, t := range out {
-			if t == v.Topo {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, v.Topo)
+		dst = append(dst, v.Topo)
+		for i := len(dst) - 1; i > base && dst[i].Count() > dst[i-1].Count(); i-- {
+			dst[i], dst[i-1] = dst[i-1], dst[i]
 		}
 	}
-	if len(out) > 1 {
-		sort.Slice(out, func(i, j int) bool { return out[i].Count() > out[j].Count() })
-	}
-	return out
+	return dst
 }
 
 // TimeAt returns the most recent iteration time the job achieved on the

@@ -42,6 +42,7 @@ package rebalance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/grid"
@@ -99,6 +100,12 @@ type Rebalancer struct {
 	OnPlan func(Plan)
 
 	directives map[int]Directive
+
+	// Planning scratch, reused from tick to tick and never handed out:
+	// Directives and OnPlan get fresh copies.
+	jobs []jobView
+	exps []expansion
+	obs  []perfmodel.SpeedupObs
 }
 
 var (
@@ -180,7 +187,9 @@ func (r *Rebalancer) grantable(snap scheduler.ClusterSnapshot) int {
 
 // jobView is the planner's per-job working copy: everything Rebalance
 // needs, copied out of the live ContactView so no Profile pointer is
-// retained past the snapshot (the arbiter aliasing contract).
+// retained past the snapshot (the arbiter aliasing contract). A view is a
+// slot of Rebalancer.jobs: the next tick's job at the same index reuses its
+// slices, truncated.
 type jobView struct {
 	id       int
 	topo     grid.Topology
@@ -194,8 +203,33 @@ type jobView struct {
 	rungs   []grid.Topology // chain configurations beyond topo, in order
 	shrinks []grid.Topology // visited smaller configurations, descending count
 
-	measured map[grid.Topology]float64    // topo -> last measured iteration time
-	redist   map[[2]grid.Topology]float64 // measured redistribution costs
+	measured []topoSeconds // last measured iteration time per visited topology
+	redist   []topoSeconds // measured redistribution cost of topo -> rung or shrink point
+}
+
+// topoSeconds is one entry of a jobView's lookup tables: a job measures a
+// handful of configurations, so a scanned slice beats a map per job per tick.
+type topoSeconds struct {
+	topo grid.Topology
+	sec  float64
+}
+
+func lookup(table []topoSeconds, t grid.Topology) (float64, bool) {
+	for i := range table {
+		if table[i].topo == t {
+			return table[i].sec, true
+		}
+	}
+	return 0, false
+}
+
+// expansion is one job's standing bid in the water-filling phase.
+type expansion struct {
+	j       *jobView
+	planned grid.Topology // position after the rungs won so far
+	next    int           // index into j.rungs of the next bid
+	gain    float64       // accumulated net gain (redist charged once)
+	blind   bool          // won a Predict-only rung: no further bids
 }
 
 // priceAt predicts seconds per iteration for the job on t: measured
@@ -207,7 +241,7 @@ type jobView struct {
 // reports that the price rests on the Predict hook alone — no
 // measurement and no fitted curve back it.
 func (r *Rebalancer) priceAt(j *jobView, t grid.Topology) (sec float64, blind, ok bool) {
-	if sec, ok := j.measured[t]; ok {
+	if sec, ok := lookup(j.measured, t); ok {
 		return sec, false, true
 	}
 	if j.curve.Points >= 2 {
@@ -228,14 +262,15 @@ func (r *Rebalancer) timeAt(j *jobView, t grid.Topology) (float64, bool) {
 	return sec, ok
 }
 
-// redistCost estimates the cost of moving the job from->to: measured
-// first, then the RedistCost hook, then 0.
-func (r *Rebalancer) redistCost(j *jobView, from, to grid.Topology) float64 {
-	if sec, ok := j.redist[[2]grid.Topology{from, to}]; ok {
+// redistCost estimates the cost of moving the job from its current
+// configuration to a rung or shrink point: measured first, then the
+// RedistCost hook, then 0.
+func (r *Rebalancer) redistCost(j *jobView, to grid.Topology) float64 {
+	if sec, ok := lookup(j.redist, to); ok {
 		return sec
 	}
 	if r.RedistCost != nil {
-		if sec, ok := r.RedistCost(j.id, from, to); ok {
+		if sec, ok := r.RedistCost(j.id, j.topo, to); ok {
 			return sec
 		}
 	}
@@ -253,7 +288,7 @@ func (r *Rebalancer) netGain(j *jobView, t grid.Topology) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return (j.curTime-after)*float64(j.remIters) - r.redistCost(j, j.topo, t), true
+	return (j.curTime-after)*float64(j.remIters) - r.redistCost(j, t), true
 }
 
 // Rebalance implements scheduler.Planner: recompute the directive set
@@ -270,14 +305,15 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 		budget -= snap.Queued[0].Need
 	}
 
-	r.directives = make(map[int]Directive, len(jobs))
+	clear(r.directives)
 
 	// Phase 1 — shrink past the knee. A job whose fitted curve turns over
 	// before its current allocation is predicted to run *faster* on fewer
 	// processors: shrinking is a win for the job and frees surplus for
 	// the expansion phase. Only previously visited configurations are
 	// legal targets.
-	for _, j := range jobs {
+	for i := range jobs {
+		j := &jobs[i]
 		if !j.curve.Valid() || j.curve.Knee() >= j.topo.Count() {
 			continue
 		}
@@ -304,25 +340,21 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 	// one-step probing would take several resize points to reach), yet a
 	// shallow second rung never beats another job's steep first rung —
 	// water level, not queue order, decides.
-	type expansion struct {
-		j       *jobView
-		planned grid.Topology // position after the rungs won so far
-		next    int           // index into j.rungs of the next bid
-		gain    float64       // accumulated net gain (redist charged once)
-		blind   bool          // won a Predict-only rung: no further bids
-	}
-	var exps []*expansion
-	for _, j := range jobs {
+	exps := r.exps[:0]
+	for i := range jobs {
+		j := &jobs[i]
 		if _, planned := r.directives[j.id]; !planned && len(j.rungs) > 0 {
-			exps = append(exps, &expansion{j: j, planned: j.topo})
+			exps = append(exps, expansion{j: j, planned: j.topo})
 		}
 	}
+	r.exps = exps
 	for {
 		var best *expansion
 		bestPerProc := 0.0
 		bestMarginal := 0.0
 		bestBlind := false
-		for _, e := range exps {
+		for i := range exps {
+			e := &exps[i]
 			if e.next >= len(e.j.rungs) || e.blind {
 				continue
 			}
@@ -340,7 +372,7 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 			if e.planned == e.j.topo {
 				// The whole multi-rung move is one redistribution; charge it
 				// against the first rung.
-				marginal -= r.redistCost(e.j, e.j.topo, to)
+				marginal -= r.redistCost(e.j, to)
 			}
 			if marginal <= r.MinGainSeconds {
 				continue
@@ -364,8 +396,8 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 		// cannot swallow the idle pool ahead of future arrivals.
 		best.blind = bestBlind
 	}
-	for _, e := range exps {
-		if e.planned != e.j.topo {
+	for i := range exps {
+		if e := &exps[i]; e.planned != e.j.topo {
 			r.directives[e.j.id] = Directive{JobID: e.j.id, From: e.j.topo, To: e.planned, Gain: e.gain}
 		}
 	}
@@ -384,53 +416,70 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 // excluding such jobs would blind the planner to exactly the jobs that
 // just moved, and their unclaimed benefit would be handed to whoever
 // measured last.
-func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) []*jobView {
-	var jobs []*jobView
+func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) []jobView {
+	r.jobs = r.jobs[:0]
 	snap.Cluster.EachRunning(func(v *scheduler.ContactView) bool {
-		if v.PendingFree > 0 {
-			return true
+		if v.PendingFree == 0 {
+			r.view(v)
 		}
-		j := &jobView{
-			id:       v.ID,
-			topo:     v.Topo,
-			remIters: v.RemainingIters,
-			measured: make(map[grid.Topology]float64),
-			redist:   make(map[[2]grid.Topology]float64),
-		}
-		if j.remIters < 1 {
-			j.remIters = 1
-		}
-		var obs []perfmodel.SpeedupObs
-		for _, visit := range v.Profile.Visits {
-			if len(visit.IterTimes) == 0 {
-				continue
-			}
-			j.measured[visit.Topo] = visit.Last()
-			obs = append(obs, perfmodel.SpeedupObs{Procs: visit.Topo.Count(), Seconds: visit.Mean()})
-		}
-		j.curve = perfmodel.FitSpeedup(obs)
-		cur, ok := r.timeAt(j, v.Topo)
-		if !ok {
-			return true // nothing can price the current configuration
-		}
-		j.curKnown, j.curTime = true, cur
-		for _, a := range append(append([]grid.Topology{}, v.Chain...), v.Profile.ShrinkPoints(v.Topo)...) {
-			if cost, ok := v.Profile.RedistCost(v.Topo, a); ok {
-				j.redist[[2]grid.Topology{v.Topo, a}] = cost
-			}
-		}
-		t := v.Topo
-		for {
-			n, ok := scheduler.NextInChain(v.Chain, t)
-			if !ok {
-				break
-			}
-			j.rungs = append(j.rungs, n)
-			t = n
-		}
-		j.shrinks = v.Profile.ShrinkPoints(v.Topo)
-		jobs = append(jobs, j)
 		return true
 	})
-	return jobs
+	return r.jobs
+}
+
+// view fills the next slot of r.jobs from one running job, keeping the
+// slot only when something can price the job's current configuration.
+func (r *Rebalancer) view(v *scheduler.ContactView) {
+	n := len(r.jobs)
+	r.jobs = slices.Grow(r.jobs, 1)[:n+1]
+	j := &r.jobs[n]
+	*j = jobView{
+		id:       v.ID,
+		topo:     v.Topo,
+		remIters: max(v.RemainingIters, 1),
+		rungs:    j.rungs[:0],
+		shrinks:  j.shrinks[:0],
+		measured: j.measured[:0],
+		redist:   j.redist[:0],
+	}
+	r.obs = r.obs[:0]
+	for i := range v.Profile.Visits {
+		visit := &v.Profile.Visits[i]
+		if len(visit.IterTimes) == 0 {
+			continue
+		}
+		// The most recent visit to a configuration wins.
+		k := 0
+		for k < len(j.measured) && j.measured[k].topo != visit.Topo {
+			k++
+		}
+		if k == len(j.measured) {
+			j.measured = append(j.measured, topoSeconds{topo: visit.Topo})
+		}
+		j.measured[k].sec = visit.Last()
+		r.obs = append(r.obs, perfmodel.SpeedupObs{Procs: visit.Topo.Count(), Seconds: visit.Mean()})
+	}
+	j.curve = perfmodel.FitSpeedup(r.obs)
+	cur, ok := r.timeAt(j, v.Topo)
+	if !ok {
+		r.jobs = r.jobs[:n] // nothing can price the current configuration
+		return
+	}
+	j.curKnown, j.curTime = true, cur
+	for t := v.Topo; ; {
+		next, ok := scheduler.NextInChain(v.Chain, t)
+		if !ok {
+			break
+		}
+		j.rungs = append(j.rungs, next)
+		t = next
+	}
+	j.shrinks = v.Profile.AppendShrinkPoints(j.shrinks, v.Topo)
+	for _, targets := range [2][]grid.Topology{j.rungs, j.shrinks} {
+		for _, to := range targets {
+			if cost, ok := v.Profile.RedistCost(v.Topo, to); ok {
+				j.redist = append(j.redist, topoSeconds{to, cost})
+			}
+		}
+	}
 }

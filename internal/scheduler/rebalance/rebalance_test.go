@@ -2,6 +2,7 @@ package rebalance
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -233,5 +234,70 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 	if len(plans[0].Directives) == 0 {
 		t.Fatal("determinism fixture produced an empty plan; strengthen the fixture")
+	}
+}
+
+// TestRebalanceScratchNotAliased: the planner reuses its working storage
+// from tick to tick, so (1) what a tick handed out — the Plan given to
+// OnPlan, the slice from Directives — must not change under the next tick,
+// and (2) a reused jobView slot must carry nothing of the job that had it
+// before: the second tick's views and plan equal a fresh Rebalancer's.
+func TestRebalanceScratchNotAliased(t *testing.T) {
+	// Tick 1's first job is rich in every per-view table: four measured
+	// configurations, two shrink points, two rungs, recorded redist costs.
+	rich := runningJob(1, 1, []int{2, 4, 8, 16, 32, 64}, [][2]float64{{2, 40}, {4, 21}, {16, 9}, {8, 12}}, 50)
+	rich.Profile.RecordRedist(grid.Row1D(8), grid.Row1D(16), 0.5)
+	rich.Profile.RecordRedist(grid.Row1D(8), grid.Row1D(4), 0.25)
+	tick1 := snapOf(40, 128, nil,
+		rich,
+		runningJob(2, 1, []int{4, 8, 16, 32}, [][2]float64{{4, 16}, {8, 8}}, 100),
+		runningJob(3, 2, []int{4, 8, 16}, [][2]float64{{4, 10}, {8, 7}, {16, 9}}, 40),
+	)
+	// By tick 2 job 1 has left: its slot goes to job 2, and the slot after
+	// it to a newcomer with one visit, one rung and nothing to shrink to.
+	tick2 := func() scheduler.ClusterSnapshot {
+		s := snapOf(48, 128, nil,
+			runningJob(2, 1, []int{4, 8, 16, 32}, [][2]float64{{4, 16}, {8, 8}}, 90),
+			runningJob(4, 0, []int{4, 8}, [][2]float64{{4, 5}}, 10),
+		)
+		s.Now = 160
+		return s
+	}
+
+	var plans []Plan
+	r := New(nil)
+	r.OnPlan = func(p Plan) { plans = append(plans, p) }
+	r.Rebalance(tick1)
+	handedOut := r.Directives()
+	if len(plans) != 1 || len(handedOut) < 2 {
+		t.Fatalf("fixture: tick 1 planned %+v", handedOut)
+	}
+	wantPlan := Plan{Now: plans[0].Now, Directives: slices.Clone(plans[0].Directives)}
+	wantDirectives := slices.Clone(handedOut)
+
+	r.Rebalance(tick2())
+	if !reflect.DeepEqual(plans[0], wantPlan) {
+		t.Fatalf("tick 1's plan changed under tick 2:\n was %+v\n now %+v", wantPlan, plans[0])
+	}
+	if !reflect.DeepEqual(handedOut, wantDirectives) {
+		t.Fatalf("tick 1's Directives() changed under tick 2:\n was %+v\n now %+v", wantDirectives, handedOut)
+	}
+
+	fresh := New(nil)
+	fresh.Rebalance(tick2())
+	if !reflect.DeepEqual(r.Directives(), fresh.Directives()) || len(plans) != 2 ||
+		!reflect.DeepEqual(plans[1].Directives, fresh.Directives()) {
+		t.Fatalf("reused scratch changed the plan:\n reused %+v\n fresh  %+v", r.Directives(), fresh.Directives())
+	}
+	if len(r.jobs) != len(fresh.jobs) {
+		t.Fatalf("%d views after tick 2, a fresh planner has %d", len(r.jobs), len(fresh.jobs))
+	}
+	for i := range r.jobs {
+		got, want := &r.jobs[i], &fresh.jobs[i]
+		if got.id != want.id || got.curve != want.curve || got.curTime != want.curTime ||
+			!slices.Equal(got.rungs, want.rungs) || !slices.Equal(got.shrinks, want.shrinks) ||
+			!slices.Equal(got.measured, want.measured) || !slices.Equal(got.redist, want.redist) {
+			t.Fatalf("view %d carries residue of an earlier tick:\n reused %+v\n fresh  %+v", i, *got, *want)
+		}
 	}
 }
