@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
-	"repro/internal/grid"
+	"repro/internal/codec"
 	"repro/internal/scheduler"
 )
 
@@ -32,78 +31,27 @@ var (
 // length prefix from driving a huge allocation.
 const maxRecordSize = 1 << 20
 
-// Caps inside one payload, each far above anything the scheduler produces
-// but small enough to bound decoder allocations.
-const (
-	maxStringLen = 1 << 16
-	maxChainLen  = 1 << 16
-)
-
-// appendUint appends a uvarint.
-func appendUint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-// appendInt appends a zigzag varint.
-func appendInt(dst []byte, v int) []byte {
-	return binary.AppendVarint(dst, int64(v))
-}
-
-// appendFloat appends a float64 as its fixed 8-byte IEEE-754 bits.
-func appendFloat(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// appendString appends a uvarint length followed by the bytes.
-func appendString(dst []byte, s string) []byte {
-	dst = appendUint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendTopo appends a topology as two zigzag varints.
-func appendTopo(dst []byte, t grid.Topology) []byte {
-	dst = appendInt(dst, t.Rows)
-	return appendInt(dst, t.Cols)
-}
-
-// appendSpec encodes one job spec (shared by the OpSubmit record and the
-// snapshot's per-job image). The Tenant field joined the encoding with the
-// fair-share subsystem; logs written before it decode as ErrBadRecord
-// (trailing-byte check) rather than silently dropping the field, matching
-// the snapshot codec's magic bump to RSHSNAP3.
-func appendSpec(dst []byte, sp scheduler.JobSpec) []byte {
-	dst = appendString(dst, sp.Name)
-	dst = appendString(dst, sp.App)
-	dst = appendInt(dst, sp.ProblemSize)
-	dst = appendInt(dst, sp.BlockSize)
-	dst = appendInt(dst, sp.Iterations)
-	dst = appendInt(dst, sp.Priority)
-	dst = appendString(dst, sp.Tenant)
-	dst = appendTopo(dst, sp.InitialTopo)
-	dst = appendUint(dst, uint64(len(sp.Chain)))
-	for _, t := range sp.Chain {
-		dst = appendTopo(dst, t)
-	}
-	return dst
-}
-
-// appendOp encodes one scheduler op as a self-contained payload.
+// appendOp encodes one scheduler op as a self-contained payload. The job
+// spec's Tenant field joined the encoding with the fair-share subsystem;
+// logs written before it decode as ErrBadRecord (trailing-byte check)
+// rather than silently dropping the field, matching the snapshot codec's
+// magic bump to RSHSNAP3.
 func appendOp(dst []byte, op scheduler.Op) []byte {
 	dst = append(dst, byte(op.Kind))
-	dst = appendFloat(dst, op.Now)
+	dst = codec.AppendFloat(dst, op.Now)
 	switch op.Kind {
 	case scheduler.OpSubmit:
-		dst = appendSpec(dst, op.Spec)
+		dst = codec.AppendSpec(dst, &op.Spec)
 	case scheduler.OpContact:
-		dst = appendInt(dst, op.JobID)
-		dst = appendTopo(dst, op.Topo)
-		dst = appendFloat(dst, op.IterTime)
-		dst = appendFloat(dst, op.RedistTime)
+		dst = codec.AppendInt(dst, op.JobID)
+		dst = codec.AppendTopo(dst, op.Topo)
+		dst = codec.AppendFloat(dst, op.IterTime)
+		dst = codec.AppendFloat(dst, op.RedistTime)
 	case scheduler.OpResizeComplete:
-		dst = appendInt(dst, op.JobID)
-		dst = appendFloat(dst, op.RedistTime)
+		dst = codec.AppendInt(dst, op.JobID)
+		dst = codec.AppendFloat(dst, op.RedistTime)
 	case scheduler.OpFinish, scheduler.OpFail:
-		dst = appendInt(dst, op.JobID)
+		dst = codec.AppendInt(dst, op.JobID)
 	case scheduler.OpRebalance:
 		// A planning tick carries only its timestamp (already encoded): the
 		// adopted plan is recomputed deterministically on replay.
@@ -111,188 +59,40 @@ func appendOp(dst []byte, op scheduler.Op) []byte {
 	return dst
 }
 
-// decoder walks one payload with bounds-checked reads; every failure is a
-// typed ErrBadRecord so arbitrary bytes can never panic the replay path.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) fail(what string) error {
-	return fmt.Errorf("%w: %s at offset %d", ErrBadRecord, what, d.off)
-}
-
-func (d *decoder) byte() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, d.fail("truncated byte")
-	}
-	v := d.b[d.off]
-	d.off++
-	return v, nil
-}
-
-func (d *decoder) uint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, d.fail("bad uvarint")
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decoder) int() (int, error) {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		return 0, d.fail("bad varint")
-	}
-	if int64(int(v)) != v {
-		// Only reachable on a 32-bit platform; spec fields like the
-		// master-worker's ProblemSize legitimately exceed int32.
-		return 0, d.fail("integer out of range")
-	}
-	d.off += n
-	return int(v), nil
-}
-
-func (d *decoder) float() (float64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, d.fail("truncated float")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) string() (string, error) {
-	n, err := d.uint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen || d.off+int(n) > len(d.b) {
-		return "", d.fail("bad string length")
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *decoder) topo() (grid.Topology, error) {
-	r, err := d.int()
-	if err != nil {
-		return grid.Topology{}, err
-	}
-	c, err := d.int()
-	if err != nil {
-		return grid.Topology{}, err
-	}
-	return grid.Topology{Rows: r, Cols: c}, nil
-}
-
-// spec decodes one job spec produced by appendSpec.
-func (d *decoder) spec(sp *scheduler.JobSpec) error {
-	var err error
-	if sp.Name, err = d.string(); err != nil {
-		return err
-	}
-	if sp.App, err = d.string(); err != nil {
-		return err
-	}
-	if sp.ProblemSize, err = d.int(); err != nil {
-		return err
-	}
-	if sp.BlockSize, err = d.int(); err != nil {
-		return err
-	}
-	if sp.Iterations, err = d.int(); err != nil {
-		return err
-	}
-	if sp.Priority, err = d.int(); err != nil {
-		return err
-	}
-	if sp.Tenant, err = d.string(); err != nil {
-		return err
-	}
-	if sp.InitialTopo, err = d.topo(); err != nil {
-		return err
-	}
-	n, err := d.uint()
-	if err != nil {
-		return err
-	}
-	// Each chain entry is at least two bytes, so n is also bounded by
-	// the remaining payload — reject before allocating.
-	if n > maxChainLen || int(n) > (len(d.b)-d.off)/2 {
-		return d.fail("bad chain length")
-	}
-	if n > 0 {
-		sp.Chain = make([]grid.Topology, n)
-		for i := range sp.Chain {
-			if sp.Chain[i], err = d.topo(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // decodeOp decodes one payload produced by appendOp. It returns
 // ErrBadRecord (wrapped with position detail) on any malformation and
 // never panics, whatever the input.
 func decodeOp(payload []byte) (scheduler.Op, error) {
-	d := &decoder{b: payload}
+	d := codec.NewDecoder(payload, ErrBadRecord, nil)
 	var op scheduler.Op
-	k, err := d.byte()
-	if err != nil {
-		return op, err
-	}
+	k := d.Byte()
 	op.Kind = scheduler.OpKind(k)
-	if op.Now, err = d.float(); err != nil {
-		return op, err
-	}
+	op.Now = d.Float()
 	switch op.Kind {
 	case scheduler.OpSubmit:
-		if err = d.spec(&op.Spec); err != nil {
-			return op, err
-		}
+		d.Spec(&op.Spec)
 	case scheduler.OpContact:
-		if op.JobID, err = d.int(); err != nil {
-			return op, err
-		}
-		if op.Topo, err = d.topo(); err != nil {
-			return op, err
-		}
-		if op.IterTime, err = d.float(); err != nil {
-			return op, err
-		}
-		if op.RedistTime, err = d.float(); err != nil {
-			return op, err
-		}
+		op.JobID = d.Int()
+		op.Topo = d.Topo()
+		op.IterTime = d.Float()
+		op.RedistTime = d.Float()
 	case scheduler.OpResizeComplete:
-		if op.JobID, err = d.int(); err != nil {
-			return op, err
-		}
-		if op.RedistTime, err = d.float(); err != nil {
-			return op, err
-		}
+		op.JobID = d.Int()
+		op.RedistTime = d.Float()
 	case scheduler.OpFinish, scheduler.OpFail:
-		if op.JobID, err = d.int(); err != nil {
-			return op, err
-		}
+		op.JobID = d.Int()
 	case scheduler.OpRebalance:
 		// Timestamp only.
 	default:
-		return op, d.fail(fmt.Sprintf("unknown op kind %d", k))
+		d.Fail(fmt.Sprintf("unknown op kind %d", k))
 	}
-	if d.off != len(d.b) {
-		return op, d.fail("trailing bytes")
-	}
-	return op, nil
+	return op, d.Finish()
 }
 
 // appendFrame wraps one payload in the on-disk frame format:
 // uvarint length | uint32 CRC32C little-endian | payload.
 func appendFrame(dst, payload []byte) []byte {
-	dst = appendUint(dst, uint64(len(payload)))
+	dst = codec.AppendUint(dst, uint64(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 	return append(dst, payload...)
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/scheduler"
 )
 
@@ -49,44 +50,44 @@ func snapName(index uint64) string {
 // vocabulary as the WAL records. The redistribution map is emitted in
 // sorted key order, so identical states encode to identical bytes.
 func appendSnapshot(dst []byte, blob *snapshotBlob) []byte {
-	dst = appendUint(dst, blob.Index)
-	dst = appendUint(dst, blob.Seq)
-	dst = appendFloat(dst, blob.Clock)
+	dst = codec.AppendUint(dst, blob.Index)
+	dst = codec.AppendUint(dst, blob.Seq)
+	dst = codec.AppendFloat(dst, blob.Clock)
 	st := blob.State
-	dst = appendInt(dst, st.Total)
-	dst = appendInt(dst, st.Shards)
+	dst = codec.AppendInt(dst, st.Total)
+	dst = codec.AppendInt(dst, st.Shards)
 	if st.Backfill {
 		dst = append(dst, 1)
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = appendInt(dst, st.NextID)
-	dst = appendFloat(dst, st.BusySeconds)
-	dst = appendInt(dst, st.LastBusy)
-	dst = appendFloat(dst, st.LastBusyTime)
-	dst = appendUint(dst, uint64(len(st.Jobs)))
+	dst = codec.AppendInt(dst, st.NextID)
+	dst = codec.AppendFloat(dst, st.BusySeconds)
+	dst = codec.AppendInt(dst, st.LastBusy)
+	dst = codec.AppendFloat(dst, st.LastBusyTime)
+	dst = codec.AppendUint(dst, uint64(len(st.Jobs)))
 	for i := range st.Jobs {
 		j := &st.Jobs[i]
-		dst = appendInt(dst, j.ID)
-		dst = appendSpec(dst, j.Spec)
-		dst = appendInt(dst, int(j.State))
-		dst = appendTopo(dst, j.Topo)
-		dst = appendFloat(dst, j.SubmitTime)
-		dst = appendFloat(dst, j.StartTime)
-		dst = appendFloat(dst, j.EndTime)
-		dst = appendInt(dst, j.PendingFree)
-		dst = appendTopo(dst, j.ResizeFrom)
+		dst = codec.AppendInt(dst, j.ID)
+		dst = codec.AppendSpec(dst, &j.Spec)
+		dst = codec.AppendInt(dst, int(j.State))
+		dst = codec.AppendTopo(dst, j.Topo)
+		dst = codec.AppendFloat(dst, j.SubmitTime)
+		dst = codec.AppendFloat(dst, j.StartTime)
+		dst = codec.AppendFloat(dst, j.EndTime)
+		dst = codec.AppendInt(dst, j.PendingFree)
+		dst = codec.AppendTopo(dst, j.ResizeFrom)
 		p := j.Profile
 		if p == nil {
 			p = scheduler.NewProfile()
 		}
-		dst = appendUint(dst, uint64(len(p.Visits)))
+		dst = codec.AppendUint(dst, uint64(len(p.Visits)))
 		for vi := range p.Visits {
 			v := &p.Visits[vi]
-			dst = appendTopo(dst, v.Topo)
-			dst = appendUint(dst, uint64(len(v.IterTimes)))
+			dst = codec.AppendTopo(dst, v.Topo)
+			dst = codec.AppendUint(dst, uint64(len(v.IterTimes)))
 			for _, t := range v.IterTimes {
-				dst = appendFloat(dst, t)
+				dst = codec.AppendFloat(dst, t)
 			}
 		}
 		dst = appendRedist(dst, p.Redist)
@@ -102,151 +103,72 @@ func appendRedist(dst []byte, redist map[string]float64) []byte {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	dst = appendUint(dst, uint64(len(keys)))
+	dst = codec.AppendUint(dst, uint64(len(keys)))
 	for _, k := range keys {
-		dst = appendString(dst, k)
-		dst = appendFloat(dst, redist[k])
+		dst = codec.AppendString(dst, k)
+		dst = codec.AppendFloat(dst, redist[k])
 	}
 	return dst
-}
-
-// count reads a uvarint collection length and bounds it: at most max, and
-// no larger than the remaining payload could hold at minBytes per element
-// — rejected before any allocation, so a corrupt length can never drive a
-// huge make().
-func (d *decoder) count(max, minBytes int) (int, error) {
-	n, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(max) || int(n) > (len(d.b)-d.off)/minBytes {
-		return 0, d.fail("bad collection length")
-	}
-	return int(n), nil
 }
 
 // decodeSnapshot decodes one payload produced by appendSnapshot. Like
 // decodeOp it returns a typed error on any malformation and never panics,
 // whatever the input.
 func decodeSnapshot(payload []byte) (*snapshotBlob, error) {
-	d := &decoder{b: payload}
+	d := codec.NewDecoder(payload, ErrBadRecord, nil)
 	blob := &snapshotBlob{State: &scheduler.CoreState{}}
 	st := blob.State
-	var err error
-	if blob.Index, err = d.uint(); err != nil {
-		return nil, err
-	}
-	if blob.Seq, err = d.uint(); err != nil {
-		return nil, err
-	}
-	if blob.Clock, err = d.float(); err != nil {
-		return nil, err
-	}
-	if st.Total, err = d.int(); err != nil {
-		return nil, err
-	}
-	if st.Shards, err = d.int(); err != nil {
-		return nil, err
-	}
-	bf, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	st.Backfill = bf != 0
-	if st.NextID, err = d.int(); err != nil {
-		return nil, err
-	}
-	if st.BusySeconds, err = d.float(); err != nil {
-		return nil, err
-	}
-	if st.LastBusy, err = d.int(); err != nil {
-		return nil, err
-	}
-	if st.LastBusyTime, err = d.float(); err != nil {
-		return nil, err
-	}
+	blob.Index = d.Uint()
+	blob.Seq = d.Uint()
+	blob.Clock = d.Float()
+	st.Total = d.Int()
+	st.Shards = d.Int()
+	st.Backfill = d.Byte() != 0
+	st.NextID = d.Int()
+	st.BusySeconds = d.Float()
+	st.LastBusy = d.Int()
+	st.LastBusyTime = d.Float()
 	// A job image is ≥ 40 bytes (six floats plus a dozen varints): the
 	// pre-sized slice is the restore path's one big allocation.
-	njobs, err := d.count(maxSnapshotJobs, 40)
-	if err != nil {
-		return nil, err
-	}
-	st.Jobs = make([]scheduler.PersistedJob, njobs)
+	st.Jobs = make([]scheduler.PersistedJob, d.Count(maxSnapshotJobs, 40))
 	for i := range st.Jobs {
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
 		j := &st.Jobs[i]
-		if j.ID, err = d.int(); err != nil {
-			return nil, err
-		}
-		if err = d.spec(&j.Spec); err != nil {
-			return nil, err
-		}
-		state, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		j.State = scheduler.JobState(state)
-		if j.Topo, err = d.topo(); err != nil {
-			return nil, err
-		}
-		if j.SubmitTime, err = d.float(); err != nil {
-			return nil, err
-		}
-		if j.StartTime, err = d.float(); err != nil {
-			return nil, err
-		}
-		if j.EndTime, err = d.float(); err != nil {
-			return nil, err
-		}
-		if j.PendingFree, err = d.int(); err != nil {
-			return nil, err
-		}
-		if j.ResizeFrom, err = d.topo(); err != nil {
-			return nil, err
-		}
+		j.ID = d.Int()
+		d.Spec(&j.Spec)
+		j.State = scheduler.JobState(d.Int())
+		j.Topo = d.Topo()
+		j.SubmitTime = d.Float()
+		j.StartTime = d.Float()
+		j.EndTime = d.Float()
+		j.PendingFree = d.Int()
+		j.ResizeFrom = d.Topo()
 		p := &scheduler.Profile{}
 		j.Profile = p
-		nvisits, err := d.count(maxChainLen, 3)
-		if err != nil {
-			return nil, err
-		}
-		if nvisits > 0 {
+		if nvisits := d.Count(codec.MaxChainLen, 3); nvisits > 0 {
 			p.Visits = make([]scheduler.Visit, nvisits)
 			for vi := range p.Visits {
 				v := &p.Visits[vi]
-				if v.Topo, err = d.topo(); err != nil {
-					return nil, err
-				}
-				niters, err := d.count(maxRecordSize, 8)
-				if err != nil {
-					return nil, err
-				}
-				if niters > 0 {
+				v.Topo = d.Topo()
+				if niters := d.Count(maxRecordSize, 8); niters > 0 {
 					v.IterTimes = make([]float64, niters)
 					for ti := range v.IterTimes {
-						if v.IterTimes[ti], err = d.float(); err != nil {
-							return nil, err
-						}
+						v.IterTimes[ti] = d.Float()
 					}
 				}
 			}
 		}
-		nredist, err := d.count(maxChainLen, 9)
-		if err != nil {
-			return nil, err
-		}
+		nredist := d.Count(codec.MaxChainLen, 9)
 		p.Redist = make(map[string]float64, nredist)
 		for ri := 0; ri < nredist; ri++ {
-			k, err := d.string()
-			if err != nil {
-				return nil, err
-			}
-			if p.Redist[k], err = d.float(); err != nil {
-				return nil, err
-			}
+			k := d.Str()
+			p.Redist[k] = d.Float()
 		}
 	}
-	if d.off != len(d.b) {
-		return nil, d.fail("trailing bytes")
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return blob, nil
 }

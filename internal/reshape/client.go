@@ -159,20 +159,24 @@ func (c *Client) getConn() (*conn, error) {
 }
 
 // pendingReq routes one request's replies from the read loop to its
-// caller. Watch requests receive many replies, so the channel is buffered
-// and the entry stays registered until a Final reply. Connection death is
+// caller. A unary request gets exactly one reply and is unregistered as it
+// is delivered. A stream (Watch) receives many, so its channel is deeper
+// and it stays registered until a Final reply. Connection death is
 // signalled out of band (conn.deadCh), so a full reply buffer can never
 // swallow the failure notification.
 type pendingReq struct {
-	ch chan result
-	// onDrop, when set (streams), counts replies discarded because ch was
-	// full; unary requests leave it nil.
+	ch chan rpc.Reply
+	// onDrop is set on streams only: it counts replies discarded because
+	// ch was full.
 	onDrop func()
 }
 
-type result struct {
-	reply rpc.Reply
-}
+// unaryPool recycles unary pendingReqs with their 1-slot channels. An
+// entry goes back only after its caller has consumed the reply: the read
+// loop unregistered it before delivering, so nothing else can reach it.
+// An entry abandoned on cancellation or connection death is left to the
+// GC, since a late reply may still be on its way into the channel.
+var unaryPool = sync.Pool{New: func() any { return &pendingReq{ch: make(chan rpc.Reply, 1)} }}
 
 // conn is one multiplexed v2 connection.
 type conn struct {
@@ -237,7 +241,7 @@ func (cn *conn) readLoop() {
 		}
 		cn.mu.Lock()
 		p := cn.pending[r.ID]
-		if p != nil && r.Final {
+		if p != nil && (r.Final || p.onDrop == nil) {
 			delete(cn.pending, r.ID)
 		}
 		cn.mu.Unlock()
@@ -245,7 +249,7 @@ func (cn *conn) readLoop() {
 			continue // reply for a cancelled/abandoned request
 		}
 		select {
-		case p.ch <- result{reply: r}:
+		case p.ch <- r:
 		default:
 			// The consumer's buffer is full (lagging watch): drop the
 			// event rather than stall every request on this connection.
@@ -257,20 +261,17 @@ func (cn *conn) readLoop() {
 	}
 }
 
-// register allocates a request ID and routing entry. bufferLen sizes the
-// reply channel: 1 for unary calls, larger for streams. onDrop (may be
-// nil) is invoked for replies lost to a full buffer.
-func (cn *conn) register(bufferLen int, onDrop func()) (uint64, *pendingReq, error) {
+// register allocates a request ID and routes its replies to p.
+func (cn *conn) register(p *pendingReq) (uint64, error) {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	if cn.dead {
-		return 0, nil, cn.err
+		return 0, cn.err
 	}
 	cn.nextID++
 	id := cn.nextID
-	p := &pendingReq{ch: make(chan result, bufferLen), onDrop: onDrop}
 	cn.pending[id] = p
-	return id, p, nil
+	return id, nil
 }
 
 func (cn *conn) unregister(id uint64) {
@@ -282,7 +283,7 @@ func (cn *conn) unregister(id uint64) {
 // send writes one frame. A write failure kills the connection (the peer's
 // view of the stream is unknowable), so callers may safely retry on a
 // fresh one.
-func (cn *conn) send(f rpc.Frame) error {
+func (cn *conn) send(f *rpc.Frame) error {
 	cn.wmu.Lock()
 	err := cn.fw.Write(f)
 	cn.wmu.Unlock()
@@ -294,11 +295,12 @@ func (cn *conn) send(f rpc.Frame) error {
 
 // cancelRemote tells the server to abort request id (best effort).
 func (cn *conn) cancelRemote(id uint64) {
-	cancelID, p, err := cn.register(1, nil)
+	p := &pendingReq{ch: make(chan rpc.Reply, 1)}
+	cancelID, err := cn.register(p)
 	if err != nil {
 		return
 	}
-	if err := cn.send(rpc.Frame{ID: cancelID, Op: rpc.OpCancel, CancelID: id}); err != nil {
+	if err := cn.send(&rpc.Frame{ID: cancelID, Op: rpc.OpCancel, CancelID: id}); err != nil {
 		return
 	}
 	// Collect the ack asynchronously so cancellation never blocks the
@@ -355,13 +357,15 @@ func (c *Client) call(ctx context.Context, f rpc.Frame, idempotent bool) (rpc.Re
 		if err != nil {
 			return rpc.Reply{}, err
 		}
-		id, p, err := cn.register(1, nil)
+		p := unaryPool.Get().(*pendingReq)
+		id, err := cn.register(p)
 		if err != nil {
+			unaryPool.Put(p)
 			lastErr = err
 			continue // conn was dead before the request existed; redial
 		}
 		f.ID = id
-		if err := cn.send(f); err != nil {
+		if err := cn.send(&f); err != nil {
 			lastErr = err
 			if idempotent {
 				continue
@@ -375,13 +379,14 @@ func (c *Client) call(ctx context.Context, f rpc.Frame, idempotent bool) (rpc.Re
 			return r, nil
 		}
 		select {
-		case res := <-p.ch:
-			return finish(res.reply)
+		case r := <-p.ch:
+			unaryPool.Put(p)
+			return finish(r)
 		case <-cn.deadCh:
 			// The reply may have been delivered just before death.
 			select {
-			case res := <-p.ch:
-				return finish(res.reply)
+			case r := <-p.ch:
+				return finish(r)
 			default:
 			}
 			// The request may have executed before the transport died;
@@ -512,14 +517,15 @@ func (c *Client) watchLoop(ctx context.Context, jobID int, out chan<- scheduler.
 			}
 			continue
 		}
-		id, p, err := cn.register(watchStreamBuffer, sub.NoteDrop)
+		p := &pendingReq{ch: make(chan rpc.Reply, watchStreamBuffer), onDrop: sub.NoteDrop}
+		id, err := cn.register(p)
 		if err != nil {
 			if !sleep() {
 				return
 			}
 			continue
 		}
-		if err := cn.send(rpc.Frame{ID: id, Op: rpc.OpWatch, JobID: jobID, Tenant: c.tenant}); err != nil {
+		if err := cn.send(&rpc.Frame{ID: id, Op: rpc.OpWatch, JobID: jobID, Tenant: c.tenant}); err != nil {
 			if !sleep() {
 				return
 			}
@@ -563,20 +569,20 @@ func (c *Client) pumpWatch(ctx context.Context, cn *conn, id uint64, p *pendingR
 			// resubscribe elsewhere.
 			for {
 				select {
-				case res := <-p.ch:
-					if res.reply.Final {
+				case r := <-p.ch:
+					if r.Final {
 						return true
 					}
-					forward(res.reply)
+					forward(r)
 				default:
 					return true
 				}
 			}
-		case res := <-p.ch:
-			if res.reply.Final {
+		case r := <-p.ch:
+			if r.Final {
 				return true // server ended the stream (e.g. shutdown)
 			}
-			forward(res.reply)
+			forward(r)
 		}
 	}
 }

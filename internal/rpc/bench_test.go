@@ -38,6 +38,7 @@ func benchServer(b *testing.B) (addr string, jobID int, topo grid.Topology, clos
 // over one persistent connection. The conns/op metric counts TCP
 // connections consumed per operation.
 func BenchmarkRPCThroughput(b *testing.B) {
+	b.ReportAllocs()
 	const inflight = 64 // concurrent pipelined requests for v2
 
 	b.Run("v1-dial-per-call", func(b *testing.B) {

@@ -9,3 +9,7 @@ const (
 	fanoutConns       = 10
 	fanoutSubsPerConn = 50
 )
+
+// raceEnabled reports whether the race detector is on: sync.Pool then
+// drops items, so allocation budgets are only asserted without it.
+const raceEnabled = true

@@ -10,3 +10,7 @@ const (
 	fanoutConns       = 100
 	fanoutSubsPerConn = 500
 )
+
+// raceEnabled reports whether the race detector is on: sync.Pool then
+// drops items, so allocation budgets are only asserted without it.
+const raceEnabled = false

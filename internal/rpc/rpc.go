@@ -8,12 +8,15 @@
 //     by differential tests as the behavioural reference.
 //   - v2 (see wire.go): a persistent, multiplexed connection carrying
 //     length-prefixed frames with request IDs, concurrent server-side
-//     dispatch, cancellation, and a streaming Watch subscription. The
-//     typed client for v2 lives in package reshape.
+//     dispatch, cancellation of blocking ops, and a streaming Watch
+//     subscription. Frames are hand-encoded in package codec's varint
+//     vocabulary, the one the WAL writes, and a unary round trip
+//     allocates nothing in steady state. The typed client for v2 lives in
+//     package reshape.
 //
 // The v1 Client in this package remains as the reference client; it too
 // implements the full resize.Scheduler capability surface (Watch degrades
-// to status polling, since v1 has no server push).
+// to status polling, since v1 has no server push). Only v1 uses gob.
 package rpc
 
 import (
@@ -111,6 +114,11 @@ type Server struct {
 	limits     Limits
 	admMu      sync.Mutex
 	admTenants map[string]*admEntry
+
+	// work hands a decoded v2 request to a parked dispatch worker;
+	// idleWorkers counts the parked ones (see dispatchWorker).
+	work        chan v2req
+	idleWorkers atomic.Int32
 }
 
 // ServerOption configures Serve.
@@ -137,6 +145,7 @@ func Serve(addr string, sched *scheduler.Server, opts ...ServerOption) (*Server,
 		baseCtx: ctx,
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
+		work:    make(chan v2req),
 	}
 	for _, o := range opts {
 		o(s)

@@ -1,9 +1,9 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"sync"
 )
@@ -19,7 +19,7 @@ type v2conn struct {
 	wmu sync.Mutex // serializes frame writes on conn
 
 	// ctx is cancelled when the connection dies or the server closes;
-	// every in-flight request derives from it.
+	// unary requests run under it, Wait and Watch under a child of it.
 	//lint:allow ctxfirst connection-lifetime context: scoped to one conn's read loop, not carried across requests
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -36,7 +36,7 @@ type v2conn struct {
 
 // serveV2 runs a multiplexed session on conn (the magic byte has already
 // been consumed; br may hold buffered bytes beyond it).
-func (s *Server) serveV2(conn net.Conn, br io.Reader) {
+func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	c := &v2conn{
 		srv:      s,
@@ -54,42 +54,89 @@ func (s *Server) serveV2(conn net.Conn, br io.Reader) {
 
 	fr := NewFrameReader(br)
 	for {
-		var f Frame
-		if err := fr.Read(&f); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-				errors.Is(err, net.ErrClosed) || ctx.Err() != nil {
-				return // peer hung up / server shutting down
+		f := framePool.Get().(*Frame)
+		if err := fr.Read(f); err != nil {
+			framePool.Put(f)
+			if !errors.Is(err, ErrMalformed) {
+				return // peer hung up, connection broke, or server closing
 			}
-			// The stream is unsynchronized after a bad frame: report and
-			// drop the connection.
+			// Report the bad frame and drop the connection: nothing after
+			// it can be trusted.
 			s.malformed.Add(1)
 			s.logf("rpc: malformed v2 frame from %v: %v", conn.RemoteAddr(), err)
-			c.write(Reply{Final: true, Err: err.Error(), Code: CodeBadRequest})
+			c.write(&Reply{Final: true, Err: err.Error(), Code: CodeBadRequest})
 			return
 		}
-		if f.ID == 0 {
+		switch {
+		case f.ID == 0:
 			// Framing is intact, the request is just invalid: reject it
 			// and keep the connection.
 			s.malformed.Add(1)
-			c.write(Reply{Final: true, Err: "rpc: request id must be nonzero", Code: CodeBadRequest})
-			continue
-		}
-		if f.Op == OpCancel {
+			c.write(&Reply{Final: true, Err: "rpc: request id must be nonzero", Code: CodeBadRequest})
+		case f.Op == OpCancel:
 			s.requests.Add(1)
 			c.cancelRequest(f.CancelID)
-			c.write(Reply{ID: f.ID, Final: true})
+			c.write(&Reply{ID: f.ID, Final: true})
+		default:
+			c.reqs.Add(1)
+			s.handOff(c, f)
 			continue
 		}
-		c.reqs.Add(1)
-		go func(f Frame) {
-			defer c.reqs.Done()
-			c.dispatch(f)
-		}(f)
+		framePool.Put(f)
 	}
 }
 
+// v2req is one decoded request on its way to a dispatch worker.
+type v2req struct {
+	c *v2conn
+	f *Frame
+}
+
+// maxIdleWorkers bounds the dispatch workers parked between requests,
+// server-wide: enough for every request a busy server has in flight at
+// once, few enough that their stacks cost under a megabyte.
+const maxIdleWorkers = 64
+
+// handOff runs f on a parked dispatch worker, or on a new one if none is
+// waiting.
+func (s *Server) handOff(c *v2conn, f *Frame) {
+	select {
+	case s.work <- v2req{c, f}:
+	default:
+		s.wg.Add(1)
+		go s.dispatchWorker(c, f)
+	}
+}
+
+// dispatchWorker runs v2 requests, parking between them while fewer than
+// maxIdleWorkers others are parked. A contact runs deep into the scheduler
+// core; a goroutine per request would grow a fresh stack, by copying,
+// every time.
+func (s *Server) dispatchWorker(c *v2conn, f *Frame) {
+	defer s.wg.Done()
+	for {
+		c.dispatch(f)
+		if s.idleWorkers.Add(1) > maxIdleWorkers {
+			s.idleWorkers.Add(-1)
+			return
+		}
+		select {
+		case r := <-s.work:
+			s.idleWorkers.Add(-1)
+			c, f = r.c, r.f
+		case <-s.baseCtx.Done():
+			return
+		}
+	}
+}
+
+// framePool recycles decoded request frames: the read loop decodes into
+// one and hands it to a dispatch worker, which returns it once the final
+// reply is written.
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
 // write sends one reply frame; a failed write kills the connection.
-func (c *v2conn) write(r Reply) {
+func (c *v2conn) write(r *Reply) {
 	c.wmu.Lock()
 	err := c.fw.Write(r)
 	c.wmu.Unlock()
@@ -111,7 +158,8 @@ func (c *v2conn) cancelRequest(id uint64) {
 
 // register claims id for an in-flight request; it fails if the id is
 // already in use, enforcing the wire contract that request IDs are unique
-// among a connection's in-flight requests.
+// among a connection's in-flight requests. cancel is nil for unary ops:
+// an OpCancel naming one is acknowledged and changes nothing.
 func (c *v2conn) register(id uint64, cancel context.CancelFunc) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,18 +176,28 @@ func (c *v2conn) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-// dispatch runs one request to completion and writes its final reply.
-// Requests on one connection execute concurrently; replies are matched by
-// ID, not order.
-func (c *v2conn) dispatch(f Frame) {
-	ctx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
+// dispatch runs one request to completion, writes its final reply and
+// returns f to framePool. Requests on one connection execute concurrently;
+// replies are matched by ID, not order.
+//
+// Only the blocking ops (Wait, Watch) get a context of their own, which
+// OpCancel cancels. A unary op runs under the connection's context: its
+// handler checks it once on entry and then completes.
+func (c *v2conn) dispatch(f *Frame) {
+	defer c.reqs.Done()
+	defer framePool.Put(f)
 
+	ctx := c.ctx
+	var cancel context.CancelFunc
+	if f.Op == OpWait || f.Op == OpWatch {
+		ctx, cancel = context.WithCancel(c.ctx)
+		defer cancel()
+	}
 	s := c.srv
 	final := func(r Reply) {
 		r.ID = f.ID
 		r.Final = true
-		c.write(r)
+		c.write(&r)
 	}
 	if !c.register(f.ID, cancel) {
 		s.malformed.Add(1)
@@ -228,8 +286,7 @@ func (c *v2conn) dispatch(f Frame) {
 		}
 		defer sub.Cancel()
 		for ev := range sub.C {
-			ev := ev
-			c.write(Reply{ID: f.ID, Event: &ev})
+			c.write(&Reply{ID: f.ID, Event: &ev})
 		}
 		// Stream closed: subscription cancelled (client OpCancel, server
 		// shutdown, or connection loss).
