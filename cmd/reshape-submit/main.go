@@ -101,8 +101,8 @@ func main() {
 	fmt.Printf("submitted job %d (%s, %s, n=%d, priority %d%s) starting on %v\n",
 		id, *name, *app, *n, *priority, who, initial)
 	if *wait {
-		// Follow the job's own event stream while waiting — the v2 watch
-		// replaces v1's connection-pinning blocking wait.
+		// Follow the job's own event stream while waiting: the watch
+		// shares the client's multiplexed connection.
 		sub, err := cl.Watch(ctx, id)
 		if err != nil {
 			fail(err)

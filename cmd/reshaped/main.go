@@ -3,9 +3,9 @@
 // applications on its own message-passing runtime, and dynamically resizes
 // them according to the Remap Scheduler policy.
 //
-// The daemon speaks both wire protocols on one port: the one-shot v1
-// protocol and the multiplexed rpc/v2 protocol with streaming job watches
-// (see internal/rpc), negotiated per connection from its first byte.
+// The daemon speaks the multiplexed rpc/v2 protocol with streaming job
+// watches (see internal/rpc); a connection that does not open with its
+// magic byte is refused.
 //
 // With -wal-dir set the control plane is durable: every scheduler input is
 // journaled to a write-ahead log before it is acknowledged, snapshots are
@@ -215,7 +215,7 @@ func main() {
 	if store != nil {
 		durable = fmt.Sprintf("wal %s (snapshot every %d, fsync %s)", *walDir, *snapshotEvery, *walSync)
 	}
-	log.Printf("reshaped: %d processors in %d pool shard(s), %s arbitration, %s, listening on %s (rpc v1+v2)",
+	log.Printf("reshaped: %d processors in %d pool shard(s), %s arbitration, %s, listening on %s (rpc/v2)",
 		core.Total, core.Pool().NumShards(), *arb, durable, rpcSrv.Addr())
 	if limits != (rpc.Limits{}) {
 		log.Printf("reshaped: admission control on (tenant %.3g req/s burst %d inflight %d; conn %.3g req/s burst %d inflight %d)",
@@ -260,8 +260,8 @@ func main() {
 	}
 	close(stopTicks)
 	st := rpcSrv.Stats()
-	log.Printf("reshaped: shutting down (%d v1 conns, %d v2 conns, %d requests, %d watches, %d malformed, %d shed)",
-		st.V1Conns, st.V2Conns, st.Requests, st.Watches, st.Malformed, st.Shed)
+	log.Printf("reshaped: shutting down (%d conns, %d requests, %d watches, %d malformed, %d shed)",
+		st.Conns, st.Requests, st.Watches, st.Malformed, st.Shed)
 	_ = rpcSrv.Close()
 	if store != nil {
 		if err := store.Close(); err != nil {

@@ -156,6 +156,6 @@ func runLive(procs int) {
 	fmt.Printf("\nfinal status: %d/%d processors free, %d jobs done; %d events dropped\n",
 		st.Free, st.Total, len(st.Jobs), sub.Dropped())
 	stats := srv.Stats()
-	fmt.Printf("server stats: %d v2 conn(s), %d requests, %d watch(es), %d dials by client\n",
-		stats.V2Conns, stats.Requests, stats.Watches, client.Dials())
+	fmt.Printf("server stats: %d conn(s), %d requests, %d watch(es), %d dials by client\n",
+		stats.Conns, stats.Requests, stats.Watches, client.Dials())
 }

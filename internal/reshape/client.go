@@ -446,9 +446,9 @@ func (c *Client) Status(ctx context.Context) (scheduler.ClusterStatus, error) {
 	return *r.Status, nil
 }
 
-// Wait blocks until the job completes or ctx is done. Unlike v1, the wait
-// shares the multiplexed connection instead of pinning its own; transport
-// failures are retried (waiting is idempotent) until ctx expires.
+// Wait blocks until the job completes or ctx is done. The wait shares the
+// multiplexed connection instead of pinning its own; transport failures
+// are retried (waiting is idempotent) until ctx expires.
 func (c *Client) Wait(ctx context.Context, jobID int) error {
 	for {
 		_, err := c.call(ctx, rpc.Frame{Op: rpc.OpWait, JobID: jobID}, true)

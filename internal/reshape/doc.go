@@ -5,10 +5,10 @@
 //
 // The Client implements resize.Scheduler (and therefore resize.Client), so
 // applications, tools and tests swap freely between an in-process
-// scheduler.Server, the v1 reference rpc.Client and this client — in
-// particular it plugs straight into the application SDK's
-// reshape.WithScheduler option (pkg/reshape), letting an App resize
-// against a remote reshaped daemon exactly as it would in process.
+// scheduler.Server and this client — in particular it plugs straight into
+// the application SDK's reshape.WithScheduler option (pkg/reshape),
+// letting an App resize against a remote reshaped daemon exactly as it
+// would in process.
 //
 // Not to be confused with pkg/reshape, the public application SDK: this
 // package is the wire transport; the SDK is the programming model.

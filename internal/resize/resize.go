@@ -17,7 +17,7 @@ import (
 
 // Client is the scheduler interface the resizing library talks to. The
 // in-process scheduler.Server implements it directly; the reshape package
-// (rpc/v2) and the v1 rpc.Client implement it over TCP. Every call takes a
+// (rpc/v2) implements it over TCP. Every call takes a
 // context so remote transports can honour deadlines and cancellation.
 // Contact calls from concurrently resizing jobs are safe because the
 // Server serializes them onto the scheduler core (see DESIGN.md, Remap
@@ -36,9 +36,9 @@ type Client interface {
 // Scheduler is the full capability surface of a ReSHAPE scheduler: the
 // resizing-library Client plus submission, completion waits, streaming
 // job-event watches and typed status snapshots. The in-process
-// scheduler.Server, the v1 rpc.Client and the rpc/v2 reshape.Client all
-// implement it, so tools and applications are transport-agnostic —
-// including Wait and Watch.
+// scheduler.Server and the rpc/v2 reshape.Client both implement it, so
+// tools and applications are transport-agnostic — including Wait and
+// Watch.
 type Scheduler interface {
 	Client
 	// Submit enqueues a job and returns its id.

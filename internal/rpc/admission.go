@@ -17,15 +17,13 @@ import (
 //
 // Two independent layers apply, both token buckets with inflight caps:
 //
-//   - per tenant (all protocols): requests are attributed to the tenant
-//     named by the request envelope (falling back to the job spec's Tenant
-//     on submits), so one tenant exhausting its quota cannot consume
-//     another tenant's scheduler throughput;
-//   - per connection (v2 only): a multiplexed connection that floods
-//     frames is clipped regardless of which tenants it claims, bounding
-//     the damage of a misattributing or malicious client. v1 connections
-//     carry exactly one request, so connection quotas are meaningless
-//     there.
+//   - per tenant: requests are attributed to the tenant named by the
+//     request envelope (falling back to the job spec's Tenant on submits),
+//     so one tenant exhausting its quota cannot consume another tenant's
+//     scheduler throughput;
+//   - per connection: a multiplexed connection that floods frames is
+//     clipped regardless of which tenants it claims, bounding the damage
+//     of a misattributing or malicious client.
 //
 // Blocking requests (Wait, Watch) hold an inflight slot for as long as
 // they run: an inflight cap therefore bounds a tenant's parked waits and
@@ -34,8 +32,8 @@ import (
 // an overloaded client is trying to abandon.
 
 // ErrOverload is the typed shed error. Server replies carry CodeOverload
-// on the wire; the v1 client returns this exact error and the reshape
-// client's ServerError matches it via errors.Is.
+// on the wire, and the reshape client's ServerError matches it via
+// errors.Is.
 var ErrOverload = errors.New("rpc: overloaded: request shed by admission control")
 
 // Limits configures admission control for a Server. The zero value
@@ -47,14 +45,13 @@ type Limits struct {
 	// TenantBurst defaults to max(1, TenantRate).
 	TenantRate  float64
 	TenantBurst int
-	// ConnRate / ConnBurst shape each v2 connection the same way.
+	// ConnRate / ConnBurst shape each connection the same way.
 	ConnRate  float64
 	ConnBurst int
 	// TenantInflight caps one tenant's concurrently executing requests
 	// (including parked Waits and open Watch streams).
 	TenantInflight int
-	// ConnInflight caps one v2 connection's concurrently executing
-	// requests.
+	// ConnInflight caps one connection's concurrently executing requests.
 	ConnInflight int
 }
 
@@ -104,7 +101,7 @@ func (b *bucket) take(rate float64, burst int, now time.Time) bool {
 	return true
 }
 
-// admEntry is one admission scope — a tenant or a v2 connection.
+// admEntry is one admission scope — a tenant or a connection.
 type admEntry struct {
 	mu       sync.Mutex
 	bkt      bucket
@@ -151,34 +148,29 @@ func (s *Server) tenantEntry(tenant string) *admEntry {
 	return e
 }
 
-// admit runs both admission layers for one request attributed to tenant;
-// connAdm is the connection's scope (nil for v1 one-shot connections).
-// On success it returns a release closure the caller must run when the
-// request finishes; on shed it returns ok=false with Stats.Shed already
-// incremented.
+// admit runs both admission layers for one request attributed to tenant,
+// arriving on the connection whose scope is connAdm. On success it returns
+// a release closure the caller must run when the request finishes; on shed
+// it returns ok=false with Stats.Shed already incremented.
 func (s *Server) admit(tenant string, connAdm *admEntry) (release func(), ok bool) {
 	l := s.limits
 	if !l.enabled() {
 		return func() {}, true
 	}
 	now := time.Now()
-	if connAdm != nil && !connAdm.admit(l.ConnRate, l.ConnBurst, l.ConnInflight, now) {
+	if !connAdm.admit(l.ConnRate, l.ConnBurst, l.ConnInflight, now) {
 		s.shed.Add(1)
 		return nil, false
 	}
 	te := s.tenantEntry(tenant)
 	if !te.admit(l.TenantRate, l.TenantBurst, l.TenantInflight, now) {
-		if connAdm != nil {
-			connAdm.release()
-		}
+		connAdm.release()
 		s.shed.Add(1)
 		return nil, false
 	}
 	return func() {
 		te.release()
-		if connAdm != nil {
-			connAdm.release()
-		}
+		connAdm.release()
 	}, true
 }
 

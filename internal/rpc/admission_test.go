@@ -22,11 +22,11 @@ func admSpec(name, tenant string) scheduler.JobSpec {
 	}
 }
 
-// TestTenantSurvivesBothWireProtocols pins the tenant threading end to
-// end: jobs submitted over v1 and v2 with a client-level tenant identity
-// reach the scheduler tagged, and Status reports both the per-job Tenant
-// and the per-tenant usage rollup.
-func TestTenantSurvivesBothWireProtocols(t *testing.T) {
+// TestTenantSurvivesTheWire pins the tenant threading end to end: jobs
+// submitted by clients with a client-level tenant identity reach the
+// scheduler tagged, and Status reports both the per-job Tenant and the
+// per-tenant usage rollup.
+func TestTenantSurvivesTheWire(t *testing.T) {
 	sched := scheduler.NewServer(16, false, nil)
 	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
@@ -34,29 +34,25 @@ func TestTenantSurvivesBothWireProtocols(t *testing.T) {
 	}
 	defer srv.Close()
 
-	v2, err := reshape.Dial(srv.Addr(), reshape.WithTenant("beta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	v1 := &rpc.Client{Addr: srv.Addr(), Tenant: "acme"}
+	acme := dial(t, srv.Addr(), reshape.WithTenant("acme"))
+	beta := dial(t, srv.Addr(), reshape.WithTenant("beta"))
 
 	ctx := context.Background()
 	// Spec-level tenant wins; the client identity fills in when unset.
-	aID, err := v1.Submit(ctx, admSpec("a", ""))
+	aID, err := acme.Submit(ctx, admSpec("a", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bID, err := v2.Submit(ctx, admSpec("b", ""))
+	bID, err := beta.Submit(ctx, admSpec("b", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cID, err := v2.Submit(ctx, admSpec("c", "gamma"))
+	cID, err := beta.Submit(ctx, admSpec("c", "gamma"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := v1.Status(ctx)
+	st, err := acme.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +110,20 @@ func TestAdmissionShedsOverQuotaTenant(t *testing.T) {
 	}
 
 	// The noisy tenant's exhaustion must not touch another tenant.
-	calm := &rpc.Client{Addr: srv.Addr(), Tenant: "calm"}
+	calm := dial(t, srv.Addr(), reshape.WithTenant("calm"))
 	if _, err := calm.Status(ctx); err != nil {
 		t.Fatalf("calm tenant shed alongside the noisy one: %v", err)
 	}
-	// And the v1 path sheds with the same typed error once its bucket runs
-	// dry.
-	var v1shed bool
+	// And the calm tenant sheds with the same typed error once its own
+	// bucket runs dry.
+	var calmShed bool
 	for i := 0; i < 4; i++ {
 		if _, err := calm.Status(ctx); errors.Is(err, rpc.ErrOverload) {
-			v1shed = true
+			calmShed = true
 		}
 	}
-	if !v1shed {
-		t.Fatal("v1 client never saw ErrOverload after exhausting its bucket")
+	if !calmShed {
+		t.Fatal("calm tenant never saw ErrOverload after exhausting its bucket")
 	}
 }
 
@@ -184,7 +180,7 @@ func TestAdmissionInflightCap(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	other := &rpc.Client{Addr: srv.Addr(), Tenant: "other"}
+	other := dial(t, srv.Addr(), reshape.WithTenant("other"))
 	if _, err := other.Status(ctx); err != nil {
 		t.Fatalf("other tenant shed by busy tenant's inflight cap: %v", err)
 	}

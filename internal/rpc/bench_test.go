@@ -32,30 +32,12 @@ func benchServer(b *testing.B) (addr string, jobID int, topo grid.Topology, clos
 	return srv.Addr(), jobID, topo, func() { srv.Close() }
 }
 
-// BenchmarkRPCThroughput compares the two wire protocols on localhost:
-// v1 pays a TCP dial plus a gob handshake per operation and holds one
-// connection per in-flight call; v2 pipelines many concurrent operations
-// over one persistent connection. The conns/op metric counts TCP
-// connections consumed per operation.
+// BenchmarkRPCThroughput measures the wire protocol on localhost: many
+// concurrent operations pipelined over one persistent connection. The
+// conns/op metric counts TCP connections consumed per operation.
 func BenchmarkRPCThroughput(b *testing.B) {
 	b.ReportAllocs()
-	const inflight = 64 // concurrent pipelined requests for v2
-
-	b.Run("v1-dial-per-call", func(b *testing.B) {
-		addr, jobID, topo, closefn := benchServer(b)
-		defer closefn()
-		cl := &rpc.Client{Addr: addr}
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cl.Contact(ctx, jobID, topo, 0.01, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		b.ReportMetric(1, "conns/op")
-	})
+	const inflight = 64 // concurrent pipelined requests
 
 	b.Run("v2-pipelined", func(b *testing.B) {
 		addr, jobID, topo, closefn := benchServer(b)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/reshape"
 	"repro/internal/resize"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
@@ -100,43 +99,21 @@ func topoFromLast(ds []scheduler.Decision) grid.Topology {
 	return grid.Topology{Rows: 2, Cols: 2}
 }
 
-// TestV1AndV2TransportsAgree pins the two wire protocols to identical
-// scheduler outcomes for the same op sequence: v1 stays supported as the
-// reference implementation, and this test is what "supported" means.
-func TestV1AndV2TransportsAgree(t *testing.T) {
-	run := func(t *testing.T, dial func(addr string) (resize.Scheduler, func())) outcome {
-		sched := scheduler.NewServer(16, true, nil)
-		srv, err := rpc.Serve("127.0.0.1:0", sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		cl, closeCl := dial(srv.Addr())
-		defer closeCl()
-		return driveSchedule(t, cl)
+// TestWireAndInProcessAgree pins the wire protocol to the in-process
+// scheduler.Server: the same op sequence, error paths included, must
+// produce identical scheduler outcomes through reshape.Client over TCP and
+// through direct calls.
+func TestWireAndInProcessAgree(t *testing.T) {
+	sched := scheduler.NewServer(16, true, nil)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srv.Close()
+	wire := driveSchedule(t, dial(t, srv.Addr()))
+	local := driveSchedule(t, scheduler.NewServer(16, true, nil))
 
-	v1 := run(t, func(addr string) (resize.Scheduler, func()) {
-		return &rpc.Client{Addr: addr}, func() {}
-	})
-	v2 := run(t, func(addr string) (resize.Scheduler, func()) {
-		cl, err := reshape.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl, func() { cl.Close() }
-	})
-	// The in-process server is the third leg of the capability interface;
-	// it must agree as well.
-	local := func() outcome {
-		sched := scheduler.NewServer(16, true, nil)
-		return driveSchedule(t, sched)
-	}()
-
-	if !reflect.DeepEqual(v1, v2) {
-		t.Errorf("v1 and v2 outcomes differ:\nv1: %+v\nv2: %+v", v1, v2)
-	}
-	if !reflect.DeepEqual(v1, local) {
-		t.Errorf("wire and in-process outcomes differ:\nv1:    %+v\nlocal: %+v", v1, local)
+	if !reflect.DeepEqual(wire, local) {
+		t.Errorf("wire and in-process outcomes differ:\nwire:  %+v\nlocal: %+v", wire, local)
 	}
 }

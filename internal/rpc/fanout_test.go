@@ -92,7 +92,7 @@ func TestWatchFanOutStress(t *testing.T) {
 	// Three jobs on a 16-processor pool: all start immediately, so each
 	// subscriber is owed exactly 6 events (3 submits + 3 starts).
 	ctx := context.Background()
-	cl := &rpc.Client{Addr: srv.Addr()}
+	cl := dial(t, srv.Addr())
 	start := grid.Topology{Rows: 2, Cols: 2}
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Submit(ctx, scheduler.JobSpec{

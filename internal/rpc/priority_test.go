@@ -5,18 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/reshape"
-	"repro/internal/resize"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
 
-// TestPrioritySurvivesBothWireProtocols pins the Priority threading of the
-// arbitration layer end to end: a JobSpec submitted over the v1 one-shot
-// protocol and the v2 multiplexed protocol must reach the scheduler with
-// its priority intact, order the wait queue by it, and report it back
-// through the typed Status snapshot.
-func TestPrioritySurvivesBothWireProtocols(t *testing.T) {
+// TestPrioritySurvivesTheWire pins the Priority threading of the
+// arbitration layer end to end: a JobSpec submitted over the wire must
+// reach the scheduler with its priority intact, order the wait queue by
+// it, and report it back through the typed Status snapshot.
+func TestPrioritySurvivesTheWire(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)
 	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
@@ -24,15 +21,7 @@ func TestPrioritySurvivesBothWireProtocols(t *testing.T) {
 	}
 	defer srv.Close()
 
-	v2, err := reshape.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	clients := map[string]resize.Scheduler{
-		"v1": &rpc.Client{Addr: srv.Addr()},
-		"v2": v2,
-	}
+	cl := dial(t, srv.Addr())
 
 	ctx := context.Background()
 	start := grid.Topology{Rows: 2, Cols: 2}
@@ -45,33 +34,31 @@ func TestPrioritySurvivesBothWireProtocols(t *testing.T) {
 	}
 
 	// The hog fills the pool so later submissions queue in priority order.
-	if _, err := clients["v1"].Submit(ctx, spec("hog", 0)); err != nil {
+	if _, err := cl.Submit(ctx, spec("hog", 0)); err != nil {
 		t.Fatal(err)
 	}
-	lowID, err := clients["v1"].Submit(ctx, spec("low-v1", 1))
+	lowID, err := cl.Submit(ctx, spec("low", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	highID, err := clients["v2"].Submit(ctx, spec("high-v2", 7))
+	highID, err := cl.Submit(ctx, spec("high", 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for name, cl := range clients {
-		st, err := cl.Status(ctx)
-		if err != nil {
-			t.Fatalf("%s status: %v", name, err)
-		}
-		byID := map[int]scheduler.JobInfo{}
-		for _, j := range st.Jobs {
-			byID[j.ID] = j
-		}
-		if got := byID[lowID].Priority; got != 1 {
-			t.Errorf("%s: job %d priority %d, want 1", name, lowID, got)
-		}
-		if got := byID[highID].Priority; got != 7 {
-			t.Errorf("%s: job %d priority %d, want 7", name, highID, got)
-		}
+	st, err := cl.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[int]scheduler.JobInfo{}
+	for _, j := range st.Jobs {
+		byID[j.ID] = j
+	}
+	if got := byID[lowID].Priority; got != 1 {
+		t.Errorf("job %d priority %d, want 1", lowID, got)
+	}
+	if got := byID[highID].Priority; got != 7 {
+		t.Errorf("job %d priority %d, want 7", highID, got)
 	}
 
 	// Queue order follows priority: the core's head must be the high-prio

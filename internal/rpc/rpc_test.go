@@ -1,4 +1,4 @@
-package rpc
+package rpc_test
 
 import (
 	"context"
@@ -7,20 +7,33 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/grid"
+	"repro/internal/reshape"
+	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
 
 func topo(r, c int) grid.Topology { return grid.Topology{Rows: r, Cols: c} }
 
+// dial connects a typed client to addr and closes it when the test ends.
+func dial(t *testing.T, addr string, opts ...reshape.Option) *reshape.Client {
+	t.Helper()
+	cl, err := reshape.Dial(addr, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
 func TestRoundTripOverTCP(t *testing.T) {
 	ctx := context.Background()
 	sched := scheduler.NewServer(8, true, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	cl := dial(t, srv.Addr())
 
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
 		Name: "lu", App: "lu", ProblemSize: 12000, Iterations: 10,
@@ -63,20 +76,20 @@ func TestRoundTripOverTCP(t *testing.T) {
 	if st.Free != 8 {
 		t.Fatalf("free = %d after end", st.Free)
 	}
-	if s := srv.Stats(); s.V1Conns == 0 || s.Requests == 0 {
-		t.Fatalf("stats not counting v1 traffic: %+v", s)
+	if s := srv.Stats(); s.Conns == 0 || s.Requests == 0 {
+		t.Fatalf("stats not counting traffic: %+v", s)
 	}
 }
 
 func TestServerReportsErrors(t *testing.T) {
 	ctx := context.Background()
 	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	cl := dial(t, srv.Addr())
 
 	if _, err := cl.Contact(ctx, 99, topo(1, 1), 1, 0); err == nil {
 		t.Error("contact for unknown job should fail")
@@ -87,20 +100,20 @@ func TestServerReportsErrors(t *testing.T) {
 }
 
 func TestClientDialFailure(t *testing.T) {
-	cl := &Client{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}
-	if _, err := cl.Status(context.Background()); err == nil {
+	if cl, err := reshape.Dial("127.0.0.1:1", reshape.WithDialTimeout(200*time.Millisecond)); err == nil {
+		cl.Close()
 		t.Error("expected dial error")
 	}
 }
 
 func TestClientHonoursContextDeadline(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	cl := dial(t, srv.Addr())
 	id, err := cl.Submit(context.Background(), scheduler.JobSpec{
 		Name: "j", App: "mw", Iterations: 1,
 		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
@@ -122,12 +135,12 @@ func TestClientHonoursContextDeadline(t *testing.T) {
 func TestWaitBlocksUntilJobEnd(t *testing.T) {
 	ctx := context.Background()
 	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl := &Client{Addr: srv.Addr()}
+	cl := dial(t, srv.Addr())
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
 		Name: "j", App: "mw", Iterations: 1,
 		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
@@ -157,25 +170,24 @@ func TestWaitBlocksUntilJobEnd(t *testing.T) {
 }
 
 func TestRemoteSchedulerDrivesRealApp(t *testing.T) {
-	// End-to-end over TCP: a real application resized by a remote daemon.
+	// End to end over TCP: a real application resized by a remote daemon.
 	ctx := context.Background()
-	var launched = make(chan int, 4)
-	var sched *scheduler.Server
-	var cl *Client
-	sched = scheduler.NewServer(4, true, func(j *scheduler.Job) {
-		launched <- j.ID
+	var cl *reshape.Client
+	launched := make(chan error, 1)
+	sched := scheduler.NewServer(4, true, func(j *scheduler.Job) {
 		cfg := apps.Config{App: "lu", N: 8, NB: 2, Iterations: 3}
-		if err := apps.Launch(cl, j.ID, j.Topo, cfg); err != nil {
-			t.Errorf("launch: %v", err)
+		err := apps.Launch(cl, j.ID, j.Topo, cfg)
+		if err != nil {
 			_ = cl.JobEnd(ctx, j.ID)
 		}
+		launched <- err
 	})
-	srv, err := Serve("127.0.0.1:0", sched)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl = &Client{Addr: srv.Addr()}
+	cl = dial(t, srv.Addr())
 
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
 		Name: "lu", App: "lu", ProblemSize: 8, Iterations: 3,
@@ -188,6 +200,12 @@ func TestRemoteSchedulerDrivesRealApp(t *testing.T) {
 	if err := cl.Wait(ctx, id); err != nil {
 		t.Fatal(err)
 	}
+	// The scheduler finishes the job, releasing Wait, before it acks the
+	// app's JobEnd: join the app so the deferred Close cannot sever the
+	// connection that ack is still travelling on.
+	if err := <-launched; err != nil {
+		t.Errorf("launch: %v", err)
+	}
 	st, err := cl.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -197,44 +215,5 @@ func TestRemoteSchedulerDrivesRealApp(t *testing.T) {
 	}
 	if st.Jobs[0].State != "done" {
 		t.Errorf("state %v", st.Jobs[0].State)
-	}
-}
-
-func TestV1WatchSynthesizesEventsFromPolling(t *testing.T) {
-	ctx := context.Background()
-	sched := scheduler.NewServer(8, true, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl := &Client{Addr: srv.Addr(), PollInterval: 10 * time.Millisecond}
-
-	sub, err := cl.Watch(ctx, scheduler.AllJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
-
-	id, err := cl.Submit(ctx, scheduler.JobSpec{
-		Name: "j", App: "mw", Iterations: 1,
-		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.JobEnd(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-
-	kinds := map[string]bool{}
-	deadline := time.After(5 * time.Second)
-	for !(kinds["submit"] && kinds["start"] && kinds["end"]) {
-		select {
-		case ev := <-sub.C:
-			kinds[ev.Kind] = true
-		case <-deadline:
-			t.Fatalf("missing kinds, saw %v", kinds)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package rpc
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -61,14 +60,14 @@ func TestV2PipelinesConcurrentRequestsOnOneConnection(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
-	if st := srv.Stats(); st.V2Conns != 1 || st.Requests != n {
+	if st := srv.Stats(); st.Conns != 1 || st.Requests != n {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
 func TestV2WaitDoesNotPinConnection(t *testing.T) {
-	// A pending Wait and a burst of other ops share one connection: the
-	// defining difference from v1, where Wait parks the whole socket.
+	// A pending Wait and a burst of other ops share one connection: a
+	// wait parks one request, never the socket.
 	sched := scheduler.NewServer(4, false, nil)
 	srv, err := Serve("127.0.0.1:0", sched)
 	if err != nil {
@@ -150,35 +149,6 @@ func TestV2CancelAbortsPendingWait(t *testing.T) {
 	}
 	if r := got[8]; !r.Final || r.Err != "" {
 		t.Fatalf("cancel ack: %+v", r)
-	}
-}
-
-func TestMalformedV1RequestGetsStructuredError(t *testing.T) {
-	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A gob stream for the wrong type: decodes into Request with an error.
-	if err := gob.NewEncoder(conn).Encode(struct{ Bogus string }{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("expected structured error response, got %v", err)
-	}
-	if resp.Err == "" || resp.Code != CodeBadRequest {
-		t.Fatalf("response %+v", resp)
-	}
-	if st := srv.Stats(); st.Malformed == 0 {
-		t.Fatalf("malformed requests not counted: %+v", st)
 	}
 }
 

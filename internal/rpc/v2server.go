@@ -261,8 +261,8 @@ func (c *v2conn) dispatch(f *Frame) {
 		final(Reply{})
 	case OpWait:
 		s.requests.Add(1)
-		// Unlike v1, a pending wait holds only this goroutine — the
-		// connection keeps serving other requests.
+		// A pending wait holds only this goroutine — the connection keeps
+		// serving other requests.
 		if err := s.sched.Wait(ctx, f.JobID); err != nil {
 			fail(err)
 			return

@@ -13,10 +13,8 @@ import (
 
 // Wire protocol v2.
 //
-// A v2 connection opens with the single magic byte MagicV2 — a value a v1
-// gob stream can never start with (gob's leading message length is either
-// 0x01..0x7F or 0xF8..0xFF), which is how the server sniffs the protocol
-// version on the first byte. After the magic byte each direction is one
+// A connection opens with the single magic byte MagicV2; the server
+// refuses any other first byte. After the magic byte each direction is one
 // persistent stream of frames, [uvarint payload length][payload], with the
 // payload written in package codec's vocabulary (the WAL's):
 //
@@ -38,7 +36,7 @@ import (
 // reply when the subscription ends.
 //
 // MagicV2 was 0xB2 while the frames were gob; a peer still speaking that
-// dialect falls through to the v1 handler and is refused as malformed.
+// dialect is refused like any other non-v2 opener.
 const MagicV2 = 0xB3
 
 // Additional v2 operations.
@@ -51,7 +49,7 @@ const (
 	OpCancel Op = "cancel"
 )
 
-// Reply error codes (Response.Code / Reply.Code).
+// Reply error codes (Reply.Code).
 const (
 	// CodeBadRequest marks malformed or unparseable requests.
 	CodeBadRequest = "bad-request"

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/scheduler"
@@ -458,36 +459,67 @@ func FuzzReadReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzStream(t, data, new(Reply)) })
 }
 
-// TestStaleMagicRefused opens a connection the way a peer of the gob-framed
-// dialect did (0xB2, then a gob-encoded frame): the server must route it
-// to the v1 handler, count it malformed, and dispatch nothing.
+// TestStaleMagicRefused opens connections the way non-v2 peers do: the
+// gob-framed dialect (0xB2, then a gob-encoded frame), an rpc/v1 client (a
+// bare gob-encoded request) and a byte of noise. Each must be counted
+// malformed and closed within a second, with nothing dispatched and
+// nothing written back.
 func TestStaleMagicRefused(t *testing.T) {
-	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
-	if err != nil {
-		t.Fatal(err)
+	// v1Request is, field for field, the envelope an rpc/v1 client
+	// gob-encoded as the whole of its connection's opening.
+	type v1Request struct {
+		Op         Op
+		Tenant     string
+		JobID      int
+		Topo       grid.Topology
+		IterTime   float64
+		RedistTime float64
+		Spec       scheduler.JobSpec
 	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	gobbed := func(prefix []byte, v any) []byte {
+		buf := bytes.NewBuffer(prefix)
+		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	defer conn.Close()
-	stale := bytes.NewBuffer([]byte{0xB2})
-	if err := gob.NewEncoder(stale).Encode(Frame{ID: 1, Op: OpStatus}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(stale.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	// The server answers with a v1 error response and hangs up; with the
-	// frame left unread, the hang-up may arrive as a reset instead.
-	answer, _ := io.ReadAll(conn)
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(answer)).Decode(&resp); err == nil && resp.Code != CodeBadRequest {
-		t.Fatalf("response %+v", resp)
-	}
-	if st := srv.Stats(); st.Malformed != 1 || st.Requests != 0 || st.V2Conns != 0 {
-		t.Fatalf("stats %+v: want one malformed v1 connection and nothing dispatched", st)
+	for _, tc := range []struct {
+		name   string
+		opener []byte
+	}{
+		{"gob-framed-0xB2", gobbed([]byte{0xB2}, Frame{ID: 1, Op: OpStatus})},
+		{"v1-request", gobbed(nil, v1Request{Op: OpStatus, Tenant: "acme"})},
+		{"one-byte", []byte{'G'}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := scheduler.NewServer(4, false, nil)
+			srv, err := Serve("127.0.0.1:0", sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.opener); err != nil {
+				t.Fatal(err)
+			}
+			// The server hangs up without answering; with the opener left
+			// unread, the hang-up may arrive as a reset instead of EOF.
+			_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+			answer, err := io.ReadAll(conn)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("server kept the connection open past 1s")
+			}
+			if len(answer) != 0 {
+				t.Fatalf("server answered a non-v2 opener with %d bytes", len(answer))
+			}
+			if st := srv.Stats(); st.Malformed != 1 || st.Requests != 0 || st.Conns != 0 {
+				t.Fatalf("stats %+v: want one malformed opener and nothing dispatched", st)
+			}
+		})
 	}
 }

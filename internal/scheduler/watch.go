@@ -12,8 +12,7 @@ import (
 // AllJobs is the Watch jobID sentinel selecting every job's events.
 const AllJobs = -1
 
-// JobInfo is a point-in-time job snapshot, the typed replacement for the
-// ad-hoc status tuples the v1 wire protocol leaked to callers.
+// JobInfo is a point-in-time job snapshot, as Status reports it.
 type JobInfo struct {
 	ID       int
 	Name     string

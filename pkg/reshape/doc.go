@@ -45,9 +45,9 @@
 // Events stream to the Logger installed with WithLogger.
 //
 // The scheduler connection is any implementation of the resize.Client
-// capability — the in-process scheduler.Server, the v1 rpc.Client and the
-// rpc/v2 reshape client (internal/reshape) all satisfy the full
-// resize.Scheduler interface, so applications are transport-agnostic.
+// capability — the in-process scheduler.Server and the rpc/v2 reshape
+// client (internal/reshape) both satisfy the full resize.Scheduler
+// interface, so applications are transport-agnostic.
 //
 // Layering: App → Run → resize.Session → scheduler (see DESIGN.md, "The
 // application SDK"). The Context is a thin adapter over resize.Session;

@@ -39,9 +39,9 @@ func defaultConfig() *config {
 type Option func(*config)
 
 // WithScheduler connects the run to a scheduler through the resize.Client
-// capability. The in-process scheduler.Server, the v1 rpc.Client and the
-// rpc/v2 client (internal/reshape) all implement the full resize.Scheduler
-// interface and are interchangeable here. Without this option the run uses
+// capability. The in-process scheduler.Server and the rpc/v2 client
+// (internal/reshape) both implement the full resize.Scheduler interface
+// and are interchangeable here. Without this option the run uses
 // resize.NullClient and never resizes (static execution).
 func WithScheduler(c resize.Client) Option { return func(o *config) { o.client = c } }
 

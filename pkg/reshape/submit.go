@@ -30,9 +30,9 @@ func WithTenant(tenant string) SubmitOption {
 }
 
 // Submit enqueues a job on any scheduler transport — the in-process
-// scheduler.Server, the v1 rpc.Client or the rpc/v2 client — and returns
-// the job id to hand to Run via WithJobID. The priority travels inside the
-// JobSpec across both wire protocols unchanged.
+// scheduler.Server or the rpc/v2 client — and returns the job id to hand
+// to Run via WithJobID. The priority travels inside the JobSpec over the
+// wire unchanged.
 func Submit(ctx context.Context, s resize.Scheduler, spec scheduler.JobSpec, opts ...SubmitOption) (int, error) {
 	for _, o := range opts {
 		o(&spec)
