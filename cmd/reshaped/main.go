@@ -260,8 +260,8 @@ func main() {
 	}
 	close(stopTicks)
 	st := rpcSrv.Stats()
-	log.Printf("reshaped: shutting down (%d conns, %d requests, %d watches, %d malformed, %d shed)",
-		st.Conns, st.Requests, st.Watches, st.Malformed, st.Shed)
+	log.Printf("reshaped: shutting down (%d conns, %d requests, %d watches, %d malformed, %d shed, %d reply frames in %d writes)",
+		st.Conns, st.Requests, st.Watches, st.Malformed, st.Shed, st.FramesOut, st.Flushes)
 	_ = rpcSrv.Close()
 	if store != nil {
 		if err := store.Close(); err != nil {

@@ -187,8 +187,6 @@ type conn struct {
 	// alongside their reply channel.
 	deadCh chan struct{}
 
-	wmu sync.Mutex // serializes frame writes
-
 	mu      sync.Mutex
 	pending map[uint64]*pendingReq
 	nextID  uint64
@@ -280,13 +278,12 @@ func (cn *conn) unregister(id uint64) {
 	cn.mu.Unlock()
 }
 
-// send writes one frame. A write failure kills the connection (the peer's
-// view of the stream is unknowable), so callers may safely retry on a
-// fresh one.
+// send writes one frame through the connection's group writer, possibly
+// in another caller's batch; it returns once the batch is written. A write
+// failure kills the connection (the peer's view of the stream is
+// unknowable), so callers may safely retry on a fresh one.
 func (cn *conn) send(f *rpc.Frame) error {
-	cn.wmu.Lock()
 	err := cn.fw.Write(f)
-	cn.wmu.Unlock()
 	if err != nil {
 		cn.fail(fmt.Errorf("reshape: write: %w", err))
 	}
@@ -340,10 +337,13 @@ func errServerSide(err error) bool {
 }
 
 // call issues a unary request, transparently redialing once if the pooled
-// connection was already dead before anything was sent. A failed write is
-// retried only for idempotent ops: TCP cannot guarantee the server missed
-// a frame whose Write errored locally, so re-sending a mutating op (e.g.
-// Submit) could execute it twice.
+// connection was already dead before anything was sent. A failed write, or
+// a connection that dies before the reply, is retried once on a fresh
+// connection only for idempotent ops: the server may have run a frame the
+// client never heard back about, so re-sending a mutating op (e.g. Submit)
+// could execute it twice. A written frame is no more certain to have been
+// served than one whose write failed, so the two failures are treated
+// alike.
 func (c *Client) call(ctx context.Context, f rpc.Frame, idempotent bool) (rpc.Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return rpc.Reply{}, err
@@ -390,8 +390,12 @@ func (c *Client) call(ctx context.Context, f rpc.Frame, idempotent bool) (rpc.Re
 			default:
 			}
 			// The request may have executed before the transport died;
-			// surface the error instead of re-running it.
-			return rpc.Reply{}, cn.deadErr()
+			// only an idempotent one is re-run.
+			lastErr = cn.deadErr()
+			if idempotent {
+				continue
+			}
+			return rpc.Reply{}, lastErr
 		case <-ctx.Done():
 			cn.unregister(id)
 			cn.cancelRemote(id)

@@ -1,8 +1,10 @@
 package reshape_test
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -335,4 +337,112 @@ func TestCallContextCancellation(t *testing.T) {
 	if cl.Dials() != 1 {
 		t.Fatalf("dials = %d; cancellation must not burn the connection", cl.Dials())
 	}
+}
+
+// hangUpDaemon is a fake daemon for transport failures. Its first
+// connection reads the magic byte and one frame, then hangs up without a
+// reply; every later connection answers each frame it reads, a status
+// with Total 7 for OpStatus. It records the op of every frame it reads.
+type hangUpDaemon struct {
+	ln  net.Listener
+	mu  sync.Mutex
+	ops []rpc.Op
+}
+
+func startHangUpDaemon(t *testing.T) *hangUpDaemon {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	d := &hangUpDaemon{ln: ln}
+	go func() {
+		for first := true; ; first = false {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go d.serve(nc, first)
+		}
+	}()
+	return d
+}
+
+func (d *hangUpDaemon) serve(nc net.Conn, hangUp bool) {
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	if b, err := br.ReadByte(); err != nil || b != rpc.MagicV2 {
+		return
+	}
+	fr, fw := rpc.NewFrameReader(br), rpc.NewFrameWriter(nc)
+	for {
+		var f rpc.Frame
+		if err := fr.Read(&f); err != nil {
+			return
+		}
+		d.mu.Lock()
+		d.ops = append(d.ops, f.Op)
+		d.mu.Unlock()
+		if hangUp {
+			return
+		}
+		r := rpc.Reply{ID: f.ID, Final: true}
+		if f.Op == rpc.OpStatus {
+			r.Status = &scheduler.ClusterStatus{Total: 7}
+		}
+		if err := fw.Write(&r); err != nil {
+			return
+		}
+	}
+}
+
+func (d *hangUpDaemon) seen() []rpc.Op {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]rpc.Op(nil), d.ops...)
+}
+
+// TestIdempotentCallRetriesWhenConnectionDies: a connection that dies
+// after the frame went out but before its reply is retried once on a
+// fresh connection for an idempotent op, and surfaced for a mutating one,
+// which the daemon saw exactly once.
+func TestIdempotentCallRetriesWhenConnectionDies(t *testing.T) {
+	ctx := context.Background()
+	t.Run("status", func(t *testing.T) {
+		d := startHangUpDaemon(t)
+		cl, err := reshape.Dial(d.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		st, err := cl.Status(ctx)
+		if err != nil {
+			t.Fatalf("status across a dead connection: %v", err)
+		}
+		if st.Total != 7 || cl.Dials() != 2 {
+			t.Fatalf("status total %d after %d dials, want 7 after 2", st.Total, cl.Dials())
+		}
+		if ops := d.seen(); len(ops) != 2 || ops[0] != rpc.OpStatus || ops[1] != rpc.OpStatus {
+			t.Fatalf("daemon saw %v, want two status frames", ops)
+		}
+	})
+	t.Run("submit", func(t *testing.T) {
+		d := startHangUpDaemon(t)
+		cl, err := reshape.Dial(d.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		_, err = cl.Submit(ctx, scheduler.JobSpec{
+			Name: "once", App: "mw", Iterations: 1,
+			InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
+		})
+		if err == nil {
+			t.Fatal("submit across a dead connection succeeded")
+		}
+		if ops := d.seen(); len(ops) != 1 || ops[0] != rpc.OpSubmit {
+			t.Fatalf("daemon saw %v, want exactly one submit frame", ops)
+		}
+	})
 }

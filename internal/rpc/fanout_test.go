@@ -136,6 +136,84 @@ func TestWatchFanOutStress(t *testing.T) {
 	if _, err := cl.Status(ctx); err != nil {
 		t.Fatalf("scheduler unresponsive alongside a wedged watcher: %v", err)
 	}
+	// A connection's subscriptions reply through one group writer, so
+	// their events share writes.
+	if st := srv.Stats(); st.Flushes >= st.FramesOut {
+		t.Errorf("%d writes for %d reply frames: nothing was batched", st.Flushes, st.FramesOut)
+	}
+}
+
+// TestWatchBurstSharesWrites publishes a burst of events faster than one
+// subscriber's stream can write them one by one: the watch pump queues
+// every event already buffered before it flushes, so the burst arrives
+// complete in fewer writes than events.
+func TestWatchBurstSharesWrites(t *testing.T) {
+	sched := scheduler.NewServer(4, false, nil)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte{rpc.MagicV2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rpc.NewFrameWriter(nc).Write(rpc.Frame{ID: 1, Op: rpc.OpWatch, JobID: scheduler.AllJobs}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); sched.Subscribers() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("watch subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var got atomic.Int64
+	go func() {
+		fr := rpc.NewFrameReader(bufio.NewReader(nc))
+		for {
+			var r rpc.Reply
+			if err := fr.Read(&r); err != nil {
+				return
+			}
+			if r.Event != nil {
+				got.Add(1)
+			}
+		}
+	}()
+
+	// 150 submissions on a 4-processor pool: one start, 149 queued — 151
+	// events, inside the broker's 256-event buffer, so none is dropped.
+	const events = 151
+	before := srv.Stats()
+	ctx := context.Background()
+	start := grid.Topology{Rows: 2, Cols: 2}
+	for i := 0; i < events-1; i++ {
+		if _, err := sched.Submit(ctx, scheduler.JobSpec{
+			Name: fmt.Sprintf("b%d", i), App: "lu", ProblemSize: 8000, Iterations: 10,
+			InitialTopo: start, Chain: []grid.Topology{start},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); got.Load() < events; {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscriber got %d of %d events", got.Load(), events)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	after := srv.Stats()
+	frames, flushes := after.FramesOut-before.FramesOut, after.Flushes-before.Flushes
+	if frames != events {
+		t.Fatalf("%d reply frames for %d events", frames, events)
+	}
+	if flushes >= events {
+		t.Fatalf("%d events in %d writes: the burst was not batched", events, flushes)
+	}
+	t.Logf("%d events in %d writes", events, flushes)
 }
 
 // TestWatchDropOnLagIsolation pins the broker's overload behavior at the

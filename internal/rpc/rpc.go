@@ -44,6 +44,8 @@ type Stats struct {
 	Watches      uint64 // watch subscriptions opened
 	AcceptErrors uint64 // transient listener Accept failures
 	Shed         uint64 // requests shed by admission control (never dispatched)
+	FramesOut    uint64 // reply frames queued on connections
+	Flushes      uint64 // writes to connections, each one batch of reply frames
 }
 
 // Server serves scheduler requests over TCP.
@@ -69,6 +71,8 @@ type Server struct {
 	watches      atomic.Uint64
 	acceptErrors atomic.Uint64
 	shed         atomic.Uint64
+	framesOut    atomic.Uint64
+	flushes      atomic.Uint64
 	lastErr      atomic.Value // error
 
 	// Admission control (see admission.go). limits is fixed at Serve time;
@@ -129,6 +133,8 @@ func (s *Server) Stats() Stats {
 		Watches:      s.watches.Load(),
 		AcceptErrors: s.acceptErrors.Load(),
 		Shed:         s.shed.Load(),
+		FramesOut:    s.framesOut.Load(),
+		Flushes:      s.flushes.Load(),
 	}
 }
 

@@ -6,17 +6,16 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // v2conn is the server side of one multiplexed v2 connection: a read loop
-// decoding frames, concurrent per-request dispatch goroutines, and a
-// serialized writer.
+// decoding frames, concurrent per-request dispatch goroutines, and a group
+// writer they all reply through.
 type v2conn struct {
 	srv  *Server
 	conn net.Conn
 	fw   *FrameWriter
-
-	wmu sync.Mutex // serializes frame writes on conn
 
 	// ctx is cancelled when the connection dies or the server closes;
 	// unary requests run under it, Wait and Watch under a child of it.
@@ -41,7 +40,7 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 	c := &v2conn{
 		srv:      s,
 		conn:     conn,
-		fw:       NewFrameWriter(conn),
+		fw:       NewFrameWriter(countedWriter{conn, &s.flushes}),
 		ctx:      ctx,
 		cancel:   cancel,
 		inflight: make(map[uint64]context.CancelFunc),
@@ -135,12 +134,38 @@ func (s *Server) dispatchWorker(c *v2conn, f *Frame) {
 // reply is written.
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
-// write sends one reply frame; a failed write kills the connection.
+// countedWriter counts the writes a connection's FrameWriter makes, one
+// per batch of reply frames.
+type countedWriter struct {
+	net.Conn
+	n *atomic.Uint64
+}
+
+func (w countedWriter) Write(p []byte) (int, error) {
+	w.n.Add(1)
+	return w.Conn.Write(p)
+}
+
+// write sends one reply frame and returns once it is written; a failed
+// write kills the connection.
 func (c *v2conn) write(r *Reply) {
-	c.wmu.Lock()
-	err := c.fw.Write(r)
-	c.wmu.Unlock()
-	if err != nil {
+	c.queue(r)
+	c.flush()
+}
+
+// queue adds one reply frame to the connection's pending batch.
+func (c *v2conn) queue(r *Reply) {
+	if err := c.fw.Queue(r); err != nil {
+		c.cancel()
+		return
+	}
+	c.srv.framesOut.Add(1)
+}
+
+// flush returns once every reply queued on the connection so far has been
+// written; a peer that stops reading blocks it.
+func (c *v2conn) flush() {
+	if err := c.fw.Flush(); err != nil {
 		c.cancel()
 	}
 }
@@ -285,8 +310,16 @@ func (c *v2conn) dispatch(f *Frame) {
 			return
 		}
 		defer sub.Cancel()
+		// Every event already buffered goes out in the same batch. While
+		// the peer is not reading, the flush blocks, sub.C fills and the
+		// broker drops and counts what follows.
 		for ev := range sub.C {
-			c.write(&Reply{ID: f.ID, Event: &ev})
+			c.queue(&Reply{ID: f.ID, Event: &ev})
+			for len(sub.C) > 0 {
+				ev := <-sub.C
+				c.queue(&Reply{ID: f.ID, Event: &ev})
+			}
+			c.flush()
 		}
 		// Stream closed: subscription cancelled (client OpCancel, server
 		// shutdown, or connection loss).

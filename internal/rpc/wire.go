@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/grid"
@@ -123,25 +125,115 @@ const maxFrameSize = 1 << 30
 // one huge status reply does not pin its memory for the connection's life.
 const keepBuf = 64 << 10
 
-// FrameWriter emits one direction of a v2 stream: each Write is one
-// w.Write of the whole frame, encoded into a buffer the writer reuses.
-// Callers serialize Write calls per connection.
+// FrameWriter emits one direction of a v2 stream and is the connection's
+// group writer: any number of goroutines may write through it at once.
+// Each frame is encoded, under the writer's mutex, onto the end of a
+// pending buffer. The writer that finds no flush in flight becomes the
+// leader: it yields once, so goroutines that are already runnable can
+// queue behind it, then hands everything pending to w in one w.Write, and
+// repeats until nothing is pending. Everyone else is a follower and waits
+// until the batch carrying its frame has been written. So a nil return
+// means w accepted the frame, and a peer that stops reading blocks every
+// writer, not only the leader. Frames from one goroutine reach w in the
+// order it wrote them. The first failed w.Write is latched: it is returned
+// by every later call, and nothing more is written.
 type FrameWriter struct {
-	w   io.Writer
-	buf []byte
+	w io.Writer
+
+	mu       sync.Mutex
+	wrote    sync.Cond // broadcast after each batch is written or fails
+	pending  []byte    // frames queued since the leader last took a batch
+	spare    []byte    // the last batch written, reused as the next pending
+	flushing bool      // a leader is writing
+	taken    uint64    // batches the leader has taken off pending
+	written  uint64    // batches w.Write has returned for
+	err      error
 }
 
 // NewFrameWriter starts a frame stream on w.
 func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w, buf: make([]byte, 0, 512)}
+	fw := &FrameWriter{w: w, pending: make([]byte, 0, 512)}
+	fw.wrote.L = &fw.mu
+	return fw
 }
 
-// Write appends one frame — a Frame or Reply, by value or pointer — to the
-// stream.
+// Write sends one frame — a Frame or Reply, by value or pointer: Queue,
+// then Flush.
 func (fw *FrameWriter) Write(v any) error {
-	// The payload is encoded behind room for the longest length prefix,
-	// which is then written right-aligned against it.
-	b := fw.buf[:binary.MaxVarintLen64]
+	if err := fw.Queue(v); err != nil {
+		return err
+	}
+	return fw.Flush()
+}
+
+// Queue encodes one frame onto the pending batch without writing it; the
+// next Flush on this writer, by any goroutine, sends it.
+func (fw *FrameWriter) Queue(v any) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.err != nil {
+		return fw.err
+	}
+	b, err := appendFramed(fw.pending, v)
+	fw.pending = b
+	return err
+}
+
+// Flush returns once everything queued before it has been written, or
+// with the first write error. With no flush in flight the caller leads;
+// otherwise it waits for the leader to write the batch in flight and, if
+// more is pending, the next one.
+func (fw *FrameWriter) Flush() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if !fw.flushing && fw.err == nil && len(fw.pending) > 0 {
+		fw.lead()
+	}
+	last := fw.taken
+	if len(fw.pending) > 0 {
+		last++ // the leader takes it before it stops
+	}
+	for fw.written < last && fw.err == nil {
+		fw.wrote.Wait()
+	}
+	return fw.err
+}
+
+// lead writes batches until nothing is pending. fw.mu is held on entry and
+// on return, and released around the yield and each w.Write.
+func (fw *FrameWriter) lead() {
+	fw.flushing = true
+	fw.mu.Unlock()
+	// Without this yield a leader on a machine with few processors almost
+	// always writes a batch of one frame: the goroutines that would have
+	// joined it are runnable but not yet running.
+	runtime.Gosched()
+	fw.mu.Lock()
+	for len(fw.pending) > 0 && fw.err == nil {
+		batch := fw.pending
+		fw.pending = fw.spare[:0]
+		fw.taken++
+		fw.mu.Unlock()
+		_, err := fw.w.Write(batch)
+		fw.mu.Lock()
+		fw.err = err
+		fw.written++
+		fw.spare = nil
+		if cap(batch) <= keepBuf {
+			fw.spare = batch
+		}
+		fw.wrote.Broadcast()
+	}
+	fw.flushing = false
+}
+
+// appendFramed appends v as one frame, [uvarint payload length][payload],
+// to b. On errTarget b is returned unchanged.
+func appendFramed(b []byte, v any) ([]byte, error) {
+	// One byte of prefix fits a payload under 128 bytes, most of them; a
+	// longer one moves its payload along to make room.
+	start := len(b)
+	b = append(b, 0)
 	switch v := v.(type) {
 	case *Frame:
 		b = appendFrame(b, v)
@@ -152,16 +244,15 @@ func (fw *FrameWriter) Write(v any) error {
 	case Reply:
 		b = appendReply(b, &v)
 	default:
-		return errTarget
+		return b[:start], errTarget
 	}
-	n := uint64(len(b) - binary.MaxVarintLen64)
-	start := binary.MaxVarintLen64 - uvarintLen(n)
-	binary.PutUvarint(b[start:], n)
-	_, err := fw.w.Write(b[start:])
-	if cap(b) <= keepBuf {
-		fw.buf = b[:0]
+	n := len(b) - start - 1
+	if k := uvarintLen(uint64(n)); k > 1 {
+		b = append(b, make([]byte, k-1)...)
+		copy(b[start+k:], b[start+1:start+1+n])
 	}
-	return err
+	binary.PutUvarint(b[start:], uint64(n))
+	return b, nil
 }
 
 func uvarintLen(v uint64) int {
