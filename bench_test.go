@@ -371,8 +371,8 @@ func BenchmarkRebalance(b *testing.B) {
 
 // --- Real-runtime redistribution benches --------------------------------------
 
-// benchRedistribute moves a m x m matrix between two grids on real goroutine
-// ranks and reports bytes/s.
+// benchRedistribute moves a m x m matrix between two grids with a one-array
+// MultiPlan on real goroutine ranks and reports bytes/s.
 func benchRedistribute(b *testing.B, m, nb int, from, to grid.Topology) {
 	src := blockcyclic.Layout{M: m, N: m, MB: nb, NB: nb, Grid: from}
 	dst := blockcyclic.Layout{M: m, N: m, MB: nb, NB: nb, Grid: to}
@@ -382,23 +382,19 @@ func benchRedistribute(b *testing.B, m, nb int, from, to grid.Topology) {
 		global[i] = rng.Float64()
 	}
 	pieces := blockcyclic.Distribute(global, src)
-	world := from.Count()
-	if to.Count() > world {
-		world = to.Count()
-	}
-	pl, err := redistrib.NewPlan(src, dst)
+	mp, err := redistrib.NewMultiPlan([]blockcyclic.Layout{src}, []blockcyclic.Layout{dst})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(m * m * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := mpi.Run(world, func(c *mpi.Comm) error {
+		err := mpi.Run(max(from.Count(), to.Count()), func(c *mpi.Comm) error {
 			var mine []float64
 			if c.Rank() < from.Count() {
 				mine = pieces[c.Rank()].Data
 			}
-			pl.Execute(c, mine)
+			mp.ExecuteStats(c, [][]float64{mine})
 			return nil
 		})
 		if err != nil {
@@ -419,11 +415,10 @@ func BenchmarkRealRedistribute1D(b *testing.B) {
 	benchRedistribute(b, 240, 8, grid.Row1D(3), grid.Row1D(4))
 }
 
-// BenchmarkRedistribute compares per-array execution against the fused
-// MultiPlan engine on real goroutine ranks: the same arrays, the same grid
-// pair, one Plan.Execute per array versus one fused execution carrying all
-// of them. The msgs/op metric makes the win visible — for k same-shape
-// arrays the fused path sends k x fewer messages. MB/s and B/op track how
+// BenchmarkRedistribute runs the fused MultiPlan engine on real goroutine
+// ranks: three arrays over one grid pair in one execution, with msgs/op
+// counting the fused messages (9 on the expansion, 32 on the shrink; one
+// execution per array would send 3x as many). MB/s and B/op track how
 // often each byte is touched: session-oscillate drives a real
 // resize.Session back and forth between two grids, where recycled pieces
 // and pooled wire buffers should leave B/op far below the bytes moved.
@@ -460,36 +455,6 @@ func BenchmarkRedistribute(b *testing.B) {
 	const nArrays = 3
 	for _, pair := range pairs {
 		srcs, dsts, pieces, world := mkCase(nArrays, pair.from, pair.to)
-		b.Run("single-3arrays-"+pair.name, func(b *testing.B) {
-			plans := make([]*redistrib.Plan, nArrays)
-			for a := range plans {
-				var err error
-				if plans[a], err = redistrib.NewPlan(srcs[a], dsts[a]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var msgs atomic.Int64
-			b.SetBytes(int64(nArrays * m * m * 8))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := mpi.Run(world, func(c *mpi.Comm) error {
-					for a := 0; a < nArrays; a++ {
-						var mine []float64
-						if c.Rank() < pair.from.Count() {
-							mine = pieces[a][c.Rank()].Data
-						}
-						_, st := plans[a].ExecuteStats(c, mine)
-						msgs.Add(int64(st.MessagesSent))
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(msgs.Load())/float64(b.N), "msgs/op")
-		})
 		b.Run("multi-3arrays-"+pair.name, func(b *testing.B) {
 			mp, err := redistrib.NewMultiPlan(srcs, dsts)
 			if err != nil {
@@ -578,80 +543,13 @@ func BenchmarkRedistribute(b *testing.B) {
 	})
 }
 
-func BenchmarkRealCheckpointRedistribute(b *testing.B) {
-	m, nb := 240, 8
-	from := grid.Topology{Rows: 2, Cols: 2}
-	to := grid.Topology{Rows: 2, Cols: 3}
-	src := blockcyclic.Layout{M: m, N: m, MB: nb, NB: nb, Grid: from}
-	dst := blockcyclic.Layout{M: m, N: m, MB: nb, NB: nb, Grid: to}
-	global := make([]float64, m*m)
-	pieces := blockcyclic.Distribute(global, src)
-	dir := b.TempDir()
-	b.SetBytes(int64(m * m * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(6, func(c *mpi.Comm) error {
-			var mine []float64
-			if c.Rank() < 4 {
-				mine = pieces[c.Rank()].Data
-			}
-			_, _, err := redistrib.CheckpointRedistributeDir(c, src, mine, dst, dir)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation: circulant schedule vs naive single-phase ----------------------
+// --- Schedule construction ----------------------------------------------------
 
 func BenchmarkScheduleCirculant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sched := redistrib.Schedule1D(36, 48)
-		if redistrib.MaxReceiveContention(sched) != 1 {
-			b.Fatal("circulant schedule has contention")
-		}
+		redistrib.Schedule1D(36, 48)
 	}
 	b.ReportMetric(float64(len(redistrib.Schedule1D(36, 48))), "steps")
-}
-
-func BenchmarkScheduleNaive(b *testing.B) {
-	var contention int
-	for i := 0; i < b.N; i++ {
-		sched := redistrib.ScheduleNaive(36, 48)
-		contention = redistrib.MaxReceiveContention(sched)
-	}
-	b.ReportMetric(float64(contention), "max-contention")
-}
-
-// BenchmarkResampleVsSchedule compares the generic element-wise resampling
-// path against the circulant-schedule path on the same transition (ablation:
-// the schedule-based algorithm is the paper's contribution, resampling the
-// generic fallback for block-size changes).
-func BenchmarkResampleGenericPath(b *testing.B) {
-	m, nb := 240, 8
-	from := grid.Topology{Rows: 2, Cols: 2}
-	to := grid.Topology{Rows: 2, Cols: 3}
-	src := blockcyclic.Layout{M: m, N: m, MB: nb, NB: nb, Grid: from}
-	dst := blockcyclic.Layout{M: m, N: m, MB: nb, NB: nb, Grid: to}
-	global := make([]float64, m*m)
-	pieces := blockcyclic.Distribute(global, src)
-	b.SetBytes(int64(m * m * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(6, func(c *mpi.Comm) error {
-			var mine []float64
-			if c.Rank() < 4 {
-				mine = pieces[c.Rank()].Data
-			}
-			_, err := redistrib.Resample(c, src, mine, dst)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Policy ablation and load sweep -------------------------------------------

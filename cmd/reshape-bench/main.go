@@ -1,6 +1,6 @@
 // Command reshape-bench regenerates the paper's tables and figures. Each
-// experiment prints the rows/series the paper reports; see EXPERIMENTS.md
-// for the paper-vs-measured comparison.
+// experiment prints the rows/series the paper reports; see DESIGN.md
+// "Benchmarks and experiments" for the benches behind them.
 //
 // Usage:
 //

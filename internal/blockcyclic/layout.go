@@ -71,12 +71,6 @@ func (l Layout) OwnerOfBlock(bi, bj int) (prow, pcol int) {
 	return bi % l.Grid.Rows, bj % l.Grid.Cols
 }
 
-// RankOfBlock returns the communicator rank owning global block (bi, bj).
-func (l Layout) RankOfBlock(bi, bj int) int {
-	r, c := l.OwnerOfBlock(bi, bj)
-	return r*l.Grid.Cols + c
-}
-
 // Coords returns the grid coordinates of a communicator rank.
 func (l Layout) Coords(rank int) (prow, pcol int) {
 	return rank / l.Grid.Cols, rank % l.Grid.Cols
@@ -133,12 +127,6 @@ func (l Layout) LocalToGlobal(prow, pcol, li, lj int) (i, j int) {
 	return
 }
 
-// LocalIndex returns the flat row-major index of local (li, lj) on rank.
-func (l Layout) LocalIndex(rank, li, lj int) int {
-	_, pc := l.Coords(rank)
-	return li*l.LocalCols(pc) + lj
-}
-
 // Matrix is one rank's piece of a block-cyclically distributed global
 // matrix: the layout plus the rank's local row-major storage.
 type Matrix struct {
@@ -169,18 +157,6 @@ func (m *Matrix) At(li, lj int) float64 { return m.Data[li*m.Cols()+lj] }
 
 // Set writes the local element (li, lj).
 func (m *Matrix) Set(li, lj int, v float64) { m.Data[li*m.Cols()+lj] = v }
-
-// FillGlobal populates the local piece from a function of global indices.
-func (m *Matrix) FillGlobal(f func(i, j int) float64) {
-	pr, pc := m.Layout.Coords(m.Rank)
-	rows, cols := m.Rows(), m.Cols()
-	for li := 0; li < rows; li++ {
-		for lj := 0; lj < cols; lj++ {
-			gi, gj := m.Layout.LocalToGlobal(pr, pc, li, lj)
-			m.Data[li*cols+lj] = f(gi, gj)
-		}
-	}
-}
 
 // Distribute slices a dense row-major global matrix into per-rank local
 // pieces under the layout. Used as the ground truth in tests and for small

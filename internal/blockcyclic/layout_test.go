@@ -156,23 +156,6 @@ func TestMatrixAtSet(t *testing.T) {
 	}
 }
 
-func TestFillGlobal(t *testing.T) {
-	l := layout(6, 6, 2, 2, 2, 3)
-	pieces := make([]*Matrix, l.Grid.Count())
-	for r := range pieces {
-		pieces[r] = NewMatrix(l, r)
-		pieces[r].FillGlobal(func(i, j int) float64 { return float64(i*100 + j) })
-	}
-	global := Collect(pieces, l)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if global[i*6+j] != float64(i*100+j) {
-				t.Fatalf("global (%d,%d) = %v", i, j, global[i*6+j])
-			}
-		}
-	}
-}
-
 func TestRankCoordsRoundTrip(t *testing.T) {
 	l := layout(4, 4, 1, 1, 3, 4)
 	for r := 0; r < 12; r++ {

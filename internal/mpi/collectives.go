@@ -86,24 +86,6 @@ func SumOp(dst, src []float64) {
 	}
 }
 
-// MaxOp keeps the element-wise maximum in dst.
-func MaxOp(dst, src []float64) {
-	for i := range dst {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// MinOp keeps the element-wise minimum in dst.
-func MinOp(dst, src []float64) {
-	for i := range dst {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
 // Reduce combines xs across ranks with op; the combined slice is returned on
 // root and nil elsewhere. xs is not mutated.
 func (c *Comm) Reduce(root int, xs []float64, op ReduceOp) []float64 {
@@ -138,30 +120,6 @@ func (c *Comm) AllreduceSum(x float64) float64 {
 	return c.Allreduce([]float64{x}, SumOp)[0]
 }
 
-// AllreduceMax is Allreduce with MaxOp on a single scalar.
-func (c *Comm) AllreduceMax(x float64) float64 {
-	return c.Allreduce([]float64{x}, MaxOp)[0]
-}
-
-// Gather collects one value per rank at root; the result on root is indexed
-// by rank, and nil elsewhere.
-func (c *Comm) Gather(root int, v any) []any {
-	if c.rank != root {
-		c.Send(root, tagGather, v)
-		return nil
-	}
-	out := make([]any, c.Size())
-	out[c.rank] = v
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		got, _, _ := c.Recv(r, tagGather)
-		out[r] = got
-	}
-	return out
-}
-
 // GatherFloats collects a float64 slice per rank at root, indexed by rank.
 func (c *Comm) GatherFloats(root int, xs []float64) [][]float64 {
 	if c.rank != root {
@@ -182,56 +140,11 @@ func (c *Comm) GatherFloats(root int, xs []float64) [][]float64 {
 	return out
 }
 
-// Allgather collects one value per rank and distributes the full slice to
-// every rank, indexed by rank.
-func (c *Comm) Allgather(v any) []any {
-	all := c.Gather(0, v)
-	res := c.Bcast(0, all)
-	return res.([]any)
-}
-
 // AllgatherFloats collects a float64 slice per rank on every rank.
 func (c *Comm) AllgatherFloats(xs []float64) [][]float64 {
 	all := c.GatherFloats(0, xs)
 	res := c.Bcast(0, all)
 	return res.([][]float64)
-}
-
-// Scatter distributes vs[i] to rank i from root and returns the local value.
-// vs is only read on root and must have length Size().
-func (c *Comm) Scatter(root int, vs []any) any {
-	if c.rank == root {
-		if len(vs) != c.Size() {
-			panic(fmt.Sprintf("mpi: Scatter needs %d values, got %d", c.Size(), len(vs)))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				c.Send(r, tagScatter, vs[r])
-			}
-		}
-		return vs[root]
-	}
-	v, _, _ := c.Recv(root, tagScatter)
-	return v
-}
-
-// ScatterFloats distributes one float64 slice per rank from root; each rank
-// receives a private copy.
-func (c *Comm) ScatterFloats(root int, vs [][]float64) []float64 {
-	var v any
-	if c.rank == root {
-		anyVs := make([]any, len(vs))
-		for i := range vs {
-			anyVs[i] = vs[i]
-		}
-		v = c.Scatter(root, anyVs)
-	} else {
-		v = c.Scatter(root, nil)
-	}
-	src := v.([]float64)
-	cp := make([]float64, len(src))
-	copy(cp, src)
-	return cp
 }
 
 // Alltoallv sends sendbufs[r] to rank r and returns the slice received from

@@ -28,8 +28,8 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return len(c.procs) }
 
 // Send delivers v to rank dst with the given tag. The value is delivered by
-// reference: the receiver must not mutate it. Use SendFloats/SendInts for
-// numeric buffers that may be reused by the sender.
+// reference: the receiver must not mutate it. Use SendFloats for a buffer
+// the sender may reuse.
 func (c *Comm) Send(dst, tag int, v any) {
 	c.sendCtx(c.ctx, dst, tag, v)
 }
@@ -44,13 +44,6 @@ func (c *Comm) sendCtx(ctx, dst, tag int, v any) {
 // SendFloats copies xs and delivers the copy to rank dst.
 func (c *Comm) SendFloats(dst, tag int, xs []float64) {
 	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	c.Send(dst, tag, cp)
-}
-
-// SendInts copies xs and delivers the copy to rank dst.
-func (c *Comm) SendInts(dst, tag int, xs []int) {
-	cp := make([]int, len(xs))
 	copy(cp, xs)
 	c.Send(dst, tag, cp)
 }
@@ -71,33 +64,6 @@ func (c *Comm) RecvFloats(src, tag int) []float64 {
 		panic(fmt.Sprintf("mpi: RecvFloats got %T", v))
 	}
 	return xs
-}
-
-// RecvInts receives a []int message.
-func (c *Comm) RecvInts(src, tag int) []int {
-	v, _, _ := c.Recv(src, tag)
-	xs, ok := v.([]int)
-	if !ok {
-		panic(fmt.Sprintf("mpi: RecvInts got %T", v))
-	}
-	return xs
-}
-
-// Dup returns a communicator over the same group with a fresh context.
-// Collective: every rank must call it, and context ids are agreed through
-// rank 0.
-func (c *Comm) Dup() *Comm {
-	var ctx int
-	if c.rank == 0 {
-		ctx = c.world.allocCtx()
-		for r := 1; r < c.Size(); r++ {
-			c.Send(r, tagDup, ctx)
-		}
-	} else {
-		v, _, _ := c.Recv(0, tagDup)
-		ctx = v.(int)
-	}
-	return &Comm{world: c.world, proc: c.proc, ctx: ctx, procs: c.procs, rank: c.rank}
 }
 
 // Split partitions the communicator by color, ordering ranks within each new
@@ -190,15 +156,11 @@ func (c *Comm) World() *World { return c.world }
 
 // Internal tags used by collective implementations. User tags must be >= 0.
 const (
-	tagDup = -(100 + iota)
-	tagSplit
+	tagSplit = -(100 + iota)
 	tagBarrierIn
 	tagBarrierOut
 	tagBcast
 	tagReduce
 	tagGather
-	tagScatter
 	tagAlltoall
-	tagSpawn
-	tagAllgather
 )

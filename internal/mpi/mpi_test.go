@@ -1,10 +1,14 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunSingleRank(t *testing.T) {
@@ -39,6 +43,88 @@ func TestRunCollectsErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected joined errors")
+	}
+}
+
+// runWithin runs fn on n ranks and fails the test if Run has not returned
+// within a second.
+func runWithin(t *testing.T, n int, fn func(*Comm) error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- Run(n, fn) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Second):
+		t.Fatal("Run still blocked 1s after a rank failed")
+		return nil
+	}
+}
+
+func TestAbortUnblocksPeers(t *testing.T) {
+	// Rank 2 fails; rank 1 waits in a receive from it and rank 0 in a
+	// barrier rank 1 never reaches. Both unwind, and only rank 2 reports.
+	err := runWithin(t, 3, func(c *Comm) error {
+		switch c.Rank() {
+		case 0:
+			c.Barrier()
+		case 1:
+			c.RecvFloats(2, 0)
+		case 2:
+			return errors.New("boom")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 2 (gid 2): boom") {
+		t.Fatalf("Run returned %v, want rank 2's error", err)
+	}
+	if n := strings.Count(err.Error(), "rank "); n != 1 {
+		t.Errorf("Run reported %d ranks, want only the failing one: %v", n, err)
+	}
+}
+
+func TestAbortStillDeliversQueuedMessages(t *testing.T) {
+	var got []float64
+	err := runWithin(t, 2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.SendFloats(1, 0, []float64{42})
+			return errors.New("boom")
+		}
+		for !aborted(c.proc) {
+			runtime.Gosched()
+		}
+		got = c.RecvFloats(0, 0) // already queued: returned
+		c.RecvFloats(0, 0)       // would block: unwinds
+		return errors.New("unreachable")
+	})
+	if err == nil || strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("Run returned %v, want only rank 0's error", err)
+	}
+	if len(got) != 1 || got[0] != 42 {
+		t.Errorf("queued message after abort = %v, want [42]", got)
+	}
+}
+
+// aborted reports whether the world has marked p's mailbox aborted.
+func aborted(p *proc) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.aborted
+}
+
+func TestPanicBecomesError(t *testing.T) {
+	err := runWithin(t, 2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			panic("kaboom")
+		}
+		c.RecvFloats(1, 0)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic: kaboom") {
+		t.Fatalf("Run returned %v, want the panic value", err)
+	}
+	if !strings.Contains(err.Error(), "TestPanicBecomesError") {
+		t.Errorf("panic error carries no stack: %v", err)
 	}
 }
 
@@ -226,13 +312,20 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
+// maxOp keeps the element-wise maximum in dst.
+func maxOp(dst, src []float64) {
+	for i := range dst {
+		dst[i] = max(dst[i], src[i])
+	}
+}
+
 func TestAllreduceSumAndMax(t *testing.T) {
 	err := Run(5, func(c *Comm) error {
 		s := c.AllreduceSum(float64(c.Rank() + 1))
 		if s != 15 {
 			return fmt.Errorf("sum got %v", s)
 		}
-		m := c.AllreduceMax(float64(c.Rank()))
+		m := c.Allreduce([]float64{float64(c.Rank())}, maxOp)[0]
 		if m != 4 {
 			return fmt.Errorf("max got %v", m)
 		}
@@ -245,7 +338,11 @@ func TestAllreduceSumAndMax(t *testing.T) {
 
 func TestReduceMinOp(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
-		got := c.Allreduce([]float64{float64(10 - c.Rank())}, MinOp)
+		got := c.Allreduce([]float64{float64(10 - c.Rank())}, func(dst, src []float64) {
+			for i := range dst {
+				dst[i] = min(dst[i], src[i])
+			}
+		})
 		if got[0] != 7 {
 			return fmt.Errorf("min got %v", got)
 		}
@@ -256,22 +353,19 @@ func TestReduceMinOp(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
+func TestGatherFloats(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		all := c.GatherFloats(0, []float64{float64(c.Rank()) * 2})
-		var back []float64
-		if c.Rank() == 0 {
-			for r, xs := range all {
-				if xs[0] != float64(r)*2 {
-					return fmt.Errorf("gather slot %d = %v", r, xs)
-				}
+		if c.Rank() != 0 {
+			if all != nil {
+				return fmt.Errorf("non-root rank %d got %v", c.Rank(), all)
 			}
-			back = c.ScatterFloats(0, all)
-		} else {
-			back = c.ScatterFloats(0, nil)
+			return nil
 		}
-		if back[0] != float64(c.Rank())*2 {
-			return fmt.Errorf("scatter returned %v", back)
+		for r, xs := range all {
+			if len(xs) != 1 || xs[0] != float64(r)*2 {
+				return fmt.Errorf("gather slot %d = %v", r, xs)
+			}
 		}
 		return nil
 	})
@@ -415,7 +509,7 @@ func TestSubCommunicator(t *testing.T) {
 
 func TestDupIsolatesTraffic(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
-		d := c.Dup()
+		d := c.Split(0, c.Rank()) // one color: MPI_Comm_dup
 		if c.Rank() == 0 {
 			c.Send(1, 5, "on-c")
 			d.Send(1, 5, "on-d")
@@ -446,8 +540,8 @@ func TestSpawnAndMerge(t *testing.T) {
 			if m.Size() != 5 {
 				return fmt.Errorf("child merged size %d", m.Size())
 			}
-			if m.Rank() != 2+child.Local().Rank() {
-				return fmt.Errorf("child merged rank %d (local %d)", m.Rank(), child.Local().Rank())
+			if m.Rank() != 2+child.local.rank {
+				return fmt.Errorf("child merged rank %d (local %d)", m.Rank(), child.local.rank)
 			}
 			s := m.AllreduceSum(float64(m.Rank()))
 			if s != 10 {
@@ -455,8 +549,8 @@ func TestSpawnAndMerge(t *testing.T) {
 			}
 			return nil
 		})
-		if ic.RemoteSize() != 3 {
-			return fmt.Errorf("remote size %d", ic.RemoteSize())
+		if len(ic.remote) != 3 {
+			return fmt.Errorf("remote size %d", len(ic.remote))
 		}
 		m := ic.Merge()
 		if m.Size() != 5 || m.Rank() != c.Rank() {
@@ -477,7 +571,7 @@ func TestSpawnIntercommPointToPoint(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		ic := c.Spawn(2, func(child *Intercomm) error {
 			v, _, _ := child.Recv(AnySource, 1)
-			child.Send(v.(int), 2, child.Local().Rank()*100)
+			child.Send(v.(int), 2, child.local.rank*100)
 			return nil
 		})
 		// parent rank r messages child rank r
@@ -525,98 +619,6 @@ func TestNestedSpawnGrowsTwice(t *testing.T) {
 		m2 := ic2.Merge()
 		grown2 <- m2
 		return work(m2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentRequests(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		const rounds = 5
-		if c.Rank() == 0 {
-			buf := make([]float64, 4)
-			req := c.SendInit(1, 9, buf)
-			for i := 0; i < rounds; i++ {
-				for j := range buf {
-					buf[j] = float64(i*10 + j)
-				}
-				req.Start()
-				req.Wait()
-			}
-		} else {
-			buf := make([]float64, 4)
-			req := c.RecvInit(0, 9, buf)
-			for i := 0; i < rounds; i++ {
-				req.Start()
-				req.Wait()
-				for j := range buf {
-					if buf[j] != float64(i*10+j) {
-						return fmt.Errorf("round %d: buf %v", i, buf)
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentAllToAll(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		// everyone sends to everyone (including via distinct requests)
-		var sends, recvs []*Request
-		n := c.Size()
-		sendBufs := make([][]float64, n)
-		recvBufs := make([][]float64, n)
-		for r := 0; r < n; r++ {
-			if r == c.Rank() {
-				continue
-			}
-			sendBufs[r] = []float64{float64(c.Rank()*10 + r)}
-			recvBufs[r] = make([]float64, 1)
-			sends = append(sends, c.SendInit(r, 4, sendBufs[r]))
-			recvs = append(recvs, c.RecvInit(r, 4, recvBufs[r]))
-		}
-		for _, reqs := range [][]*Request{sends, recvs} {
-			for _, r := range reqs {
-				r.Start()
-			}
-		}
-		for _, reqs := range [][]*Request{recvs, sends} {
-			for _, r := range reqs {
-				r.Wait()
-			}
-		}
-		for r := 0; r < n; r++ {
-			if r == c.Rank() {
-				continue
-			}
-			want := float64(r*10 + c.Rank())
-			if recvBufs[r][0] != want {
-				return fmt.Errorf("from %d got %v want %v", r, recvBufs[r][0], want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistentMisuse(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		defer func() {
-			if recover() == nil {
-				t.Error("double Start should panic")
-			}
-		}()
-		req := c.SendInit(0, 0, []float64{1})
-		req.Start()
-		req.Start()
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

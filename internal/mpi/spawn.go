@@ -14,12 +14,6 @@ type Intercomm struct {
 	localFirst bool // true on the parent side: parents precede children after Merge
 }
 
-// Local returns the communicator over the caller's own group.
-func (ic *Intercomm) Local() *Comm { return ic.local }
-
-// RemoteSize returns the number of ranks in the remote group.
-func (ic *Intercomm) RemoteSize() int { return len(ic.remote) }
-
 // Send delivers v to rank dst of the remote group.
 func (ic *Intercomm) Send(dst, tag int, v any) {
 	if dst < 0 || dst >= len(ic.remote) {
@@ -62,9 +56,9 @@ type spawnInfo struct {
 
 // Spawn collectively creates k new ranks running fn and returns the
 // parent-side intercommunicator on every parent rank. Each child receives a
-// child-side intercommunicator whose Local() communicator spans the k
-// children (the child "world"), mirroring MPI_Comm_get_parent. The world
-// waits for spawned ranks before Run returns.
+// child-side intercommunicator whose local group is the k children (the
+// child "world"), mirroring MPI_Comm_get_parent. The world waits for
+// spawned ranks before Run returns.
 func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 	if k <= 0 {
 		panic(fmt.Sprintf("mpi: Spawn needs at least 1 child, got %d", k))
@@ -97,7 +91,7 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 				mergedCtx:  info.mergedCtx,
 				localFirst: false,
 			}
-			c.world.launchIntercomm(childIC, fn)
+			c.world.launch("spawned rank", childComm, func(*Comm) error { return fn(childIC) })
 		}
 	}
 	return &Intercomm{
@@ -107,17 +101,4 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 		mergedCtx:  info.mergedCtx,
 		localFirst: true,
 	}
-}
-
-// launchIntercomm starts fn for a spawned child rank, tracked by the world.
-func (w *World) launchIntercomm(ic *Intercomm, fn func(*Intercomm) error) {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		if err := fn(ic); err != nil {
-			w.errMu.Lock()
-			w.errs = append(w.errs, fmt.Errorf("spawned rank %d (gid %d): %w", ic.local.rank, ic.local.proc.gid, err))
-			w.errMu.Unlock()
-		}
-	}()
 }

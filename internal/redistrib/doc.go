@@ -10,13 +10,9 @@
 // processor (the initial-layout and final-layout tables); the generalized
 // circulant matrix formalism then groups the transfers into contention-free
 // communication steps in which every processor sends at most one message
-// and receives at most one message. A file-based checkpointing baseline
-// (all data staged through one node) is provided for comparison, and
-// Resample covers the generic fallback when block sizes change.
+// and receives at most one message.
 //
-// Plan executes the schedule for a single array over persistent
-// communication requests, as the paper does. MultiPlan is the fused engine
-// the resize library uses: every registered array sharing the (source grid,
+// MultiPlan is the one executor. Every array sharing the (source grid,
 // destination grid) pair rides one schedule execution — one message per
 // communicating pair per step — so a k-array application pays 1/k of the
 // per-array message count at every resize. It moves each float as few times
@@ -26,8 +22,7 @@
 // (one copy); and ExecuteInto writes the new pieces into storage the caller
 // recycles. The ownership rule: a sender never touches a wire buffer after
 // Send, and only the receiver, once it has unpacked, returns it to the
-// pool. The single-array path is the reference implementation that
-// differential tests pin the fused engine against.
+// pool. Tests check every execution against blockcyclic.Distribute.
 //
 // See DESIGN.md at the repository root for where redistribution sits in
 // the resize pipeline.

@@ -11,9 +11,9 @@ import (
 	"repro/internal/mpi"
 )
 
-// runRedistribution distributes a random global matrix under src, runs the
-// schedule-based redistribution on a communicator spanning both grids, and
-// checks every destination piece against a direct distribution under dst.
+// runRedistribution distributes a random global matrix under src, runs a
+// one-array MultiPlan on a communicator spanning both grids, and checks
+// every destination piece against a direct distribution under dst.
 func runRedistribution(t *testing.T, src, dst blockcyclic.Layout, seed int64) {
 	t.Helper()
 	if err := checkRedistribution(src, dst, seed); err != nil {
@@ -22,46 +22,58 @@ func runRedistribution(t *testing.T, src, dst blockcyclic.Layout, seed int64) {
 }
 
 // checkRedistribution is the assertion core shared with the property test.
+// The new pieces are NaN-poisoned spares, so a float no inbound block class
+// writes fails the comparison.
 func checkRedistribution(src, dst blockcyclic.Layout, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	global := make([]float64, src.M*src.N)
-	for i := range global {
-		global[i] = rng.NormFloat64()
-	}
+	global := randomGlobal(src, seed)
 	srcPieces := blockcyclic.Distribute(global, src)
 	wantPieces := blockcyclic.Distribute(global, dst)
-
-	p, q := src.Grid.Count(), dst.Grid.Count()
-	world := p
-	if q > world {
-		world = q
+	mp, err := NewMultiPlan([]blockcyclic.Layout{src}, []blockcyclic.Layout{dst})
+	if err != nil {
+		return err
 	}
-	return mpi.Run(world, func(c *mpi.Comm) error {
+	p, q := src.Grid.Count(), dst.Grid.Count()
+	return mpi.Run(max(p, q), func(c *mpi.Comm) error {
 		var mine []float64
 		if c.Rank() < p {
 			mine = srcPieces[c.Rank()].Data
 		}
-		got, err := Redistribute(c, src, mine, dst)
-		if err != nil {
-			return err
+		got := [][]float64{poisoned(3)}
+		if c.Rank() < q {
+			got[0] = poisoned(dst.LocalSize(c.Rank()))
 		}
+		mp.ExecuteInto(c, [][]float64{mine}, got)
 		if c.Rank() >= q {
-			if got != nil {
+			if got[0] != nil {
 				return fmt.Errorf("rank %d outside dst grid received data", c.Rank())
 			}
 			return nil
 		}
-		want := wantPieces[c.Rank()].Data
-		if len(got) != len(want) {
-			return fmt.Errorf("rank %d: got %d floats, want %d", c.Rank(), len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("rank %d: element %d = %v, want %v", c.Rank(), i, got[i], want[i])
-			}
-		}
-		return nil
+		return samePiece(c.Rank(), got[0], wantPieces[c.Rank()].Data)
 	})
+}
+
+// randomGlobal returns a dense global matrix of l's shape drawn from seed.
+func randomGlobal(l blockcyclic.Layout, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	global := make([]float64, l.M*l.N)
+	for i := range global {
+		global[i] = rng.NormFloat64()
+	}
+	return global
+}
+
+// samePiece compares a rank's redistributed piece with the ground truth.
+func samePiece(rank int, got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("rank %d: got %d floats, want %d", rank, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("rank %d: element %d = %v, want %v", rank, i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 func l2d(m, n, mb, nb int, g grid.Topology) blockcyclic.Layout {
@@ -109,32 +121,22 @@ func TestRedistribute1DColumnFormat(t *testing.T) {
 func TestRedistributeIdentityGrid(t *testing.T) {
 	// Same grid on both sides: pure local copy, no messages.
 	l := l2d(10, 10, 2, 2, grid.Topology{Rows: 2, Cols: 2})
-	pl, err := NewPlan(l, l)
+	mp, err := NewMultiPlan([]blockcyclic.Layout{l}, []blockcyclic.Layout{l})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(6))
-	global := make([]float64, 100)
-	for i := range global {
-		global[i] = rng.Float64()
-	}
-	pieces := blockcyclic.Distribute(global, l)
+	pieces := blockcyclic.Distribute(randomGlobal(l, 6), l)
 	err = mpi.Run(4, func(c *mpi.Comm) error {
-		got, stats := pl.ExecuteStats(c, pieces[c.Rank()].Data)
+		want := pieces[c.Rank()].Data
+		got := [][]float64{poisoned(len(want))}
+		stats := mp.ExecuteInto(c, [][]float64{want}, got)
 		if stats.MessagesSent != 0 || stats.MessagesRecv != 0 {
 			return fmt.Errorf("identity redistribution sent %d/recv %d messages", stats.MessagesSent, stats.MessagesRecv)
 		}
-		if stats.FloatsCopied != len(pieces[c.Rank()].Data) {
-			return fmt.Errorf("rank %d copied %d floats locally, want %d",
-				c.Rank(), stats.FloatsCopied, len(pieces[c.Rank()].Data))
+		if stats.FloatsCopied != len(want) {
+			return fmt.Errorf("rank %d copied %d floats locally, want %d", c.Rank(), stats.FloatsCopied, len(want))
 		}
-		want := pieces[c.Rank()].Data
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("rank %d differs at %d", c.Rank(), i)
-			}
-		}
-		return nil
+		return samePiece(c.Rank(), got[0], want)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +188,14 @@ func TestRedistributePropertyRandomLayouts(t *testing.T) {
 }
 
 func TestNewPlanRejectsMismatchedShapes(t *testing.T) {
+	one := func(l blockcyclic.Layout) []blockcyclic.Layout { return []blockcyclic.Layout{l} }
 	a := l2d(8, 8, 2, 2, grid.Topology{Rows: 2, Cols: 2})
 	b := l2d(8, 10, 2, 2, grid.Topology{Rows: 2, Cols: 2})
-	if _, err := NewPlan(a, b); err == nil {
+	if _, err := NewMultiPlan(one(a), one(b)); err == nil {
 		t.Error("mismatched global shapes accepted")
 	}
 	c := l2d(8, 8, 2, 4, grid.Topology{Rows: 2, Cols: 2})
-	if _, err := NewPlan(a, c); err == nil {
+	if _, err := NewMultiPlan(one(a), one(c)); err == nil {
 		t.Error("mismatched block shapes accepted")
 	}
 }
@@ -200,20 +203,20 @@ func TestNewPlanRejectsMismatchedShapes(t *testing.T) {
 func TestPlanStepsBound(t *testing.T) {
 	src := l2d(24, 24, 2, 2, grid.Topology{Rows: 2, Cols: 3})
 	dst := l2d(24, 24, 2, 2, grid.Topology{Rows: 4, Cols: 6})
-	pl, err := NewPlan(src, dst)
+	mp, err := NewMultiPlan([]blockcyclic.Layout{src}, []blockcyclic.Layout{dst})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// rows: 2->4 is 2 steps; cols: 3->6 is 2 steps; combined 4.
-	if pl.Steps() != 4 {
-		t.Errorf("Steps() = %d, want 4", pl.Steps())
+	if mp.Steps() != 4 {
+		t.Errorf("Steps() = %d, want 4", mp.Steps())
 	}
 }
 
 func TestExecuteStatsCountsTraffic(t *testing.T) {
 	src := l2d(8, 8, 2, 2, grid.Topology{Rows: 1, Cols: 2})
 	dst := l2d(8, 8, 2, 2, grid.Topology{Rows: 2, Cols: 2})
-	pl, err := NewPlan(src, dst)
+	mp, err := NewMultiPlan([]blockcyclic.Layout{src}, []blockcyclic.Layout{dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,24 +225,14 @@ func TestExecuteStatsCountsTraffic(t *testing.T) {
 		global[i] = float64(i)
 	}
 	pieces := blockcyclic.Distribute(global, src)
-	total := make(chan Stats, 4)
-	err = mpi.Run(4, func(c *mpi.Comm) error {
+	sum := sumStats(t, 4, func(c *mpi.Comm) Stats {
 		var mine []float64
 		if c.Rank() < 2 {
 			mine = pieces[c.Rank()].Data
 		}
-		_, stats := pl.ExecuteStats(c, mine)
-		total <- stats
-		return nil
+		_, stats := mp.ExecuteStats(c, [][]float64{mine})
+		return stats
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(total)
-	var sum Stats
-	for v := range total {
-		sum.Add(v)
-	}
 	// Half the matrix stays on ranks 0-1 (local rows), half moves to the new
 	// grid row: exactly 32 floats must cross and the other 32 move by local
 	// copy, so sent + copied accounts for every element.
@@ -254,99 +247,21 @@ func TestExecuteStatsCountsTraffic(t *testing.T) {
 	}
 }
 
-func TestCheckpointRedistributeMatchesSchedule(t *testing.T) {
-	src := l2d(12, 12, 2, 2, grid.Topology{Rows: 2, Cols: 2})
-	dst := l2d(12, 12, 2, 2, grid.Topology{Rows: 2, Cols: 3})
-	rng := rand.New(rand.NewSource(11))
-	global := make([]float64, 144)
-	for i := range global {
-		global[i] = rng.NormFloat64()
-	}
-	srcPieces := blockcyclic.Distribute(global, src)
-	wantPieces := blockcyclic.Distribute(global, dst)
-	err := mpi.Run(6, func(c *mpi.Comm) error {
-		var mine []float64
-		if c.Rank() < 4 {
-			mine = srcPieces[c.Rank()].Data
-		}
-		got, stats, err := CheckpointRedistributeDir(c, src, mine, dst, t.TempDir())
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if stats.BytesWritten != 144*8 || stats.BytesRead != 144*8 {
-				return fmt.Errorf("io stats %+v", stats)
-			}
-		}
-		want := wantPieces[c.Rank()].Data
-		if len(got) != len(want) {
-			return fmt.Errorf("rank %d: %d floats, want %d", c.Rank(), len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("rank %d: differs at %d", c.Rank(), i)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckpointShrink(t *testing.T) {
-	src := l2d(10, 10, 2, 2, grid.Topology{Rows: 2, Cols: 3})
-	dst := l2d(10, 10, 2, 2, grid.Topology{Rows: 1, Cols: 2})
-	rng := rand.New(rand.NewSource(12))
-	global := make([]float64, 100)
-	for i := range global {
-		global[i] = rng.NormFloat64()
-	}
-	srcPieces := blockcyclic.Distribute(global, src)
-	wantPieces := blockcyclic.Distribute(global, dst)
-	err := mpi.Run(6, func(c *mpi.Comm) error {
-		got, _, err := CheckpointRedistributeDir(c, src, srcPieces[c.Rank()].Data, dst, t.TempDir())
-		if err != nil {
-			return err
-		}
-		if c.Rank() >= 2 {
-			if got != nil {
-				return fmt.Errorf("rank %d should get nil", c.Rank())
-			}
-			return nil
-		}
-		want := wantPieces[c.Rank()].Data
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("rank %d differs at %d", c.Rank(), i)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRedistributeMultipleArraysBackToBack(t *testing.T) {
-	// Several arrays on the same communicator, as the resize library does
-	// for an application with more than one global data structure.
+func TestRedistributeSeveralArraysBackToBack(t *testing.T) {
+	// Several one-array executions on the same communicator: per-pair FIFO
+	// order must keep each execution's step tags from matching the next
+	// execution's messages.
 	src := l2d(8, 8, 2, 2, grid.Topology{Rows: 2, Cols: 2})
 	dst := l2d(8, 8, 2, 2, grid.Topology{Rows: 2, Cols: 3})
 	const arrays = 3
-	globals := make([][]float64, arrays)
 	srcPieces := make([][]*blockcyclic.Matrix, arrays)
 	wantPieces := make([][]*blockcyclic.Matrix, arrays)
-	rng := rand.New(rand.NewSource(13))
 	for a := 0; a < arrays; a++ {
-		globals[a] = make([]float64, 64)
-		for i := range globals[a] {
-			globals[a][i] = rng.NormFloat64()
-		}
-		srcPieces[a] = blockcyclic.Distribute(globals[a], src)
-		wantPieces[a] = blockcyclic.Distribute(globals[a], dst)
+		global := randomGlobal(src, int64(13+a))
+		srcPieces[a] = blockcyclic.Distribute(global, src)
+		wantPieces[a] = blockcyclic.Distribute(global, dst)
 	}
-	pl, err := NewPlan(src, dst)
+	mp, err := NewMultiPlan([]blockcyclic.Layout{src}, []blockcyclic.Layout{dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +271,9 @@ func TestRedistributeMultipleArraysBackToBack(t *testing.T) {
 			if c.Rank() < 4 {
 				mine = srcPieces[a][c.Rank()].Data
 			}
-			got := pl.Execute(c, mine)
-			want := wantPieces[a][c.Rank()].Data
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("array %d rank %d differs at %d", a, c.Rank(), i)
-				}
+			got, _ := mp.ExecuteStats(c, [][]float64{mine})
+			if err := samePiece(c.Rank(), got[0], wantPieces[a][c.Rank()].Data); err != nil {
+				return fmt.Errorf("array %d: %w", a, err)
 			}
 		}
 		return nil

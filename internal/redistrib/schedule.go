@@ -1,7 +1,5 @@
 package redistrib
 
-import "fmt"
-
 // Pair is one source->destination transfer within a communication step.
 // Src indexes the old processor set and Dst the new one.
 type Pair struct {
@@ -56,75 +54,25 @@ func Schedule1D(p, q int) [][]Pair {
 	return sched
 }
 
-// ScheduleNaive returns the same transfer set as Schedule1D collapsed into a
-// single step, i.e. with no contention avoidance: a destination may have to
-// receive from up to p/gcd(p,q) sources simultaneously. It exists as the
-// ablation baseline for the circulant schedule.
-func ScheduleNaive(p, q int) [][]Pair {
-	var all []Pair
-	for _, step := range Schedule1D(p, q) {
-		all = append(all, step...)
-	}
-	if all == nil {
-		return nil
-	}
-	return [][]Pair{all}
-}
-
-// MaxReceiveContention returns, over all steps, the maximum number of
-// messages any single destination must receive within one step. A
-// contention-free schedule has value 1.
-func MaxReceiveContention(sched [][]Pair) int {
-	max := 0
-	for _, step := range sched {
-		perDst := make(map[int]int)
+// peerTables converts a p -> q schedule into per-step coordinate lookups:
+// sendTo[t][s] is the destination of source s in step t and recvFrom[t][d]
+// the source of destination d, -1 where the processor is idle.
+func peerTables(sched [][]Pair, p, q int) (sendTo, recvFrom [][]int) {
+	sendTo = make([][]int, len(sched))
+	recvFrom = make([][]int, len(sched))
+	for t, step := range sched {
+		sendTo[t] = make([]int, p)
+		recvFrom[t] = make([]int, q)
+		for i := range sendTo[t] {
+			sendTo[t][i] = -1
+		}
+		for i := range recvFrom[t] {
+			recvFrom[t][i] = -1
+		}
 		for _, pr := range step {
-			perDst[pr.Dst]++
-			if perDst[pr.Dst] > max {
-				max = perDst[pr.Dst]
-			}
+			sendTo[t][pr.Src] = pr.Dst
+			recvFrom[t][pr.Dst] = pr.Src
 		}
 	}
-	return max
-}
-
-// MaxSendContention is the send-side analogue of MaxReceiveContention.
-func MaxSendContention(sched [][]Pair) int {
-	max := 0
-	for _, step := range sched {
-		perSrc := make(map[int]int)
-		for _, pr := range step {
-			perSrc[pr.Src]++
-			if perSrc[pr.Src] > max {
-				max = perSrc[pr.Src]
-			}
-		}
-	}
-	return max
-}
-
-// validateSchedule checks that a schedule covers each communicating pair
-// exactly once. Used in tests and by NewPlan in debug paths.
-func validateSchedule(sched [][]Pair, p, q int) error {
-	g := gcd(p, q)
-	seen := make(map[Pair]bool)
-	for _, step := range sched {
-		for _, pr := range step {
-			if pr.Src < 0 || pr.Src >= p || pr.Dst < 0 || pr.Dst >= q {
-				return fmt.Errorf("redistrib: pair %v out of range (p=%d q=%d)", pr, p, q)
-			}
-			if pr.Src%g != pr.Dst%g {
-				return fmt.Errorf("redistrib: pair %v violates residue condition mod %d", pr, g)
-			}
-			if seen[pr] {
-				return fmt.Errorf("redistrib: pair %v scheduled twice", pr)
-			}
-			seen[pr] = true
-		}
-	}
-	want := p * q / g
-	if len(seen) != want {
-		return fmt.Errorf("redistrib: schedule covers %d pairs, want %d", len(seen), want)
-	}
-	return nil
+	return sendTo, recvFrom
 }
