@@ -868,64 +868,3 @@ func TestFairshareContactAllocs(t *testing.T) {
 		t.Fatalf("fair-share contact with an unchanged plan: %.0f allocations, want at most 2", allocs)
 	}
 }
-
-// rebalanceStanding builds the planning-tick fixture: a 2048-processor
-// cluster under the global rebalancer running 200 jobs that have each probed
-// one to three rungs up a four-rung chain (two to four visits, a recorded
-// redistribution cost per move), with idle processors left for the plan to
-// hand out. Nothing contacts the scheduler between ticks, so every tick
-// plans the same snapshot.
-func rebalanceStanding(tb testing.TB) (*scheduler.Core, *rebalance.Rebalancer) {
-	core := scheduler.NewCore(2048, true)
-	core.DisableTrace()
-	reb := rebalance.New(nil)
-	core.SetArbiter(reb)
-	chain := []grid.Topology{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 2}, {Rows: 2, Cols: 4}, {Rows: 4, Cols: 4}}
-	for i := 0; i < 200; i++ {
-		job, _, err := core.Submit(scheduler.JobSpec{
-			Name: "lu", App: "lu", ProblemSize: 12000, Iterations: 1 << 30,
-			InitialTopo: chain[0], Chain: chain,
-		}, 0)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for probes, iter := 1+i%3, 64.0; probes > 0; probes-- {
-			d, err := core.Contact(job.ID, job.Topo, iter, 0, 1)
-			if err != nil || d.Action != scheduler.ActionExpand {
-				tb.Fatalf("fixture: job %d did not probe up: %+v, %v", job.ID, d, err)
-			}
-			if _, err := core.ResizeComplete(job.ID, 0.1, 1); err != nil {
-				tb.Fatal(err)
-			}
-			iter *= 0.6
-			if probes == 1 {
-				// One iteration on the final configuration, reported through
-				// the profile alone so the job stays where the probes put it.
-				job.Profile.RecordIteration(job.Topo, iter)
-			}
-		}
-	}
-	return core, reb
-}
-
-// TestRebalanceTickAllocs holds a steady-state planning tick to two
-// allocations, whatever the size of the running set: views, bids, curve
-// fits and redistribution-cost lookups all run on the Rebalancer's reused
-// scratch or on the stack (the sweep's closure is what is left).
-func TestRebalanceTickAllocs(t *testing.T) {
-	core, reb := rebalanceStanding(t)
-	now := 2.0
-	tick := func() {
-		now += 60
-		if err := core.Rebalance(now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tick() // warm-up: the scratch grows to the running set once
-	if len(reb.Directives()) == 0 {
-		t.Fatal("fixture: the standing tick plans nothing")
-	}
-	if allocs := testing.AllocsPerRun(20, tick); allocs > 2 {
-		t.Fatalf("steady-state planning tick: %.0f allocations, want at most 2", allocs)
-	}
-}

@@ -41,7 +41,13 @@ func (v *Visit) Mean() float64 {
 type Profile struct {
 	Visits []Visit
 	Redist map[string]float64 // "RxC->RxC" -> last observed redistribution seconds
+	stamp  uint64             // see Stamp; not persisted: a restored or cloned profile restarts at 0
 }
+
+// Stamp returns the profile's change stamp, which RecordIteration and
+// RecordRedist, the only mutators, advance: what a reader derives from the
+// profile holds while the stamp does. Stamps of two profiles do not compare.
+func (p *Profile) Stamp() uint64 { return p.stamp }
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile {
@@ -57,6 +63,7 @@ func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 		n++
 	}
 	p.Visits[n-1].IterTimes = append(p.Visits[n-1].IterTimes, iterTime)
+	p.stamp++
 }
 
 // RecordRedist stores an observed redistribution cost between two
@@ -64,6 +71,7 @@ func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 func (p *Profile) RecordRedist(from, to grid.Topology, seconds float64) {
 	var buf [64]byte
 	p.Redist[string(appendRedistKey(buf[:0], from, to))] = seconds
+	p.stamp++
 }
 
 // RedistCost returns the recorded redistribution cost between two

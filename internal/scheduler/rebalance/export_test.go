@@ -1,0 +1,5 @@
+package rebalance
+
+// Costs returns how many job views the Rebalancer has built and how many
+// bids it has priced since New.
+func (r *Rebalancer) Costs() (views, bids int) { return r.built, r.priced }

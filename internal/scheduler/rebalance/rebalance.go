@@ -42,6 +42,7 @@ package rebalance
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -76,7 +77,8 @@ type Plan struct {
 // delegating to Inner (the reactive benefit-ranked arbiter) and
 // scheduler.Planner by recomputing its directive set at every tick;
 // directives take precedence over Inner for the jobs they name. The zero
-// value is NOT ready — use New.
+// value is NOT ready — use New. Predict and RedistCost are configuration:
+// set them before the first tick, as views keep what they priced.
 type Rebalancer struct {
 	// Inner handles every contact the current plan has no directive for:
 	// probing, queue funding, starvation aging all behave exactly as in
@@ -101,11 +103,19 @@ type Rebalancer struct {
 
 	directives map[int]Directive
 
-	// Planning scratch, reused from tick to tick and never handed out:
-	// Directives and OnPlan get fresh copies.
-	jobs []jobView
-	exps []expansion
-	obs  []perfmodel.SpeedupObs
+	// Planning state, kept from tick to tick and never handed out:
+	// Directives and OnPlan get fresh copies. jobs holds the views in id
+	// order (filed and walk are collect's cursors into it, carryFn its
+	// callback); cluster is the running set they were read from, kept only
+	// to compare.
+	jobs        []jobView
+	filed, walk int
+	carryFn     func(*scheduler.ContactView) bool
+	cluster     scheduler.ClusterView
+	exps        []expansion
+	obs         []perfmodel.SpeedupObs
+
+	built, priced int // views built and bids priced, for the cost tests
 }
 
 var (
@@ -187,16 +197,16 @@ func (r *Rebalancer) grantable(snap scheduler.ClusterSnapshot) int {
 
 // jobView is the planner's per-job working copy: everything Rebalance
 // needs, copied out of the live ContactView so no Profile pointer is
-// retained past the snapshot (the arbiter aliasing contract). A view is a
-// slot of Rebalancer.jobs: the next tick's job at the same index reuses its
-// slices, truncated.
+// retained past the snapshot (the arbiter aliasing contract), and what it
+// derives from that. A view belongs to its job while the job is unchanged
+// (see collect); its slices belong to its slot, reused by a rebuild.
 type jobView struct {
 	id       int
 	topo     grid.Topology
 	remIters int
+	stamp    uint64 // the Profile stamp the view was built at
 
-	curKnown bool    // measured baseline on the current topology exists
-	curTime  float64 // that baseline (seconds per iteration)
+	curTime float64 // seconds per iteration on topo (0: nothing prices it)
 
 	curve perfmodel.Curve
 
@@ -205,6 +215,20 @@ type jobView struct {
 
 	measured []topoSeconds // last measured iteration time per visited topology
 	redist   []topoSeconds // measured redistribution cost of topo -> rung or shrink point
+
+	shrink topoSeconds // best shrink point past the knee and its net gain (-Inf: none)
+	bids   []bid       // bids[k] is the bid for rungs[k], priced on first need
+}
+
+// bid is a job's offer for rungs[k], moving up from the rung before it
+// (from topo when k is 0). It depends on the view alone.
+type bid struct {
+	ok       bool    // something prices the rung
+	blind    bool    // priced by the Predict hook alone
+	delta    int     // extra processors
+	marginal float64 // net gain over the remaining iterations
+	perProc  float64 // marginal per extra processor: the water level
+	at       float64 // predicted seconds per iteration on the rung
 }
 
 // topoSeconds is one entry of a jobView's lookup tables: a job measures a
@@ -223,13 +247,12 @@ func lookup(table []topoSeconds, t grid.Topology) (float64, bool) {
 	return 0, false
 }
 
-// expansion is one job's standing bid in the water-filling phase.
+// expansion is one job's place in the water-filling phase.
 type expansion struct {
-	j       *jobView
-	planned grid.Topology // position after the rungs won so far
-	next    int           // index into j.rungs of the next bid
-	gain    float64       // accumulated net gain (redist charged once)
-	blind   bool          // won a Predict-only rung: no further bids
+	j    *jobView
+	next int     // rungs won so far: j.bids[next] is the standing bid
+	gain float64 // accumulated net gain (redist charged once)
+	done bool    // no further bid: chain exhausted, unpriceable, or a blind rung won
 }
 
 // priceAt predicts seconds per iteration for the job on t: measured
@@ -256,12 +279,6 @@ func (r *Rebalancer) priceAt(j *jobView, t grid.Topology) (sec float64, blind, o
 	return 0, false, false
 }
 
-// timeAt is priceAt without the provenance bit.
-func (r *Rebalancer) timeAt(j *jobView, t grid.Topology) (float64, bool) {
-	sec, _, ok := r.priceAt(j, t)
-	return sec, ok
-}
-
 // redistCost estimates the cost of moving the job from its current
 // configuration to a rung or shrink point: measured first, then the
 // RedistCost hook, then 0.
@@ -275,20 +292,6 @@ func (r *Rebalancer) redistCost(j *jobView, to grid.Topology) float64 {
 		}
 	}
 	return 0
-}
-
-// netGain scores moving the job from its current configuration to t: the
-// predicted per-iteration saving times the remaining iterations, minus
-// the redistribution cost. ok is false when either side is unpredictable.
-func (r *Rebalancer) netGain(j *jobView, t grid.Topology) (float64, bool) {
-	if !j.curKnown {
-		return 0, false
-	}
-	after, ok := r.timeAt(j, t)
-	if !ok {
-		return 0, false
-	}
-	return (j.curTime-after)*float64(j.remIters) - r.redistCost(j, t), true
 }
 
 // Rebalance implements scheduler.Planner: recompute the directive set
@@ -305,31 +308,21 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 		budget -= snap.Queued[0].Need
 	}
 
+	// Phase 1 — shrink past the knee (each view's candidate is worked out
+	// by view); every other job with a standing first bid enters phase 2.
 	clear(r.directives)
-
-	// Phase 1 — shrink past the knee. A job whose fitted curve turns over
-	// before its current allocation is predicted to run *faster* on fewer
-	// processors: shrinking is a win for the job and frees surplus for
-	// the expansion phase. Only previously visited configurations are
-	// legal targets.
+	exps := r.exps[:0]
 	for i := range jobs {
 		j := &jobs[i]
-		if !j.curve.Valid() || j.curve.Knee() >= j.topo.Count() {
-			continue
-		}
-		bestGain := r.MinGainSeconds
-		var best grid.Topology
-		found := false
-		for _, p := range j.shrinks {
-			if gain, ok := r.netGain(j, p); ok && gain > bestGain {
-				best, bestGain, found = p, gain, true
-			}
-		}
-		if found {
-			r.directives[j.id] = Directive{JobID: j.id, From: j.topo, To: best, Gain: bestGain}
-			budget += j.topo.Count() - best.Count()
+		switch {
+		case j.shrink.sec > r.MinGainSeconds:
+			r.directives[j.id] = Directive{JobID: j.id, From: j.topo, To: j.shrink.topo, Gain: j.shrink.sec}
+			budget += j.topo.Count() - j.shrink.topo.Count()
+		case r.bidAt(j, 0):
+			exps = append(exps, expansion{j: j})
 		}
 	}
+	r.exps = exps
 
 	// Phase 2 — expansion water-filling. Every undirected job advances
 	// along its configuration chain one rung at a time, but all jobs bid
@@ -340,65 +333,38 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 	// one-step probing would take several resize points to reach), yet a
 	// shallow second rung never beats another job's steep first rung —
 	// water level, not queue order, decides.
-	exps := r.exps[:0]
-	for i := range jobs {
-		j := &jobs[i]
-		if _, planned := r.directives[j.id]; !planned && len(j.rungs) > 0 {
-			exps = append(exps, expansion{j: j, planned: j.topo})
-		}
-	}
-	r.exps = exps
 	for {
 		var best *expansion
 		bestPerProc := 0.0
-		bestMarginal := 0.0
-		bestBlind := false
 		for i := range exps {
 			e := &exps[i]
-			if e.next >= len(e.j.rungs) || e.blind {
+			if e.done {
 				continue
 			}
-			to := e.j.rungs[e.next]
-			delta := to.Count() - e.planned.Count()
-			if delta <= 0 || delta > budget {
+			b := &e.j.bids[e.next]
+			if b.delta > budget || b.marginal <= r.MinGainSeconds {
 				continue
 			}
-			cur, okCur := r.timeAt(e.j, e.planned)
-			after, blind, okAfter := r.priceAt(e.j, to)
-			if !e.j.curKnown || !okCur || !okAfter {
-				continue
-			}
-			marginal := (cur - after) * float64(e.j.remIters)
-			if e.planned == e.j.topo {
-				// The whole multi-rung move is one redistribution; charge it
-				// against the first rung.
-				marginal -= r.redistCost(e.j, to)
-			}
-			if marginal <= r.MinGainSeconds {
-				continue
-			}
-			pp := marginal / float64(delta)
-			if best == nil || pp > bestPerProc || (pp == bestPerProc && e.j.id < best.j.id) {
-				best, bestPerProc, bestMarginal, bestBlind = e, pp, marginal, blind
+			if best == nil || b.perProc > bestPerProc || (b.perProc == bestPerProc && e.j.id < best.j.id) {
+				best, bestPerProc = e, b.perProc
 			}
 		}
 		if best == nil {
 			break
 		}
-		to := best.j.rungs[best.next]
-		budget -= to.Count() - best.planned.Count()
-		best.planned = to
+		won := best.j.bids[best.next]
+		budget -= won.delta
+		best.gain += won.marginal
 		best.next++
-		best.gain += bestMarginal
 		// A rung priced by the Predict hook alone is a probe step, not a
 		// curve-backed jump: advance at most one such rung per plan, so a
 		// job with no evidence grows at the reactive arbiter's pace and
 		// cannot swallow the idle pool ahead of future arrivals.
-		best.blind = bestBlind
+		best.done = won.blind || !r.bidAt(best.j, best.next)
 	}
 	for i := range exps {
-		if e := &exps[i]; e.planned != e.j.topo {
-			r.directives[e.j.id] = Directive{JobID: e.j.id, From: e.j.topo, To: e.planned, Gain: e.gain}
+		if e := &exps[i]; e.next > 0 {
+			r.directives[e.j.id] = Directive{JobID: e.j.id, From: e.j.topo, To: e.j.rungs[e.next-1], Gain: e.gain}
 		}
 	}
 
@@ -407,40 +373,126 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 	}
 }
 
-// collect copies the planner's working views out of the snapshot,
-// fitting one speedup curve per job from its measured visit history.
-// Jobs mid-shrink (pending frees) are excluded — their topology is in
-// flux. A job with no measured baseline on its current configuration
-// (fresh start, iteration in flight after a resize) is still planned
-// when the fitted curve or the Predict hook can price that baseline:
-// excluding such jobs would blind the planner to exactly the jobs that
-// just moved, and their unclaimed benefit would be handed to whoever
-// measured last.
-func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) []jobView {
-	r.jobs = r.jobs[:0]
-	snap.Cluster.EachRunning(func(v *scheduler.ContactView) bool {
-		if v.PendingFree == 0 {
-			r.view(v)
+// bidAt reports whether the job stands a bid for rungs[k], pricing it on
+// first need. A job climbs its rungs in order, so k is at most len(j.bids).
+func (r *Rebalancer) bidAt(j *jobView, k int) bool {
+	if k == len(j.bids) {
+		if k == len(j.rungs) {
+			return false
 		}
-		return true
-	})
+		j.bids = append(j.bids, r.price(j, k))
+	}
+	return j.bids[k].ok
+}
+
+// price prices the job's bid for rungs[k] from the rung before it. The
+// first rung's bid is charged the redistribution cost: the whole
+// multi-rung move is one redistribution.
+func (r *Rebalancer) price(j *jobView, k int) bid {
+	r.priced++
+	from, cur := j.topo, j.curTime
+	if k > 0 {
+		from, cur = j.rungs[k-1], j.bids[k-1].at
+	}
+	to := j.rungs[k]
+	after, blind, ok := r.priceAt(j, to)
+	if !ok {
+		return bid{}
+	}
+	delta := to.Count() - from.Count() // > 0: each rung is NextInChain of the one before
+	marginal := (cur - after) * float64(j.remIters)
+	if k == 0 {
+		marginal -= r.redistCost(j, to)
+	}
+	return bid{ok: true, blind: blind, delta: delta, marginal: marginal, perProc: marginal / float64(delta), at: after}
+}
+
+// collect brings the planner's working views up to date with the
+// snapshot, one per running job in ascending id order. Jobs mid-shrink
+// (pending frees) are excluded — their topology is in flux. A job with no
+// measured baseline on its current configuration (fresh start, iteration
+// in flight after a resize) is still planned when the fitted curve or the
+// Predict hook can price that baseline: excluding such jobs would blind
+// the planner to exactly the jobs that just moved, and their unclaimed
+// benefit would be handed to whoever measured last.
+//
+// A job whose id, Topo, RemainingIters and Profile stamp equal its last
+// view's keeps that view, bids and all; any other's is rebuilt. Those are
+// all a view reads that can change (Chain is the spec's, the hooks are
+// configuration). Stamps compare only within one running set, so nothing
+// is carried across a new snap.Cluster (a restored core, another set).
+func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) []jobView {
+	if !sameCluster(snap.Cluster, r.cluster) {
+		r.jobs = r.jobs[:0]
+	}
+	r.cluster = snap.Cluster
+	r.filed, r.walk = 0, 0
+	if r.carryFn == nil {
+		r.carryFn = r.carry // bound once: a method value allocates
+	}
+	snap.Cluster.EachRunning(r.carryFn)
+	r.jobs = r.jobs[:r.filed]
 	return r.jobs
 }
 
-// view fills the next slot of r.jobs from one running job, keeping the
-// slot only when something can price the job's current configuration.
-func (r *Rebalancer) view(v *scheduler.ContactView) {
-	n := len(r.jobs)
-	r.jobs = slices.Grow(r.jobs, 1)[:n+1]
-	j := &r.jobs[n]
+// carry files one running job's view in place: r.jobs[:filed] is this
+// tick's views so far, r.jobs[walk:] last tick's not yet reached, and the
+// slots between are free (their jobs left, or their views moved down).
+// Views move only by swapping slots, so each slot's slices stay its own.
+func (r *Rebalancer) carry(v *scheduler.ContactView) bool {
+	if v.PendingFree != 0 {
+		return true
+	}
+	for r.walk < len(r.jobs) && r.jobs[r.walk].id < v.ID {
+		r.walk++
+	}
+	n := r.filed
+	r.filed++
+	if k := r.walk; k < len(r.jobs) && r.jobs[k].id == v.ID {
+		r.jobs[n], r.jobs[k] = r.jobs[k], r.jobs[n]
+		r.walk++
+		if j := &r.jobs[n]; j.topo == v.Topo && j.remIters == max(v.RemainingIters, 1) && j.stamp == v.Profile.Stamp() {
+			return true
+		}
+	} else if n == k {
+		// No free slot below the views still to reach: shift them up one,
+		// into the spare slot past the end.
+		m := len(r.jobs)
+		r.jobs = slices.Grow(r.jobs, 1)[:m+1]
+		spare := r.jobs[m]
+		copy(r.jobs[n+1:], r.jobs[n:m])
+		r.jobs[n] = spare
+		r.walk++
+	}
+	r.view(&r.jobs[n], v)
+	return true
+}
+
+// sameCluster reports whether two ticks read one running set: the same
+// Core's, or the same backing array of a hand-built RunningViews.
+func sameCluster(a, b scheduler.ClusterView) bool {
+	if av, ok := a.(scheduler.RunningViews); ok {
+		bv, ok := b.(scheduler.RunningViews)
+		return ok && len(av) > 0 && len(av) == len(bv) && &av[0] == &bv[0]
+	}
+	return a == b
+}
+
+// view rebuilds a view from one running job. A job nothing can price on
+// its current configuration gets a view with neither shrink nor bids.
+func (r *Rebalancer) view(j *jobView, v *scheduler.ContactView) {
+	r.built++
 	*j = jobView{
 		id:       v.ID,
 		topo:     v.Topo,
 		remIters: max(v.RemainingIters, 1),
+		stamp:    v.Profile.Stamp(),
+		shrink:   topoSeconds{sec: math.Inf(-1)},
+		// Each array is shared: the shrink points follow the rungs, and the
+		// redistribution costs the measured times.
 		rungs:    j.rungs[:0],
-		shrinks:  j.shrinks[:0],
 		measured: j.measured[:0],
-		redist:   j.redist[:0],
+		bids:     j.bids[:0],
 	}
 	r.obs = r.obs[:0]
 	for i := range v.Profile.Visits {
@@ -460,12 +512,11 @@ func (r *Rebalancer) view(v *scheduler.ContactView) {
 		r.obs = append(r.obs, perfmodel.SpeedupObs{Procs: visit.Topo.Count(), Seconds: visit.Mean()})
 	}
 	j.curve = perfmodel.FitSpeedup(r.obs)
-	cur, ok := r.timeAt(j, v.Topo)
+	cur, _, ok := r.priceAt(j, v.Topo)
 	if !ok {
-		r.jobs = r.jobs[:n] // nothing can price the current configuration
 		return
 	}
-	j.curKnown, j.curTime = true, cur
+	j.curTime = cur
 	for t := v.Topo; ; {
 		next, ok := scheduler.NextInChain(v.Chain, t)
 		if !ok {
@@ -474,11 +525,29 @@ func (r *Rebalancer) view(v *scheduler.ContactView) {
 		j.rungs = append(j.rungs, next)
 		t = next
 	}
-	j.shrinks = v.Profile.AppendShrinkPoints(j.shrinks, v.Topo)
-	for _, targets := range [2][]grid.Topology{j.rungs, j.shrinks} {
-		for _, to := range targets {
-			if cost, ok := v.Profile.RedistCost(v.Topo, to); ok {
-				j.redist = append(j.redist, topoSeconds{to, cost})
+	tops, nr := v.Profile.AppendShrinkPoints(j.rungs, v.Topo), len(j.rungs)
+	j.rungs, j.shrinks = tops[:nr], tops[nr:]
+	secs, nm := j.measured, len(j.measured)
+	for _, to := range tops {
+		if cost, ok := v.Profile.RedistCost(v.Topo, to); ok {
+			secs = append(secs, topoSeconds{to, cost})
+		}
+	}
+	j.measured, j.redist = secs[:nm], secs[nm:]
+
+	// Phase 1's candidate. A job whose fitted curve turns over before its
+	// current allocation is predicted to run *faster* on fewer processors:
+	// shrinking is a win for the job and frees surplus for the expansion
+	// phase. Only previously visited configurations are legal targets. The
+	// net gain is the saving over the remaining iterations less the
+	// redistribution cost; the first best wins, emitted if it beats
+	// MinGainSeconds.
+	if j.curve.Valid() && j.curve.Knee() < j.topo.Count() {
+		for _, p := range j.shrinks {
+			if after, _, ok := r.priceAt(j, p); ok {
+				if gain := (j.curTime-after)*float64(j.remIters) - r.redistCost(j, p); gain > j.shrink.sec {
+					j.shrink = topoSeconds{p, gain}
+				}
 			}
 		}
 	}
