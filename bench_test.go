@@ -166,7 +166,7 @@ func BenchmarkWorkloadSimScale(b *testing.B) {
 // BenchmarkSchedulerThroughput measures the scheduler engine end to end on
 // large generated workloads driven through the virtual-time simulator: a
 // 1024-processor cluster, exponential arrivals, and the full resize-policy
-// machinery. The "event" cases run the indexed, sharded core; "linear" runs
+// machinery. The "event" cases run the indexed core; "linear" runs
 // the pre-refactor linear-scan reference on the same 10k-job mix, showing
 // the speedup from the event-driven refactor. The 100k- and 1M-job cases
 // run with allocation tracing and per-iteration result rows disabled
@@ -211,18 +211,18 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	})
 	b.Run("event-100k", func(b *testing.B) {
 		run(b, 100_000, true, func() scheduler.Interface {
-			c := scheduler.NewCoreSharded(clusterProcs, 16, true)
+			c := scheduler.NewCore(clusterProcs, true)
 			c.DisableTrace()
 			return c
 		})
 	})
 	// The 1M-job case extends the scaling curve one more decade: CI tracks
 	// it in BENCH_scheduler.json (and gates jobs/s@1M against jobs/s@10k,
-	// see cmd/benchjson -gate) so super-linear regressions in the queue or
-	// pool indexes show up as a bend between 100k and 1M.
+	// see cmd/benchjson -gate) so super-linear regressions in the queue
+	// indexes show up as a bend between 100k and 1M.
 	b.Run("event-1M", func(b *testing.B) {
 		run(b, 1_000_000, true, func() scheduler.Interface {
-			c := scheduler.NewCoreSharded(clusterProcs, 16, true)
+			c := scheduler.NewCore(clusterProcs, true)
 			c.DisableTrace()
 			return c
 		})

@@ -20,7 +20,6 @@
 // Usage:
 //
 //	reshaped -addr 127.0.0.1:7077 -procs 16 -backfill
-//	reshaped -procs 1024 -shards 16    # sharded pool for large clusters
 //	reshaped -procs 64 -arbiter benefit  # cluster-wide benefit-ranked arbitration
 //	reshaped -procs 64 -wal-dir /var/lib/reshaped  # durable control plane
 //	reshaped -procs 64 -arbiter fairshare -tenant-weights acme=3,beta=1 \
@@ -70,7 +69,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address")
 	procs := flag.Int("procs", 16, "number of processors in the pool")
 	backfill := flag.Bool("backfill", true, "enable simple backfill in addition to FCFS")
-	shards := flag.Int("shards", 0, "processor-pool shard count (0 = one shard per 64 processors)")
 	arb := flag.String("arbiter", "fcfs",
 		"resize arbitration: fcfs (published single-job policy), benefit (cluster-wide benefit ranking with priorities, aging and coordinated shrink), fairshare (tenant-weighted shares arbitrated above benefit; see -tenant-weights) or rebalance (benefit plus periodic curve-driven global replanning; see -rebalance-every)")
 	tenantWeights := flag.String("tenant-weights", "",
@@ -97,9 +95,6 @@ func main() {
 		"journal fsync policy: always (no acknowledged op can be lost), interval (batched, bounded loss window on machine crash) or none (page-cache only)")
 	flag.Parse()
 
-	if *shards <= 0 {
-		*shards = scheduler.DefaultShards(*procs)
-	}
 	// The arbiter is configuration, not journaled state: a recovering
 	// daemon must install the same arbitration the previous process ran
 	// before any journal record replays through the core.
@@ -138,7 +133,7 @@ func main() {
 	starter := func(j *scheduler.Job) { startJob(srv, j) }
 
 	if *walDir == "" {
-		core = scheduler.NewCoreSharded(*procs, *shards, *backfill)
+		core = scheduler.NewCore(*procs, *backfill)
 		if err := configure(core); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -169,7 +164,7 @@ func main() {
 		recovered, info, err := rec.Restore(func(cs *scheduler.CoreState) (*scheduler.Core, error) {
 			var c *scheduler.Core
 			if cs == nil {
-				c = scheduler.NewCoreSharded(*procs, *shards, *backfill)
+				c = scheduler.NewCore(*procs, *backfill)
 			} else {
 				var err error
 				if c, err = scheduler.NewCoreFromState(cs); err != nil {
@@ -215,8 +210,8 @@ func main() {
 	if store != nil {
 		durable = fmt.Sprintf("wal %s (snapshot every %d, fsync %s)", *walDir, *snapshotEvery, *walSync)
 	}
-	log.Printf("reshaped: %d processors in %d pool shard(s), %s arbitration, %s, listening on %s (rpc/v2)",
-		core.Total, core.Pool().NumShards(), *arb, durable, rpcSrv.Addr())
+	log.Printf("reshaped: %d processors, %s arbitration, %s, listening on %s (rpc/v2)",
+		core.Total, *arb, durable, rpcSrv.Addr())
 	if limits != (rpc.Limits{}) {
 		log.Printf("reshaped: admission control on (tenant %.3g req/s burst %d inflight %d; conn %.3g req/s burst %d inflight %d)",
 			limits.TenantRate, limits.TenantBurst, limits.TenantInflight,

@@ -10,9 +10,9 @@
 // The check is structural: assignments (including map-index writes,
 // compound assignments and ++/--) whose target resolves to a journaled
 // field of the Core or Job types are only legal in the allowed files.
-// Reads are unrestricted, and mutations via the queue/pool's own methods
-// are their packages' business — the guarded surface is exactly the state
-// PersistState snapshots and Apply replays.
+// Reads are unrestricted, and mutations via the queue's own methods are
+// its business — the guarded surface is exactly the state PersistState
+// snapshots and Apply replays, plus the idle count restore derives from it.
 package journalfirst
 
 import (
@@ -30,11 +30,14 @@ var Scope = []string{"repro/internal/scheduler"}
 // inside AllowedFiles. The sets mirror PersistState: what the snapshot
 // persists is exactly what replay must be able to reconstruct.
 var GuardedFields = map[string]map[string]bool{
-	"Core": set("nextID", "jobs", "queue", "running", "busySeconds", "lastBusy", "lastBusyTime", "Events"),
+	// free is derived from the running jobs' allocations; restore recomputes
+	// it, so a write elsewhere would leave the idle count disagreeing with
+	// the state replay reconstructs.
+	"Core": set("free", "nextID", "jobs", "queue", "running", "busySeconds", "lastBusy", "lastBusyTime", "Events"),
 	// tenant, itersDone and shrinkable are derived from the journaled fields
 	// (contact.go's runningSet keeps them); a write elsewhere would leave
 	// arbiter snapshots disagreeing with the state replay reconstructs.
-	"Job": set("State", "Topo", "grant", "pendingFree", "resizeFrom", "Profile", "SubmitTime", "StartTime", "EndTime",
+	"Job": set("State", "Topo", "pendingFree", "resizeFrom", "Profile", "SubmitTime", "StartTime", "EndTime",
 		"tenant", "itersDone", "shrinkable"),
 	// The tenant tag is journaled with the submit record and drives
 	// fair-share arbitration on replay: rewriting it after acknowledgment

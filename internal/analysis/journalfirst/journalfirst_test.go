@@ -17,15 +17,18 @@ func TestJournalfirst(t *testing.T) {
 }
 
 // TestGuardedFieldsMirrorPersistState documents the contract that the
-// guarded set is exactly the persisted state: if PersistState grows a
-// field, the guard must grow with it.
+// guarded set is exactly the persisted state and what restore derives from
+// it: if PersistState grows a field, the guard must grow with it.
 func TestGuardedFieldsMirrorPersistState(t *testing.T) {
 	for _, f := range []string{"nextID", "jobs", "queue", "running", "busySeconds", "Events"} {
 		if !journalfirst.GuardedFields["Core"][f] {
 			t.Errorf("Core.%s must be guarded: it is part of the persisted state image", f)
 		}
 	}
-	for _, f := range []string{"State", "Topo", "grant", "pendingFree", "resizeFrom"} {
+	if !journalfirst.GuardedFields["Core"]["free"] {
+		t.Error("Core.free must be guarded: restore derives the idle count from the running jobs")
+	}
+	for _, f := range []string{"State", "Topo", "pendingFree", "resizeFrom"} {
 		if !journalfirst.GuardedFields["Job"][f] {
 			t.Errorf("Job.%s must be guarded: it is part of the persisted state image", f)
 		}

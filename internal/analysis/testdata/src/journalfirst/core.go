@@ -21,6 +21,7 @@ type Job struct {
 // Core mirrors the scheduler core's journaled state.
 type Core struct {
 	Policy       string // not journaled: configuration, not state
+	free         int
 	nextID       int
 	jobs         map[int]*Job
 	Events       []int
@@ -29,6 +30,7 @@ type Core struct {
 
 // Submit is a journaled entry point: writes here are the state machine.
 func (c *Core) Submit(j *Job) {
+	c.free -= j.Topo
 	c.nextID++
 	c.jobs[j.ID] = j
 	c.Events = append(c.Events, j.ID)

@@ -4,6 +4,7 @@ package journalfirst
 
 // Hijack mutates acknowledged state without a WAL record.
 func Hijack(c *Core, j *Job) {
+	c.free += 4                     // want "write to journaled state Core.free"
 	c.nextID++                      // want "write to journaled state Core.nextID"
 	c.jobs[j.ID] = j                // want "write to journaled state Core.jobs"
 	c.Events = append(c.Events, 99) // want "write to journaled state Core.Events"

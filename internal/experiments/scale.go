@@ -15,7 +15,6 @@ import (
 type ScaleRow struct {
 	Jobs        int
 	Procs       int
-	Shards      int
 	WallSeconds float64
 	JobsPerSec  float64
 	Utilization float64
@@ -37,7 +36,7 @@ func SchedulerScale(params *perfmodel.Params, jobCounts []int) ([]ScaleRow, erro
 		if err != nil {
 			return nil, err
 		}
-		core := scheduler.NewCoreSharded(procs, 16, true)
+		core := scheduler.NewCore(procs, true)
 		core.DisableTrace()
 		// The experiment reports throughput and utilization only, so the
 		// per-iteration result rows are dropped like the allocation trace —
@@ -53,7 +52,6 @@ func SchedulerScale(params *perfmodel.Params, jobCounts []int) ([]ScaleRow, erro
 		rows = append(rows, ScaleRow{
 			Jobs:        jobs,
 			Procs:       procs,
-			Shards:      core.Pool().NumShards(),
 			WallSeconds: wall,
 			JobsPerSec:  float64(jobs) / wall,
 			Utilization: res.Utilization,
@@ -74,11 +72,11 @@ func PrintSchedulerScale(w io.Writer, params *perfmodel.Params, jobCounts ...int
 		return err
 	}
 	fmt.Fprintln(w, "# Scheduler scale: generated mixes through the event-driven core")
-	fmt.Fprintf(w, "%8s %8s %8s %10s %10s %10s\n",
-		"jobs", "procs", "shards", "wall(s)", "jobs/s", "util(%)")
+	fmt.Fprintf(w, "%8s %8s %10s %10s %10s\n",
+		"jobs", "procs", "wall(s)", "jobs/s", "util(%)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%8d %8d %8d %10.2f %10.0f %10.1f\n",
-			r.Jobs, r.Procs, r.Shards, r.WallSeconds, r.JobsPerSec, 100*r.Utilization)
+		fmt.Fprintf(w, "%8d %8d %10.2f %10.0f %10.1f\n",
+			r.Jobs, r.Procs, r.WallSeconds, r.JobsPerSec, 100*r.Utilization)
 	}
 	return nil
 }

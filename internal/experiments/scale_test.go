@@ -16,7 +16,7 @@ func TestSchedulerScaleCompletesGeneratedMix(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	r := rows[0]
-	if r.Jobs != 300 || r.Shards != 16 || r.JobsPerSec <= 0 {
+	if r.Jobs != 300 || r.JobsPerSec <= 0 {
 		t.Fatalf("row %+v", r)
 	}
 	if r.Utilization <= 0 || r.Utilization > 1 {

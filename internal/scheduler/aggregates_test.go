@@ -36,8 +36,30 @@ func viewIDs(each func(func(*ContactView) bool)) []int {
 }
 
 // checkAggregates holds the running set to the plain sweep, and the snapshot
-// an arbiter would be handed to the running set.
+// an arbiter would be handed to the running set. It also checks that the
+// idle count conserves processors and that every queued view is the one
+// queuedView builds for its job.
 func checkAggregates(rs *runningSet, jobs []*Job, snap ClusterSnapshot) error {
+	held := 0
+	byID := make(map[int]*Job, len(jobs))
+	for _, j := range jobs {
+		byID[j.ID] = j
+		if j.State == Running {
+			held += j.Topo.Count() + j.pendingFree
+		}
+	}
+	if snap.Idle < 0 || snap.Idle+held != snap.Total {
+		return fmt.Errorf("idle %d + held %d != total %d", snap.Idle, held, snap.Total)
+	}
+	for i, q := range snap.Queued {
+		j, ok := byID[q.ID]
+		if !ok {
+			return fmt.Errorf("Queued[%d] = %+v names no job", i, q)
+		}
+		if want := queuedView(j, snap.Now); q != want {
+			return fmt.Errorf("Queued[%d] = %+v, job gives %+v", i, q, want)
+		}
+	}
 	want := sweepRunning(jobs)
 	var got RunningViews
 	rs.EachRunning(func(v *ContactView) bool {
@@ -99,7 +121,8 @@ func (a *diceArbiter) Decide(snap ClusterSnapshot) Decision {
 func (a *diceArbiter) Rebalance(snap ClusterSnapshot) { a.check(snap) }
 
 func (a *diceArbiter) PickStart(snap StartSnapshot) int {
-	a.check(ClusterSnapshot{Tenants: snap.Tenants, PendingFree: snap.PendingFree, Cluster: snap.Cluster})
+	a.check(ClusterSnapshot{Total: snap.Total, Idle: snap.Idle,
+		Tenants: snap.Tenants, PendingFree: snap.PendingFree, Cluster: snap.Cluster})
 	for i, h := range snap.Heads {
 		if h.Need <= snap.Idle {
 			return i
@@ -118,8 +141,9 @@ type aggregateCore interface {
 // sequences — Submit, Contact, ResizeComplete, Finish, Fail and planning
 // ticks over three tenants and three priorities, with a snapshot/restore
 // round trip in the middle of each Core sequence — and after every single op
-// compares Tenants, PendingFree, the per-job iteration counters, the
-// shrinkable index and the running views with a plain sweep over the jobs.
+// compares the idle count, the queued views, Tenants, PendingFree, the
+// per-job iteration counters, the shrinkable index and the running views
+// with a plain sweep over the jobs.
 func TestAggregatesMatchSweep(t *testing.T) {
 	tenants := []string{"", "blue", "green"}
 	for seed := int64(0); seed < 240; seed++ {

@@ -27,7 +27,7 @@ func referenceDecision(c *Core, j *Job, iterTime float64) Decision {
 		Current:        j.Topo,
 		Chain:          j.Spec.Chain,
 		Profile:        prof,
-		IdleProcs:      c.pool.Free(),
+		IdleProcs:      c.free,
 		QueuedNeeds:    needs,
 		RemainingIters: j.Spec.Iterations - done,
 	})
@@ -42,7 +42,7 @@ func TestPolicyArbiterMatchesPublishedDecide(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		total := 8 + rng.Intn(56)
-		c := NewCoreSharded(total, 1+rng.Intn(4), rng.Intn(2) == 0)
+		c := NewCore(total, rng.Intn(2) == 0)
 		if seed%2 == 1 {
 			// The explicit default arbiter and the nil path must agree too.
 			c.SetArbiter(PolicyArbiter{})

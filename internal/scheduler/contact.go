@@ -11,9 +11,9 @@ import (
 // This file holds the contact-path state machine shared by Core and
 // LinearCore. Both cores used to carry copy-pasted Contact/ResizeComplete/
 // Finish bodies (~100 lines of identical profiling and bookkeeping); the
-// helpers below are that logic written once, parameterized only by the
-// pool operations that genuinely differ (sharded grants vs a free counter).
-// The arbitration layer plugs in here exactly once, for both cores.
+// helpers below are that logic written once, and both cores hand them their
+// idle-processor counter. The arbitration layer plugs in here exactly once,
+// for both cores.
 
 // newJob validates a spec against the cluster size and builds the queued
 // job record for it.
@@ -213,7 +213,7 @@ func (r *runningSet) start(j *Job) {
 }
 
 // finish withdraws a completed job, in-flight give-back included: the
-// caller returns the whole grant to the pool.
+// caller returns all of its processors to the pool.
 func (r *runningSet) finish(j *Job) {
 	r.jobs = removeByID(r.jobs, j)
 	a := j.tenant
@@ -302,19 +302,19 @@ func (r *runningSet) Running(id int) (ContactView, bool) {
 }
 
 // applyDecision actuates an arbitration decision on the job. Expansions
-// reserve the delta through grant (which reports whether the idle
-// processors were still available); shrinks mark the give-back as pending
-// until ResizeComplete. It returns the decision actually applied — an
-// expansion whose grant lost a concurrent race degrades to ActionNone.
-func (r *runningSet) applyDecision(j *Job, d Decision, grant func(delta int) bool, record func(kind string)) Decision {
+// take the delta from the core's idle counter *free; shrinks mark the
+// give-back as pending until ResizeComplete. It returns the decision
+// actually applied: an expansion the idle processors cannot cover degrades
+// to ActionNone instead of driving the counter negative (unreachable for
+// the fit-checked published policy).
+func (r *runningSet) applyDecision(j *Job, d Decision, free *int, record func(kind string)) Decision {
 	switch d.Action {
 	case ActionExpand:
 		delta := d.Target.Count() - j.Topo.Count()
-		if !grant(delta) {
-			// A concurrent reservation claimed the idle processors between
-			// the policy decision and the grant; hold steady this iteration.
+		if delta > *free {
 			return Decision{Action: ActionNone, Reason: "idle processors claimed concurrently"}
 		}
+		*free -= delta
 		r.retopo(j, d.Target)
 		record("expand")
 	case ActionShrink:
@@ -329,9 +329,8 @@ func (r *runningSet) applyDecision(j *Job, d Decision, grant func(delta int) boo
 
 // finishResize records the redistribution cost of a completed resize in the
 // profiler and returns the number of processors a pending shrink should now
-// release (0 when the resize freed nothing). The caller reports the give-back
-// as released only once the pool release succeeds, so a failed release keeps
-// it pending for a retry instead of leaking the processors.
+// release (0 when the resize freed nothing). The caller returns them to the
+// pool and then reports the give-back as released.
 func finishResize(j *Job, redistTime float64) int {
 	if j.resizeFrom.IsValid() {
 		j.Profile.RecordRedist(j.resizeFrom, j.Topo, redistTime)
@@ -354,8 +353,7 @@ func validateFinish(jobs map[int]*Job, jobID int, kind string) (*Job, error) {
 }
 
 // finishJob validates a completion signal and transitions the job to Done.
-// The caller releases the job's processors afterwards (pool layouts differ
-// between cores).
+// The caller releases the job's processors afterwards.
 func finishJob(jobs map[int]*Job, jobID int, now float64, kind string) (*Job, error) {
 	j, err := validateFinish(jobs, jobID, kind)
 	if err != nil {

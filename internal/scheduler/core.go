@@ -67,11 +67,9 @@ type Job struct {
 	StartTime  float64
 	EndTime    float64
 
-	// grant is the job's sharded processor reservation; it always holds
-	// Topo.Count() + pendingFree processors.
-	grant Grant
 	// pendingFree holds processors granted back by an in-flight shrink,
-	// released when ResizeComplete arrives.
+	// released when ResizeComplete arrives. A running job holds
+	// Topo.Count() + pendingFree processors.
 	pendingFree int
 	// resizeFrom remembers the pre-resize configuration for profiling.
 	resizeFrom grid.Topology
@@ -85,11 +83,6 @@ type Job struct {
 	// jobQueue.prioList); both are nil except while State == Queued.
 	qprev, qnext *Job
 }
-
-// GrantShards returns the number of pool shards the job's allocation spans
-// (0 while queued or done). Expansion may steal capacity across shards, so
-// a large job can span several.
-func (j *Job) GrantShards() int { return j.grant.Shards() }
 
 // AllocEvent is one allocation change, forming the processor-allocation
 // history of Figures 4(a)/5(a) and the busy-processor series of 4(b)/5(b).
@@ -118,11 +111,10 @@ const QueuedNeedsWindow = 8
 // the real runtime and the virtual-time cluster simulation.
 //
 // Internally the core is built for scale: the wait queue is an indexed
-// priority structure (see jobQueue) rather than a linear slice, and the
-// processor pool is sharded into independently locked partitions with
-// cross-shard stealing for expansion (see Pool). Core methods themselves
-// must still be externally synchronized (the Server does this; the
-// simulator is single-threaded).
+// priority structure (see jobQueue) rather than a linear slice. The idle
+// pool is one counter, like LinearCore's. Core methods must be externally
+// synchronized (the Server does this; the simulator is single-threaded), so
+// the counter needs no lock of its own.
 type Core struct {
 	Total    int
 	Backfill bool
@@ -138,7 +130,7 @@ type Core struct {
 	// commit, when installed, is the barrier a Server waits on between
 	// applying an op and acknowledging it (see CommitFunc).
 	commit CommitFunc
-	pool   *Pool
+	free   int // idle processors
 	nextID int
 	queue  jobQueue
 	jobs   map[int]*Job
@@ -177,38 +169,34 @@ type Core struct {
 }
 
 // NewCore creates a scheduler for a cluster with total processors, using
-// the published Remap Scheduler policy and a pool shard count picked by
-// DefaultShards.
+// the published Remap Scheduler policy.
 func NewCore(total int, backfill bool) *Core {
-	return NewCoreSharded(total, DefaultShards(total), backfill)
-}
-
-// NewCoreSharded creates a scheduler whose processor pool is split into an
-// explicit number of independently locked shards.
-func NewCoreSharded(total, shards int, backfill bool) *Core {
 	return &Core{
 		Total:    total,
 		Backfill: backfill,
 		Policy:   PaperPolicy{},
-		pool:     NewPool(total, shards),
+		free:     total,
 		jobs:     make(map[int]*Job),
 		trace:    true,
 	}
 }
+
+// Deprecated: the processor pool is no longer sharded; use NewCore.
+func NewCoreSharded(total, _ int, backfill bool) *Core { return NewCore(total, backfill) }
+
+// Deprecated: the processor pool is no longer sharded.
+func DefaultShards(int) int { return 1 }
 
 // DisableTrace turns off AllocEvent recording (the busy-time integral keeps
 // accumulating). Use for very large workloads where the trace itself would
 // dominate memory.
 func (c *Core) DisableTrace() { c.trace = false }
 
-// Pool exposes the sharded processor pool.
-func (c *Core) Pool() *Pool { return c.pool }
-
 // Free returns the number of idle processors.
-func (c *Core) Free() int { return c.pool.Free() }
+func (c *Core) Free() int { return c.free }
 
 // Busy returns the number of allocated processors.
-func (c *Core) Busy() int { return c.Total - c.pool.Free() }
+func (c *Core) Busy() int { return c.Total - c.free }
 
 // QueueLen returns the number of waiting jobs.
 func (c *Core) QueueLen() int { return c.queue.len() }
@@ -314,24 +302,20 @@ func (c *Core) TrySchedule(now float64) []*Job {
 	} else {
 		for {
 			head := c.queue.head()
-			if head == nil || head.Spec.InitialTopo.Count() > c.pool.Free() {
+			if head == nil || head.Spec.InitialTopo.Count() > c.free {
 				break
 			}
-			if !c.start(head, now) {
-				break
-			}
+			c.start(head, now)
 			started = append(started, head)
 		}
 	}
 	if c.Backfill {
 		for {
-			j := c.queue.bestFit(c.pool.Free())
+			j := c.queue.bestFit(c.free)
 			if j == nil {
 				break
 			}
-			if !c.start(j, now) {
-				break
-			}
+			c.start(j, now)
 			started = append(started, j)
 		}
 	}
@@ -360,7 +344,7 @@ func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
 		snap := StartSnapshot{
 			Now:         now,
 			Total:       c.Total,
-			Idle:        c.pool.Free(),
+			Idle:        c.free,
 			Heads:       c.headViews,
 			Tenants:     c.running.tenants(),
 			PendingFree: c.running.pendingFree,
@@ -371,32 +355,27 @@ func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
 			break
 		}
 		j := heads[i]
-		if j.Spec.InitialTopo.Count() > c.pool.Free() || !c.start(j, now) {
+		if j.Spec.InitialTopo.Count() > c.free {
 			break
 		}
+		c.start(j, now)
 		started = append(started, j)
 	}
 	return started
 }
 
-// start reserves the job's initial allocation from the pool and launches
-// it. It returns false if the pool could not satisfy the reservation (a
-// concurrent claim beat this one).
-func (c *Core) start(j *Job, now float64) bool {
-	g, ok := c.pool.Alloc(j.Spec.InitialTopo.Count())
-	if !ok {
-		return false
-	}
+// start takes the job's initial allocation from the idle pool and launches
+// it. The caller has checked that the allocation fits.
+func (c *Core) start(j *Job, now float64) {
 	// State leaves Queued before the queue drops the job so take's lazy
 	// bucket sweep already sees this entry as dead.
 	j.State = Running
 	c.queue.take(j)
 	j.StartTime = now
 	j.Topo = j.Spec.InitialTopo
-	j.grant = g
+	c.free -= j.Topo.Count()
 	c.running.start(j)
 	c.record(now, j, "start")
-	return true
 }
 
 // queuedNeeds lists the processor requirements of the first waiting jobs
@@ -467,7 +446,7 @@ func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
 	return ClusterSnapshot{
 		Now:         now,
 		Total:       c.Total,
-		Idle:        c.pool.Free(),
+		Idle:        c.free,
 		Caller:      ContactView{ID: -1},
 		Queued:      c.queuedWindow(now),
 		QueueLen:    c.queue.len(),
@@ -500,11 +479,9 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	if c.arb != nil {
 		d = c.arb.Decide(c.snapshot(j, now))
 	} else {
-		d = defaultDecide(c.Policy, j, c.pool.Free(), c.queuedNeeds())
+		d = defaultDecide(c.Policy, j, c.free, c.queuedNeeds())
 	}
-	return c.running.applyDecision(j, d,
-		func(delta int) bool { return c.pool.AllocInto(&j.grant, delta) },
-		func(kind string) { c.record(now, j, kind) }), nil
+	return c.running.applyDecision(j, d, &c.free, func(kind string) { c.record(now, j, kind) }), nil
 }
 
 // ResizeComplete confirms that a granted resize finished: the redistribution
@@ -520,9 +497,7 @@ func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Jo
 		return nil, err
 	}
 	if freed := finishResize(j, redistTime); freed > 0 {
-		if err := c.pool.Release(&j.grant, freed); err != nil {
-			return nil, err
-		}
+		c.free += freed
 		c.running.released(j)
 		return c.TrySchedule(now), nil
 	}
@@ -556,8 +531,8 @@ func (c *Core) complete(jobID int, now float64, kind string) ([]*Job, error) {
 	}
 	j.State = Done
 	j.EndTime = now
+	c.free += j.Topo.Count() + j.pendingFree
 	c.running.finish(j)
-	c.pool.ReleaseAll(&j.grant)
 	c.record(now, j, kind)
 	return c.TrySchedule(now), nil
 }

@@ -2,9 +2,11 @@ package scheduler
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/grid"
 )
@@ -182,6 +184,60 @@ func TestCoreShrinkFreesProcsOnlyAtResizeComplete(t *testing.T) {
 	}
 }
 
+// TestPoolPartialRelease: a shrink gives back part of a job's processors.
+// The give-back stays busy until ResizeComplete, then returns to the idle
+// counter exactly once; a repeated ResizeComplete must not return it again.
+func TestPoolPartialRelease(t *testing.T) {
+	c := NewCore(12, false)
+	a, _, _ := c.Submit(spec("a", topo(1, 2), 12000), 0)
+	c.Contact(a.ID, topo(1, 2), 130, 0, 1)
+	c.ResizeComplete(a.ID, 8, 1)
+	c.Contact(a.ID, topo(2, 2), 112, 8, 2)
+	c.ResizeComplete(a.ID, 7, 2)
+	c.Contact(a.ID, topo(2, 3), 82, 7, 3)
+	c.ResizeComplete(a.ID, 5, 3)
+	if a.Topo.Count() != 9 || c.Free() != 3 {
+		t.Fatalf("topo %v free %d, want 9 held and 3 idle", a.Topo, c.Free())
+	}
+	b, _, _ := c.Submit(spec("b", topo(2, 2), 8000), 4) // needs 4: queues
+	d, err := c.Contact(a.ID, topo(3, 3), 79, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Action != ActionShrink {
+		t.Fatalf("decision %+v, want shrink", d)
+	}
+	freed := 9 - a.Topo.Count()
+	if freed <= 0 || freed >= 9 {
+		t.Fatalf("shrink to %v is not a partial release of 9", a.Topo)
+	}
+	if c.Free() != 3 || c.Busy() != 9 {
+		t.Fatalf("before ResizeComplete: free %d busy %d, want 3/9", c.Free(), c.Busy())
+	}
+	if _, err := c.ResizeComplete(a.ID, 4, 6); err != nil {
+		t.Fatal(err)
+	}
+	if b.State != Running {
+		t.Fatal("b must start on the released processors")
+	}
+	want := 3 + freed - b.Topo.Count()
+	if c.Free() != want || c.Free()+a.Topo.Count()+b.Topo.Count() != c.Total {
+		t.Fatalf("after release: free %d, want %d (a %d, b %d)", c.Free(), want, a.Topo.Count(), b.Topo.Count())
+	}
+	started, err := c.ResizeComplete(a.ID, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(started) != 0 || c.Free() != want {
+		t.Fatalf("repeated ResizeComplete released again: free %d, want %d", c.Free(), want)
+	}
+	c.Finish(a.ID, 8)
+	c.Finish(b.ID, 9)
+	if c.Free() != c.Total {
+		t.Fatalf("free %d of %d after both finish", c.Free(), c.Total)
+	}
+}
+
 func TestCoreEventsTraceAllocationHistory(t *testing.T) {
 	c := NewCore(8, false)
 	a, _, _ := c.Submit(spec("a", topo(1, 2), 12000), 0)
@@ -280,5 +336,99 @@ func TestServerWaitAll(t *testing.T) {
 	defer cancel()
 	if err := srv.WaitAll(ctx); err != nil {
 		t.Fatalf("WaitAll timed out: %v", err)
+	}
+}
+
+// TestPoolConcurrentChurn hammers the idle counter through the Server from
+// many goroutines: concurrent submitters, and one driver per started job
+// that expands and shrinks at random resize points before ending. The
+// arbiter checks conservation on every contact, under the server lock, and
+// after the churn the cluster must be whole.
+func TestPoolConcurrentChurn(t *testing.T) {
+	const total, submitters, perSubmitter, contacts = 64, 16, 8, 20
+	core := NewCore(total, true)
+	core.SetArbiter(conservingArbiter{t})
+	var srv *Server
+	srv = NewServerCore(core, func(j *Job) {
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(int64(j.ID)))
+		cur := j.Spec.InitialTopo
+		iter := 100.0
+		for n := 0; n < contacts; n++ {
+			d, err := srv.Contact(ctx, j.ID, cur, iter, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if d.Action != ActionNone {
+				cur = d.Target
+				if err := srv.ResizeComplete(ctx, j.ID, 0.01); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			iter *= 0.7 + 0.6*rng.Float64()
+		}
+		if err := srv.JobEnd(ctx, j.ID); err != nil {
+			t.Error(err)
+		}
+	})
+	starts := []grid.Topology{topo(1, 2), topo(2, 2), topo(1, 3)}
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < perSubmitter; i++ {
+				start := starts[rng.Intn(len(starts))]
+				s := spec("churn", start, 12000)
+				s.Chain = grid.GrowthChain(start, 12000, total/4)
+				if _, err := srv.Submit(context.Background(), s); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.WaitAll(ctx); err != nil {
+		t.Fatalf("WaitAll: %v", err)
+	}
+	if core.Free() != total || core.QueueLen() != 0 {
+		t.Fatalf("counter leaked: free %d of %d, queue %d", core.Free(), total, core.QueueLen())
+	}
+	if n := len(core.Jobs()); n != submitters*perSubmitter {
+		t.Fatalf("%d jobs recorded, want %d", n, submitters*perSubmitter)
+	}
+}
+
+// conservingArbiter checks, at every contact, that the idle counter never
+// goes negative and that idle + held + pending give-back covers the cluster
+// exactly; it then defers to the published policy.
+type conservingArbiter struct{ t *testing.T }
+
+func (conservingArbiter) Name() string { return "conserving" }
+
+func (a conservingArbiter) Decide(snap ClusterSnapshot) Decision {
+	held := 0
+	snap.Cluster.EachRunning(func(v *ContactView) bool {
+		held += v.Topo.Count()
+		return true
+	})
+	if snap.Idle < 0 || snap.Idle+held+snap.PendingFree != snap.Total {
+		a.t.Errorf("conservation: idle %d + held %d + pending %d != %d", snap.Idle, held, snap.PendingFree, snap.Total)
+	}
+	return PolicyArbiter{}.Decide(snap)
+}
+
+// TestJobFitsSizeClass pins Job to the 256-byte allocation size class: the
+// simulator allocates one per submitted job, so a field that pushes it over
+// costs the next class up on every job.
+func TestJobFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Job{}); n > 256 {
+		t.Fatalf("Job is %d bytes, over the 256-byte size class", n)
 	}
 }

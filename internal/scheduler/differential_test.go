@@ -19,7 +19,7 @@ func TestCoreMatchesLinearReference(t *testing.T) {
 		total := 8 + rng.Intn(56)
 		backfill := rng.Intn(2) == 0
 		cores := []Interface{
-			NewCoreSharded(total, 1+rng.Intn(4), backfill),
+			NewCore(total, backfill),
 			NewLinearCore(total, backfill),
 		}
 		now := 0.0
@@ -168,18 +168,20 @@ func TestQueueBackfillPicksBestRankedFit(t *testing.T) {
 	}
 }
 
-// TestCoreCrossShardExpansionViaContact: a job expanding beyond its home
-// shard's capacity must steal idle processors from other shards.
+// TestCoreCrossShardExpansionViaContact: a job walked upward through
+// Contact must keep being granted expansions past a quarter of the cluster
+// (the span one shard of the retired sharded pool held), and every grant
+// must come out of the one idle counter: free + held == Total after each
+// step, and no expansion may be granted beyond what is idle.
 func TestCoreCrossShardExpansionViaContact(t *testing.T) {
-	c := NewCoreSharded(16, 4, false) // 4 procs per shard
+	c := NewCore(16, false)
 	a, _, err := c.Submit(spec("a", topo(1, 2), 12000), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk the job upward; each expansion must be granted even once the
-	// target exceeds any single shard's capacity.
 	iter := 130.0
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
+		before := c.Free()
 		d, err := c.Contact(a.ID, a.Topo, iter, 0, float64(i+1))
 		if err != nil {
 			t.Fatal(err)
@@ -187,18 +189,24 @@ func TestCoreCrossShardExpansionViaContact(t *testing.T) {
 		if d.Action != ActionExpand {
 			break
 		}
+		if grown := before - c.Free(); grown <= 0 || grown > before {
+			t.Fatalf("expansion to %v took %d of %d idle", d.Target, grown, before)
+		}
 		if _, err := c.ResizeComplete(a.ID, 1, float64(i+1)); err != nil {
 			t.Fatal(err)
 		}
+		if c.Free() < 0 || c.Free()+a.Topo.Count() != c.Total {
+			t.Fatalf("accounting: free %d + held %d != %d", c.Free(), a.Topo.Count(), c.Total)
+		}
 		iter *= 0.8 // keep improving so the policy keeps probing
 	}
-	if a.Topo.Count() <= 4 {
-		t.Fatalf("job never outgrew one shard: %v", a.Topo)
+	if a.Topo.Count() <= c.Total/4 {
+		t.Fatalf("job never outgrew a quarter of the cluster: %v", a.Topo)
 	}
-	if a.GrantShards() < 2 {
-		t.Fatalf("allocation of %d procs spans %d shards, want >= 2", a.Topo.Count(), a.GrantShards())
+	if _, err := c.Finish(a.ID, 20); err != nil {
+		t.Fatal(err)
 	}
-	if c.Free()+a.Topo.Count() != c.Total {
-		t.Fatalf("accounting: free %d + held %d != %d", c.Free(), a.Topo.Count(), c.Total)
+	if c.Free() != c.Total {
+		t.Fatalf("free %d of %d after finish", c.Free(), c.Total)
 	}
 }

@@ -27,11 +27,10 @@
 //     the queue-pressure window handed to policies is O(log n) instead of
 //     a linear scan per scheduling pass.
 //
-//   - Sharded processor pool. Pool splits the cluster into independently
-//     locked partitions with a router that places allocations on the
-//     least-loaded shard and steals capacity across shards when a job
-//     expands beyond its home partition. A lock-free counter serves fit
-//     checks.
+//   - One idle-processor counter. The paper's single pool of idle
+//     processors is a plain int on the Core; Core calls are serialized by
+//     their caller (the Server's lock, or the single-threaded simulator),
+//     so it needs no lock.
 //
 // Decision-making at resize points flows through the arbitration layer
 // (arbiter.go): each Contact assembles a ClusterSnapshot — idle pool,
@@ -42,7 +41,7 @@
 // internal/scheduler/arbiter provides the cluster-wide benefit-ranked
 // implementation (coordinated multi-job shrink, starvation aging).
 //
-// LinearCore preserves the pre-refactor single-counter, linear-scan design
+// LinearCore preserves the pre-refactor linear-scan design
 // behind the same Interface; differential tests hold the two engines to
 // identical schedules and BenchmarkSchedulerThroughput measures the gap.
 // See DESIGN.md at the repository root for the full system picture.

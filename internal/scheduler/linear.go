@@ -7,7 +7,7 @@ import (
 )
 
 // LinearCore is the pre-refactor scheduler core, kept as a reference
-// implementation: a single free counter and a linearly scanned wait queue.
+// implementation: a linearly scanned wait queue.
 // Submission inserts with an O(n) shift, every scheduling pass rescans the
 // whole queue, and Contact materializes the full queued-needs list, so the
 // cost per operation grows with queue length.
@@ -185,12 +185,7 @@ func (c *LinearCore) queuedWindow(now float64) []QueuedView {
 	}
 	out := make([]QueuedView, len(c.queue))
 	for i, j := range c.queue {
-		out[i] = QueuedView{
-			ID:       j.ID,
-			Priority: j.Spec.Priority,
-			Need:     j.Spec.InitialTopo.Count(),
-			Wait:     now - j.SubmitTime,
-		}
+		out[i] = queuedView(j, now)
 	}
 	return out
 }
@@ -240,19 +235,7 @@ func (c *LinearCore) Contact(jobID int, topo grid.Topology, iterTime, redistTime
 	} else {
 		d = defaultDecide(c.Policy, j, c.free, c.queuedNeeds())
 	}
-	return c.running.applyDecision(j, d,
-		// Mirror Core's failed-grant degradation: an arbiter decision that
-		// outgrows the free counter comes back as ActionNone instead of
-		// driving the pool negative (unreachable for the fit-checked
-		// published policy).
-		func(delta int) bool {
-			if delta > c.free {
-				return false
-			}
-			c.free -= delta
-			return true
-		},
-		func(kind string) { c.record(now, j, kind) }), nil
+	return c.running.applyDecision(j, d, &c.free, func(kind string) { c.record(now, j, kind) }), nil
 }
 
 // ResizeComplete confirms a granted resize (reference implementation).

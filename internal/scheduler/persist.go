@@ -36,7 +36,10 @@ type PersistedJob struct {
 
 // CoreState is a serializable snapshot of the scheduler state machine.
 type CoreState struct {
-	Total    int
+	Total int
+	// Shards is a format field kept for older readers, which rebuilt a
+	// pool of that many shards from it. It is written as 1; restore rejects
+	// values <= 0 as corruption and otherwise ignores it.
 	Shards   int
 	Backfill bool
 	NextID   int
@@ -56,7 +59,7 @@ type CoreState struct {
 func (c *Core) PersistState() *CoreState {
 	st := &CoreState{
 		Total:        c.Total,
-		Shards:       c.pool.NumShards(),
+		Shards:       1,
 		Backfill:     c.Backfill,
 		NextID:       c.nextID,
 		BusySeconds:  c.busySeconds,
@@ -99,12 +102,11 @@ func cloneProfile(p *Profile) *Profile {
 
 // NewCoreFromState rebuilds a Core from a snapshot: queued jobs re-enter
 // the wait queue in their original head order (the queue's total order is
-// (priority, id), both persisted), running jobs re-reserve their
-// processors from a fresh pool, and the busy-time integral resumes where
-// it left off. The pool's per-shard layout is rebuilt from scratch, so a
-// restored grant may span different shards than the original — allocation
-// *counts* (and therefore every scheduling decision) are unaffected, since
-// expansion steals across shards whenever the pool as a whole has room.
+// (priority, id), both persisted), running jobs take their processors back
+// from the idle counter, and the busy-time integral resumes where it left
+// off. A state Submit and Contact could never produce is refused: a queued
+// job larger than the cluster, a running job with a negative give-back, or
+// running jobs holding more processors than the cluster has.
 //
 // Policy, arbiter and journal hooks are configuration, not state: the
 // caller re-installs them (an arbiter's transient plan state, if any, is
@@ -113,7 +115,7 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 	if st.Total <= 0 || st.Shards <= 0 {
 		return nil, fmt.Errorf("scheduler: restore: invalid cluster shape %d procs / %d shards", st.Total, st.Shards)
 	}
-	c := NewCoreSharded(st.Total, st.Shards, st.Backfill)
+	c := NewCore(st.Total, st.Backfill)
 	c.nextID = st.NextID
 	c.busySeconds = st.BusySeconds
 	c.lastBusy = st.LastBusy
@@ -146,18 +148,21 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 			if !j.Spec.InitialTopo.IsValid() {
 				return nil, fmt.Errorf("scheduler: restore: queued job %d has invalid topology", j.ID)
 			}
+			if need := j.Spec.InitialTopo.Count(); need > st.Total {
+				return nil, fmt.Errorf("scheduler: restore: queued job %d needs %d procs, cluster has %d",
+					j.ID, need, st.Total)
+			}
 			c.queue.push(j)
 		case Running:
 			need := j.Topo.Count() + j.pendingFree
-			if !j.Topo.IsValid() || need <= 0 {
+			if !j.Topo.IsValid() || j.pendingFree < 0 {
 				return nil, fmt.Errorf("scheduler: restore: running job %d has invalid allocation", j.ID)
 			}
-			g, ok := c.pool.Alloc(need)
-			if !ok {
+			if need > c.free {
 				return nil, fmt.Errorf("scheduler: restore: running jobs overcommit the pool at job %d (%d procs, %d free)",
-					j.ID, need, c.pool.Free())
+					j.ID, need, c.free)
 			}
-			j.grant = g
+			c.free -= need
 			c.running.start(j)
 		case Done:
 			// Nothing to index.

@@ -63,15 +63,15 @@ type Server struct {
 	applied atomic.Uint64
 }
 
-// NewServer wraps a Core with a DefaultShards processor pool. starter may
-// be nil when jobs are driven externally (e.g. by tests calling the client
-// methods directly).
+// NewServer wraps a new Core of total processors. starter may be nil when
+// jobs are driven externally (e.g. by tests calling the client methods
+// directly).
 func NewServer(total int, backfill bool, starter JobStarter) *Server {
 	return NewServerCore(NewCore(total, backfill), starter)
 }
 
-// NewServerCore wraps an explicitly configured Core (custom pool shard
-// count, tracing disabled, a non-default policy).
+// NewServerCore wraps an explicitly configured Core (tracing disabled, a
+// non-default policy or arbiter).
 func NewServerCore(core *Core, starter JobStarter) *Server {
 	return &Server{
 		core:    core,

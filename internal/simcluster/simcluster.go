@@ -316,7 +316,7 @@ func (s *Sim) WithRebalance(every float64) *Sim {
 }
 
 // WithCore replaces the scheduler implementation (differential tests and
-// throughput benchmarks swap in LinearCore or a custom-sharded Core). The
+// throughput benchmarks swap in LinearCore or a Core without tracing). The
 // core must be freshly constructed for a cluster with the same total.
 func (s *Sim) WithCore(core scheduler.Interface) *Sim {
 	s.core = core

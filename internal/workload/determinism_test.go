@@ -9,8 +9,8 @@ import (
 )
 
 // TestGeneratedWorkloadDeterminism: the same generator seed must replay to
-// a byte-identical schedule through the event-driven core — the sharded
-// pool router, indexed queue and event loop introduce no hidden ordering.
+// a byte-identical schedule through the event-driven core — the indexed
+// queue and event loop introduce no hidden ordering.
 func TestGeneratedWorkloadDeterminism(t *testing.T) {
 	params := perfmodel.SystemX()
 	jobs, err := Generate(GenConfig{Seed: 11, Jobs: 200, MeanInterarrival: 40, MaxProcs: 32})
@@ -18,7 +18,7 @@ func TestGeneratedWorkloadDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *simcluster.Result {
-		core := scheduler.NewCoreSharded(128, 4, true)
+		core := scheduler.NewCore(128, true)
 		res, err := simcluster.New(128, simcluster.Dynamic, params, jobs).WithCore(core).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestGeneratedWorkloadDeterminism(t *testing.T) {
 
 // TestEventCoreMatchesLinearOnPaperWorkloads: both workloads of the paper
 // must produce the identical schedule whether driven through the
-// event-indexed sharded core or the pre-refactor linear reference.
+// event-indexed core or the pre-refactor linear reference.
 func TestEventCoreMatchesLinearOnPaperWorkloads(t *testing.T) {
 	params := perfmodel.SystemX()
 	for _, w := range []struct {
