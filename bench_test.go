@@ -751,7 +751,10 @@ func BenchmarkRealDistCG(b *testing.B) {
 // "fairshare-backlog" is a contact under the fair-share arbiter against 200
 // running jobs of three tenants and a deep queue, with a standing shrink
 // plan on other jobs — the contact whose cost must not depend on the size
-// of the running set (run it at -benchtime 2000x).
+// of the running set (run it at -benchtime 2000x); "fairshare-veto" is a
+// fair-share contact with nothing queued whose expansion the benefit
+// ranking vetoes, walking the ten of 200 running jobs that contend for the
+// idle pool.
 func BenchmarkSchedulerContact(b *testing.B) {
 	submit := func(b *testing.B, core *scheduler.Core, need int, at float64) *scheduler.Job {
 		job, _, err := core.Submit(scheduler.JobSpec{
@@ -799,6 +802,72 @@ func BenchmarkSchedulerContact(b *testing.B) {
 		core, job := fairshareBacklog(b)
 		contactLoop(b, core, job)
 	})
+	b.Run("fairshare-veto", func(b *testing.B) {
+		core, job := fairshareVeto(b, 200)
+		contactLoop(b, core, job)
+	})
+}
+
+// vetoContenders is how many of fairshareVeto's running jobs contend with
+// the caller for the idle pool, whatever the size of the running set.
+const vetoContenders = 10
+
+// fairshareVeto builds the fair-share expansion-veto fixture: a cluster
+// running n two-processor jobs of three equally weighted tenants with two
+// processors idle and nothing queued. The caller (job 0) and the next
+// vetoContenders jobs step up by two processors and contend for the idle
+// pair; every other job steps up by six, which the pool cannot hold. Each
+// job has measured its current configuration and the predictor rates every
+// contender's step far above the caller's, so each of the caller's contacts
+// is a probe the ranking vetoes in favour of job 1.
+func fairshareVeto(tb testing.TB, n int) (*scheduler.Core, *scheduler.Job) {
+	core := scheduler.NewCore(2*n+2, false)
+	core.DisableTrace()
+	fs := fairshare.New(nil)
+	fs.Inner.Predict = func(jobID int, _ grid.Topology) (float64, bool) {
+		if jobID == 0 {
+			return 45, true
+		}
+		return 10, true
+	}
+	core.SetArbiter(fs)
+	tenants := []string{"blue", "green", "red"}
+	submit := func(i int, chain []grid.Topology) *scheduler.Job {
+		job, _, err := core.Submit(scheduler.JobSpec{
+			Name: "lu", App: "lu", ProblemSize: 12000, Iterations: 1 << 30,
+			Tenant: tenants[i%len(tenants)], InitialTopo: chain[0], Chain: chain,
+		}, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return job
+	}
+	near := []grid.Topology{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 2}}
+	far := []grid.Topology{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 4}}
+	var running []*scheduler.Job
+	for i := 0; i < n; i++ {
+		chain := far
+		if i <= vetoContenders {
+			chain = near
+		}
+		running = append(running, submit(i, chain))
+	}
+	filler := submit(n, near[:1])
+	for _, j := range running {
+		d, err := core.Contact(j.ID, j.Topo, 50, 0, 1)
+		if err != nil || d.Action != scheduler.ActionNone {
+			tb.Fatalf("fixture: job %d on a full pool answered %+v, %v", j.ID, d, err)
+		}
+	}
+	if _, err := core.Finish(filler.ID, 1); err != nil {
+		tb.Fatal(err)
+	}
+	caller := running[0]
+	d, err := core.Contact(caller.ID, caller.Topo, 50, 0, 2)
+	if err != nil || d.Reason != "yielding idle pool to job 1 (higher benefit per processor)" {
+		tb.Fatalf("fixture: first veto contact answered %+v, %v", d, err)
+	}
+	return core, caller
 }
 
 // fairshareBacklog builds the fair-share contact fixture: a 1024-processor
@@ -866,5 +935,26 @@ func TestFairshareContactAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("fair-share contact with an unchanged plan: %.0f allocations, want at most 2", allocs)
+	}
+}
+
+// TestFairshareVetoContactAllocs holds a fair-share contact whose expansion
+// is vetoed to one allocation — the veto's formatted reason — at 200 and at
+// 2 000 running jobs alike: the walk's state and callback live on the
+// arbiter, and it visits only the contending jobs.
+func TestFairshareVetoContactAllocs(t *testing.T) {
+	for _, n := range []int{200, 2000} {
+		core, job := fairshareVeto(t, n)
+		now := 2.0
+		allocs := testing.AllocsPerRun(500, func() {
+			now += 0.01
+			d, err := core.Contact(job.ID, job.Topo, 50, 0, now)
+			if err != nil || d.Reason != "yielding idle pool to job 1 (higher benefit per processor)" {
+				t.Fatalf("%d running: contact answered %+v, %v", n, d, err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%d running: vetoed fair-share contact made %.2f allocations, want 1", n, allocs)
+		}
 	}
 }

@@ -2,8 +2,10 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -56,7 +58,7 @@ func checkAggregates(rs *runningSet, jobs []*Job, snap ClusterSnapshot) error {
 		if !ok {
 			return fmt.Errorf("Queued[%d] = %+v names no job", i, q)
 		}
-		if want := queuedView(j, snap.Now); q != want {
+		if want := queuedView(j); q != want {
 			return fmt.Errorf("Queued[%d] = %+v, job gives %+v", i, q, want)
 		}
 	}
@@ -79,12 +81,51 @@ func checkAggregates(rs *runningSet, jobs []*Job, snap ClusterSnapshot) error {
 	if gotIDs, wantIDs := viewIDs(snap.Cluster.EachShrinkable), viewIDs(want.EachShrinkable); !reflect.DeepEqual(gotIDs, wantIDs) {
 		return fmt.Errorf("shrinkable %v, sweep gives %v", gotIDs, wantIDs)
 	}
+	if err := checkExpandable(snap.Cluster, want); err != nil {
+		return err
+	}
 	for _, j := range jobs {
 		if j.itersDone != profiledIters(j.Profile) {
 			return fmt.Errorf("job %d: itersDone %d, profile holds %d", j.ID, j.itersDone, profiledIters(j.Profile))
 		}
 		if v, ok := snap.Cluster.Running(j.ID); ok != (j.State == Running) || ok && v.ID != j.ID {
 			return fmt.Errorf("Running(%d) = %+v, %v while the job is %v", j.ID, v, ok, j.State)
+		}
+	}
+	return nil
+}
+
+// checkExpandable holds EachExpandable to its definition, RunningViews'
+// sweep, on every window whose bounds are a step size present in the set,
+// one below it, or unbounded: every way a window can start or end inside,
+// on or between the index's buckets. The sets must match; the order is the
+// producer's own.
+func checkExpandable(cluster ClusterView, want RunningViews) error {
+	bounds := []int{math.MinInt, math.MaxInt}
+	for _, v := range want {
+		if next, ok := NextInChain(v.Chain, v.Topo); ok {
+			d := next.Count() - v.Topo.Count()
+			bounds = append(bounds, d-1, d)
+		}
+	}
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	var got, wantIDs []int
+	collect := func(ids *[]int) func(*ContactView) bool {
+		*ids = (*ids)[:0]
+		return func(v *ContactView) bool {
+			*ids = append(*ids, v.ID)
+			return true
+		}
+	}
+	for i, lo := range bounds {
+		for _, hi := range bounds[i:] {
+			cluster.EachExpandable(lo, hi, collect(&got))
+			want.EachExpandable(lo, hi, collect(&wantIDs))
+			slices.Sort(got)
+			if !slices.Equal(got, wantIDs) {
+				return fmt.Errorf("expandable [%d, %d] %v, sweep gives %v", lo, hi, got, wantIDs)
+			}
 		}
 	}
 	return nil
@@ -142,8 +183,8 @@ type aggregateCore interface {
 // ticks over three tenants and three priorities, with a snapshot/restore
 // round trip in the middle of each Core sequence — and after every single op
 // compares the idle count, the queued views, Tenants, PendingFree, the
-// per-job iteration counters, the shrinkable index and the running views
-// with a plain sweep over the jobs.
+// per-job iteration counters, the shrinkable and expandable indexes and the
+// running views with a plain sweep over the jobs.
 func TestAggregatesMatchSweep(t *testing.T) {
 	tenants := []string{"", "blue", "green"}
 	for seed := int64(0); seed < 240; seed++ {
@@ -230,5 +271,50 @@ func TestAggregatesMatchSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPublishedPathNeverBuildsExpandableIndex: the expandable index exists
+// for arbiters that ask for it. A core on the published single-job path —
+// no arbiter — starts, expands, shrinks and finishes jobs without ever
+// filing one there.
+func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := NewCore(48, true)
+	now, resized := 0.0, 0
+	for op := 0; op < 400; op++ {
+		now += rng.Float64() * 5
+		var running []*Job
+		for _, j := range c.Jobs() {
+			if j.State == Running {
+				running = append(running, j)
+			}
+		}
+		var err error
+		switch k := rng.Intn(10); {
+		case k < 2 || len(running) == 0:
+			n := []int{8000, 12000, 14000}[rng.Intn(3)]
+			start, _ := grid.SmallestConfig(n, 2, 48)
+			_, _, err = c.Submit(JobSpec{Name: "j", App: "lu", ProblemSize: n, Iterations: 50,
+				InitialTopo: start, Chain: grid.GrowthChain(start, n, 48)}, now)
+		case k < 8:
+			j := running[rng.Intn(len(running))]
+			var d Decision
+			if d, err = c.Contact(j.ID, j.Topo, 10+rng.Float64()*90, 0, now); err == nil && d.Action != ActionNone {
+				resized++
+				_, err = c.ResizeComplete(j.ID, 1, now)
+			}
+		default:
+			_, err = c.Finish(running[rng.Intn(len(running))].ID, now)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+	}
+	if resized == 0 {
+		t.Fatal("no contact resized a job: the retopo path went unexercised")
+	}
+	if c.running.expIndexed || c.running.expandable != nil {
+		t.Fatalf("published path built the expandable index: %d buckets", len(c.running.expandable))
 	}
 }

@@ -10,8 +10,9 @@ import (
 // Contact answered the calling job in isolation through Policy.Decide; the
 // Arbiter generalizes that hook to cluster scope: at each resize point it
 // sees a snapshot of the whole scheduler — idle pool, the queued-job window
-// with priorities and ages, and (lazily) every running job's profile and
-// configuration chain — and returns the decision for the contacting job.
+// with priorities and submission times, and (lazily) every running job's
+// profile and configuration chain — and returns the decision for the
+// contacting job.
 // Stateful arbiters can plan multi-job reallocations across contacts, e.g.
 // coordinating shrinks of several running jobs so that together they free
 // exactly enough processors to start the queue head (see
@@ -52,9 +53,11 @@ type QueuedView struct {
 	Priority int
 	// Need is the job's initial processor requirement.
 	Need int
-	// Wait is how long the job has been queued (snapshot time minus
-	// submission time), the input to starvation aging.
-	Wait float64
+	// Submit is the job's submission time. Its age at a snapshot,
+	// snap.Now - Submit, is the input to starvation aging; carrying the
+	// timestamp rather than the age keeps the view valid as the clock moves,
+	// so Core rebuilds its queued window only when the queue changes.
+	Submit float64
 }
 
 // TenantProcs returns the running processors of one tenant from a
@@ -71,10 +74,11 @@ func TenantProcs(tenants []TenantUsage, name string) int {
 // would be too expensive to materialize on every contact. A contact is meant
 // to cost what changed since the last one, not the size of the running set:
 // the sums arbiters used to sweep for are snapshot fields (Tenants,
-// PendingFree), EachShrinkable visits only the jobs a shrink plan can draft
-// and Running looks one job up, which leaves EachRunning to the decisions
-// that genuinely rank every job (an expansion veto, a planning tick). The
-// default arbiter calls none of it.
+// PendingFree), EachShrinkable visits only the jobs a shrink plan can draft,
+// EachExpandable only the jobs whose next step contends for a window of the
+// idle pool, and Running looks one job up, which leaves EachRunning to the
+// one decision that genuinely ranks every job: a planning tick. The default
+// arbiter calls none of it.
 type ClusterView interface {
 	// EachRunning yields a view of every running job in ascending job-id
 	// order (deterministic), stopping early when yield returns false. The
@@ -86,6 +90,13 @@ type ClusterView interface {
 	// running jobs that have visited a configuration smaller than their
 	// current one — exactly those with len(Profile.ShrinkPoints(Topo)) > 0.
 	EachShrinkable(yield func(*ContactView) bool)
+	// EachExpandable yields, under the same rule, the running jobs whose next
+	// chain step adds between lo and hi processors inclusive — exactly those
+	// with NextInChain(Chain, Topo) ok and lo <= next.Count()-Topo.Count() <= hi.
+	// The order is deterministic but the producer's own (Core's index yields
+	// by ascending step size, then job id; RunningViews by job id), so a
+	// caller that ranks the jobs must break its ties explicitly.
+	EachExpandable(lo, hi int, yield func(*ContactView) bool)
 	// Running returns the view of one running job (false when the id is
 	// queued, done or unknown).
 	Running(id int) (ContactView, bool)
@@ -156,6 +167,17 @@ func (v RunningViews) EachRunning(yield func(*ContactView) bool) {
 func (v RunningViews) EachShrinkable(yield func(*ContactView) bool) {
 	for i := range v {
 		if r := &v[i]; r.Profile != nil && len(r.Profile.ShrinkPoints(r.Topo)) > 0 && !yield(r) {
+			return
+		}
+	}
+}
+
+// EachExpandable implements ClusterView.
+func (v RunningViews) EachExpandable(lo, hi int, yield func(*ContactView) bool) {
+	for i := range v {
+		r := &v[i]
+		next, ok := NextInChain(r.Chain, r.Topo)
+		if d := next.Count() - r.Topo.Count(); ok && lo <= d && d <= hi && !yield(r) {
 			return
 		}
 	}

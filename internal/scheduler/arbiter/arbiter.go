@@ -74,6 +74,19 @@ type BenefitRanked struct {
 
 	plan  shrinkPlan
 	cands []candidate // buildPlan scratch
+	// veto is betterCandidate's walk state and vetoFn its callback, bound
+	// once (a method value allocates), so neither escapes per contact.
+	veto   vetoWalk
+	vetoFn func(*scheduler.ContactView) bool
+}
+
+// vetoWalk is the running best of one expansion veto: the caller it is for
+// and the rival that outranks it so far (best < 0: none yet, bestGain is
+// then the caller's own gain).
+type vetoWalk struct {
+	caller, priority int
+	best             int
+	bestGain         float64
 }
 
 var _ scheduler.Arbiter = (*BenefitRanked)(nil)
@@ -125,7 +138,7 @@ func (a *BenefitRanked) Decide(snap scheduler.ClusterSnapshot) scheduler.Decisio
 		return a.expand(snap)
 	}
 	head := snap.Queued[0]
-	if snap.Caller.Priority > a.agedPriority(head) {
+	if snap.Caller.Priority > a.agedPriority(head, snap.Now) {
 		// A strictly higher-priority runner is exempt from queue pressure —
 		// until the waiting job ages up to parity.
 		return a.expand(snap)
@@ -133,13 +146,14 @@ func (a *BenefitRanked) Decide(snap scheduler.ClusterSnapshot) scheduler.Decisio
 	return a.shrink(snap, head)
 }
 
-// agedPriority is a queued job's effective priority after starvation aging.
-func (a *BenefitRanked) agedPriority(q scheduler.QueuedView) int {
+// agedPriority is a queued job's effective priority after starvation aging
+// at time now.
+func (a *BenefitRanked) agedPriority(q scheduler.QueuedView, now float64) int {
 	aging := a.AgingSeconds
 	if aging <= 0 {
 		aging = DefaultAgingSeconds
 	}
-	return q.Priority + int(q.Wait/aging)
+	return q.Priority + int((now-q.Submit)/aging)
 }
 
 // expand handles a contact with no (effective) queue pressure: the
@@ -198,9 +212,10 @@ func (a *BenefitRanked) expandGain(r *scheduler.ContactView, next grid.Topology)
 // the idle pool, conflict with the caller's (the pool cannot serve both),
 // carry a known strictly higher benefit per processor, and belong to a job
 // of at least equal priority. An unmeasured caller is never vetoed —
-// probing is how measurements accrue. This is the one contact-path decision
-// that ranks every running job, so the sweep tests contention first — two
-// integer comparisons — and prices only the rivals that pass.
+// probing is how measurements accrue. The two step conditions are a window
+// on the rival's step size, Idle−Δmine < Δr ≤ Idle, so the walk visits only
+// the jobs EachExpandable files there and prices each of them. Of equal
+// gains the lowest job id wins, whatever order the view yields in.
 func (a *BenefitRanked) betterCandidate(snap scheduler.ClusterSnapshot, target grid.Topology) (int, bool) {
 	caller := &snap.Caller
 	step, ok := scheduler.NextInChain(caller.Chain, caller.Topo)
@@ -211,31 +226,33 @@ func (a *BenefitRanked) betterCandidate(snap scheduler.ClusterSnapshot, target g
 	if !known {
 		return 0, false
 	}
+	if a.vetoFn == nil {
+		a.vetoFn = a.rival
+	}
+	a.veto = vetoWalk{caller: caller.ID, priority: caller.Priority, best: -1, bestGain: mine}
 	deltaMine := target.Count() - caller.Topo.Count()
-	best, bestGain := -1, mine
-	snap.Cluster.EachRunning(func(r *scheduler.ContactView) bool {
-		if r.ID == caller.ID || r.Priority < caller.Priority {
-			return true
-		}
-		next, ok := scheduler.NextInChain(r.Chain, r.Topo)
-		if !ok {
-			return true
-		}
-		deltaR := next.Count() - r.Topo.Count()
-		if deltaR > snap.Idle || snap.Idle >= deltaMine+deltaR {
-			// The rival's step does not fit, or the pool serves both: no
-			// contention, no veto.
-			return true
-		}
-		if gain, known := a.expandGain(r, next); known && gain > bestGain {
-			best, bestGain = r.ID, gain
-		}
-		return true
-	})
-	if best >= 0 {
+	snap.Cluster.EachExpandable(snap.Idle-deltaMine+1, snap.Idle, a.vetoFn)
+	if best := a.veto.best; best >= 0 {
 		return best, true
 	}
 	return 0, false
+}
+
+// rival is the veto walk's callback: it prices one contending job and keeps
+// it when it outranks the best so far — higher gain, or equal gain and a
+// lower id.
+func (a *BenefitRanked) rival(r *scheduler.ContactView) bool {
+	w := &a.veto
+	if r.ID == w.caller || r.Priority < w.priority {
+		return true
+	}
+	// EachExpandable yields only jobs that have a next step.
+	next, _ := scheduler.NextInChain(r.Chain, r.Topo)
+	if gain, known := a.expandGain(r, next); known &&
+		(gain > w.bestGain || gain == w.bestGain && w.best >= 0 && r.ID < w.best) {
+		w.best, w.bestGain = r.ID, gain
+	}
+	return true
 }
 
 // shrink handles queue pressure: compute the head job's processor deficit
@@ -259,7 +276,7 @@ func (a *BenefitRanked) shrink(snap scheduler.ClusterSnapshot, head scheduler.Qu
 	// priority-exempt runners take the expand path at their own contacts,
 	// so a demand assigned to one would never be issued — they must not
 	// count toward plan coverage either.
-	agedHead := a.agedPriority(head)
+	agedHead := a.agedPriority(head, snap.Now)
 	if !a.plan.live || a.plan.headID != head.ID || a.coverage(snap.Cluster, agedHead) < deficit {
 		a.buildPlan(snap.Cluster, agedHead, head.ID, deficit)
 	}

@@ -146,7 +146,7 @@ func TestSnapshotViews(t *testing.T) {
 		t.Fatalf("queued window %v (len %d)", snap.Queued, snap.QueueLen)
 	}
 	qv := snap.Queued[0]
-	if qv.ID != q.ID || qv.Priority != 4 || qv.Need != 8 || qv.Wait != 4 {
+	if qv.ID != q.ID || qv.Priority != 4 || qv.Need != 8 || qv.Submit != 5 || snap.Now-qv.Submit != 4 {
 		t.Fatalf("queued view %+v", qv)
 	}
 	if got := snap.QueuedNeeds(); len(got) != 1 || got[0] != 8 {
@@ -219,7 +219,7 @@ func TestTruncatedWindowNeverOverShrinks(t *testing.T) {
 	if c.QueueLen() != 3*QueuedNeedsWindow {
 		t.Fatalf("queue %d", c.QueueLen())
 	}
-	if w := c.queuedWindow(10); len(w) != QueuedNeedsWindow {
+	if w := c.queuedWindow(); len(w) != QueuedNeedsWindow {
 		t.Fatalf("window %d entries, want %d", len(w), QueuedNeedsWindow)
 	}
 

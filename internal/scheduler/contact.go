@@ -131,9 +131,10 @@ func defaultDecide(pol Policy, j *Job, idle int, queuedNeeds []int) Decision {
 // ResizeComplete, finish — and is a pure function of the running jobs, so a
 // core restored from a snapshot rebuilds it by starting every restored job:
 //
-//	Σ active[i].procs == Σ jobs[i].Topo.Count()
-//	pendingFree      == Σ jobs[i].pendingFree
-//	j in shrinkable  ⇔ len(j.Profile.ShrinkPoints(j.Topo)) > 0
+//	Σ active[i].procs  == Σ jobs[i].Topo.Count()
+//	pendingFree        == Σ jobs[i].pendingFree
+//	j in shrinkable    ⇔ len(j.Profile.ShrinkPoints(j.Topo)) > 0
+//	j in expandable[Δ] ⇔ NextInChain(j.Spec.Chain, j.Topo) adds Δ processors
 //
 // The index lengths are bounded by the pool size (every running job holds at
 // least one processor), not by job history.
@@ -145,14 +146,30 @@ type runningSet struct {
 	// never smaller than itself, so membership moves only when Topo does.
 	shrinkable  []*Job
 	pendingFree int // processors promised back by in-flight shrinks
+	// expandable buckets the jobs with a next chain step by the processors
+	// that step adds, ascending, id-ordered within a bucket: an expansion
+	// veto walks only the steps that contend for the idle pool. The chain is
+	// fixed, so a job moves only when Topo does. The first EachExpandable
+	// builds it and expIndexed keeps it filed from then on, so a core whose
+	// arbiter never asks (the published policy path) pays nothing for it.
+	expandable []expBucket
+	expIndexed bool
 
 	// accts holds one accumulator per tenant name ever submitted; active is
 	// the name-sorted subset with running jobs, the order snapshots list
-	// them in. usage is the scratch tenants() fills.
-	accts  map[string]*tenantAcct
-	active []*tenantAcct
-	usage  []TenantUsage
-	view   ContactView // each() scratch
+	// them in. usage is what tenants() last built from active, current
+	// while usageOK: only a start, retopo or finish moves it.
+	accts   map[string]*tenantAcct
+	active  []*tenantAcct
+	usage   []TenantUsage
+	usageOK bool
+	view    ContactView // each() scratch
+}
+
+// expBucket is one step size of the expandable index.
+type expBucket struct {
+	delta int
+	jobs  []*Job // ascending id
 }
 
 // tenantAcct accumulates one tenant's part of the running set. A job
@@ -208,8 +225,10 @@ func (r *runningSet) start(j *Job) {
 	}
 	a.jobs++
 	a.procs += j.Topo.Count()
+	r.usageOK = false
 	r.pendingFree += j.pendingFree
 	r.reindexShrinkable(j)
+	r.fileExpandable(j)
 }
 
 // finish withdraws a completed job, in-flight give-back included: the
@@ -223,19 +242,24 @@ func (r *runningSet) finish(j *Job) {
 		i := r.activeAt(a.name)
 		r.active = slices.Delete(r.active, i, i+1)
 	}
+	r.usageOK = false
 	r.released(j)
 	if j.shrinkable {
 		r.shrinkable = removeByID(r.shrinkable, j)
 		j.shrinkable = false
 	}
+	r.unfileExpandable(j)
 }
 
 // retopo moves a running job to its granted configuration.
 func (r *runningSet) retopo(j *Job, to grid.Topology) {
 	j.tenant.procs += to.Count() - j.Topo.Count()
+	r.usageOK = false
+	r.unfileExpandable(j)
 	j.resizeFrom = j.Topo
 	j.Topo = to
 	r.reindexShrinkable(j)
+	r.fileExpandable(j)
 }
 
 // reindexShrinkable files j under its current topology.
@@ -256,19 +280,68 @@ func (r *runningSet) reindexShrinkable(j *Job) {
 	j.shrinkable = can
 }
 
+// stepDelta is how many processors j's next chain step adds (false at the
+// top of its chain).
+func stepDelta(j *Job) (int, bool) {
+	next, ok := NextInChain(j.Spec.Chain, j.Topo)
+	return next.Count() - j.Topo.Count(), ok
+}
+
+// bucketAt returns where a step size sits, or belongs, in the expandable
+// index.
+func (r *runningSet) bucketAt(delta int) int {
+	return sort.Search(len(r.expandable), func(k int) bool { return r.expandable[k].delta >= delta })
+}
+
+// fileExpandable enters j under its current topology's step, once the index
+// is built. A bucket left empty stays for the next job of that step.
+func (r *runningSet) fileExpandable(j *Job) {
+	if !r.expIndexed {
+		return
+	}
+	d, ok := stepDelta(j)
+	if !ok {
+		return
+	}
+	i := r.bucketAt(d)
+	if i == len(r.expandable) || r.expandable[i].delta != d {
+		r.expandable = slices.Insert(r.expandable, i, expBucket{delta: d})
+	}
+	r.expandable[i].jobs = insertByID(r.expandable[i].jobs, j)
+}
+
+// unfileExpandable withdraws j from the bucket of its current topology's
+// step; call it before Topo moves.
+func (r *runningSet) unfileExpandable(j *Job) {
+	if !r.expIndexed {
+		return
+	}
+	d, ok := stepDelta(j)
+	if !ok {
+		return
+	}
+	if i := r.bucketAt(d); i < len(r.expandable) && r.expandable[i].delta == d {
+		r.expandable[i].jobs = removeByID(r.expandable[i].jobs, j)
+	}
+}
+
 // released records that the job's pending give-back went back to the pool.
 func (r *runningSet) released(j *Job) {
 	r.pendingFree -= j.pendingFree
 	j.pendingFree = 0
 }
 
-// tenants lists every tenant with running jobs in ascending name order. The
-// slice is scratch the set reuses: snapshot consumers read it during the
-// call they were handed it in.
+// tenants lists every tenant with running jobs in ascending name order,
+// rebuilt only when a start, retopo or finish has moved it since the last
+// call. The slice is scratch the set reuses: snapshot consumers read it
+// during the call they were handed it in.
 func (r *runningSet) tenants() []TenantUsage {
-	r.usage = r.usage[:0]
-	for _, a := range r.active {
-		r.usage = append(r.usage, TenantUsage{Tenant: a.name, Running: a.jobs, Procs: a.procs})
+	if !r.usageOK {
+		r.usage = r.usage[:0]
+		for _, a := range r.active {
+			r.usage = append(r.usage, TenantUsage{Tenant: a.name, Running: a.jobs, Procs: a.procs})
+		}
+		r.usageOK = true
 	}
 	return r.usage
 }
@@ -280,16 +353,34 @@ func (r *runningSet) EachRunning(yield func(*ContactView) bool) { r.each(r.jobs,
 // EachShrinkable implements ClusterView over the shrinkable index.
 func (r *runningSet) EachShrinkable(yield func(*ContactView) bool) { r.each(r.shrinkable, yield) }
 
+// EachExpandable implements ClusterView over the expandable index, building
+// it on the first call: the buckets from lo through hi, each in id order.
+func (r *runningSet) EachExpandable(lo, hi int, yield func(*ContactView) bool) {
+	if !r.expIndexed {
+		r.expIndexed = true
+		for _, j := range r.jobs {
+			r.fileExpandable(j)
+		}
+	}
+	for i := r.bucketAt(lo); i < len(r.expandable) && r.expandable[i].delta <= hi; i++ {
+		if !r.each(r.expandable[i].jobs, yield) {
+			return
+		}
+	}
+}
+
 // each yields one reused view per job, so a sweep copies each job's fields
-// once and allocates nothing.
-func (r *runningSet) each(index []*Job, yield func(*ContactView) bool) {
+// once and allocates nothing. It reports whether yield asked for more.
+func (r *runningSet) each(index []*Job, yield func(*ContactView) bool) bool {
+	more := true
 	for _, j := range index {
 		r.view.fill(j)
-		if !yield(&r.view) {
+		if more = yield(&r.view); !more {
 			break
 		}
 	}
 	r.view = ContactView{}
+	return more
 }
 
 // Running implements ClusterView: one running job by id.

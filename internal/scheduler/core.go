@@ -151,20 +151,19 @@ type Core struct {
 	// Materialized queued-window caches. Arbiter snapshots and the default
 	// policy path consult the head window on every contact; rebuilding it
 	// per event dominated the million-job profile. The caches are keyed on
-	// the queue's version counter (and, for the view slice, the snapshot
-	// timestamp, since Wait ages with the clock) so many contacts landing in
-	// the same tick share one O(k) rebuild into reusable scratch. The slices
-	// returned to callers are therefore owned by Core: snapshot consumers
-	// must not retain them across calls (already the arbiter contract).
+	// the queue's version counter alone (a QueuedView carries its submission
+	// time, not its age), so every contact between two queue changes shares
+	// one O(k) rebuild into reusable scratch. The slices returned to callers
+	// are therefore owned by Core: snapshot consumers must not retain them
+	// across calls (already the arbiter contract).
 	winJobs   []*Job       // scratch: raw window from jobQueue.window
 	winNeeds  []int        // queuedNeeds cache, valid for needsVer
-	winViews  []QueuedView // queuedWindow cache, valid for (viewsVer, viewsNow)
+	winViews  []QueuedView // queuedWindow cache, valid for viewsVer
 	headJobs  []*Job       // startPicked scratch: per-tenant queue heads
 	headViews []QueuedView // startPicked scratch: the same heads as views
 	needsVer  uint64
 	needsOK   bool
 	viewsVer  uint64
-	viewsNow  float64
 	viewsOK   bool
 }
 
@@ -339,7 +338,7 @@ func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
 		}
 		c.headViews = c.headViews[:0]
 		for _, j := range heads {
-			c.headViews = append(c.headViews, queuedView(j, now))
+			c.headViews = append(c.headViews, queuedView(j))
 		}
 		snap := StartSnapshot{
 			Now:         now,
@@ -400,42 +399,42 @@ func (c *Core) queuedNeeds() []int {
 
 // queuedWindow lists the first waiting jobs in queue order as arbiter
 // views, capped at QueuedNeedsWindow (nil when nothing waits). The slice is
-// Core-owned scratch keyed on (queue version, now) — Wait ages with the
-// clock, so a new timestamp forces a rebuild even when the queue itself is
-// unchanged — and must not be retained by snapshot consumers.
-func (c *Core) queuedWindow(now float64) []QueuedView {
+// Core-owned scratch rebuilt only when the queue has changed since the last
+// call, and must not be retained by snapshot consumers.
+func (c *Core) queuedWindow() []QueuedView {
 	if c.queue.len() == 0 {
 		return nil
 	}
-	if !c.viewsOK || c.viewsVer != c.queue.version || c.viewsNow != now {
+	if !c.viewsOK || c.viewsVer != c.queue.version {
 		c.winJobs = c.queue.window(c.winJobs[:0], QueuedNeedsWindow)
 		c.winViews = c.winViews[:0]
 		for _, j := range c.winJobs {
-			c.winViews = append(c.winViews, queuedView(j, now))
+			c.winViews = append(c.winViews, queuedView(j))
 		}
-		c.viewsVer, c.viewsNow, c.viewsOK = c.queue.version, now, true
+		c.viewsVer, c.viewsOK = c.queue.version, true
 	}
 	return c.winViews
 }
 
 // queuedView projects one waiting job into the arbiter's read-only view.
-func queuedView(j *Job, now float64) QueuedView {
+func queuedView(j *Job) QueuedView {
 	return QueuedView{
 		ID:       j.ID,
 		Tenant:   j.Spec.Tenant,
 		Priority: j.Spec.Priority,
 		Need:     j.Spec.InitialTopo.Count(),
-		Wait:     now - j.SubmitTime,
+		Submit:   j.SubmitTime,
 	}
 }
 
 // snapshot assembles the arbiter's view of the cluster at a resize point.
 // Queued and queuedNeeds come from the version-keyed window caches and
-// Tenants from the running set's accumulators, so building a snapshot in a
-// tick where the queue hasn't changed costs O(tenants) and zero allocations.
+// Tenants from the running set's usage list, each rebuilt only when it
+// changed, so a snapshot between two such changes copies a few words and
+// allocates nothing.
 func (c *Core) snapshot(j *Job, now float64) ClusterSnapshot {
 	snap := c.globalSnapshot(now)
-	snap.Caller = contactView(j)
+	snap.Caller.fill(j)
 	return snap
 }
 
@@ -448,7 +447,7 @@ func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
 		Total:       c.Total,
 		Idle:        c.free,
 		Caller:      ContactView{ID: -1},
-		Queued:      c.queuedWindow(now),
+		Queued:      c.queuedWindow(),
 		QueueLen:    c.queue.len(),
 		Tenants:     c.running.tenants(),
 		PendingFree: c.running.pendingFree,

@@ -198,8 +198,12 @@ func (a *FairShare) shares(snap scheduler.ClusterSnapshot) []tenantRow {
 		}
 	}
 	note(snap.Caller.Tenant)
+	last := snap.Caller.Tenant
 	for _, q := range snap.Queued {
-		note(q.Tenant)
+		if q.Tenant != last { // a run of one tenant's jobs is noted once
+			note(q.Tenant)
+			last = q.Tenant
+		}
 	}
 	a.rows = rows
 	if len(rows) <= 1 {
@@ -223,12 +227,15 @@ func search(rows []tenantRow, name string) int {
 
 // victimTenant scans the queued window in queue order for a job from a
 // tenant other than the caller's that sits under its entitled share — the
-// condition under which the tenant level overrides within-tenant logic.
+// condition under which the tenant level overrides within-tenant logic. A
+// run of one tenant's jobs is looked up once.
 func victimTenant(snap scheduler.ClusterSnapshot, caller string, rows []tenantRow) (string, bool) {
+	last := caller
 	for _, q := range snap.Queued {
-		if q.Tenant == caller {
+		if q.Tenant == caller || q.Tenant == last {
 			continue
 		}
+		last = q.Tenant
 		if r := rows[search(rows, q.Tenant)]; float64(r.procs) < r.share {
 			return q.Tenant, true
 		}

@@ -64,7 +64,7 @@ func TestSingleTenantDelegatesVerbatim(t *testing.T) {
 		return over(scheduler.ClusterSnapshot{
 			Now: 50, Total: 36, Idle: 2,
 			Caller:   caller,
-			Queued:   []scheduler.QueuedView{{ID: 1, Need: 4, Wait: 10}},
+			Queued:   []scheduler.QueuedView{{ID: 1, Need: 4, Submit: 40}},
 			QueueLen: 1,
 		}, caller)
 	}
@@ -139,7 +139,7 @@ func TestOverShareCallerDrafted(t *testing.T) {
 	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 12,
 		Caller:   caller,
-		Queued:   []scheduler.QueuedView{{ID: 1, Tenant: "victim", Need: 16, Wait: 5}},
+		Queued:   []scheduler.QueuedView{{ID: 1, Tenant: "victim", Need: 16, Submit: 95}},
 		QueueLen: 1,
 	}, caller)
 	d := New(nil).Decide(snap)
@@ -161,7 +161,7 @@ func TestUnderShareExpansionCapped(t *testing.T) {
 	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 4,
 		Caller:   caller,
-		Queued:   []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Wait: 5}},
+		Queued:   []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}},
 		QueueLen: 1,
 	}, caller, other)
 	// Sanity: the wrapped arbiter alone would let the exempt caller probe

@@ -179,13 +179,13 @@ func (c *LinearCore) queuedNeeds() []int {
 // queuedWindow lists every waiting job as an arbiter view. Unlike Core's
 // bounded window, the reference implementation materializes the whole
 // queue.
-func (c *LinearCore) queuedWindow(now float64) []QueuedView {
+func (c *LinearCore) queuedWindow() []QueuedView {
 	if len(c.queue) == 0 {
 		return nil
 	}
 	out := make([]QueuedView, len(c.queue))
 	for i, j := range c.queue {
-		out[i] = queuedView(j, now)
+		out[i] = queuedView(j)
 	}
 	return out
 }
@@ -205,7 +205,7 @@ func (c *LinearCore) globalSnapshot(now float64) ClusterSnapshot {
 		Total:       c.Total,
 		Idle:        c.free,
 		Caller:      ContactView{ID: -1},
-		Queued:      c.queuedWindow(now),
+		Queued:      c.queuedWindow(),
 		QueueLen:    len(c.queue),
 		Tenants:     c.running.tenants(),
 		PendingFree: c.running.pendingFree,

@@ -108,7 +108,7 @@ func TestPlanShrinksPastKnee(t *testing.T) {
 // idle pool is suppressed when the head needs those processors.
 func TestPlanReservesQueueHead(t *testing.T) {
 	j := runningJob(1, 1, []int{4, 8, 16}, [][2]float64{{4, 16}, {8, 8}}, 100)
-	head := []scheduler.QueuedView{{ID: 9, Priority: 1, Need: 8, Wait: 5}}
+	head := []scheduler.QueuedView{{ID: 9, Priority: 1, Need: 8, Submit: 95}}
 
 	r := New(nil)
 	r.Rebalance(snapOf(8, 32, head, j)) // idle 8, head needs all 8
@@ -216,7 +216,7 @@ func TestDecideHoldsUnfundedExpansion(t *testing.T) {
 func TestPlanDeterministic(t *testing.T) {
 	mkSnap := func() scheduler.ClusterSnapshot {
 		return snapOf(24, 64,
-			[]scheduler.QueuedView{{ID: 9, Priority: 2, Need: 8, Wait: 40}},
+			[]scheduler.QueuedView{{ID: 9, Priority: 2, Need: 8, Submit: 60}},
 			runningJob(1, 1, []int{4, 8, 16, 32}, [][2]float64{{4, 16}, {8, 8}}, 100),
 			runningJob(2, 1, []int{4, 8, 16, 32}, [][2]float64{{4, 6}, {8, 4}}, 100),
 			runningJob(3, 2, []int{4, 8, 16}, [][2]float64{{4, 10}, {8, 7}, {16, 9}}, 40),

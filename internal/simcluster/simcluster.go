@@ -447,10 +447,11 @@ func (s *Sim) beginStarted(started []*scheduler.Job, now float64) error {
 }
 
 // recordIter appends one completed iteration's row to the job's result
-// (dropped wholesale under WithoutIterRecords; the rows never feed back
-// into scheduling). The row slice is sized once to the job's full
-// iteration count, since every iteration produces exactly one row.
-func (s *Sim) recordIter(js *jobState, procs int, topo string, redist float64) {
+// (dropped wholesale under WithoutIterRecords, before the topology is
+// formatted; the rows never feed back into scheduling). The row slice is
+// sized once to the job's full iteration count, since every iteration
+// produces exactly one row.
+func (s *Sim) recordIter(js *jobState, topo grid.Topology, redist float64) {
 	if s.noIters {
 		return
 	}
@@ -463,8 +464,8 @@ func (s *Sim) recordIter(js *jobState, procs int, topo string, redist float64) {
 	}
 	js.result.Iters = append(js.result.Iters, IterRecord{
 		Iter:      js.itersDone,
-		Procs:     procs,
-		Topo:      topo,
+		Procs:     topo.Count(),
+		Topo:      topo.String(),
 		IterTime:  js.lastIter,
 		RedistSec: redist,
 	})
@@ -478,7 +479,7 @@ func (s *Sim) handleResizePoint(e scheduler.Event) error {
 	topo := job.Topo
 
 	if js.itersDone >= js.input.Spec.Iterations {
-		s.recordIter(js, topo.Count(), topo.String(), 0)
+		s.recordIter(js, topo, 0)
 		js.result.End = now
 		started, err := s.core.Finish(e.Job, now)
 		if err != nil {
@@ -489,7 +490,7 @@ func (s *Sim) handleResizePoint(e scheduler.Event) error {
 	}
 
 	if s.mode == Static {
-		s.recordIter(js, topo.Count(), topo.String(), 0)
+		s.recordIter(js, topo, 0)
 		return s.startIteration(js, now)
 	}
 
@@ -499,7 +500,7 @@ func (s *Sim) handleResizePoint(e scheduler.Event) error {
 	}
 	js.lastRed = 0
 	if d.Action == scheduler.ActionNone {
-		s.recordIter(js, topo.Count(), topo.String(), 0)
+		s.recordIter(js, topo, 0)
 		return s.startIteration(js, now)
 	}
 
@@ -512,7 +513,7 @@ func (s *Sim) handleResizePoint(e scheduler.Event) error {
 	}
 	js.lastRed = cost
 	js.result.TotalRedist += cost
-	s.recordIter(js, topo.Count(), topo.String(), cost)
+	s.recordIter(js, topo, cost)
 	s.eng.At(now+cost, scheduler.EvResizeDone, e.Job)
 	return nil
 }

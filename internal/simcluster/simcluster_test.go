@@ -277,3 +277,62 @@ func TestMasterWorkerNoRedistCost(t *testing.T) {
 		t.Error("MW never expanded")
 	}
 }
+
+// TestIterRecordsCarryTopology: each kept iteration row names the
+// configuration the iteration ran on, formatted as before — Topo.String()
+// and Topo.Count() of the job's latest start, expand or shrink — and
+// WithoutIterRecords keeps no rows without changing the outcome.
+func TestIterRecordsCarryTopology(t *testing.T) {
+	p := perfmodel.SystemX()
+	jobs := []JobInput{
+		luJob("a", 12000, topo(1, 2), 0, 12),
+		luJob("b", 14000, topo(2, 2), 50, 10),
+		luJob("c", 8000, topo(2, 3), 100, 10),
+		luJob("d", 21000, topo(4, 4), 150, 6),
+	}
+	res, err := New(50, Dynamic, p, jobs).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[string][]grid.Topology{}
+	for _, e := range res.Events {
+		switch e.Kind {
+		case "start", "expand", "shrink":
+			held[e.Job] = append(held[e.Job], e.Topo)
+		}
+	}
+	resized := 0
+	for _, j := range res.Jobs {
+		var runs []IterRecord
+		for _, r := range j.Iters {
+			if len(runs) == 0 || runs[len(runs)-1].Topo != r.Topo {
+				runs = append(runs, r)
+			}
+		}
+		want := held[j.Name]
+		if len(runs) != len(want) {
+			t.Fatalf("job %s: rows run on %d configurations, events name %d", j.Name, len(runs), len(want))
+		}
+		for i, r := range runs {
+			if r.Topo != want[i].String() || r.Procs != want[i].Count() {
+				t.Fatalf("job %s configuration %d: row says %q on %d procs, events say %v", j.Name, i, r.Topo, r.Procs, want[i])
+			}
+		}
+		resized += len(want) - 1
+	}
+	if resized == 0 {
+		t.Fatal("no job resized: the rows name one configuration each")
+	}
+	bare, err := New(50, Dynamic, p, jobs).WithoutIterRecords().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range bare.Jobs {
+		if j.Iters != nil {
+			t.Fatalf("job %s kept %d rows under WithoutIterRecords", j.Name, len(j.Iters))
+		}
+	}
+	if bare.Makespan != res.Makespan {
+		t.Fatalf("makespan %v without rows, %v with", bare.Makespan, res.Makespan)
+	}
+}
