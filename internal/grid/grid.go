@@ -122,12 +122,18 @@ func Grow(t Topology, n int) (Topology, bool) {
 // n starting from the given topology, growing by the smallest-dimension rule
 // until the processor count would exceed maxProcs. The starting topology is
 // included. This reproduces the configuration chains of the paper's Table 2.
+// Each step is Grow's, with the divisors of n computed once per chain.
 func GrowthChain(start Topology, n, maxProcs int) []Topology {
-	chain := []Topology{start.Normalized()}
 	cur := start.Normalized()
+	chain := []Topology{cur}
+	ds := Divisors(n)
 	for {
-		next, ok := Grow(cur, n)
-		if !ok || next.Count() > maxProcs {
+		i := sort.SearchInts(ds, cur.Rows+1) // nextDivisor(n, cur.Rows)
+		if i == len(ds) {
+			break
+		}
+		next := Topology{ds[i], cur.Cols}.Normalized()
+		if next.Count() > maxProcs {
 			break
 		}
 		chain = append(chain, next)

@@ -131,6 +131,59 @@ func checkExpandable(cluster ClusterView, want RunningViews) error {
 	return nil
 }
 
+// feedKey is everything about a running job the change feed promises to
+// report a change of.
+type feedKey struct {
+	topo        grid.Topology
+	remaining   int
+	stamp       uint64
+	pendingFree int
+}
+
+// feedReader reads a running set's change feed after every op, keeping its
+// cursor across ops the way a planner keeps it across ticks, and holds what
+// it is told to what it can see for itself.
+type feedReader struct {
+	rs     *runningSet
+	cursor Cursor
+	keys   map[int]feedKey // each running job's key at the last read
+}
+
+// check reads the feed. It must resync exactly when the reader is new to
+// rs (its first read, or a restored core's), and otherwise name every job
+// that started or finished since the last read and every running job whose
+// key changed.
+func (f *feedReader) check(rs *runningSet, jobs []*Job) error {
+	named := map[int]bool{}
+	next, ok := rs.Changes(f.cursor, func(id int) { named[id] = true })
+	if wantOK := f.rs == rs; ok != wantOK {
+		return fmt.Errorf("Changes ok = %v, want %v (a resync exactly when the reader is new to the set)", ok, wantOK)
+	}
+	keys := map[int]feedKey{}
+	for _, j := range jobs {
+		if j.State == Running {
+			keys[j.ID] = feedKey{topo: j.Topo, remaining: remainingIters(j), stamp: j.Profile.Stamp(), pendingFree: j.pendingFree}
+		}
+	}
+	if ok {
+		for id := range keys {
+			if was, had := f.keys[id]; (!had || was != keys[id]) && !named[id] {
+				return fmt.Errorf("job %d started or changed (%+v -> %+v) and the feed did not name it", id, was, keys[id])
+			}
+		}
+		for id := range f.keys {
+			if _, has := keys[id]; !has && !named[id] {
+				return fmt.Errorf("job %d finished and the feed did not name it", id)
+			}
+		}
+	}
+	if _, ok := (RunningViews{}).Changes(next, func(int) {}); ok {
+		return fmt.Errorf("RunningViews.Changes said ok")
+	}
+	f.rs, f.cursor, f.keys = rs, next, keys
+	return nil
+}
+
 // diceArbiter answers contacts with random legal (and, now and then,
 // ungrantable) resizes, so op sequences reach every transition of the
 // bookkeeping — repeated shrinks before a ResizeComplete, an expansion whose
@@ -184,7 +237,8 @@ type aggregateCore interface {
 // round trip in the middle of each Core sequence — and after every single op
 // compares the idle count, the queued views, Tenants, PendingFree, the
 // per-job iteration counters, the shrinkable and expandable indexes and the
-// running views with a plain sweep over the jobs.
+// running views with a plain sweep over the jobs, and holds the change feed
+// to the jobs' own keys through a reader that keeps its cursor across ops.
 func TestAggregatesMatchSweep(t *testing.T) {
 	tenants := []string{"", "blue", "green"}
 	for seed := int64(0); seed < 240; seed++ {
@@ -194,6 +248,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 			arb := &diceArbiter{rng: rand.New(rand.NewSource(seed + 1000))}
 			var core aggregateCore
 			var rs *runningSet
+			var feed feedReader
 			install := func(c aggregateCore, set *runningSet) {
 				core, rs = c, set
 				arb.check = func(snap ClusterSnapshot) {
@@ -269,15 +324,18 @@ func TestAggregatesMatchSweep(t *testing.T) {
 				if err := checkAggregates(rs, core.Jobs(), core.globalSnapshot(now)); err != nil {
 					t.Fatalf("seed %d linear=%v op %d after %s: %v", seed, linear, op, step, err)
 				}
+				if err := feed.check(rs, core.Jobs()); err != nil {
+					t.Fatalf("seed %d linear=%v op %d after %s: change feed: %v", seed, linear, op, step, err)
+				}
 			}
 		}
 	}
 }
 
-// TestPublishedPathNeverBuildsExpandableIndex: the expandable index exists
-// for arbiters that ask for it. A core on the published single-job path —
-// no arbiter — starts, expands, shrinks and finishes jobs without ever
-// filing one there.
+// TestPublishedPathNeverBuildsExpandableIndex: the expandable index and the
+// change log exist for arbiters that ask for them. A core on the published
+// single-job path — no arbiter — starts, expands, shrinks and finishes jobs
+// without ever filing one in either.
 func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewCore(48, true)
@@ -316,5 +374,8 @@ func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	}
 	if c.running.expIndexed || c.running.expandable != nil {
 		t.Fatalf("published path built the expandable index: %d buckets", len(c.running.expandable))
+	}
+	if c.running.logging || c.running.log != nil {
+		t.Fatalf("published path kept a change log: %d entries", len(c.running.log))
 	}
 }

@@ -76,9 +76,15 @@ func TenantProcs(tenants []TenantUsage, name string) int {
 // the sums arbiters used to sweep for are snapshot fields (Tenants,
 // PendingFree), EachShrinkable visits only the jobs a shrink plan can draft,
 // EachExpandable only the jobs whose next step contends for a window of the
-// idle pool, and Running looks one job up, which leaves EachRunning to the
-// one decision that genuinely ranks every job: a planning tick. The default
+// idle pool, and Running looks one job up. A planning tick, the one decision
+// that ranks every job, keeps its own per-job state and reads Changes for the
+// jobs to bring up to date, walking EachRunning only to resync. The default
 // arbiter calls none of it.
+//
+// A running job's view changes only through the core's ops (a start,
+// Contact, ResizeComplete, Finish, Fail): the Profile a view points to must
+// not be written any other way while the job runs, or Changes cannot report
+// it.
 type ClusterView interface {
 	// EachRunning yields a view of every running job in ascending job-id
 	// order (deterministic), stopping early when yield returns false. The
@@ -100,6 +106,24 @@ type ClusterView interface {
 	// Running returns the view of one running job (false when the id is
 	// queued, done or unknown).
 	Running(id int) (ContactView, bool)
+	// Changes yields, in no set order and perhaps more than once, the id of
+	// every job that started or finished since c was handed out, and of
+	// every running job whose Topo, RemainingIters, PendingFree or
+	// Profile.Stamp() changed since then; it returns the cursor for the next
+	// call. ok is false when it cannot say — c is the zero Cursor or another
+	// set's, too much changed since, or the producer keeps no feed
+	// (RunningViews) — and then nothing is yielded and the caller resyncs by
+	// walking EachRunning. A feed serves one reader: a second reader's older
+	// cursor resyncs. Core keeps the feed only once it is first asked.
+	Changes(c Cursor, yield func(id int)) (next Cursor, ok bool)
+}
+
+// Cursor is a reader's position in a ClusterView's change feed. It is
+// derived state: never persisted or journaled, so a restored core's first
+// Changes call resyncs.
+type Cursor struct {
+	set *runningSet
+	seq uint64
 }
 
 // ClusterSnapshot is everything an Arbiter sees at one resize point. The
@@ -192,6 +216,10 @@ func (v RunningViews) Running(id int) (ContactView, bool) {
 	}
 	return ContactView{}, false
 }
+
+// Changes implements ClusterView: a fixed set keeps no feed, so every reader
+// resyncs.
+func (v RunningViews) Changes(Cursor, func(int)) (Cursor, bool) { return Cursor{}, false }
 
 // Aggregates sums the set into name-sorted per-tenant usage and the total of
 // in-flight give-backs.

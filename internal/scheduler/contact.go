@@ -41,9 +41,10 @@ func remainingIters(j *Job) int { return j.Spec.Iterations - j.itersDone }
 
 // recordIteration files a reported iteration time in the job's performance
 // profile and counts it, so remainingIters never re-sums the visits.
-func recordIteration(j *Job, iterTime float64) {
+func (r *runningSet) recordIteration(j *Job, iterTime float64) {
 	j.Profile.RecordIteration(j.Topo, iterTime)
 	j.itersDone++
+	r.changed(j)
 }
 
 // profiledIters is the sweep itersDone caches: every iteration time on file.
@@ -91,17 +92,6 @@ func validateContact(jobs map[int]*Job, jobID int, topo grid.Topology) (*Job, er
 		return nil, fmt.Errorf("scheduler: job %d reports topology %v, scheduler has %v",
 			jobID, topo, j.Topo)
 	}
-	return j, nil
-}
-
-// beginContact validates a contact_scheduler call and records the reported
-// iteration time in the job's performance profile.
-func beginContact(jobs map[int]*Job, jobID int, topo grid.Topology, iterTime float64) (*Job, error) {
-	j, err := validateContact(jobs, jobID, topo)
-	if err != nil {
-		return nil, err
-	}
-	recordIteration(j, iterTime)
 	return j, nil
 }
 
@@ -154,6 +144,12 @@ type runningSet struct {
 	// arbiter never asks (the published policy path) pays nothing for it.
 	expandable []expBucket
 	expIndexed bool
+	// log is the change feed behind Changes, from feed position logBase on.
+	// Like the expandable index it is kept only once an arbiter asks
+	// (logging), and it is never persisted or journaled.
+	log     []int
+	logBase uint64
+	logging bool
 
 	// accts holds one accumulator per tenant name ever submitted; active is
 	// the name-sorted subset with running jobs, the order snapshots list
@@ -229,10 +225,11 @@ func (r *runningSet) start(j *Job) {
 	r.pendingFree += j.pendingFree
 	r.reindexShrinkable(j)
 	r.fileExpandable(j)
+	r.changed(j)
 }
 
 // finish withdraws a completed job, in-flight give-back included: the
-// caller returns all of its processors to the pool.
+// caller returns all of its processors to the pool. released logs it.
 func (r *runningSet) finish(j *Job) {
 	r.jobs = removeByID(r.jobs, j)
 	a := j.tenant
@@ -260,6 +257,7 @@ func (r *runningSet) retopo(j *Job, to grid.Topology) {
 	j.Topo = to
 	r.reindexShrinkable(j)
 	r.fileExpandable(j)
+	r.changed(j)
 }
 
 // reindexShrinkable files j under its current topology.
@@ -329,6 +327,42 @@ func (r *runningSet) unfileExpandable(j *Job) {
 func (r *runningSet) released(j *Job) {
 	r.pendingFree -= j.pendingFree
 	j.pendingFree = 0
+	r.changed(j)
+}
+
+// changed logs j (started, moved, released a give-back, finished, or had an
+// iteration or redistribution cost filed) once logging is on; a repeat of
+// the last entry adds nothing. Past 4·running + 64 entries the log is dropped
+// and its base moved past every cursor handed out, so the reader resyncs.
+func (r *runningSet) changed(j *Job) {
+	if !r.logging {
+		return
+	}
+	n := len(r.log)
+	if n > 0 && r.log[n-1] == j.ID {
+		return
+	}
+	if n >= 4*len(r.jobs)+64 {
+		r.logBase += uint64(n) + 1
+		r.log = r.log[:0]
+	}
+	r.log = append(r.log, j.ID)
+}
+
+// Changes implements ClusterView over the change log, turning it on at the
+// first call. The log keeps only what its reader has not read, so it serves
+// one reader: a second one's older cursor resyncs.
+func (r *runningSet) Changes(c Cursor, yield func(id int)) (Cursor, bool) {
+	ok := r.logging && c.set == r && c.seq >= r.logBase
+	if ok {
+		for _, id := range r.log[c.seq-r.logBase:] {
+			yield(id)
+		}
+	}
+	r.logging = true
+	r.logBase += uint64(len(r.log))
+	r.log = r.log[:0]
+	return Cursor{set: r, seq: r.logBase}, ok
 }
 
 // tenants lists every tenant with running jobs in ascending name order,
@@ -422,10 +456,11 @@ func (r *runningSet) applyDecision(j *Job, d Decision, free *int, record func(ki
 // profiler and returns the number of processors a pending shrink should now
 // release (0 when the resize freed nothing). The caller returns them to the
 // pool and then reports the give-back as released.
-func finishResize(j *Job, redistTime float64) int {
+func (r *runningSet) finishResize(j *Job, redistTime float64) int {
 	if j.resizeFrom.IsValid() {
 		j.Profile.RecordRedist(j.resizeFrom, j.Topo, redistTime)
 		j.resizeFrom = grid.Topology{}
+		r.changed(j)
 	}
 	return j.pendingFree
 }

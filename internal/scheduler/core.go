@@ -473,7 +473,7 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	}); err != nil {
 		return Decision{}, err
 	}
-	recordIteration(j, iterTime)
+	c.running.recordIteration(j, iterTime)
 	var d Decision
 	if c.arb != nil {
 		d = c.arb.Decide(c.snapshot(j, now))
@@ -495,7 +495,7 @@ func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Jo
 	if err := c.journalOp(Op{Kind: OpResizeComplete, Now: now, JobID: jobID, RedistTime: redistTime}); err != nil {
 		return nil, err
 	}
-	if freed := finishResize(j, redistTime); freed > 0 {
+	if freed := c.running.finishResize(j, redistTime); freed > 0 {
 		c.free += freed
 		c.running.released(j)
 		return c.TrySchedule(now), nil

@@ -225,10 +225,11 @@ func (c *LinearCore) Rebalance(now float64) error {
 
 // Contact is the Remap Scheduler entry point (reference implementation).
 func (c *LinearCore) Contact(jobID int, topo grid.Topology, iterTime, redistTime float64, now float64) (Decision, error) {
-	j, err := beginContact(c.jobs, jobID, topo, iterTime)
+	j, err := validateContact(c.jobs, jobID, topo)
 	if err != nil {
 		return Decision{}, err
 	}
+	c.running.recordIteration(j, iterTime)
 	var d Decision
 	if c.arb != nil {
 		d = c.arb.Decide(c.snapshot(j, now))
@@ -244,7 +245,7 @@ func (c *LinearCore) ResizeComplete(jobID int, redistTime float64, now float64) 
 	if !ok {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)
 	}
-	if freed := finishResize(j, redistTime); freed > 0 {
+	if freed := c.running.finishResize(j, redistTime); freed > 0 {
 		c.free += freed
 		c.running.released(j)
 		return c.TrySchedule(now), nil

@@ -33,11 +33,11 @@
 //     help the job itself, and the freed processors are pure surplus.
 //
 // Determinism: the plan is a pure function of the cluster snapshot and
-// the Rebalancer's configuration. Jobs are scanned in ascending id order,
-// candidate moves are ranked with full tie-breaks, and the curve fitter
-// is itself deterministic — so a recovered daemon that replays a
-// journaled OpRebalance tick recomputes the identical plan (pinned by
-// the crash tests in internal/simcluster).
+// the Rebalancer's configuration. The order its views sit in cannot show:
+// the shrink phase only sums, candidate moves are ranked with full
+// tie-breaks by job id, and the curve fitter is itself deterministic — so
+// a recovered daemon that replays a journaled OpRebalance tick recomputes
+// the identical plan (pinned by the crash tests in internal/simcluster).
 package rebalance
 
 import (
@@ -79,6 +79,11 @@ type Plan struct {
 // directives take precedence over Inner for the jobs they name. The zero
 // value is NOT ready — use New. Predict and RedistCost are configuration:
 // set them before the first tick, as views keep what they priced.
+//
+// A tick reads the cluster's change feed (ClusterView.Changes) and touches
+// only the jobs it names, so a Rebalancer is one core's reader: ticks on
+// another running set, or a second reader of the same feed, resync by
+// walking every running job.
 type Rebalancer struct {
 	// Inner handles every contact the current plan has no directive for:
 	// probing, queue funding, starvation aging all behave exactly as in
@@ -104,18 +109,21 @@ type Rebalancer struct {
 	directives map[int]Directive
 
 	// Planning state, kept from tick to tick and never handed out:
-	// Directives and OnPlan get fresh copies. jobs holds the views in id
-	// order (filed and walk are collect's cursors into it, carryFn its
-	// callback); cluster is the running set they were read from, kept only
-	// to compare.
-	jobs        []jobView
-	filed, walk int
-	carryFn     func(*scheduler.ContactView) bool
-	cluster     scheduler.ClusterView
-	exps        []expansion
-	obs         []perfmodel.SpeedupObs
+	// Directives and OnPlan get fresh copies. jobs holds one view per planned
+	// job in no set order, at[id] is 1 + the slot of job id's view (0: none)
+	// and cursor is where the change feed was last read. cluster, refreshFn
+	// and walkFn serve collect (a method value allocates, so bound once).
+	jobs      []jobView
+	at        []int32
+	cursor    scheduler.Cursor
+	cluster   scheduler.ClusterView
+	refreshFn func(int)
+	walkFn    func(*scheduler.ContactView) bool
+	exps      []expansion
+	heap      []standing
+	obs       []perfmodel.SpeedupObs
 
-	built, priced int // views built and bids priced, for the cost tests
+	built, priced, walked int // views built, bids priced and running jobs walked, for the cost tests
 }
 
 var (
@@ -252,7 +260,36 @@ type expansion struct {
 	j    *jobView
 	next int     // rungs won so far: j.bids[next] is the standing bid
 	gain float64 // accumulated net gain (redist charged once)
-	done bool    // no further bid: chain exhausted, unpriceable, or a blind rung won
+}
+
+// standing is a standing bid's entry in the water-filling heap: the top is
+// the highest perProc, the lowest id among equals.
+type standing struct {
+	perProc float64
+	id      int
+	exp     int // index into the tick's expansions
+}
+
+func (a standing) above(b standing) bool {
+	return a.perProc > b.perProc || a.perProc == b.perProc && a.id < b.id
+}
+
+// down restores the heap order below h[i].
+func down(h []standing, i int) {
+	for {
+		top, l := i, 2*i+1
+		if l < len(h) && h[l].above(h[top]) {
+			top = l
+		}
+		if l+1 < len(h) && h[l+1].above(h[top]) {
+			top = l + 1
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
 }
 
 // priceAt predicts seconds per iteration for the job on t: measured
@@ -298,7 +335,7 @@ func (r *Rebalancer) redistCost(j *jobView, to grid.Topology) float64 {
 // from a caller-less cluster snapshot. The previous plan is discarded
 // wholesale — directives represent the latest tick's view only.
 func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
-	jobs := r.collect(snap)
+	r.collect(snap)
 
 	// Expansion budget: the idle pool, minus the queue head's full need
 	// when anything waits (planning must not expand over the job the
@@ -309,63 +346,16 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 	}
 
 	// Phase 1 — shrink past the knee (each view's candidate is worked out
-	// by view); every other job with a standing first bid enters phase 2.
+	// by view). It only sums, so the views' slot order cannot show.
 	clear(r.directives)
-	exps := r.exps[:0]
-	for i := range jobs {
-		j := &jobs[i]
-		switch {
-		case j.shrink.sec > r.MinGainSeconds:
+	for i := range r.jobs {
+		if j := &r.jobs[i]; j.shrink.sec > r.MinGainSeconds {
 			r.directives[j.id] = Directive{JobID: j.id, From: j.topo, To: j.shrink.topo, Gain: j.shrink.sec}
 			budget += j.topo.Count() - j.shrink.topo.Count()
-		case r.bidAt(j, 0):
-			exps = append(exps, expansion{j: j})
 		}
 	}
-	r.exps = exps
-
-	// Phase 2 — expansion water-filling. Every undirected job advances
-	// along its configuration chain one rung at a time, but all jobs bid
-	// against each other for every processor: each round the job with the
-	// highest marginal gain per extra processor wins its next rung, then
-	// re-bids from the new planned position. A job can therefore jump
-	// several rungs in one plan (the fitted curve scores configurations
-	// one-step probing would take several resize points to reach), yet a
-	// shallow second rung never beats another job's steep first rung —
-	// water level, not queue order, decides.
-	for {
-		var best *expansion
-		bestPerProc := 0.0
-		for i := range exps {
-			e := &exps[i]
-			if e.done {
-				continue
-			}
-			b := &e.j.bids[e.next]
-			if b.delta > budget || b.marginal <= r.MinGainSeconds {
-				continue
-			}
-			if best == nil || b.perProc > bestPerProc || (b.perProc == bestPerProc && e.j.id < best.j.id) {
-				best, bestPerProc = e, b.perProc
-			}
-		}
-		if best == nil {
-			break
-		}
-		won := best.j.bids[best.next]
-		budget -= won.delta
-		best.gain += won.marginal
-		best.next++
-		// A rung priced by the Predict hook alone is a probe step, not a
-		// curve-backed jump: advance at most one such rung per plan, so a
-		// job with no evidence grows at the reactive arbiter's pace and
-		// cannot swallow the idle pool ahead of future arrivals.
-		best.done = won.blind || !r.bidAt(best.j, best.next)
-	}
-	for i := range exps {
-		if e := &exps[i]; e.next > 0 {
-			r.directives[e.j.id] = Directive{JobID: e.j.id, From: e.j.topo, To: e.j.rungs[e.next-1], Gain: e.gain}
-		}
+	if budget > 0 {
+		r.expand(budget)
 	}
 
 	if r.OnPlan != nil {
@@ -373,21 +363,79 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 	}
 }
 
-// bidAt reports whether the job stands a bid for rungs[k], pricing it on
-// first need. A job climbs its rungs in order, so k is at most len(j.bids).
-func (r *Rebalancer) bidAt(j *jobView, k int) bool {
+// expand is phase 2, expansion water-filling. Every job phase 1 left alone
+// advances along its configuration chain one rung at a time, but all jobs
+// bid against each other for every processor: each round the job with the
+// highest marginal gain per extra processor wins its next rung, then re-bids
+// from the new planned position. A job can therefore jump several rungs in
+// one plan (the fitted curve scores configurations one-step probing would
+// take several resize points to reach), yet a shallow second rung never
+// beats another job's steep first rung — water level, not queue order,
+// decides, and equal levels go to the lower id.
+//
+// The standing bids sit in a heap. The budget only falls, so a bid that
+// does not fit when it stands or when it reaches the top never will, and
+// leaves the heap for the rest of the tick; once the budget is below every
+// standing bid's delta, none is left that could win.
+func (r *Rebalancer) expand(budget int) {
+	exps, h, least := r.exps[:0], r.heap[:0], budget+1
+	for i := range r.jobs {
+		if j := &r.jobs[i]; j.shrink.sec <= r.MinGainSeconds && r.eligible(j, 0, budget) {
+			h = append(h, standing{j.bids[0].perProc, j.id, len(exps)})
+			exps = append(exps, expansion{j: j})
+			least = min(least, j.bids[0].delta)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(h, i)
+	}
+	for len(h) > 0 && budget >= least {
+		e := &exps[h[0].exp]
+		won := e.j.bids[e.next]
+		if won.delta <= budget {
+			budget -= won.delta
+			e.gain += won.marginal
+			e.next++
+			// A rung priced by the Predict hook alone is a probe step, not a
+			// curve-backed jump: advance at most one such rung per plan, so a
+			// job with no evidence grows at the reactive arbiter's pace and
+			// cannot swallow the idle pool ahead of future arrivals.
+			if !won.blind && r.eligible(e.j, e.next, budget) {
+				h[0].perProc = e.j.bids[e.next].perProc
+				least = min(least, e.j.bids[e.next].delta)
+				down(h, 0)
+				continue
+			}
+		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		down(h, 0)
+	}
+	for i := range exps {
+		if e := &exps[i]; e.next > 0 {
+			r.directives[e.j.id] = Directive{JobID: e.j.id, From: e.j.topo, To: e.j.rungs[e.next-1], Gain: e.gain}
+		}
+	}
+	r.exps, r.heap = exps, h
+}
+
+// eligible reports whether the job's bid for rungs[k] can win now: it is
+// priced (on first need), fits the budget and beats MinGainSeconds.
+func (r *Rebalancer) eligible(j *jobView, k, budget int) bool {
 	if k == len(j.bids) {
 		if k == len(j.rungs) {
 			return false
 		}
 		j.bids = append(j.bids, r.price(j, k))
 	}
-	return j.bids[k].ok
+	b := &j.bids[k]
+	return b.ok && b.delta <= budget && b.marginal > r.MinGainSeconds
 }
 
 // price prices the job's bid for rungs[k] from the rung before it. The
 // first rung's bid is charged the redistribution cost: the whole
-// multi-rung move is one redistribution.
+// multi-rung move is one redistribution. A rung nothing prices, or prices
+// at a non-finite time or gain, gets no bid: the heap needs a total order.
 func (r *Rebalancer) price(j *jobView, k int) bid {
 	r.priced++
 	from, cur := j.topo, j.curTime
@@ -396,86 +444,93 @@ func (r *Rebalancer) price(j *jobView, k int) bid {
 	}
 	to := j.rungs[k]
 	after, blind, ok := r.priceAt(j, to)
-	if !ok {
-		return bid{}
-	}
-	delta := to.Count() - from.Count() // > 0: each rung is NextInChain of the one before
 	marginal := (cur - after) * float64(j.remIters)
 	if k == 0 {
 		marginal -= r.redistCost(j, to)
 	}
+	if !ok || !finite(after) || !finite(marginal) {
+		return bid{}
+	}
+	delta := to.Count() - from.Count() // > 0: each rung has more processors than the one before
 	return bid{ok: true, blind: blind, delta: delta, marginal: marginal, perProc: marginal / float64(delta), at: after}
 }
 
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
 // collect brings the planner's working views up to date with the
-// snapshot, one per running job in ascending id order. Jobs mid-shrink
-// (pending frees) are excluded — their topology is in flux. A job with no
-// measured baseline on its current configuration (fresh start, iteration
-// in flight after a resize) is still planned when the fitted curve or the
-// Predict hook can price that baseline: excluding such jobs would blind
-// the planner to exactly the jobs that just moved, and their unclaimed
-// benefit would be handed to whoever measured last.
+// snapshot, one per running job. Jobs mid-shrink (pending frees) are
+// excluded — their topology is in flux. A job with no measured baseline
+// on its current configuration (fresh start, iteration in flight after a
+// resize) is still planned when the fitted curve or the Predict hook can
+// price that baseline: excluding such jobs would blind the planner to
+// exactly the jobs that just moved, and their unclaimed benefit would be
+// handed to whoever measured last.
 //
-// A job whose id, Topo, RemainingIters and Profile stamp equal its last
-// view's keeps that view, bids and all; any other's is rebuilt. Those are
-// all a view reads that can change (Chain is the spec's, the hooks are
-// configuration). Stamps compare only within one running set, so nothing
-// is carried across a new snap.Cluster (a restored core, another set).
-func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) []jobView {
-	if !sameCluster(snap.Cluster, r.cluster) {
-		r.jobs = r.jobs[:0]
+// The cluster's change feed names the jobs that may have changed since the
+// last tick; only those are looked up. A job whose Topo, RemainingIters and
+// Profile stamp equal its view's keeps that view, bids and all; any other's
+// is rebuilt. Those are all a view reads that can change (Chain is the
+// spec's, the hooks are configuration). When the feed cannot say (first
+// tick, a restored core, another set, an overflowed feed), every view is
+// dropped and EachRunning rebuilds them: stamps compare only within one
+// running set.
+func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) {
+	if r.refreshFn == nil {
+		r.refreshFn, r.walkFn = r.refresh, r.walk
 	}
 	r.cluster = snap.Cluster
-	r.filed, r.walk = 0, 0
-	if r.carryFn == nil {
-		r.carryFn = r.carry // bound once: a method value allocates
+	var ok bool
+	if r.cursor, ok = snap.Cluster.Changes(r.cursor, r.refreshFn); !ok {
+		for i := range r.jobs {
+			r.at[r.jobs[i].id] = 0
+		}
+		r.jobs = r.jobs[:0]
+		snap.Cluster.EachRunning(r.walkFn)
 	}
-	snap.Cluster.EachRunning(r.carryFn)
-	r.jobs = r.jobs[:r.filed]
-	return r.jobs
+	r.cluster = nil
 }
 
-// carry files one running job's view in place: r.jobs[:filed] is this
-// tick's views so far, r.jobs[walk:] last tick's not yet reached, and the
-// slots between are free (their jobs left, or their views moved down).
-// Views move only by swapping slots, so each slot's slices stay its own.
-func (r *Rebalancer) carry(v *scheduler.ContactView) bool {
-	if v.PendingFree != 0 {
-		return true
+// refresh brings the view of one job the feed names up to date.
+func (r *Rebalancer) refresh(id int) {
+	if v, ok := r.cluster.Running(id); ok && v.PendingFree == 0 {
+		r.file(&v)
+		return
 	}
-	for r.walk < len(r.jobs) && r.jobs[r.walk].id < v.ID {
-		r.walk++
+	if id >= len(r.at) || r.at[id] == 0 {
+		return
 	}
-	n := r.filed
-	r.filed++
-	if k := r.walk; k < len(r.jobs) && r.jobs[k].id == v.ID {
-		r.jobs[n], r.jobs[k] = r.jobs[k], r.jobs[n]
-		r.walk++
-		if j := &r.jobs[n]; j.topo == v.Topo && j.remIters == max(v.RemainingIters, 1) && j.stamp == v.Profile.Stamp() {
-			return true
-		}
-	} else if n == k {
-		// No free slot below the views still to reach: shift them up one,
-		// into the spare slot past the end.
-		m := len(r.jobs)
-		r.jobs = slices.Grow(r.jobs, 1)[:m+1]
-		spare := r.jobs[m]
-		copy(r.jobs[n+1:], r.jobs[n:m])
-		r.jobs[n] = spare
-		r.walk++
+	// Drop the view; its storage waits past the end for the next one filed.
+	i, last := r.at[id]-1, len(r.jobs)-1
+	r.jobs[i], r.jobs[last] = r.jobs[last], r.jobs[i]
+	r.at[r.jobs[i].id] = i + 1
+	r.at[id] = 0
+	r.jobs = r.jobs[:last]
+}
+
+// walk files one running job's view during a resync.
+func (r *Rebalancer) walk(v *scheduler.ContactView) bool {
+	r.walked++
+	if v.PendingFree == 0 {
+		r.file(v)
 	}
-	r.view(&r.jobs[n], v)
 	return true
 }
 
-// sameCluster reports whether two ticks read one running set: the same
-// Core's, or the same backing array of a hand-built RunningViews.
-func sameCluster(a, b scheduler.ClusterView) bool {
-	if av, ok := a.(scheduler.RunningViews); ok {
-		bv, ok := b.(scheduler.RunningViews)
-		return ok && len(av) > 0 && len(av) == len(bv) && &av[0] == &bv[0]
+// file keeps or rebuilds one running job's view; a new job's goes in the
+// slot past the end, reusing the storage left there.
+func (r *Rebalancer) file(v *scheduler.ContactView) {
+	if v.ID >= len(r.at) {
+		r.at = append(r.at, make([]int32, v.ID+1-len(r.at))...)
 	}
-	return a == b
+	i := r.at[v.ID] - 1
+	if i < 0 {
+		i = int32(len(r.jobs))
+		r.jobs = slices.Grow(r.jobs, 1)[:i+1]
+		r.at[v.ID] = i + 1
+	} else if j := &r.jobs[i]; j.topo == v.Topo && j.remIters == max(v.RemainingIters, 1) && j.stamp == v.Profile.Stamp() {
+		return
+	}
+	r.view(&r.jobs[i], v)
 }
 
 // view rebuilds a view from one running job. A job nothing can price on
@@ -517,13 +572,13 @@ func (r *Rebalancer) view(j *jobView, v *scheduler.ContactView) {
 		return
 	}
 	j.curTime = cur
-	for t := v.Topo; ; {
-		next, ok := scheduler.NextInChain(v.Chain, t)
-		if !ok {
-			break
+	// NextInChain from v.Topo, then from each rung it returns, in one pass.
+	top := v.Topo.Count()
+	for _, t := range v.Chain {
+		if t.Count() > top {
+			j.rungs = append(j.rungs, t)
+			top = t.Count()
 		}
-		j.rungs = append(j.rungs, next)
-		t = next
 	}
 	tops, nr := v.Profile.AppendShrinkPoints(j.rungs, v.Topo), len(j.rungs)
 	j.rungs, j.shrinks = tops[:nr], tops[nr:]

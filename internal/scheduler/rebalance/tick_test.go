@@ -111,8 +111,9 @@ func TestUnchangedTickPricesNothing(t *testing.T) {
 
 // BenchmarkRebalanceTick times one planning tick (ns/op) over the 200-job
 // standing fixture: steady re-plans an unchanged cluster, one-changed has
-// one job record an iteration between ticks, so its view is rebuilt and its
-// bids re-priced. views/op and bids/op count the work done per tick.
+// one job at the top of its chain contact the core between ticks, so its
+// view is rebuilt. views/op and bids/op count the work done per tick,
+// walked/op the running jobs a tick walks (0: it read the change feed).
 func BenchmarkRebalanceTick(b *testing.B) {
 	for _, changed := range []bool{false, true} {
 		name := "steady"
@@ -121,23 +122,33 @@ func BenchmarkRebalanceTick(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			core, reb := rebalanceStanding(b)
-			jobs := core.Jobs()
+			var topped []*scheduler.Job // nothing to expand to: a contact changes no plan
+			for _, j := range core.Jobs() {
+				if _, ok := scheduler.NextInChain(j.Spec.Chain, j.Topo); !ok {
+					topped = append(topped, j)
+				}
+			}
 			tick := ticker(b, core)
 			tick()
 			views, bids := reb.Costs()
+			walked := reb.Walked()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if changed {
-					// A repeat of the job's last time: the plan stays the same.
-					j := jobs[i%len(jobs)]
-					j.Profile.RecordIteration(j.Topo, j.Profile.Current().Last())
+					// A repeat of the job's last time, through the core.
+					j := topped[i%len(topped)]
+					d, err := core.Contact(j.ID, j.Topo, j.Profile.Current().Last(), 0, 2)
+					if err != nil || d.Action != scheduler.ActionNone {
+						b.Fatalf("job %d at the top of its chain was resized: %+v, %v", j.ID, d, err)
+					}
 				}
 				tick()
 			}
 			v, p := reb.Costs()
 			b.ReportMetric(float64(v-views)/float64(b.N), "views/op")
 			b.ReportMetric(float64(p-bids)/float64(b.N), "bids/op")
+			b.ReportMetric(float64(reb.Walked()-walked)/float64(b.N), "walked/op")
 		})
 	}
 }
