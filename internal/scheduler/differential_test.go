@@ -1,42 +1,52 @@
 package scheduler
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/grid"
 )
 
-// TestCoreMatchesLinearReference drives the event-indexed Core and the
-// pre-refactor LinearCore with identical random operation sequences and
-// requires identical externally visible behavior: the same jobs start in
-// the same order, the same decisions come back from every contact, and the
-// allocation traces match event for event. This pins the refactor to the
-// reference semantics.
-func TestCoreMatchesLinearReference(t *testing.T) {
+var update = flag.Bool("update", false, "rewrite the recorded reference outputs under testdata/")
+
+// referenceGolden holds what the pre-refactor linear-scan reference core
+// answered to the seeded op sequences of TestCoreMatchesLinearReference.
+const referenceGolden = "linear-reference.golden"
+
+// recordReference replays 30 seeded sequences of 400 random operations
+// (Submit, Contact, ResizeComplete, Finish) against cores built by mk and
+// renders everything externally visible: per op the started job ids in
+// order, the decision (action, target, reason) and the idle and queue
+// lengths after it; per seed the allocation-event count, a digest of the
+// events, and the busy-seconds integral. Decision reasons are interned:
+// each is spelled out once, on a reason line before the op that first gives
+// it.
+func recordReference(mk func(total int, backfill bool) Interface) []byte {
+	var out bytes.Buffer
+	out.WriteString("# per op: index, op, job, [decision: action target reason], [started ids], f<idle> q<queued>\n")
+	reasons := map[string]int{}
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		total := 8 + rng.Intn(56)
 		backfill := rng.Intn(2) == 0
-		cores := []Interface{
-			NewCore(total, backfill),
-			NewLinearCore(total, backfill),
-		}
+		c := mk(total, backfill)
+		fmt.Fprintf(&out, "seed %d total=%d backfill=%v\n", seed, total, backfill)
 		now := 0.0
-
-		runningIDs := func(c Interface) []int {
-			var ids []int
-			for _, j := range c.Jobs() {
-				if j.State == Running {
-					ids = append(ids, j.ID)
-				}
-			}
-			return ids
-		}
-
 		for op := 0; op < 400; op++ {
 			now += rng.Float64() * 10
-			running := runningIDs(cores[0])
+			var running []int
+			for _, j := range c.Jobs() {
+				if j.State == Running {
+					running = append(running, j.ID)
+				}
+			}
 			kind := rng.Intn(4)
 			pick := -1
 			if len(running) > 0 {
@@ -59,82 +69,113 @@ func TestCoreMatchesLinearReference(t *testing.T) {
 			}
 			iter := 10 + rng.Float64()*100
 			red := rng.Float64() * 5
-
-			type outcome struct {
-				started []int
-				d       Decision
-				err     error
+			if kind != 0 && pick < 0 {
+				continue
 			}
-			var results [2]outcome
-			for i, c := range cores {
-				var o outcome
-				switch kind {
-				case 0:
-					_, started, err := c.Submit(sp, now)
-					o.err = err
-					for _, j := range started {
-						o.started = append(o.started, j.ID)
-					}
-				case 1:
-					if pick < 0 {
-						continue
-					}
-					j, _ := c.Job(pick)
-					o.d, o.err = c.Contact(pick, j.Topo, iter, 0, now)
-				case 2:
-					if pick < 0 {
-						continue
-					}
-					started, err := c.ResizeComplete(pick, red, now)
-					o.err = err
-					for _, j := range started {
-						o.started = append(o.started, j.ID)
-					}
-				case 3:
-					if pick < 0 {
-						continue
-					}
-					started, err := c.Finish(pick, now)
-					o.err = err
-					for _, j := range started {
-						o.started = append(o.started, j.ID)
-					}
+			var started []*Job
+			var err error
+			var line string
+			switch kind {
+			case 0:
+				_, started, err = c.Submit(sp, now)
+				line = "submit"
+			case 1:
+				j, _ := c.Job(pick)
+				var d Decision
+				d, err = c.Contact(pick, j.Topo, iter, 0, now)
+				r, ok := reasons[d.Reason]
+				if !ok {
+					r = len(reasons)
+					reasons[d.Reason] = r
+					fmt.Fprintf(&out, "reason r%d %q\n", r, d.Reason)
 				}
-				results[i] = o
+				line = fmt.Sprintf("contact %d %s %s r%d", pick, d.Action, d.Target, r)
+			case 2:
+				started, err = c.ResizeComplete(pick, red, now)
+				line = fmt.Sprintf("resized %d", pick)
+			case 3:
+				started, err = c.Finish(pick, now)
+				line = fmt.Sprintf("finish %d", pick)
 			}
-			a, b := results[0], results[1]
-			if (a.err == nil) != (b.err == nil) {
-				t.Fatalf("seed %d op %d: error mismatch: %v vs %v", seed, op, a.err, b.err)
+			fmt.Fprintf(&out, "%d %s", op, line)
+			if err != nil {
+				out.WriteString(" error")
 			}
-			if a.d != b.d {
-				t.Fatalf("seed %d op %d: decision mismatch: %+v vs %+v", seed, op, a.d, b.d)
-			}
-			if len(a.started) != len(b.started) {
-				t.Fatalf("seed %d op %d: started %v vs %v", seed, op, a.started, b.started)
-			}
-			for i := range a.started {
-				if a.started[i] != b.started[i] {
-					t.Fatalf("seed %d op %d: started order %v vs %v", seed, op, a.started, b.started)
+			for i, j := range started {
+				if i == 0 {
+					out.WriteString(" started")
 				}
+				fmt.Fprintf(&out, " %d", j.ID)
 			}
-			if cores[0].Free() != cores[1].Free() || cores[0].QueueLen() != cores[1].QueueLen() {
-				t.Fatalf("seed %d op %d: free %d/%d queue %d/%d", seed, op,
-					cores[0].Free(), cores[1].Free(), cores[0].QueueLen(), cores[1].QueueLen())
-			}
+			fmt.Fprintf(&out, " f%d q%d\n", c.Free(), c.QueueLen())
 		}
+		h := sha256.New()
+		events := c.AllocEvents()
+		for _, e := range events {
+			fmt.Fprintf(h, "%s %d %s %s %s %d\n", strconv.FormatFloat(e.Time, 'g', -1, 64),
+				e.JobID, e.Job, e.Kind, e.Topo, e.Busy)
+		}
+		fmt.Fprintf(&out, "events %d sha256=%x busy-seconds=%s\n", len(events), h.Sum(nil),
+			strconv.FormatFloat(c.BusySeconds(now), 'g', -1, 64))
+	}
+	return out.Bytes()
+}
 
-		ae, be := cores[0].AllocEvents(), cores[1].AllocEvents()
-		if len(ae) != len(be) {
-			t.Fatalf("seed %d: event counts %d vs %d", seed, len(ae), len(be))
+// checkGolden holds got to testdata/name, reporting the first differing
+// line; under -update it rewrites the file instead.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		for i := range ae {
-			if ae[i] != be[i] {
-				t.Fatalf("seed %d: event %d: %+v vs %+v", seed, i, ae[i], be[i])
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range gotLines {
+		if i >= len(wantLines) || !bytes.Equal(gotLines[i], wantLines[i]) {
+			w := []byte("<end of golden file>")
+			if i < len(wantLines) {
+				w = wantLines[i]
 			}
+			t.Fatalf("output diverges from %s at line %d:\n got: %s\nwant: %s", path, i+1, gotLines[i], w)
 		}
-		if s := cores[0].BusySeconds(now) - cores[1].BusySeconds(now); s > 1e-9 || s < -1e-9 {
-			t.Fatalf("seed %d: busy-seconds diverge by %v", seed, s)
-		}
+	}
+	t.Fatalf("output is a strict prefix of %s (%d of %d lines)", path, len(gotLines), len(wantLines))
+}
+
+// TestCoreMatchesLinearReference holds the event-indexed Core to the
+// recorded answers of the pre-refactor linear-scan reference on identical
+// random operation sequences: the same jobs start in the same order, the
+// same decisions come back from every contact, and the allocation traces
+// match event for event. The golden changes only under -update, and a
+// change to it is a change in scheduling.
+func TestCoreMatchesLinearReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(total int, backfill bool) Interface
+	}{
+		{"core", func(total int, backfill bool) Interface { return NewCore(total, backfill) }},
+		{"linear", func(total int, backfill bool) Interface { return NewLinearCore(total, backfill) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := recordReference(tc.mk)
+			if *update && tc.name != "linear" {
+				return
+			}
+			checkGolden(t, referenceGolden, got)
+		})
 	}
 }
 

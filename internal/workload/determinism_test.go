@@ -1,12 +1,19 @@
 package workload
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
 	"testing"
 
 	"repro/internal/perfmodel"
 	"repro/internal/scheduler"
 	"repro/internal/simcluster"
 )
+
+var update = flag.Bool("update", false, "rewrite the recorded W1/W2 schedules under testdata/")
 
 // TestGeneratedWorkloadDeterminism: the same generator seed must replay to
 // a byte-identical schedule through the event-driven core — the indexed
@@ -44,36 +51,72 @@ func TestGeneratedWorkloadDeterminism(t *testing.T) {
 	}
 }
 
-// TestEventCoreMatchesLinearOnPaperWorkloads: both workloads of the paper
-// must produce the identical schedule whether driven through the
-// event-indexed core or the pre-refactor linear reference.
-func TestEventCoreMatchesLinearOnPaperWorkloads(t *testing.T) {
+// paperGolden holds the W1/W2 schedules the pre-refactor linear-scan
+// reference core produced.
+const paperGolden = "testdata/paper-workloads.golden"
+
+// renderPaperRuns writes the makespan, utilization and full allocation-event
+// stream of both paper workloads, each simulated through a core built by mk.
+func renderPaperRuns(t *testing.T, mk func() scheduler.Interface) []byte {
+	t.Helper()
 	params := perfmodel.SystemX()
+	var out bytes.Buffer
 	for _, w := range []struct {
 		name string
 		jobs []simcluster.JobInput
 	}{{"W1", W1()}, {"W2", W2()}} {
-		event, err := simcluster.New(ClusterProcs, simcluster.Dynamic, params, w.jobs).Run()
+		res, err := simcluster.New(ClusterProcs, simcluster.Dynamic, params, w.jobs).WithCore(mk()).Run()
 		if err != nil {
-			t.Fatalf("%s event: %v", w.name, err)
+			t.Fatalf("%s: %v", w.name, err)
 		}
-		linear, err := simcluster.New(ClusterProcs, simcluster.Dynamic, params, w.jobs).
-			WithCore(scheduler.NewLinearCore(ClusterProcs, true)).Run()
-		if err != nil {
-			t.Fatalf("%s linear: %v", w.name, err)
+		fmt.Fprintf(&out, "%s makespan=%s utilization=%s events=%d\n", w.name,
+			strconv.FormatFloat(res.Makespan, 'g', -1, 64),
+			strconv.FormatFloat(res.Utilization, 'g', -1, 64), len(res.Events))
+		for _, e := range res.Events {
+			fmt.Fprintf(&out, "%s %d %s %s %s %d\n", strconv.FormatFloat(e.Time, 'g', -1, 64),
+				e.JobID, e.Job, e.Kind, e.Topo, e.Busy)
 		}
-		if event.Makespan != linear.Makespan || event.Utilization != linear.Utilization {
-			t.Fatalf("%s: makespan/util diverge: %v/%v vs %v/%v", w.name,
-				event.Makespan, event.Utilization, linear.Makespan, linear.Utilization)
-		}
-		if len(event.Events) != len(linear.Events) {
-			t.Fatalf("%s: event counts %d vs %d", w.name, len(event.Events), len(linear.Events))
-		}
-		for i := range event.Events {
-			if event.Events[i] != linear.Events[i] {
-				t.Fatalf("%s: trace diverges at %d: %+v vs %+v", w.name, i,
-					event.Events[i], linear.Events[i])
+	}
+	return out.Bytes()
+}
+
+// TestEventCoreMatchesLinearOnPaperWorkloads: both workloads of the paper
+// must reproduce, to the last event, the schedule the pre-refactor
+// linear-scan reference recorded. The golden changes only under -update.
+func TestEventCoreMatchesLinearOnPaperWorkloads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() scheduler.Interface
+	}{
+		{"core", func() scheduler.Interface { return scheduler.NewCore(ClusterProcs, true) }},
+		{"linear", func() scheduler.Interface { return scheduler.NewLinearCore(ClusterProcs, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := renderPaperRuns(t, tc.mk)
+			if *update {
+				if tc.name == "linear" {
+					if err := os.MkdirAll("testdata", 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(paperGolden, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return
 			}
-		}
+			want, err := os.ReadFile(paperGolden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+				for i := 0; i < len(g) && i < len(w); i++ {
+					if !bytes.Equal(g[i], w[i]) {
+						t.Fatalf("schedule diverges from %s at line %d:\n got: %s\nwant: %s", paperGolden, i+1, g[i], w[i])
+					}
+				}
+				t.Fatalf("schedule has %d lines, %s has %d", len(g), paperGolden, len(w))
+			}
+		})
 	}
 }
