@@ -166,9 +166,7 @@ func BenchmarkWorkloadSimScale(b *testing.B) {
 // BenchmarkSchedulerThroughput measures the scheduler engine end to end on
 // large generated workloads driven through the virtual-time simulator: a
 // 1024-processor cluster, exponential arrivals, and the full resize-policy
-// machinery. The "event" cases run the indexed core; "linear" runs
-// the pre-refactor linear-scan reference on the same 10k-job mix, showing
-// the speedup from the event-driven refactor. The 100k- and 1M-job cases
+// machinery, at three decades of job count. The 100k- and 1M-job cases
 // run with allocation tracing and per-iteration result rows disabled
 // (utilization stays exact via the busy-time integral). Allocation stats
 // are reported so CI's -benchmem run lands allocs/op and B/op in
@@ -185,7 +183,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		}
 		return in
 	}
-	run := func(b *testing.B, jobs int, lean bool, mk func() scheduler.Interface) {
+	run := func(b *testing.B, jobs int, lean bool, mk func() *scheduler.Core) {
 		in := mix(b, jobs)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -205,12 +203,12 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
 	b.Run("event-10k", func(b *testing.B) {
-		run(b, 10_000, false, func() scheduler.Interface {
+		run(b, 10_000, false, func() *scheduler.Core {
 			return scheduler.NewCore(clusterProcs, true)
 		})
 	})
 	b.Run("event-100k", func(b *testing.B) {
-		run(b, 100_000, true, func() scheduler.Interface {
+		run(b, 100_000, true, func() *scheduler.Core {
 			c := scheduler.NewCore(clusterProcs, true)
 			c.DisableTrace()
 			return c
@@ -221,15 +219,10 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	// see cmd/benchjson -gate) so super-linear regressions in the queue
 	// indexes show up as a bend between 100k and 1M.
 	b.Run("event-1M", func(b *testing.B) {
-		run(b, 1_000_000, true, func() scheduler.Interface {
+		run(b, 1_000_000, true, func() *scheduler.Core {
 			c := scheduler.NewCore(clusterProcs, true)
 			c.DisableTrace()
 			return c
-		})
-	})
-	b.Run("linear-10k", func(b *testing.B) {
-		run(b, 10_000, false, func() scheduler.Interface {
-			return scheduler.NewLinearCore(clusterProcs, true)
 		})
 	})
 }

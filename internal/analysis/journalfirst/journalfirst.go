@@ -1,8 +1,7 @@
 // Package journalfirst guards the scheduler's write-ahead discipline:
 // every mutation of the Core's journaled state must flow through the
 // validated→journal→apply→ack state machine that lives in core.go,
-// contact.go, journal.go and persist.go (plus linear.go, the reference
-// core sharing the same choke points). A direct field write from any
+// contact.go, journal.go and persist.go. A direct field write from any
 // other file — a future server feature poking j.State, an arbiter
 // "fixing up" pendingFree — would mutate acknowledged state without a WAL
 // record, and the next crash-recovery replay would silently diverge.
@@ -47,9 +46,8 @@ var GuardedFields = map[string]map[string]bool{
 
 // AllowedFiles are the state machine's files: the five journaled entry
 // points and replay (core.go, journal.go), the shared contact-path
-// helpers (contact.go), snapshot restore (persist.go), and the linear
-// reference core (linear.go) that shares the same choke points.
-var AllowedFiles = set("core.go", "contact.go", "journal.go", "persist.go", "linear.go")
+// helpers (contact.go) and snapshot restore (persist.go).
+var AllowedFiles = set("core.go", "contact.go", "journal.go", "persist.go")
 
 func set(names ...string) map[string]bool {
 	m := make(map[string]bool, len(names))

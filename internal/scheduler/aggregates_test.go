@@ -225,16 +225,10 @@ func (a *diceArbiter) PickStart(snap StartSnapshot) int {
 	return -1
 }
 
-// aggregateCore is what the differential test needs of either core.
-type aggregateCore interface {
-	Interface
-	globalSnapshot(now float64) ClusterSnapshot
-}
-
-// TestAggregatesMatchSweep drives both cores through seeded random op
+// TestAggregatesMatchSweep drives the core through seeded random op
 // sequences — Submit, Contact, ResizeComplete, Finish, Fail and planning
 // ticks over three tenants and three priorities, with a snapshot/restore
-// round trip in the middle of each Core sequence — and after every single op
+// round trip in the middle of each sequence — and after every single op
 // compares the idle count, the queued views, Tenants, PendingFree, the
 // per-job iteration counters, the shrinkable and expandable indexes and the
 // running views with a plain sweep over the jobs, and holds the change feed
@@ -242,91 +236,82 @@ type aggregateCore interface {
 func TestAggregatesMatchSweep(t *testing.T) {
 	tenants := []string{"", "blue", "green"}
 	for seed := int64(0); seed < 240; seed++ {
-		for _, linear := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(seed))
-			total := 16 + rng.Intn(48)
-			arb := &diceArbiter{rng: rand.New(rand.NewSource(seed + 1000))}
-			var core aggregateCore
-			var rs *runningSet
-			var feed feedReader
-			install := func(c aggregateCore, set *runningSet) {
-				core, rs = c, set
-				arb.check = func(snap ClusterSnapshot) {
-					if err := checkAggregates(rs, core.Jobs(), snap); err != nil {
-						t.Fatalf("seed %d linear=%v, snapshot handed to the arbiter: %v", seed, linear, err)
-					}
+		rng := rand.New(rand.NewSource(seed))
+		total := 16 + rng.Intn(48)
+		arb := &diceArbiter{rng: rand.New(rand.NewSource(seed + 1000))}
+		var core *Core
+		var feed feedReader
+		install := func(c *Core) {
+			core = c
+			arb.check = func(snap ClusterSnapshot) {
+				if err := checkAggregates(&core.running, core.Jobs(), snap); err != nil {
+					t.Fatalf("seed %d, snapshot handed to the arbiter: %v", seed, err)
 				}
-				c.SetArbiter(arb)
 			}
-			if linear {
-				c := NewLinearCore(total, rng.Intn(2) == 0)
-				install(c, &c.running)
-			} else {
-				c := NewCore(total, rng.Intn(2) == 0)
-				install(c, &c.running)
+			c.SetArbiter(arb)
+		}
+		install(NewCore(total, rng.Intn(2) == 0))
+		now := 0.0
+		ops := 150 + rng.Intn(150)
+		restoreAt := ops / 2
+		for op := 0; op < ops; op++ {
+			now += rng.Float64() * 5
+			var running []*Job
+			for _, j := range core.Jobs() {
+				if j.State == Running {
+					running = append(running, j)
+				}
 			}
-			now := 0.0
-			ops := 150 + rng.Intn(150)
-			restoreAt := ops / 2
-			for op := 0; op < ops; op++ {
-				now += rng.Float64() * 5
-				var running []*Job
-				for _, j := range core.Jobs() {
-					if j.State == Running {
-						running = append(running, j)
-					}
+			pick := func() *Job { return running[rng.Intn(len(running))] }
+			step := "rebalance"
+			var err error
+			switch k := rng.Intn(10); {
+			case k < 3 || len(running) == 0:
+				step = "submit"
+				n := []int{8000, 12000, 14000, 21000}[rng.Intn(4)]
+				start, ok := grid.SmallestConfig(n, 2+rng.Intn(4), total)
+				if !ok {
+					continue
 				}
-				pick := func() *Job { return running[rng.Intn(len(running))] }
-				step := "rebalance"
-				var err error
-				switch k := rng.Intn(10); {
-				case k < 3 || len(running) == 0:
-					step = "submit"
-					n := []int{8000, 12000, 14000, 21000}[rng.Intn(4)]
-					start, ok := grid.SmallestConfig(n, 2+rng.Intn(4), total)
-					if !ok {
-						continue
-					}
-					_, _, err = core.Submit(JobSpec{
-						Name: "j", App: "lu", ProblemSize: n, Iterations: 5 + rng.Intn(20),
-						Priority: rng.Intn(3), Tenant: tenants[rng.Intn(len(tenants))],
-						InitialTopo: start, Chain: grid.GrowthChain(start, n, total),
-					}, now)
-				case k < 6:
-					step = "contact"
-					j := pick()
-					_, err = core.Contact(j.ID, j.Topo, 10+rng.Float64()*90, 0, now)
-				case k < 8:
-					step = "resize-complete"
-					_, err = core.ResizeComplete(pick().ID, rng.Float64(), now)
-				case k == 8:
-					step = "finish"
-					if rng.Intn(3) == 0 {
-						step = "fail"
-						_, err = core.Fail(pick().ID, now)
-					} else {
-						_, err = core.Finish(pick().ID, now)
-					}
-				default:
-					err = core.Rebalance(now)
+				_, _, err = core.Submit(JobSpec{
+					Name: "j", App: "lu", ProblemSize: n, Iterations: 5 + rng.Intn(20),
+					Priority: rng.Intn(3), Tenant: tenants[rng.Intn(len(tenants))],
+					InitialTopo: start, Chain: grid.GrowthChain(start, n, total),
+				}, now)
+			case k < 6:
+				step = "contact"
+				j := pick()
+				_, err = core.Contact(j.ID, j.Topo, 10+rng.Float64()*90, 0, now)
+			case k < 8:
+				step = "resize-complete"
+				_, err = core.ResizeComplete(pick().ID, rng.Float64(), now)
+			case k == 8:
+				step = "finish"
+				if rng.Intn(3) == 0 {
+					step = "fail"
+					_, err = core.Fail(pick().ID, now)
+				} else {
+					_, err = core.Finish(pick().ID, now)
 				}
+			default:
+				err = core.Rebalance(now)
+			}
+			if err != nil {
+				t.Fatalf("seed %d op %d %s: %v", seed, op, step, err)
+			}
+			if op == restoreAt {
+				step += " + restore"
+				restored, err := NewCoreFromState(core.PersistState())
 				if err != nil {
-					t.Fatalf("seed %d linear=%v op %d %s: %v", seed, linear, op, step, err)
+					t.Fatalf("seed %d op %d: restore: %v", seed, op, err)
 				}
-				if c, ok := core.(*Core); ok && op == restoreAt {
-					step += " + restore"
-					restored, err := NewCoreFromState(c.PersistState())
-					if err != nil {
-						t.Fatalf("seed %d op %d: restore: %v", seed, op, err)
-					}
-					install(restored, &restored.running)
-				}
-				if err := checkAggregates(rs, core.Jobs(), core.globalSnapshot(now)); err != nil {
-					t.Fatalf("seed %d linear=%v op %d after %s: %v", seed, linear, op, step, err)
-				}
-				if err := feed.check(rs, core.Jobs()); err != nil {
-					t.Fatalf("seed %d linear=%v op %d after %s: change feed: %v", seed, linear, op, step, err)
-				}
+				install(restored)
+			}
+			if err := checkAggregates(&core.running, core.Jobs(), core.globalSnapshot(now)); err != nil {
+				t.Fatalf("seed %d op %d after %s: %v", seed, op, step, err)
+			}
+			if err := feed.check(&core.running, core.Jobs()); err != nil {
+				t.Fatalf("seed %d op %d after %s: change feed: %v", seed, op, step, err)
 			}
 		}
 	}

@@ -139,10 +139,9 @@ type ClusterSnapshot struct {
 	Caller ContactView
 	// Queued is the head window of the wait queue in queue order (nil when
 	// nothing waits). Like RemapInput.QueuedNeeds, Core caps it at
-	// QueuedNeedsWindow entries while the LinearCore reference materializes
-	// the whole queue — arbiters must therefore react only to the jobs they
-	// can see (the head, in practice) and never assume the window is the
-	// full queue. QueueLen has the full queue length on both cores.
+	// QueuedNeedsWindow entries — arbiters must therefore react only to the
+	// jobs they can see (the head, in practice) and never assume the window
+	// is the full queue. QueueLen has the full queue length.
 	//
 	// Queued is scratch owned by the snapshot's producer (Core reuses one
 	// buffer across contacts): arbiters must read it during Decide/Rebalance
@@ -166,8 +165,8 @@ type ClusterSnapshot struct {
 	// queuedNeeds, when non-nil, is the pre-materialized need list matching
 	// Queued. Core fills it from its version-keyed window cache so the
 	// published policy path gets its QueuedNeeds without allocating per
-	// contact; producers that leave it nil (LinearCore, tests building
-	// snapshots by hand) fall back to materializing on demand. Same
+	// contact; snapshots built by hand (tests, tools) leave it nil and
+	// fall back to materializing on demand. Same
 	// ownership rule as Queued: scratch, never retain.
 	queuedNeeds []int
 }
@@ -325,8 +324,7 @@ type StartSnapshot struct {
 // the queue's own (priority, then submission id) — the picker only chooses
 // among tenants. Implementations must be deterministic functions of the
 // snapshot and their own journaled-input-derived state, exactly like
-// Decide; LinearCore, the pre-tenant reference, never consults the
-// extension.
+// Decide.
 type StartPicker interface {
 	PickStart(snap StartSnapshot) int
 }

@@ -8,12 +8,9 @@ import (
 	"repro/internal/grid"
 )
 
-// This file holds the contact-path state machine shared by Core and
-// LinearCore. Both cores used to carry copy-pasted Contact/ResizeComplete/
-// Finish bodies (~100 lines of identical profiling and bookkeeping); the
-// helpers below are that logic written once, and both cores hand them their
-// idle-processor counter. The arbitration layer plugs in here exactly once,
-// for both cores.
+// This file holds the contact-path state machine behind Core's entry
+// points: job validation, profiling, the running-set bookkeeping and the
+// actuation of arbiter decisions against the idle-processor counter.
 
 // newJob validates a spec against the cluster size and builds the queued
 // job record for it.
@@ -114,8 +111,7 @@ func defaultDecide(pol Policy, j *Job, idle int, queuedNeeds []int) Decision {
 	})
 }
 
-// runningSet is the running-job bookkeeping Core and LinearCore share: the
-// id-sorted index behind EachRunning plus the aggregates cluster-wide
+// runningSet is Core's running-job bookkeeping: the id-sorted index behind EachRunning plus the aggregates cluster-wide
 // arbiters would otherwise recompute by sweeping that index at every contact.
 // Each is maintained where the quantity changes — start, expand, shrink,
 // ResizeComplete, finish — and is a pure function of the running jobs, so a
@@ -475,17 +471,5 @@ func validateFinish(jobs map[int]*Job, jobID int, kind string) (*Job, error) {
 	if j.State != Running {
 		return nil, fmt.Errorf("scheduler: job %d completed (%s) while %v", jobID, kind, j.State)
 	}
-	return j, nil
-}
-
-// finishJob validates a completion signal and transitions the job to Done.
-// The caller releases the job's processors afterwards.
-func finishJob(jobs map[int]*Job, jobID int, now float64, kind string) (*Job, error) {
-	j, err := validateFinish(jobs, jobID, kind)
-	if err != nil {
-		return nil, err
-	}
-	j.State = Done
-	j.EndTime = now
 	return j, nil
 }

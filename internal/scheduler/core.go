@@ -102,8 +102,7 @@ type AllocEvent struct {
 // with hundreds of thousands of waiting jobs — so policies must size their
 // reaction to the jobs they can see (in particular: never shrink more than
 // the head needs on the basis of a truncated tail; see
-// TestTruncatedWindowNeverOverShrinks). LinearCore, the reference
-// implementation, still materializes the full queue.
+// TestTruncatedWindowNeverOverShrinks).
 const QueuedNeedsWindow = 8
 
 // Core is the passive scheduler state machine: clock-independent (every
@@ -112,9 +111,9 @@ const QueuedNeedsWindow = 8
 //
 // Internally the core is built for scale: the wait queue is an indexed
 // priority structure (see jobQueue) rather than a linear slice. The idle
-// pool is one counter, like LinearCore's. Core methods must be externally
-// synchronized (the Server does this; the simulator is single-threaded), so
-// the counter needs no lock of its own.
+// pool is one counter. Core methods must be externally synchronized (the
+// Server does this; the simulator is single-threaded), so the counter needs
+// no lock of its own.
 type Core struct {
 	Total    int
 	Backfill bool
@@ -217,10 +216,6 @@ func (c *Core) SetArbiter(a Arbiter) {
 		c.queue.enableTenantIndex()
 	}
 }
-
-// Arbiter returns the installed cluster-wide arbiter (nil when the default
-// single-job policy path is active).
-func (c *Core) Arbiter() Arbiter { return c.arb }
 
 // AllocEvents returns the allocation trace (nil when tracing is disabled).
 func (c *Core) AllocEvents() []AllocEvent { return c.Events }

@@ -21,14 +21,13 @@ var update = flag.Bool("update", false, "rewrite the recorded reference outputs 
 const referenceGolden = "linear-reference.golden"
 
 // recordReference replays 30 seeded sequences of 400 random operations
-// (Submit, Contact, ResizeComplete, Finish) against cores built by mk and
-// renders everything externally visible: per op the started job ids in
-// order, the decision (action, target, reason) and the idle and queue
-// lengths after it; per seed the allocation-event count, a digest of the
-// events, and the busy-seconds integral. Decision reasons are interned:
-// each is spelled out once, on a reason line before the op that first gives
-// it.
-func recordReference(mk func(total int, backfill bool) Interface) []byte {
+// (Submit, Contact, ResizeComplete, Finish) against fresh cores and renders
+// everything externally visible: per op the started job ids in order, the
+// decision (action, target, reason) and the idle and queue lengths after
+// it; per seed the allocation-event count, a digest of the events, and the
+// busy-seconds integral. Decision reasons are interned: each is spelled out
+// once, on a reason line before the op that first gives it.
+func recordReference() []byte {
 	var out bytes.Buffer
 	out.WriteString("# per op: index, op, job, [decision: action target reason], [started ids], f<idle> q<queued>\n")
 	reasons := map[string]int{}
@@ -36,7 +35,7 @@ func recordReference(mk func(total int, backfill bool) Interface) []byte {
 		rng := rand.New(rand.NewSource(seed))
 		total := 8 + rng.Intn(56)
 		backfill := rng.Intn(2) == 0
-		c := mk(total, backfill)
+		c := NewCore(total, backfill)
 		fmt.Fprintf(&out, "seed %d total=%d backfill=%v\n", seed, total, backfill)
 		now := 0.0
 		for op := 0; op < 400; op++ {
@@ -162,21 +161,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // match event for event. The golden changes only under -update, and a
 // change to it is a change in scheduling.
 func TestCoreMatchesLinearReference(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(total int, backfill bool) Interface
-	}{
-		{"core", func(total int, backfill bool) Interface { return NewCore(total, backfill) }},
-		{"linear", func(total int, backfill bool) Interface { return NewLinearCore(total, backfill) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := recordReference(tc.mk)
-			if *update && tc.name != "linear" {
-				return
-			}
-			checkGolden(t, referenceGolden, got)
-		})
-	}
+	checkGolden(t, referenceGolden, recordReference())
 }
 
 // TestQueueBackfillPicksBestRankedFit covers the indexed queue's bucket

@@ -41,8 +41,9 @@
 // internal/scheduler/arbiter provides the cluster-wide benefit-ranked
 // implementation (coordinated multi-job shrink, starvation aging).
 //
-// LinearCore preserves the pre-refactor linear-scan design
-// behind the same Interface; differential tests hold the two engines to
-// identical schedules and BenchmarkSchedulerThroughput measures the gap.
+// The pre-refactor linear-scan core survives as recorded outputs: golden
+// files under testdata/ hold Core to its answers on seeded op sequences and
+// on the paper's W1/W2, and queue-level tests hold the indexed queue's
+// head, window and backfill to a full sort and an in-order scan.
 // See DESIGN.md at the repository root for the full system picture.
 package scheduler

@@ -10,7 +10,7 @@ import (
 // crashPlan schedules one scheduler kill/restart during a simulation.
 type crashPlan struct {
 	at      float64
-	restart func(old scheduler.Interface) (scheduler.Interface, error)
+	restart func(old *scheduler.Core) (*scheduler.Core, error)
 }
 
 // WithCrashRestart kills the scheduler at virtual time at — between event
@@ -20,7 +20,7 @@ type crashPlan struct {
 // resize points) live outside the scheduler and survive the crash, exactly
 // as real jobs outlive a reshaped daemon restart and reconnect. May be
 // called several times for repeated crashes.
-func (s *Sim) WithCrashRestart(at float64, restart func(old scheduler.Interface) (scheduler.Interface, error)) *Sim {
+func (s *Sim) WithCrashRestart(at float64, restart func(old *scheduler.Core) (*scheduler.Core, error)) *Sim {
 	s.crashes = append(s.crashes, crashPlan{at: at, restart: restart})
 	return s
 }

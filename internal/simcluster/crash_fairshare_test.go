@@ -75,7 +75,7 @@ func TestCrashRestartFairsharePerTenant(t *testing.T) {
 			restarted := false
 			res, err := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, mix).
 				WithCore(core).
-				WithCrashRestart(600, func(old scheduler.Interface) (scheduler.Interface, error) {
+				WithCrashRestart(600, func(old *scheduler.Core) (*scheduler.Core, error) {
 					_ = st.Close()
 					var recovered *scheduler.Core
 					st2, rec, err := durability.Open(dir, durability.Options{

@@ -51,7 +51,7 @@ func TestCrashRestartMatchesBaseline(t *testing.T) {
 			restarted := false
 			res, err := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, workload.W1()).
 				WithCore(core).
-				WithCrashRestart(tc.crashAt, func(old scheduler.Interface) (scheduler.Interface, error) {
+				WithCrashRestart(tc.crashAt, func(old *scheduler.Core) (*scheduler.Core, error) {
 					// The dying daemon gets no goodbye: abandon the old store
 					// un-flushed (SyncAlways made every acked op durable) and
 					// recover purely from disk.

@@ -8,11 +8,10 @@
 // Virtual time is the scheduler's own event engine (scheduler.Engine):
 // arrivals, resize points and resize completions are timestamped events in
 // one deterministic loop, with FIFO ordering among equal timestamps, so
-// identical inputs replay to byte-identical traces. The simulator accepts
-// any scheduler.Interface implementation (WithCore), which is how
-// differential tests pin the event-indexed core to the pre-refactor
-// LinearCore and how BenchmarkSchedulerThroughput runs 100k-job generated
-// workloads through both.
+// identical inputs replay to byte-identical traces. WithCore hands the
+// simulator a prepared scheduler.Core (untraced for the 100k- and 1M-job
+// runs of BenchmarkSchedulerThroughput, journaled for the crash tests), and
+// golden files pin the W1/W2 schedules and every arbiter decision.
 //
 // Three scheduling modes reproduce the paper's comparisons: Static pins
 // every job to its initial allocation; Dynamic resizes with the

@@ -120,7 +120,7 @@ func TestRebalanceCrashReplayReproducesPlans(t *testing.T) {
 		WithCore(core).
 		WithArbiter(mkArbiter(&preCrash)).
 		WithRebalance(200).
-		WithCrashRestart(700, func(old scheduler.Interface) (scheduler.Interface, error) {
+		WithCrashRestart(700, func(old *scheduler.Core) (*scheduler.Core, error) {
 			_ = st.Close()
 			var recovered *scheduler.Core
 			st2, rec, err := durability.Open(dir, durability.Options{

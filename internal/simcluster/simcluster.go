@@ -214,7 +214,7 @@ type Sim struct {
 	total   int
 	mode    Mode
 	params  *perfmodel.Params
-	core    scheduler.Interface
+	core    *scheduler.Core
 	policy  scheduler.Policy
 	arbiter scheduler.Arbiter
 	eng     *scheduler.Engine
@@ -241,7 +241,7 @@ type jobState struct {
 	// refreshed after a crash/restart swaps the core (the old core's Job
 	// pointers are dead state).
 	job     *scheduler.Job
-	jobCore scheduler.Interface
+	jobCore *scheduler.Core
 }
 
 // New prepares a simulation over a cluster with total processors. The
@@ -315,10 +315,10 @@ func (s *Sim) WithRebalance(every float64) *Sim {
 	return s
 }
 
-// WithCore replaces the scheduler implementation (differential tests and
-// throughput benchmarks swap in LinearCore or a Core without tracing). The
-// core must be freshly constructed for a cluster with the same total.
-func (s *Sim) WithCore(core scheduler.Interface) *Sim {
+// WithCore replaces the default scheduler core (throughput benchmarks pass
+// one without tracing, crash tests one with a journal installed). The core
+// must be freshly constructed for a cluster with the same total.
+func (s *Sim) WithCore(core *scheduler.Core) *Sim {
 	s.core = core
 	return s
 }

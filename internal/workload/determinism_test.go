@@ -56,8 +56,8 @@ func TestGeneratedWorkloadDeterminism(t *testing.T) {
 const paperGolden = "testdata/paper-workloads.golden"
 
 // renderPaperRuns writes the makespan, utilization and full allocation-event
-// stream of both paper workloads, each simulated through a core built by mk.
-func renderPaperRuns(t *testing.T, mk func() scheduler.Interface) []byte {
+// stream of both paper workloads.
+func renderPaperRuns(t *testing.T) []byte {
 	t.Helper()
 	params := perfmodel.SystemX()
 	var out bytes.Buffer
@@ -65,7 +65,7 @@ func renderPaperRuns(t *testing.T, mk func() scheduler.Interface) []byte {
 		name string
 		jobs []simcluster.JobInput
 	}{{"W1", W1()}, {"W2", W2()}} {
-		res, err := simcluster.New(ClusterProcs, simcluster.Dynamic, params, w.jobs).WithCore(mk()).Run()
+		res, err := simcluster.New(ClusterProcs, simcluster.Dynamic, params, w.jobs).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
@@ -84,39 +84,27 @@ func renderPaperRuns(t *testing.T, mk func() scheduler.Interface) []byte {
 // must reproduce, to the last event, the schedule the pre-refactor
 // linear-scan reference recorded. The golden changes only under -update.
 func TestEventCoreMatchesLinearOnPaperWorkloads(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() scheduler.Interface
-	}{
-		{"core", func() scheduler.Interface { return scheduler.NewCore(ClusterProcs, true) }},
-		{"linear", func() scheduler.Interface { return scheduler.NewLinearCore(ClusterProcs, true) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := renderPaperRuns(t, tc.mk)
-			if *update {
-				if tc.name == "linear" {
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(paperGolden, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return
+	got := renderPaperRuns(t)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paperGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(paperGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if !bytes.Equal(g[i], w[i]) {
+				t.Fatalf("schedule diverges from %s at line %d:\n got: %s\nwant: %s", paperGolden, i+1, g[i], w[i])
 			}
-			want, err := os.ReadFile(paperGolden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-				for i := 0; i < len(g) && i < len(w); i++ {
-					if !bytes.Equal(g[i], w[i]) {
-						t.Fatalf("schedule diverges from %s at line %d:\n got: %s\nwant: %s", paperGolden, i+1, g[i], w[i])
-					}
-				}
-				t.Fatalf("schedule has %d lines, %s has %d", len(g), paperGolden, len(w))
-			}
-		})
+		}
+		t.Fatalf("schedule has %d lines, %s has %d", len(g), paperGolden, len(w))
 	}
 }
