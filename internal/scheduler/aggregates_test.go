@@ -28,6 +28,17 @@ func sweepRunning(jobs []*Job) RunningViews {
 	return views
 }
 
+// runningJobs lists the core's running jobs in id order.
+func runningJobs(c *Core) []*Job {
+	var running []*Job
+	for _, j := range c.Jobs() {
+		if j.State == Running {
+			running = append(running, j)
+		}
+	}
+	return running
+}
+
 func viewIDs(each func(func(*ContactView) bool)) []int {
 	var ids []int
 	each(func(v *ContactView) bool {
@@ -37,21 +48,53 @@ func viewIDs(each func(func(*ContactView) bool)) []int {
 	return ids
 }
 
-// checkAggregates holds the running set to the plain sweep, and the snapshot
-// an arbiter would be handed to the running set. It also checks that the
-// idle count conserves processors and that every queued view is the one
-// queuedView builds for its job.
-func checkAggregates(rs *runningSet, jobs []*Job, snap ClusterSnapshot) error {
+// checkInvariants holds the core to what DESIGN.md states of it, after any
+// op and inside any arbiter call:
+//   - the idle count conserves processors: idle >= 0, and idle plus every
+//     running job's Topo and pending give-back is the cluster;
+//   - every job is in exactly one of queue, running set or done: the queue
+//     holds exactly the Queued jobs and the running set exactly the Running
+//     ones;
+//   - the running set, and the snapshot an arbiter would be handed, equal a
+//     plain sweep over the jobs, and every queued view is the one queuedView
+//     builds for its job;
+//   - allocation-event timestamps never decrease.
+func checkInvariants(c *Core, snap ClusterSnapshot) error {
+	jobs := c.Jobs()
 	held := 0
 	byID := make(map[int]*Job, len(jobs))
+	var queued, running []int
 	for _, j := range jobs {
 		byID[j.ID] = j
-		if j.State == Running {
+		switch j.State {
+		case Queued:
+			queued = append(queued, j.ID)
+		case Running:
+			running = append(running, j.ID)
 			held += j.Topo.Count() + j.pendingFree
 		}
 	}
 	if snap.Idle < 0 || snap.Idle+held != snap.Total {
 		return fmt.Errorf("idle %d + held %d != total %d", snap.Idle, held, snap.Total)
+	}
+	var inQueue, inRunning []int
+	for _, j := range c.queue.window(nil, c.queue.len()) {
+		inQueue = append(inQueue, j.ID)
+	}
+	slices.Sort(inQueue)
+	if c.QueueLen() != len(queued) || !slices.Equal(inQueue, queued) {
+		return fmt.Errorf("queue holds %v (QueueLen %d), the Queued jobs are %v", inQueue, c.QueueLen(), queued)
+	}
+	for _, j := range c.running.jobs {
+		inRunning = append(inRunning, j.ID)
+	}
+	if !slices.Equal(inRunning, running) {
+		return fmt.Errorf("running set holds %v, the Running jobs are %v", inRunning, running)
+	}
+	for i := 1; i < len(c.Events); i++ {
+		if c.Events[i].Time < c.Events[i-1].Time {
+			return fmt.Errorf("alloc event %d at t=%v follows one at t=%v", i, c.Events[i].Time, c.Events[i-1].Time)
+		}
 	}
 	for i, q := range snap.Queued {
 		j, ok := byID[q.ID]
@@ -64,7 +107,7 @@ func checkAggregates(rs *runningSet, jobs []*Job, snap ClusterSnapshot) error {
 	}
 	want := sweepRunning(jobs)
 	var got RunningViews
-	rs.EachRunning(func(v *ContactView) bool {
+	c.running.EachRunning(func(v *ContactView) bool {
 		got = append(got, *v)
 		return true
 	})
@@ -231,8 +274,10 @@ func (a *diceArbiter) PickStart(snap StartSnapshot) int {
 // round trip in the middle of each sequence — and after every single op
 // compares the idle count, the queued views, Tenants, PendingFree, the
 // per-job iteration counters, the shrinkable and expandable indexes and the
-// running views with a plain sweep over the jobs, and holds the change feed
-// to the jobs' own keys through a reader that keeps its cursor across ops.
+// running views with a plain sweep over the jobs (checkInvariants), and
+// holds the change feed to the jobs' own keys through a reader that keeps
+// its cursor across ops. Each sequence ends by draining the cluster, which
+// must leave no job queued and no processor leaked.
 func TestAggregatesMatchSweep(t *testing.T) {
 	tenants := []string{"", "blue", "green"}
 	for seed := int64(0); seed < 240; seed++ {
@@ -244,7 +289,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 		install := func(c *Core) {
 			core = c
 			arb.check = func(snap ClusterSnapshot) {
-				if err := checkAggregates(&core.running, core.Jobs(), snap); err != nil {
+				if err := checkInvariants(core, snap); err != nil {
 					t.Fatalf("seed %d, snapshot handed to the arbiter: %v", seed, err)
 				}
 			}
@@ -256,12 +301,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 		restoreAt := ops / 2
 		for op := 0; op < ops; op++ {
 			now += rng.Float64() * 5
-			var running []*Job
-			for _, j := range core.Jobs() {
-				if j.State == Running {
-					running = append(running, j)
-				}
-			}
+			running := runningJobs(core)
 			pick := func() *Job { return running[rng.Intn(len(running))] }
 			step := "rebalance"
 			var err error
@@ -307,12 +347,30 @@ func TestAggregatesMatchSweep(t *testing.T) {
 				}
 				install(restored)
 			}
-			if err := checkAggregates(&core.running, core.Jobs(), core.globalSnapshot(now)); err != nil {
+			if err := checkInvariants(core, core.globalSnapshot(now)); err != nil {
 				t.Fatalf("seed %d op %d after %s: %v", seed, op, step, err)
 			}
 			if err := feed.check(&core.running, core.Jobs()); err != nil {
 				t.Fatalf("seed %d op %d after %s: change feed: %v", seed, op, step, err)
 			}
+		}
+
+		// Drain: finish every running job, round after round as the queue
+		// starts into the room, until nothing runs. The queue must then be
+		// empty and every processor idle again.
+		for running := runningJobs(core); len(running) > 0; running = runningJobs(core) {
+			for _, j := range running {
+				if _, err := core.Finish(j.ID, now); err != nil {
+					t.Fatalf("seed %d drain: finish %d: %v", seed, j.ID, err)
+				}
+			}
+			if err := checkInvariants(core, core.globalSnapshot(now)); err != nil {
+				t.Fatalf("seed %d drain: %v", seed, err)
+			}
+		}
+		if core.QueueLen() != 0 || core.Free() != core.Total {
+			t.Fatalf("seed %d drained: %d jobs still queued, %d of %d processors idle",
+				seed, core.QueueLen(), core.Free(), core.Total)
 		}
 	}
 }
@@ -327,12 +385,7 @@ func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	now, resized := 0.0, 0
 	for op := 0; op < 400; op++ {
 		now += rng.Float64() * 5
-		var running []*Job
-		for _, j := range c.Jobs() {
-			if j.State == Running {
-				running = append(running, j)
-			}
-		}
+		running := runningJobs(c)
 		var err error
 		switch k := rng.Intn(10); {
 		case k < 2 || len(running) == 0:

@@ -111,8 +111,9 @@ func defaultDecide(pol Policy, j *Job, idle int, queuedNeeds []int) Decision {
 	})
 }
 
-// runningSet is Core's running-job bookkeeping: the id-sorted index behind EachRunning plus the aggregates cluster-wide
-// arbiters would otherwise recompute by sweeping that index at every contact.
+// runningSet is Core's running-job bookkeeping: the id-sorted index behind
+// EachRunning plus the aggregates cluster-wide arbiters would otherwise
+// recompute by sweeping that index at every contact.
 // Each is maintained where the quantity changes — start, expand, shrink,
 // ResizeComplete, finish — and is a pure function of the running jobs, so a
 // core restored from a snapshot rebuilds it by starting every restored job:

@@ -40,16 +40,11 @@ func recordReference() []byte {
 		now := 0.0
 		for op := 0; op < 400; op++ {
 			now += rng.Float64() * 10
-			var running []int
-			for _, j := range c.Jobs() {
-				if j.State == Running {
-					running = append(running, j.ID)
-				}
-			}
+			running := runningJobs(c)
 			kind := rng.Intn(4)
 			pick := -1
 			if len(running) > 0 {
-				pick = running[rng.Intn(len(running))]
+				pick = running[rng.Intn(len(running))].ID
 			}
 			var sp JobSpec
 			if kind == 0 {

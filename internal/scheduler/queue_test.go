@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -147,6 +148,70 @@ func TestWindowMatchesFullSortReference(t *testing.T) {
 			t.Fatalf("trial %d: head is job %v, reference head %d", trial, h, ref[0].ID)
 		} else if len(ref) == 0 && h != nil {
 			t.Fatalf("trial %d: head %d on an empty queue", trial, h.ID)
+		}
+	}
+}
+
+// TestBackfillMatchesLinearScan pins backfill against the reference the
+// indexed queue replaced: one in-order pass over the full-sort order that
+// starts every job that fits what is still idle. Randomized push/take
+// interleavings with heavy duplicate-priority ties (and so stale entries in
+// the need heaps); for every idle count in 0..64, repeated bestFit + take on
+// a fresh replay of the queue must start the same jobs in the same order.
+func TestBackfillMatchesLinearScan(t *testing.T) {
+	type op struct{ take, need, prio int } // take < 0: push a job of need and prio
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 100; trial++ {
+		var ops []op
+		for n, live := 50+rng.Intn(200), 0; len(ops) < n; {
+			if live > 0 && rng.Intn(3) == 0 {
+				ops = append(ops, op{take: rng.Intn(live)})
+				live--
+			} else {
+				ops = append(ops, op{take: -1, need: 1 + rng.Intn(16), prio: rng.Intn(4)})
+				live++
+			}
+		}
+		replay := func() (*jobQueue, []*Job) {
+			q := &jobQueue{}
+			var live []*Job
+			for id, o := range ops {
+				if o.take >= 0 {
+					j := live[o.take]
+					j.State = Running
+					q.take(j)
+					live = append(live[:o.take], live[o.take+1:]...)
+					continue
+				}
+				j := queuedJob(id, o.need)
+				j.Spec.Priority = o.prio
+				q.push(j)
+				live = append(live, j)
+			}
+			return q, live
+		}
+		for free := 0; free <= 64; free++ {
+			q, live := replay()
+			sort.Slice(live, func(i, j int) bool { return jobLess(live[i], live[j]) })
+			var want []int
+			idle := free
+			for _, j := range live {
+				if n := j.Spec.InitialTopo.Count(); n <= idle {
+					idle -= n
+					want = append(want, j.ID)
+				}
+			}
+			var got []int
+			idle = free
+			for j := q.bestFit(idle); j != nil; j = q.bestFit(idle) {
+				j.State = Running
+				q.take(j)
+				idle -= j.Spec.InitialTopo.Count()
+				got = append(got, j.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d free=%d: backfill started %v, the in-order scan %v", trial, free, got, want)
+			}
 		}
 	}
 }
