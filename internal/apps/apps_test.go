@@ -49,10 +49,6 @@ func diagDominantGlobal(rng *rand.Rand, n int) []float64 {
 
 func TestDistLUMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, tc := range []struct {
-	}{} {
-		_ = tc
-	}
 	cases := []struct {
 		n, nb int
 		topo  grid.Topology
@@ -117,7 +113,7 @@ func TestDistMatMulMatchesSerial(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		want := make([]float64, n*n)
-		matrix.Gemm(n, n, n, a, b, want)
+		matrix.Gemm(n, n, n, a, b, want, n)
 
 		l := blockcyclic.Layout{M: n, N: n, MB: tc.nb, NB: tc.nb, Grid: tc.topo}
 		aPieces := blockcyclic.Distribute(a, l)

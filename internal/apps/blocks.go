@@ -38,42 +38,8 @@ func setBlock(l blockcyclic.Layout, local []float64, myCol, bi, bj int, blk []fl
 	}
 }
 
-// localBlockRows lists the global block-row indices owned by grid row
-// myRow, optionally restricted to indices strictly greater than after.
-func localBlockRows(l blockcyclic.Layout, myRow, after int) []int {
-	var out []int
-	for bi := myRow; bi < l.BlockRows(); bi += l.Grid.Rows {
-		if bi > after {
-			out = append(out, bi)
-		}
-	}
-	return out
-}
-
-// localBlockCols lists the global block-column indices owned by grid column
-// myCol, optionally restricted to indices strictly greater than after.
-func localBlockCols(l blockcyclic.Layout, myCol, after int) []int {
-	var out []int
-	for bj := myCol; bj < l.BlockCols(); bj += l.Grid.Cols {
-		if bj > after {
-			out = append(out, bj)
-		}
-	}
-	return out
-}
-
 // panel is a broadcast bundle of blocks keyed by global block index.
 type panel struct {
 	Idx    []int
 	Blocks [][]float64
-}
-
-// find returns the block with global index i, or nil.
-func (p panel) find(i int) []float64 {
-	for k, idx := range p.Idx {
-		if idx == i {
-			return p.Blocks[k]
-		}
-	}
-	return nil
 }

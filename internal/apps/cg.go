@@ -12,6 +12,11 @@ import (
 // and a replicated input vector, returning the replicated result: each rank
 // accumulates partial products for its local elements and the grid reduces
 // them. Collective over the grid.
+//
+// A local row is walked one block at a time: local block column lb holds
+// the NB contiguous global columns of block lb*Cols+pc, so each block
+// multiplies a contiguous segment of x. Each row's sum still takes its
+// products in local column order.
 func DistMatVec(ctx *blacs.Context, l blockcyclic.Layout, a, x []float64) ([]float64, error) {
 	if len(x) != l.N {
 		return nil, fmt.Errorf("apps: DistMatVec x has %d entries, want %d", len(x), l.N)
@@ -20,16 +25,19 @@ func DistMatVec(ctx *blacs.Context, l blockcyclic.Layout, a, x []float64) ([]flo
 		return nil, nil
 	}
 	partial := make([]float64, l.M)
-	rank := ctx.Comm.Rank()
-	pr, pc := l.Coords(rank)
+	pr, pc := l.Coords(ctx.Comm.Rank())
 	rows, cols := l.LocalRows(pr), l.LocalCols(pc)
 	for li := 0; li < rows; li++ {
 		gi, _ := l.LocalToGlobal(pr, pc, li, 0)
+		row := a[li*cols : (li+1)*cols]
 		s := 0.0
-		base := li * cols
-		for lj := 0; lj < cols; lj++ {
-			_, gj := l.LocalToGlobal(pr, pc, li, lj)
-			s += a[base+lj] * x[gj]
+		for lj := 0; lj < cols; lj += l.NB {
+			blk := row[lj:min(lj+l.NB, cols)]
+			gj := (lj/l.NB*l.Grid.Cols + pc) * l.NB
+			xs := x[gj:][:len(blk)]
+			for j, v := range blk {
+				s += v * xs[j]
+			}
 		}
 		partial[gi] += s
 	}

@@ -32,21 +32,25 @@ func FFT2D(ctx *blacs.Context, l blockcyclic.Layout, data []float64, inverse boo
 		return nil
 	}
 
-	if err := fftLocalRows(l, data, inverse); err != nil {
+	plan, err := matrix.NewFFTPlan(n, inverse)
+	if err != nil {
+		return err
+	}
+	if err := fftLocalRows(plan, n, data); err != nil {
 		return err
 	}
 	if err := transpose(ctx, l, data); err != nil {
 		return err
 	}
-	if err := fftLocalRows(l, data, inverse); err != nil {
+	if err := fftLocalRows(plan, n, data); err != nil {
 		return err
 	}
 	return transpose(ctx, l, data)
 }
 
-// fftLocalRows transforms every locally stored row in place.
-func fftLocalRows(l blockcyclic.Layout, data []float64, inverse bool) error {
-	n := l.M
+// fftLocalRows transforms every locally stored row of length n in place,
+// reading the twiddles from one plan.
+func fftLocalRows(plan *matrix.FFTPlan, n int, data []float64) error {
 	rows := len(data) / (2 * n)
 	buf := make([]complex128, n)
 	for li := 0; li < rows; li++ {
@@ -54,7 +58,7 @@ func fftLocalRows(l blockcyclic.Layout, data []float64, inverse bool) error {
 		for j := 0; j < n; j++ {
 			buf[j] = complex(row[2*j], row[2*j+1])
 		}
-		if err := matrix.FFT(buf, inverse); err != nil {
+		if err := plan.Transform(buf); err != nil {
 			return err
 		}
 		for j := 0; j < n; j++ {

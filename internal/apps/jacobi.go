@@ -43,10 +43,11 @@ func JacobiSweeps(ctx *blacs.Context, l blockcyclic.Layout, a, bvec, x []float64
 			gi := gidx[li]
 			row := a[li*n : (li+1)*n]
 			sum := 0.0
-			for j := 0; j < n; j++ {
-				if j != gi {
-					sum += row[j] * x[j]
-				}
+			for j := 0; j < gi; j++ {
+				sum += row[j] * x[j]
+			}
+			for j := gi + 1; j < n; j++ {
+				sum += row[j] * x[j]
 			}
 			xnewLocal[li] = (bvec[li] - sum) / row[gi]
 		}

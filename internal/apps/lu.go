@@ -31,6 +31,7 @@ func DistLU(ctx *blacs.Context, l blockcyclic.Layout, local []float64) error {
 	}
 	nblk := l.BlockRows()
 	myRow, myCol := ctx.MyRow, ctx.MyCol
+	stride := l.LocalCols(myCol)
 
 	for k := 0; k < nblk; k++ {
 		pr := k % l.Grid.Rows
@@ -38,7 +39,10 @@ func DistLU(ctx *blacs.Context, l blockcyclic.Layout, local []float64) error {
 		bh := l.BlockHeight(k)
 
 		// Factor the diagonal block and spread it down process column pc.
+		// Each solved panel block is written back and kept for the
+		// broadcasts below.
 		var diag []float64
+		var colPanel, rowPanel panel
 		if myCol == pc {
 			if myRow == pr {
 				diag = getBlock(l, local, myCol, k, k)
@@ -50,51 +54,42 @@ func DistLU(ctx *blacs.Context, l blockcyclic.Layout, local []float64) error {
 			diag = ctx.Col.BcastFloats(pr, diag)
 
 			// Column panel: L_ik = A_ik * U_kk^{-1}.
-			for _, bi := range localBlockRows(l, myRow, k) {
+			for bi := myRow; bi < nblk; bi += l.Grid.Rows {
+				if bi <= k {
+					continue
+				}
 				blk := getBlock(l, local, myCol, bi, k)
 				matrix.TrsmRightUpper(l.BlockHeight(bi), bh, diag, blk)
 				setBlock(l, local, myCol, bi, k, blk)
+				colPanel.Idx = append(colPanel.Idx, bi)
+				colPanel.Blocks = append(colPanel.Blocks, blk)
 			}
 		}
 		// Row panel: U_kj = L_kk^{-1} * A_kj (needs the factored diagonal).
 		if myRow == pr {
 			diag = ctx.Row.BcastFloats(pc, diag)
-			for _, bj := range localBlockCols(l, myCol, k) {
+			for bj := myCol; bj < nblk; bj += l.Grid.Cols {
+				if bj <= k {
+					continue
+				}
 				blk := getBlock(l, local, myCol, k, bj)
 				matrix.TrsmLeftLowerUnit(bh, l.BlockWidth(bj), diag, blk)
 				setBlock(l, local, myCol, k, bj, blk)
+				rowPanel.Idx = append(rowPanel.Idx, bj)
+				rowPanel.Blocks = append(rowPanel.Blocks, blk)
 			}
 		}
 
 		// Broadcast the column panel along process rows and the row panel
-		// down process columns, then apply the trailing update.
-		var colPanel panel
-		if myCol == pc {
-			for _, bi := range localBlockRows(l, myRow, k) {
-				colPanel.Idx = append(colPanel.Idx, bi)
-				colPanel.Blocks = append(colPanel.Blocks, getBlock(l, local, myCol, bi, k))
-			}
-		}
+		// down process columns, then apply the trailing update in place:
+		// every (bi, bj) pair is a local block.
 		colPanel = ctx.Row.Bcast(pc, colPanel).(panel)
-
-		var rowPanel panel
-		if myRow == pr {
-			for _, bj := range localBlockCols(l, myCol, k) {
-				rowPanel.Idx = append(rowPanel.Idx, bj)
-				rowPanel.Blocks = append(rowPanel.Blocks, getBlock(l, local, myCol, k, bj))
-			}
-		}
 		rowPanel = ctx.Col.Bcast(pr, rowPanel).(panel)
-
-		for _, bi := range colPanel.Idx {
-			lik := colPanel.find(bi)
-			h := l.BlockHeight(bi)
-			for _, bj := range rowPanel.Idx {
-				ukj := rowPanel.find(bj)
-				w := l.BlockWidth(bj)
-				c := getBlock(l, local, myCol, bi, bj)
-				matrix.GemmSub(h, bh, w, lik, ukj, c)
-				setBlock(l, local, myCol, bi, bj, c)
+		for x, bi := range colPanel.Idx {
+			row0 := (bi / l.Grid.Rows) * l.MB * stride
+			for y, bj := range rowPanel.Idx {
+				blk := local[row0+(bj/l.Grid.Cols)*l.NB:]
+				matrix.GemmSub(l.BlockHeight(bi), bh, l.BlockWidth(bj), colPanel.Blocks[x], rowPanel.Blocks[y], blk, stride)
 			}
 		}
 	}

@@ -57,7 +57,7 @@ func solveBlockRow(ctx *blacs.Context, l blockcyclic.Layout, lu, b []float64, k 
 		// Partial sums over my blocks in row k (strictly left of the
 		// diagonal for the lower sweep, strictly right for the upper).
 		partial := make([]float64, h)
-		for _, bj := range localBlockCols(l, ctx.MyCol, -1) {
+		for bj := ctx.MyCol; bj < l.BlockCols(); bj += l.Grid.Cols {
 			if lower && bj >= k {
 				continue
 			}

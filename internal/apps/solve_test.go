@@ -120,6 +120,69 @@ func TestDistMatVecMatchesSerial(t *testing.T) {
 	}
 }
 
+// matVecElementwise is the loop DistMatVec replaced: one rank's partial
+// products, mapping every local element to its global column.
+func matVecElementwise(l blockcyclic.Layout, pr, pc int, a, x []float64) []float64 {
+	partial := make([]float64, l.M)
+	rows, cols := l.LocalRows(pr), l.LocalCols(pc)
+	for li := 0; li < rows; li++ {
+		gi, _ := l.LocalToGlobal(pr, pc, li, 0)
+		s := 0.0
+		base := li * cols
+		for lj := 0; lj < cols; lj++ {
+			_, gj := l.LocalToGlobal(pr, pc, li, lj)
+			s += a[base+lj] * x[gj]
+		}
+		partial[gi] += s
+	}
+	return partial
+}
+
+// TestDistMatVecMatchesElementwise holds the block walk to the
+// element-by-element loop bit for bit on ragged and rectangular layouts.
+func TestDistMatVecMatchesElementwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, l := range []blockcyclic.Layout{
+		{M: 100, N: 100, MB: 7, NB: 7, Grid: grid.Topology{Rows: 2, Cols: 3}},
+		{M: 90, N: 90, MB: 11, NB: 11, Grid: grid.Topology{Rows: 3, Cols: 2}},
+		{M: 101, N: 101, MB: 9, NB: 9, Grid: grid.Topology{Rows: 2, Cols: 2}},
+		{M: 37, N: 53, MB: 4, NB: 6, Grid: grid.Topology{Rows: 2, Cols: 3}},
+		{M: 20, N: 5, MB: 3, NB: 8, Grid: grid.Topology{Rows: 3, Cols: 1}},
+		{M: 9, N: 9, MB: 2, NB: 2, Grid: grid.Topology{Rows: 1, Cols: 1}},
+	} {
+		a := make([]float64, l.M*l.N)
+		for i := range a {
+			a[i] = rng.NormFloat64()
+		}
+		x := make([]float64, l.N)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		pieces := blockcyclic.Distribute(a, l)
+		err := mpi.Run(l.Grid.Count(), func(c *mpi.Comm) error {
+			ctx, err := blacs.New(c, l.Grid)
+			if err != nil {
+				return err
+			}
+			local := pieces[c.Rank()].Data
+			got, err := DistMatVec(ctx, l, local, x)
+			if err != nil {
+				return err
+			}
+			want := c.Allreduce(matVecElementwise(l, ctx.MyRow, ctx.MyCol, local, x), mpi.SumOp)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					return fmt.Errorf("rank %d: y[%d] = %v, elementwise %v", c.Rank(), i, got[i], want[i])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%dx%d blocks %dx%d grid %v: %v", l.M, l.N, l.MB, l.NB, l.Grid, err)
+		}
+	}
+}
+
 func randMatGlobal(rng *rand.Rand, n int) []float64 {
 	a := make([]float64, n*n)
 	for i := range a {

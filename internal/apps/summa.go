@@ -30,6 +30,7 @@ func DistMatMul(ctx *blacs.Context, l blockcyclic.Layout, a, b, c []float64) err
 	}
 	nblk := l.BlockRows()
 	myRow, myCol := ctx.MyRow, ctx.MyCol
+	stride := l.LocalCols(myCol)
 
 	for k := 0; k < nblk; k++ {
 		pr := k % l.Grid.Rows
@@ -39,7 +40,7 @@ func DistMatMul(ctx *blacs.Context, l blockcyclic.Layout, a, b, c []float64) err
 		// Block column k of A spreads along process rows.
 		var aPanel panel
 		if myCol == pc {
-			for _, bi := range localBlockRows(l, myRow, -1) {
+			for bi := myRow; bi < nblk; bi += l.Grid.Rows {
 				aPanel.Idx = append(aPanel.Idx, bi)
 				aPanel.Blocks = append(aPanel.Blocks, getBlock(l, a, myCol, bi, k))
 			}
@@ -49,22 +50,19 @@ func DistMatMul(ctx *blacs.Context, l blockcyclic.Layout, a, b, c []float64) err
 		// Block row k of B spreads down process columns.
 		var bPanel panel
 		if myRow == pr {
-			for _, bj := range localBlockCols(l, myCol, -1) {
+			for bj := myCol; bj < nblk; bj += l.Grid.Cols {
 				bPanel.Idx = append(bPanel.Idx, bj)
 				bPanel.Blocks = append(bPanel.Blocks, getBlock(l, b, myCol, k, bj))
 			}
 		}
 		bPanel = ctx.Col.Bcast(pr, bPanel).(panel)
 
-		for _, bi := range aPanel.Idx {
-			aik := aPanel.find(bi)
-			h := l.BlockHeight(bi)
-			for _, bj := range bPanel.Idx {
-				bkj := bPanel.find(bj)
-				w := l.BlockWidth(bj)
-				blk := getBlock(l, c, myCol, bi, bj)
-				matrix.Gemm(h, kw, w, aik, bkj, blk)
-				setBlock(l, c, myCol, bi, bj, blk)
+		// Every (bi, bj) pair is a local block of C: update it in place.
+		for x, bi := range aPanel.Idx {
+			row0 := (bi / l.Grid.Rows) * l.MB * stride
+			for y, bj := range bPanel.Idx {
+				blk := c[row0+(bj/l.Grid.Cols)*l.NB:]
+				matrix.Gemm(l.BlockHeight(bi), kw, l.BlockWidth(bj), aPanel.Blocks[x], bPanel.Blocks[y], blk, stride)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,15 +16,23 @@ func randMat(rng *rand.Rand, m, n int) []float64 {
 	return a
 }
 
-// naiveGemm is the reference O(mnk) triple loop in (i,j,l) order.
-func naiveGemm(m, k, n int, a, b, c []float64) {
+// naiveGemm is the reference triple loop in (i, j, l) order: C += A * B,
+// or C -= A * B when sub is set, with C at row stride ldc. Each element
+// takes its products one by one in l order, skipping a zero A element,
+// which is the per-element operation order Gemm and GemmSub promise.
+func naiveGemm(m, k, n int, a, b, c []float64, ldc int, sub bool) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			s := 0.0
 			for l := 0; l < k; l++ {
-				s += a[i*k+l] * b[l*n+j]
+				if a[i*k+l] == 0 {
+					continue
+				}
+				if sub {
+					c[i*ldc+j] -= a[i*k+l] * b[l*n+j]
+				} else {
+					c[i*ldc+j] += a[i*k+l] * b[l*n+j]
+				}
 			}
-			c[i*n+j] += s
 		}
 	}
 }
@@ -35,8 +44,8 @@ func TestGemmMatchesNaive(t *testing.T) {
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
 		c1 := randMat(rng, m, n)
 		c2 := append([]float64{}, c1...)
-		Gemm(m, k, n, a, b, c1)
-		naiveGemm(m, k, n, a, b, c2)
+		Gemm(m, k, n, a, b, c1, n)
+		naiveGemm(m, k, n, a, b, c2, n, false)
 		if d := MaxAbsDiff(c1, c2); d > 1e-12 {
 			t.Errorf("dims %v: diff %v", dims, d)
 		}
@@ -49,10 +58,48 @@ func TestGemmSubInvertsGemm(t *testing.T) {
 	a, b := randMat(rng, m, k), randMat(rng, k, n)
 	c := randMat(rng, m, n)
 	orig := append([]float64{}, c...)
-	Gemm(m, k, n, a, b, c)
-	GemmSub(m, k, n, a, b, c)
+	Gemm(m, k, n, a, b, c, n)
+	GemmSub(m, k, n, a, b, c, n)
 	if d := MaxAbsDiff(c, orig); d > 1e-12 {
 		t.Errorf("Gemm then GemmSub drifted by %v", d)
+	}
+}
+
+// TestGemmStridedMatchesNaive holds Gemm and GemmSub to the reference bit
+// for bit on blocks inside wider matrices (ldc > n), with k not a multiple
+// of four, zeros in A that split some groups of four and not others, and
+// -0 in C, which adding a skipped 0*b would turn into +0.
+func TestGemmStridedMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, dims := range [][4]int{{1, 1, 1, 1}, {3, 4, 5, 5}, {5, 7, 3, 11}, {8, 9, 8, 13}, {6, 16, 16, 40}, {4, 13, 1, 2}} {
+		m, k, n, ldc := dims[0], dims[1], dims[2], dims[3]
+		for _, sub := range []bool{false, true} {
+			a, b := randMat(rng, m, k), randMat(rng, k, n)
+			for i := range a {
+				if rng.Intn(5) == 0 {
+					a[i] = 0
+				}
+			}
+			b[rng.Intn(len(b))] = 0
+			c1 := randMat(rng, m, ldc)
+			for i := range c1 {
+				if rng.Intn(3) == 0 {
+					c1[i] = math.Copysign(0, -1)
+				}
+			}
+			c2 := append([]float64{}, c1...)
+			if sub {
+				GemmSub(m, k, n, a, b, c1, ldc)
+			} else {
+				Gemm(m, k, n, a, b, c1, ldc)
+			}
+			naiveGemm(m, k, n, a, b, c2, ldc, sub)
+			for i := range c1 {
+				if math.Float64bits(c1[i]) != math.Float64bits(c2[i]) {
+					t.Fatalf("dims %v sub=%v: c[%d] = %v, reference %v", dims, sub, i, c1[i], c2[i])
+				}
+			}
+		}
 	}
 }
 
@@ -140,7 +187,7 @@ func TestTrsmRightUpper(t *testing.T) {
 		}
 	}
 	check := make([]float64, m*n)
-	Gemm(m, n, n, b, u, check)
+	Gemm(m, n, n, b, u, check, n)
 	if d := MaxAbsDiff(check, orig); d > 1e-9 {
 		t.Errorf("TrsmRightUpper residual %v", d)
 	}
@@ -165,7 +212,7 @@ func TestTrsmLeftLowerUnit(t *testing.T) {
 		}
 	}
 	check := make([]float64, n*m)
-	Gemm(n, n, m, l, b, check)
+	Gemm(n, n, m, l, b, check, m)
 	if d := MaxAbsDiff(check, orig); d > 1e-9 {
 		t.Errorf("TrsmLeftLowerUnit residual %v", d)
 	}
@@ -263,6 +310,85 @@ func TestFFTRoundTripProperty(t *testing.T) {
 	}
 }
 
+// fftRecurrence is the butterfly loop FFTPlan replaced, which recomputed
+// every stage's twiddles for every group with w *= wl.
+func fftRecurrence(x []complex128, inverse bool) {
+	n := len(x)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wl := cmplx.Exp(complex(0, ang))
+		for i := 0; i < n; i += length {
+			w := complex(1, 0)
+			half := length / 2
+			for j := 0; j < half; j++ {
+				u := x[i+j]
+				v := x[i+j+half] * w
+				x[i+j] = u + v
+				x[i+j+half] = u - v
+				w *= wl
+			}
+		}
+	}
+	if inverse {
+		inv := complex(1/float64(n), 0)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+// TestFFTTableMatchesRecurrence holds the tabulated transform to the
+// recurrence loop bit for bit, for every power of two up to 1024 in both
+// directions, through FFT and through one plan reused across inputs.
+func TestFFTTableMatchesRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 1; n <= 1024; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			plan, err := NewFFTPlan(n, inverse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 2; rep++ {
+				x := make([]complex128, n)
+				for i := range x {
+					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+				want := append([]complex128{}, x...)
+				fftRecurrence(want, inverse)
+				viaFFT := append([]complex128{}, x...)
+				if err := FFT(viaFFT, inverse); err != nil {
+					t.Fatal(err)
+				}
+				if err := plan.Transform(x); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					for _, got := range []complex128{x[i], viaFFT[i]} {
+						if math.Float64bits(real(got)) != math.Float64bits(real(want[i])) ||
+							math.Float64bits(imag(got)) != math.Float64bits(imag(want[i])) {
+							t.Fatalf("n=%d inverse=%v: bin %d = %v, recurrence %v", n, inverse, i, got, want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func cmag(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
@@ -271,6 +397,13 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	}
 	if err := FFT(nil, false); err == nil {
 		t.Error("empty accepted")
+	}
+	plan, err := NewFFTPlan(8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Transform(make([]complex128, 16)); err == nil {
+		t.Error("length 16 accepted by a plan for 8")
 	}
 }
 
