@@ -663,6 +663,39 @@ func BenchmarkRealFFT2D(b *testing.B) {
 	}
 }
 
+func BenchmarkRealDistCG(b *testing.B) {
+	const n, nb = 48, 4
+	topo := grid.Topology{Rows: 2, Cols: 2}
+	l := blockcyclic.Layout{M: n, N: n, MB: nb, NB: nb, Grid: topo}
+	global := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			global[i*n+j] = 1.0 / (1.0 + float64((i-j)*(i-j)))
+		}
+		global[i*n+i] += float64(n)
+	}
+	pieces := blockcyclic.Distribute(global, l)
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = 1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := mpi.Run(4, func(c *mpi.Comm) error {
+			ctx, err := blacs.New(c, topo)
+			if err != nil {
+				return err
+			}
+			x := make([]float64, n)
+			_, err = apps.DistCG(ctx, l, pieces[c.Rank()].Data, rhs, x, 8)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Runtime microbenchmarks ---------------------------------------------------
 
 func BenchmarkMPIAllreduce8(b *testing.B) {
@@ -691,39 +724,6 @@ func BenchmarkMPISpawnMerge(b *testing.B) {
 			m := ic.Merge()
 			m.Barrier()
 			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRealDistCG(b *testing.B) {
-	const n, nb = 48, 4
-	topo := grid.Topology{Rows: 2, Cols: 2}
-	l := blockcyclic.Layout{M: n, N: n, MB: nb, NB: nb, Grid: topo}
-	global := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			global[i*n+j] = 1.0 / (1.0 + float64((i-j)*(i-j)))
-		}
-		global[i*n+i] += float64(n)
-	}
-	pieces := blockcyclic.Distribute(global, l)
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(4, func(c *mpi.Comm) error {
-			ctx, err := blacs.New(c, topo)
-			if err != nil {
-				return err
-			}
-			x := make([]float64, n)
-			_, err = apps.DistCG(ctx, l, pieces[c.Rank()].Data, rhs, x, 8)
-			return err
 		})
 		if err != nil {
 			b.Fatal(err)

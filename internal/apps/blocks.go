@@ -11,30 +11,31 @@ import (
 	"repro/internal/blockcyclic"
 )
 
+// blockAt returns a rank's local storage from the first element of global
+// block (bi, bj) on; rows of the block lie l.LocalCols(myCol) apart. The
+// caller must own the block.
+func blockAt(l blockcyclic.Layout, local []float64, myCol, bi, bj int) []float64 {
+	return local[(bi/l.Grid.Rows)*l.MB*l.LocalCols(myCol)+(bj/l.Grid.Cols)*l.NB:]
+}
+
 // getBlock copies global block (bi, bj) out of a rank's local storage.
 // The caller must own the block.
 func getBlock(l blockcyclic.Layout, local []float64, myCol, bi, bj int) []float64 {
-	h := l.BlockHeight(bi)
-	w := l.BlockWidth(bj)
-	stride := l.LocalCols(myCol)
-	li0 := (bi / l.Grid.Rows) * l.MB
-	lj0 := (bj / l.Grid.Cols) * l.NB
+	h, w := l.BlockHeight(bi), l.BlockWidth(bj)
+	src, stride := blockAt(l, local, myCol, bi, bj), l.LocalCols(myCol)
 	out := make([]float64, h*w)
 	for ii := 0; ii < h; ii++ {
-		copy(out[ii*w:(ii+1)*w], local[(li0+ii)*stride+lj0:(li0+ii)*stride+lj0+w])
+		copy(out[ii*w:(ii+1)*w], src[ii*stride:])
 	}
 	return out
 }
 
 // setBlock writes a contiguous block back into local storage.
 func setBlock(l blockcyclic.Layout, local []float64, myCol, bi, bj int, blk []float64) {
-	h := l.BlockHeight(bi)
-	w := l.BlockWidth(bj)
-	stride := l.LocalCols(myCol)
-	li0 := (bi / l.Grid.Rows) * l.MB
-	lj0 := (bj / l.Grid.Cols) * l.NB
+	h, w := l.BlockHeight(bi), l.BlockWidth(bj)
+	dst, stride := blockAt(l, local, myCol, bi, bj), l.LocalCols(myCol)
 	for ii := 0; ii < h; ii++ {
-		copy(local[(li0+ii)*stride+lj0:(li0+ii)*stride+lj0+w], blk[ii*w:(ii+1)*w])
+		copy(dst[ii*stride:ii*stride+w], blk[ii*w:(ii+1)*w])
 	}
 }
 

@@ -86,9 +86,8 @@ func DistLU(ctx *blacs.Context, l blockcyclic.Layout, local []float64) error {
 		colPanel = ctx.Row.Bcast(pc, colPanel).(panel)
 		rowPanel = ctx.Col.Bcast(pr, rowPanel).(panel)
 		for x, bi := range colPanel.Idx {
-			row0 := (bi / l.Grid.Rows) * l.MB * stride
 			for y, bj := range rowPanel.Idx {
-				blk := local[row0+(bj/l.Grid.Cols)*l.NB:]
+				blk := blockAt(l, local, myCol, bi, bj)
 				matrix.GemmSub(l.BlockHeight(bi), bh, l.BlockWidth(bj), colPanel.Blocks[x], rowPanel.Blocks[y], blk, stride)
 			}
 		}

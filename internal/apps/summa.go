@@ -59,9 +59,8 @@ func DistMatMul(ctx *blacs.Context, l blockcyclic.Layout, a, b, c []float64) err
 
 		// Every (bi, bj) pair is a local block of C: update it in place.
 		for x, bi := range aPanel.Idx {
-			row0 := (bi / l.Grid.Rows) * l.MB * stride
 			for y, bj := range bPanel.Idx {
-				blk := c[row0+(bj/l.Grid.Cols)*l.NB:]
+				blk := blockAt(l, c, myCol, bi, bj)
 				matrix.Gemm(l.BlockHeight(bi), kw, l.BlockWidth(bj), aPanel.Blocks[x], bPanel.Blocks[y], blk, stride)
 			}
 		}

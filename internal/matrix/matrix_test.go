@@ -67,8 +67,9 @@ func TestGemmSubInvertsGemm(t *testing.T) {
 
 // TestGemmStridedMatchesNaive holds Gemm and GemmSub to the reference bit
 // for bit on blocks inside wider matrices (ldc > n), with k not a multiple
-// of four, zeros in A that split some groups of four and not others, and
-// -0 in C, which adding a skipped 0*b would turn into +0.
+// of four, zeros in A that split some groups of four and not others, a row
+// of A with no nonzero, and -0 in C, which adding a skipped 0*b can turn
+// into +0.
 func TestGemmStridedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][4]int{{1, 1, 1, 1}, {3, 4, 5, 5}, {5, 7, 3, 11}, {8, 9, 8, 13}, {6, 16, 16, 40}, {4, 13, 1, 2}} {
@@ -76,8 +77,8 @@ func TestGemmStridedMatchesNaive(t *testing.T) {
 		for _, sub := range []bool{false, true} {
 			a, b := randMat(rng, m, k), randMat(rng, k, n)
 			for i := range a {
-				if rng.Intn(5) == 0 {
-					a[i] = 0
+				if i < k || rng.Intn(5) == 0 {
+					a[i] = 0 // row 0 of A is all zeros
 				}
 			}
 			b[rng.Intn(len(b))] = 0
