@@ -1,7 +1,10 @@
 // Command reshapelint is the repo's invariant multichecker: it runs the
-// four project-specific analyzers (detcore, journalfirst, durerr,
-// ctxfirst) over the packages matching its arguments and exits nonzero on
-// any diagnostic. CI runs it over ./... next to go vet; the invariants it
+// five project-specific analyzers (detcore, journalfirst, durerr,
+// ctxfirst, testonly) over the packages matching its arguments and exits
+// nonzero on any diagnostic. testonly is whole-program, so the root
+// module's ./... and the benchmark module (benchmark/./..., reference
+// only, never analyzed) are always loaded as the program it reads; run
+// reshapelint from the repository root. CI runs it over ./... next to go vet; the invariants it
 // enforces are documented in DESIGN.md "Enforced invariants".
 //
 // Usage:
@@ -25,6 +28,7 @@ import (
 	"repro/internal/analysis/detcore"
 	"repro/internal/analysis/durerr"
 	"repro/internal/analysis/journalfirst"
+	"repro/internal/analysis/testonly"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -32,6 +36,7 @@ var analyzers = []*analysis.Analyzer{
 	journalfirst.Analyzer,
 	durerr.Analyzer,
 	ctxfirst.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {
@@ -57,11 +62,12 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := analysis.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	pkgs := load(".", patterns...)
+	all := pkgs
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		all = load(".", "./...")
 	}
+	all = append(all, load("benchmark", "./...")...)
 
 	type finding struct {
 		pos      string
@@ -74,7 +80,7 @@ func main() {
 			if !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			diags, err := analysis.RunAnalyzer(a, pkg)
+			diags, err := analysis.RunAnalyzer(a, pkg, all)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -96,6 +102,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reshapelint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
+}
+
+func load(dir string, patterns ...string) []*analysis.Package {
+	pkgs, err := analysis.Load(dir, patterns...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return pkgs
 }
 
 func firstLine(s string) string {

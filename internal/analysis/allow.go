@@ -58,20 +58,13 @@ func parseAllows(fset *token.FileSet, f *ast.File) []allowDirective {
 	return out
 }
 
-// filterAllowed drops diagnostics covered by a justified allow directive
-// for the named analyzer, and adds a diagnostic for each directive naming
-// it that carries no justification.
-func filterAllowed(name string, fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
-	allowed := make(map[string]map[int]bool) // filename -> suppressed lines
-	var out []Diagnostic
+// AllowedLines returns, per file name, the lines a justified allow
+// directive for the named analyzer covers: its own and the one below.
+func AllowedLines(name string, fset *token.FileSet, files []*ast.File) map[string]map[int]bool {
+	allowed := make(map[string]map[int]bool)
 	for _, f := range files {
 		for _, d := range parseAllows(fset, f) {
-			if d.analyzer != name {
-				continue
-			}
-			if d.justification == "" {
-				out = append(out, Diagnostic{Pos: d.pos,
-					Message: "lint:allow " + name + " needs a justification: say why the invariant may be broken here"})
+			if d.analyzer != name || d.justification == "" {
 				continue
 			}
 			file := fset.Position(d.pos).Filename
@@ -82,6 +75,23 @@ func filterAllowed(name string, fset *token.FileSet, files []*ast.File, diags []
 			allowed[file][d.line+1] = true
 		}
 	}
+	return allowed
+}
+
+// filterAllowed drops diagnostics covered by a justified allow directive
+// for the named analyzer, and adds a diagnostic for each directive naming
+// it that carries no justification.
+func filterAllowed(name string, fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, f := range files {
+		for _, d := range parseAllows(fset, f) {
+			if d.analyzer == name && d.justification == "" {
+				out = append(out, Diagnostic{Pos: d.pos,
+					Message: "lint:allow " + name + " needs a justification: say why the invariant may be broken here"})
+			}
+		}
+	}
+	allowed := AllowedLines(name, fset, files)
 	for _, dg := range diags {
 		p := fset.Position(dg.Pos)
 		if allowed[p.Filename][p.Line] {

@@ -46,12 +46,15 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 
 // Pass carries one analyzer run over one package: the syntax trees, the
 // type information the checker produced for them, and the report sink.
+// All is the whole loaded program (the package itself included), for
+// checks that need every reference, not only the package's own.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	All       []*Package
 
 	diags []Diagnostic
 }
@@ -67,18 +70,19 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// RunAnalyzer executes one analyzer over one loaded package and returns
-// its diagnostics with //lint:allow suppression already applied, sorted
-// by position. Unjustified allow directives naming this analyzer are
+// RunAnalyzer executes one analyzer over one package of the loaded
+// program all and returns its diagnostics with //lint:allow suppression
+// already applied, sorted by position. Unjustified allow directives naming this analyzer are
 // reported as diagnostics themselves: an exception without a reason is a
 // violation of the escape-hatch policy, not an exception.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+func RunAnalyzer(a *Analyzer, pkg *Package, all []*Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
+		All:       all,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -84,7 +84,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkg, err)
 	}
-	diags, err := analysis.RunAnalyzer(a, loaded)
+	diags, err := analysis.RunAnalyzer(a, loaded, []*analysis.Package{loaded})
 	if err != nil {
 		t.Fatalf("running %s on fixture %s: %v", a.Name, pkg, err)
 	}
