@@ -12,7 +12,6 @@ import (
 const (
 	tagMWRequest = 7000
 	tagMWAssign  = 7001
-	tagMWDone    = 7002
 )
 
 // MasterWorkerRound executes one outer iteration of the paper's synthetic

@@ -13,80 +13,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// solveCase factors A on the grid and solves A x = b, checking against the
-// known solution.
-func solveCase(t *testing.T, n, nb int, topo grid.Topology, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	a := diagDominantGlobal(rng, n)
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	matrix.Gemv(n, n, a, xTrue, b)
-
-	l := blockcyclic.Layout{M: n, N: n, MB: nb, NB: nb, Grid: topo}
-	pieces := blockcyclic.Distribute(a, l)
-	err := mpi.Run(topo.Count(), func(c *mpi.Comm) error {
-		ctx, err := blacs.New(c, topo)
-		if err != nil {
-			return err
-		}
-		local := pieces[c.Rank()].Data
-		if err := DistLU(ctx, l, local); err != nil {
-			return err
-		}
-		rhs := append([]float64{}, b...)
-		if err := DistSolveLU(ctx, l, local, rhs); err != nil {
-			return err
-		}
-		for i := range rhs {
-			if math.Abs(rhs[i]-xTrue[i]) > 1e-7 {
-				return fmt.Errorf("rank %d: x[%d] = %v, want %v", c.Rank(), i, rhs[i], xTrue[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("n=%d nb=%d grid=%v: %v", n, nb, topo, err)
-	}
-}
-
-func TestDistSolveLUOnVariousGrids(t *testing.T) {
-	cases := []struct {
-		n, nb int
-		topo  grid.Topology
-	}{
-		{8, 2, grid.Topology{Rows: 2, Cols: 2}},
-		{12, 2, grid.Topology{Rows: 2, Cols: 3}},
-		{12, 3, grid.Topology{Rows: 1, Cols: 2}},
-		{16, 4, grid.Topology{Rows: 1, Cols: 1}},
-		{10, 3, grid.Topology{Rows: 2, Cols: 2}}, // uneven edge blocks
-	}
-	for i, tc := range cases {
-		solveCase(t, tc.n, tc.nb, tc.topo, int64(i+1))
-	}
-}
-
-func TestDistSolveLUValidates(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) error {
-		ctx, _ := blacs.New(c, grid.Topology{Rows: 1, Cols: 1})
-		l := blockcyclic.Layout{M: 4, N: 4, MB: 2, NB: 2, Grid: ctx.Grid}
-		if DistSolveLU(ctx, l, make([]float64, 16), make([]float64, 3)) == nil {
-			return fmt.Errorf("wrong rhs length accepted")
-		}
-		bad := blockcyclic.Layout{M: 4, N: 6, MB: 2, NB: 2, Grid: ctx.Grid}
-		if DistSolveLU(ctx, bad, make([]float64, 24), make([]float64, 6)) == nil {
-			return fmt.Errorf("rectangular matrix accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDistMatVecMatchesSerial(t *testing.T) {
 	const n = 10
 	topo := grid.Topology{Rows: 2, Cols: 2}
