@@ -58,11 +58,3 @@ func New(c *mpi.Comm, topo grid.Topology) (*Context, error) {
 	}
 	return ctx, nil
 }
-
-// Rank returns the communicator rank of grid position (r, c).
-func (ctx *Context) Rank(r, c int) int { return r*ctx.Grid.Cols + c }
-
-// Coords returns the grid position of a communicator rank.
-func (ctx *Context) Coords(rank int) (r, c int) {
-	return rank / ctx.Grid.Cols, rank % ctx.Grid.Cols
-}

@@ -143,22 +143,3 @@ func TestContextRecreateAfterGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRankCoordsRoundTrip(t *testing.T) {
-	err := mpi.Run(6, func(c *mpi.Comm) error {
-		ctx, err := New(c, grid.Topology{Rows: 3, Cols: 2})
-		if err != nil {
-			return err
-		}
-		for rank := 0; rank < 6; rank++ {
-			r, col := ctx.Coords(rank)
-			if ctx.Rank(r, col) != rank {
-				return fmt.Errorf("round trip failed for %d", rank)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
