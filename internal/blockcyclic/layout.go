@@ -22,12 +22,6 @@ type Layout struct {
 	Grid   grid.Topology
 }
 
-// New1D returns a row-distributed layout (block-cyclic over block rows) for
-// p processors.
-func New1D(m, n, mb, p int) Layout {
-	return Layout{M: m, N: n, MB: mb, NB: n, Grid: grid.Row1D(p)}
-}
-
 // Validate checks the layout invariants.
 func (l Layout) Validate() error {
 	switch {
@@ -64,11 +58,6 @@ func (l Layout) BlockWidth(bj int) int {
 		w = l.NB
 	}
 	return w
-}
-
-// OwnerOfBlock returns the grid coordinates owning global block (bi, bj).
-func (l Layout) OwnerOfBlock(bi, bj int) (prow, pcol int) {
-	return bi % l.Grid.Rows, bj % l.Grid.Cols
 }
 
 // Coords returns the grid coordinates of a communicator rank.
@@ -140,27 +129,19 @@ func NewMatrix(l Layout, rank int) *Matrix {
 	return &Matrix{Layout: l, Rank: rank, Data: make([]float64, l.LocalSize(rank))}
 }
 
-// Rows returns the local row count.
-func (m *Matrix) Rows() int {
-	pr, _ := m.Layout.Coords(m.Rank)
-	return m.Layout.LocalRows(pr)
-}
-
 // Cols returns the local column count.
 func (m *Matrix) Cols() int {
 	_, pc := m.Layout.Coords(m.Rank)
 	return m.Layout.LocalCols(pc)
 }
 
-// At returns the local element (li, lj).
-func (m *Matrix) At(li, lj int) float64 { return m.Data[li*m.Cols()+lj] }
-
 // Set writes the local element (li, lj).
 func (m *Matrix) Set(li, lj int, v float64) { m.Data[li*m.Cols()+lj] = v }
 
 // Distribute slices a dense row-major global matrix into per-rank local
-// pieces under the layout. Used as the ground truth in tests and for small
-// problem setup.
+// pieces under the layout.
+//
+//lint:allow testonly oracle: the dense ground truth the apps kernel tests, TestOutputsGolden and the redistrib tests scatter inputs with
 func Distribute(global []float64, l Layout) []*Matrix {
 	p := l.Grid.Count()
 	out := make([]*Matrix, p)
@@ -179,6 +160,8 @@ func Distribute(global []float64, l Layout) []*Matrix {
 
 // Collect reassembles the dense global matrix from per-rank pieces. It is
 // the inverse of Distribute.
+//
+//lint:allow testonly oracle: the apps kernel tests, TestOutputsGolden and the redistrib tests gather results with it to compare against serial kernels
 func Collect(pieces []*Matrix, l Layout) []float64 {
 	global := make([]float64, l.M*l.N)
 	for rank, m := range pieces {

@@ -12,6 +12,26 @@ func layout(m, n, mb, nb, pr, pc int) Layout {
 	return Layout{M: m, N: n, MB: mb, NB: nb, Grid: grid.Topology{Rows: pr, Cols: pc}}
 }
 
+// New1D returns a row-distributed layout (block-cyclic over block rows) for
+// p processors.
+func New1D(m, n, mb, p int) Layout {
+	return Layout{M: m, N: n, MB: mb, NB: n, Grid: grid.Row1D(p)}
+}
+
+// OwnerOfBlock returns the grid coordinates owning global block (bi, bj).
+func (l Layout) OwnerOfBlock(bi, bj int) (prow, pcol int) {
+	return bi % l.Grid.Rows, bj % l.Grid.Cols
+}
+
+// Rows returns the local row count.
+func (m *Matrix) Rows() int {
+	pr, _ := m.Layout.Coords(m.Rank)
+	return m.Layout.LocalRows(pr)
+}
+
+// At returns the local element (li, lj).
+func (m *Matrix) At(li, lj int) float64 { return m.Data[li*m.Cols()+lj] }
+
 func TestValidate(t *testing.T) {
 	if err := layout(8, 8, 2, 2, 2, 2).Validate(); err != nil {
 		t.Errorf("valid layout rejected: %v", err)

@@ -105,8 +105,8 @@ func TestRedistributeTable2Chain8000Scaled(t *testing.T) {
 }
 
 func TestRedistribute1DRowFormats(t *testing.T) {
-	src := blockcyclic.New1D(24, 6, 2, 3)
-	dst := blockcyclic.New1D(24, 6, 2, 4)
+	src := blockcyclic.Layout{M: 24, N: 6, MB: 2, NB: 6, Grid: grid.Row1D(3)}
+	dst := blockcyclic.Layout{M: 24, N: 6, MB: 2, NB: 6, Grid: grid.Row1D(4)}
 	runRedistribution(t, src, dst, 3)
 	// and shrink back
 	runRedistribution(t, dst, src, 4)
