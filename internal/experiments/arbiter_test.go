@@ -6,6 +6,15 @@ import (
 	"repro/internal/perfmodel"
 )
 
+// WaitImprovement is the relative mean-queue-wait reduction of the
+// benefit-ranked arbiter over FCFS (positive = arbiter better).
+func (r ArbiterRow) WaitImprovement() float64 {
+	if r.FCFSWait == 0 {
+		return 0
+	}
+	return (r.FCFSWait - r.ArbiterWait) / r.FCFSWait
+}
+
 // TestArbiterImprovesQueueWait is the acceptance gate of the arbitration
 // layer: on the paper's workload mixes the benefit-ranked arbiter must
 // never increase mean queue wait over the published FCFS path, and on the

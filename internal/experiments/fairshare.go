@@ -45,6 +45,8 @@ func NoisyNeighborMix() ([]simcluster.JobInput, error) {
 // benefit-ranked inner arbiter and predictor), reporting each tenant's
 // mean and p99 queue wait under both. Rows follow the mix's tenant order:
 // noisy, victim1, victim2.
+//
+//lint:allow testonly item-12 driver: TestFairshareProtectsVictims runs it until reshape-bench exposes it
 func FairShareComparison(params *perfmodel.Params) ([]TenantRow, error) {
 	mix, err := NoisyNeighborMix()
 	if err != nil {

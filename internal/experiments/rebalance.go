@@ -39,30 +39,14 @@ type RebalanceRow struct {
 	RebUtil float64
 }
 
-// MakespanImprovement is the relative makespan reduction of the global
-// rebalancer over the reactive arbiter (positive = rebalancer better).
-func (r RebalanceRow) MakespanImprovement() float64 {
-	if r.ArbMakespan == 0 {
-		return 0
-	}
-	return (r.ArbMakespan - r.RebMakespan) / r.ArbMakespan
-}
-
-// TurnaroundImprovement is the relative mean-turnaround reduction
-// (positive = rebalancer better).
-func (r RebalanceRow) TurnaroundImprovement() float64 {
-	if r.ArbMeanTurn == 0 {
-		return 0
-	}
-	return (r.ArbMeanTurn - r.RebMeanTurn) / r.ArbMeanTurn
-}
-
 // RebalanceComparison runs W1, W2 and the contended generated mix under
 // the reactive benefit-ranked arbiter (the PR 5 baseline, with the
 // perfmodel predictor) and under the global rebalancer ticking every
 // DefaultRebalanceTick seconds, reporting makespan, queue-wait tail and
 // utilization for each. Both sides share identical predictor
 // configuration, so every delta is attributable to the planning layer.
+//
+//lint:allow testonly item-12 driver: TestRebalanceComparisonGate runs it until reshape-bench exposes it
 func RebalanceComparison(params *perfmodel.Params) ([]RebalanceRow, error) {
 	contended, err := ContendedMix()
 	if err != nil {

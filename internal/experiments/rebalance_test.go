@@ -6,6 +6,24 @@ import (
 	"repro/internal/perfmodel"
 )
 
+// MakespanImprovement is the relative makespan reduction of the global
+// rebalancer over the reactive arbiter (positive = rebalancer better).
+func (r RebalanceRow) MakespanImprovement() float64 {
+	if r.ArbMakespan == 0 {
+		return 0
+	}
+	return (r.ArbMakespan - r.RebMakespan) / r.ArbMakespan
+}
+
+// TurnaroundImprovement is the relative mean-turnaround reduction
+// (positive = rebalancer better).
+func (r RebalanceRow) TurnaroundImprovement() float64 {
+	if r.ArbMeanTurn == 0 {
+		return 0
+	}
+	return (r.ArbMeanTurn - r.RebMeanTurn) / r.ArbMeanTurn
+}
+
 // TestRebalanceComparisonGate is the acceptance gate of the global
 // rebalancer: on the contended generated mix its makespan and p99 queue
 // wait must be no worse than the PR 5 benefit-ranked arbiter, and at
