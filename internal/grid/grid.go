@@ -1,7 +1,7 @@
-// Package grid provides processor-topology math for ReSHAPE: nearly-square
-// 2-D factorizations, divisibility-constrained configuration enumeration
-// (the paper's Table 2), and the expansion rule that adds processors to the
-// smallest row or column of an existing topology (§3.1).
+// Package grid provides processor-topology math for ReSHAPE: divisors,
+// the divisibility-constrained growth chains of the paper's Table 2, and
+// the expansion rule that adds processors to the smallest row or column of
+// an existing topology (§3.1).
 package grid
 
 import (
@@ -61,21 +61,6 @@ func (t Topology) Normalized() Topology {
 // (row-distributed data).
 func Row1D(p int) Topology { return Topology{Rows: p, Cols: 1} }
 
-// NearlySquare returns the factorization r x c of p with r <= c minimizing
-// c-r (the most-square factor pair).
-func NearlySquare(p int) Topology {
-	if p <= 0 {
-		return Topology{}
-	}
-	best := Topology{1, p}
-	for r := 1; r*r <= p; r++ {
-		if p%r == 0 {
-			best = Topology{r, p / r}
-		}
-	}
-	return best
-}
-
 // Divisors returns the sorted positive divisors of n.
 func Divisors(n int) []int {
 	if n <= 0 {
@@ -109,6 +94,8 @@ func nextDivisor(n, d int) int {
 // dimensions divide the problem size n: the smallest dimension is raised to
 // the next divisor of n. The result keeps Rows <= Cols. It returns the same
 // topology and false when no further growth is possible.
+//
+//lint:allow testonly oracle: the one-step rule TestGrowMonotone and workload's TestGrowthChainMatchesGrowLoop hold GrowthChain to
 func Grow(t Topology, n int) (Topology, bool) {
 	t = t.Normalized()
 	next := nextDivisor(n, t.Rows)
@@ -176,41 +163,6 @@ func Chain1D(n, minProcs, maxProcs int) []int {
 		if d >= minProcs && d <= maxProcs {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// Configurations enumerates all nearly-square-preferring topologies for
-// problem size n with total processors in [minProcs, maxProcs], where each
-// dimension divides n and the aspect ratio is at most maxAspect. One
-// topology (the most square) is returned per processor count, sorted by
-// count. This generates the paper's Table 2 rows.
-func Configurations(n, minProcs, maxProcs int, maxAspect float64) []Topology {
-	ds := Divisors(n)
-	byCount := make(map[int]Topology)
-	for _, r := range ds {
-		for _, c := range ds {
-			t := Topology{r, c}.Normalized()
-			p := t.Count()
-			if p < minProcs || p > maxProcs {
-				continue
-			}
-			if t.Aspect() > maxAspect {
-				continue
-			}
-			if prev, ok := byCount[p]; !ok || t.Aspect() < prev.Aspect() {
-				byCount[p] = t
-			}
-		}
-	}
-	counts := make([]int, 0, len(byCount))
-	for p := range byCount {
-		counts = append(counts, p)
-	}
-	sort.Ints(counts)
-	out := make([]Topology, len(counts))
-	for i, p := range counts {
-		out[i] = byCount[p]
 	}
 	return out
 }

@@ -23,47 +23,6 @@ func TestTopologyStringMatchesFmt(t *testing.T) {
 	}
 }
 
-func TestNearlySquare(t *testing.T) {
-	cases := []struct {
-		p    int
-		want Topology
-	}{
-		{1, Topology{1, 1}},
-		{2, Topology{1, 2}},
-		{4, Topology{2, 2}},
-		{6, Topology{2, 3}},
-		{9, Topology{3, 3}},
-		{12, Topology{3, 4}},
-		{20, Topology{4, 5}},
-		{36, Topology{6, 6}},
-		{40, Topology{5, 8}},
-		{48, Topology{6, 8}},
-		{7, Topology{1, 7}},
-	}
-	for _, c := range cases {
-		if got := NearlySquare(c.p); got != c.want {
-			t.Errorf("NearlySquare(%d) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestNearlySquareInvalid(t *testing.T) {
-	if got := NearlySquare(0); got.IsValid() {
-		t.Errorf("NearlySquare(0) = %v, want invalid", got)
-	}
-}
-
-func TestNearlySquareProperty(t *testing.T) {
-	f := func(raw uint16) bool {
-		p := int(raw%5000) + 1
-		topo := NearlySquare(p)
-		return topo.Count() == p && topo.Rows <= topo.Cols
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDivisors(t *testing.T) {
 	got := Divisors(12)
 	want := []int{1, 2, 3, 4, 6, 12}
@@ -209,26 +168,6 @@ func TestSmallestConfig(t *testing.T) {
 	}
 	if _, ok := SmallestConfig(5, 26, 50); ok {
 		t.Error("SmallestConfig(5, 26, 50) should not exist (combos are 1, 5, 25)")
-	}
-}
-
-func TestConfigurationsDivisibility(t *testing.T) {
-	for _, cfg := range Configurations(12000, 2, 50, 2.0) {
-		if 12000%cfg.Rows != 0 || 12000%cfg.Cols != 0 {
-			t.Errorf("config %v does not divide 12000", cfg)
-		}
-		if cfg.Aspect() > 2.0 {
-			t.Errorf("config %v exceeds aspect limit", cfg)
-		}
-	}
-}
-
-func TestConfigurationsSortedUniqueCounts(t *testing.T) {
-	cfgs := Configurations(8000, 2, 50, 2.0)
-	for i := 1; i < len(cfgs); i++ {
-		if cfgs[i].Count() <= cfgs[i-1].Count() {
-			t.Errorf("configs not strictly increasing: %v", cfgs)
-		}
 	}
 }
 
