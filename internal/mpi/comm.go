@@ -151,9 +151,6 @@ func (c *Comm) Sub(ranks []int) *Comm {
 	return c.Split(color, key)
 }
 
-// World returns the hosting World, for advanced integrations (spawning).
-func (c *Comm) World() *World { return c.world }
-
 // Internal tags used by collective implementations. User tags must be >= 0.
 const (
 	tagSplit = -(100 + iota)

@@ -567,26 +567,6 @@ func TestSpawnAndMerge(t *testing.T) {
 	}
 }
 
-func TestSpawnIntercommPointToPoint(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		ic := c.Spawn(2, func(child *Intercomm) error {
-			v, _, _ := child.Recv(AnySource, 1)
-			child.Send(v.(int), 2, child.local.rank*100)
-			return nil
-		})
-		// parent rank r messages child rank r
-		ic.Send(c.Rank(), 1, c.Rank())
-		v, _, _ := ic.Recv(c.Rank(), 2)
-		if v.(int) != c.Rank()*100 {
-			return fmt.Errorf("got %v", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNestedSpawnGrowsTwice(t *testing.T) {
 	// Grow 1 -> 2 -> 4 as the resize library does on repeated expansion.
 	err := Run(1, func(c *Comm) error {

@@ -9,23 +9,8 @@ import "fmt"
 type Intercomm struct {
 	local      *Comm
 	remote     []*proc
-	ctx        int  // context for cross-group point-to-point traffic
 	mergedCtx  int  // pre-agreed context for the merged intracommunicator
 	localFirst bool // true on the parent side: parents precede children after Merge
-}
-
-// Send delivers v to rank dst of the remote group.
-func (ic *Intercomm) Send(dst, tag int, v any) {
-	if dst < 0 || dst >= len(ic.remote) {
-		panic(fmt.Sprintf("mpi: intercomm Send to invalid remote rank %d (size %d)", dst, len(ic.remote)))
-	}
-	ic.remote[dst].deliver(envelope{ctx: ic.ctx, src: ic.local.rank, tag: tag, data: v})
-}
-
-// Recv blocks for a message from rank src of the remote group (or AnySource).
-func (ic *Intercomm) Recv(src, tag int) (v any, actualSrc, actualTag int) {
-	e := ic.local.proc.take(ic.ctx, src, tag)
-	return e.data, e.src, e.tag
 }
 
 // Merge combines both groups into one intracommunicator. On the side created
@@ -50,7 +35,6 @@ func (ic *Intercomm) Merge() *Comm {
 type spawnInfo struct {
 	children  []*proc
 	childCtx  int
-	interCtx  int
 	mergedCtx int
 }
 
@@ -69,7 +53,6 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 		info = spawnInfo{
 			children:  children,
 			childCtx:  childCtx,
-			interCtx:  c.world.allocCtx(),
 			mergedCtx: c.world.allocCtx(),
 		}
 	}
@@ -87,7 +70,6 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 			childIC := &Intercomm{
 				local:      childComm,
 				remote:     c.procs,
-				ctx:        info.interCtx,
 				mergedCtx:  info.mergedCtx,
 				localFirst: false,
 			}
@@ -97,7 +79,6 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 	return &Intercomm{
 		local:      c,
 		remote:     info.children,
-		ctx:        info.interCtx,
 		mergedCtx:  info.mergedCtx,
 		localFirst: true,
 	}
