@@ -37,6 +37,12 @@ func (s square) Area() float64 { return s.side * s.side }
 // Perimeter matches no interface and nothing calls it.
 func (s square) Perimeter() float64 { return 4 * s.side } // want "square.Perimeter is reached only from tests"
 
+// code is matched by errors.Is through its Is method.
+type code int
+
+func (c code) Error() string        { return "code" }
+func (c code) Is(target error) bool { return target == code(0) }
+
 // Oracle is kept for tests of other packages.
 //
 //lint:allow testonly oracle: compared against in a cross-package test

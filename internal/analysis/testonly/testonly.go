@@ -12,7 +12,8 @@
 // every declaration under //lint:allow testonly. Liveness spreads from
 // the roots through the references in function bodies until nothing
 // changes. A method named like a method of any interface type the program
-// sees is exempt, because it may be called through that interface.
+// sees is exempt, because it may be called through that interface; so are
+// Is, As and Unwrap, which package errors calls through unnamed ones.
 package testonly
 
 import (
@@ -80,6 +81,9 @@ func liveness(pass *analysis.Pass) map[string]bool {
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type())
+	for _, m := range []string{"Is", "As", "Unwrap"} {
+		ifaces[m] = true // errors.Is/As/Unwrap assert these on unnamed interfaces
+	}
 	seen := map[*types.Package]bool{}
 	var walk func(*types.Package)
 	walk = func(tp *types.Package) {
