@@ -22,7 +22,6 @@ type Client struct {
 	poolSize    int
 	dialTimeout time.Duration
 	tenant      string
-	logf        func(format string, args ...any)
 
 	mu     sync.Mutex
 	conns  []*conn // fixed-size slot array; nil/dead slots redial lazily
@@ -54,12 +53,6 @@ func WithDialTimeout(d time.Duration) Option {
 	return func(c *Client) { c.dialTimeout = d }
 }
 
-// WithLogf installs a hook for client-side transport events (reconnects,
-// dropped subscriptions). The default discards them.
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(c *Client) { c.logf = logf }
-}
-
 // WithTenant sets the tenant identity stamped on every request the client
 // sends: the server's admission control attributes quota to it, and jobs
 // submitted with no Spec.Tenant of their own are tagged with it.
@@ -74,7 +67,6 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		addr:        addr,
 		poolSize:    1,
 		dialTimeout: 10 * time.Second,
-		logf:        func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(c)
@@ -254,7 +246,6 @@ func (cn *conn) readLoop() {
 			if p.onDrop != nil {
 				p.onDrop()
 			}
-			cn.client.logf("reshape: dropping reply for lagging request %d", r.ID)
 		}
 	}
 }
@@ -539,7 +530,6 @@ func (c *Client) watchLoop(ctx context.Context, jobID int, out chan<- scheduler.
 			return // ctx done: subscription over
 		}
 		// Transport lost or server ended the stream: resubscribe.
-		c.logf("reshape: watch stream lost, resubscribing")
 		backoff = 50 * time.Millisecond
 		if !sleep() {
 			return
