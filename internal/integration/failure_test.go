@@ -24,7 +24,7 @@ func crashingWorker(s *resize.Session) error {
 		if s.Iter() == 2 {
 			return fmt.Errorf("injected fault at iteration %d on rank %d", s.Iter(), s.Comm().Rank())
 		}
-		st, err := s.Resize(0.001)
+		st, err := s.ResizeAveraged(0.001)
 		if err != nil {
 			return err
 		}

@@ -8,8 +8,9 @@
 // iterate/log/resize loop itself. This package is the underlying
 // mechanism the SDK runs on.
 //
-// At a resize point the application calls Session.Resize with its latest
-// iteration time (the paper's "simple functional API"). The library then:
+// At a resize point the application calls Session.ResizeAveraged with its
+// grid-averaged iteration time (the paper's "simple functional API"). The
+// library then:
 //
 //  1. contacts the scheduler with the performance report
 //     (contact_scheduler),

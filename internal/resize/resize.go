@@ -298,19 +298,12 @@ func (s *Session) ContactScheduler(iterTime, redistTime float64) (scheduler.Deci
 	return w.d, nil
 }
 
-// Resize is the simple API: it averages the iteration time across ranks,
-// contacts the scheduler, and actuates the returned decision (expanding,
-// shrinking and redistributing as needed). It returns Retired on ranks that
-// were shrunk away; those must return from their worker immediately.
-func (s *Session) Resize(iterTime float64) (Status, error) {
-	avg := s.comm.AllreduceSum(iterTime) / float64(s.comm.Size())
-	return s.ResizeAveraged(avg)
-}
-
-// ResizeAveraged is Resize for callers that already hold the grid-averaged
-// iteration time — typically Log's return value — saving the redundant
-// collective re-reduction Resize would perform. Collective: every rank
-// must pass the same average.
+// ResizeAveraged is the simple API: given the grid-averaged iteration time
+// (typically Log's return value) it contacts the scheduler and actuates
+// the returned decision (expanding, shrinking and redistributing as
+// needed). It returns Retired on ranks that were shrunk away; those must
+// return from their worker immediately. Collective: every rank must pass
+// the same average.
 func (s *Session) ResizeAveraged(avg float64) (Status, error) {
 	s.iter++
 	d, err := s.ContactScheduler(avg, s.lastRedist)
@@ -608,16 +601,12 @@ func (s *Session) redistribute(comm *mpi.Comm, from, to grid.Topology) error {
 // into perfmodel.Params.CalibrateRedist.
 func (s *Session) RedistObservations() []perfmodel.RedistObservation { return s.redistObs }
 
-// CalibrateRedist refits params' redistribution model from this session's
-// measured redistributions, returning the number of observations used.
-func (s *Session) CalibrateRedist(p *perfmodel.Params) int {
-	return p.CalibrateRedist(s.redistObs)
-}
-
 // RedistributeAll is the advanced-API form of the paper's Redistribute
 // call: it moves the registered arrays between two explicit topologies on
 // the current communicator and records the elapsed redistribution time.
 // Plans are cached per (from, to) pair.
+//
+//lint:allow testonly seam: BenchmarkRedistribute and TestPlanCacheReusedAcrossOscillation drive redistribution without a scheduler through it
 func (s *Session) RedistributeAll(from, to grid.Topology) error {
 	start := time.Now()
 	if err := s.redistribute(s.comm, from, to); err != nil {

@@ -11,6 +11,13 @@ import (
 	"repro/internal/scheduler"
 )
 
+// Resize averages the iteration time across ranks and resizes through
+// ResizeAveraged.
+func (s *Session) Resize(iterTime float64) (Status, error) {
+	avg := s.comm.AllreduceSum(iterTime) / float64(s.comm.Size())
+	return s.ResizeAveraged(avg)
+}
+
 func topo(r, c int) grid.Topology { return grid.Topology{Rows: r, Cols: c} }
 
 // fillByGlobal populates an array's local data from global coordinates so
@@ -636,8 +643,7 @@ func TestRedistObservationsRecorded(t *testing.T) {
 	// are fast, so some observations may fall under the latency floor and be
 	// skipped — it just must not use more than it was given).
 	p := perfmodel.SystemX()
-	s := &Session{redistObs: obs}
-	if used := s.CalibrateRedist(p); used < 0 || used > len(obs) {
+	if used := p.CalibrateRedist(obs); used < 0 || used > len(obs) {
 		t.Errorf("calibration used %d of %d observations", used, len(obs))
 	}
 }

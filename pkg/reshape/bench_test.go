@@ -37,8 +37,7 @@ func BenchmarkRunOverhead(b *testing.B) {
 			for s.Iter() < b.N {
 				t0 := time.Now()
 				elapsed := time.Since(t0).Seconds()
-				s.Log(elapsed)
-				st, err := s.Resize(elapsed)
+				st, err := s.ResizeAveraged(s.Log(elapsed))
 				if err != nil {
 					return err
 				}

@@ -39,8 +39,7 @@ func legacyLoopWorker(app reshape.App, iterations int) resize.Worker {
 				return err
 			}
 			elapsed := time.Since(t0).Seconds()
-			s.Log(elapsed)
-			st, err := s.Resize(elapsed)
+			st, err := s.ResizeAveraged(s.Log(elapsed))
 			if err != nil {
 				return err
 			}
