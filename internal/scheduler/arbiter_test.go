@@ -7,6 +7,21 @@ import (
 	"repro/internal/grid"
 )
 
+// needsWindow appends the processor needs of the first k queued jobs in
+// head order to dst.
+func (q *jobQueue) needsWindow(dst []int, k int) []int {
+	for _, p := range q.prios {
+		for j := q.prio[p].head; j != nil; j = j.qnext {
+			if k <= 0 {
+				return dst
+			}
+			dst = append(dst, j.Spec.InitialTopo.Count())
+			k--
+		}
+	}
+	return dst
+}
+
 // referenceDecision is the pre-arbiter Contact decision path verbatim (PR
 // 1): record the iteration on the profile, count completed iterations,
 // build the RemapInput from the core's idle pool and queued-needs window,

@@ -11,6 +11,25 @@ import (
 	"repro/internal/grid"
 )
 
+// WaitAll blocks until every submitted job has finished or the context is
+// done.
+func (s *Server) WaitAll(ctx context.Context) error {
+	s.mu.Lock()
+	chans := make([]chan struct{}, 0, len(s.done))
+	for _, ch := range s.done {
+		chans = append(chans, ch)
+	}
+	s.mu.Unlock()
+	for _, ch := range chans {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
 func spec(name string, initial grid.Topology, n int) JobSpec {
 	return JobSpec{
 		Name:        name,

@@ -7,9 +7,9 @@ type Handler func(ev Event) error
 
 // Engine is the scheduler's event loop: a deterministic virtual clock over
 // an EventQueue with per-kind handlers. The cluster simulator registers its
-// arrival/resize-point/resize-done handlers and drains the loop; every state
-// mutation flows through a timestamped event, so identical inputs replay to
-// byte-identical schedules.
+// arrival/resize-point/resize-done handlers and drains the loop with
+// StepTick; every state mutation flows through a timestamped event, so
+// identical inputs replay to byte-identical schedules.
 type Engine struct {
 	q        EventQueue
 	now      float64
@@ -21,13 +21,6 @@ type Engine struct {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the engine's virtual clock: the timestamp of the most
-// recently dispatched event.
-func (e *Engine) Now() float64 { return e.now }
-
-// Pending returns the number of undelivered events.
-func (e *Engine) Pending() int { return e.q.Len() }
 
 // PeekTime returns the timestamp of the earliest pending event, if any —
 // the hook crash/restart experiments use to interrupt a run at a chosen
@@ -52,36 +45,13 @@ func (e *Engine) At(t float64, kind EventKind, job int) {
 	e.q.Push(t, kind, job)
 }
 
-// After schedules an event d seconds after the current virtual time.
-func (e *Engine) After(d float64, kind EventKind, job int) {
-	e.At(e.now+d, kind, job)
-}
-
-// Step dispatches the single earliest pending event. It returns false when
-// the queue is empty.
-func (e *Engine) Step() (bool, error) {
-	ev, ok := e.q.Pop()
-	if !ok {
-		return false, nil
-	}
-	e.now = ev.Time
-	h := e.handlers[ev.Kind]
-	if h == nil {
-		return false, fmt.Errorf("scheduler: no handler for %v event", ev.Kind)
-	}
-	if err := h(ev); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // StepTick dispatches every pending event sharing the earliest timestamp —
-// one virtual-time tick — in insertion order, exactly as the equivalent
-// sequence of Step calls would, but popping the whole coalesced batch from
-// the heap at once. Events a handler schedules at the current timestamp are
-// dispatched by a later StepTick of the same tick (time does not advance),
-// preserving the (time, insertion-seq) order byte for byte. It returns
-// false when the queue was empty.
+// one virtual-time tick — in insertion order, popping the whole coalesced
+// batch from the heap at once. Events a handler schedules at the current
+// timestamp are dispatched by a later StepTick of the same tick (time does
+// not advance), after everything already queued at that time, so dispatch
+// follows the (time, insertion-seq) order byte for byte. It returns false
+// when the queue was empty.
 func (e *Engine) StepTick() (bool, error) {
 	e.batch = e.q.PopTick(e.batch[:0])
 	if len(e.batch) == 0 {
@@ -98,19 +68,4 @@ func (e *Engine) StepTick() (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Run drains the event queue, dispatching events in (time, insertion) order
-// until none remain or a handler fails. Dispatch is tick-batched via
-// StepTick; the order is identical to a Step-per-event loop.
-func (e *Engine) Run() error {
-	for {
-		ok, err := e.StepTick()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
 }

@@ -64,9 +64,6 @@ type EventQueue struct {
 	seq uint64
 }
 
-// Len returns the number of pending events.
-func (q *EventQueue) Len() int { return len(q.h) }
-
 // Push schedules an event at time t.
 func (q *EventQueue) Push(t float64, kind EventKind, job int) {
 	q.seq++

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -13,12 +14,11 @@ func TestEventQueueOrdersByTime(t *testing.T) {
 		q.Push(tm, EvArrival, i)
 	}
 	var got []float64
-	for q.Len() > 0 {
-		e, ok := q.Pop()
-		if !ok {
-			t.Fatal("pop failed with non-empty queue")
-		}
+	for e, ok := q.Pop(); ok; e, ok = q.Pop() {
 		got = append(got, e.Time)
+	}
+	if len(got) != len(times) {
+		t.Fatalf("popped %d of %d events", len(got), len(times))
 	}
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("events out of order: %v", got)
@@ -48,8 +48,8 @@ func TestEventQueueFIFOAmongEqualTimestamps(t *testing.T) {
 		}
 	}
 	last, _ := q.Pop()
-	if last.Time != 9.0 || q.Len() != 0 {
-		t.Fatalf("last event %+v, len %d", last, q.Len())
+	if last.Time != 9.0 || len(q.h) != 0 {
+		t.Fatalf("last event %+v, len %d", last, len(q.h))
 	}
 }
 
@@ -75,41 +75,51 @@ func TestEventQueueRandomizedAgainstSort(t *testing.T) {
 	}
 }
 
+// drain dispatches tick after tick until the queue is empty or a handler
+// fails, the way the simulator's event loop does.
+func drain(eng *Engine) error {
+	for {
+		ok, err := eng.StepTick()
+		if err != nil || !ok {
+			return err
+		}
+	}
+}
+
 func TestEnginePeekAndClock(t *testing.T) {
 	eng := NewEngine()
 	var order []int
 	eng.Handle(EvArrival, func(e Event) error {
 		order = append(order, e.Job)
 		if e.Job == 0 {
-			// Handlers may schedule more events; After is relative to the
-			// current virtual clock.
-			eng.After(5, EvArrival, 2)
+			// Handlers may schedule more events.
+			eng.At(e.Time+5, EvArrival, 2)
 		}
 		return nil
 	})
 	eng.At(10, EvArrival, 0)
 	eng.At(12, EvArrival, 1)
-	if err := eng.Run(); err != nil {
+	if tm, ok := eng.PeekTime(); !ok || tm != 10 {
+		t.Fatalf("PeekTime = %v, %v; want 10, true", tm, ok)
+	}
+	if err := drain(eng); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 1, 2}
-	if len(order) != len(want) {
-		t.Fatalf("order %v", order)
+	if want := []int{0, 1, 2}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
+	if eng.now != 15 {
+		t.Fatalf("clock %v, want 15", eng.now)
 	}
-	if eng.Now() != 15 {
-		t.Fatalf("clock %v, want 15", eng.Now())
+	if _, ok := eng.PeekTime(); ok {
+		t.Fatal("PeekTime reports an event after the queue drained")
 	}
 }
 
 func TestEngineRejectsUnhandledKind(t *testing.T) {
 	eng := NewEngine()
 	eng.At(1, EvCompletion, 0)
-	if err := eng.Run(); err == nil {
+	if err := drain(eng); err == nil {
 		t.Fatal("expected error for unhandled event kind")
 	}
 }
@@ -125,10 +135,41 @@ func TestEngineNeverRunsBackwards(t *testing.T) {
 		return nil
 	})
 	eng.At(10, EvArrival, 0)
-	if err := eng.Run(); err != nil {
+	if err := drain(eng); err != nil {
 		t.Fatal(err)
 	}
 	if len(times) != 2 || times[1] < times[0] {
 		t.Fatalf("times %v regress", times)
+	}
+}
+
+// TestStepTickDefersSameTimePushes pins StepTick's batch boundary: an
+// event a handler pushes at the current timestamp is not part of the
+// batch being dispatched; it comes in a later StepTick of the same tick,
+// after everything already queued at that time.
+func TestStepTickDefersSameTimePushes(t *testing.T) {
+	eng := NewEngine()
+	var order []int
+	eng.Handle(EvArrival, func(e Event) error {
+		order = append(order, e.Job)
+		if e.Job == 0 {
+			eng.At(e.Time, EvArrival, 3)
+		}
+		return nil
+	})
+	for job := 0; job < 3; job++ {
+		eng.At(10, EvArrival, job)
+	}
+	eng.At(11, EvArrival, 4)
+	for _, want := range [][]int{{0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2, 3, 4}} {
+		if ok, err := eng.StepTick(); !ok || err != nil {
+			t.Fatalf("StepTick = %v, %v", ok, err)
+		}
+		if !slices.Equal(order, want) {
+			t.Fatalf("after a StepTick: order %v, want %v", order, want)
+		}
+	}
+	if eng.now != 11 {
+		t.Fatalf("clock %v, want 11", eng.now)
 	}
 }

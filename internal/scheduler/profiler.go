@@ -115,12 +115,6 @@ func (p *Profile) LastExpansion() (before, after *Visit, ok bool) {
 	return nil, nil, false
 }
 
-// EverExpanded reports whether the job has ever grown its processor set.
-func (p *Profile) EverExpanded() bool {
-	_, _, ok := p.LastExpansion()
-	return ok
-}
-
 // ShrinkPoints returns the distinct previously visited configurations
 // strictly smaller than cur, sorted by descending processor count (the
 // least-damaging shrink first). Applications can only shrink to

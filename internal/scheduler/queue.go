@@ -318,21 +318,6 @@ func (q *jobQueue) bestFit(free int) *Job {
 	return best
 }
 
-// needsWindow appends the processor needs of the first k queued jobs in
-// head order to dst.
-func (q *jobQueue) needsWindow(dst []int, k int) []int {
-	for _, p := range q.prios {
-		for j := q.prio[p].head; j != nil; j = j.qnext {
-			if k <= 0 {
-				return dst
-			}
-			dst = append(dst, j.Spec.InitialTopo.Count())
-			k--
-		}
-	}
-	return dst
-}
-
 // window appends the first k queued jobs in head order to dst. The priority
 // lists hold live jobs only (take unlinks eagerly), so the walk is O(k)
 // with zero allocations regardless of queue length or churn history.

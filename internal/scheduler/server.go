@@ -22,7 +22,7 @@ type JobStarter func(job *Job)
 // so in-process and remote schedulers are interchangeable, including
 // Wait and Watch. Every call takes a context for deadline/cancel
 // uniformity with the remote implementations; in-process calls other than
-// Wait/WaitAll never block on it.
+// Wait never block on it.
 //
 // When the core carries a commit barrier (a durable control plane, see
 // CommitFunc), every mutating call runs in two steps: under the lock it
@@ -305,24 +305,4 @@ func (s *Server) Wait(ctx context.Context, jobID int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// WaitAll blocks until every submitted job has finished or the context is
-// done.
-func (s *Server) WaitAll(ctx context.Context) error {
-	s.mu.Lock()
-	chans := make([]chan struct{}, 0, len(s.done))
-	for _, ch := range s.done {
-		//lint:allow detcore wait-on-all: every channel is received from regardless of order, so map-iteration order cannot leak
-		chans = append(chans, ch)
-	}
-	s.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
 }
