@@ -20,6 +20,8 @@ type crashPlan struct {
 // resize points) live outside the scheduler and survive the crash, exactly
 // as real jobs outlive a reshaped daemon restart and reconnect. May be
 // called several times for repeated crashes.
+//
+//lint:allow testonly seam: TestCrashRestartMatchesBaseline and TestCrashRestartFairsharePerTenant crash a simulated run through it
 func (s *Sim) WithCrashRestart(at float64, restart func(old *scheduler.Core) (*scheduler.Core, error)) *Sim {
 	s.crashes = append(s.crashes, crashPlan{at: at, restart: restart})
 	return s

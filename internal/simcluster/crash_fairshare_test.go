@@ -3,6 +3,7 @@ package simcluster_test
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/durability"
@@ -12,6 +13,21 @@ import (
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
+
+// tenants lists the distinct tenants appearing in the result, sorted by
+// name, so the test can iterate per-tenant metrics deterministically.
+func tenants(r *simcluster.Result) []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, j := range r.Jobs {
+		if !seen[j.Tenant] {
+			seen[j.Tenant] = true
+			out = append(out, j.Tenant)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // TestCrashRestartFairsharePerTenant kills a fair-share scheduler mid-run
 // on a three-tenant mix and recovers it from its WAL: tenant tags ride the
@@ -135,7 +151,7 @@ func TestCrashRestartFairsharePerTenant(t *testing.T) {
 					t.Fatalf("allocation trace diverged: %d events vs %d", len(res.Events), len(baseline.Events))
 				}
 			}
-			for _, tenant := range baseline.Tenants() {
+			for _, tenant := range tenants(baseline) {
 				if res.TenantMeanQueueWait(tenant) != baseline.TenantMeanQueueWait(tenant) ||
 					res.TenantQueueWaitP99(tenant) != baseline.TenantQueueWaitP99(tenant) {
 					t.Errorf("tenant %q per-tenant waits diverged after recovery", tenant)

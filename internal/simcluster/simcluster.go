@@ -137,21 +137,6 @@ func (r *Result) QueueWaitPercentile(q float64) float64 {
 	return waits[rank-1]
 }
 
-// Tenants lists the distinct tenants appearing in the result, sorted by
-// name, so callers can iterate per-tenant metrics deterministically.
-func (r *Result) Tenants() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, j := range r.Jobs {
-		if !seen[j.Tenant] {
-			seen[j.Tenant] = true
-			out = append(out, j.Tenant)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // tenantWaits collects the queue waits of one tenant's jobs, sorted
 // ascending.
 func (r *Result) tenantWaits(tenant string) []float64 {

@@ -146,8 +146,12 @@ func TestGenerateMultiTenantRunsAndRollsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Tenants(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("result tenants %v, want [a b c]", got)
+	jobsOf := map[string]int{}
+	for _, j := range res.Jobs {
+		jobsOf[j.Tenant]++
+	}
+	if len(jobsOf) != 3 || jobsOf["a"] != 5 || jobsOf["b"] != 5 || jobsOf["c"] != 5 {
+		t.Fatalf("result tenants %v, want five jobs each of a, b and c", jobsOf)
 	}
 	for _, tenant := range []string{"a", "b", "c"} {
 		if res.TenantQueueWaitP99(tenant) < res.TenantMeanQueueWait(tenant) &&
