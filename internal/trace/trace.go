@@ -1,84 +1,14 @@
-// Package trace exports scheduler allocation histories as CSV, JSON and
-// ASCII Gantt charts, for plotting the reproduction's counterparts of
-// Figures 4 and 5.
+// Package trace renders scheduler allocation histories as ASCII Gantt
+// charts, the reproduction's terminal counterparts of Figures 4 and 5.
 package trace
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/scheduler"
 )
-
-// WriteEventsCSV writes the allocation event log as CSV.
-func WriteEventsCSV(w io.Writer, events []scheduler.AllocEvent) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "job", "kind", "topology", "procs", "busy"}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		rec := []string{
-			strconv.FormatFloat(e.Time, 'f', 3, 64),
-			e.Job,
-			e.Kind,
-			e.Topo.String(),
-			strconv.Itoa(e.Topo.Count()),
-			strconv.Itoa(e.Busy),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// jsonEvent is the JSON wire form of an allocation event.
-type jsonEvent struct {
-	Time  float64 `json:"time_s"`
-	Job   string  `json:"job"`
-	Kind  string  `json:"kind"`
-	Topo  string  `json:"topology"`
-	Procs int     `json:"procs"`
-	Busy  int     `json:"busy"`
-}
-
-// WriteEventsJSON writes the allocation event log as a JSON array.
-func WriteEventsJSON(w io.Writer, events []scheduler.AllocEvent) error {
-	out := make([]jsonEvent, len(events))
-	for i, e := range events {
-		out[i] = jsonEvent{
-			Time: e.Time, Job: e.Job, Kind: e.Kind,
-			Topo: e.Topo.String(), Procs: e.Topo.Count(), Busy: e.Busy,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// WriteSeriesCSV writes (x, y) step points as CSV with a labelled header.
-func WriteSeriesCSV(w io.Writer, xLabel, yLabel string, series [][2]float64) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{xLabel, yLabel}); err != nil {
-		return err
-	}
-	for _, pt := range series {
-		if err := cw.Write([]string{
-			strconv.FormatFloat(pt[0], 'f', 3, 64),
-			strconv.FormatFloat(pt[1], 'f', 3, 64),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // gantt shade levels from idle to fully allocated.
 var shades = []rune{' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'}

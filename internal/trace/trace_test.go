@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -20,52 +17,6 @@ func sampleEvents() []scheduler.AllocEvent {
 		{Time: 10, Job: "LU", Kind: "expand", Topo: t23, Busy: 6},
 		{Time: 30, Job: "LU", Kind: "shrink", Topo: t22, Busy: 4},
 		{Time: 50, Job: "LU", Kind: "end", Topo: t22, Busy: 0},
-	}
-}
-
-func TestWriteEventsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEventsCSV(&buf, sampleEvents()); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 6 {
-		t.Fatalf("%d records", len(recs))
-	}
-	if recs[0][0] != "time_s" || recs[2][2] != "start" || recs[3][4] != "6" {
-		t.Fatalf("unexpected CSV: %v", recs)
-	}
-}
-
-func TestWriteEventsJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEventsJSON(&buf, sampleEvents()); err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 {
-		t.Fatalf("%d events", len(out))
-	}
-	if out[2]["kind"] != "expand" || out[2]["procs"] != float64(6) {
-		t.Fatalf("event 2: %v", out[2])
-	}
-}
-
-func TestWriteSeriesCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteSeriesCSV(&buf, "time_s", "procs", [][2]float64{{0, 4}, {10, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 || lines[0] != "time_s,procs" {
-		t.Fatalf("series CSV: %q", buf.String())
 	}
 }
 
