@@ -28,7 +28,8 @@
 //
 // A flag that configures an arbiter the daemon is not running is a startup
 // error (exit 2): -tenant-weights needs -arbiter fairshare, -rebalance-every
-// needs -arbiter rebalance.
+// needs -arbiter rebalance. So is a weight list with a malformed, non-finite,
+// non-positive or repeated entry.
 //
 // Submit jobs with reshape-submit.
 package main
@@ -53,11 +54,15 @@ import (
 )
 
 // checkArbiterFlags refuses flags that configure an arbiter other than the
-// selected one: started anyway, the daemon would run a different scheduler
-// than its command line says.
+// selected one, and a weight list fairshare.ParseWeights rejects: started
+// anyway, the daemon would run a different scheduler than its command line
+// says.
 func checkArbiterFlags(arb, tenantWeights string, rebalanceEvery time.Duration) error {
 	if tenantWeights != "" && arb != "fairshare" {
 		return fmt.Errorf("reshaped: -tenant-weights needs -arbiter fairshare (have -arbiter %s)", arb)
+	}
+	if _, err := fairshare.ParseWeights(tenantWeights); err != nil {
+		return fmt.Errorf("reshaped: -tenant-weights: %w", err)
 	}
 	if rebalanceEvery != 0 && arb != "rebalance" {
 		return fmt.Errorf("reshaped: -rebalance-every needs -arbiter rebalance (have -arbiter %s)", arb)

@@ -18,6 +18,9 @@ func TestCheckArbiterFlags(t *testing.T) {
 		{"rebalance", "acme=3", time.Second, false},
 		{"fcfs", "", time.Second, false},
 		{"fairshare", "", time.Second, false},
+		{"fairshare", "a=NaN,b=1", 0, false},
+		{"fairshare", "a=Inf,b=1", 0, false},
+		{"fairshare", "a=1,a=3", 0, false},
 	} {
 		if err := checkArbiterFlags(tc.arb, tc.weights, tc.every); (err == nil) != tc.ok {
 			t.Errorf("-arbiter %s -tenant-weights %q -rebalance-every %v: %v", tc.arb, tc.weights, tc.every, err)

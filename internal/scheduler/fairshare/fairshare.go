@@ -26,6 +26,7 @@ package fairshare
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -245,7 +246,9 @@ func victimTenant(snap scheduler.ClusterSnapshot, caller string, rows []tenantRo
 
 // ParseWeights parses a reshaped-style weight list, "tenantA=3,tenantB=1".
 // Tenant names may be empty (the default tenant: "=2"); weights must be
-// positive numbers.
+// finite positive numbers, and each tenant may appear once. A NaN or
+// infinite weight would make every share NaN or zero, so no tenant would
+// ever be under its share and the tenant level would silently switch off.
 func ParseWeights(s string) (map[string]float64, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -257,8 +260,11 @@ func ParseWeights(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("fairshare: weight %q is not tenant=weight", part)
 		}
 		w, err := strconv.ParseFloat(val, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("fairshare: tenant %q weight %q must be a positive number", name, val)
+		if err != nil || math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
+			return nil, fmt.Errorf("fairshare: tenant %q weight %q must be a finite positive number", name, val)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("fairshare: tenant %q is weighted twice", name)
 		}
 		out[name] = w
 	}

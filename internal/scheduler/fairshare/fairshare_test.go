@@ -186,7 +186,7 @@ func TestParseWeights(t *testing.T) {
 	if w, err := ParseWeights(""); err != nil || w != nil {
 		t.Fatalf("empty: %v %v", w, err)
 	}
-	for _, bad := range []string{"a", "a=0", "a=-1", "a=x"} {
+	for _, bad := range []string{"a", "a=0", "a=-1", "a=x", "a=NaN,b=1", "a=Inf,b=1", "a=-Inf", "a=1,a=3"} {
 		if _, err := ParseWeights(bad); err == nil {
 			t.Fatalf("ParseWeights(%q) accepted", bad)
 		}
