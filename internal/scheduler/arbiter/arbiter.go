@@ -36,9 +36,9 @@ import (
 	"repro/internal/scheduler"
 )
 
-// DefaultAgingSeconds is the starvation-aging rate when BenefitRanked's
-// AgingSeconds is zero: a queued job gains one effective priority level per
-// this many seconds of waiting.
+// DefaultAgingSeconds is the starvation-aging rate: a queued job gains one
+// effective priority level per this many seconds of waiting when gating
+// expansions over the queue.
 const DefaultAgingSeconds = 300
 
 // BenefitRanked is the cluster-wide arbiter. The zero value is ready to
@@ -62,15 +62,6 @@ type BenefitRanked struct {
 	// the journal on recovery and any divergence forks the recovered
 	// state from the acknowledged history.
 	Predict func(jobID int, t grid.Topology) (float64, bool)
-	// AgingSeconds is the starvation-aging rate (DefaultAgingSeconds when
-	// zero): each full interval a job waits raises its effective priority
-	// by one when gating expansions over the queue.
-	AgingSeconds float64
-	// Policy is the single-job logic the expand path runs before ranking
-	// (nil = the published scheduler.PaperPolicy). An installed arbiter
-	// replaces the core's own Policy entirely, so a custom policy must be
-	// set here, not via SetPolicy.
-	Policy scheduler.Policy
 
 	plan  shrinkPlan
 	cands []candidate // buildPlan scratch
@@ -149,11 +140,7 @@ func (a *BenefitRanked) Decide(snap scheduler.ClusterSnapshot) scheduler.Decisio
 // agedPriority is a queued job's effective priority after starvation aging
 // at time now.
 func (a *BenefitRanked) agedPriority(q scheduler.QueuedView, now float64) int {
-	aging := a.AgingSeconds
-	if aging <= 0 {
-		aging = DefaultAgingSeconds
-	}
-	return q.Priority + int((now-q.Submit)/aging)
+	return q.Priority + int((now-q.Submit)/DefaultAgingSeconds)
 }
 
 // expand handles a contact with no (effective) queue pressure: the
@@ -163,11 +150,7 @@ func (a *BenefitRanked) agedPriority(q scheduler.QueuedView, now float64) int {
 func (a *BenefitRanked) expand(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	in := snap.RemapInput()
 	in.QueuedNeeds = nil // priority exemption: decide as if nothing waited
-	pol := a.Policy
-	if pol == nil {
-		pol = scheduler.PaperPolicy{}
-	}
-	d := pol.Decide(in)
+	d := scheduler.Decide(in)
 	if d.Action != scheduler.ActionExpand {
 		return d
 	}

@@ -226,7 +226,7 @@ func TestUnmeasuredExpansionStillProbes(t *testing.T) {
 // low-priority queued job, but once the waiter ages to parity the runner
 // is drafted into the shrink plan instead.
 func TestStarvationAging(t *testing.T) {
-	arb := &BenefitRanked{AgingSeconds: 10}
+	arb := &BenefitRanked{}
 	c := scheduler.NewCore(12, false)
 	c.SetArbiter(arb)
 	now := 0.0
@@ -245,9 +245,18 @@ func TestStarvationAging(t *testing.T) {
 	}
 	// a now holds 8, 4 idle; deficit 4.
 
-	// After 25 more seconds the waiter has aged +2 levels: parity reached,
-	// exemption gone — the runner is drafted to free the deficit.
-	d, err := c.Contact(a.ID, a.Topo, 14, 0, now+26)
+	// The waiter ages one level per DefaultAgingSeconds. One interval on
+	// (aged 1 < 2) the runner is still exempt; two intervals on parity is
+	// reached, the exemption is gone, and the runner is drafted to free
+	// the deficit.
+	d, err := c.Contact(a.ID, a.Topo, 14, 0, now+DefaultAgingSeconds+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Action == scheduler.ActionShrink {
+		t.Fatalf("a waiter one aging interval old must not draft the runner: %+v", d)
+	}
+	d, err = c.Contact(a.ID, a.Topo, 14, 0, now+2*DefaultAgingSeconds+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ type FairShare struct {
 	// mutate it afterwards.
 	Weights map[string]float64
 	// Inner decides within a tenant (nil = zero BenefitRanked). Its
-	// Predict/AgingSeconds/Policy knobs keep their PR 5/8 meaning.
+	// Predict hook keeps its meaning.
 	Inner *arbiter.BenefitRanked
 
 	inner arbiter.BenefitRanked // backing store when Inner is nil

@@ -59,13 +59,12 @@ func (p ThresholdPolicy) Decide(in RemapInput) Decision {
 	return Decide(in)
 }
 
-// CostAwarePolicy wraps another policy and vetoes expansions whose
+// CostAwarePolicy runs the published policy and vetoes expansions whose
 // estimated redistribution cost cannot be amortized over the job's
 // remaining iterations (§4.1.2: "with ReSHAPE we save a record of actual
 // redistribution costs between various processor configurations, which
 // allows for more informed decisions").
 type CostAwarePolicy struct {
-	Inner Policy
 	// EstimateRedist predicts the redistribution cost between two
 	// configurations when the profiler has no recorded observation; nil
 	// falls back to the profiler record only (unknown costs allow the
@@ -74,19 +73,12 @@ type CostAwarePolicy struct {
 }
 
 // Name identifies the policy.
-func (p CostAwarePolicy) Name() string { return "cost-aware+" + p.inner().Name() }
+func (p CostAwarePolicy) Name() string { return "cost-aware+" + PaperPolicy{}.Name() }
 
-func (p CostAwarePolicy) inner() Policy {
-	if p.Inner == nil {
-		return PaperPolicy{}
-	}
-	return p.Inner
-}
-
-// Decide defers to the inner policy, then applies the amortization test to
-// expansions.
+// Decide defers to the published policy, then applies the amortization test
+// to expansions.
 func (p CostAwarePolicy) Decide(in RemapInput) Decision {
-	d := p.inner().Decide(in)
+	d := Decide(in)
 	if d.Action != ActionExpand || in.RemainingIters <= 0 {
 		return d
 	}

@@ -66,9 +66,6 @@ func oraclePlanner(seed int64) *Rebalancer {
 			return 0.05 * float64(from.Count()+to.Count()), id%3 != 0
 		}
 	}
-	if seed%5 == 4 {
-		r.MinGainSeconds = 2
-	}
 	return r
 }
 

@@ -98,10 +98,6 @@ type Rebalancer struct {
 	// neither a measured nor an estimated cost the planner assumes 0 and
 	// relies on the iteration-time margin alone.
 	RedistCost func(jobID int, from, to grid.Topology) (float64, bool)
-	// MinGainSeconds is the emission threshold: directives whose
-	// predicted net benefit is at or below it are suppressed. Zero means
-	// any strictly positive benefit qualifies.
-	MinGainSeconds float64
 	// OnPlan, when set, observes every adopted plan (test/telemetry
 	// hook). The plan is owned by the callee.
 	OnPlan func(Plan)
@@ -349,7 +345,7 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 	// by view). It only sums, so the views' slot order cannot show.
 	clear(r.directives)
 	for i := range r.jobs {
-		if j := &r.jobs[i]; j.shrink.sec > r.MinGainSeconds {
+		if j := &r.jobs[i]; j.shrink.sec > 0 {
 			r.directives[j.id] = Directive{JobID: j.id, From: j.topo, To: j.shrink.topo, Gain: j.shrink.sec}
 			budget += j.topo.Count() - j.shrink.topo.Count()
 		}
@@ -380,7 +376,7 @@ func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
 func (r *Rebalancer) expand(budget int) {
 	exps, h, least := r.exps[:0], r.heap[:0], budget+1
 	for i := range r.jobs {
-		if j := &r.jobs[i]; j.shrink.sec <= r.MinGainSeconds && r.eligible(j, 0, budget) {
+		if j := &r.jobs[i]; j.shrink.sec <= 0 && r.eligible(j, 0, budget) {
 			h = append(h, standing{j.bids[0].perProc, j.id, len(exps)})
 			exps = append(exps, expansion{j: j})
 			least = min(least, j.bids[0].delta)
@@ -420,7 +416,7 @@ func (r *Rebalancer) expand(budget int) {
 }
 
 // eligible reports whether the job's bid for rungs[k] can win now: it is
-// priced (on first need), fits the budget and beats MinGainSeconds.
+// priced (on first need), fits the budget and gains something.
 func (r *Rebalancer) eligible(j *jobView, k, budget int) bool {
 	if k == len(j.bids) {
 		if k == len(j.rungs) {
@@ -429,7 +425,7 @@ func (r *Rebalancer) eligible(j *jobView, k, budget int) bool {
 		j.bids = append(j.bids, r.price(j, k))
 	}
 	b := &j.bids[k]
-	return b.ok && b.delta <= budget && b.marginal > r.MinGainSeconds
+	return b.ok && b.delta <= budget && b.marginal > 0
 }
 
 // price prices the job's bid for rungs[k] from the rung before it. The
@@ -595,8 +591,7 @@ func (r *Rebalancer) view(j *jobView, v *scheduler.ContactView) {
 	// shrinking is a win for the job and frees surplus for the expansion
 	// phase. Only previously visited configurations are legal targets. The
 	// net gain is the saving over the remaining iterations less the
-	// redistribution cost; the first best wins, emitted if it beats
-	// MinGainSeconds.
+	// redistribution cost; the first best wins, emitted if it is positive.
 	if j.curve.Valid() && j.curve.Knee() < j.topo.Count() {
 		for _, p := range j.shrinks {
 			if after, _, ok := r.priceAt(j, p); ok {

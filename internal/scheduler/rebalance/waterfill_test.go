@@ -12,7 +12,7 @@ import (
 
 // scanFill is the water-filling the heap replaced, kept as its reference:
 // every round scans every standing bid for the highest perProc that fits
-// the budget and beats MinGainSeconds, the lower id among equals, and the
+// the budget and gains something, the lower id among equals, and the
 // winner re-bids from its next rung. It returns each job's rungs won and
 // accumulated gain.
 func scanFill(r *Rebalancer, jobs []jobView, budget int) map[int]expansion {
@@ -22,7 +22,7 @@ func scanFill(r *Rebalancer, jobs []jobView, budget int) map[int]expansion {
 	}
 	var exps []scanExp
 	for i := range jobs {
-		if j := &jobs[i]; j.shrink.sec <= r.MinGainSeconds && len(j.bids) > 0 && j.bids[0].ok {
+		if j := &jobs[i]; j.shrink.sec <= 0 && len(j.bids) > 0 && j.bids[0].ok {
 			exps = append(exps, scanExp{expansion: expansion{j: j}})
 		}
 	}
@@ -35,7 +35,7 @@ func scanFill(r *Rebalancer, jobs []jobView, budget int) map[int]expansion {
 				continue
 			}
 			b := &e.j.bids[e.next]
-			if b.delta > budget || b.marginal <= r.MinGainSeconds {
+			if b.delta > budget || b.marginal <= 0 {
 				continue
 			}
 			if best == nil || b.perProc > bestPerProc || (b.perProc == bestPerProc && e.j.id < best.j.id) {
@@ -99,7 +99,6 @@ func TestHeapFillMatchesScan(t *testing.T) {
 	ties, cut, blind := 0, 0, 0
 	for trial := 0; trial < 20000; trial++ {
 		r := New(nil)
-		r.MinGainSeconds = []float64{0, 0, 1.5}[rng.Intn(3)]
 		jobs := randomViews(rng)
 		budget := rng.Intn(40) - 3
 
@@ -115,8 +114,8 @@ func TestHeapFillMatchesScan(t *testing.T) {
 			}
 		}
 		if !maps.Equal(got, want) {
-			t.Fatalf("trial %d, budget %d, MinGainSeconds %g: the heap won %v, the scan %v\nviews %+v",
-				trial, budget, r.MinGainSeconds, got, want, jobs)
+			t.Fatalf("trial %d, budget %d: the heap won %v, the scan %v\nviews %+v",
+				trial, budget, got, want, jobs)
 		}
 		if r.priced != 0 {
 			t.Fatalf("trial %d: priced %d bids, all were standing", trial, r.priced)
@@ -138,7 +137,7 @@ func TestHeapFillMatchesScan(t *testing.T) {
 				}
 				if j.bids[e.next-1].blind {
 					blind++
-				} else if e.next < len(j.bids) && j.bids[e.next].ok && j.bids[e.next].marginal > r.MinGainSeconds {
+				} else if e.next < len(j.bids) && j.bids[e.next].ok && j.bids[e.next].marginal > 0 {
 					cut++
 				}
 			}
