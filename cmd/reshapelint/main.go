@@ -1,11 +1,11 @@
 // Command reshapelint is the repo's invariant multichecker: it runs the
 // five project-specific analyzers (detcore, journalfirst, durerr,
 // ctxfirst, testonly) over the packages matching its arguments and exits
-// nonzero on any diagnostic. testonly is whole-program, so the root
-// module's ./... and the benchmark module (benchmark/./..., reference
-// only, never analyzed) are always loaded as the program it reads; run
-// reshapelint from the repository root. CI runs it over ./... next to go vet; the invariants it
-// enforces are documented in DESIGN.md "Enforced invariants".
+// nonzero on any diagnostic. testonly reads the whole program, so the root
+// module's ./... and benchmark/./... (reference only) are always loaded:
+// run it from the repository root. CI runs it over ./... next to go vet;
+// the invariants it enforces are documented in DESIGN.md "Enforced
+// invariants".
 //
 // Usage:
 //

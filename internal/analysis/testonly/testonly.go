@@ -1,19 +1,14 @@
 // Package testonly reports functions and methods in internal/ that no
-// non-test code reaches. Such a declaration is surface the program carries
-// for its tests alone: it costs review and upkeep and can drift from the
-// code it was written to mirror. Each one is deleted, moved into the
-// _test.go file of the package that uses it, or kept under a justified
-// allow that names the test and why it is a test oracle or seam.
+// non-test code reaches. Each is deleted, moved into the _test.go file of
+// its user, or kept under an allow naming the test and why it is a test
+// oracle or seam.
 //
 // The check is whole-program: it reads Pass.All, which reshapelint fills
-// with the root module and, as reference only, the benchmark module.
-// Roots are every function outside the checked packages, init and main,
-// the references of package-level var, const and type declarations, and
-// every declaration under //lint:allow testonly. Liveness spreads from
-// the roots through the references in function bodies until nothing
-// changes. A method named like a method of any interface type the program
-// sees is exempt, because it may be called through that interface; so are
-// Is, As and Unwrap, which package errors calls through unnamed ones.
+// with the root module and, as reference only, benchmark/. Roots are every
+// function outside the checked packages, init and main, what package-level
+// declarations reference, allowed declarations, and methods named like a
+// method of any interface type the program sees (they may be called
+// through it). Liveness spreads through function bodies to a fixpoint.
 package testonly
 
 import (
@@ -24,17 +19,14 @@ import (
 	"repro/internal/analysis"
 )
 
-// Scope covers internal/; run skips internal/analysis itself, whose
-// fixture harness exists for tests by design.
-var Scope = []string{"repro/internal"}
-
+// skipped is not checked: its fixture harness exists for tests by design.
 const skipped = "repro/internal/analysis"
 
 // Analyzer is the test-only-surface check.
 var Analyzer = &analysis.Analyzer{
 	Name:  "testonly",
 	Doc:   "functions in internal/ (but internal/analysis) must be reached by non-test code in the root module or benchmark/",
-	Scope: Scope,
+	Scope: []string{"repro/internal"},
 	Run:   run,
 }
 
@@ -45,15 +37,13 @@ func run(pass *analysis.Pass) error {
 	live := liveness(pass)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && !live[key(pass.TypesInfo.Defs[fd.Name])] {
+				name := fd.Name.Name
+				if fd.Recv != nil {
+					name = strings.TrimPrefix(types.ExprString(fd.Recv.List[0].Type), "*") + "." + name
+				}
+				pass.Reportf(fd.Name.Pos(), "%s is reached only from tests: delete it, move it into its user's _test.go, or justify a //lint:allow testonly", name)
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok || live[key(fn)] {
-				continue
-			}
-			pass.Reportf(fd.Name.Pos(), "%s is reached only from tests: delete it, move it into its user's _test.go, or justify a //lint:allow testonly", name(fn))
 		}
 	}
 	return nil
@@ -61,18 +51,9 @@ func run(pass *analysis.Pass) error {
 
 // liveness returns the keys of every function the program's roots reach.
 func liveness(pass *analysis.Pass) map[string]bool {
-	checked := func(path string) bool {
-		return path == pass.Pkg.Path() || pass.Analyzer.AppliesTo(path) && !strings.HasPrefix(path, skipped)
-	}
-	live, ifaces := map[string]bool{}, map[string]bool{}
-	uses := map[string][]string{}
-	var work []string
-	mark := func(k string) {
-		if !live[k] {
-			live[k] = true
-			work = append(work, k)
-		}
-	}
+	// error's method, and those errors.Is/As/Unwrap assert on unnamed
+	// interfaces no scope shows.
+	ifaces := map[string]bool{"Error": true, "Is": true, "As": true, "Unwrap": true}
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
@@ -80,37 +61,48 @@ func liveness(pass *analysis.Pass) map[string]bool {
 			}
 		}
 	}
-	addIface(types.Universe.Lookup("error").Type())
-	for _, m := range []string{"Is", "As", "Unwrap"} {
-		ifaces[m] = true // errors.Is/As/Unwrap assert these on unnamed interfaces
-	}
 	seen := map[*types.Package]bool{}
 	var walk func(*types.Package)
 	walk = func(tp *types.Package) {
-		if seen[tp] {
-			return
-		}
-		seen[tp] = true
-		for _, n := range tp.Scope().Names() {
-			if tn, ok := tp.Scope().Lookup(n).(*types.TypeName); ok {
-				addIface(tn.Type())
+		if !seen[tp] {
+			seen[tp] = true
+			for _, n := range tp.Scope().Names() {
+				if tn, ok := tp.Scope().Lookup(n).(*types.TypeName); ok {
+					addIface(tn.Type())
+				}
 			}
-		}
-		for _, im := range tp.Imports() {
-			walk(im)
+			for _, im := range tp.Imports() {
+				walk(im)
+			}
 		}
 	}
 	for _, p := range pass.All {
 		walk(p.Types)
 		for _, tv := range p.Info.Types {
-			addIface(tv.Type)
+			addIface(tv.Type) // interface literals
+		}
+	}
+
+	live, uses := map[string]bool{"": true}, map[string][]string{}
+	var work []string
+	mark := func(k string) {
+		if !live[k] {
+			live[k] = true
+			work = append(work, k)
 		}
 	}
 	for _, p := range pass.All {
+		checked := p.Path == pass.Pkg.Path() || pass.Analyzer.AppliesTo(p.Path) && !strings.HasPrefix(p.Path, skipped)
 		allowed := analysis.AllowedLines(pass.Analyzer.Name, p.Fset, p.Files)
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
-				refs := references(p.Info, d)
+				var refs []string
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && key(p.Info.Uses[id]) != "" {
+						refs = append(refs, key(p.Info.Uses[id]))
+					}
+					return true
+				})
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					for _, r := range refs {
@@ -118,15 +110,10 @@ func liveness(pass *analysis.Pass) map[string]bool {
 					}
 					continue
 				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				k := key(fn)
+				k, name, pos := key(p.Info.Defs[fd.Name]), fd.Name.Name, p.Fset.Position(fd.Pos())
 				uses[k] = append(uses[k], refs...)
-				pos := p.Fset.Position(fd.Pos())
-				root := fd.Recv != nil && ifaces[fn.Name()] || fd.Recv == nil && (fn.Name() == "init" || fn.Name() == "main")
-				if root || !checked(p.Path) || allowed[pos.Filename][pos.Line] {
+				if !checked || allowed[pos.Filename][pos.Line] || fd.Recv != nil && ifaces[name] ||
+					fd.Recv == nil && (name == "init" || name == "main") {
 					mark(k)
 				}
 			}
@@ -142,35 +129,13 @@ func liveness(pass *analysis.Pass) map[string]bool {
 	return live
 }
 
-// references lists the keys of the functions and methods n names.
-func references(info *types.Info, n ast.Node) []string {
-	var out []string
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if fn, ok := info.Uses[id].(*types.Func); ok {
-				out = append(out, key(fn))
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // key names a function the same way whether it was type-checked from
-// source or read from export data: the root module and benchmark/ are
-// loaded separately, so the same declaration has distinct objects.
-func key(fn *types.Func) string { return fn.Origin().FullName() }
-
-// name is the diagnostic's spelling: Func or Type.Method.
-func name(fn *types.Func) string {
-	if r := fn.Type().(*types.Signature).Recv(); r != nil {
-		t := r.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + fn.Name()
-		}
+// source or read from export data (the root module and benchmark/ are
+// loaded apart, so one declaration has several objects); "" for anything
+// that is not a function.
+func key(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin().FullName()
 	}
-	return fn.Name()
+	return ""
 }
