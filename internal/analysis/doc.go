@@ -5,7 +5,7 @@
 //
 // The toolchain this repo builds in carries no external modules, so the
 // x/tools analysis framework itself is not importable; the subset
-// reimplemented here is exactly what the four reshapelint analyzers and
+// reimplemented here is exactly what the five reshapelint analyzers and
 // their analysistest-style fixture tests need:
 //
 //   - Analyzer/Pass/Diagnostic mirroring go/analysis semantics: one
@@ -22,8 +22,9 @@
 //     one is itself a diagnostic — so every sanctioned exception is
 //     documented where it lives.
 //
-// The four analyzers (subpackages detcore, journalfirst, durerr and
-// ctxfirst) mechanically enforce the invariants the scheduler's
-// correctness argument rests on; see DESIGN.md "Enforced invariants" and
-// cmd/reshapelint for the multichecker that runs them in CI.
+// The five analyzers (subpackages detcore, journalfirst, durerr, ctxfirst
+// and testonly) mechanically enforce the invariants the scheduler's
+// correctness argument rests on, and keep internal/ free of surface only
+// tests reach; see DESIGN.md "Enforced invariants" and cmd/reshapelint for
+// the multichecker that runs them in CI.
 package analysis

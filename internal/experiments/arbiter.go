@@ -44,7 +44,7 @@ func ContendedMix() ([]simcluster.JobInput, error) {
 // double as a behavioral pin: they go through the exact published Decide
 // path the differential tests pin.
 //
-//lint:allow testonly item-12 driver: TestArbiterImprovesQueueWait runs it until reshape-bench exposes it
+//lint:allow testonly experiment driver: TestArbiterImprovesQueueWait runs it until a reshape-bench mode exposes it
 func ArbiterComparison(params *perfmodel.Params) ([]ArbiterRow, error) {
 	contended, err := ContendedMix()
 	if err != nil {

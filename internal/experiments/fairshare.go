@@ -46,7 +46,7 @@ func NoisyNeighborMix() ([]simcluster.JobInput, error) {
 // mean and p99 queue wait under both. Rows follow the mix's tenant order:
 // noisy, victim1, victim2.
 //
-//lint:allow testonly item-12 driver: TestFairshareProtectsVictims runs it until reshape-bench exposes it
+//lint:allow testonly experiment driver: TestFairshareProtectsVictims runs it until a reshape-bench mode exposes it
 func FairShareComparison(params *perfmodel.Params) ([]TenantRow, error) {
 	mix, err := NoisyNeighborMix()
 	if err != nil {

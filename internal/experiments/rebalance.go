@@ -46,7 +46,7 @@ type RebalanceRow struct {
 // utilization for each. Both sides share identical predictor
 // configuration, so every delta is attributable to the planning layer.
 //
-//lint:allow testonly item-12 driver: TestRebalanceComparisonGate runs it until reshape-bench exposes it
+//lint:allow testonly experiment driver: TestRebalanceComparisonGate runs it until a reshape-bench mode exposes it
 func RebalanceComparison(params *perfmodel.Params) ([]RebalanceRow, error) {
 	contended, err := ContendedMix()
 	if err != nil {

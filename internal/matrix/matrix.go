@@ -72,7 +72,7 @@ func gemm(m, k, n int, a, b, c []float64, ldc int, sub bool) {
 
 // Gemv computes y += A * x for a row-major m x n matrix.
 //
-//lint:allow testonly oracle: the serial product TestDistMatVecMatchesSerial and TestDistCGConverges hold the distributed kernels to
+//lint:allow testonly oracle: the serial product TestDistMatVecMatchesSerial, TestDistCGConverges and TestJacobiConvergesToSolution hold the distributed kernels to
 func Gemv(m, n int, a, x, y []float64) {
 	for i := 0; i < m; i++ {
 		ai := a[i*n : (i+1)*n]

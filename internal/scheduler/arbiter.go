@@ -223,7 +223,7 @@ func (v RunningViews) Changes(Cursor, func(int)) (Cursor, bool) { return Cursor{
 // Aggregates sums the set into name-sorted per-tenant usage and the total of
 // in-flight give-backs.
 //
-//lint:allow testonly seam: the fairshare and rebalance tests and TestAggregatesMatchSweep build snapshot aggregates from hand-made views with it
+//lint:allow testonly seam: TestVetoMatchesSweep and TestCarriedPlanMatchesFreshPlan build snapshot aggregates from hand-made views with it, and checkInvariants sweeps with it
 func (v RunningViews) Aggregates() (tenants []TenantUsage, pendingFree int) {
 	for _, r := range v {
 		pendingFree += r.PendingFree
