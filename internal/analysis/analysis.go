@@ -46,15 +46,13 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 
 // Pass carries one analyzer run over one package: the syntax trees, the
 // type information the checker produced for them, and the report sink.
-// All is the whole loaded program (the package itself included), for
-// checks that need every reference, not only the package's own.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	All       []*Package
+	All       []*Package // the whole loaded program, this package included
 
 	diags []Diagnostic
 }
@@ -72,9 +70,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // RunAnalyzer executes one analyzer over one package of the loaded
 // program all and returns its diagnostics with //lint:allow suppression
-// already applied, sorted by position. Unjustified allow directives naming this analyzer are
-// reported as diagnostics themselves: an exception without a reason is a
-// violation of the escape-hatch policy, not an exception.
+// already applied, sorted by position. Unjustified allow directives naming
+// this analyzer are reported as diagnostics themselves: an exception
+// without a reason is a violation of the escape-hatch policy, not an
+// exception.
 func RunAnalyzer(a *Analyzer, pkg *Package, all []*Package) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:  a,
