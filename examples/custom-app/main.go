@@ -45,7 +45,7 @@ func (power) Init(rc *reshape.Context) error {
 	for i := range x {
 		x[i] = 1 / math.Sqrt(n)
 	}
-	rc.RegisterReplicated("x", x)
+	rc.SetReplicated("x", x)
 	return nil
 }
 

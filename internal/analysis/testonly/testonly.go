@@ -1,7 +1,7 @@
-// Package testonly reports functions and methods in internal/ that no
-// non-test code reaches. Each is deleted, moved into the _test.go file of
-// its user, or kept under an allow naming the test and why it is a test
-// oracle or seam.
+// Package testonly reports functions and methods in internal/ and pkg/
+// that no non-test code reaches. Each is deleted, moved into the _test.go
+// file of its user, or kept under an allow naming the test and why it is
+// a test oracle or seam.
 //
 // The check is whole-program: it reads Pass.All, which reshapelint fills
 // with the root module and, as reference only, benchmark/. Roots are every
@@ -25,8 +25,8 @@ const skipped = "repro/internal/analysis"
 // Analyzer is the test-only-surface check.
 var Analyzer = &analysis.Analyzer{
 	Name:  "testonly",
-	Doc:   "functions in internal/ (but internal/analysis) must be reached by non-test code in the root module or benchmark/",
-	Scope: []string{"repro/internal"},
+	Doc:   "functions in internal/ (but internal/analysis) and pkg/ must be reached by non-test code in the root module or benchmark/",
+	Scope: []string{"repro/internal", "repro/pkg"},
 	Run:   run,
 }
 

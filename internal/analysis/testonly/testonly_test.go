@@ -14,3 +14,20 @@ import (
 func TestTestonly(t *testing.T) {
 	analysistest.Run(t, analysistest.TestdataDir(), testonly.Analyzer, "testonly")
 }
+
+// TestTestonlyPkg: reshapelint checks the SDK under pkg/ as it does
+// internal/, and not commands or examples. The pkg fixture flags an
+// option no caller passes and a getter only tests read.
+func TestTestonlyPkg(t *testing.T) {
+	for path, want := range map[string]bool{
+		"repro/internal/resize":     true,
+		"repro/pkg/reshape":         true,
+		"repro/cmd/reshaped":        false,
+		"repro/examples/quickstart": false,
+	} {
+		if got := testonly.Analyzer.AppliesTo(path); got != want {
+			t.Errorf("AppliesTo(%q) = %v, want %v", path, got, want)
+		}
+	}
+	analysistest.Run(t, analysistest.TestdataDir(), testonly.Analyzer, "testonly/pkg/sdk")
+}

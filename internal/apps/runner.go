@@ -173,7 +173,7 @@ func (a jacobiApp) Init(rc *reshape.Context) error {
 		return 1.0 / (1.0 + float64((i+j)%7))
 	})
 	rc.FillArray(bv, func(i, j int) float64 { return 1 + float64(i%5) })
-	rc.RegisterReplicated("x", make([]float64, n))
+	rc.SetReplicated("x", make([]float64, n))
 	return nil
 }
 
@@ -250,8 +250,8 @@ func (a cgApp) Init(rc *reshape.Context) error {
 	for i := range b {
 		b[i] = 1 + float64(i%3)
 	}
-	rc.RegisterReplicated("b", b)
-	rc.RegisterReplicated("x", make([]float64, n))
+	rc.SetReplicated("b", b)
+	rc.SetReplicated("x", make([]float64, n))
 	return nil
 }
 

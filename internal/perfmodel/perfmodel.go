@@ -207,6 +207,8 @@ type RedistObservation struct {
 // alone. Observations with no network traffic or with a measured time not
 // exceeding the pure-latency term are skipped. It returns the number of
 // observations used; zero leaves the params unchanged.
+//
+//lint:allow testonly oracle: the fit Report.RedistObservations feeds; TestCalibrateRedistRecoversBandwidth, TestCalibrateRedistSkipsDegenerate and TestRedistObservationsRecorded hold it to measured redistributions
 func (p *Params) CalibrateRedist(obs []RedistObservation) int {
 	var ests []float64
 	for _, o := range obs {

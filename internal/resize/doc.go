@@ -4,7 +4,7 @@
 //
 // Most applications should not use this package directly: the public SDK
 // in pkg/reshape wraps a Session in a lifecycle-driven App API
-// (Init/Iterate plus optional OnResize/Checkpoint hooks) and drives the
+// (Init/Iterate plus an optional OnResize hook) and drives the
 // iterate/log/resize loop itself. This package is the underlying
 // mechanism the SDK runs on.
 //

@@ -109,11 +109,6 @@ type planKey struct {
 
 // Session is a rank's handle on the resizing library.
 type Session struct {
-	// CallTimeout bounds each scheduler call made from this session's
-	// resize points (0 = no deadline). Set it before the worker loop; ranks
-	// spawned by expansion inherit it.
-	CallTimeout time.Duration
-
 	client Client
 	jobID  int
 	worker Worker
@@ -172,9 +167,6 @@ func (s *Session) Ctx() *blacs.Context { return s.ctx }
 
 // Topo returns the current processor topology.
 func (s *Session) Topo() grid.Topology { return s.topo }
-
-// JobID returns the scheduler's job id.
-func (s *Session) JobID() int { return s.jobID }
 
 // Iter returns the number of completed iterations.
 func (s *Session) Iter() int { return s.iter }
@@ -254,22 +246,11 @@ func (s *Session) Log(iterTime float64) float64 {
 // LogRecords returns rank 0's iteration log.
 func (s *Session) LogRecords() []IterationRecord { return s.log }
 
-// callCtx returns the context used for one scheduler call from a resize
-// point, honouring the session's CallTimeout.
-func (s *Session) callCtx() (context.Context, context.CancelFunc) {
-	if s.CallTimeout > 0 {
-		return context.WithTimeout(context.Background(), s.CallTimeout)
-	}
-	return context.Background(), func() {}
-}
-
 // Done signals job completion to the scheduler (rank 0 only; other ranks
 // no-op), mirroring the application monitor's job-end message.
 func (s *Session) Done() error {
 	if s.comm.Rank() == 0 {
-		ctx, cancel := s.callCtx()
-		defer cancel()
-		return s.client.JobEnd(ctx, s.jobID)
+		return s.client.JobEnd(context.Background(), s.jobID)
 	}
 	return nil
 }
@@ -283,9 +264,7 @@ func (s *Session) ContactScheduler(iterTime, redistTime float64) (scheduler.Deci
 	}
 	var w wire
 	if s.comm.Rank() == 0 {
-		ctx, cancel := s.callCtx()
-		defer cancel()
-		d, err := s.client.Contact(ctx, s.jobID, s.topo, iterTime, redistTime)
+		d, err := s.client.Contact(context.Background(), s.jobID, s.topo, iterTime, redistTime)
 		w.d = d
 		if err != nil {
 			w.err = err.Error()
@@ -372,21 +351,20 @@ func (s *Session) ExpandProcessors(target grid.Topology) error {
 			boot.arrayMeta[i] = Array{Name: a.Name, M: a.M, N: a.N, MB: a.MB, NB: a.NB}
 		}
 	}
-	client, worker, callTimeout := s.client, s.worker, s.CallTimeout
+	client, worker := s.client, s.worker
 
 	ic := s.comm.Spawn(k, func(childIC *mpi.Intercomm) error {
 		merged := childIC.Merge()
 		// Children receive the bootstrap from rank 0 of the merged comm.
 		b := merged.Bcast(0, childBootstrap{}).(childBootstrap)
 		cs := &Session{
-			CallTimeout: callTimeout,
-			client:      client,
-			jobID:       b.jobID,
-			worker:      worker,
-			comm:        merged,
-			topo:        b.newTopo,
-			iter:        b.iter,
-			replicated:  copyReplicated(b.replicated),
+			client:     client,
+			jobID:      b.jobID,
+			worker:     worker,
+			comm:       merged,
+			topo:       b.newTopo,
+			iter:       b.iter,
+			replicated: copyReplicated(b.replicated),
 		}
 		for i := range b.arrayMeta {
 			m := b.arrayMeta[i]
@@ -425,9 +403,7 @@ func (s *Session) ExpandProcessors(target grid.Topology) error {
 	s.topo = target
 	s.lastRedist = time.Since(start).Seconds()
 	if s.comm.Rank() == 0 {
-		ctx, cancel := s.callCtx()
-		defer cancel()
-		if err := s.client.ResizeComplete(ctx, s.jobID, s.lastRedist); err != nil {
+		if err := s.client.ResizeComplete(context.Background(), s.jobID, s.lastRedist); err != nil {
 			return err
 		}
 	}
@@ -472,9 +448,7 @@ func (s *Session) ShrinkProcessors(target grid.Topology) (Status, error) {
 	s.topo = target
 	s.lastRedist = time.Since(start).Seconds()
 	if s.comm.Rank() == 0 {
-		ctx, cancel := s.callCtx()
-		defer cancel()
-		if err := s.client.ResizeComplete(ctx, s.jobID, s.lastRedist); err != nil {
+		if err := s.client.ResizeComplete(context.Background(), s.jobID, s.lastRedist); err != nil {
 			return Continue, err
 		}
 	}

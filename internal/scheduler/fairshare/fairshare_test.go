@@ -175,6 +175,45 @@ func TestUnderShareExpansionCapped(t *testing.T) {
 	}
 }
 
+// TestAtShareExpansionGranted: the cap counts the caller's growth, not
+// its new size on top of its old one. An expansion that lands the tenant
+// exactly on its share is granted while a victim tenant waits.
+func TestAtShareExpansionGranted(t *testing.T) {
+	caller := scheduler.ContactView{
+		ID: 0, Tenant: "noisy", Priority: 1, Topo: topo(4, 4), // 16 of 36
+		Chain:   []grid.Topology{topo(4, 4), topo(3, 6), topo(6, 6)},
+		Profile: prof(visit(topo(4, 4), 100)),
+	}
+	other := scheduler.ContactView{ID: 1, Tenant: "victim", Topo: topo(4, 4), Profile: scheduler.NewProfile()}
+	snap := over(scheduler.ClusterSnapshot{
+		Now: 100, Total: 36, Idle: 4,
+		Caller:   caller,
+		Queued:   []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}},
+		QueueLen: 1,
+	}, caller, other)
+	d := New(nil).Decide(snap)
+	if d.Action != scheduler.ActionExpand || d.Target != topo(3, 6) {
+		t.Fatalf("decision %+v, want expand to 3x6 (18 procs, the tenant's share)", d)
+	}
+}
+
+// TestPickStartTieBreaksByHead: heads of tenants with equal normalized
+// usage are ordered as the queue orders them, higher priority first,
+// then lower ID, whatever their position among the heads.
+func TestPickStartTieBreaksByHead(t *testing.T) {
+	pick := func(heads ...scheduler.QueuedView) int {
+		return New(nil).PickStart(startOver(scheduler.StartSnapshot{Now: 100, Total: 36, Idle: 8, Heads: heads}))
+	}
+	if got := pick(scheduler.QueuedView{ID: 5, Tenant: "a", Need: 4},
+		scheduler.QueuedView{ID: 7, Tenant: "b", Priority: 2, Need: 4}); got != 1 {
+		t.Errorf("priority tie-break: picked %d, want 1 (the priority-2 head)", got)
+	}
+	if got := pick(scheduler.QueuedView{ID: 9, Tenant: "a", Need: 4},
+		scheduler.QueuedView{ID: 4, Tenant: "b", Need: 4}); got != 1 {
+		t.Errorf("ID tie-break: picked %d, want 1 (the lower ID)", got)
+	}
+}
+
 func TestParseWeights(t *testing.T) {
 	w, err := ParseWeights(" a=3, b=1.5 ")
 	if err != nil {

@@ -273,8 +273,8 @@ func (s *Sim) job(js *jobState) *scheduler.Job {
 // by the policy ablation experiments); the default is the paper's policy.
 // The override is applied to the core at Run, whichever of WithPolicy and
 // WithCore is called first. An arbiter installed via WithArbiter replaces
-// the core's policy path entirely — combine a custom policy with
-// arbiter.BenefitRanked through its Policy field, not this option.
+// the core's policy path entirely, so the override then has no effect
+// (arbiter.BenefitRanked always expands through the paper's policy).
 func (s *Sim) WithPolicy(p scheduler.Policy) *Sim {
 	s.policy = p
 	return s
@@ -313,12 +313,7 @@ func (s *Sim) WithCore(core *scheduler.Core) *Sim {
 // their AppModels by arrival order, matching the ids the simulation will
 // assign at submission.
 func Predictor(params *perfmodel.Params, jobs []JobInput) func(jobID int, t grid.Topology) (float64, bool) {
-	arrivals := append([]JobInput{}, jobs...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
-	models := make([]perfmodel.AppModel, len(arrivals))
-	for i, in := range arrivals {
-		models[i] = in.Model
-	}
+	models := arrivalModels(jobs)
 	return func(jobID int, t grid.Topology) (float64, bool) {
 		if jobID < 0 || jobID >= len(models) {
 			return 0, false
@@ -335,18 +330,32 @@ func Predictor(params *perfmodel.Params, jobs []JobInput) func(jobID int, t grid
 // for a job mix, suitable for rebalance.Rebalancer.RedistCost: like
 // Predictor, job ids are resolved to AppModels by arrival order.
 func RedistPredictor(params *perfmodel.Params, jobs []JobInput) func(jobID int, from, to grid.Topology) (float64, bool) {
-	arrivals := append([]JobInput{}, jobs...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
-	models := make([]perfmodel.AppModel, len(arrivals))
-	for i, in := range arrivals {
-		models[i] = in.Model
-	}
+	models := arrivalModels(jobs)
 	return func(jobID int, from, to grid.Topology) (float64, bool) {
 		if jobID < 0 || jobID >= len(models) {
 			return 0, false
 		}
 		return params.RedistTime(models[jobID], from, to), true
 	}
+}
+
+// byArrival returns a copy of jobs in the order the simulation submits
+// them: by arrival time, stable among equal arrivals. A job's index in it
+// is the id the core assigns.
+func byArrival(jobs []JobInput) []JobInput {
+	arrivals := append([]JobInput{}, jobs...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
+	return arrivals
+}
+
+// arrivalModels lists a mix's AppModels indexed by job id.
+func arrivalModels(jobs []JobInput) []perfmodel.AppModel {
+	arrivals := byArrival(jobs)
+	models := make([]perfmodel.AppModel, len(arrivals))
+	for i, in := range arrivals {
+		models[i] = in.Model
+	}
+	return models
 }
 
 // Run executes the simulation to completion and returns the result.
@@ -360,8 +369,7 @@ func (s *Sim) Run() (*Result, error) {
 	if s.arbiter != nil {
 		s.core.SetArbiter(s.arbiter)
 	}
-	arrivals := append([]JobInput{}, s.inputs...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
+	arrivals := byArrival(s.inputs)
 	s.pending = arrivals
 	s.eng.Handle(scheduler.EvArrival, s.handleArrival)
 	s.eng.Handle(scheduler.EvResizePoint, s.handleResizePoint)

@@ -285,13 +285,6 @@ func evens(from, to int) []int {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SweepPoint is one load level of a load sweep.
 type SweepPoint struct {
 	MeanInterarrival float64

@@ -31,30 +31,6 @@ type ResizeHandler interface {
 	OnResize(rc *Context, ev ResizeEvent) error
 }
 
-// Checkpointer is an optional App hook: Checkpoint runs on every rank at
-// each resize point, immediately before the scheduler is contacted, so the
-// application can flush live state into its registered arrays/replicated
-// buffers (the state that survives a resize).
-type Checkpointer interface {
-	Checkpoint(rc *Context) error
-}
-
-// Redistributable is custom application state that participates in
-// resizing without being a plain dense array. Register declares the
-// backing storage (arrays and replicated buffers on the Context) once per
-// initial rank; Pack flattens live state into that storage before every
-// resize point; Unpack rebuilds live state from the (redistributed)
-// storage after a topology change, and on ranks that just spawned.
-//
-// Register implementations with Context.RegisterState during Init, or
-// declaratively with the WithState option. Like Apps, a Redistributable
-// value is shared by all ranks.
-type Redistributable interface {
-	Register(rc *Context) error
-	Pack(rc *Context) error
-	Unpack(rc *Context) error
-}
-
 // EventKind labels a lifecycle Event.
 type EventKind int
 

@@ -8,22 +8,12 @@ import (
 )
 
 // Context is a rank's handle on the running application: a thin adapter
-// over the underlying resize.Session that carries the SDK's declarative
-// state registry. One Context exists per rank; all of its methods are
-// local to that rank unless noted collective.
+// over the underlying resize.Session. One Context exists per rank; all of
+// its methods are local to that rank unless noted collective.
 type Context struct {
 	s       *resize.Session
-	run     *runner           // nil when wrapping a bare session (NewContext)
-	states  []Redistributable // rank-local view of registered custom state
-	resizes int               // topology changes this rank lived through
+	resizes int // topology changes this rank lived through
 }
-
-// NewContext wraps an existing resize.Session in an SDK Context. This is
-// the bridge for code that still drives sessions directly (the legacy
-// Worker path, differential tests): App methods can run against it, but
-// lifecycle hooks, events and Redistributable plumbing are only provided
-// by Run.
-func NewContext(s *resize.Session) *Context { return &Context{s: s} }
 
 // Session exposes the underlying resizing-library session — the advanced
 // per-stage API (ContactScheduler, ExpandProcessors, ...) for code that
@@ -44,13 +34,6 @@ func (rc *Context) Rank() int { return rc.s.Comm().Rank() }
 
 // Iter returns the number of completed outer iterations.
 func (rc *Context) Iter() int { return rc.s.Iter() }
-
-// JobID returns the scheduler's job id.
-func (rc *Context) JobID() int { return rc.s.JobID() }
-
-// LastRedist returns the redistribution cost of the most recent resize in
-// seconds (0 if the last resize point made no change).
-func (rc *Context) LastRedist() float64 { return rc.s.LastRedist() }
 
 // RegisterArray declares a global M×N block-cyclic array with MB×NB blocks
 // and adds it to the set redistributed at every resize. It returns the
@@ -93,39 +76,14 @@ func (rc *Context) FillArray(a *resize.Array, f func(i, j int) float64) {
 	}
 }
 
-// RegisterReplicated declares rank-replicated state (e.g. a solution
+// SetReplicated creates or updates rank-replicated state (e.g. a solution
 // vector) that every rank holds and that newly spawned ranks must receive.
 // Rank 0's copy is authoritative at resize time and is re-broadcast to
 // every rank during an expansion. Re-fetch with Replicated after a resize
 // point rather than caching the slice across it.
-func (rc *Context) RegisterReplicated(name string, data []float64) {
-	rc.s.SetReplicated(name, data)
-}
-
-// SetReplicated updates (or creates) a replicated buffer; it is
-// RegisterReplicated under the name the resizing library uses for updates.
 func (rc *Context) SetReplicated(name string, data []float64) {
 	rc.s.SetReplicated(name, data)
 }
 
 // Replicated returns a replicated buffer by name (nil if absent).
 func (rc *Context) Replicated(name string) []float64 { return rc.s.Replicated(name) }
-
-// RegisterState registers custom resizable state: its Register hook runs
-// immediately (declare backing arrays/replicated buffers there), Pack runs
-// before every resize point, and Unpack runs after each topology change
-// and on newly spawned ranks. Collective: all ranks must register the same
-// states in the same order, normally from Init.
-func (rc *Context) RegisterState(st Redistributable) error {
-	rc.states = append(rc.states, st)
-	if rc.run != nil {
-		rc.run.noteState(st, len(rc.states)-1)
-	}
-	return st.Register(rc)
-}
-
-// Log records an iteration time in the session's iteration log (averaged
-// across the grid, recorded on rank 0) and returns the average. Run calls
-// this automatically after every Iterate; it is exposed for legacy-path
-// code driving sessions by hand.
-func (rc *Context) Log(seconds float64) float64 { return rc.s.Log(seconds) }

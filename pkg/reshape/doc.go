@@ -30,19 +30,16 @@
 // pre-SDK code hand-rolled per application — the worker closure, resize
 // points, iteration accounting, spawned-rank re-entry — lives in the
 // runner. Registered arrays ride the fused block-cyclic redistribution at
-// every topology change; replicated buffers are re-broadcast from rank 0;
-// custom state participates through the Redistributable interface.
+// every topology change; replicated buffers are re-broadcast from rank 0.
 //
 // A resize gives every registered array a new Data slice and recycles the
 // storage behind the old one at the resize after that. Read Array.Data (and
 // Replicated buffers) afresh in every Iterate, as the example does; a slice
 // taken before a resize point is invalid after it.
 //
-// Optional lifecycle hooks refine the default behavior: an App that also
-// implements ResizeHandler is notified after every topology change (and on
-// ranks that just spawned); one that implements Checkpointer is called at
-// each resize point before the scheduler is contacted. Typed lifecycle
-// Events stream to the Logger installed with WithLogger.
+// An App that also implements ResizeHandler is notified after every
+// topology change (and on ranks that just spawned). Typed lifecycle Events
+// stream to the Logger installed with WithLogger.
 //
 // The scheduler connection is any implementation of the resize.Client
 // capability — the in-process scheduler.Server and the rpc/v2 reshape

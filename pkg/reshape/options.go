@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/mpi"
-	"repro/internal/perfmodel"
 	"repro/internal/resize"
 )
 
@@ -17,10 +15,6 @@ type config struct {
 	maxIter     int
 	resizeEvery int
 	logger      Logger
-	perf        *perfmodel.Params
-	world       *mpi.World
-	callTimeout time.Duration
-	states      []Redistributable
 
 	now func() time.Time // test hook for deterministic iteration timing
 }
@@ -64,24 +58,3 @@ func WithResizeEvery(n int) Option { return func(o *config) { o.resizeEvery = n 
 // by rank 0; EventRetire by each retiring rank, so l must tolerate
 // concurrent calls.
 func WithLogger(l Logger) Option { return func(o *config) { o.logger = l } }
-
-// WithPerfModel refits p's redistribution-cost coefficients from the
-// redistributions this run measures (Report.CalibratedObs says how many
-// observations the fit used).
-func WithPerfModel(p *perfmodel.Params) Option { return func(o *config) { o.perf = p } }
-
-// WithWorld runs the application's ranks inside an existing mpi.World
-// instead of a fresh one. Note that World.Run blocks until every rank in
-// the world has finished — share a world only between runs meant to be
-// joined.
-func WithWorld(w *mpi.World) Option { return func(o *config) { o.world = w } }
-
-// WithCallTimeout bounds each scheduler call made from resize points
-// (0 = no deadline). Spawned ranks inherit it.
-func WithCallTimeout(d time.Duration) Option { return func(o *config) { o.callTimeout = d } }
-
-// WithState declaratively registers custom resizable state, equivalent to
-// calling Context.RegisterState for each value at the end of Init.
-func WithState(states ...Redistributable) Option {
-	return func(o *config) { o.states = append(o.states, states...) }
-}

@@ -28,9 +28,6 @@ type Report struct {
 	// RedistObservations are the measured redistribution costs (rank 0's
 	// record), ready for perfmodel calibration.
 	RedistObservations []perfmodel.RedistObservation
-	// CalibratedObs is the number of observations WithPerfModel's refit
-	// used (0 without that option).
-	CalibratedObs int
 }
 
 // Run executes app on a fresh set of ranks and blocks until the job —
@@ -63,27 +60,16 @@ func Run(ctx context.Context, app App, opts ...Option) (*Report, error) {
 	}
 
 	r := &runner{app: app, cfg: cfg, ctx: ctx}
-	world := cfg.world
-	if world == nil {
-		world = mpi.NewWorld()
-	}
-
 	var mu sync.Mutex
 	var rep *Report
-	err := world.Run(cfg.topo.Count(), func(c *mpi.Comm) error {
+	err := mpi.Run(cfg.topo.Count(), func(c *mpi.Comm) error {
 		s, err := resize.NewSession(cfg.client, cfg.jobID, c, cfg.topo, r.worker())
 		if err != nil {
 			return fmt.Errorf("reshape: session: %w", err)
 		}
-		s.CallTimeout = cfg.callTimeout
-		rc := &Context{s: s, run: r}
+		rc := &Context{s: s}
 		if err := app.Init(rc); err != nil {
 			return fmt.Errorf("reshape: init: %w", err)
-		}
-		for _, st := range cfg.states {
-			if err := rc.RegisterState(st); err != nil {
-				return fmt.Errorf("reshape: register state: %w", err)
-			}
 		}
 		if c.Rank() == 0 {
 			r.emit(Event{Kind: EventInit, Topo: s.Topo()})
@@ -106,9 +92,6 @@ func Run(ctx context.Context, app App, opts ...Option) (*Report, error) {
 	}
 	if rep == nil {
 		return nil, fmt.Errorf("reshape: run finished without a rank-0 report")
-	}
-	if cfg.perf != nil {
-		rep.CalibratedObs = cfg.perf.CalibrateRedist(rep.RedistObservations)
 	}
 	return rep, nil
 }
@@ -135,38 +118,13 @@ func report(s *resize.Session, resizes int) *Report {
 	return rep
 }
 
-// runner drives one Run: the shared configuration, the custom-state
-// registry (shared so spawned ranks can rebuild their Context), and the
-// cancellation context.
+// runner drives one Run: the shared configuration and the cancellation
+// context.
 type runner struct {
 	app App
 	cfg *config
 	//lint:allow ctxfirst per-Run closure object: the stored ctx is Run's own argument, shared across rank goroutines for collective cancellation
 	ctx context.Context
-
-	mu     sync.Mutex
-	states []Redistributable // registration order of first-registering rank
-}
-
-// noteState records a Redistributable in the shared registry. Every rank
-// registers the same states in the same order (the collective contract),
-// so deduplication is positional: the first rank to reach position pos
-// fills the slot, later ranks find it occupied. Comparing positions
-// instead of values keeps non-comparable implementations (struct values
-// holding slices or maps) usable.
-func (r *runner) noteState(st Redistributable, pos int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if pos == len(r.states) {
-		r.states = append(r.states, st)
-	}
-}
-
-// sharedStates returns the registry for a joining rank's Context.
-func (r *runner) sharedStates() []Redistributable {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Redistributable{}, r.states...)
 }
 
 // emit delivers a lifecycle event to the configured logger.
@@ -176,17 +134,11 @@ func (r *runner) emit(ev Event) {
 	}
 }
 
-// worker is the entry point for ranks spawned by an expansion: rebuild
-// custom state from the redistributed backing storage, give the app its
-// OnResize(Joined) notification, and join the iteration loop.
+// worker is the entry point for ranks spawned by an expansion: give the
+// app its OnResize(Joined) notification and join the iteration loop.
 func (r *runner) worker() resize.Worker {
 	return func(s *resize.Session) error {
-		rc := &Context{s: s, run: r, states: r.sharedStates()}
-		for _, st := range rc.states {
-			if err := st.Unpack(rc); err != nil {
-				return fmt.Errorf("reshape: unpack state on joined rank: %w", err)
-			}
-		}
+		rc := &Context{s: s}
 		if h, ok := r.app.(ResizeHandler); ok {
 			ev := ResizeEvent{Kind: Joined, To: s.Topo(), Iter: s.Iter()}
 			if err := h.OnResize(rc, ev); err != nil {
@@ -216,7 +168,6 @@ func (r *runner) cancelled(s *resize.Session) bool {
 // every pre-SDK app duplicated in its worker closure.
 func (r *runner) loop(rc *Context) error {
 	s := rc.s
-	cp, isCheckpointer := r.app.(Checkpointer)
 	h, isResizeHandler := r.app.(ResizeHandler)
 	for s.Iter() < r.cfg.maxIter {
 		if r.cancelled(s) {
@@ -240,16 +191,6 @@ func (r *runner) loop(rc *Context) error {
 			s.Advance()
 			continue
 		}
-		if isCheckpointer {
-			if err := cp.Checkpoint(rc); err != nil {
-				return fmt.Errorf("reshape: checkpoint: %w", err)
-			}
-		}
-		for _, st := range rc.states {
-			if err := st.Pack(rc); err != nil {
-				return fmt.Errorf("reshape: pack state: %w", err)
-			}
-		}
 		prev := s.Topo()
 		// Log already allreduced the iteration time; reuse its average
 		// instead of paying Resize's second cluster-wide reduction.
@@ -263,11 +204,6 @@ func (r *runner) loop(rc *Context) error {
 		}
 		if cur := s.Topo(); cur != prev {
 			rc.resizes++
-			for _, st := range rc.states {
-				if err := st.Unpack(rc); err != nil {
-					return fmt.Errorf("reshape: unpack state: %w", err)
-				}
-			}
 			kind := Expanded
 			if cur.Count() < prev.Count() {
 				kind = Shrunk
@@ -280,20 +216,6 @@ func (r *runner) loop(rc *Context) error {
 			}
 			if s.Comm().Rank() == 0 {
 				r.emit(Event{Kind: EventResize, Iter: s.Iter(), From: prev, Topo: cur, Seconds: s.LastRedist()})
-			}
-		}
-	}
-	// If the final iteration fell between resize points, flush once more so
-	// checkpointed and custom state reflect it (Report snapshots follow).
-	if s.Iter()%r.cfg.resizeEvery != 0 {
-		if isCheckpointer {
-			if err := cp.Checkpoint(rc); err != nil {
-				return fmt.Errorf("reshape: final checkpoint: %w", err)
-			}
-		}
-		for _, st := range rc.states {
-			if err := st.Pack(rc); err != nil {
-				return fmt.Errorf("reshape: final pack: %w", err)
 			}
 		}
 	}

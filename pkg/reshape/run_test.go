@@ -2,7 +2,6 @@ package reshape_test
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,11 +16,10 @@ func topo(r, c int) grid.Topology { return grid.Topology{Rows: r, Cols: c} }
 
 // countingApp counts lifecycle calls across all ranks.
 type countingApp struct {
-	inits       atomic.Int64
-	iterates    atomic.Int64
-	checkpoints atomic.Int64
-	resizes     atomic.Int64
-	joins       atomic.Int64
+	inits    atomic.Int64
+	iterates atomic.Int64
+	resizes  atomic.Int64
+	joins    atomic.Int64
 }
 
 func (a *countingApp) Init(rc *reshape.Context) error {
@@ -33,11 +31,6 @@ func (a *countingApp) Init(rc *reshape.Context) error {
 
 func (a *countingApp) Iterate(rc *reshape.Context) error {
 	a.iterates.Add(1)
-	return nil
-}
-
-func (a *countingApp) Checkpoint(rc *reshape.Context) error {
-	a.checkpoints.Add(1)
 	return nil
 }
 
@@ -90,10 +83,6 @@ func TestRunIterationAccounting(t *testing.T) {
 	if !client.Ended {
 		t.Error("completion never reported")
 	}
-	// Checkpoint fires at every resize point (resizeEvery=1 -> n times per rank).
-	if got := app.checkpoints.Load(); got != iters*2 {
-		t.Errorf("Checkpoint ran %d times, want %d", got, iters*2)
-	}
 }
 
 func TestRunResizeEverySpacing(t *testing.T) {
@@ -115,18 +104,15 @@ func TestRunResizeEverySpacing(t *testing.T) {
 	if rep.Iterations != 6 || len(rep.Records) != 6 {
 		t.Errorf("iterations %d, records %d, want 6/6", rep.Iterations, len(rep.Records))
 	}
-	if got := app.checkpoints.Load(); got != 3*2 {
-		t.Errorf("Checkpoint ran %d times, want 6 (3 resize points x 2 ranks)", got)
-	}
 }
 
 func TestRunFlushesTailIterations(t *testing.T) {
 	// When MaxIterations is not a multiple of ResizeEvery, the iterations
-	// after the last resize point must still be flushed (Checkpoint/Pack)
-	// before the run completes, so Report snapshots the final state.
+	// after the last resize point still run, count and log, and the job
+	// end still reaches the scheduler.
 	app := &countingApp{}
 	client := &resize.ScriptedClient{}
-	_, err := reshape.Run(context.Background(), app,
+	rep, err := reshape.Run(context.Background(), app,
 		reshape.WithScheduler(client),
 		reshape.WithTopology(topo(1, 2)),
 		reshape.WithMaxIterations(5),
@@ -137,9 +123,11 @@ func TestRunFlushesTailIterations(t *testing.T) {
 	if client.Contacts != 2 {
 		t.Errorf("%d contacts, want 2 (iterations 2 and 4)", client.Contacts)
 	}
-	// 2 resize points + 1 final flush, per rank.
-	if got := app.checkpoints.Load(); got != 3*2 {
-		t.Errorf("Checkpoint ran %d times, want 6 (2 resize points + tail flush, x 2 ranks)", got)
+	if got := app.iterates.Load(); got != 5*2 {
+		t.Errorf("Iterate ran %d times, want 10 (5 iterations x 2 ranks)", got)
+	}
+	if rep.Iterations != 5 || len(rep.Records) != 5 || !client.Ended {
+		t.Errorf("iterations %d, records %d, ended %v, want 5/5/true", rep.Iterations, len(rep.Records), client.Ended)
 	}
 }
 
@@ -219,132 +207,6 @@ func TestRunLifecycleEvents(t *testing.T) {
 	}
 	if reshape.EventResize.String() != "resize" || reshape.Joined.String() != "joined" {
 		t.Error("event kind names wrong")
-	}
-}
-
-// windowState is custom Redistributable state: a live scalar ("window
-// average") whose backing store is a replicated buffer. Pack flushes the
-// live value before resize points; Unpack rebuilds it after topology
-// changes and on joined ranks.
-type windowState struct {
-	mu        sync.Mutex
-	live      map[*reshape.Context]float64 // per-rank live value (keyed by rank context)
-	packs     atomic.Int64
-	unpacks   atomic.Int64
-	registers atomic.Int64
-}
-
-func newWindowState() *windowState {
-	return &windowState{live: map[*reshape.Context]float64{}}
-}
-
-func (w *windowState) Register(rc *reshape.Context) error {
-	w.registers.Add(1)
-	rc.RegisterReplicated("window", []float64{1})
-	w.set(rc, 1)
-	return nil
-}
-
-func (w *windowState) Pack(rc *reshape.Context) error {
-	w.packs.Add(1)
-	rc.SetReplicated("window", []float64{w.get(rc)})
-	return nil
-}
-
-func (w *windowState) Unpack(rc *reshape.Context) error {
-	w.unpacks.Add(1)
-	v := rc.Replicated("window")
-	if len(v) != 1 {
-		return fmt.Errorf("window backing store missing")
-	}
-	w.set(rc, v[0])
-	return nil
-}
-
-func (w *windowState) set(rc *reshape.Context, v float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.live[rc] = v
-}
-
-func (w *windowState) get(rc *reshape.Context) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.live[rc]
-}
-
-// windowApp doubles the live value every iteration.
-type windowApp struct{ st *windowState }
-
-func (a windowApp) Init(rc *reshape.Context) error {
-	arr := rc.RegisterArray("A", 8, 8, 2, 2)
-	rc.FillArray(arr, func(i, j int) float64 { return 1 })
-	return nil
-}
-
-func (a windowApp) Iterate(rc *reshape.Context) error {
-	a.st.set(rc, a.st.get(rc)*2)
-	return nil
-}
-
-func TestRunRedistributableState(t *testing.T) {
-	st := newWindowState()
-	client := &resize.ScriptedClient{Script: []scheduler.Decision{
-		{Action: scheduler.ActionExpand, Target: topo(2, 2)},
-	}}
-	rep, err := reshape.Run(context.Background(), windowApp{st: st},
-		reshape.WithScheduler(client),
-		reshape.WithTopology(topo(1, 2)),
-		reshape.WithMaxIterations(3),
-		reshape.WithState(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.registers.Load(); got != 2 {
-		t.Errorf("Register ran %d times, want 2 (initial ranks)", got)
-	}
-	// Joined ranks and post-expansion survivors all unpack.
-	if st.unpacks.Load() == 0 {
-		t.Error("Unpack never ran")
-	}
-	if st.packs.Load() == 0 {
-		t.Error("Pack never ran")
-	}
-	// The live value doubled once before the expansion (packed as 2) and
-	// twice after on every rank; the final replicated window is rank 0's
-	// packed value from the last resize point: 1*2*2*2 = 8.
-	if v := rep.Replicated["window"]; len(v) != 1 || v[0] != 8 {
-		t.Errorf("final window %v, want [8]", v)
-	}
-}
-
-// sliceState is a value-type Redistributable holding a slice: it is not
-// comparable, so it exercises the positional deduplication of the runner's
-// shared state registry (interface values like this would panic as map
-// keys).
-type sliceState struct{ seed []float64 }
-
-func (s sliceState) Register(rc *reshape.Context) error {
-	rc.RegisterReplicated("seed", append([]float64(nil), s.seed...))
-	return nil
-}
-func (s sliceState) Pack(rc *reshape.Context) error   { return nil }
-func (s sliceState) Unpack(rc *reshape.Context) error { return nil }
-
-func TestRunNonComparableRedistributable(t *testing.T) {
-	client := &resize.ScriptedClient{Script: []scheduler.Decision{
-		{Action: scheduler.ActionExpand, Target: topo(2, 2)},
-	}}
-	rep, err := reshape.Run(context.Background(), &countingApp{},
-		reshape.WithScheduler(client),
-		reshape.WithTopology(topo(1, 2)),
-		reshape.WithMaxIterations(3),
-		reshape.WithState(sliceState{seed: []float64{3}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := rep.Replicated["seed"]; len(v) != 1 || v[0] != 3 {
-		t.Errorf("seed state %v, want [3]", v)
 	}
 }
 

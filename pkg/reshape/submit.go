@@ -19,16 +19,6 @@ func WithPriority(p int) SubmitOption {
 	return func(s *scheduler.JobSpec) { s.Priority = p }
 }
 
-// WithTenant tags the job with a tenant identity for multi-tenant
-// fair-share scheduling and per-tenant admission quotas. Under the
-// fairshare arbiter the cluster's processors are split between tenants in
-// proportion to their configured weights; the default empty tenant keeps
-// single-tenant scheduling untouched. A tenant set on the spec wins over
-// the submitting client's own identity (reshape.WithTenant on Dial).
-func WithTenant(tenant string) SubmitOption {
-	return func(s *scheduler.JobSpec) { s.Tenant = tenant }
-}
-
 // Submit enqueues a job on any scheduler transport — the in-process
 // scheduler.Server or the rpc/v2 client — and returns the job id to hand
 // to Run via WithJobID. The priority travels inside the JobSpec over the

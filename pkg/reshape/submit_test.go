@@ -56,18 +56,18 @@ func TestSubmitWithPriority(t *testing.T) {
 	}
 }
 
-// TestSubmitWithTenant: the tenant tag applied at submission shows up on
-// the job and in the per-tenant status rollup.
+// TestSubmitWithTenant: the tenant set on the spec shows up on the job
+// and in the per-tenant status rollup.
 func TestSubmitWithTenant(t *testing.T) {
 	srv := scheduler.NewServer(8, false, nil)
 	ctx := context.Background()
 	start := grid.Topology{Rows: 2, Cols: 2}
 	spec := scheduler.JobSpec{
 		Name: "sdk", App: "lu", ProblemSize: 8000, Iterations: 5,
-		InitialTopo: start, Chain: []grid.Topology{start},
+		InitialTopo: start, Chain: []grid.Topology{start}, Tenant: "acme",
 	}
 
-	id, err := reshape.Submit(ctx, srv, spec, reshape.WithTenant("acme"))
+	id, err := reshape.Submit(ctx, srv, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
