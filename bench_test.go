@@ -524,8 +524,8 @@ func BenchmarkRedistribute(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	// Plan-construction cost the session cache amortizes away on repeated
-	// oscillation between the same grid pair.
+	// Plan-construction cost the process-wide plan cache amortizes away on
+	// repeated oscillation between the same grid pair.
 	b.Run("plan-build-3arrays", func(b *testing.B) {
 		srcs, dsts, _, _ := mkCase(nArrays, pairs[0].from, pairs[0].to)
 		for i := 0; i < b.N; i++ {
@@ -656,6 +656,43 @@ func BenchmarkRealFFT2D(b *testing.B) {
 			local := make([]float64, len(pieces[c.Rank()].Data))
 			copy(local, pieces[c.Rank()].Data)
 			return apps.FFT2D(ctx, l, local, false)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRealDistJacobi is one sweep (and its residual) of the
+// repository benchmark's Jacobi system on two ranks: each rank walks 640
+// rows of 1280 against the replicated x.
+func BenchmarkRealDistJacobi(b *testing.B) {
+	const n, nb = 1280, 8
+	topo := grid.Row1D(2)
+	l := blockcyclic.Layout{M: n, N: n, MB: nb, NB: n, Grid: topo}
+	lb := blockcyclic.Layout{M: n, N: 1, MB: nb, NB: 1, Grid: topo}
+	global := make([]float64, n*n)
+	rhs := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			global[i*n+j] = 1.0 / (1.0 + float64((i+j)%7))
+		}
+		global[i*n+i] = n
+		rhs[i] = 1 + float64(i%5)
+	}
+	aP := blockcyclic.Distribute(global, l)
+	bP := blockcyclic.Distribute(rhs, lb)
+	b.SetBytes(int64(2 * n * n * 8)) // the sweep and the residual each read A once
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			ctx, err := blacs.New(c, topo)
+			if err != nil {
+				return err
+			}
+			x := make([]float64, n)
+			_, err = apps.JacobiSweeps(ctx, l, aP[c.Rank()].Data, bP[c.Rank()].Data, x, 1)
+			return err
 		})
 		if err != nil {
 			b.Fatal(err)

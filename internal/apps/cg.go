@@ -15,8 +15,9 @@ import (
 //
 // A local row is walked one block at a time: local block column lb holds
 // the NB contiguous global columns of block lb*Cols+pc, so each block
-// multiplies a contiguous segment of x. Each row's sum still takes its
-// products in local column order.
+// multiplies a contiguous segment of x. Four rows share each pass over a
+// segment, each with its own sum, so every row's sum still takes its
+// products in local column order; a scalar tail takes the leftover rows.
 func DistMatVec(ctx *blacs.Context, l blockcyclic.Layout, a, x []float64) ([]float64, error) {
 	if len(x) != l.N {
 		return nil, fmt.Errorf("apps: DistMatVec x has %d entries, want %d", len(x), l.N)
@@ -27,16 +28,35 @@ func DistMatVec(ctx *blacs.Context, l blockcyclic.Layout, a, x []float64) ([]flo
 	partial := make([]float64, l.M)
 	pr, pc := l.Coords(ctx.Comm.Rank())
 	rows, cols := l.LocalRows(pr), l.LocalCols(pc)
-	for li := 0; li < rows; li++ {
+	// segment returns the part of x that local columns [lj, end) multiply.
+	segment := func(lj, end int) []float64 { return x[(lj/l.NB*l.Grid.Cols+pc)*l.NB:][:end-lj] }
+	li := 0
+	for ; li+4 <= rows; li += 4 {
+		r0, r1, r2, r3 := a[li*cols:][:cols], a[(li+1)*cols:][:cols], a[(li+2)*cols:][:cols], a[(li+3)*cols:][:cols]
+		var s0, s1, s2, s3 float64
+		for lj := 0; lj < cols; lj += l.NB {
+			end := min(lj+l.NB, cols)
+			b0, b1, b2, b3 := r0[lj:end], r1[lj:end], r2[lj:end], r3[lj:end]
+			for j, xj := range segment(lj, end) {
+				s0 += b0[j] * xj
+				s1 += b1[j] * xj
+				s2 += b2[j] * xj
+				s3 += b3[j] * xj
+			}
+		}
+		for t, s := range [...]float64{s0, s1, s2, s3} {
+			gi, _ := l.LocalToGlobal(pr, pc, li+t, 0)
+			partial[gi] += s
+		}
+	}
+	for ; li < rows; li++ {
 		gi, _ := l.LocalToGlobal(pr, pc, li, 0)
 		row := a[li*cols : (li+1)*cols]
 		s := 0.0
 		for lj := 0; lj < cols; lj += l.NB {
-			blk := row[lj:min(lj+l.NB, cols)]
-			gj := (lj/l.NB*l.Grid.Cols + pc) * l.NB
-			xs := x[gj:][:len(blk)]
-			for j, v := range blk {
-				s += v * xs[j]
+			end := min(lj+l.NB, cols)
+			for j, xj := range segment(lj, end) {
+				s += row[lj+j] * xj
 			}
 		}
 		partial[gi] += s

@@ -71,35 +71,39 @@ func fftLocalRows(plan *matrix.FFTPlan, n int, data []float64) error {
 
 // transpose exchanges the distributed matrix with its transpose: element
 // (i, j) moves to row j, column i. Rows keep the same 1-D block-cyclic
-// distribution. Implemented as a packed all-to-all over the grid ranks.
+// distribution. Implemented as a packed all-to-all over the grid ranks:
+// every element is packed once, into one buffer carved into the per-rank
+// sends, which Alltoallv hands over by reference.
 func transpose(ctx *blacs.Context, l blockcyclic.Layout, data []float64) error {
 	comm := ctx.Comm
 	p := l.Grid.Rows
 	n := l.M
 	me := comm.Rank()
 
-	// Global row indices owned by each rank, in local order.
+	// Global row indices owned by each rank, in local order, carved out of
+	// one backing array (the ranks' rows partition the n global rows).
 	owned := make([][]int, p)
+	rowIdx := make([]int, n)
 	for r := 0; r < p; r++ {
 		rows := l.LocalRows(r)
-		owned[r] = make([]int, rows)
-		for li := 0; li < rows; li++ {
-			gi, _ := l.LocalToGlobal(r, 0, li, 0)
-			owned[r][li] = gi
+		owned[r], rowIdx = rowIdx[:rows:rows], rowIdx[rows:]
+		for li := range owned[r] {
+			owned[r][li], _ = l.LocalToGlobal(r, 0, li, 0)
 		}
 	}
 
 	// Pack: for destination rank r, send (re, im) of elements (i, j) for
 	// every j owned by r (ascending) and every local i (ascending).
 	sendbufs := make([][]float64, p)
+	packed := make([]float64, 0, 2*n*len(owned[me]))
 	for r := 0; r < p; r++ {
-		buf := make([]float64, 0, 2*len(owned[r])*len(owned[me]))
+		start := len(packed)
 		for _, j := range owned[r] {
 			for li := range owned[me] {
-				buf = append(buf, data[li*2*n+2*j], data[li*2*n+2*j+1])
+				packed = append(packed, data[li*2*n+2*j], data[li*2*n+2*j+1])
 			}
 		}
-		sendbufs[r] = buf
+		sendbufs[r] = packed[start:len(packed):len(packed)]
 	}
 	recv := comm.Alltoallv(sendbufs)
 

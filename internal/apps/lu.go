@@ -31,66 +31,61 @@ func DistLU(ctx *blacs.Context, l blockcyclic.Layout, local []float64) error {
 	}
 	nblk := l.BlockRows()
 	myRow, myCol := ctx.MyRow, ctx.MyCol
-	stride := l.LocalCols(myCol)
 
 	for k := 0; k < nblk; k++ {
 		pr := k % l.Grid.Rows
 		pc := k % l.Grid.Cols
 		bh := l.BlockHeight(k)
+		// The panels hold this rank's block rows and columns past k.
+		bi0, bj0 := ownedAfter(k, myRow, l.Grid.Rows), ownedAfter(k, myCol, l.Grid.Cols)
 
 		// Factor the diagonal block and spread it down process column pc.
-		// Each solved panel block is written back and kept for the
-		// broadcasts below.
-		var diag []float64
-		var colPanel, rowPanel panel
+		// Each panel is packed once, solved in its buffer, written back and
+		// broadcast; receivers only read the diagonal and the panels.
+		var diag, colPanel, rowPanel []float64
 		if myCol == pc {
 			if myRow == pr {
-				diag = getBlock(l, local, myCol, k, k)
+				diag = packPanel(l, local, myCol, k, k+1, k, k+1)
 				if err := matrix.LUFactor(bh, diag); err != nil {
 					return fmt.Errorf("apps: DistLU block %d: %w", k, err)
 				}
-				setBlock(l, local, myCol, k, k, diag)
+				unpackPanel(l, local, myCol, k, k+1, k, k+1, diag)
 			}
-			diag = ctx.Col.BcastFloats(pr, diag)
+			diag = ctx.Col.Bcast(pr, diag).([]float64)
 
 			// Column panel: L_ik = A_ik * U_kk^{-1}.
-			for bi := myRow; bi < nblk; bi += l.Grid.Rows {
-				if bi <= k {
-					continue
-				}
-				blk := getBlock(l, local, myCol, bi, k)
-				matrix.TrsmRightUpper(l.BlockHeight(bi), bh, diag, blk)
-				setBlock(l, local, myCol, bi, k, blk)
-				colPanel.Idx = append(colPanel.Idx, bi)
-				colPanel.Blocks = append(colPanel.Blocks, blk)
+			colPanel = packPanel(l, local, myCol, bi0, nblk, k, k+1)
+			blk := colPanel
+			for bi := bi0; bi < nblk; bi += l.Grid.Rows {
+				h := l.BlockHeight(bi)
+				matrix.TrsmRightUpper(h, bh, diag, blk[:h*bh])
+				blk = blk[h*bh:]
 			}
+			unpackPanel(l, local, myCol, bi0, nblk, k, k+1, colPanel)
 		}
 		// Row panel: U_kj = L_kk^{-1} * A_kj (needs the factored diagonal).
 		if myRow == pr {
-			diag = ctx.Row.BcastFloats(pc, diag)
-			for bj := myCol; bj < nblk; bj += l.Grid.Cols {
-				if bj <= k {
-					continue
-				}
-				blk := getBlock(l, local, myCol, k, bj)
-				matrix.TrsmLeftLowerUnit(bh, l.BlockWidth(bj), diag, blk)
-				setBlock(l, local, myCol, k, bj, blk)
-				rowPanel.Idx = append(rowPanel.Idx, bj)
-				rowPanel.Blocks = append(rowPanel.Blocks, blk)
+			diag = ctx.Row.Bcast(pc, diag).([]float64)
+			rowPanel = packPanel(l, local, myCol, k, k+1, bj0, nblk)
+			blk := rowPanel
+			for bj := bj0; bj < nblk; bj += l.Grid.Cols {
+				w := l.BlockWidth(bj)
+				matrix.TrsmLeftLowerUnit(bh, w, diag, blk[:bh*w])
+				blk = blk[bh*w:]
 			}
+			unpackPanel(l, local, myCol, k, k+1, bj0, nblk, rowPanel)
 		}
 
 		// Broadcast the column panel along process rows and the row panel
 		// down process columns, then apply the trailing update in place:
 		// every (bi, bj) pair is a local block.
-		colPanel = ctx.Row.Bcast(pc, colPanel).(panel)
-		rowPanel = ctx.Col.Bcast(pr, rowPanel).(panel)
-		for x, bi := range colPanel.Idx {
-			for y, bj := range rowPanel.Idx {
-				blk := blockAt(l, local, myCol, bi, bj)
-				matrix.GemmSub(l.BlockHeight(bi), bh, l.BlockWidth(bj), colPanel.Blocks[x], rowPanel.Blocks[y], blk, stride)
-			}
-		}
+		colPanel = ctx.Row.Bcast(pc, colPanel).([]float64)
+		rowPanel = ctx.Col.Bcast(pr, rowPanel).([]float64)
+		panelUpdate(l, local, myCol, bi0, bj0, bh, colPanel, rowPanel, matrix.GemmSub)
 	}
 	return nil
 }
+
+// ownedAfter returns the first block index past k that grid row (or
+// column) p of n owns.
+func ownedAfter(k, p, n int) int { return k + 1 + ((p-k-1)%n+n)%n }

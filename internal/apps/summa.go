@@ -30,40 +30,25 @@ func DistMatMul(ctx *blacs.Context, l blockcyclic.Layout, a, b, c []float64) err
 	}
 	nblk := l.BlockRows()
 	myRow, myCol := ctx.MyRow, ctx.MyCol
-	stride := l.LocalCols(myCol)
 
 	for k := 0; k < nblk; k++ {
 		pr := k % l.Grid.Rows
 		pc := k % l.Grid.Cols
-		kw := l.BlockWidth(k)
 
-		// Block column k of A spreads along process rows.
-		var aPanel panel
+		// Block column k of A spreads along process rows and block row k of
+		// B down process columns, each packed into one buffer.
+		var aPanel, bPanel []float64
 		if myCol == pc {
-			for bi := myRow; bi < nblk; bi += l.Grid.Rows {
-				aPanel.Idx = append(aPanel.Idx, bi)
-				aPanel.Blocks = append(aPanel.Blocks, getBlock(l, a, myCol, bi, k))
-			}
+			aPanel = packPanel(l, a, myCol, myRow, nblk, k, k+1)
 		}
-		aPanel = ctx.Row.Bcast(pc, aPanel).(panel)
-
-		// Block row k of B spreads down process columns.
-		var bPanel panel
+		aPanel = ctx.Row.Bcast(pc, aPanel).([]float64)
 		if myRow == pr {
-			for bj := myCol; bj < nblk; bj += l.Grid.Cols {
-				bPanel.Idx = append(bPanel.Idx, bj)
-				bPanel.Blocks = append(bPanel.Blocks, getBlock(l, b, myCol, k, bj))
-			}
+			bPanel = packPanel(l, b, myCol, k, k+1, myCol, nblk)
 		}
-		bPanel = ctx.Col.Bcast(pr, bPanel).(panel)
+		bPanel = ctx.Col.Bcast(pr, bPanel).([]float64)
 
 		// Every (bi, bj) pair is a local block of C: update it in place.
-		for x, bi := range aPanel.Idx {
-			for y, bj := range bPanel.Idx {
-				blk := blockAt(l, c, myCol, bi, bj)
-				matrix.Gemm(l.BlockHeight(bi), kw, l.BlockWidth(bj), aPanel.Blocks[x], bPanel.Blocks[y], blk, stride)
-			}
-		}
+		panelUpdate(l, c, myCol, myRow, myCol, l.BlockWidth(k), aPanel, bPanel, matrix.Gemm)
 	}
 	return nil
 }

@@ -149,6 +149,10 @@ func (c *Comm) AllgatherFloats(xs []float64) [][]float64 {
 
 // Alltoallv sends sendbufs[r] to rank r and returns the slice received from
 // each rank, indexed by source rank. Empty or nil buffers are allowed.
+// Every buffer is handed over by reference, the caller's own one included:
+// the caller gives up sendbufs and must not write to any of its buffers
+// afterwards, and the slices returned are the senders' buffers, to be read
+// only. The buffers may share one backing array.
 func (c *Comm) Alltoallv(sendbufs [][]float64) [][]float64 {
 	if len(sendbufs) != c.Size() {
 		panic(fmt.Sprintf("mpi: Alltoallv needs %d buffers, got %d", c.Size(), len(sendbufs)))
@@ -157,18 +161,15 @@ func (c *Comm) Alltoallv(sendbufs [][]float64) [][]float64 {
 		if r == c.rank {
 			continue
 		}
-		c.SendFloats(r, tagAlltoall, sendbufs[r])
+		c.Send(r, tagAlltoall, sendbufs[r])
 	}
 	out := make([][]float64, c.Size())
-	own := make([]float64, len(sendbufs[c.rank]))
-	copy(own, sendbufs[c.rank])
-	out[c.rank] = own
+	out[c.rank] = sendbufs[c.rank]
 	for r := 0; r < c.Size(); r++ {
 		if r == c.rank {
 			continue
 		}
-		v, _, _ := c.Recv(r, tagAlltoall)
-		out[r] = v.([]float64)
+		out[r] = c.RecvFloats(r, tagAlltoall)
 	}
 	return out
 }

@@ -8,7 +8,9 @@
 //   - point-to-point Send/Recv: SendFloats copies the payload, Send hands
 //     it over by reference (the sender gives up the value)
 //   - collectives (Barrier, Bcast, Reduce, Allreduce, GatherFloats,
-//     AllgatherFloats, Alltoallv)
+//     AllgatherFloats, Alltoallv); Bcast and Alltoallv pass their payloads
+//     by reference, so the caller of Alltoallv gives up sendbufs and
+//     receivers only read what they get
 //   - dynamic process management: Spawn (MPI_Comm_spawn_multiple) and
 //     intercommunicator Merge (MPI_Intercomm_merge)
 //   - world abort: a rank that returns an error or panics aborts its World,

@@ -390,13 +390,20 @@ func TestAllgather(t *testing.T) {
 }
 
 func TestAlltoallv(t *testing.T) {
+	// backing[src][dst] is the first element of the buffer src sends dst:
+	// Alltoallv hands every buffer over by reference, so the receiver's
+	// slice must share it. Each rank writes its row before the call.
+	var backing [4][4]*float64
 	err := Run(4, func(c *Comm) error {
 		bufs := make([][]float64, 4)
 		for r := range bufs {
-			// send r copies of my rank to rank r
+			// send r copies of my rank to rank r; one spare element gives
+			// even the empty buffer a backing array
+			bufs[r] = make([]float64, 0, r+1)
 			for i := 0; i < r; i++ {
 				bufs[r] = append(bufs[r], float64(c.Rank()))
 			}
+			backing[c.Rank()][r] = &bufs[r][:1][0]
 		}
 		got := c.Alltoallv(bufs)
 		for src := range got {
@@ -407,6 +414,9 @@ func TestAlltoallv(t *testing.T) {
 				if v != float64(src) {
 					return fmt.Errorf("from %d: value %v", src, v)
 				}
+			}
+			if cap(got[src]) == 0 || &got[src][:1][0] != backing[src][c.Rank()] {
+				return fmt.Errorf("from %d: received a copy, want the sender's buffer", src)
 			}
 		}
 		return nil

@@ -26,9 +26,12 @@
 //
 // All registered arrays move in one fused redistribution (one message per
 // communicating processor pair per schedule step, every array's blocks on
-// board — redistrib.MultiPlan), and the plans are cached per (from, to)
-// topology pair, so repeated oscillation between the same grids pays the
-// schedule-table construction once. Measured costs are additionally kept as
+// board — redistrib.MultiPlan). Plans live in one bounded, process-wide
+// cache keyed by the array set's (source, destination) layout tuple: every
+// rank of a job, the ranks an expansion spawns and every later job with
+// the same shapes execute one shared, immutable plan, built once by the
+// first rank to ask, so repeated oscillation between the same grids pays
+// the schedule-table construction once per process. Measured costs are additionally kept as
 // perfmodel.RedistObservation records (see RedistObservations) to calibrate
 // the analytic redistribution model against real executions.
 //

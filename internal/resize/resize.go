@@ -2,8 +2,10 @@ package resize
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/blacs"
@@ -100,13 +102,6 @@ const (
 // s.Arrays()/s.Replicated and loops: iterate, then s.Resize.
 type Worker func(s *Session) error
 
-// planKey identifies a redistribution plan by its grid pair. Plans also
-// depend on the registered array set, so the cache is invalidated whenever
-// an array is registered.
-type planKey struct {
-	from, to grid.Topology
-}
-
 // Session is a rank's handle on the resizing library.
 type Session struct {
 	client Client
@@ -119,12 +114,6 @@ type Session struct {
 
 	arrays     []*Array
 	replicated map[string][]float64
-
-	// planCache holds fused redistribution plans keyed by (from, to)
-	// topology, so oscillating between the same grids — the paper's
-	// shrink/expand cycles around a sweet spot — stops rebuilding the
-	// schedule tables on every resize.
-	planCache map[planKey]*redistrib.MultiPlan
 
 	iter       int
 	lastRedist float64
@@ -184,11 +173,8 @@ func (s *Session) LastRedist() float64 { return s.lastRedist }
 
 // RegisterArray adds a global array to the set redistributed at every
 // resize. All ranks must register the same arrays in the same order.
-// Registering invalidates any cached redistribution plans, which fuse the
-// whole array set.
 func (s *Session) RegisterArray(a *Array) {
 	s.arrays = append(s.arrays, a)
-	s.planCache = nil
 }
 
 // Arrays returns the registered arrays (with current local pieces). The
@@ -370,9 +356,14 @@ func (s *Session) ExpandProcessors(target grid.Topology) error {
 			m := b.arrayMeta[i]
 			cs.arrays = append(cs.arrays, &Array{Name: m.Name, M: m.M, N: m.N, MB: m.MB, NB: m.NB})
 		}
-		// Participate in the redistribution (receiving side only).
-		if err := redistributeAll(merged, cs.arrays, b.oldTopo, b.newTopo); err != nil {
-			return err
+		// Participate in the redistribution (receiving side only), on the
+		// plan the parent ranks execute.
+		if len(cs.arrays) > 0 {
+			mp, err := planFor(cs.arrays, b.oldTopo, b.newTopo)
+			if err != nil {
+				return err
+			}
+			redistributeFused(merged, cs.arrays, mp)
 		}
 		ctx, err := blacs.New(merged, b.newTopo)
 		if err != nil {
@@ -455,6 +446,68 @@ func (s *Session) ShrinkProcessors(target grid.Topology) (Status, error) {
 	return Continue, nil
 }
 
+// maxPlans bounds the shared plan cache. A job uses one entry per (from,
+// to) grid pair of its tour, so only a process running many distinct array
+// shapes fills it; the cache then starts over.
+const maxPlans = 64
+
+// plans is the process-wide cache of fused redistribution plans, keyed by
+// the array set's full (source, destination) layout tuple. A MultiPlan is
+// immutable, so every rank of a job — spawned children included — and
+// every later job with the same shapes executes one shared plan, and the
+// paper's oscillation around a sweet spot builds no tables after its first
+// cycle. An entry is built once even when every rank asks at the same
+// time: the first caller builds it under the entry's Once, the others wait
+// on it.
+var plans = struct {
+	sync.Mutex
+	m map[string]*planEntry
+}{m: make(map[string]*planEntry)}
+
+// planEntry is one cached plan, or the error building it gave.
+type planEntry struct {
+	once sync.Once
+	mp   *redistrib.MultiPlan
+	err  error
+}
+
+// buildPlan builds a plan on a cache miss; a variable so tests can count
+// builds.
+var buildPlan = newMultiPlan
+
+// planFor returns the shared fused plan that moves arrays from one
+// topology to another, building it on first use. A hit allocates nothing.
+func planFor(arrays []*Array, from, to grid.Topology) (*redistrib.MultiPlan, error) {
+	var buf [128]byte
+	key := appendPlanKey(buf[:0], arrays, from, to)
+	plans.Lock()
+	e := plans.m[string(key)]
+	if e == nil {
+		if len(plans.m) >= maxPlans {
+			clear(plans.m)
+		}
+		e = new(planEntry)
+		plans.m[string(key)] = e
+	}
+	plans.Unlock()
+	e.once.Do(func() { e.mp, e.err = buildPlan(arrays, from, to) })
+	return e.mp, e.err
+}
+
+// appendPlanKey appends the plan key of an array set to b: every array's
+// source and destination layout, in registration order, as varints (a
+// prefix code, so distinct tuples never share a key).
+func appendPlanKey(b []byte, arrays []*Array, from, to grid.Topology) []byte {
+	for _, a := range arrays {
+		for _, l := range [2]blockcyclic.Layout{a.LayoutFor(from), a.LayoutFor(to)} {
+			for _, v := range [...]int{l.M, l.N, l.MB, l.NB, l.Grid.Rows, l.Grid.Cols} {
+				b = binary.AppendVarint(b, int64(v))
+			}
+		}
+	}
+	return b
+}
+
 // newMultiPlan builds the fused redistribution plan for an array set
 // between two topologies.
 func newMultiPlan(arrays []*Array, from, to grid.Topology) (*redistrib.MultiPlan, error) {
@@ -479,23 +532,13 @@ type measuredRedist struct {
 	steps        int
 }
 
-// redistributeFused moves every array from the old to the new topology over
-// comm with one fused MultiPlan execution, updating Data in place (ranks
-// outside the new grid end with nil Data). It is collective: every rank of
-// comm — including ranks bootstrapping from an expansion — must call it
-// with the same array set, because traffic totals are allreduced for the
-// performance profile. A nil mp builds a fresh plan (the uncached path).
-func redistributeFused(comm *mpi.Comm, arrays []*Array, from, to grid.Topology, mp *redistrib.MultiPlan) (measuredRedist, error) {
-	if len(arrays) == 0 {
-		return measuredRedist{}, nil
-	}
+// redistributeFused moves every array along mp over comm in one execution,
+// updating Data in place (ranks outside the new grid end with nil Data).
+// It is collective: every rank of comm — including ranks bootstrapping
+// from an expansion — must call it with the same array set, because
+// traffic totals are allreduced for the performance profile.
+func redistributeFused(comm *mpi.Comm, arrays []*Array, mp *redistrib.MultiPlan) measuredRedist {
 	start := time.Now()
-	if mp == nil {
-		var err error
-		if mp, err = newMultiPlan(arrays, from, to); err != nil {
-			return measuredRedist{}, err
-		}
-	}
 	srcData := make([][]float64, len(arrays))
 	newData := make([][]float64, len(arrays))
 	for i, a := range arrays {
@@ -511,49 +554,21 @@ func redistributeFused(comm *mpi.Comm, arrays []*Array, from, to grid.Topology, 
 		floatsSent:   totals[0],
 		floatsCopied: totals[1],
 		steps:        mp.Steps(),
-	}, nil
+	}
 }
 
-// redistributeAll is the plan-per-call path used by ranks that have no
-// session cache yet (children joining an expansion).
-func redistributeAll(comm *mpi.Comm, arrays []*Array, from, to grid.Topology) error {
-	_, err := redistributeFused(comm, arrays, from, to, nil)
-	return err
-}
-
-// planFor returns the session's cached fused plan for a grid pair,
-// building and caching it on first use.
-func (s *Session) planFor(from, to grid.Topology) (*redistrib.MultiPlan, error) {
-	key := planKey{from: from, to: to}
-	if mp, ok := s.planCache[key]; ok {
-		return mp, nil
-	}
-	mp, err := newMultiPlan(s.arrays, from, to)
-	if err != nil {
-		return nil, err
-	}
-	if s.planCache == nil {
-		s.planCache = make(map[planKey]*redistrib.MultiPlan)
-	}
-	s.planCache[key] = mp
-	return mp, nil
-}
-
-// redistribute runs the session's cached fused plan for (from, to) over
-// comm and records the measured cost as a RedistObservation on rank 0 —
-// the data that feeds perfmodel calibration.
+// redistribute runs the shared fused plan for (from, to) over comm and
+// records the measured cost as a RedistObservation on rank 0 — the data
+// that feeds perfmodel calibration.
 func (s *Session) redistribute(comm *mpi.Comm, from, to grid.Topology) error {
 	if len(s.arrays) == 0 {
 		return nil
 	}
-	mp, err := s.planFor(from, to)
+	mp, err := planFor(s.arrays, from, to)
 	if err != nil {
 		return err
 	}
-	m, err := redistributeFused(comm, s.arrays, from, to, mp)
-	if err != nil {
-		return err
-	}
+	m := redistributeFused(comm, s.arrays, mp)
 	if comm.Rank() == 0 {
 		minP := from.Count()
 		if to.Count() < minP {
@@ -578,7 +593,7 @@ func (s *Session) RedistObservations() []perfmodel.RedistObservation { return s.
 // RedistributeAll is the advanced-API form of the paper's Redistribute
 // call: it moves the registered arrays between two explicit topologies on
 // the current communicator and records the elapsed redistribution time.
-// Plans are cached per (from, to) pair.
+// Plans come from the process-wide cache.
 //
 //lint:allow testonly seam: BenchmarkRedistribute and TestPlanCacheReusedAcrossOscillation drive redistribution without a scheduler through it
 func (s *Session) RedistributeAll(from, to grid.Topology) error {

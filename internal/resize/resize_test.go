@@ -3,11 +3,14 @@ package resize
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
+	"repro/internal/redistrib"
 	"repro/internal/scheduler"
 )
 
@@ -535,60 +538,189 @@ func TestRepeatedExpansionGrowsChain(t *testing.T) {
 	}
 }
 
+// countPlanBuilds starts the test on an empty plan cache and counts the
+// plans built until it ends; delay stretches every build so concurrent
+// callers overlap it.
+func countPlanBuilds(t *testing.T, delay time.Duration) *atomic.Int32 {
+	t.Helper()
+	var builds atomic.Int32
+	clearPlans()
+	buildPlan = func(arrays []*Array, from, to grid.Topology) (*redistrib.MultiPlan, error) {
+		builds.Add(1)
+		time.Sleep(delay)
+		return newMultiPlan(arrays, from, to)
+	}
+	t.Cleanup(func() {
+		buildPlan = newMultiPlan
+		clearPlans()
+	})
+	return &builds
+}
+
+func clearPlans() {
+	plans.Lock()
+	clear(plans.m)
+	plans.Unlock()
+}
+
+func cachedPlans() int {
+	plans.Lock()
+	defer plans.Unlock()
+	return len(plans.m)
+}
+
 func TestPlanCacheReusedAcrossOscillation(t *testing.T) {
-	// The paper's shrink/expand cycles oscillate between the same two grids;
-	// the session must build each (from, to) plan once and reuse it.
+	// The paper's shrink/expand cycles oscillate between the same two grids,
+	// and later jobs repeat the shapes of earlier ones: every session in the
+	// process executes one shared plan per layout tuple.
 	a3 := topo(2, 3)
 	a2 := topo(2, 2)
-	err := mpi.Run(6, func(c *mpi.Comm) error {
-		s, err := NewSession(NullClient{}, 10, c, a3, nil)
-		if err != nil {
-			return err
-		}
-		a := &Array{Name: "A", M: 12, N: 12, MB: 2, NB: 2}
-		b := &Array{Name: "B", M: 8, N: 10, MB: 2, NB: 2}
-		s.RegisterArray(a)
-		s.RegisterArray(b)
-		fillByGlobal(s, a)
-		fillByGlobal(s, b)
+	builds := countPlanBuilds(t, 0)
+	job := func(jobID int) (*redistrib.MultiPlan, error) {
+		var shared *redistrib.MultiPlan
+		err := mpi.Run(6, func(c *mpi.Comm) error {
+			s, err := NewSession(NullClient{}, jobID, c, a3, nil)
+			if err != nil {
+				return err
+			}
+			a := &Array{Name: "A", M: 12, N: 12, MB: 2, NB: 2}
+			b := &Array{Name: "B", M: 8, N: 10, MB: 2, NB: 2}
+			s.RegisterArray(a)
+			s.RegisterArray(b)
+			fillByGlobal(s, a)
+			fillByGlobal(s, b)
 
-		for cycle := 0; cycle < 3; cycle++ {
-			if err := s.RedistributeAll(a3, a2); err != nil {
-				return err
+			for cycle := 0; cycle < 3; cycle++ {
+				if err := s.RedistributeAll(a3, a2); err != nil {
+					return err
+				}
+				if err := s.RedistributeAll(a2, a3); err != nil {
+					return err
+				}
 			}
-			if err := s.RedistributeAll(a2, a3); err != nil {
-				return err
+			// Back on the original topology: data must be intact.
+			for _, arr := range []*Array{a, b} {
+				if err := verifyByGlobal(s, arr); err != nil {
+					return err
+				}
 			}
-		}
-		// Back on the original topology: data must be intact.
-		for _, arr := range []*Array{a, b} {
-			if err := verifyByGlobal(s, arr); err != nil {
-				return err
+			if c.Rank() == 0 {
+				shared, err = planFor(s.Arrays(), a3, a2)
 			}
+			return err
+		})
+		return shared, err
+	}
+	mp1, err := job(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp2, err := job(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp1 == nil || mp1 != mp2 {
+		t.Fatalf("jobs in separate worlds got plans %p and %p, want one shared plan", mp1, mp2)
+	}
+	// Six ranks of two jobs, six cycles each: one build per direction.
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("built %d plans, want 2 (one per direction)", n)
+	}
+
+	// Another array set is another layout tuple.
+	other, err := planFor([]*Array{{Name: "A", M: 12, N: 12, MB: 2, NB: 2}}, a3, a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == mp1 {
+		t.Fatal("a different array set got the cached plan")
+	}
+	// Names are not part of the tuple: the same shapes share the plan.
+	renamed, err := planFor([]*Array{{Name: "X", M: 12, N: 12, MB: 2, NB: 2}, {Name: "Y", M: 8, N: 10, MB: 2, NB: 2}}, a3, a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renamed != mp1 {
+		t.Fatal("the same layout tuple under other names got another plan")
+	}
+
+	// The cache is bounded: many distinct shapes never grow it past maxPlans.
+	for i := 0; i < 3*maxPlans; i++ {
+		if _, err := planFor([]*Array{{Name: "A", M: 4 + i, N: 4, MB: 2, NB: 2}}, a3, a2); err != nil {
+			t.Fatal(err)
 		}
-		if len(s.planCache) != 2 {
-			return fmt.Errorf("plan cache has %d entries after oscillation, want 2", len(s.planCache))
+		if n := cachedPlans(); n > maxPlans {
+			t.Fatalf("plan cache holds %d entries after %d shapes, bound %d", n, i+1, maxPlans)
 		}
-		mp1, err := s.planFor(a3, a2)
+	}
+}
+
+func TestPlanCacheHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not asserted under -race")
+	}
+	countPlanBuilds(t, 0)
+	arrays := []*Array{{Name: "A", M: 12, N: 12, MB: 2, NB: 2}, {Name: "B", M: 8, N: 10, MB: 2, NB: 2}}
+	if _, err := planFor(arrays, topo(2, 3), topo(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := planFor(arrays, topo(2, 3), topo(2, 2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a cache hit allocates %v times, want 0", allocs)
+	}
+}
+
+func TestPlanCacheBuildsOnceAcrossSpawn(t *testing.T) {
+	// The ranks of an expanding job and the ranks it spawns all ask for the
+	// same plan at once: it is built once and every rank executes it.
+	from, to := topo(2, 2), topo(2, 3)
+	builds := countPlanBuilds(t, time.Millisecond)
+	var mu sync.Mutex
+	var seen []*redistrib.MultiPlan
+	record := func(s *Session, a *Array) error {
+		if err := verifyByGlobal(s, a); err != nil {
+			return err
+		}
+		mp, err := planFor(s.Arrays(), from, to)
+		mu.Lock()
+		seen = append(seen, mp)
+		mu.Unlock()
+		return err
+	}
+	err := mpi.Run(from.Count(), func(c *mpi.Comm) error {
+		child := func(s *Session) error {
+			a, _ := s.Array("A")
+			return record(s, a)
+		}
+		s, err := NewSession(NullClient{}, 12, c, from, child)
 		if err != nil {
 			return err
 		}
-		mp2, err := s.planFor(a3, a2)
-		if err != nil {
+		a := &Array{Name: "A", M: 30, N: 18, MB: 3, NB: 2}
+		s.RegisterArray(a)
+		fillByGlobal(s, a)
+		if err := s.ExpandProcessors(to); err != nil {
 			return err
 		}
-		if mp1 != mp2 {
-			return fmt.Errorf("planFor rebuilt a cached plan")
-		}
-		// Registering another array fuses a different set: cache must drop.
-		s.RegisterArray(&Array{Name: "C", M: 4, N: 4, MB: 2, NB: 2})
-		if s.planCache != nil {
-			return fmt.Errorf("plan cache survived RegisterArray")
-		}
-		return nil
+		return record(s, a)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("plan built %d times, want 1", n)
+	}
+	if len(seen) != to.Count() {
+		t.Fatalf("%d ranks finished, want %d", len(seen), to.Count())
+	}
+	for r, mp := range seen {
+		if mp == nil || mp != seen[0] {
+			t.Fatalf("rank %d executed plan %p, rank 0 %p", r, mp, seen[0])
+		}
 	}
 }
 
