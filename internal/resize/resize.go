@@ -358,12 +358,8 @@ func (s *Session) ExpandProcessors(target grid.Topology) error {
 		}
 		// Participate in the redistribution (receiving side only), on the
 		// plan the parent ranks execute.
-		if len(cs.arrays) > 0 {
-			mp, err := planFor(cs.arrays, b.oldTopo, b.newTopo)
-			if err != nil {
-				return err
-			}
-			redistributeFused(merged, cs.arrays, mp)
+		if err := cs.redistribute(merged, b.oldTopo, b.newTopo); err != nil {
+			return err
 		}
 		ctx, err := blacs.New(merged, b.newTopo)
 		if err != nil {
@@ -524,42 +520,13 @@ func newMultiPlan(arrays []*Array, from, to grid.Topology) (*redistrib.MultiPlan
 	return mp, nil
 }
 
-// measuredRedist is the cluster-wide outcome of one fused redistribution.
-type measuredRedist struct {
-	seconds      float64
-	floatsSent   float64 // allreduced network volume
-	floatsCopied float64 // allreduced local-copy volume
-	steps        int
-}
-
-// redistributeFused moves every array along mp over comm in one execution,
-// updating Data in place (ranks outside the new grid end with nil Data).
-// It is collective: every rank of comm — including ranks bootstrapping
-// from an expansion — must call it with the same array set, because
-// traffic totals are allreduced for the performance profile.
-func redistributeFused(comm *mpi.Comm, arrays []*Array, mp *redistrib.MultiPlan) measuredRedist {
-	start := time.Now()
-	srcData := make([][]float64, len(arrays))
-	newData := make([][]float64, len(arrays))
-	for i, a := range arrays {
-		srcData[i], newData[i] = a.Data, a.spare
-	}
-	stats := mp.ExecuteInto(comm, srcData, newData)
-	for i, a := range arrays {
-		a.Data, a.spare = newData[i], srcData[i]
-	}
-	totals := comm.Allreduce([]float64{float64(stats.FloatsSent), float64(stats.FloatsCopied)}, mpi.SumOp)
-	return measuredRedist{
-		seconds:      time.Since(start).Seconds(),
-		floatsSent:   totals[0],
-		floatsCopied: totals[1],
-		steps:        mp.Steps(),
-	}
-}
-
-// redistribute runs the shared fused plan for (from, to) over comm and
-// records the measured cost as a RedistObservation on rank 0 — the data
-// that feeds perfmodel calibration.
+// redistribute moves every registered array from one topology to the
+// other over comm in one execution of the shared fused plan, updating Data
+// in place (ranks outside the new grid end with nil Data), and records the
+// measured cost as a RedistObservation on rank 0 — the data that feeds
+// perfmodel calibration. It is collective: every rank of comm — including
+// ranks bootstrapping from an expansion — must call it with the same array
+// set, because traffic totals are allreduced for the performance profile.
 func (s *Session) redistribute(comm *mpi.Comm, from, to grid.Topology) error {
 	if len(s.arrays) == 0 {
 		return nil
@@ -568,18 +535,24 @@ func (s *Session) redistribute(comm *mpi.Comm, from, to grid.Topology) error {
 	if err != nil {
 		return err
 	}
-	m := redistributeFused(comm, s.arrays, mp)
+	start := time.Now()
+	srcData := make([][]float64, len(s.arrays))
+	newData := make([][]float64, len(s.arrays))
+	for i, a := range s.arrays {
+		srcData[i], newData[i] = a.Data, a.spare
+	}
+	stats := mp.ExecuteInto(comm, srcData, newData)
+	for i, a := range s.arrays {
+		a.Data, a.spare = newData[i], srcData[i]
+	}
+	totals := comm.Allreduce([]float64{float64(stats.FloatsSent), float64(stats.FloatsCopied)}, mpi.SumOp)
 	if comm.Rank() == 0 {
-		minP := from.Count()
-		if to.Count() < minP {
-			minP = to.Count()
-		}
 		s.redistObs = append(s.redistObs, perfmodel.RedistObservation{
-			Bytes:       8 * m.floatsSent,
-			CopiedBytes: 8 * m.floatsCopied,
-			MinProcs:    minP,
-			Steps:       m.steps,
-			Seconds:     m.seconds,
+			Bytes:       8 * totals[0],
+			CopiedBytes: 8 * totals[1],
+			MinProcs:    min(from.Count(), to.Count()),
+			Steps:       mp.Steps(),
+			Seconds:     time.Since(start).Seconds(),
 		})
 	}
 	return nil
