@@ -31,6 +31,9 @@
 // needs -arbiter rebalance. So is a weight list with a malformed, non-finite,
 // non-positive or repeated entry.
 //
+// SIGINT or SIGTERM stops the daemon cleanly: it closes the log and logs
+// the rpc, apply-pipeline and journal counters.
+//
 // Submit jobs with reshape-submit.
 package main
 
@@ -41,6 +44,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/apps"
@@ -186,7 +190,8 @@ func main() {
 			os.Exit(1)
 		}
 		// Restore handed the core the store's commit barrier, so the server
-		// waits for each op's covering fsync after releasing its lock.
+		// runs a committer that flushes and acknowledges behind its apply
+		// goroutine.
 		core = recovered
 		core.SetJournal(store.Append)
 		srv = scheduler.NewServerRecovered(core, info.Seq, info.Clock, starter)
@@ -202,6 +207,10 @@ func main() {
 		}
 	}
 
+	// Registered before the daemon says it listens, so that a stop sent as
+	// soon as it does still shuts down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	limits := rpc.Limits{
 		TenantRate: *tenantRate, TenantBurst: *tenantBurst, TenantInflight: *tenantInflight,
 		ConnRate: *connRate, ConnBurst: *connBurst, ConnInflight: *connInflight,
@@ -242,8 +251,6 @@ func main() {
 		log.Printf("reshaped: global rebalancer ticking every %s", *rebalanceEvery)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	var walFailed <-chan struct{} // stays nil, and never ready, without a WAL
 	if store != nil {
 		walFailed = store.Failed()
@@ -263,6 +270,7 @@ func main() {
 	log.Printf("reshaped: shutting down (%d conns, %d requests, %d watches, %d malformed, %d shed, %d reply frames in %d writes)",
 		st.Conns, st.Requests, st.Watches, st.Malformed, st.Shed, st.FramesOut, st.Flushes)
 	_ = rpcSrv.Close()
+	log.Printf("reshaped: %s", applySummary(srv.Stats()))
 	if store != nil {
 		if err := store.Close(); err != nil {
 			log.Printf("reshaped: close wal: %v", err)
@@ -279,6 +287,15 @@ func walSummary(ws durability.Stats) string {
 	line := fmt.Sprintf("wal: %d appends, %d fsyncs", ws.Appends, ws.Syncs)
 	if ws.Syncs > 0 {
 		line += fmt.Sprintf(" (mean batch %.2f, largest %d)", float64(ws.Appends)/float64(ws.Syncs), ws.MaxBatch)
+	}
+	return line
+}
+
+// applySummary is the shutdown line for the scheduler pipeline's counters.
+func applySummary(ps scheduler.Stats) string {
+	line := fmt.Sprintf("apply: %d ops in %d batches", ps.Ops, ps.Batches)
+	if ps.Batches > 0 {
+		line += fmt.Sprintf(" (mean batch %.2f, largest %d)", float64(ps.Ops)/float64(ps.Batches), ps.MaxBatch)
 	}
 	return line
 }

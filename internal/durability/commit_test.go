@@ -339,6 +339,64 @@ func TestNothingVisibleBeforeTheCoveringFlush(t *testing.T) {
 	}
 }
 
+// TestOpsApplyWhileAFlushIsHeld holds one flush open and submits four more
+// ops behind it. They apply at once (Status shows them, acknowledged or
+// not), and the next commit writes all four frames in one write and
+// covers them with one fsync.
+func TestOpsApplyWhileAFlushIsHeld(t *testing.T) {
+	ctx := context.Background()
+	seam := heldSeam()
+	p := serve(t, t.TempDir(), 16, Options{Sync: SyncAlways}, seam, nil)
+	var writes atomic.Int32
+	p.st.w.write = func(f *os.File, b []byte) (int, error) {
+		writes.Add(1)
+		return f.Write(b)
+	}
+	var wg sync.WaitGroup
+	submit := func(name string) {
+		defer wg.Done()
+		if _, err := p.srv.Submit(ctx, pairSpec(name)); err != nil {
+			t.Errorf("submit %s: %v", name, err)
+		}
+	}
+	// The first op flushes inside Append; the second is the first commit,
+	// and its flush is held.
+	wg.Add(1)
+	go submit("first")
+	seam.let(1)
+	wg.Wait()
+	wg.Add(5)
+	go submit("held")
+	<-seam.entered
+	for i := 0; i < 4; i++ {
+		go submit(fmt.Sprintf("behind-%d", i))
+	}
+	waitFor(t, "the ops behind the held flush to apply", func() bool {
+		cs, err := p.srv.Status(ctx)
+		return err == nil && len(cs.Jobs) == 6
+	})
+	before, stats := writes.Load(), p.st.Stats()
+	if stats.Appends != 6 || stats.Syncs != 1 {
+		t.Fatalf("while the flush is held: %+v, want 6 appends and the first op's fsync", stats)
+	}
+	seam.release <- struct{}{}
+	seam.let(1)
+	wg.Wait()
+	if got := writes.Load() - before; got != 1 {
+		t.Fatalf("the flush after the held one took %d writes for four records, want 1", got)
+	}
+	if st := p.st.Stats(); st.Syncs != 3 || st.MaxBatch != 4 {
+		t.Fatalf("stats %+v, want the four records covered by one fsync", st)
+	}
+	if ps := p.srv.Stats(); ps.Ops != 6 {
+		t.Fatalf("pipeline stats %+v, want 6 ops applied", ps)
+	}
+	seam.open()
+	if err := p.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSnapshotMidBatchKeepsSeqsGapFree forces a snapshot while an earlier
 // op is applied but still waiting for its flush, so its events are recorded
 // and unpublished when Capture reads the server's seq. The snapshot must

@@ -35,11 +35,13 @@
 // covers its record. A crash therefore loses at most inputs that were never
 // acknowledged; everything acknowledged replays.
 //
-// A durable write has two halves. Append writes the record; the scheduler
-// Server calls it through the journal hook with its lock held. Commit waits
-// until the records written so far are flushed; the Server calls it after
-// releasing the lock and before it publishes or acknowledges anything. The
-// callers of Commit share flushes among themselves (group commit), so many
-// concurrent operations cost one fsync and a lone one still costs one. A
-// write or flush error stops the store for good (ErrFailed).
+// A durable write has two halves. Append encodes the record onto the
+// pending frames; the scheduler Server's apply goroutine calls it through
+// the journal hook with the server lock held. Commit writes every pending
+// frame in one write and waits until they are flushed; the Server's
+// committer calls it, while the apply goroutine goes on applying, before
+// it publishes or acknowledges anything. One commit covers every op
+// applied since the last (group commit), so many concurrent operations
+// cost one write and one fsync and a lone one still costs one. A write or
+// flush error stops the store for good (ErrFailed).
 package durability

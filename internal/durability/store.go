@@ -51,12 +51,12 @@ type Options struct {
 }
 
 // Store is an open WAL directory: the append side of the journal, the
-// commit barrier behind it and the snapshot machinery. The scheduler Server
-// calls Append (its journal hook) with its lock held, so appends arrive one
-// at a time, and Commit after releasing that lock, so commits arrive from
-// many goroutines at once; the Store's mutex orders both against each
-// other, the background sync loop and explicit Snapshot calls. The one
-// thing done outside the mutex is a commit leader's fsync.
+// commit barrier behind it and the snapshot machinery. The scheduler
+// Server's apply goroutine calls Append (its journal hook) with the server
+// lock held, and its committer calls Commit while the apply goroutine goes
+// on appending; the Store's mutex orders both against each other, the
+// background sync loop and explicit Snapshot calls. The one thing done
+// outside the mutex is a commit leader's fsync.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -75,7 +75,7 @@ type Store struct {
 	// Close wait for it to clear before they close the file.
 	syncing bool
 	// committing is set by the first Commit call: the consumer has shown it
-	// waits for the covering fsync itself, so Append stops flushing inline.
+	// commits itself, so Append stops writing and flushing inline.
 	committing bool
 	// failed latches the first write or fsync error, wrapped in ErrFailed;
 	// failedCh is closed when it is set.
@@ -227,8 +227,8 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 //
 // The returned core also carries the store's Commit as its commit barrier
 // (scheduler.Core.SetCommit), which a scheduler.Server built on the core
-// picks up: the Server then waits for the covering fsync after releasing
-// its lock instead of Append flushing under it.
+// picks up: the Server's committer then writes and flushes behind its
+// apply goroutine instead of Append doing so under the server lock.
 func (r *Recovery) Restore(build func(st *scheduler.CoreState) (*scheduler.Core, error)) (*scheduler.Core, RestoreInfo, error) {
 	core, err := build(r.State)
 	if err != nil {
@@ -265,9 +265,10 @@ func (r *Recovery) Restore(build func(st *scheduler.CoreState) (*scheduler.Core,
 // is reached it first captures a snapshot — the op being appended is the
 // first record of the new log generation.
 //
-// Under SyncAlways Append returns with the record on stable storage, one
-// fsync per call, until the store's consumer has called Commit; from then
-// on it returns once the record is written and Commit waits for the flush.
+// Until the store's consumer has called Commit, Append writes the record
+// and, under SyncAlways, returns with it on stable storage, one fsync per
+// call. From then on it only encodes the record onto the pending frames,
+// and Commit writes them and waits for the flush.
 func (s *Store) Append(op scheduler.Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,46 +286,53 @@ func (s *Store) Append(op scheduler.Op) error {
 			s.opts.Logf("durability: snapshot at record %d failed: %v", s.w.index, err)
 		}
 	}
-	if err := s.w.append(op); err != nil {
-		return s.failLocked(err)
-	}
+	s.w.append(op)
 	s.appends.Add(1)
-	if s.opts.Sync == SyncAlways && !s.committing {
+	switch {
+	case s.committing:
+		return nil
+	case s.opts.Sync == SyncAlways:
 		return s.syncLocked()
+	default:
+		return s.writeLocked()
 	}
-	return nil
 }
 
 // Commit blocks until every record appended before the call is on stable
-// storage: the second half of a durable write, which the scheduler Server
-// calls after releasing its lock and before it publishes or acknowledges
-// anything the op produced. It is the scheduler.CommitFunc Restore installs.
+// storage: the second half of a durable write, which the scheduler
+// Server's committer calls before it publishes or acknowledges anything the
+// ops produced. It is the scheduler.CommitFunc Restore installs. The caller
+// that flushes first writes every pending frame in one write; under every
+// sync policy a committed record is at least in the page cache.
 //
 // Concurrent callers share fsyncs, leader/follower: a caller that finds no
 // fsync in flight becomes the leader, notes how many records are written,
 // flushes the segment with the mutex released (appends continue behind it)
 // and then marks those records durable and wakes everyone; a caller that
 // finds one in flight waits for it, and leads the next one itself if its
-// records were written too late to be covered. There is no timer and no
-// committer goroutine: a batch is whatever was appended while the previous
-// fsync ran, so a lone sequential caller still pays exactly one fsync per
-// op, started after its record was written.
+// records were written too late to be covered. The Server's one committer
+// never finds a flush in flight, so each of its calls is one write and at
+// most one fsync, covering everything appended since the last.
 //
 // Under SyncInterval and SyncNone durability is not part of the
-// acknowledgement, and Commit only reports a failed store.
+// acknowledgement, and Commit writes the pending frames and flushes
+// nothing.
 func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opts.Sync != SyncAlways {
-		return s.failed
-	}
 	s.committing = true
+	if s.opts.Sync != SyncAlways {
+		return s.writeLocked()
+	}
 	target := s.w.index
 	for s.failed == nil && s.w.durable < target && s.syncing {
 		s.synced.Wait()
 	}
 	if s.failed != nil || s.w.durable >= target {
 		return s.failed
+	}
+	if err := s.writeLocked(); err != nil {
+		return err
 	}
 	// Close flushes everything written before it closes the file, so a
 	// commit that finds records still to flush finds the file still open.
@@ -377,10 +385,21 @@ func (s *Store) markDurableLocked(cover uint64) {
 	s.synced.Broadcast()
 }
 
-// syncLocked flushes every written record with the mutex held.
+// writeLocked writes the pending frames. A store whose flush failed still
+// writes the records it accepted before, as it did when each was written at
+// once; after a failed write nothing more is written.
+func (s *Store) writeLocked() error {
+	if err := s.w.writePending(); err != nil {
+		return s.failLocked(err)
+	}
+	return s.failed
+}
+
+// syncLocked writes the pending frames and flushes every written record
+// with the mutex held.
 func (s *Store) syncLocked() error {
-	if s.w.durable == s.w.index {
-		return nil
+	if err := s.writeLocked(); err != nil || s.w.durable == s.w.index {
+		return err
 	}
 	cover := s.w.index
 	if err := s.w.syncFile(s.w.f); err != nil {

@@ -99,11 +99,16 @@ type wal struct {
 	index    uint64 // global index of the next record to append
 	durable  uint64 // records below this index are on stable storage
 	segStart uint64 // global index of this segment's first record
-	size     int64  // bytes written to this segment
-	payload  []byte // scratch encode buffers
-	frame    []byte
-	// fsync flushes a segment file. Tests replace it to hold a flush open
-	// or make it fail; everything else leaves it at (*os.File).Sync.
+	size     int64  // bytes appended to this segment, pending ones included
+	payload  []byte // scratch encode buffer
+	// pending holds the frames appended since the last write; werr latches
+	// a failed write, after which nothing more is written.
+	pending []byte
+	werr    error
+	// write and fsync reach the segment file. Tests replace them to count
+	// writes, or to hold a flush open or make it fail; everything else
+	// leaves them at (*os.File).Write and (*os.File).Sync.
+	write func(*os.File, []byte) (int, error)
 	fsync func(*os.File) error
 }
 
@@ -118,21 +123,39 @@ func openWALSegment(dir string, first uint64) (*wal, error) {
 	if err := syncDir(dir); err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	return &wal{dir: dir, f: f, index: first, durable: first, segStart: first, fsync: (*os.File).Sync}, nil
+	return &wal{dir: dir, f: f, index: first, durable: first, segStart: first,
+		write: (*os.File).Write, fsync: (*os.File).Sync}, nil
 }
 
-// append encodes and writes one record frame. It does not flush: the Store
-// decides when the record must reach stable storage.
-func (w *wal) append(op scheduler.Op) error {
+// append encodes one record frame onto the pending frames. It neither
+// writes nor flushes: the Store decides when the record must reach the
+// segment and when stable storage.
+func (w *wal) append(op scheduler.Op) {
 	w.payload = appendOp(w.payload[:0], op)
-	w.frame = appendFrame(w.frame[:0], w.payload)
-	if _, err := w.f.Write(w.frame); err != nil {
-		return fmt.Errorf("durability: append record %d: %w", w.index, err)
-	}
-	w.size += int64(len(w.frame))
+	n := len(w.pending)
+	w.pending = appendFrame(w.pending, w.payload)
+	w.size += int64(len(w.pending) - n)
 	w.index++
+}
+
+// writePending hands every pending frame to the segment in one write.
+func (w *wal) writePending() error {
+	if w.werr != nil || len(w.pending) == 0 {
+		return w.werr
+	}
+	if _, err := w.write(w.f, w.pending); err != nil {
+		w.werr = fmt.Errorf("durability: write records below %d: %w", w.index, err)
+		return w.werr
+	}
+	w.pending = w.pending[:0]
+	if cap(w.pending) > keepPending {
+		w.pending = nil
+	}
 	return nil
 }
+
+// keepPending is the largest pending buffer kept between writes.
+const keepPending = 1 << 20
 
 // syncFile flushes f, the open segment file as the caller read it under
 // the Store's mutex. It touches no other field, so a group-commit leader

@@ -149,29 +149,35 @@ func (s *Server) tenantEntry(tenant string) *admEntry {
 }
 
 // admit runs both admission layers for one request attributed to tenant,
-// arriving on the connection whose scope is connAdm. On success it returns
-// a release closure the caller must run when the request finishes; on shed
-// it returns ok=false with Stats.Shed already incremented.
-func (s *Server) admit(tenant string, connAdm *admEntry) (release func(), ok bool) {
+// arriving on the connection whose scope is connAdm. On success the
+// request holds a slot in te (nil without limits) and connAdm until the
+// caller passes both to release; on shed it returns ok=false with
+// Stats.Shed already incremented.
+func (s *Server) admit(tenant string, connAdm *admEntry) (te *admEntry, ok bool) {
 	l := s.limits
 	if !l.enabled() {
-		return func() {}, true
+		return nil, true
 	}
 	now := time.Now()
 	if !connAdm.admit(l.ConnRate, l.ConnBurst, l.ConnInflight, now) {
 		s.shed.Add(1)
 		return nil, false
 	}
-	te := s.tenantEntry(tenant)
+	te = s.tenantEntry(tenant)
 	if !te.admit(l.TenantRate, l.TenantBurst, l.TenantInflight, now) {
 		connAdm.release()
 		s.shed.Add(1)
 		return nil, false
 	}
-	return func() {
+	return te, true
+}
+
+// release returns the slots admit reserved; te nil holds none.
+func (s *Server) release(te, connAdm *admEntry) {
+	if te != nil {
 		te.release()
 		connAdm.release()
-	}, true
+	}
 }
 
 // requestTenant attributes a request to a tenant: the envelope's Tenant

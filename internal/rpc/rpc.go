@@ -1,9 +1,12 @@
 // Package rpc exposes the ReSHAPE scheduler over TCP so applications and
 // command-line tools can talk to a reshaped daemon. The wire protocol,
 // rpc/v2 (see wire.go), is a persistent, multiplexed connection carrying
-// length-prefixed frames with request IDs, concurrent server-side
-// dispatch, cancellation of blocking ops, and a streaming Watch
-// subscription. Frames are hand-encoded in package codec's varint
+// length-prefixed frames with request IDs, cancellation of blocking ops,
+// and a streaming Watch subscription. A connection's read loop queues the
+// five unary mutations straight onto the scheduler's ordered pipeline
+// (scheduler.Server.Enqueue), whose completions queue their replies for
+// the connection's writer goroutine; Wait, Status and Watch run
+// concurrently on dispatch workers. Frames are hand-encoded in package codec's varint
 // vocabulary, the one the WAL writes, and a unary round trip allocates
 // nothing in steady state. A connection must open with MagicV2; any other
 // first byte is counted malformed and the connection closed unanswered.

@@ -7,22 +7,27 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/scheduler"
 )
 
 // v2conn is the server side of one multiplexed v2 connection: a read loop
-// decoding frames, concurrent per-request dispatch goroutines, and a group
-// writer they all reply through.
+// decoding frames and starting requests, a writer goroutine flushing the
+// replies the scheduler's pipeline queues, and dispatch workers for the
+// requests that stay off the pipeline.
 type v2conn struct {
 	srv  *Server
 	conn net.Conn
 	fw   *FrameWriter
 
 	// ctx is cancelled when the connection dies or the server closes;
-	// unary requests run under it, Wait and Watch under a child of it.
+	// dispatched requests run under it, Wait and Watch under a child of it.
 	//lint:allow ctxfirst connection-lifetime context: scoped to one conn's read loop, not carried across requests
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// inflight holds the dispatched requests by ID, with the cancel of each
+	// Wait and Watch.
 	mu       sync.Mutex
 	inflight map[uint64]context.CancelFunc
 
@@ -31,7 +36,25 @@ type v2conn struct {
 	adm *admEntry
 
 	reqs sync.WaitGroup
+
+	// Pipelined calls (see call): live counts those taken and not yet
+	// recycled, replied those whose reply is queued and not yet flushed.
+	pmu     sync.Mutex
+	free    []*v2call
+	replied []*v2call
+	live    int
+	closing bool          // the read loop has stopped
+	freed   chan struct{} // a token wakes a read loop waiting for a call
+	wake    chan struct{} // a token wakes the writer
+	wrote   chan struct{} // closed when the writer exits
+
+	rf Frame // the frame the read loop decodes into
 }
+
+// maxUnflushed bounds one connection's pipelined requests that have no
+// written reply yet. A peer that stops reading stalls its own read loop
+// there, never the scheduler's pipeline or another connection.
+const maxUnflushed = 128
 
 // serveV2 runs a multiplexed session on conn (the magic byte has already
 // been consumed; br may hold buffered bytes beyond it).
@@ -44,18 +67,22 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 		ctx:      ctx,
 		cancel:   cancel,
 		inflight: make(map[uint64]context.CancelFunc),
+		freed:    make(chan struct{}, 1),
+		wake:     make(chan struct{}, 1),
+		wrote:    make(chan struct{}),
 	}
 	if s.limits.enabled() {
 		c.adm = &admEntry{}
 	}
+	go c.writeLoop()
 	defer c.reqs.Wait()
+	defer c.drain()
 	defer cancel()
 
 	fr := NewFrameReader(br)
+	f := &c.rf
 	for {
-		f := framePool.Get().(*Frame)
 		if err := fr.Read(f); err != nil {
-			framePool.Put(f)
 			if !errors.Is(err, ErrMalformed) {
 				return // peer hung up, connection broke, or server closing
 			}
@@ -77,18 +104,206 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 			c.cancelRequest(f.CancelID)
 			c.write(&Reply{ID: f.ID, Final: true})
 		default:
-			c.reqs.Add(1)
-			s.handOff(c, f)
-			continue
+			c.request(f)
 		}
-		framePool.Put(f)
 	}
 }
 
-// v2req is one decoded request on its way to a dispatch worker.
+// request starts one request. An unknown op or an ID a dispatched request
+// holds is refused, then admission runs, without blocking; a request that
+// passes holds its slots until its final reply is written. The five unary
+// mutations go straight onto the scheduler's pipeline, whose completion
+// queues the reply for the writer; Wait, Status and Watch go to a dispatch
+// worker. Refusals go out through the writer too, so nothing here waits for
+// the peer to read.
+func (c *v2conn) request(f *Frame) {
+	s := c.srv
+	kind, pipelined := pipelineKind(f.Op)
+	switch {
+	case !pipelined && f.Op != OpWait && f.Op != OpStatus && f.Op != OpWatch:
+		s.malformed.Add(1)
+		c.refuse(f.ID, "rpc: unknown op "+string(f.Op), CodeUnknownOp)
+		return
+	case c.claimed(f.ID):
+		s.malformed.Add(1)
+		c.refuse(f.ID, "rpc: request id already in flight", CodeBadRequest)
+		return
+	}
+	te, ok := s.admit(requestTenant(f.Op, f.Tenant, &f.Spec), c.adm)
+	if !ok {
+		c.refuse(f.ID, ErrOverload.Error(), CodeOverload)
+		return
+	}
+	s.requests.Add(1)
+	if !pipelined {
+		r := v2req{c: c, f: framePool.Get().(*Frame), te: te, ctx: c.ctx}
+		*r.f = *f
+		// Only the blocking ops get a context of their own, which OpCancel
+		// cancels.
+		if f.Op == OpWait || f.Op == OpWatch {
+			r.ctx, r.cancel = context.WithCancel(c.ctx)
+		}
+		c.register(f.ID, r.cancel)
+		c.reqs.Add(1)
+		s.handOff(r)
+		return
+	}
+	vc := c.call()
+	if vc == nil {
+		s.release(te, c.adm)
+		return
+	}
+	vc.id, vc.te = f.ID, te
+	vc.Op = scheduler.Op{Kind: kind, JobID: f.JobID, Spec: f.Spec, Topo: f.Topo, IterTime: f.IterTime, RedistTime: f.RedistTime}
+	s.sched.Enqueue(&vc.Call)
+}
+
+// pipelineKind maps the ops that run on the scheduler's pipeline to their
+// journal kinds.
+func pipelineKind(op Op) (scheduler.OpKind, bool) {
+	switch op {
+	case OpSubmit:
+		return scheduler.OpSubmit, true
+	case OpContact:
+		return scheduler.OpContact, true
+	case OpResizeComplete:
+		return scheduler.OpResizeComplete, true
+	case OpJobEnd:
+		return scheduler.OpFinish, true
+	case OpJobError:
+		return scheduler.OpFail, true
+	}
+	return 0, false
+}
+
+// v2call is one pipelined request: the scheduler call and what its reply
+// needs. The connection recycles it once the reply is written.
+type v2call struct {
+	scheduler.Call
+	c         *v2conn
+	id        uint64
+	te        *admEntry // the tenant admission scope it holds a slot in
+	msg, code string    // the refusal of a request the scheduler never saw
+}
+
+// call returns a free call, waiting while maxUnflushed are out; nil means
+// the connection is closing.
+func (c *v2conn) call() *v2call {
+	for {
+		c.pmu.Lock()
+		if n := len(c.free); n > 0 {
+			vc := c.free[n-1]
+			c.free = c.free[:n-1]
+			c.live++
+			c.pmu.Unlock()
+			return vc
+		}
+		if c.live < maxUnflushed {
+			c.live++
+			c.pmu.Unlock()
+			vc := &v2call{c: c}
+			vc.Done = vc.replied
+			return vc
+		}
+		c.pmu.Unlock()
+		select {
+		case <-c.freed:
+		case <-c.ctx.Done():
+			return nil
+		}
+	}
+}
+
+// refuse answers a request the scheduler never sees. The reply goes out
+// through the writer, so the read loop does not wait for the peer to read.
+func (c *v2conn) refuse(id uint64, msg, code string) {
+	if vc := c.call(); vc != nil {
+		vc.id, vc.msg, vc.code = id, msg, code
+		vc.replied(nil)
+	}
+}
+
+// replied is a call's completion: it queues the final reply and hands the
+// call to the writer. It runs on the scheduler's pipeline, and never blocks.
+func (vc *v2call) replied(*scheduler.Call) {
+	r := Reply{ID: vc.id, Final: true, Err: vc.msg, Code: vc.code}
+	switch {
+	case r.Code != "":
+	case vc.Err != nil:
+		r.Err, r.Code = vc.Err.Error(), CodeApp
+	case vc.Kind == scheduler.OpSubmit:
+		r.JobID = vc.JobID
+	case vc.Kind == scheduler.OpContact:
+		r.Decision = vc.Decision
+	}
+	c := vc.c
+	c.queue(&r)
+	c.pmu.Lock()
+	c.replied = append(c.replied, vc)
+	c.pmu.Unlock()
+	signal(c.wake)
+}
+
+// writeLoop is the connection's writer: each wake-up it flushes every reply
+// queued so far, then releases the admission slots of the calls those
+// replies answered and recycles them. It exits once the read loop has
+// stopped and every call is back.
+func (c *v2conn) writeLoop() {
+	defer close(c.wrote)
+	var batch []*v2call
+	for {
+		<-c.wake
+		c.pmu.Lock()
+		batch, c.replied = c.replied, batch[:0]
+		c.pmu.Unlock()
+		if len(batch) > 0 {
+			c.flush()
+		}
+		for _, vc := range batch {
+			c.srv.release(vc.te, c.adm)
+			*vc = v2call{Call: scheduler.Call{Done: vc.Done}, c: c}
+		}
+		c.pmu.Lock()
+		c.free = append(c.free, batch...)
+		c.live -= len(batch)
+		last := c.closing && c.live == 0
+		c.pmu.Unlock()
+		clear(batch)
+		signal(c.freed)
+		if last {
+			return
+		}
+	}
+}
+
+// drain waits, once the read loop has stopped, for every pipelined call to
+// come back and the writer to exit.
+func (c *v2conn) drain() {
+	c.pmu.Lock()
+	c.closing = true
+	c.pmu.Unlock()
+	signal(c.wake)
+	<-c.wrote
+}
+
+// signal leaves a wake-up token on ch unless one is already there.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// v2req is one dispatched request on its way to a dispatch worker: the
+// frame, the tenant admission scope it holds a slot in, and the context it
+// runs under (cancel is nil for Status).
 type v2req struct {
-	c *v2conn
-	f *Frame
+	c  *v2conn
+	f  *Frame
+	te *admEntry
+	//lint:allow ctxfirst a dispatched request's context, carried from the read loop that registered it to its worker
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // maxIdleWorkers bounds the dispatch workers parked between requests,
@@ -98,40 +313,38 @@ const maxIdleWorkers = 64
 
 // handOff runs f on a parked dispatch worker, or on a new one if none is
 // waiting.
-func (s *Server) handOff(c *v2conn, f *Frame) {
+func (s *Server) handOff(r v2req) {
 	select {
-	case s.work <- v2req{c, f}:
+	case s.work <- r:
 	default:
 		s.wg.Add(1)
-		go s.dispatchWorker(c, f)
+		go s.dispatchWorker(r)
 	}
 }
 
-// dispatchWorker runs v2 requests, parking between them while fewer than
-// maxIdleWorkers others are parked. A contact runs deep into the scheduler
-// core; a goroutine per request would grow a fresh stack, by copying,
-// every time.
-func (s *Server) dispatchWorker(c *v2conn, f *Frame) {
+// dispatchWorker runs dispatched requests, parking between them while
+// fewer than maxIdleWorkers others are parked. A goroutine per request
+// would grow a fresh stack, by copying, every time.
+func (s *Server) dispatchWorker(r v2req) {
 	defer s.wg.Done()
 	for {
-		c.dispatch(f)
+		r.c.dispatch(r)
 		if s.idleWorkers.Add(1) > maxIdleWorkers {
 			s.idleWorkers.Add(-1)
 			return
 		}
 		select {
-		case r := <-s.work:
+		case r = <-s.work:
 			s.idleWorkers.Add(-1)
-			c, f = r.c, r.f
 		case <-s.baseCtx.Done():
 			return
 		}
 	}
 }
 
-// framePool recycles decoded request frames: the read loop decodes into
-// one and hands it to a dispatch worker, which returns it once the final
-// reply is written.
+// framePool recycles the frames of dispatched requests: the read loop
+// copies a request into one and hands it to a dispatch worker, which
+// returns it once the final reply is written.
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // countedWriter counts the writes a connection's FrameWriter makes, one
@@ -181,18 +394,23 @@ func (c *v2conn) cancelRequest(id uint64) {
 	}
 }
 
-// register claims id for an in-flight request; it fails if the id is
-// already in use, enforcing the wire contract that request IDs are unique
-// among a connection's in-flight requests. cancel is nil for unary ops:
-// an OpCancel naming one is acknowledged and changes nothing.
-func (c *v2conn) register(id uint64, cancel context.CancelFunc) bool {
+// register records a dispatched request's id, which the read loop has
+// found free: request IDs are unique among a connection's in-flight
+// requests, and the server refuses a request whose ID a dispatched one
+// holds. cancel is nil for Status: an OpCancel naming it, or a pipelined
+// op, is acknowledged and changes nothing.
+func (c *v2conn) register(id uint64, cancel context.CancelFunc) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.inflight[id]; exists {
-		return false
-	}
 	c.inflight[id] = cancel
-	return true
+	c.mu.Unlock()
+}
+
+// claimed reports whether a dispatched request holds id.
+func (c *v2conn) claimed(id uint64) bool {
+	c.mu.Lock()
+	_, ok := c.inflight[id]
+	c.mu.Unlock()
+	return ok
 }
 
 func (c *v2conn) unregister(id uint64) {
@@ -201,43 +419,24 @@ func (c *v2conn) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-// dispatch runs one request to completion, writes its final reply and
-// returns f to framePool. Requests on one connection execute concurrently;
-// replies are matched by ID, not order.
-//
-// Only the blocking ops (Wait, Watch) get a context of their own, which
-// OpCancel cancels. A unary op runs under the connection's context: its
-// handler checks it once on entry and then completes.
-func (c *v2conn) dispatch(f *Frame) {
+// dispatch runs one dispatched request to completion, writes its final
+// reply, and then releases its ID and admission slots and returns its frame
+// to framePool. Requests on one connection execute concurrently; replies
+// are matched by ID, not order.
+func (c *v2conn) dispatch(r v2req) {
 	defer c.reqs.Done()
+	s, f, ctx := c.srv, r.f, r.ctx
 	defer framePool.Put(f)
-
-	ctx := c.ctx
-	var cancel context.CancelFunc
-	if f.Op == OpWait || f.Op == OpWatch {
-		ctx, cancel = context.WithCancel(c.ctx)
-		defer cancel()
+	defer s.release(r.te, c.adm)
+	defer c.unregister(f.ID)
+	if r.cancel != nil {
+		defer r.cancel()
 	}
-	s := c.srv
 	final := func(r Reply) {
 		r.ID = f.ID
 		r.Final = true
 		c.write(&r)
 	}
-	if !c.register(f.ID, cancel) {
-		s.malformed.Add(1)
-		final(Reply{Err: "rpc: request id already in flight", Code: CodeBadRequest})
-		return
-	}
-	defer c.unregister(f.ID)
-	// Admission control runs before the scheduler sees the request; a
-	// blocking op (Wait, Watch) holds its slots until the stream ends.
-	release, admitted := s.admit(requestTenant(f.Op, f.Tenant, &f.Spec), c.adm)
-	if !admitted {
-		final(Reply{Err: ErrOverload.Error(), Code: CodeOverload})
-		return
-	}
-	defer release()
 	fail := func(err error) {
 		if ctx.Err() != nil {
 			final(Reply{Err: "rpc: request cancelled", Code: CodeCancelled})
@@ -247,45 +446,7 @@ func (c *v2conn) dispatch(f *Frame) {
 	}
 
 	switch f.Op {
-	case OpSubmit:
-		s.requests.Add(1)
-		id, err := s.sched.Submit(ctx, f.Spec)
-		if err != nil {
-			fail(err)
-			return
-		}
-		final(Reply{JobID: id})
-	case OpContact:
-		s.requests.Add(1)
-		d, err := s.sched.Contact(ctx, f.JobID, f.Topo, f.IterTime, f.RedistTime)
-		if err != nil {
-			fail(err)
-			return
-		}
-		final(Reply{Decision: d})
-	case OpResizeComplete:
-		s.requests.Add(1)
-		if err := s.sched.ResizeComplete(ctx, f.JobID, f.RedistTime); err != nil {
-			fail(err)
-			return
-		}
-		final(Reply{})
-	case OpJobEnd:
-		s.requests.Add(1)
-		if err := s.sched.JobEnd(ctx, f.JobID); err != nil {
-			fail(err)
-			return
-		}
-		final(Reply{})
-	case OpJobError:
-		s.requests.Add(1)
-		if err := s.sched.JobError(ctx, f.JobID); err != nil {
-			fail(err)
-			return
-		}
-		final(Reply{})
 	case OpWait:
-		s.requests.Add(1)
 		// A pending wait holds only this goroutine — the connection keeps
 		// serving other requests.
 		if err := s.sched.Wait(ctx, f.JobID); err != nil {
@@ -294,7 +455,6 @@ func (c *v2conn) dispatch(f *Frame) {
 		}
 		final(Reply{})
 	case OpStatus:
-		s.requests.Add(1)
 		st, err := s.sched.Status(ctx)
 		if err != nil {
 			fail(err)
@@ -302,7 +462,6 @@ func (c *v2conn) dispatch(f *Frame) {
 		}
 		final(Reply{Status: &st})
 	case OpWatch:
-		s.requests.Add(1)
 		s.watches.Add(1)
 		sub, err := s.sched.Watch(ctx, f.JobID)
 		if err != nil {
@@ -324,8 +483,5 @@ func (c *v2conn) dispatch(f *Frame) {
 		// Stream closed: subscription cancelled (client OpCancel, server
 		// shutdown, or connection loss).
 		final(Reply{})
-	default:
-		s.malformed.Add(1)
-		final(Reply{Err: "rpc: unknown op " + string(f.Op), Code: CodeUnknownOp})
 	}
 }

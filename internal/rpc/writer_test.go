@@ -358,3 +358,75 @@ func TestWedgedConnectionHoldsItsAdmission(t *testing.T) {
 		t.Fatalf("%d served, %d shed; want %d, %d", st.Requests, st.Shed, limit, sent-limit)
 	}
 }
+
+// TestWedgedConnectionStallsOnlyItself pipelines contacts on a connection
+// whose peer reads nothing. Its read loop stops taking frames once
+// maxUnflushed replies are unwritten, so the replies queued for it stay
+// bounded, and the scheduler's pipeline keeps serving another connection's
+// contacts as before.
+func TestWedgedConnectionStallsOnlyItself(t *testing.T) {
+	sched := scheduler.NewServer(4, false, nil)
+	srv, err := Serve("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	topo := grid.Row1D(2)
+	job, err := sched.Submit(context.Background(), scheduler.JobSpec{
+		Name: "j", App: "mw", Iterations: 1 << 30, InitialTopo: topo, Chain: []grid.Topology{topo},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	contact := func(id uint64) Frame {
+		return Frame{ID: id, Op: OpContact, JobID: job, Topo: topo, IterTime: 1}
+	}
+
+	wedged := wedgedPeer(t, srv)
+	go func() {
+		// Blocks for good once the server stops reading; srv.Close ends it.
+		for id := uint64(1); id <= 4*maxUnflushed; id++ {
+			if wedged.Write(contact(id)) != nil {
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().FramesOut < maxUnflushed; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d replies queued for the wedged peer, want %d", srv.Stats().FramesOut, maxUnflushed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room to take frames past the bound
+	if n := srv.Stats().FramesOut; n > maxUnflushed {
+		t.Fatalf("%d replies queued for a peer that reads nothing, want at most %d", n, maxUnflushed)
+	}
+
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte{MagicV2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nc.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	fw, fr := NewFrameWriter(nc), NewFrameReader(nc)
+	for id := uint64(1); id <= 200; id++ {
+		if err := fw.Write(contact(id)); err != nil {
+			t.Fatal(err)
+		}
+		var r Reply
+		if err := fr.Read(&r); err != nil {
+			t.Fatalf("contact %d on the healthy connection: %v", id, err)
+		}
+		if r.ID != id || !r.Final || r.Err != "" {
+			t.Fatalf("contact %d on the healthy connection: %+v", id, r)
+		}
+	}
+	if n := srv.Stats().FramesOut; n > maxUnflushed+200 {
+		t.Fatalf("%d replies queued in all, want at most %d for the wedged peer and 200 for the healthy one", n, maxUnflushed+200)
+	}
+}

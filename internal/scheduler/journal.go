@@ -85,9 +85,9 @@ type JournalFunc func(Op) error
 // records reach stable storage after the hook returns: it blocks until every
 // op journaled before the call is durable. The Core never calls it — a Core
 // is single-threaded and waiting inside it would serialize every op behind
-// its own disk flush. Its caller does, after releasing whatever lock guards
-// the Core and before it acknowledges the op or shows anyone its effects
-// (see Server). A non-nil error means durability is lost for good: the ops
+// its own disk flush. Its caller does, without holding whatever lock guards
+// the Core, and before it acknowledges the op or shows anyone its effects
+// (see Server, whose committer is the caller). A non-nil error means durability is lost for good: the ops
 // already applied in memory may not be on disk, so the caller must stop
 // acknowledging and let a restart recover from what is.
 type CommitFunc func() error

@@ -194,12 +194,8 @@ func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 	w := &subscriber{jobID: jobID, ch: ch, sub: sub}
 
 	s.mu.Lock()
-	// Catch the broker up so the new subscriber doesn't replay history.
-	// Behind a commit barrier anything unpublished belongs to an op still
-	// in flight, which publishes it (to this subscriber too) once durable.
-	if s.core.commit == nil {
-		s.publishLocked(len(s.core.Events))
-	}
+	// Anything recorded and not yet published belongs to a batch still
+	// waiting for its commit, which publishes it to this subscriber too.
 	id := s.nextSub
 	s.nextSub++
 	if s.subs == nil {
@@ -230,8 +226,9 @@ func (s *Server) Subscribers() int {
 }
 
 // publishLocked fans the recorded core events below index hwm that have not
-// been published yet out to subscribers. It must run with s.mu held; every
-// mutating Server operation ends in it (through settle).
+// been published yet out to subscribers. It must run with s.mu held; the
+// apply goroutine (volatile) or the committer (durable) calls it for every
+// batch.
 func (s *Server) publishLocked(hwm int) {
 	if s.pubIdx >= hwm {
 		return

@@ -138,8 +138,8 @@ func TestStatusSnapshot(t *testing.T) {
 
 // TestServerCommitBarrierOrdersPublication drives a Server whose core has a
 // commit barrier the test controls: while the barrier blocks, the op is in
-// the core (Status, Seq) and nowhere else; a later op's commit publishes the
-// earlier op's events too, in order; and an op whose commit fails is never
+// the core (Status, Seq) and nowhere else; the events of acknowledged ops
+// are published in trace order; and an op whose commit fails is never
 // published, launched or acknowledged.
 func TestServerCommitBarrierOrdersPublication(t *testing.T) {
 	ctx := context.Background()
@@ -187,18 +187,22 @@ func TestServerCommitBarrierOrdersPublication(t *testing.T) {
 	default:
 	}
 
-	// One commit returns. Whichever op it belongs to, everything up to that
-	// op's own events is published in order, and nothing past them.
-	gate <- nil
-	if err := <-acks; err != nil {
-		t.Fatal(err)
+	// Commits return until both ops are acknowledged: the committer covers
+	// whatever batches were handed over since its last commit, so the two
+	// ops take one commit call or two. By each ack, everything up to that
+	// op's own events is published, in order.
+	var evs []JobEvent
+	for acked := 0; acked < 2; {
+		select {
+		case gate <- nil:
+		case err := <-acks:
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked++
+			evs = append(evs, collectEvents(t, sub, 2*acked-len(evs))...)
+		}
 	}
-	first := collectEvents(t, sub, 2)
-	gate <- nil
-	if err := <-acks; err != nil {
-		t.Fatal(err)
-	}
-	evs := append(first, collectEvents(t, sub, len(core.Events)-len(first))...)
 	for i, ev := range evs {
 		if ev.Seq != uint64(i+1) || ev.Kind != core.Events[i].Kind || ev.JobID != core.Events[i].JobID {
 			t.Fatalf("event %d is %q of job %d with seq %d; the trace has %q of job %d",
