@@ -591,6 +591,7 @@ func BenchmarkRealDistLU(b *testing.B) {
 		global[i*n+i] += float64(n)
 	}
 	pieces := blockcyclic.Distribute(global, l)
+	b.ReportAllocs()
 	b.SetBytes(int64(n * n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -645,6 +646,7 @@ func BenchmarkRealFFT2D(b *testing.B) {
 		global[i] = float64(i % 13)
 	}
 	pieces := blockcyclic.Distribute(global, l)
+	b.ReportAllocs()
 	b.SetBytes(int64(n * n * 16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/blacs"
 	"repro/internal/blockcyclic"
 	"repro/internal/matrix"
+	"repro/internal/mpi"
 )
 
 // FFT2D applies a 2-D complex FFT (forward or inverse) to an n x n image
@@ -72,8 +73,8 @@ func fftLocalRows(plan *matrix.FFTPlan, n int, data []float64) error {
 // transpose exchanges the distributed matrix with its transpose: element
 // (i, j) moves to row j, column i. Rows keep the same 1-D block-cyclic
 // distribution. Implemented as a packed all-to-all over the grid ranks:
-// every element is packed once, into one buffer carved into the per-rank
-// sends, which Alltoallv hands over by reference.
+// every element is packed once, into one arena buffer carved into the
+// per-rank sends, which Alltoallv hands over by reference.
 func transpose(ctx *blacs.Context, l blockcyclic.Layout, data []float64) error {
 	comm := ctx.Comm
 	p := l.Grid.Rows
@@ -95,7 +96,7 @@ func transpose(ctx *blacs.Context, l blockcyclic.Layout, data []float64) error {
 	// Pack: for destination rank r, send (re, im) of elements (i, j) for
 	// every j owned by r (ascending) and every local i (ascending).
 	sendbufs := make([][]float64, p)
-	packed := make([]float64, 0, 2*n*len(owned[me]))
+	packed := mpi.GetFloats(2 * n * len(owned[me]))[:0]
 	for r := 0; r < p; r++ {
 		start := len(packed)
 		for _, j := range owned[r] {
@@ -121,5 +122,10 @@ func transpose(ctx *blacs.Context, l blockcyclic.Layout, data []float64) error {
 			}
 		}
 	}
+	// Every rank reads its part of packed while it unpacks, and enters the
+	// barrier only after unpacking: once the barrier returns, no rank reads
+	// packed again, and this rank, its only owner, recycles it.
+	comm.Barrier()
+	mpi.PutFloats(packed)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mpi"
 	"repro/pkg/reshape"
 )
 
@@ -129,9 +130,13 @@ func (a luApp) Iterate(rc *reshape.Context) error {
 	if !ok {
 		return fmt.Errorf("apps: lu: array A missing")
 	}
-	work := make([]float64, len(arr.Data))
+	// DistLU copies every panel it broadcasts out of work, so once it
+	// returns nothing refers to work and the iteration can recycle it.
+	work := mpi.GetFloats(len(arr.Data))
 	copy(work, arr.Data)
-	return DistLU(rc.Grid(), arr.LayoutFor(rc.Topo()), work)
+	err := DistLU(rc.Grid(), arr.LayoutFor(rc.Topo()), work)
+	mpi.PutFloats(work)
+	return err
 }
 
 // mmApp multiplies two distributed matrices (SUMMA) per iteration.

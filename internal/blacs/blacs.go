@@ -43,18 +43,12 @@ func New(c *mpi.Comm, topo grid.Topology) (*Context, error) {
 		return nil, fmt.Errorf("blacs: topology %v needs %d ranks, communicator has %d",
 			topo, topo.Count(), c.Size())
 	}
-	ctx := &Context{Comm: c, Grid: topo}
-	me := c.Rank()
-	if me < topo.Count() {
+	ctx := &Context{Comm: c, Grid: topo, MyRow: -1, MyCol: -1}
+	ctx.Row, ctx.Col = c.SplitGrid(topo.Rows, topo.Cols)
+	if me := c.Rank(); me < topo.Count() {
 		ctx.InGrid = true
 		ctx.MyRow = me / topo.Cols
 		ctx.MyCol = me % topo.Cols
-		ctx.Row = c.Split(ctx.MyRow, ctx.MyCol)
-		ctx.Col = c.Split(topo.Rows+ctx.MyCol, ctx.MyRow)
-	} else {
-		ctx.MyRow, ctx.MyCol = -1, -1
-		c.Split(-1, 0) // row split
-		c.Split(-1, 0) // col split
 	}
 	return ctx, nil
 }

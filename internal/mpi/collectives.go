@@ -151,7 +151,8 @@ func (c *Comm) AllgatherFloats(xs []float64) [][]float64 {
 // each rank, indexed by source rank. Empty or nil buffers are allowed.
 // Every buffer is handed over by reference, the caller's own one included:
 // the caller gives up sendbufs and must not write to any of its buffers
-// afterwards, and the slices returned are the senders' buffers, to be read
+// until every receiver is provably done reading (a Barrier after the
+// reads), and the slices returned are the senders' buffers, to be read
 // only. The buffers may share one backing array.
 func (c *Comm) Alltoallv(sendbufs [][]float64) [][]float64 {
 	if len(sendbufs) != c.Size() {

@@ -113,7 +113,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			}
 			return group[i].rank < group[j].rank
 		})
-		ctx := c.world.allocCtx()
+		ctx := c.world.allocCtx(1)
 		procs := make([]*proc, len(group))
 		for i, e := range group {
 			procs[i] = c.procs[e.rank]
@@ -149,6 +149,36 @@ func (c *Comm) Sub(ranks []int) *Comm {
 		}
 	}
 	return c.Split(color, key)
+}
+
+// SplitGrid carves the row and column communicators of a rows x cols
+// process grid laid over ranks 0..rows*cols-1 of c in row-major order: it
+// returns what Split(rank/cols, rank%cols) and Split(rows+rank%cols,
+// rank/cols) return, in one broadcast instead of two gathers. Rank 0
+// reserves the grid's rows+cols context ids — rows first, then columns —
+// and broadcasts the first; every rank then builds its own two
+// communicators from c's members. Ranks outside the grid get nil for both.
+// Collective: every rank of c must call it with the same shape.
+func (c *Comm) SplitGrid(rows, cols int) (row, col *Comm) {
+	if rows <= 0 || cols <= 0 || rows*cols > c.Size() {
+		panic(fmt.Sprintf("mpi: SplitGrid %dx%d over %d ranks", rows, cols, c.Size()))
+	}
+	base := 0
+	if c.rank == 0 {
+		base = c.world.allocCtx(rows + cols)
+	}
+	base = c.BcastInt(0, base)
+	if c.rank >= rows*cols {
+		return nil, nil
+	}
+	r, q := c.rank/cols, c.rank%cols
+	colProcs := make([]*proc, rows)
+	for i := range colProcs {
+		colProcs[i] = c.procs[i*cols+q]
+	}
+	row = &Comm{world: c.world, proc: c.proc, ctx: base + r, procs: c.procs[r*cols : (r+1)*cols : (r+1)*cols], rank: q}
+	col = &Comm{world: c.world, proc: c.proc, ctx: base + rows + q, procs: colProcs, rank: r}
+	return row, col
 }
 
 // Internal tags used by collective implementations. User tags must be >= 0.

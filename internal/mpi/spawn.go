@@ -53,7 +53,7 @@ func (c *Comm) Spawn(k int, fn func(*Intercomm) error) *Intercomm {
 		info = spawnInfo{
 			children:  children,
 			childCtx:  childCtx,
-			mergedCtx: c.world.allocCtx(),
+			mergedCtx: c.world.allocCtx(1),
 		}
 	}
 	info = c.Bcast(0, info).(spawnInfo)

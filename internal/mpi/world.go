@@ -77,12 +77,13 @@ func (w *World) allocProcs(n int) (procs []*proc, ctx int) {
 	return procs, ctx
 }
 
-// allocCtx reserves a fresh communicator context id.
-func (w *World) allocCtx() int {
+// allocCtx reserves n fresh, consecutive communicator context ids and
+// returns the first.
+func (w *World) allocCtx(n int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ctx := w.nextCtx
-	w.nextCtx++
+	w.nextCtx += n
 	return ctx
 }
 

@@ -17,12 +17,13 @@
 // communicating pair per step — so a k-array application pays 1/k of the
 // per-array message count at every resize. It moves each float as few times
 // as distributed memory allows: a float that changes rank is packed into a
-// pooled wire buffer, handed to the receiver by reference and unpacked out
-// of it (two copies); a float the rank keeps goes block row to block row
-// (one copy); and ExecuteInto writes the new pieces into storage the caller
-// recycles. The ownership rule: a sender never touches a wire buffer after
-// Send, and only the receiver, once it has unpacked, returns it to the
-// pool. Tests check every execution against blockcyclic.Distribute.
+// wire buffer from the mpi float arena, handed to the receiver by
+// reference and unpacked out of it (two copies); a float the rank keeps
+// goes block row to block row (one copy); and ExecuteInto writes the new
+// pieces into storage the caller recycles, or into arena buffers. The
+// ownership rule: a sender never touches a wire buffer after Send, and
+// only the receiver, once it has unpacked, returns it to the arena. Tests
+// check every execution against blockcyclic.Distribute.
 //
 // See DESIGN.md at the repository root for where redistribution sits in
 // the resize pipeline.

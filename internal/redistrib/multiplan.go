@@ -2,8 +2,6 @@ package redistrib
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"repro/internal/blockcyclic"
 	"repro/internal/mpi"
@@ -144,29 +142,6 @@ func (s *Stats) Add(other Stats) {
 	s.FloatsCopied += other.FloatsCopied
 }
 
-// wireBufs recycles the fused wire buffers, one sync.Pool per power-of-two
-// capacity class so a Get never returns a buffer that is too small. A buffer
-// has one owner at a time: the sender takes it, packs it, hands it to
-// mpi.Comm.Send by reference and never touches it again; the receiver
-// unpacks it and is the only side that returns it. Recycled buffers are not
-// cleared — pack overwrites every float it sends.
-var wireBufs [bits.UintSize]sync.Pool
-
-// getWire returns an empty buffer with room for n (> 0) floats.
-func getWire(n int) []float64 {
-	class := bits.Len(uint(n - 1))
-	if p, _ := wireBufs[class].Get().(*[]float64); p != nil {
-		return (*p)[:0]
-	}
-	return make([]float64, 0, 1<<class)
-}
-
-// putWire returns a (non-empty) buffer the caller has finished unpacking to
-// the pool.
-func putWire(buf []float64) {
-	wireBufs[bits.Len(uint(cap(buf)))-1].Put(&buf)
-}
-
 // frame fills sizes[a] with each array's float count for the block class
 // (row pair ri, column pair ci) — the framing offsets of the step's fused
 // buffer — and returns their sum.
@@ -182,7 +157,8 @@ func (mp *MultiPlan) frame(sizes []int, ri, ci int) (total int) {
 // caller's local piece of each array in plan order (entries may be nil on
 // ranks outside the source grid or with empty local pieces); the result
 // holds the new local pieces (nil entries on ranks outside the destination
-// grid), freshly allocated, plus the rank's traffic. srcData is only read.
+// grid), taken from the mpi float arena and owned by the caller, plus the
+// rank's traffic. srcData is only read.
 func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64, Stats) {
 	dst := make([][]float64, len(mp.arrays))
 	return dst, mp.ExecuteInto(c, srcData, dst)
@@ -193,18 +169,21 @@ func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64
 // ranks outside the destination grid). An entry with enough capacity is
 // resliced and overwritten in full — it need not be zeroed, because the
 // block classes of the inbound steps tile the destination piece exactly —
-// and any other entry is allocated. dst[a] must not share storage with
-// srcData[a], which is only read.
+// and any other entry is replaced by a buffer from the mpi float arena (the
+// entry it replaces stays the caller's). dst[a] must not share storage
+// with srcData[a], which is only read.
 //
 // Collective over c: ranks 0..P-1 of c hold the source grid (row-major)
 // and ranks 0..Q-1 the destination grid. Every float is copied as few
 // times as the distributed-memory model allows: a remote float twice
-// (packed into a pooled wire buffer that is handed to the receiver by
-// reference, unpacked out of it), a float the rank keeps across the resize
+// (packed into a wire buffer from the arena that is handed to the receiver
+// by reference, unpacked out of it), a float the rank keeps across the resize
 // once (block row to block row). The rank first packs and posts every send
 // — sends are eager and the mailbox is unbounded, so nothing is gained by
 // posting receives ahead of them — then receives step by step, unpacking
-// each delivered buffer and returning it to the pool. A MultiPlan is
+// each delivered buffer and returning it to the arena: the sender never
+// touches a wire buffer after Send, so the receiver, once it has unpacked,
+// is its only owner. A MultiPlan is
 // immutable, so one plan may be executed by every rank concurrently.
 func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 	base := &mp.arrays[0]
@@ -228,7 +207,7 @@ func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 		if !inDst {
 			dst[a] = nil
 		} else if n := arr.dst.LocalSize(me); dst[a] == nil || cap(dst[a]) < n {
-			dst[a] = make([]float64, n)
+			dst[a] = mpi.GetFloats(n)
 		} else {
 			dst[a] = dst[a][:n]
 		}
@@ -274,7 +253,7 @@ func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 				stats.FloatsCopied += total
 				continue
 			}
-			buf := getWire(total)
+			buf := mpi.GetFloats(total)[:0]
 			for a := range mp.arrays {
 				buf = mp.arrays[a].packAppend(buf, srcData[a], sc, ri, ci)
 			}
@@ -313,7 +292,7 @@ func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 				mp.arrays[a].unpack(buf[off:off+sizes[a]], dst[a], dc, ri, ci)
 				off += sizes[a]
 			}
-			putWire(buf)
+			mpi.PutFloats(buf)
 			stats.MessagesRecv++
 			stats.FloatsRecv += total
 		}

@@ -31,7 +31,10 @@
 // rank of a job, the ranks an expansion spawns and every later job with
 // the same shapes execute one shared, immutable plan, built once by the
 // first rank to ask, so repeated oscillation between the same grids pays
-// the schedule-table construction once per process. Measured costs are additionally kept as
+// the schedule-table construction once per process. New pieces come from
+// the mpi float arena, and a session returns the storage it alone owns — a
+// spare too small for the next piece, a retired rank's pieces and, at
+// Done, every spare. Measured costs are additionally kept as
 // perfmodel.RedistObservation records (see RedistObservations) to calibrate
 // the analytic redistribution model against real executions.
 //

@@ -65,10 +65,13 @@ var _ Scheduler = (*scheduler.Server)(nil)
 // Data holds the calling rank's local piece under the session's current
 // topology (nil on ranks outside the grid).
 //
-// A resize replaces Data with a different slice, and the storage behind the
-// old one is recycled as the destination of the resize after that. Fetch
-// Data after every resize point; a slice taken before one is invalid after
-// it, even though it may still read plausibly for a while.
+// A resize replaces Data with a different slice. The storage behind the old
+// one becomes a spare the session owns: it is the destination of the
+// resize after that, or it goes back to the mpi float arena (when too
+// small for the next piece, when the rank retires and at Done) and may
+// then hold any rank's data. Fetch Data after every resize point; a slice
+// taken before one is invalid after it. Data itself is never recycled at
+// job end.
 type Array struct {
 	Name   string
 	M, N   int
@@ -233,12 +236,23 @@ func (s *Session) Log(iterTime float64) float64 {
 func (s *Session) LogRecords() []IterationRecord { return s.log }
 
 // Done signals job completion to the scheduler (rank 0 only; other ranks
-// no-op), mirroring the application monitor's job-end message.
+// no-op), mirroring the application monitor's job-end message, and returns
+// the session's spare pieces to the arena. Array.Data stays the caller's.
 func (s *Session) Done() error {
+	s.recycleSpares()
 	if s.comm.Rank() == 0 {
 		return s.client.JobEnd(context.Background(), s.jobID)
 	}
 	return nil
+}
+
+// recycleSpares returns every array's spare piece, which only the session
+// holds, to the arena.
+func (s *Session) recycleSpares() {
+	for _, a := range s.arrays {
+		mpi.PutFloats(a.spare)
+		a.spare = nil
+	}
 }
 
 // ContactScheduler is the advanced API: rank 0 reports (iterTime,
@@ -423,7 +437,10 @@ func (s *Session) ShrinkProcessors(target grid.Topology) (Status, error) {
 	}
 	sub := s.comm.Sub(survivors)
 	if sub == nil {
-		// This rank was shrunk away; it holds no data and must exit.
+		// This rank was shrunk away and must exit. The redistribution
+		// packed every float it held into wire buffers of its own, so no
+		// rank reads its old pieces again: they go back to the arena.
+		s.recycleSpares()
 		return Retired, nil
 	}
 	ctx, err := blacs.New(sub, target)
@@ -538,8 +555,17 @@ func (s *Session) redistribute(comm *mpi.Comm, from, to grid.Topology) error {
 	start := time.Now()
 	srcData := make([][]float64, len(s.arrays))
 	newData := make([][]float64, len(s.arrays))
+	me := comm.Rank()
 	for i, a := range s.arrays {
 		srcData[i], newData[i] = a.Data, a.spare
+		// A spare too small for the new piece goes back to the arena, and
+		// ExecuteInto takes the piece from there instead. The session is
+		// the spare's only owner: no rank reads a piece after the
+		// redistribution that moved out of it.
+		if me >= to.Count() || cap(a.spare) < a.LayoutFor(to).LocalSize(me) {
+			mpi.PutFloats(a.spare)
+			newData[i] = nil
+		}
 	}
 	stats := mp.ExecuteInto(comm, srcData, newData)
 	for i, a := range s.arrays {

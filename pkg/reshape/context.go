@@ -50,8 +50,8 @@ func (rc *Context) RegisterArray(name string, m, n, mb, nb int) *resize.Array {
 func (rc *Context) Array(name string) (*resize.Array, bool) { return rc.s.Array(name) }
 
 // FillArray populates the rank's local piece of a registered array from a
-// global-index function. Ranks outside the current grid hold no data and
-// are left untouched.
+// global-index function, in storage taken from the mpi float arena. Ranks
+// outside the current grid hold no data and are left untouched.
 func (rc *Context) FillArray(a *resize.Array, f func(i, j int) float64) {
 	l := a.LayoutFor(rc.s.Topo())
 	rank := rc.s.Comm().Rank()
@@ -66,7 +66,7 @@ func (rc *Context) FillArray(a *resize.Array, f func(i, j int) float64) {
 	for lj := range gjs {
 		_, gjs[lj] = l.LocalToGlobal(pr, pc, 0, lj)
 	}
-	a.Data = make([]float64, rows*cols)
+	a.Data = mpi.GetFloats(rows * cols) // every element is written below
 	for li := 0; li < rows; li++ {
 		gi, _ := l.LocalToGlobal(pr, pc, li, 0)
 		row := a.Data[li*cols : (li+1)*cols]

@@ -33,9 +33,10 @@
 // every topology change; replicated buffers are re-broadcast from rank 0.
 //
 // A resize gives every registered array a new Data slice and recycles the
-// storage behind the old one at the resize after that. Read Array.Data (and
-// Replicated buffers) afresh in every Iterate, as the example does; a slice
-// taken before a resize point is invalid after it.
+// storage behind the old one, at the resize after that or through the
+// process-wide float arena, where any job may reuse it. Read Array.Data
+// (and Replicated buffers) afresh in every Iterate, as the example does; a
+// slice taken before a resize point is invalid after it.
 //
 // An App that also implements ResizeHandler is notified after every
 // topology change (and on ranks that just spawned). Typed lifecycle Events
