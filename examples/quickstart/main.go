@@ -72,12 +72,11 @@ func main() {
 	})
 
 	// Submit a 32x32 LU job starting on 1x2 processors; its configuration
-	// chain allows growth up to the full pool. reshape.Submit works against
-	// any scheduler transport; WithPriority orders the wait queue and feeds
-	// cluster-wide arbitration.
+	// chain allows growth up to the full pool. Priority orders the wait
+	// queue and feeds cluster-wide arbitration.
 	ctx := context.Background()
 	start := grid.Topology{Rows: 1, Cols: 2}
-	jobID, err := reshape.Submit(ctx, srv, scheduler.JobSpec{
+	jobID, err := srv.Submit(ctx, scheduler.JobSpec{
 		Name:        "quickstart-lu",
 		App:         "lu",
 		ProblemSize: 32,
@@ -85,7 +84,8 @@ func main() {
 		Iterations:  6,
 		InitialTopo: start,
 		Chain:       grid.GrowthChain(start, 32, procs),
-	}, reshape.WithPriority(1))
+		Priority:    1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

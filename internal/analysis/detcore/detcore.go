@@ -65,7 +65,7 @@ var ReplayRoots = []string{
 	"Core.Apply",       // scheduler: the replay entry point
 	"Recovery.Restore", // durability: drives Core.Apply over the journal tail
 	"Store.Append",     // durability: runs inside the journal hook, under the scheduler lock
-	"Store.Commit",     // durability: leader/follower among its callers, and the scheduler Server's committer is the one caller; it starts no goroutine of its own
+	"Store.Commit",     // durability: the scheduler Server's committer is its one caller; it writes and fsyncs on that goroutine and starts none of its own
 }
 
 // Analyzer is the detcore invariant suite.

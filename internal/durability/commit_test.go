@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -785,6 +786,146 @@ func TestGroupCommitBatchesOnlyUnderConcurrency(t *testing.T) {
 		requireSameState(t, p.core, recovered)
 		if err := st2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// coverSeam is a slow fsync that remembers, per segment, the most bytes a
+// finished flush covered, and the most flushes it ever saw at once.
+type coverSeam struct {
+	mu             sync.Mutex
+	covered        map[string]int64
+	inflight, most int
+}
+
+func (g *coverSeam) fsync(f *os.File) error {
+	// Only what was written before the flush began is covered by it. A
+	// segment closed under the flush fails here or in Sync.
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	g.mu.Lock()
+	g.inflight++
+	g.most = max(g.most, g.inflight)
+	g.mu.Unlock()
+	time.Sleep(300 * time.Microsecond)
+	err = f.Sync()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.inflight--
+	if err == nil {
+		g.covered[f.Name()] = max(g.covered[f.Name()], fi.Size())
+	}
+	return err
+}
+
+// TestConcurrentCommitCallers: Commit's one caller in the daemon is the
+// scheduler Server's committer, but the Store stays correct under many.
+// Eight goroutines each Append then Commit while snapshots rotate the log
+// under them: every Commit returns only once its own record is flushed, no
+// rotation closes a segment under an in-flight flush, and the directory
+// recovers to every committed op.
+func TestConcurrentCommitCallers(t *testing.T) {
+	const workers, each = 8, 40
+	var (
+		mu       sync.Mutex // orders Append (and Snapshot) against appended
+		appended []scheduler.Op
+	)
+	core := scheduler.NewCore(4, true)
+	dir := t.TempDir()
+	st, _, err := Open(dir, Options{Sync: SyncAlways, Capture: func() (*scheduler.CoreState, uint64) {
+		// Snapshot runs with mu held: seq is the record index it covers.
+		return core.PersistState(), uint64(len(appended))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seam := &coverSeam{covered: map[string]int64{}}
+	st.w.fsync = seam.fsync
+
+	done := make(chan struct{})
+	snapped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { snapped <- n }()
+		for {
+			mu.Lock()
+			err := st.Snapshot(0)
+			mu.Unlock()
+			if err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
+			}
+			n++
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				op := scheduler.Op{Kind: scheduler.OpContact, Now: float64(i), JobID: w, Topo: grid.Row1D(1 + i%4), IterTime: 1}
+				mu.Lock()
+				err := st.Append(op)
+				appended = append(appended, op)
+				// The record ends at this offset of this segment.
+				st.mu.Lock()
+				path, end := st.w.f.Name(), st.w.size
+				st.mu.Unlock()
+				mu.Unlock()
+				if err != nil {
+					t.Errorf("worker %d append %d: %v", w, i, err)
+					return
+				}
+				if err := st.Commit(); err != nil {
+					t.Errorf("worker %d commit %d: %v", w, i, err)
+					return
+				}
+				seam.mu.Lock()
+				covered := seam.covered[path]
+				seam.mu.Unlock()
+				if covered < end {
+					t.Errorf("worker %d commit %d returned with %s flushed to byte %d, its record ends at %d", w, i, path, covered, end)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	snaps := <-snapped
+	if t.Failed() {
+		return
+	}
+	if seam.most < 2 {
+		t.Fatalf("at most %d flush in flight at once: the commits never overlapped", seam.most)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if snaps == 0 || rec.State == nil {
+		t.Fatalf("%d snapshots taken, recovered from none", snaps)
+	}
+	if len(appended) != workers*each || rec.seq+uint64(len(rec.Ops)) != uint64(len(appended)) {
+		t.Fatalf("recovered snapshot at record %d plus %d records, want %d committed", rec.seq, len(rec.Ops), len(appended))
+	}
+	for i, op := range rec.Ops {
+		if want := appended[int(rec.seq)+i]; !reflect.DeepEqual(op, want) {
+			t.Fatalf("recovered record %d = %+v, committed %+v", int(rec.seq)+i, op, want)
 		}
 	}
 }

@@ -20,11 +20,11 @@ var ErrReplay = errors.New("durability: journal replay diverged")
 // ErrFailed marks a store that stopped after a write or fsync error. The
 // failing op's bytes may or may not be on disk and, once the commit is
 // deferred, the op is already applied in memory, so nothing after it can be
-// acknowledged: every waiting and later Append and Commit returns an error
-// wrapping ErrFailed, and the process must exit and recover from what the
-// disk holds. The store never retries a failed flush (after a failed fsync
-// the kernel may have dropped the dirty pages; a second fsync that succeeds
-// proves nothing).
+// acknowledged: every in-flight and later Append and Commit returns an
+// error wrapping ErrFailed, and the process must exit and recover from what
+// the disk holds. The store never retries a failed flush (after a failed
+// fsync the kernel may have dropped the dirty pages; a second fsync that
+// succeeds proves nothing).
 var ErrFailed = errors.New("durability: store failed")
 
 var errClosed = errors.New("durability: store closed")
@@ -56,7 +56,7 @@ type Options struct {
 // lock held, and its committer calls Commit while the apply goroutine goes
 // on appending; the Store's mutex orders both against each other, the
 // background sync loop and explicit Snapshot calls. The one thing done
-// outside the mutex is a commit leader's fsync.
+// outside the mutex is Commit's fsync.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -68,12 +68,11 @@ type Store struct {
 	stop     chan struct{}
 	loopDone chan struct{}
 
-	// Group commit (see Commit). synced is signalled whenever w.durable
-	// advances, a leader's fsync ends or the store fails.
-	synced *sync.Cond
-	// syncing is set while a commit leader fsyncs outside mu. Rotation and
-	// Close wait for it to clear before they close the file.
-	syncing bool
+	// syncing counts the Commit fsyncs running outside mu; synced is
+	// signalled when it drops to zero. Rotation and Close wait for that
+	// before they close the file.
+	syncing int
+	synced  *sync.Cond
 	// committing is set by the first Commit call: the consumer has shown it
 	// commits itself, so Append stops writing and flushing inline.
 	committing bool
@@ -301,18 +300,16 @@ func (s *Store) Append(op scheduler.Op) error {
 // Commit blocks until every record appended before the call is on stable
 // storage: the second half of a durable write, which the scheduler
 // Server's committer calls before it publishes or acknowledges anything the
-// ops produced. It is the scheduler.CommitFunc Restore installs. The caller
-// that flushes first writes every pending frame in one write; under every
-// sync policy a committed record is at least in the page cache.
+// ops produced. It is the scheduler.CommitFunc Restore installs. Each call
+// writes every pending frame in one write, so under every sync policy a
+// committed record is at least in the page cache.
 //
-// Concurrent callers share fsyncs, leader/follower: a caller that finds no
-// fsync in flight becomes the leader, notes how many records are written,
-// flushes the segment with the mutex released (appends continue behind it)
-// and then marks those records durable and wakes everyone; a caller that
-// finds one in flight waits for it, and leads the next one itself if its
-// records were written too late to be covered. The Server's one committer
-// never finds a flush in flight, so each of its calls is one write and at
-// most one fsync, covering everything appended since the last.
+// Under SyncAlways the call then flushes the segment with the mutex
+// released (appends continue behind it) and marks every record it found
+// written durable. Concurrent callers stay correct, each waiting for an
+// fsync that began after its records were written, but they do not share
+// one: batching is the Server's, whose one committer covers everything
+// appended since its last call with one write and at most one fsync.
 //
 // Under SyncInterval and SyncNone durability is not part of the
 // acknowledgement, and Commit writes the pending frames and flushes
@@ -324,29 +321,30 @@ func (s *Store) Commit() error {
 	if s.opts.Sync != SyncAlways {
 		return s.writeLocked()
 	}
-	target := s.w.index
-	for s.failed == nil && s.w.durable < target && s.syncing {
-		s.synced.Wait()
-	}
-	if s.failed != nil || s.w.durable >= target {
+	if s.failed != nil || s.w.durable >= s.w.index {
 		return s.failed
 	}
 	if err := s.writeLocked(); err != nil {
 		return err
 	}
-	// Close flushes everything written before it closes the file, so a
-	// commit that finds records still to flush finds the file still open.
+	// Rotation and Close wait for syncing to reach zero before they close
+	// the file, so f stays open until the flush below returns.
 	cover, f := s.w.index, s.w.f
-	s.syncing = true
+	s.syncing++
 	s.mu.Unlock()
 	err := s.w.syncFile(f)
 	s.mu.Lock()
-	s.syncing = false
+	if s.syncing--; s.syncing == 0 {
+		s.synced.Broadcast()
+	}
 	if err != nil {
 		return s.failLocked(err)
 	}
-	s.markDurableLocked(cover)
-	return nil
+	// A flush that failed meanwhile makes this one prove nothing.
+	if s.failed == nil {
+		s.markDurableLocked(cover)
+	}
+	return s.failed
 }
 
 // usableLocked reports why the store can take no more records, if it cannot.
@@ -360,15 +358,13 @@ func (s *Store) usableLocked() error {
 	return nil
 }
 
-// failLocked latches the store's first write or fsync error and wakes every
-// committer to see it.
+// failLocked latches the store's first write or fsync error.
 func (s *Store) failLocked(err error) error {
 	if s.failed == nil {
 		s.failed = fmt.Errorf("%w: %w", ErrFailed, err)
 		close(s.failedCh)
 		s.opts.Logf("%v", s.failed)
 	}
-	s.synced.Broadcast()
 	return s.failed
 }
 
@@ -382,7 +378,6 @@ func (s *Store) markDurableLocked(cover uint64) {
 			s.maxBatch.Store(batch)
 		}
 	}
-	s.synced.Broadcast()
 }
 
 // writeLocked writes the pending frames. A store whose flush failed still
@@ -409,10 +404,10 @@ func (s *Store) syncLocked() error {
 	return nil
 }
 
-// quiesceLocked waits out a commit leader's fsync: the segment file must
-// not be closed under it.
+// quiesceLocked waits out every in-flight Commit fsync: the segment file
+// must not be closed under one.
 func (s *Store) quiesceLocked() {
-	for s.syncing {
+	for s.syncing > 0 {
 		s.synced.Wait()
 	}
 }

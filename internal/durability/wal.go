@@ -18,9 +18,8 @@ type SyncPolicy int
 const (
 	// SyncAlways acknowledges an operation only after an fsync that began
 	// after its record was written has completed: no acknowledged operation
-	// can be lost. A consumer that calls Store.Commit (the scheduler Server)
-	// shares one such fsync among every op written before it started — group
-	// commit; one that only calls Append gets one fsync inside each Append.
+	// can be lost. Each Store.Commit flushes every op written before it
+	// (group commit); a consumer that never commits fsyncs in each Append.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval batches fsyncs on a timer (Store's SyncInterval): a
 	// crash can lose the last interval's acknowledged operations, but
@@ -90,8 +89,8 @@ func parseIndexed(name, prefix, suffix string) (uint64, bool) {
 }
 
 // wal is one open write-ahead log segment. Every field is guarded by the
-// Store's mutex; the one thing done outside it is a group-commit leader's
-// fsync of f, which rotate and close wait out before closing the file.
+// Store's mutex; the one thing done outside it is Commit's fsync of f,
+// which rotate and close wait out before closing the file.
 type wal struct {
 	dir string
 
@@ -158,8 +157,8 @@ func (w *wal) writePending() error {
 const keepPending = 1 << 20
 
 // syncFile flushes f, the open segment file as the caller read it under
-// the Store's mutex. It touches no other field, so a group-commit leader
-// may call it with the mutex released.
+// the Store's mutex. It touches no other field, so Commit may call it with
+// the mutex released.
 func (w *wal) syncFile(f *os.File) error {
 	if err := w.fsync(f); err != nil {
 		return fmt.Errorf("durability: fsync %s: %w", f.Name(), err)

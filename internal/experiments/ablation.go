@@ -99,32 +99,16 @@ func ScheduleAblation() []ScheduleAblationRow {
 	for _, tr := range transitions {
 		rows = append(rows, ScheduleAblationRow{
 			Transition:      fmt.Sprintf("%s->%s", tr.from, tr.to),
-			CirculantSteps:  dimSteps(tr.from.Rows, tr.to.Rows) * dimSteps(tr.from.Cols, tr.to.Cols),
+			CirculantSteps:  grid.CirculantSteps(tr.from, tr.to),
 			NaiveContention: naiveContention(tr.from, tr.to),
 		})
 	}
 	return rows
 }
 
-func dimSteps(p, q int) int {
-	g := gcd(p, q)
-	a, b := p/g, q/g
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 func naiveContention(from, to grid.Topology) int {
-	r := from.Rows / gcd(from.Rows, to.Rows)
-	c := from.Cols / gcd(from.Cols, to.Cols)
+	r := from.Rows / grid.GCD(from.Rows, to.Rows)
+	c := from.Cols / grid.GCD(from.Cols, to.Cols)
 	if r < 1 {
 		r = 1
 	}

@@ -61,6 +61,25 @@ func (t Topology) Normalized() Topology {
 // (row-distributed data).
 func Row1D(p int) Topology { return Topology{Rows: p, Cols: 1} }
 
+// GCD returns the greatest common divisor of a and b.
+func GCD(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// CirculantSteps counts the contention-free communication steps of the 2-D
+// generalized circulant schedule that moves a block-cyclic array from one
+// grid to another: the product of each dimension's step count.
+func CirculantSteps(from, to Topology) int {
+	return dimSteps(from.Rows, to.Rows) * dimSteps(from.Cols, to.Cols)
+}
+
+// dimSteps is one dimension's step count from p to q processors,
+// max(p,q)/gcd(p,q): the degree of its bipartite communication graph.
+func dimSteps(p, q int) int { return max(p, q) / GCD(p, q) }
+
 // Divisors returns the sorted positive divisors of n.
 func Divisors(n int) []int {
 	if n <= 0 {

@@ -155,7 +155,7 @@ func (p *Params) RedistTime(m AppModel, from, to grid.Topology) float64 {
 		bw = p.RedistBandwidth
 	}
 	minP := math.Min(float64(from.Count()), float64(to.Count()))
-	steps := float64(scheduleSteps(from, to))
+	steps := float64(grid.CirculantSteps(from, to))
 	return bytes/(bw*math.Pow(minP, p.RedistCommExp)) + steps*p.Latency
 }
 
@@ -229,26 +229,4 @@ func (p *Params) CalibrateRedist(obs []RedistObservation) int {
 		p.RedistBandwidth = (ests[mid-1] + ests[mid]) / 2
 	}
 	return len(ests)
-}
-
-// scheduleSteps counts the contention-free communication steps of the 2-D
-// circulant schedule between two grids.
-func scheduleSteps(from, to grid.Topology) int {
-	return dimSteps(from.Rows, to.Rows) * dimSteps(from.Cols, to.Cols)
-}
-
-func dimSteps(p, q int) int {
-	g := gcd(p, q)
-	a, b := p/g, q/g
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

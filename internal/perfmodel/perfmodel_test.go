@@ -274,7 +274,7 @@ func TestCalibrateRedistRecoversBandwidth(t *testing.T) {
 	// matching volume between grids with the observed minP and steps.
 	m := AppModel{App: "lu", N: 10000} // 8e8 bytes
 	got := p.RedistTime(m, topo(2, 2), topo(3, 4))
-	want := 8e8/(trueBW*math.Pow(4, p.RedistCommExp)) + float64(scheduleSteps(topo(2, 2), topo(3, 4)))*p.Latency
+	want := 8e8/(trueBW*math.Pow(4, p.RedistCommExp)) + float64(grid.CirculantSteps(topo(2, 2), topo(3, 4)))*p.Latency
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("RedistTime after calibration = %.6f, want %.6f", got, want)
 	}

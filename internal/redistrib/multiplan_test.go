@@ -112,6 +112,31 @@ func TestMultiPlanDifferentialRandomized(t *testing.T) {
 	}
 }
 
+// TestCirculantStepsMatchesThePlan holds grid.CirculantSteps, the step
+// count the performance model and the schedule ablation use, to the
+// schedule a MultiPlan actually executes, for every pair of grids up to 6×6.
+func TestCirculantStepsMatchesThePlan(t *testing.T) {
+	var grids []grid.Topology
+	for r := 1; r <= 6; r++ {
+		for c := 1; c <= 6; c++ {
+			grids = append(grids, grid.Topology{Rows: r, Cols: c})
+		}
+	}
+	for _, from := range grids {
+		for _, to := range grids {
+			mp, err := NewMultiPlan(
+				[]blockcyclic.Layout{{M: 6, N: 6, MB: 1, NB: 1, Grid: from}},
+				[]blockcyclic.Layout{{M: 6, N: 6, MB: 1, NB: 1, Grid: to}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := grid.CirculantSteps(from, to), mp.Steps(); got != want {
+				t.Errorf("%v -> %v: CirculantSteps %d, plan has %d steps", from, to, got, want)
+			}
+		}
+	}
+}
+
 func TestMultiPlanSingleArray(t *testing.T) {
 	src := []blockcyclic.Layout{{M: 13, N: 11, MB: 3, NB: 2, Grid: grid.Topology{Rows: 2, Cols: 2}}}
 	dst := []blockcyclic.Layout{{M: 13, N: 11, MB: 3, NB: 2, Grid: grid.Topology{Rows: 3, Cols: 2}}}

@@ -1,17 +1,11 @@
 package redistrib
 
+import "repro/internal/grid"
+
 // Pair is one source->destination transfer within a communication step.
 // Src indexes the old processor set and Dst the new one.
 type Pair struct {
 	Src, Dst int
-}
-
-// gcd returns the greatest common divisor of a and b.
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // Schedule1D computes the contention-free communication schedule for
@@ -27,7 +21,7 @@ func Schedule1D(p, q int) [][]Pair {
 	if p <= 0 || q <= 0 {
 		return nil
 	}
-	g := gcd(p, q)
+	g := grid.GCD(p, q)
 	m, n := p/g, q/g
 	steps := m
 	if n > m {

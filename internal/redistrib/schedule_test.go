@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/grid"
 )
 
 // Oracles: the schedule and block-class properties the executor relies on,
@@ -41,7 +43,7 @@ func maxContention(sched [][]Pair) (send, recv int) {
 // validateSchedule checks that a schedule covers each communicating pair
 // exactly once.
 func validateSchedule(sched [][]Pair, p, q int) error {
-	g := gcd(p, q)
+	g := grid.GCD(p, q)
 	seen := make(map[Pair]bool)
 	for _, step := range sched {
 		for _, pr := range step {
@@ -147,7 +149,7 @@ func TestScheduleStepCountIsOptimal(t *testing.T) {
 	f := func(rawP, rawQ uint8) bool {
 		p := int(rawP%24) + 1
 		q := int(rawQ%24) + 1
-		g := gcd(p, q)
+		g := grid.GCD(p, q)
 		want := p / g
 		if q/g > want {
 			want = q / g

@@ -5,10 +5,10 @@
 // and a streaming Watch subscription. A connection's read loop queues the
 // five unary mutations straight onto the scheduler's ordered pipeline
 // (scheduler.Server.Enqueue), whose completions queue their replies for
-// the connection's writer goroutine; Wait, Status and Watch run
-// concurrently on dispatch workers. Frames are hand-encoded in package codec's varint
-// vocabulary, the one the WAL writes, and a unary round trip allocates
-// nothing in steady state. A connection must open with MagicV2; any other
+// the connection's writer goroutine; Wait, Status and Watch each run
+// concurrently on a goroutine of their own. Frames are hand-encoded in
+// package codec's varint vocabulary, the one the WAL writes, and a unary
+// round trip allocates nothing in steady state. A connection must open with MagicV2; any other
 // first byte is counted malformed and the connection closed unanswered.
 // The typed client lives in package reshape.
 package rpc
@@ -83,11 +83,6 @@ type Server struct {
 	limits     Limits
 	admMu      sync.Mutex
 	admTenants map[string]*admEntry
-
-	// work hands a decoded request to a parked dispatch worker;
-	// idleWorkers counts the parked ones (see dispatchWorker).
-	work        chan v2req
-	idleWorkers atomic.Int32
 }
 
 // ServerOption configures Serve.
@@ -114,7 +109,6 @@ func Serve(addr string, sched *scheduler.Server, opts ...ServerOption) (*Server,
 		baseCtx: ctx,
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
-		work:    make(chan v2req),
 	}
 	for _, o := range opts {
 		o(s)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -300,5 +301,138 @@ func TestAcceptLoopBacksOffAfterListenerClose(t *testing.T) {
 	// produce at most ~7 attempts; hot-spinning would produce thousands.
 	if st.AcceptErrors > 20 {
 		t.Fatalf("accept loop hot-spinning: %d errors in 50ms", st.AcceptErrors)
+	}
+}
+
+// TestV2DispatchedRequestLifecycle drives the requests that run off the
+// scheduler's pipeline, each on a goroutine of its own: 1 000 concurrent
+// Status, Wait and Watch requests on one connection, every Wait and Watch
+// then cancelled by OpCancel. Every request gets exactly one final reply;
+// an ID is refused while its request is in flight and accepted again once
+// its final reply has been read; and after Close no goroutine is left.
+func TestV2DispatchedRequestLifecycle(t *testing.T) {
+	const n = 1000
+	sched := scheduler.NewServer(4, false, nil)
+	job, err := sched.Submit(context.Background(), scheduler.JobSpec{
+		Name: "j", App: "mw", Iterations: 1,
+		InitialTopo: grid.Row1D(2), Chain: []grid.Topology{grid.Row1D(2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	srv, err := Serve("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, fw, fr := dialV2(t, srv.Addr())
+	replies := make(chan Reply, 4*n)
+	go func() {
+		defer close(replies)
+		for {
+			var r Reply
+			if err := fr.Read(&r); err != nil {
+				return
+			}
+			replies <- r
+		}
+	}()
+	send := func(f Frame) {
+		t.Helper()
+		if err := fw.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// finals[id] lists the final replies id got, refused[id] counts the
+	// refusals of a reused id.
+	finals := map[uint64][]Reply{}
+	refused := map[uint64]int{}
+	got := 0
+	// await files replies until want finals and refusals have come in.
+	await := func(want int) {
+		t.Helper()
+		for got < want {
+			var r Reply
+			select {
+			case r = <-replies:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d of %d replies after a 10s silence", got, want)
+			}
+			switch {
+			case !r.Final && r.Event != nil:
+				continue // a watch event
+			case !r.Final:
+				t.Fatalf("non-final reply %+v", r)
+			case r.Code == CodeBadRequest:
+				refused[r.ID]++
+			default:
+				finals[r.ID] = append(finals[r.ID], r)
+			}
+			got++
+		}
+	}
+	op := func(id uint64) Op { return [...]Op{OpStatus, OpWait, OpWatch}[id%3] }
+	statuses, waits := 0, 0
+	for id := uint64(1); id <= n; id++ {
+		send(Frame{ID: id, Op: op(id), JobID: job})
+		switch op(id) {
+		case OpStatus:
+			statuses++
+		case OpWait:
+			// The read loop registers the Wait before it reads on, so
+			// its ID is in flight.
+			send(Frame{ID: id, Op: OpStatus})
+			waits++
+		}
+	}
+	blocking := n - statuses
+	await(statuses + waits)
+	for id := uint64(1); id <= n; id++ {
+		if op(id) != OpStatus {
+			send(Frame{ID: n + id, Op: OpCancel, CancelID: id})
+		}
+	}
+	await(statuses + waits + 2*blocking)
+	for id := uint64(1); id <= n; id++ {
+		f, c := finals[id], finals[n+id]
+		switch {
+		case len(f) != 1:
+			t.Fatalf("%s %d: %d final replies %+v", op(id), id, len(f), f)
+		case op(id) == OpStatus && (f[0].Status == nil || f[0].Err != ""):
+			t.Fatalf("status %d: %+v", id, f[0])
+		case op(id) == OpWait && (f[0].Code != CodeCancelled || refused[id] != 1):
+			t.Fatalf("wait %d: %+v, reuse refused %d times", id, f[0], refused[id])
+		case op(id) == OpWatch && (f[0].Err != "" || refused[id] != 0):
+			t.Fatalf("watch %d: %+v, refused %d times", id, f[0], refused[id])
+		case op(id) != OpStatus && (len(c) != 1 || c[0].Err != ""):
+			t.Fatalf("cancel of %d: %+v", id, c)
+		}
+	}
+	// Every ID whose final reply has been read is free again.
+	for id := uint64(1); id <= n; id++ {
+		if op(id) != OpStatus {
+			send(Frame{ID: id, Op: OpStatus})
+		}
+	}
+	await(statuses + waits + 3*blocking)
+	for id := uint64(1); id <= n; id++ {
+		if f := finals[id]; op(id) != OpStatus && (len(f) != 2 || f[1].Status == nil) {
+			t.Fatalf("%d reused after its final reply: %+v", id, f)
+		}
+	}
+	if len(refused) != waits {
+		t.Fatalf("%d ids refused, want the %d reused while in flight", len(refused), waits)
+	}
+
+	conn.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Serve", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // v2conn is the server side of one multiplexed v2 connection: a read loop
 // decoding frames and starting requests, a writer goroutine flushing the
-// replies the scheduler's pipeline queues, and dispatch workers for the
-// requests that stay off the pipeline.
+// replies the scheduler's pipeline queues, and a goroutine for each request
+// that stays off the pipeline.
 type v2conn struct {
 	srv  *Server
 	conn net.Conn
@@ -35,6 +35,8 @@ type v2conn struct {
 	// limits configured).
 	adm *admEntry
 
+	// reqs counts the dispatched requests' goroutines; serveV2 waits for
+	// them before it returns.
 	reqs sync.WaitGroup
 
 	// Pipelined calls (see call): live counts those taken and not yet
@@ -113,9 +115,9 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 // holds is refused, then admission runs, without blocking; a request that
 // passes holds its slots until its final reply is written. The five unary
 // mutations go straight onto the scheduler's pipeline, whose completion
-// queues the reply for the writer; Wait, Status and Watch go to a dispatch
-// worker. Refusals go out through the writer too, so nothing here waits for
-// the peer to read.
+// queues the reply for the writer; Wait, Status and Watch each run on a
+// goroutine of their own. Refusals go out through the writer too, so
+// nothing here waits for the peer to read.
 func (c *v2conn) request(f *Frame) {
 	s := c.srv
 	kind, pipelined := pipelineKind(f.Op)
@@ -136,8 +138,7 @@ func (c *v2conn) request(f *Frame) {
 	}
 	s.requests.Add(1)
 	if !pipelined {
-		r := v2req{c: c, f: framePool.Get().(*Frame), te: te, ctx: c.ctx}
-		*r.f = *f
+		r := v2req{id: f.ID, op: f.Op, jobID: f.JobID, te: te, ctx: c.ctx}
 		// Only the blocking ops get a context of their own, which OpCancel
 		// cancels.
 		if f.Op == OpWait || f.Op == OpWatch {
@@ -145,7 +146,7 @@ func (c *v2conn) request(f *Frame) {
 		}
 		c.register(f.ID, r.cancel)
 		c.reqs.Add(1)
-		s.handOff(r)
+		go c.dispatch(r)
 		return
 	}
 	vc := c.call()
@@ -294,58 +295,18 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// v2req is one dispatched request on its way to a dispatch worker: the
-// frame, the tenant admission scope it holds a slot in, and the context it
-// runs under (cancel is nil for Status).
+// v2req is one dispatched request: what it asks for, the tenant admission
+// scope it holds a slot in, and the context it runs under (cancel is nil
+// for Status).
 type v2req struct {
-	c  *v2conn
-	f  *Frame
-	te *admEntry
-	//lint:allow ctxfirst a dispatched request's context, carried from the read loop that registered it to its worker
+	id    uint64
+	op    Op
+	jobID int
+	te    *admEntry
+	//lint:allow ctxfirst a dispatched request's context, carried from the read loop that registered it to its goroutine
 	ctx    context.Context
 	cancel context.CancelFunc
 }
-
-// maxIdleWorkers bounds the dispatch workers parked between requests,
-// server-wide: enough for every request a busy server has in flight at
-// once, few enough that their stacks cost under a megabyte.
-const maxIdleWorkers = 64
-
-// handOff runs f on a parked dispatch worker, or on a new one if none is
-// waiting.
-func (s *Server) handOff(r v2req) {
-	select {
-	case s.work <- r:
-	default:
-		s.wg.Add(1)
-		go s.dispatchWorker(r)
-	}
-}
-
-// dispatchWorker runs dispatched requests, parking between them while
-// fewer than maxIdleWorkers others are parked. A goroutine per request
-// would grow a fresh stack, by copying, every time.
-func (s *Server) dispatchWorker(r v2req) {
-	defer s.wg.Done()
-	for {
-		r.c.dispatch(r)
-		if s.idleWorkers.Add(1) > maxIdleWorkers {
-			s.idleWorkers.Add(-1)
-			return
-		}
-		select {
-		case r = <-s.work:
-			s.idleWorkers.Add(-1)
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// framePool recycles the frames of dispatched requests: the read loop
-// copies a request into one and hands it to a dispatch worker, which
-// returns it once the final reply is written.
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // countedWriter counts the writes a connection's FrameWriter makes, one
 // per batch of reply frames.
@@ -419,23 +380,22 @@ func (c *v2conn) unregister(id uint64) {
 	c.mu.Unlock()
 }
 
-// dispatch runs one dispatched request to completion, writes its final
-// reply, and then releases its ID and admission slots and returns its frame
-// to framePool. Requests on one connection execute concurrently; replies
-// are matched by ID, not order.
+// dispatch runs one dispatched request to completion, releases its ID and
+// writes its final reply, and then releases its admission slots: a peer that
+// has read the final reply may reuse the ID at once. Requests on one
+// connection execute concurrently; replies are matched by ID, not order.
 func (c *v2conn) dispatch(r v2req) {
 	defer c.reqs.Done()
-	s, f, ctx := c.srv, r.f, r.ctx
-	defer framePool.Put(f)
+	s, ctx := c.srv, r.ctx
 	defer s.release(r.te, c.adm)
-	defer c.unregister(f.ID)
 	if r.cancel != nil {
 		defer r.cancel()
 	}
-	final := func(r Reply) {
-		r.ID = f.ID
-		r.Final = true
-		c.write(&r)
+	final := func(rep Reply) {
+		c.unregister(r.id)
+		rep.ID = r.id
+		rep.Final = true
+		c.write(&rep)
 	}
 	fail := func(err error) {
 		if ctx.Err() != nil {
@@ -445,11 +405,11 @@ func (c *v2conn) dispatch(r v2req) {
 		final(Reply{Err: err.Error(), Code: CodeApp})
 	}
 
-	switch f.Op {
+	switch r.op {
 	case OpWait:
 		// A pending wait holds only this goroutine — the connection keeps
 		// serving other requests.
-		if err := s.sched.Wait(ctx, f.JobID); err != nil {
+		if err := s.sched.Wait(ctx, r.jobID); err != nil {
 			fail(err)
 			return
 		}
@@ -463,7 +423,7 @@ func (c *v2conn) dispatch(r v2req) {
 		final(Reply{Status: &st})
 	case OpWatch:
 		s.watches.Add(1)
-		sub, err := s.sched.Watch(ctx, f.JobID)
+		sub, err := s.sched.Watch(ctx, r.jobID)
 		if err != nil {
 			fail(err)
 			return
@@ -473,10 +433,10 @@ func (c *v2conn) dispatch(r v2req) {
 		// the peer is not reading, the flush blocks, sub.C fills and the
 		// broker drops and counts what follows.
 		for ev := range sub.C {
-			c.queue(&Reply{ID: f.ID, Event: &ev})
+			c.queue(&Reply{ID: r.id, Event: &ev})
 			for len(sub.C) > 0 {
 				ev := <-sub.C
-				c.queue(&Reply{ID: f.ID, Event: &ev})
+				c.queue(&Reply{ID: r.id, Event: &ev})
 			}
 			c.flush()
 		}
