@@ -656,6 +656,30 @@ func TestCommitIsANoOpWithoutSyncAlways(t *testing.T) {
 	}
 }
 
+// TestSyncIntervalLoopFlushes: under SyncInterval the background loop
+// alone makes appended records durable, with no Commit or Sync call, and
+// Close returns only once the loop has stopped.
+func TestSyncIntervalLoopFlushes(t *testing.T) {
+	st, _, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range sampleOps() {
+		if err := st.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the sync loop's first flush", func() bool { return st.Stats().Syncs > 0 })
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.loopDone:
+	default:
+		t.Fatal("Close returned with the sync loop still running")
+	}
+}
+
 // resizeChain is the ladder runJob's jobs resize along.
 var resizeChain = []grid.Topology{grid.Row1D(1), grid.Row1D(2)}
 

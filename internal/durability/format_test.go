@@ -2,11 +2,13 @@ package durability
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/scheduler"
 )
 
@@ -93,6 +95,27 @@ func TestWritesParentFormatBytes(t *testing.T) {
 		}
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s differs from the parent's bytes (%d vs %d bytes)", e.Name(), len(b), len(a))
+		}
+	}
+}
+
+// TestDecodeSnapshotRejectsNonPositiveShards: the snapshot's shard-count
+// field is always written as 1, and a count <= 0 is corruption.
+func TestDecodeSnapshotRejectsNonPositiveShards(t *testing.T) {
+	good := appendSnapshot(nil, &snapshotBlob{State: &scheduler.CoreState{Total: 16}})
+	if _, err := decodeSnapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	// Index, Seq, Clock and Total precede the shard count.
+	head := codec.AppendInt(codec.AppendFloat(codec.AppendUint(codec.AppendUint(nil, 0), 0), 0), 16)
+	shards := codec.AppendInt(nil, snapShards)
+	if !bytes.HasPrefix(good, append(head, shards...)) {
+		t.Fatal("snapshot layout changed: the shard count no longer follows the cluster size")
+	}
+	for _, n := range []int{0, -2} {
+		bad := append(codec.AppendInt(append([]byte{}, head...), n), good[len(head)+len(shards):]...)
+		if _, err := decodeSnapshot(bad); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%d shards: decode error %v, want ErrBadRecord", n, err)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(appendSnapshot(nil, &snapshotBlob{Index: 4, Seq: 9, Clock: 10, State: core.PersistState()}))
-	f.Add(appendSnapshot(nil, &snapshotBlob{State: &scheduler.CoreState{Total: 1, Shards: 1}}))
+	f.Add(appendSnapshot(nil, &snapshotBlob{State: &scheduler.CoreState{Total: 1}}))
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		blob, err := decodeSnapshot(payload)

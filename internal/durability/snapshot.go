@@ -28,6 +28,11 @@ var ErrSnapshotCorrupt = errors.New("durability: corrupt snapshot")
 // summarizing.
 const snapMagic = "RSHSNAP3"
 
+// snapShards fills the snapshot's shard-count field, which stays in the
+// format because older readers rebuilt a processor pool of that many shards
+// from it. It is written as 1; a count <= 0 is corruption.
+const snapShards = 1
+
 // snapshotBlob is a snapshot file's payload: the scheduler image plus the
 // continuity values a recovered Server needs.
 type snapshotBlob struct {
@@ -55,7 +60,7 @@ func appendSnapshot(dst []byte, blob *snapshotBlob) []byte {
 	dst = codec.AppendFloat(dst, blob.Clock)
 	st := blob.State
 	dst = codec.AppendInt(dst, st.Total)
-	dst = codec.AppendInt(dst, st.Shards)
+	dst = codec.AppendInt(dst, snapShards)
 	if st.Backfill {
 		dst = append(dst, 1)
 	} else {
@@ -122,7 +127,9 @@ func decodeSnapshot(payload []byte) (*snapshotBlob, error) {
 	blob.Seq = d.Uint()
 	blob.Clock = d.Float()
 	st.Total = d.Int()
-	st.Shards = d.Int()
+	if d.Int() <= 0 {
+		d.Fail("non-positive shard count")
+	}
 	st.Backfill = d.Byte() != 0
 	st.NextID = d.Int()
 	st.BusySeconds = d.Float()

@@ -217,9 +217,6 @@ func (c *Core) SetArbiter(a Arbiter) {
 	}
 }
 
-// AllocEvents returns the allocation trace (nil when tracing is disabled).
-func (c *Core) AllocEvents() []AllocEvent { return c.Events }
-
 // BusySeconds returns the integral of busy processors over virtual time up
 // to the until timestamp, the numerator of the utilization metric. It is
 // exact whether or not event tracing is enabled.

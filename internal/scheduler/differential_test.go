@@ -104,7 +104,7 @@ func recordReference() []byte {
 			fmt.Fprintf(&out, " f%d q%d\n", c.Free(), c.QueueLen())
 		}
 		h := sha256.New()
-		events := c.AllocEvents()
+		events := c.Events
 		for _, e := range events {
 			fmt.Fprintf(h, "%s %d %s %s %s %d\n", strconv.FormatFloat(e.Time, 'g', -1, 64),
 				e.JobID, e.Job, e.Kind, e.Topo, e.Busy)

@@ -15,13 +15,6 @@
 // The Core is engineered for workloads far beyond the paper's five-job
 // mixes:
 //
-//   - Event loop. EventQueue is a deterministic priority queue of
-//     timestamped events (arrival, resize point, resize completion), and
-//     Engine dispatches them through per-kind handlers with FIFO ordering
-//     among equal timestamps. The cluster simulator (package simcluster)
-//     drives its virtual time through this loop, so 100k-job traces replay
-//     byte-identically in seconds.
-//
 //   - Indexed wait queue. The queue is a priority heap plus per-need
 //     buckets (jobQueue): finding the FCFS head, the best backfill fit, or
 //     the queue-pressure window handed to policies is O(log n) instead of

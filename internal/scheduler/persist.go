@@ -36,11 +36,7 @@ type PersistedJob struct {
 
 // CoreState is a serializable snapshot of the scheduler state machine.
 type CoreState struct {
-	Total int
-	// Shards is a format field kept for older readers, which rebuilt a
-	// pool of that many shards from it. It is written as 1; restore rejects
-	// values <= 0 as corruption and otherwise ignores it.
-	Shards   int
+	Total    int
 	Backfill bool
 	NextID   int
 
@@ -59,7 +55,6 @@ type CoreState struct {
 func (c *Core) PersistState() *CoreState {
 	st := &CoreState{
 		Total:        c.Total,
-		Shards:       1,
 		Backfill:     c.Backfill,
 		NextID:       c.nextID,
 		BusySeconds:  c.busySeconds,
@@ -112,8 +107,8 @@ func cloneProfile(p *Profile) *Profile {
 // caller re-installs them (an arbiter's transient plan state, if any, is
 // rebuilt at the next contact).
 func NewCoreFromState(st *CoreState) (*Core, error) {
-	if st.Total <= 0 || st.Shards <= 0 {
-		return nil, fmt.Errorf("scheduler: restore: invalid cluster shape %d procs / %d shards", st.Total, st.Shards)
+	if st.Total <= 0 {
+		return nil, fmt.Errorf("scheduler: restore: invalid cluster size %d procs", st.Total)
 	}
 	c := NewCore(st.Total, st.Backfill)
 	c.nextID = st.NextID

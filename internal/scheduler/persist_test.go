@@ -20,17 +20,14 @@ func TestNewCoreFromStateRejectsImpossibleStates(t *testing.T) {
 		return PersistedJob{ID: id, Spec: spec("r", at, 8000), State: Running, Topo: at, PendingFree: pendingFree}
 	}
 	state := func(jobs ...PersistedJob) CoreState {
-		return CoreState{Total: 16, Shards: 1, NextID: len(jobs), Jobs: jobs}
+		return CoreState{Total: 16, NextID: len(jobs), Jobs: jobs}
 	}
-	zeroShards := state()
-	zeroShards.Shards = 0
 	cases := []struct {
 		name string
 		st   CoreState
 		want string // error substring; "" means the state restores
 	}{
 		{"mid-shrink job and a waiting head", state(running(0, topo(2, 2), 2), queued(1, topo(4, 4))), ""},
-		{"zero shards", zeroShards, "invalid cluster shape"},
 		{"queued job larger than the cluster", state(queued(0, topo(4, 8))), "queued job 0 needs 32 procs, cluster has 16"},
 		{"negative give-back", state(running(0, topo(2, 2), -2)), "running job 0 has invalid allocation"},
 		{"running jobs overcommit", state(running(0, topo(2, 4), 0), running(1, topo(2, 4), 2)), "overcommit the pool at job 1"},

@@ -27,23 +27,18 @@ func (s *Sim) WithCrashRestart(at float64, restart func(old *scheduler.Core) (*s
 	return s
 }
 
-// drain runs the event loop to completion, interposing scheduled
-// crash/restarts when the virtual clock reaches them. Dispatch is
-// tick-batched (Engine.StepTick): all events sharing a timestamp are popped
-// and handled in one pass, in the same (time, insertion) order a
-// Step-per-event loop would use. Checking the crash predicate once per tick
-// instead of once per event is equivalent, because every event in a tick
-// carries the same timestamp t and the predicate t >= at is constant across
-// them — a crash can only ever land on a tick boundary, the simulation's
-// observable instants.
+// drain runs the event loop to completion, one event at a time in
+// (time, insertion) order, interposing scheduled crash/restarts when the
+// virtual clock reaches them: a crash lands between two dispatches, the
+// simulation's only observable instants.
 func (s *Sim) drain() error {
 	sort.SliceStable(s.crashes, func(i, j int) bool { return s.crashes[i].at < s.crashes[j].at })
 	for {
-		t, ok := s.eng.PeekTime()
+		e, ok := s.tl.pop()
 		if !ok {
 			return nil
 		}
-		for len(s.crashes) > 0 && t >= s.crashes[0].at {
+		for len(s.crashes) > 0 && e.time >= s.crashes[0].at {
 			core, err := s.crashes[0].restart(s.core)
 			if err != nil {
 				return fmt.Errorf("simcluster: restart at t=%.3f: %w", s.crashes[0].at, err)
@@ -54,7 +49,18 @@ func (s *Sim) drain() error {
 			s.core = core
 			s.crashes = s.crashes[1:]
 		}
-		if _, err := s.eng.StepTick(); err != nil {
+		var err error
+		switch e.kind {
+		case evArrival:
+			err = s.handleArrival(e)
+		case evResizePoint:
+			err = s.handleResizePoint(e)
+		case evResizeDone:
+			err = s.handleResizeDone(e)
+		case evRebalance:
+			err = s.handleRebalance(e)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -5,10 +5,10 @@
 // workload experiments of the paper (Figures 3-5, Tables 4-5) run at full
 // System X scale in milliseconds of wall clock.
 //
-// Virtual time is the scheduler's own event engine (scheduler.Engine):
-// arrivals, resize points and resize completions are timestamped events in
-// one deterministic loop, with FIFO ordering among equal timestamps, so
-// identical inputs replay to byte-identical traces. WithCore hands the
+// Virtual time is the simulator's own timeline, a binary heap of
+// timestamped arrivals, resize points, resize completions and rebalance
+// ticks popped one at a time, with FIFO ordering among equal timestamps,
+// so identical inputs replay to byte-identical traces. WithCore hands the
 // simulator a prepared scheduler.Core (untraced for the 100k- and 1M-job
 // runs of BenchmarkSchedulerThroughput, journaled for the crash tests), and
 // golden files pin the W1/W2 schedules and every arbiter decision.

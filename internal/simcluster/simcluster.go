@@ -192,9 +192,9 @@ func (r *Result) MeanTurnaround() float64 {
 	return s / float64(len(r.Jobs))
 }
 
-// Sim runs one simulation. Virtual time is driven by the scheduler's own
-// event engine (scheduler.Engine): arrivals, resize points and resize
-// completions are all timestamped events in one deterministic loop.
+// Sim runs one simulation. Virtual time is its timeline: arrivals, resize
+// points, resize completions and rebalance ticks are timestamped events
+// dispatched one at a time in (time, insertion) order by drain.
 type Sim struct {
 	total   int
 	mode    Mode
@@ -202,7 +202,7 @@ type Sim struct {
 	core    *scheduler.Core
 	policy  scheduler.Policy
 	arbiter scheduler.Arbiter
-	eng     *scheduler.Engine
+	tl      timeline
 
 	inputs  []JobInput
 	states  []*jobState // job id -> state (ids are dense: assigned 0,1,2,... at submit)
@@ -236,7 +236,6 @@ func New(total int, mode Mode, params *perfmodel.Params, jobs []JobInput) *Sim {
 		total:  total,
 		mode:   mode,
 		params: params,
-		eng:    scheduler.NewEngine(),
 		inputs: jobs,
 	}
 }
@@ -371,15 +370,11 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	arrivals := byArrival(s.inputs)
 	s.pending = arrivals
-	s.eng.Handle(scheduler.EvArrival, s.handleArrival)
-	s.eng.Handle(scheduler.EvResizePoint, s.handleResizePoint)
-	s.eng.Handle(scheduler.EvResizeDone, s.handleResizeDone)
-	s.eng.Handle(scheduler.EvRebalance, s.handleRebalance)
 	for i := range arrivals {
-		s.eng.At(arrivals[i].Arrival, scheduler.EvArrival, i)
+		s.tl.at(arrivals[i].Arrival, evArrival, i)
 	}
 	if s.rebalanceEvery > 0 {
-		s.eng.At(s.rebalanceEvery, scheduler.EvRebalance, -1)
+		s.tl.at(s.rebalanceEvery, evRebalance, -1)
 	}
 	if err := s.drain(); err != nil {
 		return nil, err
@@ -395,13 +390,13 @@ func (s *Sim) startIteration(js *jobState, now float64) error {
 		return err
 	}
 	js.lastIter = dur
-	s.eng.At(now+dur, scheduler.EvResizePoint, js.id)
+	s.tl.at(now+dur, evResizePoint, js.id)
 	return nil
 }
 
-func (s *Sim) handleArrival(e scheduler.Event) error {
-	in := s.pending[e.Job]
-	job, started, err := s.core.Submit(in.Spec, e.Time)
+func (s *Sim) handleArrival(e event) error {
+	in := s.pending[e.job]
+	job, started, err := s.core.Submit(in.Spec, e.time)
 	if err != nil {
 		return err
 	}
@@ -418,10 +413,10 @@ func (s *Sim) handleArrival(e scheduler.Event) error {
 			App:         in.Spec.App,
 			Tenant:      in.Spec.Tenant,
 			InitialProc: in.Spec.InitialTopo.Count(),
-			Submit:      e.Time,
+			Submit:      e.time,
 		},
 	}
-	return s.beginStarted(started, e.Time)
+	return s.beginStarted(started, e.time)
 }
 
 // beginStarted kicks off the first iteration of every newly started job.
@@ -464,17 +459,17 @@ func (s *Sim) recordIter(js *jobState, topo grid.Topology, redist float64) {
 	})
 }
 
-func (s *Sim) handleResizePoint(e scheduler.Event) error {
-	js := s.state(e.Job)
+func (s *Sim) handleResizePoint(e event) error {
+	js := s.state(e.job)
 	job := s.job(js)
-	now := e.Time
+	now := e.time
 	js.itersDone++
 	topo := job.Topo
 
 	if js.itersDone >= js.input.Spec.Iterations {
 		s.recordIter(js, topo, 0)
 		js.result.End = now
-		started, err := s.core.Finish(e.Job, now)
+		started, err := s.core.Finish(e.job, now)
 		if err != nil {
 			return err
 		}
@@ -487,7 +482,7 @@ func (s *Sim) handleResizePoint(e scheduler.Event) error {
 		return s.startIteration(js, now)
 	}
 
-	d, err := s.core.Contact(e.Job, topo, js.lastIter, js.lastRed, now)
+	d, err := s.core.Contact(e.job, topo, js.lastIter, js.lastRed, now)
 	if err != nil {
 		return err
 	}
@@ -507,31 +502,31 @@ func (s *Sim) handleResizePoint(e scheduler.Event) error {
 	js.lastRed = cost
 	js.result.TotalRedist += cost
 	s.recordIter(js, topo, cost)
-	s.eng.At(now+cost, scheduler.EvResizeDone, e.Job)
+	s.tl.at(now+cost, evResizeDone, e.job)
 	return nil
 }
 
-func (s *Sim) handleResizeDone(e scheduler.Event) error {
-	js := s.state(e.Job)
-	started, err := s.core.ResizeComplete(e.Job, js.lastRed, e.Time)
+func (s *Sim) handleResizeDone(e event) error {
+	js := s.state(e.job)
+	started, err := s.core.ResizeComplete(e.job, js.lastRed, e.time)
 	if err != nil {
 		return err
 	}
-	if err := s.beginStarted(started, e.Time); err != nil {
+	if err := s.beginStarted(started, e.time); err != nil {
 		return err
 	}
-	return s.startIteration(js, e.Time)
+	return s.startIteration(js, e.time)
 }
 
 // handleRebalance drives one planning tick and schedules the next while
 // any job is still unfinished (the final tick after the last completion
 // simply runs against an empty cluster and stops the chain).
-func (s *Sim) handleRebalance(e scheduler.Event) error {
-	if err := s.core.Rebalance(e.Time); err != nil {
+func (s *Sim) handleRebalance(e event) error {
+	if err := s.core.Rebalance(e.time); err != nil {
 		return err
 	}
 	if s.finished < len(s.inputs) {
-		s.eng.At(e.Time+s.rebalanceEvery, scheduler.EvRebalance, -1)
+		s.tl.at(e.time+s.rebalanceEvery, evRebalance, -1)
 	}
 	return nil
 }
@@ -540,7 +535,7 @@ func (s *Sim) handleRebalance(e scheduler.Event) error {
 // busy-time integral, so it is available even when event tracing is
 // disabled for very large runs.
 func (s *Sim) collect() (*Result, error) {
-	res := &Result{Mode: s.mode, Total: s.total, Events: s.core.AllocEvents()}
+	res := &Result{Mode: s.mode, Total: s.total, Events: s.core.Events}
 	jobs := s.core.Jobs()
 	res.Jobs = make([]JobResult, 0, len(jobs))
 	for _, j := range jobs {
