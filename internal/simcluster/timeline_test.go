@@ -16,6 +16,29 @@ func popAll(q *timeline) []int {
 	return jobs
 }
 
+// TestTimelineOrdersByTime: distinct timestamps pushed out of order pop
+// in time order, and the clock follows each pop.
+func TestTimelineOrdersByTime(t *testing.T) {
+	var q timeline
+	times := []float64{5, 1, 3, 2, 4}
+	for i, tm := range times {
+		q.at(tm, evArrival, i)
+	}
+	var got []float64
+	for e, ok := q.pop(); ok; e, ok = q.pop() {
+		if q.now != e.time {
+			t.Fatalf("clock %v after popping an event at %v", q.now, e.time)
+		}
+		got = append(got, e.time)
+	}
+	if len(got) != len(times) {
+		t.Fatalf("popped %d of %d events", len(got), len(times))
+	}
+	if !sort.Float64sAreSorted(got) {
+		t.Fatalf("events out of order: %v", got)
+	}
+}
+
 // TestTimelineFIFOAmongEqualTimestamps: events carrying the same timestamp
 // come out in insertion order — the determinism guarantee the simulator's
 // byte-identical replays rely on.
