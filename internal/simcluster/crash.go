@@ -34,7 +34,7 @@ func (s *Sim) WithCrashRestart(at float64, restart func(old *scheduler.Core) (*s
 func (s *Sim) drain() error {
 	sort.SliceStable(s.crashes, func(i, j int) bool { return s.crashes[i].at < s.crashes[j].at })
 	for {
-		e, ok := s.tl.pop()
+		e, ok := s.next()
 		if !ok {
 			return nil
 		}
@@ -64,4 +64,20 @@ func (s *Sim) drain() error {
 			return err
 		}
 	}
+}
+
+// next takes the earliest event: the next arrival of the mix when it is due
+// no later than the heap's head, else the head. An arrival is delivered at
+// max(arrival, clock) and wins a tie with any queued event, as if it had
+// been queued before all of them: in (time, insertion) order, the mix's
+// arrivals come first.
+func (s *Sim) next() (event, bool) {
+	if s.arrived < len(s.arrivals) {
+		if t := max(s.arrivals[s.arrived].Arrival, s.tl.now); s.tl.dueBy(t) {
+			s.tl.now = t
+			s.arrived++
+			return event{time: t, job: s.arrived - 1, kind: evArrival}, true
+		}
+	}
+	return s.tl.pop()
 }

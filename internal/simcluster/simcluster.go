@@ -194,7 +194,9 @@ func (r *Result) MeanTurnaround() float64 {
 
 // Sim runs one simulation. Virtual time is its timeline: arrivals, resize
 // points, resize completions and rebalance ticks are timestamped events
-// dispatched one at a time in (time, insertion) order by drain.
+// dispatched one at a time in (time, insertion) order by drain. Arrivals
+// stream from the arrival-ordered mix through a cursor; the timeline's heap
+// holds only the events of jobs in flight and the next rebalance tick.
 type Sim struct {
 	total   int
 	mode    Mode
@@ -204,10 +206,11 @@ type Sim struct {
 	arbiter scheduler.Arbiter
 	tl      timeline
 
-	inputs  []JobInput
-	states  []*jobState // job id -> state (ids are dense: assigned 0,1,2,... at submit)
-	pending []JobInput  // not yet submitted
-	crashes []crashPlan
+	inputs   []JobInput
+	states   []*jobState // job id -> state (ids are dense: assigned 0,1,2,... at submit)
+	arrivals []JobInput  // the mix in arrival order
+	arrived  int         // arrivals[arrived:] are not yet submitted
+	crashes  []crashPlan
 
 	rebalanceEvery float64
 	finished       int  // completed jobs; gates rebalance-tick rescheduling
@@ -338,13 +341,19 @@ func RedistPredictor(params *perfmodel.Params, jobs []JobInput) func(jobID int, 
 	}
 }
 
-// byArrival returns a copy of jobs in the order the simulation submits
-// them: by arrival time, stable among equal arrivals. A job's index in it
-// is the id the core assigns.
+// byArrival returns jobs in the order the simulation submits them: by
+// arrival time, stable among equal arrivals. A job's index in it is the id
+// the core assigns. A mix already in that order (every generated mix, W1
+// and W2) is returned as is; any other is stable-sorted into a copy.
 func byArrival(jobs []JobInput) []JobInput {
-	arrivals := append([]JobInput{}, jobs...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
-	return arrivals
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i].Arrival < jobs[i-1].Arrival {
+			arrivals := append([]JobInput{}, jobs...)
+			sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
+			return arrivals
+		}
+	}
+	return jobs
 }
 
 // arrivalModels lists a mix's AppModels indexed by job id.
@@ -368,11 +377,7 @@ func (s *Sim) Run() (*Result, error) {
 	if s.arbiter != nil {
 		s.core.SetArbiter(s.arbiter)
 	}
-	arrivals := byArrival(s.inputs)
-	s.pending = arrivals
-	for i := range arrivals {
-		s.tl.at(arrivals[i].Arrival, evArrival, i)
-	}
+	s.arrivals = byArrival(s.inputs)
 	if s.rebalanceEvery > 0 {
 		s.tl.at(s.rebalanceEvery, evRebalance, -1)
 	}
@@ -395,7 +400,7 @@ func (s *Sim) startIteration(js *jobState, now float64) error {
 }
 
 func (s *Sim) handleArrival(e event) error {
-	in := s.pending[e.job]
+	in := s.arrivals[e.job]
 	job, started, err := s.core.Submit(in.Spec, e.time)
 	if err != nil {
 		return err

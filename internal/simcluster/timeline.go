@@ -4,8 +4,9 @@ package simcluster
 type evKind uint8
 
 const (
-	// evArrival is a job submission; its job field indexes Sim.pending,
-	// since the job has no scheduler id yet.
+	// evArrival is a job submission; its job field indexes Sim.arrivals,
+	// since the job has no scheduler id yet. Arrivals never enter the
+	// heap: Sim.next streams them from the arrival-ordered mix.
 	evArrival evKind = iota
 	// evResizePoint is a running job reaching the end of an iteration and
 	// contacting the Remap Scheduler.
@@ -61,6 +62,9 @@ func (q *timeline) pop() (event, bool) {
 	q.now = top.time
 	return top, true
 }
+
+// dueBy reports whether time t comes no later than every queued event.
+func (q *timeline) dueBy(t float64) bool { return len(q.h) == 0 || t <= q.h[0].time }
 
 // before reports whether event i sorts ahead of event j.
 func (q *timeline) before(i, j int) bool {

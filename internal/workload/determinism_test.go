@@ -2,8 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"testing"
@@ -13,7 +15,7 @@ import (
 	"repro/internal/simcluster"
 )
 
-var update = flag.Bool("update", false, "rewrite the recorded W1/W2 schedules under testdata/")
+var update = flag.Bool("update", false, "rewrite the recorded goldens under testdata/")
 
 // TestGeneratedWorkloadDeterminism: the same generator seed must replay to
 // a byte-identical schedule through the event-driven core — the indexed
@@ -106,5 +108,72 @@ func TestEventCoreMatchesLinearOnPaperWorkloads(t *testing.T) {
 			}
 		}
 		t.Fatalf("schedule has %d lines, %s has %d", len(g), paperGolden, len(w))
+	}
+}
+
+// generateGolden pins the digest of Generate's output on a fixed set of
+// configurations, so any change to the mix a seed produces — a draw, a
+// name, a chain, an arrival — fails here, not only a change between two
+// calls of one build.
+const generateGolden = "testdata/generate.golden"
+
+// generateGoldenConfigs spans the generator's paths: the single-tenant
+// scaling mix, priority levels, the three-tenant bursty/steady/diurnal
+// backlog and the smallest cap Generate accepts.
+var generateGoldenConfigs = []struct {
+	name string
+	cfg  GenConfig
+}{
+	{"single", GenConfig{Seed: 1, Jobs: 2000, MeanInterarrival: 2, MaxProcs: 64}},
+	{"priority", GenConfig{Seed: 4, Jobs: 1000, MeanInterarrival: 40, PriorityLevels: 3}},
+	{"tenants", GenConfig{Seed: 1, MaxProcs: 64, PriorityLevels: 3, Iterations: 4, Tenants: []TenantSpec{
+		{Name: "bursty", Jobs: 600, MeanInterarrival: 0.5, Pattern: Bursty, Burst: 10, BurstFactor: 100},
+		{Name: "steady", Jobs: 200, MeanInterarrival: 1.5},
+		{Name: "diurnal", Jobs: 200, MeanInterarrival: 1.5, Pattern: Diurnal, Period: 3600},
+	}}},
+	{"small-cap", GenConfig{Seed: 4, Jobs: 500, MeanInterarrival: 10, MaxProcs: 4}},
+}
+
+// renderMix writes every field Generate sets, one job per line.
+func renderMix(w io.Writer, jobs []simcluster.JobInput) {
+	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	for _, in := range jobs {
+		s := in.Spec
+		fmt.Fprintf(w, "%s %s %s %d %d %d %d %s [", s.Name, s.App, s.Tenant, s.Priority,
+			s.ProblemSize, s.BlockSize, s.Iterations, s.InitialTopo)
+		for _, c := range s.Chain {
+			fmt.Fprintf(w, " %s", c)
+		}
+		fmt.Fprintf(w, " ] %s %d %s %s\n", in.Model.App, in.Model.N, g(in.Model.MWWorkSeconds), g(in.Arrival))
+	}
+}
+
+// TestGenerateGolden: each configuration's mix hashes to the digest
+// recorded in testdata/generate.golden. The golden changes only under
+// -update, which is only right when changing the generated mixes is the
+// point.
+func TestGenerateGolden(t *testing.T) {
+	var out bytes.Buffer
+	for _, c := range generateGoldenConfigs {
+		jobs, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := sha256.New()
+		renderMix(h, jobs)
+		fmt.Fprintf(&out, "%s jobs=%d sha256=%x\n", c.name, len(jobs), h.Sum(nil))
+	}
+	if *update {
+		if err := os.WriteFile(generateGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(generateGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("generated mixes differ from %s:\n got:\n%s\nwant:\n%s", generateGolden, out.Bytes(), want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
@@ -90,6 +91,13 @@ type TenantSpec struct {
 // luSizePool are the Table 2 problem sizes the generator draws from.
 var luSizePool = []int{8000, 12000, 14000, 16000, 20000, 21000, 24000}
 
+// The 1-D ladders of the generated jacobi and fft jobs, before the cap.
+// Their first rung, 4 processors, is the smallest cap Generate accepts.
+var (
+	jacobiCounts = []int{4, 8, 10, 16, 20, 32}
+	fftCounts    = []int{4, 8, 16, 32}
+)
+
 // Generate produces a reproducible random mix of the paper's applications
 // with exponential interarrival times, for stress-testing the scheduler at
 // job counts beyond the published workloads.
@@ -97,23 +105,27 @@ func Generate(cfg GenConfig) ([]simcluster.JobInput, error) {
 	if cfg.MaxProcs <= 0 {
 		cfg.MaxProcs = ClusterProcs
 	}
+	if smallest := min(jacobiCounts[0], fftCounts[0]); cfg.MaxProcs < smallest {
+		return nil, fmt.Errorf("workload: MaxProcs %d is below %d, the smallest jacobi/fft configuration", cfg.MaxProcs, smallest)
+	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = Iterations
 	}
+	sh := newShapes(cfg)
 	if len(cfg.Tenants) > 0 {
-		return generateTenants(cfg)
+		return generateTenants(cfg, sh)
 	}
 	if cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("workload: Generate needs at least 1 job")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	arrival := 0.0
-	var jobs []simcluster.JobInput
+	jobs := make([]simcluster.JobInput, 0, cfg.Jobs)
 	for i := 0; i < cfg.Jobs; i++ {
 		if i > 0 {
 			arrival += rng.ExpFloat64() * cfg.MeanInterarrival
 		}
-		in, err := drawJob(rng, i, "", cfg)
+		in, err := sh.draw(rng, i, "")
 		if err != nil {
 			return nil, err
 		}
@@ -126,59 +138,119 @@ func Generate(cfg GenConfig) ([]simcluster.JobInput, error) {
 	return jobs, nil
 }
 
-// drawJob rolls one job body from the paper's application mix. The draw
+// shapes memoizes, for one Generate call, everything a job's shape
+// depends on besides its draws: the growth chain of each LU/MM problem
+// size from its smallest starting configuration, computed on first draw,
+// and the 1-D ladders. Jobs of one shape share one Chain slice, capped
+// len == cap, so an append by any consumer reallocates instead of writing
+// into another job's chain.
+type shapes struct {
+	cfg             GenConfig
+	lu              [][]grid.Topology // by luSizePool index; nil until drawn
+	jacobi, fft, mw []grid.Topology
+	name            []byte // scratch for building job names
+}
+
+func newShapes(cfg GenConfig) *shapes {
+	return &shapes{
+		cfg:    cfg,
+		lu:     make([][]grid.Topology, len(luSizePool)),
+		jacobi: ladder(capCounts(jacobiCounts, cfg.MaxProcs)),
+		fft:    ladder(capCounts(fftCounts, cfg.MaxProcs)),
+		mw:     ladder(evens(2, min(22, cfg.MaxProcs))),
+	}
+}
+
+// luChain returns the growth chain of the k-th luSizePool size under the
+// cap. Its first rung is the starting configuration: SmallestConfig's
+// answer is already normalized.
+func (sh *shapes) luChain(k int) ([]grid.Topology, error) {
+	if sh.lu[k] == nil {
+		n := luSizePool[k]
+		start, ok := grid.SmallestConfig(n, 2, sh.cfg.MaxProcs)
+		if !ok {
+			return nil, fmt.Errorf("workload: no starting config for n=%d", n)
+		}
+		chain := grid.GrowthChain(start, n, sh.cfg.MaxProcs)
+		sh.lu[k] = chain[:len(chain):len(chain)]
+	}
+	return sh.lu[k], nil
+}
+
+// jobName returns prefix+app+"-"+i, the bytes fmt's "%s%s-%d" would give.
+func (sh *shapes) jobName(prefix, app string, i int) string {
+	b := append(sh.name[:0], prefix...)
+	b = append(b, app...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(i), 10)
+	sh.name = b
+	return string(b)
+}
+
+// draw rolls one job body from the paper's application mix. The draw
 // sequence (one Intn(5), then the chosen case's own draws, then the
 // optional priority roll in the caller) is shared by the single- and
 // multi-tenant paths, so pre-existing single-tenant seeds replay byte for
 // byte.
-func drawJob(rng *rand.Rand, i int, prefix string, cfg GenConfig) (simcluster.JobInput, error) {
+func (sh *shapes) draw(rng *rand.Rand, i int, prefix string) (simcluster.JobInput, error) {
+	var in simcluster.JobInput
 	switch rng.Intn(5) {
 	case 0, 1: // LU and MM dominate large clusters
-		n := luSizePool[rng.Intn(len(luSizePool))]
+		k := rng.Intn(len(luSizePool))
 		app := "lu"
 		if rng.Intn(2) == 1 {
 			app = "mm"
 		}
-		start, ok := grid.SmallestConfig(n, 2, cfg.MaxProcs)
-		if !ok {
-			return simcluster.JobInput{}, fmt.Errorf("workload: no starting config for n=%d", n)
+		chain, err := sh.luChain(k)
+		if err != nil {
+			return simcluster.JobInput{}, err
 		}
-		return simcluster.JobInput{
+		n := luSizePool[k]
+		in = simcluster.JobInput{
 			Spec: scheduler.JobSpec{
-				Name: fmt.Sprintf("%s%s-%d", prefix, app, i), App: app, ProblemSize: n,
-				Iterations:  cfg.Iterations,
-				InitialTopo: start,
-				Chain:       grid.GrowthChain(start, n, cfg.MaxProcs),
+				Name: sh.jobName(prefix, app, i), App: app, ProblemSize: n,
+				InitialTopo: chain[0],
+				Chain:       chain,
 			},
 			Model: perfmodel.AppModel{App: app, N: n},
-		}, nil
+		}
 	case 2:
-		return jacobiInput(fmt.Sprintf("%sjacobi-%d", prefix, i), cfg), nil
+		in = job1D(sh.jobName(prefix, "jacobi", i), "jacobi", 8000, sh.jacobi, 0,
+			perfmodel.AppModel{App: "jacobi", N: 8000})
 	case 3:
-		return fftInput(fmt.Sprintf("%sfft-%d", prefix, i), cfg), nil
+		in = job1D(sh.jobName(prefix, "fft", i), "fft", 8192, sh.fft, 0,
+			perfmodel.AppModel{App: "fft", N: 8192})
 	default:
 		work := 10 + rng.Float64()*100
-		in := job1D(fmt.Sprintf("%smw-%d", prefix, i), "mw", 20000,
-			evens(2, min(22, cfg.MaxProcs)), 0,
+		in = job1D(sh.jobName(prefix, "mw", i), "mw", 20000, sh.mw, 0,
 			perfmodel.AppModel{App: "mw", MWWorkSeconds: work})
-		in.Spec.Iterations = cfg.Iterations
-		return in, nil
 	}
+	in.Spec.Iterations = sh.cfg.Iterations
+	return in, nil
+}
+
+// tenantJobs is a tenant's job count, falling back to GenConfig.Jobs.
+func tenantJobs(ts TenantSpec, cfg GenConfig) int {
+	if ts.Jobs > 0 {
+		return ts.Jobs
+	}
+	return cfg.Jobs
 }
 
 // generateTenants draws one substream per tenant from a per-tenant
 // sub-seed and merges them by arrival time. Stable sort keeps ties in
 // Tenants order, so the merged mix is a pure function of (Seed, Tenants).
-func generateTenants(cfg GenConfig) ([]simcluster.JobInput, error) {
-	var jobs []simcluster.JobInput
+func generateTenants(cfg GenConfig, sh *shapes) ([]simcluster.JobInput, error) {
+	total := 0
+	for _, ts := range cfg.Tenants {
+		total += max(tenantJobs(ts, cfg), 0)
+	}
+	jobs := make([]simcluster.JobInput, 0, total)
 	for ti, ts := range cfg.Tenants {
 		if ts.Name == "" {
 			return nil, fmt.Errorf("workload: tenant %d has no name", ti)
 		}
-		n := ts.Jobs
-		if n <= 0 {
-			n = cfg.Jobs
-		}
+		n := tenantJobs(ts, cfg)
 		if n <= 0 {
 			return nil, fmt.Errorf("workload: tenant %q needs at least 1 job", ts.Name)
 		}
@@ -191,12 +263,13 @@ func generateTenants(cfg GenConfig) ([]simcluster.JobInput, error) {
 		}
 		// Golden-ratio mixing keeps nearby seeds' substreams uncorrelated.
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(ti+1)*0x9E3779B9))
+		prefix := ts.Name + "-"
 		arrival := 0.0
 		for i := 0; i < n; i++ {
 			if i > 0 {
 				arrival += ts.gap(rng, i, mean, arrival)
 			}
-			in, err := drawJob(rng, i, ts.Name+"-", cfg)
+			in, err := sh.draw(rng, i, prefix)
 			if err != nil {
 				return nil, err
 			}
@@ -248,31 +321,13 @@ func (ts TenantSpec) gap(rng *rand.Rand, i int, mean, now float64) float64 {
 	}
 }
 
-func jacobiInput(name string, cfg GenConfig) simcluster.JobInput {
-	counts := []int{4, 8, 10, 16, 20, 32}
-	in := job1D(name, "jacobi", 8000, capCounts(counts, cfg.MaxProcs), 0,
-		perfmodel.AppModel{App: "jacobi", N: 8000})
-	in.Spec.Iterations = cfg.Iterations
-	return in
-}
-
-func fftInput(name string, cfg GenConfig) simcluster.JobInput {
-	counts := []int{4, 8, 16, 32}
-	in := job1D(name, "fft", 8192, capCounts(counts, cfg.MaxProcs), 0,
-		perfmodel.AppModel{App: "fft", N: 8192})
-	in.Spec.Iterations = cfg.Iterations
-	return in
-}
-
+// capCounts keeps the counts at or below maxProcs.
 func capCounts(counts []int, maxProcs int) []int {
 	var out []int
 	for _, c := range counts {
 		if c <= maxProcs {
 			out = append(out, c)
 		}
-	}
-	if len(out) == 0 {
-		out = []int{counts[0]}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/perfmodel"
 	"repro/internal/simcluster"
 )
@@ -203,4 +204,95 @@ func TestLoadSweepShapes(t *testing.T) {
 		t.Errorf("light load: dynamic util %.3f <= static %.3f",
 			light.DynamicUtil, light.StaticUtil)
 	}
+}
+
+// TestGenerateRejectsCapBelowSmallestLadder: a cap below 4 processors, the
+// first rung of the jacobi and fft ladders, is an error. At 1 the mw
+// ladder was empty and seed 4 panicked; at 3 jobs started on 4
+// processors, above the cap.
+func TestGenerateRejectsCapBelowSmallestLadder(t *testing.T) {
+	for _, c := range []struct {
+		seed     int64
+		maxProcs int
+	}{{4, 1}, {1, 3}} {
+		jobs, err := Generate(GenConfig{Seed: c.seed, Jobs: 200, MeanInterarrival: 10, MaxProcs: c.maxProcs})
+		if err == nil {
+			t.Fatalf("MaxProcs %d accepted (%d jobs)", c.maxProcs, len(jobs))
+		}
+		if _, err := Generate(GenConfig{Seed: c.seed, MaxProcs: c.maxProcs,
+			Tenants: []TenantSpec{{Name: "a", Jobs: 10, MeanInterarrival: 10}}}); err == nil {
+			t.Fatalf("MaxProcs %d accepted for a tenant mix", c.maxProcs)
+		}
+	}
+	jobs, err := Generate(GenConfig{Seed: 1, Jobs: 200, MeanInterarrival: 10, MaxProcs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if last := j.Spec.Chain[len(j.Spec.Chain)-1]; j.Spec.InitialTopo.Count() > 4 || last.Count() > 4 {
+			t.Fatalf("%s: chain %v exceeds the cap of 4", j.Spec.Name, j.Spec.Chain)
+		}
+	}
+}
+
+// TestGenerateAllocsPerJob: generating a mix costs one allocation per job,
+// its name; chains, ladders and the job slice are paid once per call.
+func TestGenerateAllocsPerJob(t *testing.T) {
+	const n = 10_000
+	cfg := GenConfig{Seed: 1, Jobs: n, MeanInterarrival: 2, MaxProcs: 64}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perJob := allocs / n; perJob > 1.1 {
+		t.Fatalf("Generate makes %.2f allocs/job, want <= 1.1", perJob)
+	}
+}
+
+// TestGenerateSharesChainsPerShape: jobs of one shape share one Chain
+// slice, and every chain has len == cap, so an append by any consumer
+// reallocates instead of writing into another job's chain.
+func TestGenerateSharesChainsPerShape(t *testing.T) {
+	jobs, err := Generate(GenConfig{Seed: 2, Jobs: 500, MeanInterarrival: 5, MaxProcs: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shape struct {
+		app string
+		n   int
+	}
+	first := map[shape][]grid.Topology{}
+	for _, j := range jobs {
+		c := j.Spec.Chain
+		if len(c) != cap(c) {
+			t.Fatalf("%s: chain len %d, cap %d", j.Spec.Name, len(c), cap(c))
+		}
+		// LU and MM of one size share their chain too.
+		k := shape{j.Spec.App, j.Spec.ProblemSize}
+		if k.app == "mm" {
+			k.app = "lu"
+		}
+		if f, ok := first[k]; !ok {
+			first[k] = c
+		} else if &f[0] != &c[0] {
+			t.Fatalf("%s: chain not shared with the first %v job of its size", j.Spec.Name, k)
+		}
+	}
+	if len(first) != len(luSizePool)+3 {
+		t.Fatalf("%d shapes drawn, want %d", len(first), len(luSizePool)+3)
+	}
+}
+
+// BenchmarkGenerate measures generating the sim-fcfs-shaped 100k-job mix.
+func BenchmarkGenerate(b *testing.B) {
+	const n = 100_000
+	cfg := GenConfig{Seed: 1, Jobs: n, MeanInterarrival: 2, MaxProcs: 64}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

@@ -32,13 +32,9 @@ func job2D(name, app string, n int, initial grid.Topology, arrival float64, maxP
 	}
 }
 
-// job1D builds a JobInput for a 1-D application with an explicit processor
+// job1D builds a JobInput for a 1-D application on the given processor
 // ladder.
-func job1D(name, app string, n int, counts []int, arrival float64, model perfmodel.AppModel) simcluster.JobInput {
-	chain := make([]grid.Topology, len(counts))
-	for i, p := range counts {
-		chain[i] = grid.Row1D(p)
-	}
+func job1D(name, app string, n int, chain []grid.Topology, arrival float64, model perfmodel.AppModel) simcluster.JobInput {
 	return simcluster.JobInput{
 		Spec: scheduler.JobSpec{
 			Name:        name,
@@ -53,6 +49,15 @@ func job1D(name, app string, n int, counts []int, arrival float64, model perfmod
 	}
 }
 
+// ladder lays out 1-D processor counts as a chain of row topologies.
+func ladder(counts []int) []grid.Topology {
+	chain := make([]grid.Topology, len(counts))
+	for i, p := range counts {
+		chain[i] = grid.Row1D(p)
+	}
+	return chain
+}
+
 // W1 is workload 1 (Figure 4, Table 4): LU(21000) and MM(14000) arrive at
 // t=0, the master-worker at t=450, Jacobi(8000) and FFT(8192) at t=465.
 // Initial allocations follow Table 4: LU 6, MM 8, MW 2, Jacobi 4, FFT 4.
@@ -60,11 +65,11 @@ func W1() []simcluster.JobInput {
 	return []simcluster.JobInput{
 		job2D("LU", "lu", 21000, grid.Topology{Rows: 2, Cols: 3}, 0, ClusterProcs),
 		job2D("MM", "mm", 14000, grid.Topology{Rows: 2, Cols: 4}, 0, ClusterProcs),
-		job1D("Master-Worker", "mw", 4000000000, []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}, 450,
+		job1D("Master-Worker", "mw", 4000000000, ladder([]int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}), 450,
 			perfmodel.AppModel{App: "mw", MWWorkSeconds: 14.7}),
-		job1D("Jacobi", "jacobi", 8000, []int{4, 8, 10, 16, 20, 32}, 465,
+		job1D("Jacobi", "jacobi", 8000, ladder([]int{4, 8, 10, 16, 20, 32}), 465,
 			perfmodel.AppModel{App: "jacobi", N: 8000}),
-		job1D("2D FFT", "fft", 8192, []int{4, 8, 16, 32}, 465,
+		job1D("2D FFT", "fft", 8192, ladder([]int{4, 8, 16, 32}), 465,
 			perfmodel.AppModel{App: "fft", N: 8192}),
 	}
 }
@@ -76,11 +81,11 @@ func W1() []simcluster.JobInput {
 func W2() []simcluster.JobInput {
 	return []simcluster.JobInput{
 		job2D("LU", "lu", 21000, grid.Topology{Rows: 4, Cols: 4}, 0, ClusterProcs),
-		job1D("Jacobi", "jacobi", 8000, []int{10, 16, 20, 32}, 90,
+		job1D("Jacobi", "jacobi", 8000, ladder([]int{10, 16, 20, 32}), 90,
 			perfmodel.AppModel{App: "jacobi", N: 8000}),
-		job1D("Master-Worker", "mw", 4000000000, []int{6, 8, 10, 12, 14, 16, 18, 20, 22}, 560,
+		job1D("Master-Worker", "mw", 4000000000, ladder([]int{6, 8, 10, 12, 14, 16, 18, 20, 22}), 560,
 			perfmodel.AppModel{App: "mw", MWWorkSeconds: 177.5}),
-		job1D("2D FFT", "fft", 8192, []int{4, 8, 16, 32}, 650,
+		job1D("2D FFT", "fft", 8192, ladder([]int{4, 8, 16, 32}), 650,
 			perfmodel.AppModel{App: "fft", N: 8192}),
 	}
 }
