@@ -410,8 +410,8 @@ func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	if resized == 0 {
 		t.Fatal("no contact resized a job: the retopo path went unexercised")
 	}
-	if c.running.expIndexed || c.running.expandable != nil {
-		t.Fatalf("published path built the expandable index: %d buckets", len(c.running.expandable))
+	if c.running.expIndexed || c.running.expandable.keys != nil {
+		t.Fatalf("published path built the expandable index: %d buckets", len(c.running.expandable.keys))
 	}
 	if c.running.logging || c.running.log != nil {
 		t.Fatalf("published path kept a change log: %d entries", len(c.running.log))

@@ -10,14 +10,8 @@ import (
 // needsWindow appends the processor needs of the first k queued jobs in
 // head order to dst.
 func (q *jobQueue) needsWindow(dst []int, k int) []int {
-	for _, p := range q.prios {
-		for j := q.prio[p].head; j != nil; j = j.qnext {
-			if k <= 0 {
-				return dst
-			}
-			dst = append(dst, j.Spec.InitialTopo.Count())
-			k--
-		}
+	for _, j := range q.window(nil, k) {
+		dst = append(dst, j.Spec.InitialTopo.Count())
 	}
 	return dst
 }

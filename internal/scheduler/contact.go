@@ -133,36 +133,32 @@ type runningSet struct {
 	// never smaller than itself, so membership moves only when Topo does.
 	shrinkable  []*Job
 	pendingFree int // processors promised back by in-flight shrinks
-	// expandable buckets the jobs with a next chain step by the processors
-	// that step adds, ascending, id-ordered within a bucket: an expansion
-	// veto walks only the steps that contend for the idle pool. The chain is
-	// fixed, so a job moves only when Topo does. The first EachExpandable
-	// builds it and expIndexed keeps it filed from then on, so a core whose
-	// arbiter never asks (the published policy path) pays nothing for it.
-	expandable []expBucket
+	// expandable files the jobs with a next chain step under the processors
+	// that step adds, id-ordered within a bucket, so an expansion veto walks
+	// only the steps that contend for the idle pool. The chain is fixed, so
+	// a job moves only when Topo does. The first EachExpandable builds it
+	// and expIndexed keeps it filed from then on: keeping it, the change log
+	// and the queue's tenant index from the start cost sim-fcfs, whose
+	// arbiter never asks, 4–13 % jobs/s (2 vCPUs, see jobQueue).
+	expandable dir[int, []*Job]
 	expIndexed bool
 	// log is the change feed behind Changes, from feed position logBase on.
-	// Like the expandable index it is kept only once an arbiter asks
-	// (logging), and it is never persisted or journaled.
+	// Like the expandable index, and for the same sim-fcfs cost, it is kept
+	// only once an arbiter asks (logging). It is never persisted or
+	// journaled.
 	log     []int
 	logBase uint64
 	logging bool
 
-	// accts holds one accumulator per tenant name ever submitted; active is
-	// the name-sorted subset with running jobs, the order snapshots list
+	// accts holds one accumulator per tenant name ever submitted; active
+	// files the ones with running jobs by name, the order snapshots list
 	// them in. usage is what tenants() last built from active, current
 	// while usageOK: only a start, retopo or finish moves it.
 	accts   map[string]*tenantAcct
-	active  []*tenantAcct
+	active  dir[string, *tenantAcct]
 	usage   []TenantUsage
 	usageOK bool
 	view    ContactView // each() scratch
-}
-
-// expBucket is one step size of the expandable index.
-type expBucket struct {
-	delta int
-	jobs  []*Job // ascending id
 }
 
 // tenantAcct accumulates one tenant's part of the running set. A job
@@ -203,18 +199,13 @@ func removeByID(index []*Job, j *Job) []*Job {
 	return index
 }
 
-// activeAt returns where a tenant name sits, or belongs, in the active list.
-func (r *runningSet) activeAt(name string) int {
-	return sort.Search(len(r.active), func(k int) bool { return r.active[k].name >= name })
-}
-
 // start enters a job that holds j.Topo (plus j.pendingFree, when it is
 // restored mid-shrink) into the index and every aggregate.
 func (r *runningSet) start(j *Job) {
 	r.jobs = insertByID(r.jobs, j)
 	a := j.tenant
 	if a.jobs == 0 {
-		r.active = slices.Insert(r.active, r.activeAt(a.name), a)
+		*r.active.get(a.name) = a
 	}
 	a.jobs++
 	a.procs += j.Topo.Count()
@@ -233,8 +224,8 @@ func (r *runningSet) finish(j *Job) {
 	a.procs -= j.Topo.Count()
 	a.jobs--
 	if a.jobs == 0 {
-		i := r.activeAt(a.name)
-		r.active = slices.Delete(r.active, i, i+1)
+		i, _ := r.active.at(a.name)
+		r.active.del(i, i+1)
 	}
 	r.usageOK = false
 	r.released(j)
@@ -282,14 +273,9 @@ func stepDelta(j *Job) (int, bool) {
 	return next.Count() - j.Topo.Count(), ok
 }
 
-// bucketAt returns where a step size sits, or belongs, in the expandable
-// index.
-func (r *runningSet) bucketAt(delta int) int {
-	return sort.Search(len(r.expandable), func(k int) bool { return r.expandable[k].delta >= delta })
-}
-
 // fileExpandable enters j under its current topology's step, once the index
-// is built. A bucket left empty stays for the next job of that step.
+// is built. A bucket left empty stays for the next job of that step: step
+// sizes are few, and bounded by the pool size.
 func (r *runningSet) fileExpandable(j *Job) {
 	if !r.expIndexed {
 		return
@@ -298,11 +284,8 @@ func (r *runningSet) fileExpandable(j *Job) {
 	if !ok {
 		return
 	}
-	i := r.bucketAt(d)
-	if i == len(r.expandable) || r.expandable[i].delta != d {
-		r.expandable = slices.Insert(r.expandable, i, expBucket{delta: d})
-	}
-	r.expandable[i].jobs = insertByID(r.expandable[i].jobs, j)
+	b := r.expandable.get(d)
+	*b = insertByID(*b, j)
 }
 
 // unfileExpandable withdraws j from the bucket of its current topology's
@@ -315,8 +298,8 @@ func (r *runningSet) unfileExpandable(j *Job) {
 	if !ok {
 		return
 	}
-	if i := r.bucketAt(d); i < len(r.expandable) && r.expandable[i].delta == d {
-		r.expandable[i].jobs = removeByID(r.expandable[i].jobs, j)
+	if i, ok := r.expandable.at(d); ok {
+		r.expandable.vals[i] = removeByID(r.expandable.vals[i], j)
 	}
 }
 
@@ -369,7 +352,7 @@ func (r *runningSet) Changes(c Cursor, yield func(id int)) (Cursor, bool) {
 func (r *runningSet) tenants() []TenantUsage {
 	if !r.usageOK {
 		r.usage = r.usage[:0]
-		for _, a := range r.active {
+		for _, a := range r.active.vals {
 			r.usage = append(r.usage, TenantUsage{Tenant: a.name, Running: a.jobs, Procs: a.procs})
 		}
 		r.usageOK = true
@@ -393,8 +376,9 @@ func (r *runningSet) EachExpandable(lo, hi int, yield func(*ContactView) bool) {
 			r.fileExpandable(j)
 		}
 	}
-	for i := r.bucketAt(lo); i < len(r.expandable) && r.expandable[i].delta <= hi; i++ {
-		if !r.each(r.expandable[i].jobs, yield) {
+	e := &r.expandable
+	for i, _ := e.at(lo); i < len(e.keys) && e.keys[i] <= hi; i++ {
+		if !r.each(e.vals[i], yield) {
 			return
 		}
 	}

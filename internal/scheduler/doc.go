@@ -15,10 +15,12 @@
 // The Core is engineered for workloads far beyond the paper's five-job
 // mixes:
 //
-//   - Indexed wait queue. The queue is a priority heap plus per-need
-//     buckets (jobQueue): finding the FCFS head, the best backfill fit, or
-//     the queue-pressure window handed to policies is O(log n) instead of
-//     a linear scan per scheduling pass.
+//   - Indexed wait queue. jobQueue files each job by priority, processor
+//     need and (for a fair-share StartPicker) tenant, each in a dir: a few
+//     sorted keys beside their buckets. The FCFS head, the best backfill
+//     fit and the queue-pressure window handed to policies need no scan of
+//     the queue. The running set's expandable and active-tenant indexes
+//     are dirs too.
 //
 //   - One idle-processor counter. The paper's single pool of idle
 //     processors is a plain int on the Core; Core calls are serialized by

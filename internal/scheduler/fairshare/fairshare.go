@@ -39,9 +39,8 @@ import (
 // DefaultWeight is the share weight of any tenant not listed in Weights.
 const DefaultWeight = 1.0
 
-// FairShare is the tenant-aware arbiter. The zero value is ready to use:
-// every tenant weighs DefaultWeight and within-tenant decisions fall to a
-// zero BenefitRanked.
+// FairShare is the tenant-aware arbiter. The zero value is NOT ready — use
+// New.
 type FairShare struct {
 	// Weights maps tenant name → share weight (> 0). A tenant's entitled
 	// share of the cluster is Total·w/Σw over the tenants active in the
@@ -50,12 +49,11 @@ type FairShare struct {
 	// configuration: set it before installing the arbiter and never
 	// mutate it afterwards.
 	Weights map[string]float64
-	// Inner decides within a tenant (nil = zero BenefitRanked). Its
-	// Predict hook keeps its meaning.
+	// Inner decides within a tenant; New sets it to a zero BenefitRanked.
+	// Its Predict hook keeps its meaning.
 	Inner *arbiter.BenefitRanked
 
-	inner arbiter.BenefitRanked // backing store when Inner is nil
-	rows  []tenantRow           // shares scratch
+	rows []tenantRow // shares scratch
 }
 
 // tenantRow is one active tenant in a Decide call: its running processors
@@ -79,13 +77,6 @@ func New(weights map[string]float64) *FairShare {
 
 // Name identifies the arbiter.
 func (a *FairShare) Name() string { return "fairshare" }
-
-func (a *FairShare) delegate() *arbiter.BenefitRanked {
-	if a.Inner != nil {
-		return a.Inner
-	}
-	return &a.inner
-}
 
 // weight returns a tenant's configured share weight.
 func (a *FairShare) weight(tenant string) float64 {
@@ -140,7 +131,7 @@ func headLess(a, b scheduler.QueuedView) bool {
 func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	rows := a.shares(snap)
 	if len(rows) <= 1 {
-		return a.delegate().Decide(snap)
+		return a.Inner.Decide(snap)
 	}
 	ct := snap.Caller.Tenant
 	mine := rows[search(rows, ct)]
@@ -168,7 +159,7 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 			Reason: "fair-share: over share but no shrink point",
 		}
 	}
-	d := a.delegate().Decide(snap)
+	d := a.Inner.Decide(snap)
 	if d.Action == scheduler.ActionExpand && pressed {
 		grown := mine.procs + d.Target.Count() - snap.Caller.Topo.Count()
 		if float64(grown) > mine.share {

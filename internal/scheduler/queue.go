@@ -1,51 +1,87 @@
 package scheduler
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// jobQueue is the indexed wait queue that replaces the linear-scan slice.
-// Head order (higher Priority first, submission id among equals) comes from
-// per-priority FIFO lists: jobs link intrusively (Job.qprev/qnext) into the
-// bucket for their priority, and the sorted bucket directory yields the
-// global head in O(1). Per-need buckets let backfill find the best-ranked
-// job that fits the idle pool without scanning the whole queue — the number
-// of distinct processor needs is small (one per chain start configuration)
-// even when hundreds of thousands of jobs wait.
+// jobQueue is the wait queue. Three directories (see dir) file every queued
+// job:
 //
-// The priority lists unlink eagerly on take, so walking them never touches
-// consumed jobs — head() and window() are O(1)/O(k) no matter how many jobs
-// have churned through. The need and tenant bucket heaps still remove
-// lazily (entries skipped when State left Queued): a job started through
-// the head index costs nothing to drop from them. Need buckets whose heaps
-// drain are pruned — eagerly when bestFit surfaces an empty bucket, and by
-// an amortized sweep every ~len(needs) takes — so a long-running daemon
-// churning jobs with many distinct processor needs does not grow the index
-// without bound or make bestFit scan dead buckets forever.
+//   - prio maps a priority to the FIFO list of its jobs. The top key's list
+//     holds the FCFS head, and walking the keys down yields head order.
+//   - need maps a processor need to a heap of its jobs, so backfill looks
+//     only at the needs that fit the idle pool. Distinct needs are few (one
+//     per chain start configuration) even when 10⁵ jobs wait.
+//   - tenant maps Spec.Tenant to a heap of its jobs, the per-tenant heads a
+//     fair-share StartPicker chooses among. It costs a heap push per submit
+//     and stays empty until enableTenantIndex: keeping it, the expandable
+//     index and the change log on from the start cost sim-fcfs 4–13 %
+//     jobs/s (2 vCPUs, 6 of 6 paired runs).
 //
-// version increments on every push and take; Core keys its materialized
-// queued-window caches on it so snapshots rebuild only when the queue
-// actually changed.
+// take unlinks a job from its priority list at once, so head and window never
+// see a consumed job. The heaps drop consumed jobs lazily, and prune removes
+// the buckets that leaves empty: bestFit and tenantHeads prune what they
+// visit, and every max(32, len(need)) takes prune both heap directories
+// whole, so a churning daemon's index tracks the needs still waiting, not
+// history.
+//
+// version increments on every push and take; Core keys its queued-window
+// caches on it.
 type jobQueue struct {
-	prio    map[int]*prioList // priority -> FIFO list of queued jobs
-	prios   []int             // distinct keys of prio, sorted descending, buckets never empty
-	need    map[int]*jobHeap  // processor need -> queued jobs with that need
-	needs   []int             // sorted distinct keys of need (may include empty buckets)
-	size    int               // live queued jobs
-	takes   int               // takes since the last bucket sweep
-	version uint64            // bumped on every push/take
-
-	// deadNeeds/deadTenants are reusable scratch for the bucket-pruning
-	// passes in bestFit and tenantHeads, so steady-state backfill scans
-	// allocate nothing.
-	deadNeeds   []int
-	deadTenants []string
-
-	// The tenant index mirrors the need index per Spec.Tenant so a
-	// fair-share StartPicker can see every tenant's queue head without
-	// scanning. It costs one extra heap push per submit, so it is off until
-	// enableTenantIndex — single-tenant FCFS/benefit runs pay nothing.
-	byTenant  map[string]*jobHeap // tenant -> queued jobs for that tenant
-	tenants   []string            // sorted distinct keys of byTenant (may include empty buckets)
+	prio      dir[int, prioList]
+	need      dir[int, jobHeap]
+	tenant    dir[string, jobHeap]
 	tenantIdx bool
+	size      int    // live queued jobs
+	takes     int    // takes since the last whole prune
+	version   uint64 // bumped on every push and take
+}
+
+// dir is a directory of buckets in ascending key order: vals[i] is filed
+// under keys[i]. It bisects instead of hashing because every directory in
+// this package holds few live keys and is walked in key order.
+type dir[K cmp.Ordered, B any] struct {
+	keys []K
+	vals []B
+}
+
+// at returns where k sits, or belongs, and whether it is there.
+func (d *dir[K, B]) at(k K) (int, bool) { return slices.BinarySearch(d.keys, k) }
+
+// get returns k's bucket, filing an empty one first if k has none. The
+// pointer is good until the directory next gains or loses a key.
+func (d *dir[K, B]) get(k K) *B {
+	i, ok := d.at(k)
+	if !ok {
+		var empty B
+		d.keys = slices.Insert(d.keys, i, k)
+		d.vals = slices.Insert(d.vals, i, empty)
+	}
+	return &d.vals[i]
+}
+
+// del drops the buckets at positions [i, j).
+func (d *dir[K, B]) del(i, j int) {
+	d.keys = slices.Delete(d.keys, i, j)
+	d.vals = slices.Delete(d.vals, i, j)
+}
+
+// prune drops the heaps with no live job from the first n buckets of d and
+// returns how many of those n are left: each of d.vals[:left] has its live
+// top at h[0].
+func prune[K cmp.Ordered](d *dir[K, jobHeap], n int) (left int) {
+	for i := range n {
+		if d.vals[i].peekLive() == nil {
+			continue
+		}
+		if left < i {
+			d.keys[left], d.vals[left] = d.keys[i], d.vals[i]
+		}
+		left++
+	}
+	d.del(left, n)
+	return left
 }
 
 // prioList is one priority bucket: a doubly linked FIFO of queued jobs in
@@ -110,105 +146,35 @@ func jobLess(a, b *Job) bool {
 // push enqueues a job into every index.
 func (q *jobQueue) push(j *Job) {
 	q.version++
-	p := j.Spec.Priority
-	pl, ok := q.prio[p]
-	if !ok {
-		if q.prio == nil {
-			q.prio = make(map[int]*prioList)
-		}
-		pl = &prioList{}
-		q.prio[p] = pl
-		// Insert the key keeping prios sorted descending.
-		i := sort.Search(len(q.prios), func(k int) bool { return q.prios[k] <= p })
-		q.prios = append(q.prios, 0)
-		copy(q.prios[i+1:], q.prios[i:])
-		q.prios[i] = p
-	}
-	pl.insert(j)
-	n := j.Spec.InitialTopo.Count()
-	b, ok := q.need[n]
-	if !ok {
-		if q.need == nil {
-			q.need = make(map[int]*jobHeap)
-		}
-		b = &jobHeap{}
-		q.need[n] = b
-		i := sort.SearchInts(q.needs, n)
-		q.needs = append(q.needs, 0)
-		copy(q.needs[i+1:], q.needs[i:])
-		q.needs[i] = n
-	}
-	b.push(j)
-	if q.tenantIdx {
-		q.tenantPush(j)
-	}
 	q.size++
+	q.prio.get(j.Spec.Priority).insert(j)
+	q.need.get(j.Spec.InitialTopo.Count()).push(j)
+	if q.tenantIdx {
+		q.tenant.get(j.Spec.Tenant).push(j)
+	}
 }
 
-// enableTenantIndex turns the per-tenant index on, backfilling it from any
-// jobs already queued (recovery installs the arbiter on a core that may
-// have restored a populated queue from a snapshot). Idempotent. Heap pop
-// order under the total jobLess order is insertion-order independent, and
-// the priority lists are walked in deterministic head order, so the index
-// is deterministic.
+// enableTenantIndex turns the tenant index on, filing every job already
+// queued (recovery may install the arbiter on a core restored with a
+// populated queue). Idempotent. A heap's pop order under jobLess does not
+// depend on insertion order, so the index is deterministic.
 func (q *jobQueue) enableTenantIndex() {
 	if q.tenantIdx {
 		return
 	}
 	q.tenantIdx = true
-	for _, p := range q.prios {
-		for j := q.prio[p].head; j != nil; j = j.qnext {
-			q.tenantPush(j)
-		}
+	for _, j := range q.window(nil, q.size) {
+		q.tenant.get(j.Spec.Tenant).push(j)
 	}
-}
-
-// tenantPush enqueues a job into its tenant bucket, creating the bucket
-// (and its sorted key) on first use.
-func (q *jobQueue) tenantPush(j *Job) {
-	t := j.Spec.Tenant
-	b, ok := q.byTenant[t]
-	if !ok {
-		if q.byTenant == nil {
-			q.byTenant = make(map[string]*jobHeap)
-		}
-		b = &jobHeap{}
-		q.byTenant[t] = b
-		i := sort.SearchStrings(q.tenants, t)
-		q.tenants = append(q.tenants, "")
-		copy(q.tenants[i+1:], q.tenants[i:])
-		q.tenants[i] = t
-	}
-	b.push(j)
 }
 
 // tenantHeads appends each tenant's queue head to dst in ascending tenant
-// order. Buckets found empty are pruned on the way, exactly like bestFit's
-// need buckets.
+// order, pruning the tenant buckets it finds empty.
 func (q *jobQueue) tenantHeads(dst []*Job) []*Job {
-	dead := q.deadTenants[:0]
-	for _, t := range q.tenants {
-		top := q.byTenant[t].peekLive()
-		if top == nil {
-			dead = append(dead, t)
-			continue
-		}
-		dst = append(dst, top)
+	for _, b := range q.tenant.vals[:prune(&q.tenant, len(q.tenant.keys))] {
+		dst = append(dst, b.h[0])
 	}
-	for _, t := range dead {
-		q.removeTenant(t)
-	}
-	q.deadTenants = dead[:0]
 	return dst
-}
-
-// removeTenant drops one tenant bucket from both tenant-index structures.
-func (q *jobQueue) removeTenant(t string) {
-	delete(q.byTenant, t)
-	i := sort.SearchStrings(q.tenants, t)
-	if i < len(q.tenants) && q.tenants[i] == t {
-		q.tenants = append(q.tenants[:i], q.tenants[i+1:]...)
-	}
 }
 
 // len returns the number of live queued jobs.
@@ -216,114 +182,52 @@ func (q *jobQueue) len() int { return q.size }
 
 // head returns the next job in FCFS order without removing it.
 func (q *jobQueue) head() *Job {
-	if len(q.prios) == 0 {
-		return nil
+	if n := len(q.prio.vals); n > 0 {
+		return q.prio.vals[n-1].head
 	}
-	return q.prio[q.prios[0]].head
+	return nil
 }
 
-// take marks the job consumed: it is unlinked from its priority list
-// immediately (emptied buckets are dropped so head() stays O(1)), while the
-// need/tenant heaps drop it lazily — the caller transitions the job out of
-// Queued state, and stale entries are discarded when they surface at a heap
-// top. Every ~len(needs) takes the need index is swept for empty buckets,
-// keeping it proportional to the number of needs actually waiting
-// (amortized O(1) per take).
+// take marks the job consumed. The caller has moved it out of Queued, so the
+// heaps drop it when it surfaces; its priority list unlinks it now. Every
+// max(32, len(need)) takes both heap directories are pruned whole, amortized
+// O(1) per take.
 func (q *jobQueue) take(j *Job) {
 	q.version++
-	p := j.Spec.Priority
-	if pl, ok := q.prio[p]; ok {
-		pl.remove(j)
-		if pl.head == nil {
-			delete(q.prio, p)
-			i := sort.Search(len(q.prios), func(k int) bool { return q.prios[k] <= p })
-			if i < len(q.prios) && q.prios[i] == p {
-				q.prios = append(q.prios[:i], q.prios[i+1:]...)
-			}
-		}
-	}
 	q.size--
-	q.takes++
-	if q.takes >= 32 && q.takes >= len(q.needs) {
-		q.sweep()
-	}
-}
-
-// sweep drops every need bucket (and, when the tenant index is enabled,
-// every tenant bucket) with no live job left.
-func (q *jobQueue) sweep() {
-	q.takes = 0
-	live := q.needs[:0]
-	for _, n := range q.needs {
-		if q.need[n].peekLive() == nil {
-			delete(q.need, n)
-		} else {
-			live = append(live, n)
+	if i, ok := q.prio.at(j.Spec.Priority); ok {
+		l := &q.prio.vals[i]
+		l.remove(j)
+		if l.head == nil {
+			q.prio.del(i, i+1)
 		}
 	}
-	for i := len(live); i < len(q.needs); i++ {
-		q.needs[i] = 0
-	}
-	q.needs = live
-	if !q.tenantIdx {
-		return
-	}
-	liveT := q.tenants[:0]
-	for _, t := range q.tenants {
-		if q.byTenant[t].peekLive() == nil {
-			delete(q.byTenant, t)
-		} else {
-			liveT = append(liveT, t)
-		}
-	}
-	for i := len(liveT); i < len(q.tenants); i++ {
-		q.tenants[i] = ""
-	}
-	q.tenants = liveT
-}
-
-// removeNeed drops one bucket from both need-index structures.
-func (q *jobQueue) removeNeed(n int) {
-	delete(q.need, n)
-	i := sort.SearchInts(q.needs, n)
-	if i < len(q.needs) && q.needs[i] == n {
-		q.needs = append(q.needs[:i], q.needs[i+1:]...)
+	if q.takes++; q.takes >= 32 && q.takes >= len(q.need.keys) {
+		q.takes = 0
+		prune(&q.need, len(q.need.keys))
+		prune(&q.tenant, len(q.tenant.keys))
 	}
 }
 
 // bestFit returns the best-ranked queued job needing at most free
-// processors, or nil. Backfill order matches the linear scan: among all
-// fitting jobs, the one earliest in head order starts first. Buckets found
-// empty are pruned on the way.
+// processors, or nil: among all fitting jobs, the earliest in head order
+// (TestBackfillMatchesLinearScan). It prunes the need buckets it visits.
 func (q *jobQueue) bestFit(free int) *Job {
+	fit, _ := q.need.at(free + 1) // needs ≤ free
 	var best *Job
-	dead := q.deadNeeds[:0]
-	for _, n := range q.needs {
-		if n > free {
-			break
-		}
-		top := q.need[n].peekLive()
-		if top == nil {
-			dead = append(dead, n)
-			continue
-		}
-		if best == nil || jobLess(top, best) {
-			best = top
+	for _, b := range q.need.vals[:prune(&q.need, fit)] {
+		if best == nil || jobLess(b.h[0], best) {
+			best = b.h[0]
 		}
 	}
-	for _, n := range dead {
-		q.removeNeed(n)
-	}
-	q.deadNeeds = dead[:0]
 	return best
 }
 
-// window appends the first k queued jobs in head order to dst. The priority
-// lists hold live jobs only (take unlinks eagerly), so the walk is O(k)
-// with zero allocations regardless of queue length or churn history.
+// window appends the first k queued jobs in head order to dst: O(k), since
+// the priority lists hold live jobs only.
 func (q *jobQueue) window(dst []*Job, k int) []*Job {
-	for _, p := range q.prios {
-		for j := q.prio[p].head; j != nil; j = j.qnext {
+	for i := len(q.prio.vals) - 1; i >= 0; i-- {
+		for j := q.prio.vals[i].head; j != nil; j = j.qnext {
 			if k <= 0 {
 				return dst
 			}

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -17,66 +18,92 @@ func queuedJob(id, need int) *Job {
 	}
 }
 
+// buckets reports how many need and tenant buckets the queue files.
+func buckets(q *jobQueue) (need, tenant int) {
+	if len(q.need.keys) != len(q.need.vals) || len(q.tenant.keys) != len(q.tenant.vals) {
+		panic("directory keys and buckets out of step")
+	}
+	return len(q.need.keys), len(q.tenant.keys)
+}
+
+// tenantQueue is an empty queue with the tenant index on or off.
+func tenantQueue(indexed bool) *jobQueue {
+	q := &jobQueue{}
+	if indexed {
+		q.enableTenantIndex()
+	}
+	return q
+}
+
 // TestQueuePrunesDrainedNeedBuckets is the regression test for the
 // unbounded-index bug: a long-running daemon draining jobs with many
-// distinct processor needs must not keep a dead bucket (and a needs-slice
-// entry bestFit rescans) per need forever.
+// distinct processor needs or tenants must not keep a dead bucket (and a
+// key bestFit or tenantHeads rescans) per need or tenant forever.
 func TestQueuePrunesDrainedNeedBuckets(t *testing.T) {
-	var q jobQueue
-	const n = 500
-	jobs := make([]*Job, n)
-	for i := range jobs {
-		jobs[i] = queuedJob(i, i+1)
-		q.push(jobs[i])
-	}
-	if len(q.need) != n || len(q.needs) != n {
-		t.Fatalf("index has %d/%d buckets after %d distinct pushes", len(q.need), len(q.needs), n)
-	}
-	for _, j := range jobs {
-		j.State = Running
-		q.take(j)
-	}
-	if q.len() != 0 {
-		t.Fatalf("queue reports %d live jobs after drain", q.len())
-	}
-	if len(q.need) != 0 || len(q.needs) != 0 {
-		t.Errorf("need index retains %d map / %d slice buckets after full drain", len(q.need), len(q.needs))
+	for _, indexed := range []bool{false, true} {
+		q := tenantQueue(indexed)
+		const n = 500
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			jobs[i] = queuedJob(i, i+1)
+			jobs[i].Spec.Tenant = fmt.Sprint("t", i)
+			q.push(jobs[i])
+		}
+		wantT := 0
+		if indexed {
+			wantT = n
+		}
+		if need, tenant := buckets(q); need != n || tenant != wantT {
+			t.Fatalf("tenant index %v: %d need / %d tenant buckets after %d distinct pushes", indexed, need, tenant, n)
+		}
+		for _, j := range jobs {
+			j.State = Running
+			q.take(j)
+		}
+		if q.len() != 0 {
+			t.Fatalf("tenant index %v: queue reports %d live jobs after drain", indexed, q.len())
+		}
+		if need, tenant := buckets(q); need != 0 || tenant != 0 {
+			t.Errorf("tenant index %v: %d need / %d tenant buckets retained after full drain", indexed, need, tenant)
+		}
 	}
 }
 
 // TestQueueIndexBoundedUnderChurn models the daemon workload: every round
-// submits jobs with fresh, never-repeated needs and drains them. The index
-// must stay proportional to the in-flight needs, not to history.
+// submits jobs with fresh, never-repeated needs and tenants and drains them.
+// The index must stay proportional to what is in flight, not to history.
 func TestQueueIndexBoundedUnderChurn(t *testing.T) {
-	var q jobQueue
-	id := 0
-	for round := 0; round < 50; round++ {
-		batch := make([]*Job, 100)
-		for i := range batch {
-			id++
-			batch[i] = queuedJob(id, round*1000+i+1)
-			q.push(batch[i])
+	for _, indexed := range []bool{false, true} {
+		q := tenantQueue(indexed)
+		id := 0
+		for round := 0; round < 50; round++ {
+			batch := make([]*Job, 100)
+			for i := range batch {
+				id++
+				batch[i] = queuedJob(id, round*1000+i+1)
+				batch[i].Spec.Tenant = fmt.Sprint("t", id)
+				q.push(batch[i])
+			}
+			for _, j := range batch {
+				j.State = Running
+				q.take(j)
+			}
+			if need, tenant := buckets(q); need > 150 || tenant > 150 {
+				t.Fatalf("tenant index %v round %d: index grew to %d need / %d tenant buckets", indexed, round, need, tenant)
+			}
 		}
-		for _, j := range batch {
-			j.State = Running
-			q.take(j)
-		}
-		if len(q.needs) > 150 {
-			t.Fatalf("round %d: index grew to %d buckets", round, len(q.needs))
-		}
-	}
-	if len(q.needs) > 150 || len(q.need) > 150 {
-		t.Errorf("index retains %d slice / %d map buckets after churn", len(q.needs), len(q.need))
 	}
 }
 
-// TestBestFitPrunesDeadBuckets checks the eager path: backfill scans must
-// drop buckets they find empty instead of rescanning them on every pass.
+// TestBestFitPrunesDeadBuckets checks the eager path: backfill scans and
+// tenant-head scans must drop buckets they find empty instead of rescanning
+// them on every pass, and a pruned key must be usable again.
 func TestBestFitPrunesDeadBuckets(t *testing.T) {
-	var q jobQueue
+	q := tenantQueue(true)
 	jobs := make([]*Job, 10)
 	for i := range jobs {
 		jobs[i] = queuedJob(i, i+1)
+		jobs[i].Spec.Tenant = fmt.Sprint("t", i)
 		q.push(jobs[i])
 	}
 	// All but the need-10 job start through the head index (lazy removal:
@@ -88,14 +115,104 @@ func TestBestFitPrunesDeadBuckets(t *testing.T) {
 	if best != jobs[9] {
 		t.Fatalf("bestFit returned %v, want the need-10 job", best)
 	}
-	if len(q.need) != 1 || len(q.needs) != 1 {
-		t.Errorf("bestFit left %d map / %d slice buckets, want 1", len(q.need), len(q.needs))
+	if need, _ := buckets(q); need != 1 {
+		t.Errorf("bestFit left %d need buckets, want 1", need)
 	}
-	// A pruned need must be usable again.
+	if heads := q.tenantHeads(nil); len(heads) != 1 || heads[0] != jobs[9] {
+		t.Fatalf("tenantHeads returned %v, want the need-10 job alone", heads)
+	}
+	if _, tenant := buckets(q); tenant != 1 {
+		t.Errorf("tenantHeads left %d tenant buckets, want 1", tenant)
+	}
+	// A pruned need and tenant must be usable again.
 	j := queuedJob(100, 3)
+	j.Spec.Tenant = "t3"
 	q.push(j)
 	if got := q.bestFit(5); got != j {
 		t.Errorf("re-pushed need not found: got %v", got)
+	}
+	if heads := q.tenantHeads(nil); len(heads) != 2 || heads[0] != j {
+		t.Errorf("re-pushed tenant not found: heads %v", heads)
+	}
+}
+
+// TestQueueScansAllocateNothing pins the pruning walks allocation-free
+// while they drop dead buckets: bestFit and tenantHeads over buckets whose
+// jobs started through the head index, and the whole prune every 32 takes.
+func TestQueueScansAllocateNothing(t *testing.T) {
+	const n = 128
+	heads := make([]*Job, 0, n)
+	for _, c := range []struct {
+		name  string
+		group int  // jobs per need and per tenant
+		take  bool // whether started jobs are also taken
+		scan  func(*jobQueue)
+		left  func(*jobQueue) int // buckets in the directory the scan prunes
+	}{
+		{"bestFit", 1, false, func(q *jobQueue) { q.bestFit(n) }, func(q *jobQueue) int { return len(q.need.keys) }},
+		{"tenantHeads", 1, false, func(q *jobQueue) { heads = q.tenantHeads(heads[:0]) }, func(q *jobQueue) int { return len(q.tenant.keys) }},
+		{"take", 8, true, func(*jobQueue) {}, func(q *jobQueue) int { need, tenant := buckets(q); return max(need, tenant) }},
+	} {
+		q := tenantQueue(true)
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			jobs[i] = queuedJob(i, 1+i/c.group)
+			jobs[i].Spec.Tenant = fmt.Sprint("t", i/c.group)
+			q.push(jobs[i])
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(24, func() {
+			for _, j := range jobs[next : next+4] {
+				j.State = Running
+				if c.take {
+					q.take(j)
+				}
+			}
+			next += 4
+			c.scan(q)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per round, want 0", c.name, allocs)
+		}
+		if left := c.left(q); left >= n/c.group {
+			t.Errorf("%s: %d of %d buckets left after %d jobs started: nothing was pruned", c.name, left, n/c.group, next)
+		}
+	}
+}
+
+// TestPublishedContactAllocatesNothing pins the published single-job
+// Contact at zero allocations when the queue changed since the previous
+// contact, so the queued-needs window is rebuilt into the core's scratch.
+func TestPublishedContactAllocatesNothing(t *testing.T) {
+	c := NewCore(50, false) // no backfill: the backlog stays queued
+	c.DisableTrace()
+	submit := func(need int) *Job {
+		start := grid.Topology{Rows: 3, Cols: need / 3}
+		j, _, err := c.Submit(JobSpec{Name: "lu", App: "lu", ProblemSize: 12000, Iterations: 1 << 30,
+			InitialTopo: start, Chain: grid.GrowthChain(start, 12000, 50)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	job := submit(12)
+	for i := 0; i < 31; i++ {
+		submit(36) // the first fills the pool, the rest wait behind it
+	}
+	now := 0.0
+	allocs := testing.AllocsPerRun(100, func() {
+		c.queue.version++ // what any push or take does to the window caches
+		now++
+		if _, err := c.Contact(job.ID, job.Topo, 50, 0, now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Contact after a queue change allocates %.1f times, want 0", allocs)
+	}
+	if c.QueueLen() != 30 || c.needsVer != c.queue.version {
+		t.Fatalf("%d jobs queued, window built at version %d of %d: the rebuild went unexercised",
+			c.QueueLen(), c.needsVer, c.queue.version)
 	}
 }
 

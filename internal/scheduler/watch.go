@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -180,7 +181,8 @@ func (s *Server) Status(ctx context.Context) (ClusterStatus, error) {
 // subscription ends when ctx is cancelled or Cancel is called.
 //
 // Watch requires the core's allocation trace (the default; see
-// Core.DisableTrace).
+// Core.DisableTrace): events are published from it, so on a core without
+// one Watch returns an error rather than a stream that never delivers.
 func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -194,6 +196,10 @@ func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 	w := &subscriber{jobID: jobID, ch: ch, sub: sub}
 
 	s.mu.Lock()
+	if !s.core.trace {
+		s.mu.Unlock()
+		return nil, errors.New("scheduler: watch needs the core's allocation trace, which is disabled")
+	}
 	// Anything recorded and not yet published belongs to a batch still
 	// waiting for its commit, which publishes it to this subscriber too.
 	id := s.nextSub

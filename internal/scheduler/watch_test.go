@@ -111,6 +111,22 @@ func TestServerWatchCancelClosesStream(t *testing.T) {
 	}
 }
 
+// TestServerWatchNeedsTrace: events are published from the core's
+// allocation trace, so a core without one must refuse a watch instead of
+// handing out a stream that never delivers.
+func TestServerWatchNeedsTrace(t *testing.T) {
+	c := NewCore(4, false)
+	c.DisableTrace()
+	srv := NewServerCore(c, nil)
+	if sub, err := srv.Watch(context.Background(), AllJobs); err == nil {
+		sub.Cancel()
+		t.Fatal("Watch on a core without its allocation trace returned a subscription")
+	}
+	if n := srv.Subscribers(); n != 0 {
+		t.Fatalf("refused watch left %d subscribers", n)
+	}
+}
+
 func TestStatusSnapshot(t *testing.T) {
 	ctx := context.Background()
 	srv := NewServer(4, false, nil)
