@@ -102,7 +102,7 @@ func main() {
 		id, *name, *app, *n, *priority, who, initial)
 	if *wait {
 		// Follow the job's own event stream while waiting: the watch
-		// shares the client's multiplexed connection.
+		// streams on a connection of its own beside the Wait call's.
 		sub, err := cl.Watch(ctx, id)
 		if err != nil {
 			fail(err)

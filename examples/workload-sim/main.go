@@ -153,8 +153,8 @@ func runLive(procs int) {
 	}
 	sub.Cancel()
 	<-events
-	fmt.Printf("\nfinal status: %d/%d processors free, %d jobs done; %d events dropped\n",
-		st.Free, st.Total, len(st.Jobs), sub.Dropped())
+	fmt.Printf("\nfinal status: %d/%d processors free, %d jobs done\n",
+		st.Free, st.Total, len(st.Jobs))
 	stats := srv.Stats()
 	fmt.Printf("server stats: %d conn(s), %d requests, %d watch(es), %d dials by client\n",
 		stats.Conns, stats.Requests, stats.Watches, client.Dials())

@@ -15,18 +15,20 @@ import (
 )
 
 // Client talks rpc/v2 to a reshaped daemon over a small pool of
-// multiplexed connections. All methods are safe for concurrent use; one
-// Client is meant to be shared process-wide.
+// multiplexed connections, plus one connection per open Watch. All methods
+// are safe for concurrent use; one Client is meant to be shared
+// process-wide.
 type Client struct {
 	addr        string
 	poolSize    int
 	dialTimeout time.Duration
 	tenant      string
 
-	mu     sync.Mutex
-	conns  []*conn // fixed-size slot array; nil/dead slots redial lazily
-	rr     int
-	closed bool
+	mu      sync.Mutex
+	conns   []*conn // fixed-size slot array; nil/dead slots redial lazily
+	watches map[net.Conn]struct{}
+	rr      int
+	closed  bool
 
 	// dials counts TCP connections established over the client's lifetime
 	// (reconnects included) — the "conns/op" numerator in benchmarks.
@@ -72,11 +74,15 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		o(c)
 	}
 	c.conns = make([]*conn, c.poolSize)
+	c.watches = make(map[net.Conn]struct{})
 	if _, err := c.getConn(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
+
+// errClosed is the error of every call on a closed client.
+var errClosed = errors.New("reshape: client closed")
 
 // Close severs every connection; in-flight calls fail and watch streams
 // close.
@@ -84,17 +90,20 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	conns := append([]*conn(nil), c.conns...)
+	for nc := range c.watches {
+		nc.Close()
+	}
 	c.mu.Unlock()
 	for _, cn := range conns {
 		if cn != nil {
-			cn.fail(fmt.Errorf("reshape: client closed"))
+			cn.fail(errClosed)
 		}
 	}
 	return nil
 }
 
 // Dials reports how many TCP connections the client has established since
-// creation (1 per pool slot plus reconnects).
+// creation (1 per pool slot and 1 per Watch, plus reconnects).
 func (c *Client) Dials() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -107,7 +116,7 @@ func (c *Client) getConn() (*conn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("reshape: client closed")
+		return nil, errClosed
 	}
 	slot := c.rr % len(c.conns)
 	c.rr++
@@ -117,28 +126,24 @@ func (c *Client) getConn() (*conn, error) {
 	}
 	c.mu.Unlock()
 
-	nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	nc, err := c.dial()
 	if err != nil {
-		return nil, fmt.Errorf("reshape: dial %s: %w", c.addr, err)
-	}
-	if _, err := nc.Write([]byte{rpc.MagicV2}); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("reshape: handshake %s: %w", c.addr, err)
+		return nil, err
 	}
 	cn := &conn{
 		client:  c,
 		nc:      nc,
 		fw:      rpc.NewFrameWriter(nc),
 		deadCh:  make(chan struct{}),
-		pending: make(map[uint64]*pendingReq),
+		pending: make(map[uint64]chan rpc.Reply),
 	}
 	go cn.readLoop()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		cn.failAsync(fmt.Errorf("reshape: client closed"))
-		return nil, fmt.Errorf("reshape: client closed")
+		cn.failAsync(errClosed)
+		return nil, errClosed
 	}
 	c.dials++
 	if old := c.conns[slot]; old != nil && !old.isDead() {
@@ -150,25 +155,27 @@ func (c *Client) getConn() (*conn, error) {
 	return cn, nil
 }
 
-// pendingReq routes one request's replies from the read loop to its
-// caller. A unary request gets exactly one reply and is unregistered as it
-// is delivered. A stream (Watch) receives many, so its channel is deeper
-// and it stays registered until a Final reply. Connection death is
-// signalled out of band (conn.deadCh), so a full reply buffer can never
-// swallow the failure notification.
-type pendingReq struct {
-	ch chan rpc.Reply
-	// onDrop is set on streams only: it counts replies discarded because
-	// ch was full.
-	onDrop func()
+// dial opens a v2 connection to the daemon: TCP, then the magic byte.
+func (c *Client) dial() (net.Conn, error) {
+	nc, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("reshape: dial %s: %w", c.addr, err)
+	}
+	if _, err := nc.Write([]byte{rpc.MagicV2}); err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("reshape: handshake %s: %w", c.addr, err)
+	}
+	return nc, nil
 }
 
-// unaryPool recycles unary pendingReqs with their 1-slot channels. An
-// entry goes back only after its caller has consumed the reply: the read
-// loop unregistered it before delivering, so nothing else can reach it.
-// An entry abandoned on cancellation or connection death is left to the
-// GC, since a late reply may still be on its way into the channel.
-var unaryPool = sync.Pool{New: func() any { return &pendingReq{ch: make(chan rpc.Reply, 1)} }}
+// replyPool recycles the 1-slot channels that carry each request's one
+// reply from the read loop to its caller. The read loop unregisters a
+// request as it delivers, so the send never blocks it; connection death is
+// signalled out of band (conn.deadCh). A channel goes back only after its
+// caller has consumed the reply, so nothing else can reach it. One
+// abandoned on cancellation or connection death is left to the GC, since a
+// late reply may still be on its way into it.
+var replyPool = sync.Pool{New: func() any { return make(chan rpc.Reply, 1) }}
 
 // conn is one multiplexed v2 connection.
 type conn struct {
@@ -180,7 +187,7 @@ type conn struct {
 	deadCh chan struct{}
 
 	mu      sync.Mutex
-	pending map[uint64]*pendingReq
+	pending map[uint64]chan rpc.Reply
 	nextID  uint64
 	dead    bool
 	err     error
@@ -212,7 +219,7 @@ func (cn *conn) fail(err error) {
 	}
 	cn.dead = true
 	cn.err = err
-	cn.pending = make(map[uint64]*pendingReq)
+	cn.pending = make(map[uint64]chan rpc.Reply)
 	cn.mu.Unlock()
 	_ = cn.nc.Close()
 	close(cn.deadCh)
@@ -230,28 +237,17 @@ func (cn *conn) readLoop() {
 			return
 		}
 		cn.mu.Lock()
-		p := cn.pending[r.ID]
-		if p != nil && (r.Final || p.onDrop == nil) {
-			delete(cn.pending, r.ID)
-		}
+		ch := cn.pending[r.ID]
+		delete(cn.pending, r.ID)
 		cn.mu.Unlock()
-		if p == nil {
-			continue // reply for a cancelled/abandoned request
-		}
-		select {
-		case p.ch <- r:
-		default:
-			// The consumer's buffer is full (lagging watch): drop the
-			// event rather than stall every request on this connection.
-			if p.onDrop != nil {
-				p.onDrop()
-			}
+		if ch != nil { // nil: a reply for a cancelled/abandoned request
+			ch <- r
 		}
 	}
 }
 
-// register allocates a request ID and routes its replies to p.
-func (cn *conn) register(p *pendingReq) (uint64, error) {
+// register allocates a request ID and routes its reply to ch.
+func (cn *conn) register(ch chan rpc.Reply) (uint64, error) {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	if cn.dead {
@@ -259,7 +255,7 @@ func (cn *conn) register(p *pendingReq) (uint64, error) {
 	}
 	cn.nextID++
 	id := cn.nextID
-	cn.pending[id] = p
+	cn.pending[id] = ch
 	return id, nil
 }
 
@@ -283,8 +279,8 @@ func (cn *conn) send(f *rpc.Frame) error {
 
 // cancelRemote tells the server to abort request id (best effort).
 func (cn *conn) cancelRemote(id uint64) {
-	p := &pendingReq{ch: make(chan rpc.Reply, 1)}
-	cancelID, err := cn.register(p)
+	ack := make(chan rpc.Reply, 1)
+	cancelID, err := cn.register(ack)
 	if err != nil {
 		return
 	}
@@ -295,7 +291,7 @@ func (cn *conn) cancelRemote(id uint64) {
 	// caller.
 	go func() {
 		select {
-		case <-p.ch:
+		case <-ack:
 		case <-cn.deadCh:
 		case <-time.After(5 * time.Second):
 			cn.unregister(cancelID)
@@ -348,10 +344,10 @@ func (c *Client) call(ctx context.Context, f rpc.Frame, idempotent bool) (rpc.Re
 		if err != nil {
 			return rpc.Reply{}, err
 		}
-		p := unaryPool.Get().(*pendingReq)
-		id, err := cn.register(p)
+		ch := replyPool.Get().(chan rpc.Reply)
+		id, err := cn.register(ch)
 		if err != nil {
-			unaryPool.Put(p)
+			replyPool.Put(ch)
 			lastErr = err
 			continue // conn was dead before the request existed; redial
 		}
@@ -370,13 +366,13 @@ func (c *Client) call(ctx context.Context, f rpc.Frame, idempotent bool) (rpc.Re
 			return r, nil
 		}
 		select {
-		case r := <-p.ch:
-			unaryPool.Put(p)
+		case r := <-ch:
+			replyPool.Put(ch)
 			return finish(r)
 		case <-cn.deadCh:
 			// The reply may have been delivered just before death.
 			select {
-			case r := <-p.ch:
+			case r := <-ch:
 				return finish(r)
 			default:
 			}
@@ -464,119 +460,102 @@ func (c *Client) Wait(ctx context.Context, jobID int) error {
 	}
 }
 
-// watchStreamBuffer sizes the per-watch reply and delivery channels.
-const watchStreamBuffer = 512
-
 // Watch subscribes to job-state transitions (scheduler.AllJobs for the
-// whole cluster) as rpc/v2 server push. If the connection drops, the
-// client reconnects and resubscribes automatically; the subscription's
-// Dropped counter records events lost to consumer lag, and Seq gaps
-// reveal events missed across a reconnect. The stream ends when ctx is
-// done, Cancel is called, or the client is closed.
+// whole cluster) as rpc/v2 server push on a connection of its own. The
+// connection is read only as fast as C drains, so a consumer that lags
+// loses nothing: TCP carries the backpressure back to the server, whose
+// cursor into its event trace waits. If the connection drops, the client
+// redials and resubscribes automatically, and Seq gaps reveal the events
+// published in between. The stream ends when ctx is done, Cancel is
+// called, or the client is closed.
 func (c *Client) Watch(ctx context.Context, jobID int) (*scheduler.Subscription, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	wctx, cancel := context.WithCancel(ctx)
-	out := make(chan scheduler.JobEvent, watchStreamBuffer)
-	sub := scheduler.NewSubscription(out, cancel)
-	go c.watchLoop(wctx, jobID, out, sub)
-	return sub, nil
+	out := make(chan scheduler.JobEvent)
+	go c.watchLoop(wctx, jobID, out)
+	return scheduler.NewSubscription(out, cancel), nil
 }
 
-// watchLoop owns one logical subscription across physical reconnects.
-func (c *Client) watchLoop(ctx context.Context, jobID int, out chan<- scheduler.JobEvent, sub *scheduler.Subscription) {
+// watchLoop owns one subscription across reconnects.
+func (c *Client) watchLoop(ctx context.Context, jobID int, out chan<- scheduler.JobEvent) {
 	defer close(out)
 	backoff := 50 * time.Millisecond
 	const maxBackoff = 2 * time.Second
-	sleep := func() bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-		return true
-	}
 	for ctx.Err() == nil {
-		cn, err := c.getConn()
-		if err != nil {
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
-			if closed || !sleep() {
-				return
-			}
-			continue
-		}
-		p := &pendingReq{ch: make(chan rpc.Reply, watchStreamBuffer), onDrop: sub.NoteDrop}
-		id, err := cn.register(p)
-		if err != nil {
-			if !sleep() {
-				return
-			}
-			continue
-		}
-		if err := cn.send(&rpc.Frame{ID: id, Op: rpc.OpWatch, JobID: jobID, Tenant: c.tenant}); err != nil {
-			if !sleep() {
-				return
-			}
-			continue
-		}
-		if !c.pumpWatch(ctx, cn, id, p, out, sub) {
-			return // ctx done: subscription over
-		}
-		// Transport lost or server ended the stream: resubscribe.
-		backoff = 50 * time.Millisecond
-		if !sleep() {
+		nc, err := c.watchConn()
+		if errors.Is(err, errClosed) {
 			return
 		}
+		if err == nil {
+			c.stream(ctx, nc, jobID, out)
+			// The server ended the stream (e.g. shutdown) or the
+			// connection was lost: resubscribe.
+			backoff = 50 * time.Millisecond
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(backoff):
+		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 }
 
-// pumpWatch forwards one physical stream. It returns false when the
-// subscription itself is over (ctx done), true when the stream should be
-// re-established.
-func (c *Client) pumpWatch(ctx context.Context, cn *conn, id uint64, p *pendingReq, out chan<- scheduler.JobEvent, sub *scheduler.Subscription) bool {
-	forward := func(r rpc.Reply) bool {
+// watchConn dials a connection for one Watch stream and adds it to the set
+// Close severs.
+func (c *Client) watchConn() (net.Conn, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, errClosed
+	}
+	nc, err := c.dial()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		nc.Close()
+		return nil, errClosed
+	}
+	c.dials++
+	c.watches[nc] = struct{}{}
+	return nc, nil
+}
+
+// stream runs one physical Watch stream on nc until the server ends it,
+// the connection fails or ctx is done, and then closes nc. It reads the
+// next event only once out has taken the last.
+func (c *Client) stream(ctx context.Context, nc net.Conn, jobID int, out chan<- scheduler.JobEvent) {
+	defer func() {
+		c.mu.Lock()
+		delete(c.watches, nc)
+		c.mu.Unlock()
+		nc.Close()
+	}()
+	// Closing the connection is what cancels the stream on the server.
+	stop := context.AfterFunc(ctx, func() { nc.Close() })
+	defer stop()
+	if err := rpc.NewFrameWriter(nc).Write(rpc.Frame{ID: 1, Op: rpc.OpWatch, JobID: jobID, Tenant: c.tenant}); err != nil {
+		return
+	}
+	fr := rpc.NewFrameReader(nc)
+	for {
+		var r rpc.Reply
+		if fr.Read(&r) != nil || r.Final {
+			return
+		}
 		if r.Event == nil {
-			return true
+			continue
 		}
 		select {
 		case out <- *r.Event:
-		default:
-			sub.NoteDrop()
-		}
-		return true
-	}
-	for {
-		select {
 		case <-ctx.Done():
-			cn.unregister(id)
-			cn.cancelRemote(id)
-			return false
-		case <-cn.deadCh:
-			// Connection died: drain replies delivered before death, then
-			// resubscribe elsewhere.
-			for {
-				select {
-				case r := <-p.ch:
-					if r.Final {
-						return true
-					}
-					forward(r)
-				default:
-					return true
-				}
-			}
-		case r := <-p.ch:
-			if r.Final {
-				return true // server ended the stream (e.g. shutdown)
-			}
-			forward(r)
+			return
 		}
 	}
 }

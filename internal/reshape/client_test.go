@@ -241,8 +241,9 @@ func TestReconnectAndResubscribeAfterRestart(t *testing.T) {
 	}
 	expectEvent(t, sub, "end", "after")
 
-	if cl.Dials() < 2 {
-		t.Fatalf("dials = %d, want a reconnect", cl.Dials())
+	// One pooled connection and the watch's own, each dialled again.
+	if cl.Dials() < 4 {
+		t.Fatalf("dials = %d, want the pool and the watch each to reconnect", cl.Dials())
 	}
 	sub.Cancel()
 	deadline := time.After(5 * time.Second)
@@ -254,6 +255,87 @@ func TestReconnectAndResubscribeAfterRestart(t *testing.T) {
 			}
 		case <-deadline:
 			t.Fatal("stream not closed after cancel")
+		}
+	}
+}
+
+// TestWatchLagIsLosslessOverTheWire: a Client.Watch consumer that stalls
+// while 2 001 events are published, more than any buffer on the way holds,
+// and then drains sees every Seq exactly once and in order. The watch's
+// connection is read only as fast as the consumer drains, so TCP carries
+// the backpressure back to the server's cursor instead of anything being
+// dropped.
+func TestWatchLagIsLosslessOverTheWire(t *testing.T) {
+	sched, srv := startDaemon(t, 4)
+	cl, err := reshape.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sub, err := cl.Watch(ctx, scheduler.AllJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	waitWatchRegistered(t, srv)
+
+	// 2 000 jobs on a 4-processor pool: the first starts, the rest queue.
+	const jobs = 2000
+	start := grid.Topology{Rows: 2, Cols: 2}
+	for i := 0; i < jobs; i++ {
+		if _, err := sched.Submit(ctx, scheduler.JobSpec{
+			Name: fmt.Sprintf("lag%d", i), App: "lu", ProblemSize: 8000, Iterations: 10,
+			InitialTopo: start, Chain: []grid.Topology{start},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = jobs + 1
+	for seq := uint64(1); seq <= want; seq++ {
+		select {
+		case ev, ok := <-sub.C:
+			if !ok {
+				t.Fatalf("stream closed after %d of %d events", seq-1, want)
+			}
+			if ev.Seq != seq {
+				t.Fatalf("got seq %d, want %d: the stream lost or reordered events while its consumer stalled", ev.Seq, seq)
+			}
+		case <-ctx.Done():
+			t.Fatalf("got %d of %d events", seq-1, want)
+		}
+	}
+	if d := sub.Dropped(); d != 0 {
+		t.Fatalf("dropped %d events", d)
+	}
+}
+
+// TestCloseEndsWatch: Client.Close severs each open Watch's own connection
+// too, so the subscription's C closes without a Cancel.
+func TestCloseEndsWatch(t *testing.T) {
+	_, srv := startDaemon(t, 4)
+	cl, err := reshape.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := cl.Watch(context.Background(), scheduler.AllJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitWatchRegistered(t, srv)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case _, ok := <-sub.C:
+			if !ok {
+				return
+			}
+		case <-deadline:
+			t.Fatal("Close left an open Watch's stream open")
 		}
 	}
 }

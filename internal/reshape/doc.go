@@ -1,7 +1,8 @@
 // Package reshape is the typed client for the scheduler's rpc/v2 wire
 // protocol: persistent multiplexed connections, pipelined concurrent
-// requests, context deadlines/cancellation on every call, and a streaming
-// Watch subscription with automatic reconnect-and-resubscribe.
+// requests, context deadlines/cancellation on every call, and lossless
+// Watch streams, each on a connection of its own, with automatic
+// reconnect-and-resubscribe.
 //
 // The Client implements resize.Scheduler (and therefore resize.Client), so
 // applications, tools and tests swap freely between an in-process

@@ -20,9 +20,9 @@ import (
 // connection that subscribes identically and then never reads a byte.
 // Every healthy subscriber must receive every event of three submitted
 // jobs, and the wedged connection must cost the healthy ones nothing: its
-// dispatch goroutines block on its dead socket, its subscription buffers
-// overflow, and the broker drops its events instead of stalling the
-// scheduler lock.
+// dispatch goroutines block on its dead socket, and that holds back only
+// its own subscriptions' feeders, never the scheduler lock or another
+// subscriber.
 func TestWatchFanOutStress(t *testing.T) {
 	sched := scheduler.NewServer(16, false, nil)
 	srv, err := rpc.Serve("127.0.0.1:0", sched)
@@ -186,7 +186,7 @@ func TestWatchBurstSharesWrites(t *testing.T) {
 	}()
 
 	// 150 submissions on a 4-processor pool: one start, 149 queued — 151
-	// events, inside the broker's 256-event buffer, so none is dropped.
+	// events.
 	const events = 151
 	before := srv.Stats()
 	ctx := context.Background()
@@ -216,12 +216,12 @@ func TestWatchBurstSharesWrites(t *testing.T) {
 	t.Logf("%d events in %d writes", events, flushes)
 }
 
-// TestWatchDropOnLagIsolation pins the broker's overload behavior at the
-// scheduler level: a subscriber that never drains its channel loses events
-// — counted on its Subscription — while a draining subscriber alongside it
-// receives every event and the publishing path (job submission) never
-// blocks.
-func TestWatchDropOnLagIsolation(t *testing.T) {
+// TestWatchLagIsLossless: a subscriber that reads nothing while 401 events
+// are published holds back only its own stream. Every Submit returns while
+// it lags, a draining subscriber beside it gets every event meanwhile, and
+// once it reads it gets all 401 events, as Seq 1..401 in order, with
+// nothing dropped.
+func TestWatchLagIsLossless(t *testing.T) {
 	srv := scheduler.NewServer(4, false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -242,37 +242,52 @@ func TestWatchDropOnLagIsolation(t *testing.T) {
 	}
 
 	// 400 submissions on a 4-processor pool: one start, 399 queued — 401
-	// events, comfortably past the 256-event subscription buffer. The
-	// submit loop paces itself to the draining subscriber (publish, wait
-	// until consumed), so "draining" holds by construction while the
-	// lagging subscriber falls arbitrarily behind.
+	// events, well past the 256 a subscription's channel buffers.
 	const wantEvents = 401
-	deadline := time.Now().Add(30 * time.Second)
-	start := grid.Topology{Rows: 2, Cols: 2}
-	for i := 0; i < 400; i++ {
-		if _, err := srv.Submit(ctx, scheduler.JobSpec{
-			Name: fmt.Sprintf("q%d", i), App: "lu", ProblemSize: 8000, Iterations: 10,
-			InitialTopo: start, Chain: []grid.Topology{start},
-		}); err != nil {
-			t.Fatalf("submit %d blocked or failed behind a lagging watcher: %v", i, err)
-		}
-		published := int64(i + 2) // i+1 submit events plus job 0's start
-		for fastGot.Load() < published {
-			if time.Now().After(deadline) {
-				t.Fatalf("draining subscriber got %d of %d events", fastGot.Load(), published)
+	submitted := make(chan error, 1)
+	go func() {
+		start := grid.Topology{Rows: 2, Cols: 2}
+		for i := 0; i < wantEvents-1; i++ {
+			if _, err := srv.Submit(ctx, scheduler.JobSpec{
+				Name: fmt.Sprintf("q%d", i), App: "lu", ProblemSize: 8000, Iterations: 10,
+				InitialTopo: start, Chain: []grid.Topology{start},
+			}); err != nil {
+				submitted <- fmt.Errorf("submit %d: %w", i, err)
+				return
 			}
-			time.Sleep(time.Microsecond)
+		}
+		submitted <- nil
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	select {
+	case err := <-submitted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("submits blocked behind a subscriber that reads nothing")
+	}
+	for fastGot.Load() < wantEvents {
+		if time.Now().After(deadline) {
+			t.Fatalf("draining subscriber got %d of %d events while the other lagged", fastGot.Load(), wantEvents)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	for seq := uint64(1); seq <= wantEvents; seq++ {
+		select {
+		case ev, ok := <-slow.C:
+			if !ok {
+				t.Fatalf("lagging subscriber's stream closed after %d events", seq-1)
+			}
+			if ev.Seq != seq {
+				t.Fatalf("lagging subscriber got seq %d, want %d", ev.Seq, seq)
+			}
+		case <-time.After(time.Until(deadline)):
+			t.Fatalf("lagging subscriber got %d of %d events", seq-1, wantEvents)
 		}
 	}
-	if fastGot.Load() != wantEvents {
-		t.Fatalf("draining subscriber got %d of %d events", fastGot.Load(), wantEvents)
-	}
-	if fast.Dropped() != 0 {
-		t.Errorf("draining subscriber dropped %d events", fast.Dropped())
-	}
-	if d := slow.Dropped(); d == 0 {
-		t.Error("lagging subscriber reports no drops after overflowing its buffer")
-	} else if d != wantEvents-256 {
-		t.Errorf("lagging subscriber dropped %d events, want %d (channel depth 256)", d, wantEvents-256)
+	if d := slow.Dropped(); d != 0 {
+		t.Errorf("lagging subscriber dropped %d events", d)
 	}
 }

@@ -6,7 +6,9 @@
 // five unary mutations straight onto the scheduler's ordered pipeline
 // (scheduler.Server.Enqueue), whose completions queue their replies for
 // the connection's writer goroutine; Wait, Status and Watch each run
-// concurrently on a goroutine of their own. Frames are hand-encoded in
+// concurrently on a goroutine of their own. A Watch is a cursor into the
+// scheduler's event trace, so a peer that reads slowly holds back only its
+// own stream, and loses nothing. Frames are hand-encoded in
 // package codec's varint vocabulary, the one the WAL writes, and a unary
 // round trip allocates nothing in steady state. A connection must open with MagicV2; any other
 // first byte is counted malformed and the connection closed unanswered.

@@ -436,3 +436,49 @@ func TestV2DispatchedRequestLifecycle(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestRefusedWatchIsNotCounted: Stats.Watches counts subscriptions opened,
+// so a watch the scheduler refuses (its core keeps no allocation trace) is
+// answered with an error and leaves the count at zero; one that opens is
+// counted.
+func TestRefusedWatchIsNotCounted(t *testing.T) {
+	core := scheduler.NewCore(4, false)
+	core.DisableTrace()
+	srv, err := Serve("127.0.0.1:0", scheduler.NewServerCore(core, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, fw, fr := dialV2(t, srv.Addr())
+	defer conn.Close()
+	if err := fw.Write(Frame{ID: 1, Op: OpWatch, JobID: scheduler.AllJobs}); err != nil {
+		t.Fatal(err)
+	}
+	var r Reply
+	if err := fr.Read(&r); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Final || r.Code != CodeApp {
+		t.Fatalf("watch on a core without a trace answered %+v, want a final %s error", r, CodeApp)
+	}
+	if n := srv.Stats().Watches; n != 0 {
+		t.Fatalf("a refused watch counted: Watches = %d", n)
+	}
+
+	traced, err := Serve("127.0.0.1:0", scheduler.NewServer(4, false, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer traced.Close()
+	conn2, fw2, _ := dialV2(t, traced.Addr())
+	defer conn2.Close()
+	if err := fw2.Write(Frame{ID: 1, Op: OpWatch, JobID: scheduler.AllJobs}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); traced.Stats().Watches != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("an opened watch not counted: Watches = %d", traced.Stats().Watches)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -422,16 +422,16 @@ func (c *v2conn) dispatch(r v2req) {
 		}
 		final(Reply{Status: &st})
 	case OpWatch:
-		s.watches.Add(1)
 		sub, err := s.sched.Watch(ctx, r.jobID)
 		if err != nil {
 			fail(err)
 			return
 		}
+		s.watches.Add(1)
 		defer sub.Cancel()
 		// Every event already buffered goes out in the same batch. While
 		// the peer is not reading, the flush blocks, sub.C fills and the
-		// broker drops and counts what follows.
+		// subscription's cursor waits: nothing is lost.
 		for ev := range sub.C {
 			c.queue(&Reply{ID: r.id, Event: &ev})
 			for len(sub.C) > 0 {

@@ -270,10 +270,10 @@ func wedgedPeer(t *testing.T, srv *Server) *FrameWriter {
 // TestWedgedConnectionBlocksItsWatches subscribes twice on one connection
 // whose peer then reads nothing. The first job's two events wedge both
 // watch pumps: one leads a write that never completes, the other waits for
-// it. Then far more events are published than the broker buffers. A pump
-// that returned from its flush would queue them all in server memory;
-// blocked ones leave them in their channels, and the broker drops and
-// counts the excess.
+// it. Then far more events are published than a subscription's channel
+// buffers. A pump that returned from its flush would queue them all in
+// server memory; blocked ones leave them in their channels, and the
+// subscriptions' cursors wait behind them.
 func TestWedgedConnectionBlocksItsWatches(t *testing.T) {
 	sched := scheduler.NewServer(4, false, nil)
 	srv, err := Serve("127.0.0.1:0", sched)

@@ -62,16 +62,14 @@ type Server struct {
 	epoch   time.Time
 	done    map[int]chan struct{}
 
-	// Event broker state (see watch.go): pubIdx is the high-water mark
-	// into core.Events already fanned out and seq the sequence number of the
-	// last event published. applied is the sequence number of the last event
-	// recorded: seq plus the events of ops still waiting for their commit.
-	// It is atomic so durability snapshots can read it from inside the
-	// journal hook, which runs while the apply goroutine holds s.mu.
-	subs    map[int]*subscriber
-	nextSub int
-	pubIdx  int
-	seq     uint64
+	// Event broker state (see watch.go): core.Events[i] is published as
+	// Seq seq0 + (i - idx0) + 1. applied is the Seq of the last event
+	// recorded, published or still waiting for its commit. It is atomic so
+	// durability snapshots can read it from inside the journal hook, which
+	// runs while the apply goroutine holds s.mu.
+	watch   watchFeed
+	idx0    int
+	seq0    uint64
 	applied atomic.Uint64
 
 	// intake feeds the apply goroutine, durable the committer (nil without
@@ -96,9 +94,8 @@ func NewServerCore(core *Core, starter JobStarter) *Server {
 		core:    core,
 		starter: starter,
 		//lint:allow detcore the server epoch is the one sanctioned wall-clock read; all scheduler timestamps derive from Now() relative to it
-		epoch:  time.Now(),
-		done:   make(map[int]chan struct{}),
-		pubIdx: len(core.Events),
+		epoch: time.Now(),
+		done:  make(map[int]chan struct{}),
 	}
 	s.start()
 	return s
@@ -115,11 +112,10 @@ func NewServerRecovered(core *Core, seq uint64, clock float64, starter JobStarte
 		core:    core,
 		starter: starter,
 		//lint:allow detcore recovered-epoch backdating: the one wall-clock read that re-anchors the journaled clock after a crash
-		epoch:  time.Now().Add(-time.Duration(clock * float64(time.Second))),
-		done:   make(map[int]chan struct{}),
-		pubIdx: len(core.Events),
+		epoch: time.Now().Add(-time.Duration(clock * float64(time.Second))),
+		done:  make(map[int]chan struct{}),
+		seq0:  seq,
 	}
-	s.seq = seq
 	s.applied.Store(seq)
 	for _, j := range core.Jobs() {
 		ch := make(chan struct{})
@@ -132,9 +128,13 @@ func NewServerRecovered(core *Core, seq uint64, clock float64, starter JobStarte
 	return s
 }
 
-// start launches the pipeline goroutines, the committer only behind a
-// commit barrier.
+// start publishes the events the core already holds, so watches start
+// after them, and launches the pipeline goroutines, the committer only
+// behind a commit barrier.
 func (s *Server) start() {
+	s.idx0 = len(s.core.Events)
+	s.watch.events = s.core.Events
+	s.watch.wake.L = &s.watch.mu
 	s.intake = s.run(applyLoop)
 	if s.core.commit != nil {
 		s.durable = s.run(commitLoop)
@@ -407,7 +407,7 @@ func (s *Server) apply(c *Call) {
 	default:
 		c.Err = fmt.Errorf("scheduler: unknown op kind %d", c.Kind)
 	}
-	s.applied.Store(s.seq + uint64(len(s.core.Events)-s.pubIdx))
+	s.applied.Store(s.seq0 + uint64(len(s.core.Events)-s.idx0))
 }
 
 // complete ends each call of a batch whose events are published, or whose

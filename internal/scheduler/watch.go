@@ -73,51 +73,49 @@ type JobEvent struct {
 // the wire clients hand out the same type, so watch-driven code is
 // transport-agnostic.
 type Subscription struct {
-	// C delivers events in Seq order. Slow consumers lose events rather
-	// than stalling the scheduler; Dropped counts the losses.
+	// C delivers events in Seq order. A consumer that lags holds back only
+	// its own stream, which loses nothing.
 	C <-chan JobEvent
 
-	cancel  func()
-	dropped *atomic.Uint64
+	cancel func()
 }
 
 // NewSubscription builds a subscription around an event channel. cancel is
 // invoked (once) by Cancel. It is exported for transport packages that
 // implement Watch remotely; applications only consume subscriptions.
 func NewSubscription(c <-chan JobEvent, cancel func()) *Subscription {
-	return &Subscription{C: c, cancel: cancel, dropped: new(atomic.Uint64)}
+	return &Subscription{C: c, cancel: cancel}
 }
 
-// Cancel ends the subscription; C is closed once in-flight events drain.
+// Cancel ends the subscription. C is closed promptly; events already
+// buffered in it can still be received.
 func (s *Subscription) Cancel() {
 	if s.cancel != nil {
 		s.cancel()
 	}
 }
 
-// Dropped reports how many events were discarded because the consumer fell
-// behind the event channel's buffer.
-func (s *Subscription) Dropped() uint64 {
-	if s.dropped == nil {
-		return 0
-	}
-	return s.dropped.Load()
+// Dropped reports how many events the subscription lost. It is always 0: a
+// stream is a cursor over the server's event trace, so a consumer that lags
+// only delays its own events, and over the wire TCP carries that
+// backpressure to the server's cursor. A remote stream can still miss the
+// events published while it reconnects; Seq gaps show those.
+func (s *Subscription) Dropped() uint64 { return 0 }
+
+// watchFeed is the published prefix of the core's allocation trace, which
+// every Watch reads through a cursor of its own without taking the server
+// lock: an event below the prefix is never written again.
+type watchFeed struct {
+	mu       sync.Mutex
+	wake     sync.Cond    // broadcast when events grows or a watch stops
+	events   []AllocEvent // core.Events[:published]
+	watchers atomic.Int64 // live subscriptions
 }
 
-// NoteDrop records a lost event. It is called by publishers (the server
-// broker and the wire transports), not consumers.
-func (s *Subscription) NoteDrop() { s.dropped.Add(1) }
-
-// subscriber is the server side of one Watch call.
-type subscriber struct {
-	jobID int // AllJobs or a specific job
-	ch    chan JobEvent
-	sub   *Subscription
-}
-
-// watchBuffer is the per-subscription channel depth. A watcher that lags
-// more than this many events behind starts losing events (counted on its
-// Subscription) instead of blocking the scheduler lock.
+// watchBuffer is the depth of a subscription's channel. It bounds both the
+// batch the rpc watch pump writes at once and what a wedged subscription
+// holds, since past it the feeder waits. 256 is about 8 ms of events at
+// the ctl-volatile benchmark's 30k a second.
 const watchBuffer = 256
 
 // Status returns a typed snapshot of the scheduler. The context is
@@ -176,91 +174,90 @@ func (s *Server) Status(ctx context.Context) (ClusterStatus, error) {
 }
 
 // Watch subscribes to job-state transitions. jobID selects one job, or
-// AllJobs for the whole cluster. Events already recorded before the call
+// AllJobs for the whole cluster. Events already published before the call
 // are not replayed; the stream starts with the next transition. The
 // subscription ends when ctx is cancelled or Cancel is called.
 //
-// Watch requires the core's allocation trace (the default; see
-// Core.DisableTrace): events are published from it, so on a core without
-// one Watch returns an error rather than a stream that never delivers.
+// A subscription is a cursor into the core's allocation trace, fed by a
+// goroutine of its own: a consumer that stops reading holds back only that
+// goroutine, and it resumes where it stopped. Watch therefore requires the
+// trace (the default; see Core.DisableTrace): on a core without one it
+// returns an error rather than a stream that never delivers.
 func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ch := make(chan JobEvent, watchBuffer)
-	done := make(chan struct{})
-	var once sync.Once
-	sub := NewSubscription(ch, func() { once.Do(func() { close(done) }) })
-	// The subscriber must be fully initialized before it is published to
-	// the broker: publishLocked reads w.sub under s.mu.
-	w := &subscriber{jobID: jobID, ch: ch, sub: sub}
-
-	s.mu.Lock()
-	if !s.core.trace {
-		s.mu.Unlock()
+	if !s.core.trace { // set before the core is served, and never after
 		return nil, errors.New("scheduler: watch needs the core's allocation trace, which is disabled")
 	}
-	// Anything recorded and not yet published belongs to a batch still
-	// waiting for its commit, which publishes it to this subscriber too.
-	id := s.nextSub
-	s.nextSub++
-	if s.subs == nil {
-		s.subs = make(map[int]*subscriber)
-	}
-	s.subs[id] = w
-	s.mu.Unlock()
+	f := &s.watch
+	ch := make(chan JobEvent, watchBuffer)
+	done := make(chan struct{})
+	stopped := false // under f.mu, and set as done is closed
+	stop := sync.OnceFunc(func() {
+		f.mu.Lock()
+		stopped = true
+		close(done)
+		f.wake.Broadcast()
+		f.mu.Unlock()
+	})
+	// The cursor starts at the published prefix: anything recorded beyond
+	// it belongs to a batch still waiting for its commit, which publishes it
+	// to this subscriber too.
+	f.mu.Lock()
+	next := len(f.events)
+	f.mu.Unlock()
+	f.watchers.Add(1)
+	unhook := context.AfterFunc(ctx, stop)
 	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
+		defer close(ch)
+		defer f.watchers.Add(-1)
+		defer unhook()
+		for {
+			f.mu.Lock()
+			for next == len(f.events) && !stopped {
+				f.wake.Wait()
+			}
+			evs, end := f.events, stopped
+			f.mu.Unlock()
+			if end {
+				return
+			}
+			for ; next < len(evs); next++ {
+				e := &evs[next]
+				if jobID != AllJobs && jobID != e.JobID {
+					continue
+				}
+				select {
+				case ch <- JobEvent{
+					Seq:  s.seq0 + uint64(next-s.idx0) + 1,
+					Time: e.Time, JobID: e.JobID, Job: e.Job, Kind: e.Kind,
+					Topo: e.Topo, Busy: e.Busy, Free: s.core.Total - e.Busy,
+				}:
+				case <-done:
+					return
+				}
+			}
 		}
-		s.mu.Lock()
-		delete(s.subs, id)
-		s.mu.Unlock()
-		close(ch)
 	}()
-	return sub, nil
+	return NewSubscription(ch, stop), nil
 }
 
 // Subscribers reports the number of live watch subscriptions — broker
 // observability for operators and for tests that must know a fleet of
 // watchers has finished registering before publishing events.
-func (s *Server) Subscribers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
+func (s *Server) Subscribers() int { return int(s.watch.watchers.Load()) }
 
-// publishLocked fans the recorded core events below index hwm that have not
-// been published yet out to subscribers. It must run with s.mu held; the
-// apply goroutine (volatile) or the committer (durable) calls it for every
-// batch.
+// publishLocked publishes the recorded core events below index hwm: it
+// moves the published prefix and wakes the waiting feeders. It must
+// run with s.mu held; the apply goroutine (volatile) or the committer
+// (durable) calls it for every batch.
 func (s *Server) publishLocked(hwm int) {
-	if s.pubIdx >= hwm {
-		return
+	f := &s.watch
+	f.mu.Lock()
+	if hwm > len(f.events) {
+		f.events = s.core.Events[:hwm]
+		f.wake.Broadcast()
 	}
-	for _, e := range s.core.Events[s.pubIdx:hwm] {
-		s.seq++
-		ev := JobEvent{
-			Seq:   s.seq,
-			Time:  e.Time,
-			JobID: e.JobID,
-			Job:   e.Job,
-			Kind:  e.Kind,
-			Topo:  e.Topo,
-			Busy:  e.Busy,
-			Free:  s.core.Total - e.Busy,
-		}
-		for _, w := range s.subs {
-			if w.jobID != AllJobs && w.jobID != e.JobID {
-				continue
-			}
-			select {
-			case w.ch <- ev:
-			default:
-				w.sub.NoteDrop()
-			}
-		}
-	}
-	s.pubIdx = hwm
+	f.mu.Unlock()
 }
