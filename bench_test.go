@@ -9,6 +9,7 @@ package repro
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,7 +171,8 @@ func BenchmarkWorkloadSimScale(b *testing.B) {
 // run with allocation tracing and per-iteration result rows disabled
 // (utilization stays exact via the busy-time integral). Allocation stats
 // are reported so CI's -benchmem run lands allocs/op and B/op in
-// BENCH_scheduler.json alongside jobs/s.
+// BENCH_scheduler.json alongside jobs/s, and allocs/job divides the heap
+// allocations of the runs by the jobs they simulated.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	params := perfmodel.SystemX()
 	const clusterProcs = 1024
@@ -187,6 +189,8 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		in := mix(b, jobs)
 		b.ReportAllocs()
 		b.ResetTimer()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		for i := 0; i < b.N; i++ {
 			sim := simcluster.New(clusterProcs, simcluster.Dynamic, params, in).WithCore(mk())
 			if lean {
@@ -200,7 +204,9 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 				b.Fatalf("%d jobs finished, want %d", len(res.Jobs), jobs)
 			}
 		}
+		runtime.ReadMemStats(&m1)
 		b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/(float64(jobs)*float64(b.N)), "allocs/job")
 	}
 	b.Run("event-10k", func(b *testing.B) {
 		run(b, 10_000, false, func() *scheduler.Core {

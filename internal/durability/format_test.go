@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/codec"
@@ -116,6 +117,29 @@ func TestDecodeSnapshotRejectsNonPositiveShards(t *testing.T) {
 		bad := append(codec.AppendInt(append([]byte{}, head...), n), good[len(head)+len(shards):]...)
 		if _, err := decodeSnapshot(bad); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%d shards: decode error %v, want ErrBadRecord", n, err)
+		}
+	}
+}
+
+// TestDecodedSnapshotMatchesPersistedState: a decoded snapshot gives every
+// profile the shape PersistState gives a live one (nil Redist before the
+// first redistribution, nil Visits before the first iteration), so the two
+// states compare equal field by field, not just byte for byte.
+func TestDecodedSnapshotMatchesPersistedState(t *testing.T) {
+	core := scheduler.NewCore(driverProcs, true)
+	d := newDriver(t, rand.New(rand.NewSource(7)), core)
+	for i := 0; i < 120; i++ {
+		d.step()
+		if i%10 != 0 {
+			continue
+		}
+		want := core.PersistState()
+		blob, err := decodeSnapshot(appendSnapshot(nil, &snapshotBlob{State: want}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, blob.State) {
+			t.Fatalf("step %d: decoded state differs from the persisted one", i)
 		}
 	}
 }

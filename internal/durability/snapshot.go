@@ -167,8 +167,12 @@ func decodeSnapshot(payload []byte) (*snapshotBlob, error) {
 				}
 			}
 		}
+		// An empty map stays nil, as in a live profile before its first
+		// redistribution (see scheduler.Profile).
 		nredist := d.Count(codec.MaxChainLen, 9)
-		p.Redist = make(map[string]float64, nredist)
+		if nredist > 0 {
+			p.Redist = make(map[string]float64, nredist)
+		}
 		for ri := 0; ri < nredist; ri++ {
 			k := d.Str()
 			p.Redist[k] = d.Float()

@@ -63,8 +63,15 @@ type BenefitRanked struct {
 	// state from the acknowledged history.
 	Predict func(jobID int, t grid.Topology) (float64, bool)
 
-	plan  shrinkPlan
-	cands []candidate // buildPlan scratch
+	plan shrinkPlan
+	// cands and points are buildPlan's scratch: the ranked donors, and every
+	// donor's shrink points back to back, which a candidate indexes. draft
+	// is the walk's aged head priority and candFn its callback, bound once
+	// like vetoFn.
+	cands  []candidate
+	points []grid.Topology
+	draft  int
+	candFn func(*scheduler.ContactView) bool
 	// veto is betterCandidate's walk state and vetoFn its callback, bound
 	// once (a method value allocates), so neither escapes per contact.
 	veto   vetoWalk
@@ -115,7 +122,7 @@ func (p *shrinkPlan) take(jobID int) (grid.Topology, bool) {
 type candidate struct {
 	id, priority int
 	topo         grid.Topology
-	points       []grid.Topology // descending processor count: least freed first
+	lo, hi       int // its shrink points, BenefitRanked.points[lo:hi]: least freed first
 	loss         float64
 }
 
@@ -335,17 +342,11 @@ func (a *BenefitRanked) shrinkLoss(r *scheduler.ContactView, point grid.Topology
 // that, its deepest one), and donors are taken until the deficit is covered
 // or no candidates remain.
 func (a *BenefitRanked) buildPlan(cluster scheduler.ClusterView, agedHead, headID, deficit int) {
-	a.cands = a.cands[:0]
-	cluster.EachShrinkable(func(r *scheduler.ContactView) bool {
-		if r.Priority <= agedHead {
-			pts := r.Profile.ShrinkPoints(r.Topo)
-			a.cands = append(a.cands, candidate{
-				id: r.ID, priority: r.Priority, topo: r.Topo,
-				points: pts, loss: a.shrinkLoss(r, pts[0]),
-			})
-		}
-		return true
-	})
+	a.cands, a.points, a.draft = a.cands[:0], a.points[:0], agedHead
+	if a.candFn == nil {
+		a.candFn = a.addCandidate
+	}
+	cluster.EachShrinkable(a.candFn)
 	cands := a.cands
 	slices.SortStableFunc(cands, func(x, y candidate) int {
 		return cmp.Or(
@@ -360,8 +361,9 @@ func (a *BenefitRanked) buildPlan(cluster scheduler.ClusterView, agedHead, headI
 		}
 		// Smallest shrink step that covers the remaining deficit; the
 		// deepest available step when none does.
-		pick := c.points[len(c.points)-1]
-		for _, p := range c.points {
+		points := a.points[c.lo:c.hi]
+		pick := points[len(points)-1]
+		for _, p := range points {
 			if c.topo.Count()-p.Count() >= deficit {
 				pick = p
 				break
@@ -370,4 +372,18 @@ func (a *BenefitRanked) buildPlan(cluster scheduler.ClusterView, agedHead, headI
 		a.plan.demands = append(a.plan.demands, demand{jobID: c.id, target: pick})
 		deficit -= c.topo.Count() - pick.Count()
 	}
+}
+
+// addCandidate is buildPlan's walk callback: it ranks a shrinkable job as a
+// donor when the head's aged priority can draft it.
+func (a *BenefitRanked) addCandidate(r *scheduler.ContactView) bool {
+	if r.Priority <= a.draft {
+		lo := len(a.points)
+		a.points = r.Profile.AppendShrinkPoints(a.points, r.Topo)
+		a.cands = append(a.cands, candidate{
+			id: r.ID, priority: r.Priority, topo: r.Topo,
+			lo: lo, hi: len(a.points), loss: a.shrinkLoss(r, a.points[lo]),
+		})
+	}
+	return true
 }

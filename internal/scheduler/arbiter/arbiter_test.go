@@ -427,3 +427,48 @@ func TestLowPriorityDonorsShrinkFirst(t *testing.T) {
 		t.Fatalf("low-priority donor got %+v, want shrink to 4", dlo)
 	}
 }
+
+// planProbe hands every contact to a BenefitRanked and, when armed, first
+// counts what rebuilding the coordinated shrink plan over the live core's
+// shrinkable jobs allocates.
+type planProbe struct {
+	inner  *BenefitRanked
+	armed  bool
+	allocs float64
+	donors int
+}
+
+func (p *planProbe) Name() string { return "plan-probe" }
+
+func (p *planProbe) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
+	if p.armed {
+		p.armed = false
+		p.allocs = testing.AllocsPerRun(20, func() { p.inner.buildPlan(snap.Cluster, 0, -1, 1<<20) })
+		p.donors = len(p.inner.plan.demands)
+	}
+	return p.inner.Decide(snap)
+}
+
+// TestBuildPlanAllocatesNothing pins the plan's scratch: every donor's
+// shrink points go into one reused arena, so once a plan has been built,
+// building it again over the same donors allocates nothing.
+func TestBuildPlanAllocatesNothing(t *testing.T) {
+	probe := &planProbe{inner: &BenefitRanked{}}
+	c := scheduler.NewCore(64, false)
+	c.SetArbiter(probe)
+	now := 0.0
+	var jobs []*scheduler.Job
+	for i := range 8 {
+		j := submit(t, c, string(rune('a'+i)), 0, now, chain1D(2, 4, 6, 8))
+		grow(t, c, j, 8, &now)
+		jobs = append(jobs, j)
+	}
+	probe.armed = true
+	contact(t, c, jobs[0], 10, now+1)
+	if probe.donors != len(jobs) {
+		t.Fatalf("plan drew on %d donors, want all %d", probe.donors, len(jobs))
+	}
+	if probe.allocs != 0 {
+		t.Errorf("building a plan over %d donors allocates %.2f times", len(jobs), probe.allocs)
+	}
+}

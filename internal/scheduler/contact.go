@@ -22,14 +22,35 @@ func newJob(spec JobSpec, id, total int, now float64) (*Job, error) {
 		return nil, fmt.Errorf("scheduler: job %q needs %d processors, cluster has %d",
 			spec.Name, spec.InitialTopo.Count(), total)
 	}
-	return &Job{
+	return newJobRecord(Job{
 		ID:         id,
 		Spec:       spec,
 		State:      Queued,
 		Topo:       spec.InitialTopo,
-		Profile:    NewProfile(),
 		SubmitTime: now,
-	}, nil
+	}), nil
+}
+
+// jobRecord is a job's one allocation: the Job, the profile its Profile
+// field points at, and room for the profile's first two visits, so a job
+// that resizes once records every iteration into storage it already has.
+// Job alone keeps to the 256-byte size class (TestJobFitsSizeClass), the
+// record to the 384-byte one (TestJobRecordFitsSizeClass).
+type jobRecord struct {
+	job    Job
+	prof   Profile
+	visits [2]Visit
+}
+
+// newJobRecord allocates a record holding j, whose Profile points into the
+// same record and reserves, at its first iteration, room for the iteration
+// times j's spec declares.
+func newJobRecord(j Job) *Job {
+	r := &jobRecord{job: j}
+	r.job.Profile = &r.prof
+	r.prof.Visits = r.visits[:0]
+	r.prof.reserve = min(max(j.Spec.Iterations, 0), maxReservedIters)
+	return &r.job
 }
 
 // remainingIters estimates how many outer iterations the job still has to

@@ -160,6 +160,7 @@ type Core struct {
 	winViews  []QueuedView // queuedWindow cache, valid for viewsVer
 	headJobs  []*Job       // startPicked scratch: per-tenant queue heads
 	headViews []QueuedView // startPicked scratch: the same heads as views
+	started   []*Job       // TrySchedule's result, reused by the next call
 	needsVer  uint64
 	needsOK   bool
 	viewsVer  uint64
@@ -261,7 +262,7 @@ func (c *Core) record(now float64, j *Job, kind string) {
 
 // Submit enqueues a job and immediately tries to schedule the queue. It
 // returns the job and any jobs started as a consequence (possibly including
-// the submitted one).
+// the submitted one), in a slice the core reuses (see TrySchedule).
 func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 	j, err := newJob(spec, c.nextID, c.Total, now)
 	if err != nil {
@@ -285,11 +286,14 @@ func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 // the picker chooses among the per-tenant queue heads, while order within a
 // tenant stays FCFS. With a single tenant the picker sees exactly the
 // global head, so the path degenerates to the published FCFS loop. It
-// returns the started jobs.
+// returns the started jobs in a slice the core owns: it holds until the
+// next call into the core, which reuses it, so a caller that keeps the jobs
+// past that copies them out. Submit, ResizeComplete, Finish and Fail return
+// the same slice.
 func (c *Core) TrySchedule(now float64) []*Job {
-	var started []*Job
+	c.started = c.started[:0]
 	if sp, ok := c.arb.(StartPicker); ok {
-		started = c.startPicked(sp, now)
+		c.startPicked(sp, now)
 	} else {
 		for {
 			head := c.queue.head()
@@ -297,7 +301,6 @@ func (c *Core) TrySchedule(now float64) []*Job {
 				break
 			}
 			c.start(head, now)
-			started = append(started, head)
 		}
 	}
 	if c.Backfill {
@@ -307,10 +310,9 @@ func (c *Core) TrySchedule(now float64) []*Job {
 				break
 			}
 			c.start(j, now)
-			started = append(started, j)
 		}
 	}
-	return started
+	return c.started
 }
 
 // startPicked runs the StartPicker scheduling loop: each round offers the
@@ -320,8 +322,7 @@ func (c *Core) TrySchedule(now float64) []*Job {
 // chooses a job the idle pool cannot hold stalls the round rather than
 // silently falling through to another tenant, preserving within-round
 // determinism. Backfill, when enabled, still runs afterwards.
-func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
-	var started []*Job
+func (c *Core) startPicked(sp StartPicker, now float64) {
 	for {
 		c.headJobs = c.queue.tenantHeads(c.headJobs[:0])
 		heads := c.headJobs
@@ -350,13 +351,12 @@ func (c *Core) startPicked(sp StartPicker, now float64) []*Job {
 			break
 		}
 		c.start(j, now)
-		started = append(started, j)
 	}
-	return started
 }
 
-// start takes the job's initial allocation from the idle pool and launches
-// it. The caller has checked that the allocation fits.
+// start takes the job's initial allocation from the idle pool, launches it
+// and adds it to TrySchedule's result. The caller has checked that the
+// allocation fits.
 func (c *Core) start(j *Job, now float64) {
 	// State leaves Queued before the queue drops the job so take's lazy
 	// bucket sweep already sees this entry as dead.
@@ -367,6 +367,7 @@ func (c *Core) start(j *Job, now float64) {
 	c.free -= j.Topo.Count()
 	c.running.start(j)
 	c.record(now, j, "start")
+	c.started = append(c.started, j)
 }
 
 // queuedNeeds lists the processor requirements of the first waiting jobs

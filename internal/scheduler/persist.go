@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/grid"
 )
@@ -77,20 +78,24 @@ func (c *Core) PersistState() *CoreState {
 	return st
 }
 
-// cloneProfile deep-copies a performance profile.
+// cloneProfile deep-copies a performance profile into exact-length slices
+// and leaves what is empty nil: Visits before the first iteration, Redist
+// before the first redistribution (as a live profile does), IterTimes of an
+// empty visit. The snapshot decoder gives the same shape, so a state cloned
+// here and one decoded from its bytes compare equal field by field.
 func cloneProfile(p *Profile) *Profile {
+	out := &Profile{}
 	if p == nil {
-		return NewProfile()
+		return out
 	}
-	out := &Profile{
-		Visits: make([]Visit, len(p.Visits)),
-		Redist: make(map[string]float64, len(p.Redist)),
+	if len(p.Visits) > 0 {
+		out.Visits = make([]Visit, len(p.Visits))
 	}
 	for i, v := range p.Visits {
 		out.Visits[i] = Visit{Topo: v.Topo, IterTimes: append([]float64(nil), v.IterTimes...)}
 	}
-	for k, v := range p.Redist {
-		out.Redist[k] = v
+	if len(p.Redist) > 0 {
+		out.Redist = maps.Clone(p.Redist)
 	}
 	return out
 }
@@ -122,18 +127,21 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 				pj.ID, lastID, st.NextID)
 		}
 		lastID = pj.ID
-		j := &Job{
+		j := newJobRecord(Job{
 			ID: pj.ID, Spec: pj.Spec, State: pj.State, Topo: pj.Topo,
 			SubmitTime: pj.SubmitTime, StartTime: pj.StartTime, EndTime: pj.EndTime,
 			pendingFree: pj.PendingFree, resizeFrom: pj.ResizeFrom,
-			Profile: pj.Profile,
-		}
-		if j.Profile == nil {
-			j.Profile = NewProfile()
-		}
-		if j.Profile.Redist == nil {
-			// gob decodes an empty map as nil.
-			j.Profile.Redist = make(map[string]float64)
+		})
+		// The restored profile takes the state's visits and map as they
+		// are: nil Redist and nil IterTimes are what a live profile holds
+		// when empty (RecordRedist makes the map on first use). A job with
+		// no visits yet reserves at its first iteration like a new one; the
+		// exact-length slices of one with visits record by ordinary append.
+		if p := pj.Profile; p != nil {
+			if len(p.Visits) > 0 {
+				j.Profile.Visits = p.Visits
+			}
+			j.Profile.Redist = p.Redist
 		}
 		j.tenant = c.running.account(j.Spec.Tenant)
 		j.itersDone = profiledIters(j.Profile)

@@ -38,18 +38,36 @@ func (v *Visit) Mean() float64 {
 // and the redistribution costs measured between configurations. Shrink
 // points — configurations the job may legally shrink back to — are exactly
 // the previously visited smaller configurations.
+//
+// A job's profile shares the job's allocation, and its iteration times
+// share one backing array, which the first iteration reserves for as many
+// as the spec declares (at most maxReservedIters). Each visit's IterTimes is
+// a subslice of that array: the open visit's capacity runs to the end of
+// the reservation, and opening the next visit clips the previous one to its
+// length and hands the new one the unused tail, so recording an iteration
+// allocates nothing until the reservation runs out. A profile without a
+// reservation (NewProfile, a restored or cloned one, whose slices have
+// exact length) grows by ordinary append. Redist stays nil until the first
+// RecordRedist.
 type Profile struct {
-	Visits []Visit
-	Redist map[string]float64 // "RxC->RxC" -> last observed redistribution seconds
-	stamp  uint64             // see Stamp; not persisted: a restored or cloned profile restarts at 0
+	Visits  []Visit
+	Redist  map[string]float64 // "RxC->RxC" -> last observed redistribution seconds
+	stamp   uint64             // see Stamp; not persisted: a restored or cloned profile restarts at 0
+	reserve int                // iteration times the first visit reserves room for
 }
+
+// maxReservedIters caps a job's reservation. The count comes from the
+// client's JobSpec.Iterations, unchecked; a job that runs past its
+// reservation appends as a profile without one does.
+const maxReservedIters = 1 << 12
 
 // Stamp returns the profile's change stamp, which RecordIteration and
 // RecordRedist, the only mutators, advance: what a reader derives from the
 // profile holds while the stamp does. Stamps of two profiles do not compare.
 func (p *Profile) Stamp() uint64 { return p.stamp }
 
-// NewProfile returns an empty profile.
+// NewProfile returns an empty profile whose Redist map is ready for direct
+// writes.
 func NewProfile() *Profile {
 	return &Profile{Redist: make(map[string]float64)}
 }
@@ -59,7 +77,15 @@ func NewProfile() *Profile {
 func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 	n := len(p.Visits)
 	if n == 0 || p.Visits[n-1].Topo != topo {
-		p.Visits = append(p.Visits, Visit{Topo: topo})
+		var tail []float64
+		if n > 0 {
+			prev := &p.Visits[n-1]
+			l := len(prev.IterTimes)
+			tail, prev.IterTimes = prev.IterTimes[l:l], prev.IterTimes[:l:l]
+		} else if p.reserve > 0 {
+			tail = make([]float64, 0, p.reserve)
+		}
+		p.Visits = append(p.Visits, Visit{Topo: topo, IterTimes: tail})
 		n++
 	}
 	p.Visits[n-1].IterTimes = append(p.Visits[n-1].IterTimes, iterTime)
@@ -69,6 +95,9 @@ func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 // RecordRedist stores an observed redistribution cost between two
 // configurations.
 func (p *Profile) RecordRedist(from, to grid.Topology, seconds float64) {
+	if p.Redist == nil {
+		p.Redist = make(map[string]float64)
+	}
 	var buf [64]byte
 	p.Redist[string(appendRedistKey(buf[:0], from, to))] = seconds
 	p.stamp++

@@ -219,7 +219,10 @@ type Call struct {
 	// must not block; the call may be reused as soon as it is called.
 	Done func(*Call)
 
-	srv     *Server
+	srv *Server
+	// started holds the jobs the op started, copied out of the core's
+	// reused slice: the pipeline launches them only after later calls have
+	// been applied. The storage stays with the call for its next op.
 	started []*Job
 	done    chan struct{}
 }
@@ -254,7 +257,7 @@ func (s *Server) do(ctx context.Context, op Op) (jobID int, d Decision, err erro
 	s.Enqueue(&w.Call)
 	<-w.wake
 	jobID, d, err = w.JobID, w.Decision, w.Err
-	w.Call = Call{Done: w.Done}
+	w.Call = Call{Done: w.Done, started: w.started}
 	waiters.Put(w)
 	return jobID, d, err
 }
@@ -383,23 +386,24 @@ func commitLoop(q *callQueue) {
 // apply runs one call against the core. The caller holds s.mu.
 func (s *Server) apply(c *Call) {
 	c.Now = s.Now()
+	var started []*Job
 	switch c.Kind {
 	case OpSubmit:
 		var job *Job
-		if job, c.started, c.Err = s.core.Submit(c.Spec, c.Now); c.Err == nil {
+		if job, started, c.Err = s.core.Submit(c.Spec, c.Now); c.Err == nil {
 			c.JobID = job.ID
 			s.done[job.ID] = make(chan struct{})
 		}
 	case OpContact:
 		c.Decision, c.Err = s.core.Contact(c.JobID, c.Topo, c.IterTime, c.RedistTime, c.Now)
 	case OpResizeComplete:
-		c.started, c.Err = s.core.ResizeComplete(c.JobID, c.RedistTime, c.Now)
+		started, c.Err = s.core.ResizeComplete(c.JobID, c.RedistTime, c.Now)
 	case OpFinish, OpFail:
 		fn := s.core.Finish
 		if c.Kind == OpFail {
 			fn = s.core.Fail
 		}
-		if c.started, c.Err = fn(c.JobID, c.Now); c.Err == nil {
+		if started, c.Err = fn(c.JobID, c.Now); c.Err == nil {
 			c.done = s.done[c.JobID]
 		}
 	case OpRebalance:
@@ -407,6 +411,7 @@ func (s *Server) apply(c *Call) {
 	default:
 		c.Err = fmt.Errorf("scheduler: unknown op kind %d", c.Kind)
 	}
+	c.started = append(c.started[:0], started...)
 	s.applied.Store(s.seq0 + uint64(len(s.core.Events)-s.idx0))
 }
 
@@ -425,7 +430,8 @@ func (s *Server) complete(batch []*Call, commitErr error) {
 			}
 			s.launch(c.started)
 		}
-		c.srv, c.started, c.done = nil, nil, nil
+		clear(c.started)
+		c.srv, c.started, c.done = nil, c.started[:0], nil
 		c.Done(c)
 	}
 }

@@ -11,6 +11,9 @@
 // equal timestamps, so identical inputs replay to byte-identical traces.
 // Arrivals stream from the arrival-ordered mix beside it and win every
 // tie, so the heap never holds more than the running jobs plus one tick.
+// Each job's simulation state, its JobResult included, is a value in one
+// slice indexed by job id that Run sizes to the mix, so tracking a job
+// allocates nothing; its scheduler.Job is the one allocation Submit makes.
 // WithCore hands the simulator a prepared scheduler.Core (untraced for the
 // 100k- and 1M-job runs of BenchmarkSchedulerThroughput, journaled for the
 // crash tests), and golden files pin the W1/W2 schedules and every arbiter

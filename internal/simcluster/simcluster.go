@@ -206,10 +206,12 @@ type Sim struct {
 	arbiter scheduler.Arbiter
 	tl      timeline
 
-	inputs   []JobInput
-	states   []*jobState // job id -> state (ids are dense: assigned 0,1,2,... at submit)
-	arrivals []JobInput  // the mix in arrival order
-	arrived  int         // arrivals[arrived:] are not yet submitted
+	inputs []JobInput
+	// states holds every job's state by id (ids are dense: assigned
+	// 0,1,2,... at submit), sized to the mix once at Run.
+	states   []jobState
+	arrivals []JobInput // the mix in arrival order
+	arrived  int        // arrivals[arrived:] are not yet submitted
 	crashes  []crashPlan
 
 	rebalanceEvery float64
@@ -223,7 +225,7 @@ type jobState struct {
 	itersDone int
 	lastIter  float64 // duration of the iteration in flight / just completed
 	lastRed   float64
-	result    *JobResult
+	result    JobResult
 	// job caches the scheduler's object for id, avoiding a map lookup per
 	// event; jobCore remembers which core it came from so the cache is
 	// refreshed after a crash/restart swaps the core (the old core's Job
@@ -255,10 +257,10 @@ func (s *Sim) WithoutIterRecords() *Sim {
 
 // state returns the tracked state for a job id, or nil before its arrival.
 func (s *Sim) state(id int) *jobState {
-	if id < 0 || id >= len(s.states) {
+	if id < 0 || id >= len(s.states) || s.states[id].job == nil {
 		return nil
 	}
-	return s.states[id]
+	return &s.states[id]
 }
 
 // job resolves the scheduler's object for a tracked job through the
@@ -378,6 +380,7 @@ func (s *Sim) Run() (*Result, error) {
 		s.core.SetArbiter(s.arbiter)
 	}
 	s.arrivals = byArrival(s.inputs)
+	s.states = make([]jobState, len(s.arrivals))
 	if s.rebalanceEvery > 0 {
 		s.tl.at(s.rebalanceEvery, evRebalance, -1)
 	}
@@ -406,14 +409,14 @@ func (s *Sim) handleArrival(e event) error {
 		return err
 	}
 	for job.ID >= len(s.states) {
-		s.states = append(s.states, nil)
+		s.states = append(s.states, jobState{})
 	}
-	s.states[job.ID] = &jobState{
+	s.states[job.ID] = jobState{
 		input:   in,
 		id:      job.ID,
 		job:     job,
 		jobCore: s.core,
-		result: &JobResult{
+		result: JobResult{
 			Name:        in.Spec.Name,
 			App:         in.Spec.App,
 			Tenant:      in.Spec.Tenant,
@@ -548,7 +551,7 @@ func (s *Sim) collect() (*Result, error) {
 		if j.State != scheduler.Done {
 			return nil, fmt.Errorf("simcluster: job %q never finished (state %v)", j.Spec.Name, j.State)
 		}
-		res.Jobs = append(res.Jobs, *js.result)
+		res.Jobs = append(res.Jobs, js.result)
 		if js.result.End > res.Makespan {
 			res.Makespan = js.result.End
 		}
