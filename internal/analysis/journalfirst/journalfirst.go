@@ -89,8 +89,8 @@ func run(pass *analysis.Pass) error {
 // checkWrite reports lhs if it denotes (or indexes into) a guarded field.
 func checkWrite(pass *analysis.Pass, file string, lhs ast.Expr) {
 	lhs = ast.Unparen(lhs)
-	// A write through an index expression (c.jobs[id] = j) mutates the
-	// guarded map just as directly as replacing it.
+	// A write through an index expression (c.Events[i] = e) mutates the
+	// guarded slice or map just as directly as replacing it.
 	if ix, ok := lhs.(*ast.IndexExpr); ok {
 		lhs = ast.Unparen(ix.X)
 	}

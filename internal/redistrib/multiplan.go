@@ -180,11 +180,16 @@ func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64
 // by reference, unpacked out of it), a float the rank keeps across the resize
 // once (block row to block row). The rank first packs and posts every send
 // — sends are eager and the mailbox is unbounded, so nothing is gained by
-// posting receives ahead of them — then receives step by step, unpacking
-// each delivered buffer and returning it to the arena: the sender never
+// posting receives ahead of them — then waits at a barrier for every rank
+// to have posted its sends, then receives step by step, unpacking each
+// delivered buffer and returning it to the arena: the sender never
 // touches a wire buffer after Send, so the receiver, once it has unpacked,
-// is its only owner. A MultiPlan is
-// immutable, so one plan may be executed by every rank concurrently.
+// is its only owner. The barrier puts every wire buffer of the execution
+// in flight at once, so the first execution stocks the arena with all the
+// buffers any later one can need; without it, how many are in flight
+// depends on how the ranks are scheduled, and a later execution could
+// still find the arena one short and allocate. A MultiPlan is immutable,
+// so one plan may be executed by every rank concurrently.
 func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 	base := &mp.arrays[0]
 	me := c.Rank()
@@ -262,6 +267,8 @@ func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 			stats.FloatsSent += total
 		}
 	}
+
+	c.Barrier()
 
 	// Inbound: unpack each delivered buffer at the per-array offsets both
 	// sides derived from the layout tables, then recycle it.

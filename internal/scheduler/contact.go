@@ -98,9 +98,9 @@ func (v *ContactView) fill(j *Job) {
 // state, so journaling cores can persist the op between validation and
 // the profile mutation (only valid ops reach the journal; replay can
 // therefore treat an op that fails to re-apply as corruption).
-func validateContact(jobs map[int]*Job, jobID int, topo grid.Topology) (*Job, error) {
-	j, ok := jobs[jobID]
-	if !ok {
+func validateContact(jobs *jobTable, jobID int, topo grid.Topology) (*Job, error) {
+	j := jobs.get(jobID)
+	if j == nil {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)
 	}
 	if j.State != Running {
@@ -469,9 +469,9 @@ func (r *runningSet) finishResize(j *Job, redistTime float64) int {
 
 // validateFinish checks a completion signal without mutating the job, the
 // journaling counterpart of validateContact.
-func validateFinish(jobs map[int]*Job, jobID int, kind string) (*Job, error) {
-	j, ok := jobs[jobID]
-	if !ok {
+func validateFinish(jobs *jobTable, jobID int, kind string) (*Job, error) {
+	j := jobs.get(jobID)
+	if j == nil {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)
 	}
 	if j.State != Running {

@@ -132,7 +132,7 @@ type Core struct {
 	free   int // idle processors
 	nextID int
 	queue  jobQueue
-	jobs   map[int]*Job
+	jobs   jobTable
 	// running indexes the running jobs and keeps the per-tenant, in-flight
 	// and shrinkable aggregates arbiter snapshots carry.
 	running runningSet
@@ -175,7 +175,6 @@ func NewCore(total int, backfill bool) *Core {
 		Backfill: backfill,
 		Policy:   PaperPolicy{},
 		free:     total,
-		jobs:     make(map[int]*Job),
 		trace:    true,
 	}
 }
@@ -229,17 +228,40 @@ func (c *Core) BusySeconds(until float64) float64 {
 	return s
 }
 
+// jobTable files every job the core knows under its id. Submit hands out
+// ids 0, 1, 2, …, so the table is a slice indexed by id; a core restored
+// from a state with id gaps leaves nil slots for them.
+type jobTable struct {
+	byID []*Job
+}
+
+// get returns the job filed under id, or nil if there is none.
+func (t *jobTable) get(id int) *Job {
+	if uint(id) < uint(len(t.byID)) {
+		return t.byID[id]
+	}
+	return nil
+}
+
+// put files j under its id. Ids arrive in increasing order.
+func (t *jobTable) put(j *Job) {
+	for len(t.byID) <= j.ID {
+		t.byID = append(t.byID, nil)
+	}
+	t.byID[j.ID] = j
+}
+
 // Job looks up a job by id.
 func (c *Core) Job(id int) (*Job, bool) {
-	j, ok := c.jobs[id]
-	return j, ok
+	j := c.jobs.get(id)
+	return j, j != nil
 }
 
 // Jobs returns all jobs in submission order.
 func (c *Core) Jobs() []*Job {
-	out := make([]*Job, 0, len(c.jobs))
-	for id := 0; id < c.nextID; id++ {
-		if j, ok := c.jobs[id]; ok {
+	out := make([]*Job, 0, len(c.jobs.byID))
+	for _, j := range c.jobs.byID {
+		if j != nil {
 			out = append(out, j)
 		}
 	}
@@ -273,7 +295,7 @@ func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 	}
 	c.nextID++
 	j.tenant = c.running.account(spec.Tenant)
-	c.jobs[j.ID] = j
+	c.jobs.put(j)
 	c.queue.push(j)
 	c.record(now, j, "submit")
 	started := c.TrySchedule(now)
@@ -456,7 +478,7 @@ func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
 // processors immediately; shrinking releases processors only when the
 // resize library confirms with ResizeComplete.
 func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float64, now float64) (Decision, error) {
-	j, err := validateContact(c.jobs, jobID, topo)
+	j, err := validateContact(&c.jobs, jobID, topo)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -481,8 +503,8 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 // return to the pool and queued jobs are scheduled onto them. It returns any
 // jobs started as a result.
 func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Job, error) {
-	j, ok := c.jobs[jobID]
-	if !ok {
+	j := c.jobs.get(jobID)
+	if j == nil {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)
 	}
 	if err := c.journalOp(Op{Kind: OpResizeComplete, Now: now, JobID: jobID, RedistTime: redistTime}); err != nil {
@@ -510,7 +532,7 @@ func (c *Core) Fail(jobID int, now float64) ([]*Job, error) {
 }
 
 func (c *Core) complete(jobID int, now float64, kind string) ([]*Job, error) {
-	j, err := validateFinish(c.jobs, jobID, kind)
+	j, err := validateFinish(&c.jobs, jobID, kind)
 	if err != nil {
 		return nil, err
 	}

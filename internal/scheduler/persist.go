@@ -61,11 +61,10 @@ func (c *Core) PersistState() *CoreState {
 		BusySeconds:  c.busySeconds,
 		LastBusy:     c.lastBusy,
 		LastBusyTime: c.lastBusyTime,
-		Jobs:         make([]PersistedJob, 0, len(c.jobs)),
+		Jobs:         make([]PersistedJob, 0, len(c.jobs.byID)),
 	}
-	for id := 0; id < c.nextID; id++ {
-		j, ok := c.jobs[id]
-		if !ok {
+	for _, j := range c.jobs.byID {
+		if j == nil {
 			continue
 		}
 		st.Jobs = append(st.Jobs, PersistedJob{
@@ -145,7 +144,7 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 		}
 		j.tenant = c.running.account(j.Spec.Tenant)
 		j.itersDone = profiledIters(j.Profile)
-		c.jobs[j.ID] = j
+		c.jobs.put(j)
 		switch pj.State {
 		case Queued:
 			if !j.Spec.InitialTopo.IsValid() {

@@ -1,6 +1,9 @@
 package scheduler
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,5 +45,58 @@ func TestNewCoreFromStateRejectsImpossibleStates(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestRestoredIDGapsAreHoles restores a state whose ids skip numbers, as
+// one with finished jobs left out would: a gap is no job to every lookup,
+// Jobs walks past it, and persisting the restored core gives the state
+// back.
+func TestRestoredIDGapsAreHoles(t *testing.T) {
+	c := NewCore(16, false)
+	for i := 0; i < 7; i++ {
+		if _, _, err := c.Submit(spec(fmt.Sprint("j", i), topo(2, 2), 8000), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := c.PersistState()
+	st := *full
+	st.Jobs = nil
+	kept := []int{0, 2, 5}
+	for _, id := range kept {
+		st.Jobs = append(st.Jobs, full.Jobs[id])
+	}
+	r, err := NewCoreFromState(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, 1, 3, 4, 6, 7, 1 << 40} {
+		if j, ok := r.Job(id); ok || j != nil {
+			t.Errorf("Job(%d) = %v, %v on a restored core without it", id, j, ok)
+		}
+		if _, err := r.Contact(id, topo(2, 2), 1, 0, 10); err == nil || !strings.Contains(err.Error(), "unknown job") {
+			t.Errorf("Contact(%d): error %v, want unknown job", id, err)
+		}
+		if _, err := r.Finish(id, 10); err == nil || !strings.Contains(err.Error(), "unknown job") {
+			t.Errorf("Finish(%d): error %v, want unknown job", id, err)
+		}
+		if _, err := r.ResizeComplete(id, 0, 10); err == nil || !strings.Contains(err.Error(), "unknown job") {
+			t.Errorf("ResizeComplete(%d): error %v, want unknown job", id, err)
+		}
+	}
+	var ids []int
+	for _, j := range r.Jobs() {
+		ids = append(ids, j.ID)
+	}
+	if !slices.Equal(ids, kept) {
+		t.Errorf("Jobs() ids %v, want %v", ids, kept)
+	}
+	for _, id := range kept {
+		if j, ok := r.Job(id); !ok || j.ID != id {
+			t.Errorf("Job(%d) = %v, %v", id, j, ok)
+		}
+	}
+	if got := r.PersistState(); !reflect.DeepEqual(got, &st) {
+		t.Errorf("round trip through a restored core with gaps:\n got %+v\nwant %+v", got, &st)
 	}
 }

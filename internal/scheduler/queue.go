@@ -19,12 +19,18 @@ import (
 //     index and the change log on from the start cost sim-fcfs 4–13 %
 //     jobs/s (2 vCPUs, 6 of 6 paired runs).
 //
+// A heap entry carries its job's order key (Spec.Priority and ID, neither
+// written after submit) beside the *Job, so sifting compares keys in the
+// heap's own array and dereferences no job; only the lazy-deletion check
+// on the top entry reads Job.State.
+//
 // take unlinks a job from its priority list at once, so head and window never
 // see a consumed job. The heaps drop consumed jobs lazily, and prune removes
 // the buckets that leaves empty: bestFit and tenantHeads prune what they
 // visit, and every max(32, len(need)) takes prune both heap directories
 // whole, so a churning daemon's index tracks the needs still waiting, not
-// history.
+// history. A pruned heap's array goes to a short spare list that the next
+// new bucket takes, so a key that comes back does not regrow its heap.
 //
 // version increments on every push and take; Core keys its queued-window
 // caches on it.
@@ -33,6 +39,7 @@ type jobQueue struct {
 	need      dir[int, jobHeap]
 	tenant    dir[string, jobHeap]
 	tenantIdx bool
+	spare     spareHeaps
 	size      int    // live queued jobs
 	takes     int    // takes since the last whole prune
 	version   uint64 // bumped on every push and take
@@ -67,12 +74,13 @@ func (d *dir[K, B]) del(i, j int) {
 	d.vals = slices.Delete(d.vals, i, j)
 }
 
-// prune drops the heaps with no live job from the first n buckets of d and
-// returns how many of those n are left: each of d.vals[:left] has its live
-// top at h[0].
-func prune[K cmp.Ordered](d *dir[K, jobHeap], n int) (left int) {
+// prune drops the heaps with no live job from the first n buckets of d,
+// keeping their arrays in spare, and returns how many of those n are left:
+// each of d.vals[:left] has its live top at h[0].
+func prune[K cmp.Ordered](d *dir[K, jobHeap], n int, spare *spareHeaps) (left int) {
 	for i := range n {
 		if d.vals[i].peekLive() == nil {
+			spare.put(d.vals[i].h)
 			continue
 		}
 		if left < i {
@@ -82,6 +90,36 @@ func prune[K cmp.Ordered](d *dir[K, jobHeap], n int) (left int) {
 	}
 	d.del(left, n)
 	return left
+}
+
+// maxSpareHeaps bounds the arrays spareHeaps keeps. A fixed array holds
+// them, so keeping one never allocates.
+const maxSpareHeaps = 8
+
+// spareHeaps holds the emptied arrays of pruned heaps for reuse.
+type spareHeaps struct {
+	h [maxSpareHeaps][]heapEntry
+	n int
+}
+
+// put keeps h's array if there is room; prune has emptied it, and pop
+// zeroes every slot it vacates, so the array holds no job.
+func (s *spareHeaps) put(h []heapEntry) {
+	if s.n < maxSpareHeaps {
+		s.h[s.n] = h[:0]
+		s.n++
+	}
+}
+
+// get hands out a kept array, or nil if none is left.
+func (s *spareHeaps) get() []heapEntry {
+	if s.n == 0 {
+		return nil
+	}
+	s.n--
+	h := s.h[s.n]
+	s.h[s.n] = nil
+	return h
 }
 
 // prioList is one priority bucket: a doubly linked FIFO of queued jobs in
@@ -134,45 +172,44 @@ func (l *prioList) remove(j *Job) {
 	j.qprev, j.qnext = nil, nil
 }
 
-// jobLess is the queue's total order: higher priority first, then earlier
-// submission (lower id).
-func jobLess(a, b *Job) bool {
-	if a.Spec.Priority != b.Spec.Priority {
-		return a.Spec.Priority > b.Spec.Priority
-	}
-	return a.ID < b.ID
-}
-
 // push enqueues a job into every index.
 func (q *jobQueue) push(j *Job) {
 	q.version++
 	q.size++
 	q.prio.get(j.Spec.Priority).insert(j)
-	q.need.get(j.Spec.InitialTopo.Count()).push(j)
+	q.file(q.need.get(j.Spec.InitialTopo.Count()), j)
 	if q.tenantIdx {
-		q.tenant.get(j.Spec.Tenant).push(j)
+		q.file(q.tenant.get(j.Spec.Tenant), j)
 	}
+}
+
+// file pushes j onto heap b, giving a new bucket a spare array first.
+func (q *jobQueue) file(b *jobHeap, j *Job) {
+	if b.h == nil {
+		b.h = q.spare.get()
+	}
+	b.push(j)
 }
 
 // enableTenantIndex turns the tenant index on, filing every job already
 // queued (recovery may install the arbiter on a core restored with a
-// populated queue). Idempotent. A heap's pop order under jobLess does not
-// depend on insertion order, so the index is deterministic.
+// populated queue). Idempotent. A heap's pop order under its unique keys
+// does not depend on insertion order, so the index is deterministic.
 func (q *jobQueue) enableTenantIndex() {
 	if q.tenantIdx {
 		return
 	}
 	q.tenantIdx = true
 	for _, j := range q.window(nil, q.size) {
-		q.tenant.get(j.Spec.Tenant).push(j)
+		q.file(q.tenant.get(j.Spec.Tenant), j)
 	}
 }
 
 // tenantHeads appends each tenant's queue head to dst in ascending tenant
 // order, pruning the tenant buckets it finds empty.
 func (q *jobQueue) tenantHeads(dst []*Job) []*Job {
-	for _, b := range q.tenant.vals[:prune(&q.tenant, len(q.tenant.keys))] {
-		dst = append(dst, b.h[0])
+	for _, b := range q.tenant.vals[:prune(&q.tenant, len(q.tenant.keys), &q.spare)] {
+		dst = append(dst, b.h[0].job)
 	}
 	return dst
 }
@@ -204,8 +241,8 @@ func (q *jobQueue) take(j *Job) {
 	}
 	if q.takes++; q.takes >= 32 && q.takes >= len(q.need.keys) {
 		q.takes = 0
-		prune(&q.need, len(q.need.keys))
-		prune(&q.tenant, len(q.tenant.keys))
+		prune(&q.need, len(q.need.keys), &q.spare)
+		prune(&q.tenant, len(q.tenant.keys), &q.spare)
 	}
 }
 
@@ -214,13 +251,16 @@ func (q *jobQueue) take(j *Job) {
 // (TestBackfillMatchesLinearScan). It prunes the need buckets it visits.
 func (q *jobQueue) bestFit(free int) *Job {
 	fit, _ := q.need.at(free + 1) // needs ≤ free
-	var best *Job
-	for _, b := range q.need.vals[:prune(&q.need, fit)] {
-		if best == nil || jobLess(b.h[0], best) {
-			best = b.h[0]
+	var best *heapEntry
+	for i := range q.need.vals[:prune(&q.need, fit, &q.spare)] {
+		if top := &q.need.vals[i].h[0]; best == nil || top.before(best) {
+			best = top
 		}
 	}
-	return best
+	if best == nil {
+		return nil
+	}
+	return best.job
 }
 
 // window appends the first k queued jobs in head order to dst: O(k), since
@@ -238,57 +278,82 @@ func (q *jobQueue) window(dst []*Job, k int) []*Job {
 	return dst
 }
 
-// jobHeap is a binary min-heap of queued jobs under jobLess with lazy
-// deletion: entries whose State left Queued are discarded as they surface.
+// heapEntry is one job in a jobHeap with its order key copied beside it.
+type heapEntry struct {
+	prio, id int
+	job      *Job
+}
+
+// before is the queue's total order: higher priority first, then earlier
+// submission (lower id). Keys are unique, since ids are.
+func (a *heapEntry) before(b *heapEntry) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	return a.id < b.id
+}
+
+// jobHeap is a binary min-heap of queued jobs in heapEntry order with lazy
+// deletion: entries whose job left Queued are discarded as they surface.
 type jobHeap struct {
-	h []*Job
+	h []heapEntry
 }
 
 func (p *jobHeap) push(j *Job) {
-	p.h = append(p.h, j)
-	i := len(p.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !jobLess(p.h[i], p.h[parent]) {
-			break
-		}
-		p.h[i], p.h[parent] = p.h[parent], p.h[i]
-		i = parent
-	}
+	p.h = append(p.h, heapEntry{})
+	p.siftUp(len(p.h)-1, heapEntry{prio: j.Spec.Priority, id: j.ID, job: j})
 }
 
 // peekLive discards stale entries and returns the live top, or nil.
 func (p *jobHeap) peekLive() *Job {
 	for len(p.h) > 0 {
-		if p.h[0].State == Queued {
-			return p.h[0]
+		if j := p.h[0].job; j.State == Queued {
+			return j
 		}
 		p.pop()
 	}
 	return nil
 }
 
-func (p *jobHeap) pop() *Job {
-	top := p.h[0]
+// pop removes the top entry by Floyd's bottom-up sift: the hole left at
+// the root moves down the smaller child to a leaf, one comparison a level,
+// and the last entry sifts up from there. It is rarely far from a leaf, so
+// this compares about half as often as sifting it down from the root.
+func (p *jobHeap) pop() {
 	n := len(p.h) - 1
-	p.h[0] = p.h[n]
-	p.h[n] = nil
-	p.h = p.h[:n]
+	last := p.h[n]
+	p.h[n] = heapEntry{}
+	h := p.h[:n]
+	p.h = h
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && jobLess(p.h[l], p.h[min]) {
-			min = l
-		}
-		if r < n && jobLess(p.h[r], p.h[min]) {
-			min = r
-		}
-		if min == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		p.h[i], p.h[min] = p.h[min], p.h[i]
-		i = min
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	p.siftUp(i, last)
+}
+
+// siftUp files e at the hole i, moving the hole up past every parent e
+// sorts ahead of.
+func (p *jobHeap) siftUp(i int, e heapEntry) {
+	h := p.h
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
 }

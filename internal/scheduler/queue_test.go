@@ -18,6 +18,16 @@ func queuedJob(id, need int) *Job {
 	}
 }
 
+// jobLess is the queue's total order read off the jobs themselves, the
+// reference heapEntry.before must agree with: higher priority first, then
+// earlier submission (lower id).
+func jobLess(a, b *Job) bool {
+	if a.Spec.Priority != b.Spec.Priority {
+		return a.Spec.Priority > b.Spec.Priority
+	}
+	return a.ID < b.ID
+}
+
 // buckets reports how many need and tenant buckets the queue files.
 func buckets(q *jobQueue) (need, tenant int) {
 	if len(q.need.keys) != len(q.need.vals) || len(q.tenant.keys) != len(q.tenant.vals) {
@@ -347,5 +357,47 @@ func TestBestFitStillMatchesLinearOrder(t *testing.T) {
 	}
 	if got := q.bestFit(3); got != lowPrio {
 		t.Errorf("bestFit under tight fit = job %d, want the small job", got.ID)
+	}
+}
+
+// TestJobHeapPopsLiveJobsInOrder pushes jobs of a few priorities, lets
+// random ones leave Queued behind the heap's back (as a start through
+// another index does) and checks that the live top, round after round, is
+// the first live job in jobLess order: the heap's copied keys sort as the
+// jobs do, and lazy deletion skips exactly the dead entries.
+func TestJobHeapPopsLiveJobsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var h jobHeap
+	var live []*Job
+	id := 0
+	for round := 0; round < 300; round++ {
+		for range rng.Intn(24) {
+			j := queuedJob(id, 1)
+			j.Spec.Priority = rng.Intn(4) - 1
+			id++
+			h.push(j)
+			live = append(live, j)
+		}
+		for _, j := range live {
+			if rng.Intn(5) == 0 {
+				j.State = Running
+			}
+		}
+		live = slices.DeleteFunc(live, func(j *Job) bool { return j.State != Queued })
+		sort.Slice(live, func(a, b int) bool { return jobLess(live[a], live[b]) })
+		for range rng.Intn(16) {
+			top := h.peekLive()
+			if len(live) == 0 {
+				if top != nil {
+					t.Fatalf("round %d: live top %d with no job queued", round, top.ID)
+				}
+				break
+			}
+			if top != live[0] {
+				t.Fatalf("round %d: live top %v, want job %d (priority %d)", round, top, live[0].ID, live[0].Spec.Priority)
+			}
+			top.State = Running
+			live = live[1:]
+		}
 	}
 }

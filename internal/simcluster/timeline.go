@@ -36,6 +36,14 @@ type timeline struct {
 	now float64
 }
 
+// before reports whether e sorts ahead of f. (time, seq) keys are unique.
+func (e *event) before(f *event) bool {
+	if e.time != f.time {
+		return e.time < f.time
+	}
+	return e.seq < f.seq
+}
+
 // at schedules an event at virtual time t. A time before the clock is
 // delivered at the clock: time never runs backwards.
 func (q *timeline) at(t float64, kind evKind, job int) {
@@ -43,21 +51,38 @@ func (q *timeline) at(t float64, kind evKind, job int) {
 		t = q.now
 	}
 	q.seq++
-	q.h = append(q.h, event{time: t, seq: q.seq, job: job, kind: kind})
-	q.up(len(q.h) - 1)
+	q.h = append(q.h, event{})
+	q.siftUp(len(q.h)-1, event{time: t, seq: q.seq, job: job, kind: kind})
 }
 
-// pop removes the earliest event and advances the clock to it.
+// pop removes the earliest event and advances the clock to it. It sifts
+// bottom-up (Floyd): the hole left at the root moves down the earlier
+// child to a leaf, one comparison a level, and the last event sifts up
+// from there. That event came from the bottom and rarely climbs far, so
+// this compares about half as often as sifting it down from the root.
 func (q *timeline) pop() (event, bool) {
-	if len(q.h) == 0 {
+	n := len(q.h) - 1
+	if n < 0 {
 		return event{}, false
 	}
 	top := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
+	last := q.h[n]
 	q.h = q.h[:n]
 	if n > 0 {
-		q.down(0)
+		h := q.h
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			h[i] = h[c]
+			i = c
+		}
+		q.siftUp(i, last)
 	}
 	q.now = top.time
 	return top, true
@@ -66,40 +91,17 @@ func (q *timeline) pop() (event, bool) {
 // dueBy reports whether time t comes no later than every queued event.
 func (q *timeline) dueBy(t float64) bool { return len(q.h) == 0 || t <= q.h[0].time }
 
-// before reports whether event i sorts ahead of event j.
-func (q *timeline) before(i, j int) bool {
-	if q.h[i].time != q.h[j].time {
-		return q.h[i].time < q.h[j].time
-	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-func (q *timeline) up(i int) {
+// siftUp files e at the hole i, moving the hole up past every parent e
+// sorts ahead of.
+func (q *timeline) siftUp(i int, e event) {
+	h := q.h
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.before(i, parent) {
-			return
+		if !e.before(&h[parent]) {
+			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		h[i] = h[parent]
 		i = parent
 	}
-}
-
-func (q *timeline) down(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.before(l, min) {
-			min = l
-		}
-		if r < n && q.before(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.h[i], q.h[min] = q.h[min], q.h[i]
-		i = min
-	}
+	h[i] = e
 }

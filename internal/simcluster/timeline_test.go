@@ -1,6 +1,7 @@
 package simcluster
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -130,5 +131,46 @@ func TestTimelineClampsThePast(t *testing.T) {
 	}
 	if want := []float64{10, 10, 12}; !slices.Equal(times, want) {
 		t.Fatalf("times %v, want %v", times, want)
+	}
+}
+
+// TestTimelineInterleavedAgainstSortedReference interleaves random pushes
+// and pops, most pushes landing on one of a few timestamps and some before
+// the clock, and checks every pop against the head of a reference kept
+// sorted by (time, seq).
+func TestTimelineInterleavedAgainstSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var q timeline
+	var ref []event // pending events in (time, seq) order
+	byKey := func(a, b event) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	pop := func(step int) {
+		want := ref[0]
+		ref = ref[1:]
+		got, ok := q.pop()
+		if !ok || got != want || q.now != want.time {
+			t.Fatalf("step %d: popped %+v (ok %v, clock %v), want %+v", step, got, ok, q.now, want)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		if len(ref) > 0 && rng.Intn(5) < 2 {
+			pop(step)
+			continue
+		}
+		tm := q.now + float64(rng.Intn(4)-1) // a step behind the clock is clamped to it
+		q.at(tm, evResizePoint, step)
+		e := event{time: max(tm, q.now), seq: q.seq, job: step, kind: evResizePoint}
+		i, _ := slices.BinarySearchFunc(ref, e, byKey)
+		ref = slices.Insert(ref, i, e)
+	}
+	for step := 0; len(ref) > 0; step++ {
+		pop(step)
+	}
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop returned an event after the timeline drained")
 	}
 }
