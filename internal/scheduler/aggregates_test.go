@@ -48,16 +48,30 @@ func viewIDs(each func(func(*ContactView) bool)) []int {
 	return ids
 }
 
+// indexedSet returns rs once its id indexes are built, and until then a copy
+// of rs with them built from the same job table, so checking a core never
+// builds its indexes. The copy shares nothing the build writes: unbuilt
+// indexes are nil.
+func indexedSet(rs *runningSet) *runningSet {
+	if rs.indexed {
+		return rs
+	}
+	cp := *rs
+	cp.index()
+	return &cp
+}
+
 // checkInvariants holds the core to what DESIGN.md states of it, after any
 // op and inside any arbiter call:
 //   - the idle count conserves processors: idle >= 0, and idle plus every
 //     running job's Topo and pending give-back is the cluster;
 //   - every job is in exactly one of queue, running set or done: the queue
-//     holds exactly the Queued jobs and the running set exactly the Running
-//     ones;
-//   - the running set, and the snapshot an arbiter would be handed, equal a
-//     plain sweep over the jobs, and every queued view is the one queuedView
-//     builds for its job;
+//     holds exactly the Queued jobs, the running set counts exactly the
+//     Running ones and flags exactly the shrinkable ones among them;
+//   - the running set's id indexes, and the snapshot an arbiter would be
+//     handed, equal a plain sweep over the jobs, and every queued view is the
+//     one queuedView builds for its job. Until the indexes are built, a copy
+//     built from the job table is held to the sweep instead;
 //   - allocation-event timestamps never decrease.
 func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	jobs := c.Jobs()
@@ -77,7 +91,7 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if snap.Idle < 0 || snap.Idle+held != snap.Total {
 		return fmt.Errorf("idle %d + held %d != total %d", snap.Idle, held, snap.Total)
 	}
-	var inQueue, inRunning []int
+	var inQueue, inRunning, shrinkable, flagged []int
 	for _, j := range c.queue.window(nil, c.queue.len()) {
 		inQueue = append(inQueue, j.ID)
 	}
@@ -85,7 +99,25 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if c.QueueLen() != len(queued) || !slices.Equal(inQueue, queued) {
 		return fmt.Errorf("queue holds %v (QueueLen %d), the Queued jobs are %v", inQueue, c.QueueLen(), queued)
 	}
-	for _, j := range c.running.jobs {
+	if c.running.count != len(running) {
+		return fmt.Errorf("running set counts %d jobs, the Running jobs are %v", c.running.count, running)
+	}
+	for _, j := range jobs {
+		if j.State == Running && len(j.Profile.ShrinkPoints(j.Topo)) > 0 {
+			shrinkable = append(shrinkable, j.ID)
+		}
+		if j.shrinkable {
+			flagged = append(flagged, j.ID)
+		}
+	}
+	if !slices.Equal(flagged, shrinkable) {
+		return fmt.Errorf("jobs %v are flagged shrinkable, the shrinkable running jobs are %v", flagged, shrinkable)
+	}
+	if snap.Cluster != ClusterView(&c.running) {
+		return fmt.Errorf("snapshot's Cluster is %T %p, not the core's running set", snap.Cluster, snap.Cluster)
+	}
+	rs := indexedSet(&c.running)
+	for _, j := range rs.jobs {
 		inRunning = append(inRunning, j.ID)
 	}
 	if !slices.Equal(inRunning, running) {
@@ -107,7 +139,7 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	}
 	want := sweepRunning(jobs)
 	var got RunningViews
-	c.running.EachRunning(func(v *ContactView) bool {
+	rs.EachRunning(func(v *ContactView) bool {
 		got = append(got, *v)
 		return true
 	})
@@ -121,17 +153,17 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if snap.PendingFree != pendingFree {
 		return fmt.Errorf("PendingFree %d, sweep gives %d", snap.PendingFree, pendingFree)
 	}
-	if gotIDs, wantIDs := viewIDs(snap.Cluster.EachShrinkable), viewIDs(want.EachShrinkable); !reflect.DeepEqual(gotIDs, wantIDs) {
+	if gotIDs, wantIDs := viewIDs(rs.EachShrinkable), viewIDs(want.EachShrinkable); !reflect.DeepEqual(gotIDs, wantIDs) {
 		return fmt.Errorf("shrinkable %v, sweep gives %v", gotIDs, wantIDs)
 	}
-	if err := checkExpandable(snap.Cluster, want); err != nil {
+	if err := checkExpandable(rs, want); err != nil {
 		return err
 	}
 	for _, j := range jobs {
 		if j.itersDone != profiledIters(j.Profile) {
 			return fmt.Errorf("job %d: itersDone %d, profile holds %d", j.ID, j.itersDone, profiledIters(j.Profile))
 		}
-		if v, ok := snap.Cluster.Running(j.ID); ok != (j.State == Running) || ok && v.ID != j.ID {
+		if v, ok := rs.Running(j.ID); ok != (j.State == Running) || ok && v.ID != j.ID {
 			return fmt.Errorf("Running(%d) = %+v, %v while the job is %v", j.ID, v, ok, j.State)
 		}
 	}
@@ -276,8 +308,12 @@ func (a *diceArbiter) PickStart(snap StartSnapshot) int {
 // per-job iteration counters, the shrinkable and expandable indexes and the
 // running views with a plain sweep over the jobs (checkInvariants), and
 // holds the change feed to the jobs' own keys through a reader that keeps
-// its cursor across ops. Each sequence ends by draining the cluster, which
-// must leave no job queued and no processor leaked.
+// its cursor across ops. The arbiter never walks the running set, so the
+// core's id indexes stay unbuilt until the test builds them at a seeded op
+// before the restore, and the restored core's at a seeded op after it:
+// both regimes are checked on both sides of the restore. Each sequence
+// ends by draining the cluster, which must leave no job queued and no
+// processor leaked.
 func TestAggregatesMatchSweep(t *testing.T) {
 	tenants := []string{"", "blue", "green"}
 	for seed := int64(0); seed < 240; seed++ {
@@ -299,6 +335,9 @@ func TestAggregatesMatchSweep(t *testing.T) {
 		now := 0.0
 		ops := 150 + rng.Intn(150)
 		restoreAt := ops / 2
+		// Seeded apart from rng, so the op sequences stay what they were.
+		pickOp := rand.New(rand.NewSource(seed + 2000))
+		indexAt := [2]int{1 + pickOp.Intn(restoreAt), restoreAt + 1 + pickOp.Intn(ops-restoreAt-1)}
 		for op := 0; op < ops; op++ {
 			now += rng.Float64() * 5
 			running := runningJobs(core)
@@ -339,6 +378,16 @@ func TestAggregatesMatchSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d op %d %s: %v", seed, op, step, err)
 			}
+			if op == indexAt[0] || op == indexAt[1] {
+				if core.running.indexed {
+					t.Fatalf("seed %d op %d: the indexes were built before the test asked", seed, op)
+				}
+				step += " + index"
+				core.running.EachRunning(func(*ContactView) bool { return false })
+				if !core.running.indexed {
+					t.Fatalf("seed %d op %d: EachRunning left the indexes unbuilt", seed, op)
+				}
+			}
 			if op == restoreAt {
 				step += " + restore"
 				restored, err := NewCoreFromState(core.PersistState())
@@ -375,10 +424,10 @@ func TestAggregatesMatchSweep(t *testing.T) {
 	}
 }
 
-// TestPublishedPathNeverBuildsExpandableIndex: the expandable index and the
-// change log exist for arbiters that ask for them. A core on the published
-// single-job path — no arbiter — starts, expands, shrinks and finishes jobs
-// without ever filing one in either.
+// TestPublishedPathNeverBuildsExpandableIndex: the running set's id indexes
+// and the change log exist for arbiters that ask for them. A core on the
+// published single-job path — no arbiter — starts, expands, shrinks and
+// finishes jobs without ever filing one in any of them.
 func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewCore(48, true)
@@ -410,10 +459,86 @@ func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	if resized == 0 {
 		t.Fatal("no contact resized a job: the retopo path went unexercised")
 	}
-	if c.running.expIndexed || c.running.expandable.keys != nil {
-		t.Fatalf("published path built the expandable index: %d buckets", len(c.running.expandable.keys))
+	if r := &c.running; r.indexed || r.jobs != nil || r.shrinkable != nil || r.expandable.keys != nil {
+		t.Fatalf("published path built the id indexes: %d running, %d shrinkable, %d expandable buckets",
+			len(r.jobs), len(r.shrinkable), len(r.expandable.keys))
 	}
 	if c.running.logging || c.running.log != nil {
 		t.Fatalf("published path kept a change log: %d entries", len(c.running.log))
+	}
+}
+
+// TestLateIndexMatchesEarlyIndex drives two cores through the same seeded
+// ops, one whose id indexes are built before its first op and one whose are
+// built after 1 000, and from then on holds every EachRunning,
+// EachShrinkable and EachExpandable id list of the late core to the early
+// one's: a build from the job table must file exactly what start, finish
+// and every move have filed since the beginning.
+func TestLateIndexMatchesEarlyIndex(t *testing.T) {
+	const total, buildAt, ops = 64, 1000, 1600
+	var cores [2]*Core
+	for i := range cores {
+		cores[i] = NewCore(total, true)
+		cores[i].SetArbiter(&diceArbiter{rng: rand.New(rand.NewSource(5)), check: func(ClusterSnapshot) {}})
+	}
+	early, late := cores[0], cores[1]
+	early.running.EachRunning(func(*ContactView) bool { return true })
+	lists := func(c *Core) [][]int {
+		out := [][]int{viewIDs(c.running.EachRunning), viewIDs(c.running.EachShrinkable)}
+		for lo := 0; lo <= total; lo += 4 {
+			out = append(out, viewIDs(func(y func(*ContactView) bool) { c.running.EachExpandable(lo, lo+3, y) }))
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(11))
+	now, shrinkable := 0.0, 0
+	for op := 0; op < ops; op++ {
+		now += rng.Float64() * 5
+		running := runningJobs(early)
+		kind, pick := rng.Intn(10), 0
+		if kind < 3 && early.QueueLen() >= 2 {
+			kind = 3 // the cluster is behind: contact instead
+		}
+		if len(running) > 0 {
+			pick = running[rng.Intn(len(running))].ID
+		}
+		n := []int{8000, 12000, 14000, 21000}[rng.Intn(4)]
+		iterTime, width := 10+rng.Float64()*90, 2+rng.Intn(4)
+		for _, c := range cores {
+			var err error
+			switch {
+			case kind < 3 || len(running) == 0:
+				start, ok := grid.SmallestConfig(n, width, total)
+				if !ok {
+					continue
+				}
+				_, _, err = c.Submit(JobSpec{Name: "j", App: "lu", ProblemSize: n, Iterations: 40,
+					InitialTopo: start, Chain: grid.GrowthChain(start, n, total)}, now)
+			case kind < 6:
+				j, _ := c.Job(pick)
+				_, err = c.Contact(pick, j.Topo, iterTime, 0, now)
+			case kind < 8:
+				_, err = c.ResizeComplete(pick, 1, now)
+			default:
+				_, err = c.Finish(pick, now)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+		if op < buildAt {
+			if late.running.indexed {
+				t.Fatalf("op %d: the late core's indexes were built before the test asked", op)
+			}
+			continue
+		}
+		got, want := lists(late), lists(early)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: late-built indexes yield %v, built from the start %v", op, got, want)
+		}
+		shrinkable += len(want[1])
+	}
+	if shrinkable == 0 {
+		t.Fatal("no job was ever shrinkable: the shrinkable index went unexercised")
 	}
 }

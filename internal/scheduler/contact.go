@@ -12,45 +12,74 @@ import (
 // points: job validation, profiling, the running-set bookkeeping and the
 // actuation of arbiter decisions against the idle-processor counter.
 
-// newJob validates a spec against the cluster size and builds the queued
-// job record for it.
-func newJob(spec JobSpec, id, total int, now float64) (*Job, error) {
+// validateSpec checks a spec against the cluster size.
+func validateSpec(spec *JobSpec, total int) error {
 	if !spec.InitialTopo.IsValid() {
-		return nil, fmt.Errorf("scheduler: job %q has invalid initial topology", spec.Name)
+		return fmt.Errorf("scheduler: job %q has invalid initial topology", spec.Name)
 	}
 	if spec.InitialTopo.Count() > total {
-		return nil, fmt.Errorf("scheduler: job %q needs %d processors, cluster has %d",
+		return fmt.Errorf("scheduler: job %q needs %d processors, cluster has %d",
 			spec.Name, spec.InitialTopo.Count(), total)
 	}
-	return newJobRecord(Job{
-		ID:         id,
-		Spec:       spec,
-		State:      Queued,
-		Topo:       spec.InitialTopo,
-		SubmitTime: now,
-	}), nil
+	return nil
 }
 
-// jobRecord is a job's one allocation: the Job, the profile its Profile
-// field points at, and room for the profile's first two visits, so a job
-// that resizes once records every iteration into storage it already has.
-// Job alone keeps to the 256-byte size class (TestJobFitsSizeClass), the
-// record to the 384-byte one (TestJobRecordFitsSizeClass).
+// jobRecord is a job's storage: the Job, the profile its Profile field
+// points at, and room for the profile's first two visits, so a job that
+// resizes once records every iteration into storage it already has.
 type jobRecord struct {
 	job    Job
 	prof   Profile
 	visits [2]Visit
 }
 
-// newJobRecord allocates a record holding j, whose Profile points into the
-// same record and reserves, at its first iteration, room for the iteration
-// times j's spec declares.
-func newJobRecord(j Job) *Job {
-	r := &jobRecord{job: j}
+// Chunk sizes of the job arena. A chunk is retained while any job carved
+// from it is, so what the arena holds is bounded by the live jobs times a
+// chunk, not by history.
+const (
+	// recordChunk job records fill the 24 KB size class
+	// (TestJobRecordFitsSizeClass).
+	recordChunk = 64
+	// iterChunk iteration times (32 KB) back the reservations of many jobs.
+	// A reservation over an eighth of it is allocated alone, so at most an
+	// eighth of a chunk is left unused when the next one is started.
+	iterChunk = 1 << 12
+)
+
+// jobArena hands out job records and iteration-time reservations from
+// chunks, so a job costs no allocation of its own. The Core is externally
+// synchronized, so the arena needs no lock.
+type jobArena struct {
+	records []jobRecord
+	iters   []float64
+}
+
+// newJob carves a zeroed record and returns its Job, whose Profile points
+// into the same record. The caller fills the job in.
+func (a *jobArena) newJob() *Job {
+	if len(a.records) == cap(a.records) {
+		a.records = make([]jobRecord, 0, recordChunk)
+	}
+	a.records = a.records[:len(a.records)+1]
+	r := &a.records[len(a.records)-1]
 	r.job.Profile = &r.prof
 	r.prof.Visits = r.visits[:0]
-	r.prof.reserve = min(max(j.Spec.Iterations, 0), maxReservedIters)
 	return &r.job
+}
+
+// reserve returns an empty slice with room for n iteration times. Its
+// capacity is clipped to n, so an append past it reallocates instead of
+// writing into the times of the job carved next to it.
+func (a *jobArena) reserve(n int) []float64 {
+	if n > iterChunk/8 {
+		return make([]float64, 0, n)
+	}
+	if cap(a.iters)-len(a.iters) < n {
+		a.iters = make([]float64, 0, iterChunk)
+	}
+	i := len(a.iters)
+	a.iters = a.iters[:i+n]
+	return a.iters[i : i : i+n]
 }
 
 // remainingIters estimates how many outer iterations the job still has to
@@ -58,11 +87,19 @@ func newJobRecord(j Job) *Job {
 func remainingIters(j *Job) int { return j.Spec.Iterations - j.itersDone }
 
 // recordIteration files a reported iteration time in the job's performance
-// profile and counts it, so remainingIters never re-sums the visits.
-func (r *runningSet) recordIteration(j *Job, iterTime float64) {
+// profile and counts it, so remainingIters never re-sums the visits. A
+// job's first iteration opens its first visit on a reservation for as many
+// times as its spec declares (at most maxReservedIters), so later ones
+// allocate nothing until the reservation runs out; see Profile.
+func (c *Core) recordIteration(j *Job, iterTime float64) {
+	if p := j.Profile; len(p.Visits) == 0 {
+		if n := min(max(j.Spec.Iterations, 0), maxReservedIters); n > 0 {
+			p.Visits = append(p.Visits, Visit{Topo: j.Topo, IterTimes: c.arena.reserve(n)})
+		}
+	}
 	j.Profile.RecordIteration(j.Topo, iterTime)
 	j.itersDone++
-	r.changed(j)
+	c.running.changed(j)
 }
 
 // profiledIters is the sweep itersDone caches: every iteration time on file.
@@ -132,22 +169,35 @@ func defaultDecide(pol Policy, j *Job, idle int, queuedNeeds []int) Decision {
 	})
 }
 
-// runningSet is Core's running-job bookkeeping: the id-sorted index behind
-// EachRunning plus the aggregates cluster-wide arbiters would otherwise
-// recompute by sweeping that index at every contact.
+// runningSet is Core's running-job bookkeeping: the id indexes behind
+// EachRunning, EachShrinkable and EachExpandable plus the aggregates
+// cluster-wide arbiters would otherwise recompute by sweeping the running
+// jobs at every contact.
 // Each is maintained where the quantity changes — start, expand, shrink,
 // ResizeComplete, finish — and is a pure function of the running jobs, so a
 // core restored from a snapshot rebuilds it by starting every restored job:
 //
-//	Σ active[i].procs  == Σ jobs[i].Topo.Count()
-//	pendingFree        == Σ jobs[i].pendingFree
-//	j in shrinkable    ⇔ len(j.Profile.ShrinkPoints(j.Topo)) > 0
+//	count              == |{j : j.State == Running}|
+//	Σ active[i].procs  == Σ Topo.Count() over the running jobs
+//	pendingFree        == Σ pendingFree over the running jobs
+//	j.shrinkable       ⇔ j is running and len(j.Profile.ShrinkPoints(j.Topo)) > 0
+//	j in jobs          ⇔ j is running
+//	j in shrinkable    ⇔ j.shrinkable
 //	j in expandable[Δ] ⇔ NextInChain(j.Spec.Chain, j.Topo) adds Δ processors
 //
-// The index lengths are bounded by the pool size (every running job holds at
-// least one processor), not by job history.
+// The three id indexes exist for arbiters: the first EachRunning,
+// EachShrinkable or EachExpandable builds them in one walk of the job table
+// and indexed keeps them filed from then on. Until then start, finish and a
+// move keep only count and the shrinkable flags: keeping the indexes from
+// the start cost sim-fcfs, whose arbiter never asks, 7–9 % of its CPU in
+// their sorted inserts and deletes (event-100k profiles, 2 vCPUs). Their
+// lengths are bounded by the pool size (every running job holds at least
+// one processor), not by job history.
 type runningSet struct {
-	jobs []*Job // ascending id
+	table   *jobTable // every job the core knows, which the indexes are built from
+	count   int       // running jobs
+	indexed bool
+	jobs    []*Job // ascending id
 	// shrinkable is the id-ordered subset with at least one previously
 	// visited smaller configuration: the only jobs a shrink plan can draw a
 	// demand from. Iterations are recorded on the current topology, which is
@@ -157,16 +207,11 @@ type runningSet struct {
 	// expandable files the jobs with a next chain step under the processors
 	// that step adds, id-ordered within a bucket, so an expansion veto walks
 	// only the steps that contend for the idle pool. The chain is fixed, so
-	// a job moves only when Topo does. The first EachExpandable builds it
-	// and expIndexed keeps it filed from then on: keeping it, the change log
-	// and the queue's tenant index from the start cost sim-fcfs, whose
-	// arbiter never asks, 4–13 % jobs/s (2 vCPUs, see jobQueue).
+	// a job moves only when Topo does.
 	expandable dir[int, []*Job]
-	expIndexed bool
 	// log is the change feed behind Changes, from feed position logBase on.
-	// Like the expandable index, and for the same sim-fcfs cost, it is kept
-	// only once an arbiter asks (logging). It is never persisted or
-	// journaled.
+	// Like the id indexes, and for the same sim-fcfs cost, it is kept only
+	// once an arbiter asks (logging). It is never persisted or journaled.
 	log     []int
 	logBase uint64
 	logging bool
@@ -223,7 +268,10 @@ func removeByID(index []*Job, j *Job) []*Job {
 // start enters a job that holds j.Topo (plus j.pendingFree, when it is
 // restored mid-shrink) into the index and every aggregate.
 func (r *runningSet) start(j *Job) {
-	r.jobs = insertByID(r.jobs, j)
+	r.count++
+	if r.indexed {
+		r.jobs = insertByID(r.jobs, j)
+	}
 	a := j.tenant
 	if a.jobs == 0 {
 		*r.active.get(a.name) = a
@@ -240,7 +288,10 @@ func (r *runningSet) start(j *Job) {
 // finish withdraws a completed job, in-flight give-back included: the
 // caller returns all of its processors to the pool. released logs it.
 func (r *runningSet) finish(j *Job) {
-	r.jobs = removeByID(r.jobs, j)
+	r.count--
+	if r.indexed {
+		r.jobs = removeByID(r.jobs, j)
+	}
 	a := j.tenant
 	a.procs -= j.Topo.Count()
 	a.jobs--
@@ -250,10 +301,10 @@ func (r *runningSet) finish(j *Job) {
 	}
 	r.usageOK = false
 	r.released(j)
-	if j.shrinkable {
+	if j.shrinkable && r.indexed {
 		r.shrinkable = removeByID(r.shrinkable, j)
-		j.shrinkable = false
 	}
+	j.shrinkable = false
 	r.unfileExpandable(j)
 }
 
@@ -269,7 +320,8 @@ func (r *runningSet) retopo(j *Job, to grid.Topology) {
 	r.changed(j)
 }
 
-// reindexShrinkable files j under its current topology.
+// reindexShrinkable flags j, and files it once the indexes are built, under
+// its current topology.
 func (r *runningSet) reindexShrinkable(j *Job) {
 	can := false
 	for i := range j.Profile.Visits {
@@ -279,6 +331,7 @@ func (r *runningSet) reindexShrinkable(j *Job) {
 		}
 	}
 	switch {
+	case !r.indexed:
 	case can && !j.shrinkable:
 		r.shrinkable = insertByID(r.shrinkable, j)
 	case !can && j.shrinkable:
@@ -294,11 +347,11 @@ func stepDelta(j *Job) (int, bool) {
 	return next.Count() - j.Topo.Count(), ok
 }
 
-// fileExpandable enters j under its current topology's step, once the index
-// is built. A bucket left empty stays for the next job of that step: step
-// sizes are few, and bounded by the pool size.
+// fileExpandable enters j under its current topology's step, once the
+// indexes are built. A bucket left empty stays for the next job of that
+// step: step sizes are few, and bounded by the pool size.
 func (r *runningSet) fileExpandable(j *Job) {
-	if !r.expIndexed {
+	if !r.indexed {
 		return
 	}
 	d, ok := stepDelta(j)
@@ -312,7 +365,7 @@ func (r *runningSet) fileExpandable(j *Job) {
 // unfileExpandable withdraws j from the bucket of its current topology's
 // step; call it before Topo moves.
 func (r *runningSet) unfileExpandable(j *Job) {
-	if !r.expIndexed {
+	if !r.indexed {
 		return
 	}
 	d, ok := stepDelta(j)
@@ -343,7 +396,7 @@ func (r *runningSet) changed(j *Job) {
 	if n > 0 && r.log[n-1] == j.ID {
 		return
 	}
-	if n >= 4*len(r.jobs)+64 {
+	if n >= 4*r.count+64 {
 		r.logBase += uint64(n) + 1
 		r.log = r.log[:0]
 	}
@@ -381,22 +434,42 @@ func (r *runningSet) tenants() []TenantUsage {
 	return r.usage
 }
 
+// index builds the id indexes on first ask, in one walk of the job table in
+// id order; start, finish and every move keep them filed from then on.
+func (r *runningSet) index() {
+	if r.indexed {
+		return
+	}
+	r.indexed = true
+	for _, j := range r.table.byID {
+		if j == nil || j.State != Running {
+			continue
+		}
+		r.jobs = append(r.jobs, j)
+		if j.shrinkable {
+			r.shrinkable = append(r.shrinkable, j)
+		}
+		r.fileExpandable(j)
+	}
+}
+
 // EachRunning implements ClusterView: every running job in ascending id
 // order. Arbiters call it lazily; the default single-job path never does.
-func (r *runningSet) EachRunning(yield func(*ContactView) bool) { r.each(r.jobs, yield) }
+func (r *runningSet) EachRunning(yield func(*ContactView) bool) {
+	r.index()
+	r.each(r.jobs, yield)
+}
 
 // EachShrinkable implements ClusterView over the shrinkable index.
-func (r *runningSet) EachShrinkable(yield func(*ContactView) bool) { r.each(r.shrinkable, yield) }
+func (r *runningSet) EachShrinkable(yield func(*ContactView) bool) {
+	r.index()
+	r.each(r.shrinkable, yield)
+}
 
-// EachExpandable implements ClusterView over the expandable index, building
-// it on the first call: the buckets from lo through hi, each in id order.
+// EachExpandable implements ClusterView over the expandable index: the
+// buckets from lo through hi, each in id order.
 func (r *runningSet) EachExpandable(lo, hi int, yield func(*ContactView) bool) {
-	if !r.expIndexed {
-		r.expIndexed = true
-		for _, j := range r.jobs {
-			r.fileExpandable(j)
-		}
-	}
+	r.index()
 	e := &r.expandable
 	for i, _ := e.at(lo); i < len(e.keys) && e.keys[i] <= hi; i++ {
 		if !r.each(e.vals[i], yield) {
@@ -419,13 +492,14 @@ func (r *runningSet) each(index []*Job, yield func(*ContactView) bool) bool {
 	return more
 }
 
-// Running implements ClusterView: one running job by id.
+// Running implements ClusterView: one running job by id, looked up in the
+// job table, so it needs no index.
 func (r *runningSet) Running(id int) (ContactView, bool) {
-	i := sort.Search(len(r.jobs), func(k int) bool { return r.jobs[k].ID >= id })
-	if i == len(r.jobs) || r.jobs[i].ID != id {
+	j := r.table.get(id)
+	if j == nil || j.State != Running {
 		return ContactView{}, false
 	}
-	return contactView(r.jobs[i]), true
+	return contactView(j), true
 }
 
 // applyDecision actuates an arbitration decision on the job. Expansions

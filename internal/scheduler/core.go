@@ -133,6 +133,7 @@ type Core struct {
 	nextID int
 	queue  jobQueue
 	jobs   jobTable
+	arena  jobArena // the chunks jobs' records and iteration times are carved from
 	// running indexes the running jobs and keeps the per-tenant, in-flight
 	// and shrinkable aggregates arbiter snapshots carry.
 	running runningSet
@@ -170,13 +171,15 @@ type Core struct {
 // NewCore creates a scheduler for a cluster with total processors, using
 // the published Remap Scheduler policy.
 func NewCore(total int, backfill bool) *Core {
-	return &Core{
+	c := &Core{
 		Total:    total,
 		Backfill: backfill,
 		Policy:   PaperPolicy{},
 		free:     total,
 		trace:    true,
 	}
+	c.running.table = &c.jobs
+	return c
 }
 
 // Deprecated: the processor pool is no longer sharded; use NewCore.
@@ -286,13 +289,18 @@ func (c *Core) record(now float64, j *Job, kind string) {
 // returns the job and any jobs started as a consequence (possibly including
 // the submitted one), in a slice the core reuses (see TrySchedule).
 func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
-	j, err := newJob(spec, c.nextID, c.Total, now)
-	if err != nil {
+	if err := validateSpec(&spec, c.Total); err != nil {
 		return nil, nil, err
 	}
 	if err := c.journalOp(Op{Kind: OpSubmit, Now: now, Spec: spec}); err != nil {
 		return nil, nil, err
 	}
+	j := c.arena.newJob()
+	j.ID = c.nextID
+	j.Spec = spec
+	j.State = Queued
+	j.Topo = spec.InitialTopo
+	j.SubmitTime = now
 	c.nextID++
 	j.tenant = c.running.account(spec.Tenant)
 	c.jobs.put(j)
@@ -488,7 +496,7 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	}); err != nil {
 		return Decision{}, err
 	}
-	c.running.recordIteration(j, iterTime)
+	c.recordIteration(j, iterTime)
 	var d Decision
 	if c.arb != nil {
 		d = c.arb.Decide(c.snapshot(j, now))

@@ -126,11 +126,10 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 				pj.ID, lastID, st.NextID)
 		}
 		lastID = pj.ID
-		j := newJobRecord(Job{
-			ID: pj.ID, Spec: pj.Spec, State: pj.State, Topo: pj.Topo,
-			SubmitTime: pj.SubmitTime, StartTime: pj.StartTime, EndTime: pj.EndTime,
-			pendingFree: pj.PendingFree, resizeFrom: pj.ResizeFrom,
-		})
+		j := c.arena.newJob()
+		j.ID, j.Spec, j.State, j.Topo = pj.ID, pj.Spec, pj.State, pj.Topo
+		j.SubmitTime, j.StartTime, j.EndTime = pj.SubmitTime, pj.StartTime, pj.EndTime
+		j.pendingFree, j.resizeFrom = pj.PendingFree, pj.ResizeFrom
 		// The restored profile takes the state's visits and map as they
 		// are: nil Redist and nil IterTimes are what a live profile holds
 		// when empty (RecordRedist makes the map on first use). A job with

@@ -39,21 +39,20 @@ func (v *Visit) Mean() float64 {
 // points — configurations the job may legally shrink back to — are exactly
 // the previously visited smaller configurations.
 //
-// A job's profile shares the job's allocation, and its iteration times
-// share one backing array, which the first iteration reserves for as many
-// as the spec declares (at most maxReservedIters). Each visit's IterTimes is
-// a subslice of that array: the open visit's capacity runs to the end of
-// the reservation, and opening the next visit clips the previous one to its
-// length and hands the new one the unused tail, so recording an iteration
-// allocates nothing until the reservation runs out. A profile without a
-// reservation (NewProfile, a restored or cloned one, whose slices have
-// exact length) grows by ordinary append. Redist stays nil until the first
-// RecordRedist.
+// A core's job shares its record with its profile, and its iteration times
+// share one array, which the job's first iteration reserves for as many as
+// the spec declares (at most maxReservedIters; see Core.recordIteration).
+// Each visit's IterTimes is a subslice of that array: the open visit's
+// capacity runs to the end of the reservation, and opening the next visit
+// clips the previous one to its length and hands the new one the unused
+// tail, so recording an iteration allocates nothing until the reservation
+// runs out. A profile without a reservation (NewProfile, a restored or
+// cloned one, whose slices have exact length) grows by ordinary append.
+// Redist stays nil until the first RecordRedist.
 type Profile struct {
-	Visits  []Visit
-	Redist  map[string]float64 // "RxC->RxC" -> last observed redistribution seconds
-	stamp   uint64             // see Stamp; not persisted: a restored or cloned profile restarts at 0
-	reserve int                // iteration times the first visit reserves room for
+	Visits []Visit
+	Redist map[string]float64 // "RxC->RxC" -> last observed redistribution seconds
+	stamp  uint64             // see Stamp; not persisted: a restored or cloned profile restarts at 0
 }
 
 // maxReservedIters caps a job's reservation. The count comes from the
@@ -82,8 +81,6 @@ func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 			prev := &p.Visits[n-1]
 			l := len(prev.IterTimes)
 			tail, prev.IterTimes = prev.IterTimes[l:l], prev.IterTimes[:l:l]
-		} else if p.reserve > 0 {
-			tail = make([]float64, 0, p.reserve)
 		}
 		p.Visits = append(p.Visits, Visit{Topo: topo, IterTimes: tail})
 		n++
@@ -99,7 +96,21 @@ func (p *Profile) RecordRedist(from, to grid.Topology, seconds float64) {
 		p.Redist = make(map[string]float64)
 	}
 	var buf [64]byte
-	p.Redist[string(appendRedistKey(buf[:0], from, to))] = seconds
+	key := appendRedistKey(buf[:0], from, to)
+	// Only a lookup converts key without allocating, so only a new pair
+	// pays for the string the map keeps. An existing pair is rewritten
+	// through the map's own key; a job has moved between few pairs.
+	switch old, ok := p.Redist[string(key)]; {
+	case !ok:
+		p.Redist[string(key)] = seconds
+	case old != seconds:
+		for k := range p.Redist {
+			if k == string(key) {
+				p.Redist[k] = seconds
+				break
+			}
+		}
+	}
 	p.stamp++
 }
 

@@ -20,7 +20,7 @@ func TestRecordIterationAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.running.recordIteration(j, 100) // the first iteration reserves
+	c.recordIteration(j, 100) // the first iteration reserves
 	// testing.AllocsPerRun would round a few allocations over many runs
 	// down to 0, so count them all.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -30,7 +30,7 @@ func TestRecordIterationAllocatesNothing(t *testing.T) {
 		if n == iters/2 {
 			j.Topo = topo(2, 4) // resized mid-run: this iteration opens a visit
 		}
-		c.running.recordIteration(j, float64(n))
+		c.recordIteration(j, float64(n))
 	}
 	runtime.ReadMemStats(&m1)
 	if n := m1.Mallocs - m0.Mallocs; n != 0 {
@@ -88,11 +88,71 @@ func TestReservationIsBounded(t *testing.T) {
 	}
 }
 
-// TestJobRecordFitsSizeClass pins a job's one allocation, the Job with its
-// profile and first two visits, to the 384-byte size class, as
-// TestJobFitsSizeClass pins Job itself.
+// TestJobRecordFitsSizeClass pins the arena's chunk of job records, each the
+// Job with its profile and first two visits, to the 24 KB size class: a
+// record that grows past 384 bytes costs the next class up, about 11 %,
+// on every chunk.
 func TestJobRecordFitsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(jobRecord{}); n > 384 {
-		t.Fatalf("jobRecord is %d bytes, over the 384-byte size class", n)
+	if n := unsafe.Sizeof([recordChunk]jobRecord{}); n > 24<<10 {
+		t.Fatalf("a chunk of %d job records is %d bytes, over the 24 KB size class", recordChunk, n)
+	}
+}
+
+// TestNeighbouringReservationsStayApart carves two jobs' reservations side
+// by side from one chunk and has each record past its reservation: the
+// append that overflows one must reallocate rather than write into the
+// other's times.
+func TestNeighbouringReservationsStayApart(t *testing.T) {
+	const iters = 4
+	c := NewCore(16, false)
+	var jobs [2]*Job
+	for i := range jobs {
+		s := spec("a", topo(1, 2), 8000)
+		s.Iterations = iters
+		j, _, err := c.Submit(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+		c.recordIteration(j, float64(100*i)) // each first iteration reserves
+	}
+	a, b := jobs[0].Profile.Visits[0].IterTimes, jobs[1].Profile.Visits[0].IterTimes
+	if gap := uintptr(unsafe.Pointer(&b[:1][0])) - uintptr(unsafe.Pointer(&a[:1][0])); gap != iters*8 {
+		t.Fatalf("the second reservation starts %d bytes after the first, want %d: not carved side by side", gap, iters*8)
+	}
+	for n := 1; n <= 2*iters; n++ {
+		for i, j := range jobs {
+			c.recordIteration(j, float64(100*i+n))
+		}
+	}
+	for i, j := range jobs {
+		got := j.Profile.Visits[0].IterTimes
+		if len(got) != 2*iters+1 {
+			t.Fatalf("job %d holds %d times, want %d", i, len(got), 2*iters+1)
+		}
+		for n, v := range got {
+			if want := float64(100*i + n); v != want {
+				t.Fatalf("job %d time %d is %v, want %v: a neighbour wrote into its reservation", i, n, v, want)
+			}
+		}
+	}
+}
+
+// TestRecordRedistReusesItsKey: re-recording a pair already on file, at the
+// same cost or a new one, allocates nothing; only a new pair pays for its
+// key.
+func TestRecordRedistReusesItsKey(t *testing.T) {
+	p := NewProfile()
+	from, to := topo(2, 2), topo(2, 4)
+	p.RecordRedist(from, to, 1)
+	cost := 1.0
+	if n := testing.AllocsPerRun(100, func() {
+		cost++
+		p.RecordRedist(from, to, cost)
+	}); n != 0 {
+		t.Errorf("re-recording an existing pair allocates %.1f times, want 0", n)
+	}
+	if got, ok := p.RedistCost(from, to); !ok || got != cost || len(p.Redist) != 1 {
+		t.Fatalf("Redist %v, want only %v->%v at %v", p.Redist, from, to, cost)
 	}
 }

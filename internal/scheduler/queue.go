@@ -15,9 +15,10 @@ import (
 //     per chain start configuration) even when 10⁵ jobs wait.
 //   - tenant maps Spec.Tenant to a heap of its jobs, the per-tenant heads a
 //     fair-share StartPicker chooses among. It costs a heap push per submit
-//     and stays empty until enableTenantIndex: keeping it, the expandable
-//     index and the change log on from the start cost sim-fcfs 4–13 %
-//     jobs/s (2 vCPUs, 6 of 6 paired runs).
+//     and stays empty until enableTenantIndex, as the running set's id
+//     indexes and change log stay empty until an arbiter asks: sim-fcfs,
+//     whose arbiter never does, would otherwise pay for all of them (the id
+//     indexes alone took 7–9 % of its CPU; see runningSet).
 //
 // A heap entry carries its job's order key (Spec.Priority and ID, neither
 // written after submit) beside the *Job, so sifting compares keys in the

@@ -118,6 +118,11 @@ type Rebalancer struct {
 	exps      []expansion
 	heap      []standing
 	obs       []perfmodel.SpeedupObs
+	// The chunks views carve their tables from, kept from tick to tick (see
+	// view).
+	topoChunk []grid.Topology
+	secChunk  []topoSeconds
+	bidChunk  []bid
 
 	built, priced, walked int // views built, bids priced and running jobs walked, for the cost tests
 }
@@ -203,7 +208,8 @@ func (r *Rebalancer) grantable(snap scheduler.ClusterSnapshot) int {
 // needs, copied out of the live ContactView so no Profile pointer is
 // retained past the snapshot (the arbiter aliasing contract), and what it
 // derives from that. A view belongs to its job while the job is unchanged
-// (see collect); its slices belong to its slot, reused by a rebuild.
+// (see collect); its slices belong to its slot, reused by a rebuild (see
+// view).
 type jobView struct {
 	id       int
 	topo     grid.Topology
@@ -529,10 +535,47 @@ func (r *Rebalancer) file(v *scheduler.ContactView) {
 	r.view(&r.jobs[i], v)
 }
 
+// viewChunk is the length of the chunks views carve their tables from. A
+// table over an eighth of it is allocated alone.
+const viewChunk = 256
+
+// carve returns an empty slice with room for n from the chunk, starting a
+// new chunk when it is short. Its capacity is clipped to n, so the slot it
+// goes to can never append into another's.
+func carve[T any](chunk *[]T, n int) []T {
+	if n > viewChunk/8 {
+		return make([]T, 0, n)
+	}
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, viewChunk)
+	}
+	c := *chunk
+	i := len(c)
+	*chunk = c[:i+n]
+	return c[i : i : i+n]
+}
+
 // view rebuilds a view from one running job. A job nothing can price on
 // its current configuration gets a view with neither shrink nor bids.
+//
+// The slot's tables are reused when they have room for the most the job can
+// fill (rungs and bids at most one per chain step, shrink points and
+// measured times at most one per visit, redistribution costs at most one
+// per rung or shrink point); otherwise they are carved anew from the
+// Rebalancer's chunks, so a view never grows a table by appending.
 func (r *Rebalancer) view(j *jobView, v *scheduler.ContactView) {
 	r.built++
+	steps, visits := len(v.Chain), len(v.Profile.Visits)
+	rungs, measured, bids := j.rungs[:0], j.measured[:0], j.bids[:0]
+	if cap(rungs) < steps+visits {
+		rungs = carve(&r.topoChunk, steps+visits)
+	}
+	if cap(measured) < steps+2*visits {
+		measured = carve(&r.secChunk, steps+2*visits)
+	}
+	if cap(bids) < steps {
+		bids = carve(&r.bidChunk, steps)
+	}
 	*j = jobView{
 		id:       v.ID,
 		topo:     v.Topo,
@@ -541,9 +584,9 @@ func (r *Rebalancer) view(j *jobView, v *scheduler.ContactView) {
 		shrink:   topoSeconds{sec: math.Inf(-1)},
 		// Each array is shared: the shrink points follow the rungs, and the
 		// redistribution costs the measured times.
-		rungs:    j.rungs[:0],
-		measured: j.measured[:0],
-		bids:     j.bids[:0],
+		rungs:    rungs,
+		measured: measured,
+		bids:     bids,
 	}
 	r.obs = r.obs[:0]
 	for i := range v.Profile.Visits {

@@ -16,10 +16,13 @@ import (
 // TestRunAllocsPerJob pins the heap allocations Run makes per job on small
 // versions of the benchmark's three simulator mixes: the published FCFS
 // path on the scaling-curve mix, and the backlogged three-tenant mix under
-// fair share and under the rebalancer. A job costs its record (the Job and
-// its profile), its iteration-time reservation and its list of visits;
-// what the arbiters add is their plans and directives. A budget that
-// breaks means something on the per-job path allocates again.
+// fair share and under the rebalancer. A job's record (the Job and its
+// profile) and its iteration-time reservation are carved from the core's
+// chunks; what a job still costs is a list of visits past two and its
+// redistribution costs, and what the arbiters add is their plans and
+// directives. A budget that breaks means something on the per-job path
+// allocates again. The budgets hold under -race too, where the counts rise
+// (the rebalancer mix from 0.46 to 0.77 allocs/job).
 func TestRunAllocsPerJob(t *testing.T) {
 	params := perfmodel.SystemX()
 	tenants := func(n, iters int) workload.GenConfig {
@@ -43,13 +46,13 @@ func TestRunAllocsPerJob(t *testing.T) {
 		budget float64
 		setup  func(sim *simcluster.Sim, mix []simcluster.JobInput)
 	}{
-		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 3.5, nil},
-		{"fairshare", tenants(2000, 10), 6, func(sim *simcluster.Sim, mix []simcluster.JobInput) {
+		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 1, nil},
+		{"fairshare", tenants(2000, 10), 2, func(sim *simcluster.Sim, mix []simcluster.JobInput) {
 			fs := fairshare.New(nil)
 			fs.Inner = inner(mix)
 			sim.WithArbiter(fs)
 		}},
-		{"rebalance", tenants(6000, 4), 5, func(sim *simcluster.Sim, mix []simcluster.JobInput) {
+		{"rebalance", tenants(6000, 4), 0.9, func(sim *simcluster.Sim, mix []simcluster.JobInput) {
 			reb := rebalance.New(inner(mix))
 			reb.Predict = simcluster.Predictor(params, mix)
 			reb.RedistCost = simcluster.RedistPredictor(params, mix)

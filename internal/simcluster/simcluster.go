@@ -219,8 +219,11 @@ type Sim struct {
 	noIters        bool // skip per-iteration IterRecord building (WithoutIterRecords)
 }
 
+// jobState is what the simulator tracks of one submitted job. Its result
+// gathers the job's times as they happen; collect adds what the job's
+// arrival entry says of it.
 type jobState struct {
-	input     JobInput
+	in        *JobInput // the job's entry in Sim.arrivals
 	id        int
 	itersDone int
 	lastIter  float64 // duration of the iteration in flight / just completed
@@ -393,7 +396,7 @@ func (s *Sim) Run() (*Result, error) {
 // startIteration schedules the next resize point for a running job.
 func (s *Sim) startIteration(js *jobState, now float64) error {
 	job := s.job(js)
-	dur, err := s.params.IterTime(js.input.Model, job.Topo)
+	dur, err := s.params.IterTime(js.in.Model, job.Topo)
 	if err != nil {
 		return err
 	}
@@ -403,7 +406,7 @@ func (s *Sim) startIteration(js *jobState, now float64) error {
 }
 
 func (s *Sim) handleArrival(e event) error {
-	in := s.arrivals[e.job]
+	in := &s.arrivals[e.job]
 	job, started, err := s.core.Submit(in.Spec, e.time)
 	if err != nil {
 		return err
@@ -411,19 +414,9 @@ func (s *Sim) handleArrival(e event) error {
 	for job.ID >= len(s.states) {
 		s.states = append(s.states, jobState{})
 	}
-	s.states[job.ID] = jobState{
-		input:   in,
-		id:      job.ID,
-		job:     job,
-		jobCore: s.core,
-		result: JobResult{
-			Name:        in.Spec.Name,
-			App:         in.Spec.App,
-			Tenant:      in.Spec.Tenant,
-			InitialProc: in.Spec.InitialTopo.Count(),
-			Submit:      e.time,
-		},
-	}
+	js := &s.states[job.ID]
+	js.in, js.id, js.job, js.jobCore = in, job.ID, job, s.core
+	js.result.Submit = e.time
 	return s.beginStarted(started, e.time)
 }
 
@@ -452,7 +445,7 @@ func (s *Sim) recordIter(js *jobState, topo grid.Topology, redist float64) {
 		return
 	}
 	if js.result.Iters == nil {
-		n := js.input.Spec.Iterations
+		n := js.in.Spec.Iterations
 		if n < 1 {
 			n = 1
 		}
@@ -474,7 +467,7 @@ func (s *Sim) handleResizePoint(e event) error {
 	js.itersDone++
 	topo := job.Topo
 
-	if js.itersDone >= js.input.Spec.Iterations {
+	if js.itersDone >= js.in.Spec.Iterations {
 		s.recordIter(js, topo, 0)
 		js.result.End = now
 		started, err := s.core.Finish(e.job, now)
@@ -503,9 +496,9 @@ func (s *Sim) handleResizePoint(e event) error {
 	// Resize granted: pay the redistribution cost, then resume.
 	var cost float64
 	if s.mode == DynamicCheckpoint {
-		cost = s.params.CheckpointTime(js.input.Model, topo, d.Target)
+		cost = s.params.CheckpointTime(js.in.Model, topo, d.Target)
 	} else {
-		cost = s.params.RedistTime(js.input.Model, topo, d.Target)
+		cost = s.params.RedistTime(js.in.Model, topo, d.Target)
 	}
 	js.lastRed = cost
 	js.result.TotalRedist += cost
@@ -539,9 +532,9 @@ func (s *Sim) handleRebalance(e event) error {
 	return nil
 }
 
-// collect assembles the result. Utilization comes from the core's exact
-// busy-time integral, so it is available even when event tracing is
-// disabled for very large runs.
+// collect assembles the result, each job's from its state and its arrival
+// entry. Utilization comes from the core's exact busy-time integral, so it
+// is available even when event tracing is disabled for very large runs.
 func (s *Sim) collect() (*Result, error) {
 	res := &Result{Mode: s.mode, Total: s.total, Events: s.core.Events}
 	jobs := s.core.Jobs()
@@ -551,7 +544,10 @@ func (s *Sim) collect() (*Result, error) {
 		if j.State != scheduler.Done {
 			return nil, fmt.Errorf("simcluster: job %q never finished (state %v)", j.Spec.Name, j.State)
 		}
-		res.Jobs = append(res.Jobs, js.result)
+		spec := &js.in.Spec
+		r := js.result
+		r.Name, r.App, r.Tenant, r.InitialProc = spec.Name, spec.App, spec.Tenant, spec.InitialTopo.Count()
+		res.Jobs = append(res.Jobs, r)
 		if js.result.End > res.Makespan {
 			res.Makespan = js.result.End
 		}

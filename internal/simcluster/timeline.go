@@ -30,10 +30,19 @@ type event struct {
 // out in the order they were scheduled and identical inputs replay to
 // byte-identical schedules. It is hand-rolled rather than container/heap
 // to avoid boxing an interface per push; a run pushes millions of events.
+//
+// pop hands out the root and leaves it in place, held: the job whose
+// resize point it was most often schedules its next one at once, and an
+// at that comes while the root is held files its event in the root's
+// hole, one sift instead of the two a removal and an insertion take.
+// Otherwise the next pop or dueBy removes the held root first. (time, seq)
+// keys are unique, so where an event sits in the heap cannot change the
+// order events come out in.
 type timeline struct {
-	h   []event
-	seq uint64
-	now float64
+	h    []event
+	seq  uint64
+	now  float64
+	held bool // h[0] is the event pop handed out last, still in place
 }
 
 // before reports whether e sorts ahead of f. (time, seq) keys are unique.
@@ -51,45 +60,68 @@ func (q *timeline) at(t float64, kind evKind, job int) {
 		t = q.now
 	}
 	q.seq++
+	e := event{time: t, seq: q.seq, job: job, kind: kind}
+	if q.held {
+		q.held = false
+		q.siftUp(q.sink(0, len(q.h)), e)
+		return
+	}
 	q.h = append(q.h, event{})
-	q.siftUp(len(q.h)-1, event{time: t, seq: q.seq, job: job, kind: kind})
+	q.siftUp(len(q.h)-1, e)
 }
 
-// pop removes the earliest event and advances the clock to it. It sifts
-// bottom-up (Floyd): the hole left at the root moves down the earlier
-// child to a leaf, one comparison a level, and the last event sifts up
-// from there. That event came from the bottom and rarely climbs far, so
-// this compares about half as often as sifting it down from the root.
+// pop hands out the earliest event, leaving it held at the root, and
+// advances the clock to it.
 func (q *timeline) pop() (event, bool) {
-	n := len(q.h) - 1
-	if n < 0 {
+	if q.held {
+		q.drop()
+	}
+	if len(q.h) == 0 {
 		return event{}, false
 	}
-	top := q.h[0]
-	last := q.h[n]
-	q.h = q.h[:n]
-	if n > 0 {
-		h := q.h
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && h[c+1].before(&h[c]) {
-				c++
-			}
-			h[i] = h[c]
-			i = c
-		}
-		q.siftUp(i, last)
-	}
-	q.now = top.time
-	return top, true
+	q.held = true
+	q.now = q.h[0].time
+	return q.h[0], true
 }
 
 // dueBy reports whether time t comes no later than every queued event.
-func (q *timeline) dueBy(t float64) bool { return len(q.h) == 0 || t <= q.h[0].time }
+func (q *timeline) dueBy(t float64) bool {
+	if q.held {
+		q.drop()
+	}
+	return len(q.h) == 0 || t <= q.h[0].time
+}
+
+// drop removes the held root. It sifts bottom-up (Floyd): the hole moves
+// down to a leaf and the last event sifts up from there. That event came
+// from the bottom and rarely climbs far, so this compares about half as
+// often as sifting it down from the root.
+func (q *timeline) drop() {
+	q.held = false
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h = q.h[:n]
+	if n > 0 {
+		q.siftUp(q.sink(0, n), last)
+	}
+}
+
+// sink moves the hole at i down the earlier child, one comparison a level,
+// to a leaf of the heap's first n events, and returns where it ends.
+func (q *timeline) sink(i, n int) int {
+	h := q.h
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return i
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		h[i] = h[c]
+		i = c
+	}
+}
 
 // siftUp files e at the hole i, moving the hole up past every parent e
 // sorts ahead of.

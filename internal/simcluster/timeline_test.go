@@ -134,10 +134,13 @@ func TestTimelineClampsThePast(t *testing.T) {
 	}
 }
 
-// TestTimelineInterleavedAgainstSortedReference interleaves random pushes
-// and pops, most pushes landing on one of a few timestamps and some before
-// the clock, and checks every pop against the head of a reference kept
-// sorted by (time, seq).
+// TestTimelineInterleavedAgainstSortedReference interleaves random pushes,
+// pops and dueBy asks, most pushes landing on one of a few timestamps and
+// some before the clock, and checks every pop and every answer against the
+// head of a reference kept sorted by (time, seq). A pop leaves its event
+// held at the root, so the steps reach every way a held root goes: a push
+// right after the pop fills its hole, a second pop with no push between,
+// and a dueBy while it is held each remove it.
 func TestTimelineInterleavedAgainstSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q timeline
@@ -156,10 +159,27 @@ func TestTimelineInterleavedAgainstSortedReference(t *testing.T) {
 			t.Fatalf("step %d: popped %+v (ok %v, clock %v), want %+v", step, got, ok, q.now, want)
 		}
 	}
+	var filled, popped, asked int // steps that met a held root, by what they did
 	for step := 0; step < 20000; step++ {
-		if len(ref) > 0 && rng.Intn(5) < 2 {
+		switch k := rng.Intn(10); {
+		case k == 0:
+			tm := q.now + float64(rng.Intn(3))
+			if q.held {
+				asked++
+			}
+			if got, want := q.dueBy(tm), len(ref) == 0 || tm <= ref[0].time; got != want {
+				t.Fatalf("step %d: dueBy(%v) = %v, want %v", step, tm, got, want)
+			}
+			continue
+		case len(ref) > 0 && k < 5:
+			if q.held {
+				popped++
+			}
 			pop(step)
 			continue
+		}
+		if q.held {
+			filled++
 		}
 		tm := q.now + float64(rng.Intn(4)-1) // a step behind the clock is clamped to it
 		q.at(tm, evResizePoint, step)
@@ -172,5 +192,8 @@ func TestTimelineInterleavedAgainstSortedReference(t *testing.T) {
 	}
 	if _, ok := q.pop(); ok {
 		t.Fatal("pop returned an event after the timeline drained")
+	}
+	if min(filled, popped, asked) < 100 {
+		t.Fatalf("a held root met %d pushes, %d pops and %d dueBy asks: each wants 100", filled, popped, asked)
 	}
 }
