@@ -24,9 +24,8 @@ import (
 	"repro/internal/redistrib"
 	"repro/internal/resize"
 	"repro/internal/scheduler"
-	"repro/internal/scheduler/arbiter"
 	"repro/internal/scheduler/fairshare"
-	"repro/internal/scheduler/rebalance"
+	"repro/internal/scheduler/modes"
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
@@ -243,58 +242,59 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 // steady victims' tail wait as victim-p99-s. CI uploads every series in
 // BENCH_scheduler.json.
 func BenchmarkArbiter(b *testing.B) {
-	params := perfmodel.SystemX()
 	jobs, err := experiments.ContendedMix()
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, jobs []simcluster.JobInput, mk func(s *simcluster.Sim) *simcluster.Sim) *simcluster.Result {
-		var res *simcluster.Result
-		for i := 0; i < b.N; i++ {
-			r, err := mk(simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, jobs)).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			res = r
-		}
+	run := func(b *testing.B, jobs []simcluster.JobInput, mode string) *simcluster.Result {
+		res := benchMode(b, jobs, mode, nil)
 		b.ReportMetric(res.MeanQueueWait(), "mean-wait-s")
 		b.ReportMetric(res.QueueWaitP99(), "p99-wait-s")
-		b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 		return res
 	}
-	b.Run("fcfs", func(b *testing.B) {
-		run(b, jobs, func(s *simcluster.Sim) *simcluster.Sim { return s })
-	})
-	b.Run("benefit-ranked", func(b *testing.B) {
-		run(b, jobs, func(s *simcluster.Sim) *simcluster.Sim {
-			return s.WithArbiter(&arbiter.BenefitRanked{Predict: simcluster.Predictor(params, jobs)})
-		})
-	})
+	b.Run("fcfs", func(b *testing.B) { run(b, jobs, "fcfs") })
+	b.Run("benefit-ranked", func(b *testing.B) { run(b, jobs, "benefit") })
 	noisy, err := experiments.NoisyNeighborMix()
 	if err != nil {
 		b.Fatal(err)
 	}
 	victimP99 := func(res *simcluster.Result) float64 {
-		p := res.TenantQueueWaitP99("victim1")
-		if q := res.TenantQueueWaitP99("victim2"); q > p {
-			p = q
-		}
-		return p
+		return max(res.TenantQueueWaitP99("victim1"), res.TenantQueueWaitP99("victim2"))
 	}
 	b.Run("benefit-noisy", func(b *testing.B) {
-		res := run(b, noisy, func(s *simcluster.Sim) *simcluster.Sim {
-			return s.WithArbiter(&arbiter.BenefitRanked{Predict: simcluster.Predictor(params, noisy)})
-		})
-		b.ReportMetric(victimP99(res), "victim-p99-s")
+		b.ReportMetric(victimP99(run(b, noisy, "benefit")), "victim-p99-s")
 	})
 	b.Run("fairshare-noisy", func(b *testing.B) {
-		res := run(b, noisy, func(s *simcluster.Sim) *simcluster.Sim {
-			fs := fairshare.New(nil)
-			fs.Inner = &arbiter.BenefitRanked{Predict: simcluster.Predictor(params, noisy)}
-			return s.WithArbiter(fs)
-		})
-		b.ReportMetric(victimP99(res), "victim-p99-s")
+		b.ReportMetric(victimP99(run(b, noisy, "fairshare")), "victim-p99-s")
 	})
+}
+
+// benchMode simulates jobs b.N times under an arbiter mode with the oracle
+// predictor and reports jobs/s; a non-nil tp wraps the arbiter and turns
+// the planning ticks on. It returns the last run.
+func benchMode(b *testing.B, jobs []simcluster.JobInput, mode string, tp *timedPlanner) *simcluster.Result {
+	params := perfmodel.SystemX()
+	var res *simcluster.Result
+	for i := 0; i < b.N; i++ {
+		arb, err := modes.Build(mode, modes.Inputs{
+			Predict:    simcluster.Predictor(params, jobs),
+			RedistCost: simcluster.RedistPredictor(params, jobs),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, jobs)
+		if tp != nil {
+			tp.Arbiter = arb
+			arb = tp
+			sim.WithRebalance(experiments.DefaultRebalanceTick)
+		}
+		if res, err = sim.WithArbiter(arb).Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	return res
 }
 
 // timedPlanner wraps a Planner arbiter and accumulates wall time spent
@@ -328,37 +328,16 @@ func (t *timedPlanner) Rebalance(snap scheduler.ClusterSnapshot) {
 // must stay above 0.15 of reactive jobs/s (≈ 0.4 measured; a tick that
 // formats keys or rebuilds its working set per job lands near 0.07).
 func BenchmarkRebalance(b *testing.B) {
-	params := perfmodel.SystemX()
 	jobs, err := experiments.ContendedMix()
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, mk func(s *simcluster.Sim) *simcluster.Sim) {
-		var makespan float64
-		for i := 0; i < b.N; i++ {
-			res, err := mk(simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, jobs)).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			makespan = res.Makespan
-		}
-		b.ReportMetric(makespan, "makespan-s")
-		b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
-	}
 	b.Run("reactive", func(b *testing.B) {
-		run(b, func(s *simcluster.Sim) *simcluster.Sim {
-			return s.WithArbiter(&arbiter.BenefitRanked{Predict: simcluster.Predictor(params, jobs)})
-		})
+		b.ReportMetric(benchMode(b, jobs, "benefit", nil).Makespan, "makespan-s")
 	})
 	b.Run("rebalance", func(b *testing.B) {
 		tp := &timedPlanner{}
-		run(b, func(s *simcluster.Sim) *simcluster.Sim {
-			reb := rebalance.New(&arbiter.BenefitRanked{Predict: simcluster.Predictor(params, jobs)})
-			reb.Predict = simcluster.Predictor(params, jobs)
-			reb.RedistCost = simcluster.RedistPredictor(params, jobs)
-			tp.Arbiter = reb
-			return s.WithArbiter(tp).WithRebalance(experiments.DefaultRebalanceTick)
-		})
+		b.ReportMetric(benchMode(b, jobs, "rebalance", tp).Makespan, "makespan-s")
 		if tp.ticks > 0 {
 			b.ReportMetric(float64(tp.planNS)/float64(tp.ticks), "plan-ns/op")
 		}

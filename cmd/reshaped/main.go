@@ -26,9 +26,10 @@
 //	    -tenant-rate 50 -tenant-inflight 64   # multi-tenant fair share + quotas
 //	reshaped -procs 64 -arbiter rebalance -rebalance-every 30s  # planned rebalancing
 //
-// A flag that configures an arbiter the daemon is not running is a startup
-// error (exit 2): -tenant-weights needs -arbiter fairshare, -rebalance-every
-// needs -arbiter rebalance. So is a weight list with a malformed, non-finite,
+// An unknown -arbiter, or a flag that configures an arbiter the daemon is not
+// running, is a startup error (exit 2) that creates no -wal-dir:
+// -tenant-weights needs -arbiter fairshare, -rebalance-every needs
+// -arbiter rebalance. So is a weight list with a malformed, non-finite,
 // non-positive or repeated entry.
 //
 // SIGINT or SIGTERM stops the daemon cleanly: it closes the log and logs
@@ -51,17 +52,20 @@ import (
 	"repro/internal/durability"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
-	"repro/internal/scheduler/arbiter"
 	"repro/internal/scheduler/fairshare"
-	"repro/internal/scheduler/rebalance"
+	"repro/internal/scheduler/modes"
 	sdk "repro/pkg/reshape"
 )
 
-// checkArbiterFlags refuses flags that configure an arbiter other than the
-// selected one, and a weight list fairshare.ParseWeights rejects: started
-// anyway, the daemon would run a different scheduler than its command line
-// says.
+// checkArbiterFlags refuses a mode modes.Build does not know, flags that
+// configure an arbiter other than the selected one, and a weight list
+// fairshare.ParseWeights rejects: started anyway, the daemon would run a
+// different scheduler than its command line says. It runs before -wal-dir
+// is opened, so a refused command line leaves no directory behind.
 func checkArbiterFlags(arb, tenantWeights string, rebalanceEvery time.Duration) error {
+	if _, err := modes.Build(arb, modes.Inputs{}); err != nil {
+		return fmt.Errorf("reshaped: -arbiter: %w", err)
+	}
 	if tenantWeights != "" && arb != "fairshare" {
 		return fmt.Errorf("reshaped: -tenant-weights needs -arbiter fairshare (have -arbiter %s)", arb)
 	}
@@ -111,28 +115,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	configure := func(core *scheduler.Core) error {
-		switch *arb {
-		case "fcfs":
-			// The default single-job policy path.
-			return nil
-		case "benefit":
-			core.SetArbiter(&arbiter.BenefitRanked{})
-			return nil
-		case "fairshare":
-			weights, err := fairshare.ParseWeights(*tenantWeights)
-			if err != nil {
-				return fmt.Errorf("reshaped: %w", err)
-			}
-			core.SetArbiter(fairshare.New(weights))
-			return nil
-		case "rebalance":
-			core.SetArbiter(rebalance.New(nil))
-			return nil
-		default:
-			return fmt.Errorf("reshaped: unknown -arbiter %q (want fcfs, benefit, fairshare or rebalance)", *arb)
-		}
-	}
+	// Both calls are checked above.
+	weights, _ := fairshare.ParseWeights(*tenantWeights)
+	arbitration, _ := modes.Build(*arb, modes.Inputs{Weights: weights})
 
 	var (
 		core  *scheduler.Core
@@ -143,10 +128,7 @@ func main() {
 
 	if *walDir == "" {
 		core = scheduler.NewCore(*procs, *backfill)
-		if err := configure(core); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		core.SetArbiter(arbitration)
 		srv = scheduler.NewServerCore(core, starter)
 	} else {
 		policy, err := durability.ParseSyncPolicy(*walSync)
@@ -183,7 +165,8 @@ func main() {
 					log.Printf("reshaped: recovered pool has %d processors; ignoring -procs %d", cs.Total, *procs)
 				}
 			}
-			return c, configure(c)
+			c.SetArbiter(arbitration)
+			return c, nil
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "reshaped: recover wal: %v\n", err)

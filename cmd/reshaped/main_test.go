@@ -26,6 +26,8 @@ func TestCheckArbiterFlags(t *testing.T) {
 		{"fairshare", "a=NaN,b=1", 0, false},
 		{"fairshare", "a=Inf,b=1", 0, false},
 		{"fairshare", "a=1,a=3", 0, false},
+		{"bogus", "", 0, false},
+		{"", "", 0, false},
 	} {
 		if err := checkArbiterFlags(tc.arb, tc.weights, tc.every); (err == nil) != tc.ok {
 			t.Errorf("-arbiter %s -tenant-weights %q -rebalance-every %v: %v", tc.arb, tc.weights, tc.every, err)

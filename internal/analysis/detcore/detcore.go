@@ -35,6 +35,10 @@ var Scope = []string{
 	// functions of the snapshot — sorted tenant order, no clocks, no maps
 	// ranged into decisions.
 	"repro/internal/scheduler/fairshare",
+	// Likewise subsumed: a recovering daemon must install the arbiter the
+	// previous process ran before replay, so the mode constructor must be a
+	// pure function of its name and inputs.
+	"repro/internal/scheduler/modes",
 	"repro/internal/durability",
 	"repro/internal/simcluster",
 	"repro/internal/redistrib",

@@ -24,6 +24,7 @@ func TestScope(t *testing.T) {
 	for _, p := range []string{
 		"repro/internal/scheduler",
 		"repro/internal/scheduler/arbiter",
+		"repro/internal/scheduler/modes",
 		"repro/internal/durability",
 		"repro/internal/simcluster",
 		"repro/internal/redistrib",

@@ -44,9 +44,8 @@ func PolicyAblation(params *perfmodel.Params) ([]AblationRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: %w", pol.Name(), err)
 		}
-		row := AblationRow{Policy: pol.Name(), Utilization: res.Utilization}
+		row := AblationRow{Policy: pol.Name(), Utilization: res.Utilization, MeanTurnaround: res.MeanTurnaround()}
 		for _, j := range res.Jobs {
-			row.MeanTurnaround += j.Turnaround()
 			row.TotalRedist += j.TotalRedist
 			for _, r := range j.Iters {
 				if r.RedistSec > 0 {
@@ -54,7 +53,6 @@ func PolicyAblation(params *perfmodel.Params) ([]AblationRow, error) {
 				}
 			}
 		}
-		row.MeanTurnaround /= float64(len(res.Jobs))
 		rows = append(rows, row)
 	}
 	return rows, nil

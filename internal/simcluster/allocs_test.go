@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/perfmodel"
 	"repro/internal/scheduler"
-	"repro/internal/scheduler/arbiter"
-	"repro/internal/scheduler/fairshare"
-	"repro/internal/scheduler/rebalance"
+	"repro/internal/scheduler/modes"
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
@@ -37,27 +35,15 @@ func TestRunAllocsPerJob(t *testing.T) {
 			},
 		}
 	}
-	inner := func(mix []simcluster.JobInput) *arbiter.BenefitRanked {
-		return &arbiter.BenefitRanked{Predict: simcluster.Predictor(params, mix)}
-	}
 	for _, tc := range []struct {
 		name   string
 		gen    workload.GenConfig
 		budget float64
-		setup  func(sim *simcluster.Sim, mix []simcluster.JobInput)
+		tick   float64
 	}{
-		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 1, nil},
-		{"fairshare", tenants(2000, 10), 2, func(sim *simcluster.Sim, mix []simcluster.JobInput) {
-			fs := fairshare.New(nil)
-			fs.Inner = inner(mix)
-			sim.WithArbiter(fs)
-		}},
-		{"rebalance", tenants(6000, 4), 0.9, func(sim *simcluster.Sim, mix []simcluster.JobInput) {
-			reb := rebalance.New(inner(mix))
-			reb.Predict = simcluster.Predictor(params, mix)
-			reb.RedistCost = simcluster.RedistPredictor(params, mix)
-			sim.WithArbiter(reb).WithRebalance(60)
-		}},
+		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 1, 0},
+		{"fairshare", tenants(2000, 10), 2, 0},
+		{"rebalance", tenants(6000, 4), 0.9, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mix, err := workload.Generate(tc.gen)
@@ -66,10 +52,10 @@ func TestRunAllocsPerJob(t *testing.T) {
 			}
 			core := scheduler.NewCore(1024, true)
 			core.DisableTrace()
-			sim := simcluster.New(1024, simcluster.Dynamic, params, mix).WithCore(core).WithoutIterRecords()
-			if tc.setup != nil {
-				tc.setup(sim, mix)
-			}
+			sim := simcluster.New(1024, simcluster.Dynamic, params, mix).WithCore(core).WithoutIterRecords().
+				WithArbiter(build(t, tc.name, modes.Inputs{
+					Predict: simcluster.Predictor(params, mix), RedistCost: simcluster.RedistPredictor(params, mix),
+				})).WithRebalance(tc.tick)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			res, err := sim.Run()

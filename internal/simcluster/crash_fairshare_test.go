@@ -9,7 +9,7 @@ import (
 	"repro/internal/durability"
 	"repro/internal/perfmodel"
 	"repro/internal/scheduler"
-	"repro/internal/scheduler/fairshare"
+	"repro/internal/scheduler/modes"
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
@@ -50,14 +50,15 @@ func TestCrashRestartFairsharePerTenant(t *testing.T) {
 	// The arbiter is configuration, not journaled state: both the original
 	// and the recovered core install the same fair-share arbitration, as
 	// reshaped's -arbiter flag does across restarts.
-	arb := func() scheduler.Arbiter {
-		fs := fairshare.New(map[string]float64{"a": 1, "b": 2, "c": 2})
-		fs.Inner.Predict = simcluster.Predictor(params, mix)
-		return fs
+	arb := func(t *testing.T) scheduler.Arbiter {
+		return build(t, "fairshare", modes.Inputs{
+			Weights: map[string]float64{"a": 1, "b": 2, "c": 2},
+			Predict: simcluster.Predictor(params, mix),
+		})
 	}
 
 	baseCore := scheduler.NewCore(workload.ClusterProcs, true)
-	baseCore.SetArbiter(arb())
+	baseCore.SetArbiter(arb(t))
 	baseline, err := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, mix).
 		WithCore(baseCore).Run()
 	if err != nil {
@@ -77,7 +78,7 @@ func TestCrashRestartFairsharePerTenant(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			core := scheduler.NewCore(workload.ClusterProcs, true)
-			core.SetArbiter(arb())
+			core.SetArbiter(arb(t))
 			st, _, err := durability.Open(dir, durability.Options{
 				Sync:          durability.SyncAlways,
 				SnapshotEvery: tc.snapshotEvery,
@@ -112,7 +113,7 @@ func TestCrashRestartFairsharePerTenant(t *testing.T) {
 								return nil, err
 							}
 						}
-						c.SetArbiter(arb())
+						c.SetArbiter(arb(t))
 						return c, nil
 					})
 					if err != nil {

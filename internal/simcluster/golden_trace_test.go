@@ -11,8 +11,7 @@ import (
 
 	"repro/internal/perfmodel"
 	"repro/internal/scheduler"
-	"repro/internal/scheduler/arbiter"
-	"repro/internal/scheduler/fairshare"
+	"repro/internal/scheduler/modes"
 	"repro/internal/scheduler/rebalance"
 	"repro/internal/simcluster"
 	"repro/internal/workload"
@@ -28,25 +27,34 @@ func (l *traceLog) decision(snap scheduler.ClusterSnapshot, d scheduler.Decision
 		strconv.FormatFloat(snap.Now, 'g', -1, 64), snap.Caller.ID, d.Action, d.Target, d.Reason)
 }
 
-// tracedPicker and tracedPlanner record every answer of the arbiter they
-// wrap. There are two because the core discovers StartPicker and Planner by
-// type assertion: each wrapper offers exactly the extension its inner
-// arbiter has.
-type tracedPicker struct {
-	inner *fairshare.FairShare
-	log   *traceLog
+// build is modes.Build for a test: an unknown mode fails it.
+func build(t *testing.T, mode string, in modes.Inputs) scheduler.Arbiter {
+	t.Helper()
+	arb, err := modes.Build(mode, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arb
 }
 
-func (a tracedPicker) Name() string { return a.inner.Name() }
+// traced records every answer of the arbiter it wraps. The core discovers
+// StartPicker and Planner by type assertion, so tracedPicker and
+// tracedPlanner each add exactly the extension their inner arbiter has.
+type traced struct {
+	scheduler.Arbiter
+	log *traceLog
+}
 
-func (a tracedPicker) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
-	d := a.inner.Decide(snap)
+func (a traced) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
+	d := a.Arbiter.Decide(snap)
 	a.log.decision(snap, d)
 	return d
 }
 
+type tracedPicker struct{ traced }
+
 func (a tracedPicker) PickStart(snap scheduler.StartSnapshot) int {
-	i := a.inner.PickStart(snap)
+	i := a.Arbiter.(scheduler.StartPicker).PickStart(snap)
 	id := -1
 	if i >= 0 {
 		id = snap.Heads[i].ID
@@ -55,20 +63,11 @@ func (a tracedPicker) PickStart(snap scheduler.StartSnapshot) int {
 	return i
 }
 
-type tracedPlanner struct {
-	inner *rebalance.Rebalancer
-	log   *traceLog
+type tracedPlanner struct{ traced }
+
+func (a tracedPlanner) Rebalance(snap scheduler.ClusterSnapshot) {
+	a.Arbiter.(scheduler.Planner).Rebalance(snap)
 }
-
-func (a tracedPlanner) Name() string { return a.inner.Name() }
-
-func (a tracedPlanner) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
-	d := a.inner.Decide(snap)
-	a.log.decision(snap, d)
-	return d
-}
-
-func (a tracedPlanner) Rebalance(snap scheduler.ClusterSnapshot) { a.inner.Rebalance(snap) }
 
 // TestGoldenDecisionTraces replays a 300-job three-tenant mix — bursts deep
 // enough to back the queue up, gaps long enough that jobs expand in between,
@@ -94,8 +93,11 @@ func TestGoldenDecisionTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := func() *arbiter.BenefitRanked {
-		return &arbiter.BenefitRanked{Predict: simcluster.Predictor(params, mix)}
+	// Only the fair share reads the weights.
+	in := modes.Inputs{
+		Weights:    map[string]float64{"bursty": 1, "steady": 2, "diurnal": 1.5},
+		Predict:    simcluster.Predictor(params, mix),
+		RedistCost: simcluster.RedistPredictor(params, mix),
 	}
 	for _, tc := range []struct {
 		name string
@@ -103,21 +105,17 @@ func TestGoldenDecisionTraces(t *testing.T) {
 		arb  func(log *traceLog) scheduler.Arbiter
 	}{
 		{"fairshare", 0, func(log *traceLog) scheduler.Arbiter {
-			fs := fairshare.New(map[string]float64{"bursty": 1, "steady": 2, "diurnal": 1.5})
-			fs.Inner = inner()
-			return tracedPicker{fs, log}
+			return tracedPicker{traced{build(t, "fairshare", in), log}}
 		}},
 		{"rebalance", 60, func(log *traceLog) scheduler.Arbiter {
-			reb := rebalance.New(inner())
-			reb.Predict = simcluster.Predictor(params, mix)
-			reb.RedistCost = simcluster.RedistPredictor(params, mix)
+			reb := build(t, "rebalance", in).(*rebalance.Rebalancer)
 			reb.OnPlan = func(p rebalance.Plan) {
 				for _, d := range p.Directives {
 					fmt.Fprintf(log, "%s plan job=%d %s->%s %s\n", strconv.FormatFloat(p.Now, 'g', -1, 64),
 						d.JobID, d.From, d.To, strconv.FormatFloat(d.Gain, 'g', -1, 64))
 				}
 			}
-			return tracedPlanner{reb, log}
+			return tracedPlanner{traced{reb, log}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

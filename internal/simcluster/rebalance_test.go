@@ -8,10 +8,20 @@ import (
 	"repro/internal/durability"
 	"repro/internal/perfmodel"
 	"repro/internal/scheduler"
+	"repro/internal/scheduler/modes"
 	"repro/internal/scheduler/rebalance"
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
+
+// planRecorder builds the rebalance mode for W1, pricing moves with their
+// true costs and no predictor, and appends each plan it adopts to sink.
+func planRecorder(t *testing.T, sink *[]rebalance.Plan) *rebalance.Rebalancer {
+	t.Helper()
+	reb := build(t, "rebalance", modes.Inputs{RedistCost: simcluster.RedistPredictor(perfmodel.SystemX(), workload.W1())}).(*rebalance.Rebalancer)
+	reb.OnPlan = func(p rebalance.Plan) { *sink = append(*sink, p) }
+	return reb
+}
 
 // runRebalanced runs one W1 simulation with the global rebalancer ticking
 // every `every` seconds, capturing every adopted plan.
@@ -19,12 +29,9 @@ func runRebalanced(t *testing.T, every float64) (*simcluster.Result, []rebalance
 	t.Helper()
 	params := perfmodel.SystemX()
 	jobs := workload.W1()
-	reb := rebalance.New(nil)
-	reb.RedistCost = simcluster.RedistPredictor(params, jobs)
 	var plans []rebalance.Plan
-	reb.OnPlan = func(p rebalance.Plan) { plans = append(plans, p) }
 	res, err := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, jobs).
-		WithArbiter(reb).
+		WithArbiter(planRecorder(t, &plans)).
 		WithRebalance(every).
 		Run()
 	if err != nil {
@@ -80,16 +87,9 @@ func TestRebalanceCrashReplayReproducesPlans(t *testing.T) {
 	params := perfmodel.SystemX()
 	jobs := workload.W1()
 
-	mkArbiter := func(sink *[]rebalance.Plan) *rebalance.Rebalancer {
-		reb := rebalance.New(nil)
-		reb.RedistCost = simcluster.RedistPredictor(params, jobs)
-		reb.OnPlan = func(p rebalance.Plan) { *sink = append(*sink, p) }
-		return reb
-	}
-
 	var basePlans []rebalance.Plan
 	baseline, err := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, jobs).
-		WithArbiter(mkArbiter(&basePlans)).
+		WithArbiter(planRecorder(t, &basePlans)).
 		WithRebalance(200).
 		Run()
 	if err != nil {
@@ -118,7 +118,7 @@ func TestRebalanceCrashReplayReproducesPlans(t *testing.T) {
 	restarted := false
 	res, err := simcluster.New(workload.ClusterProcs, simcluster.Dynamic, params, jobs).
 		WithCore(core).
-		WithArbiter(mkArbiter(&preCrash)).
+		WithArbiter(planRecorder(t, &preCrash)).
 		WithRebalance(200).
 		WithCrashRestart(700, func(old *scheduler.Core) (*scheduler.Core, error) {
 			_ = st.Close()
@@ -137,7 +137,7 @@ func TestRebalanceCrashReplayReproducesPlans(t *testing.T) {
 				c := scheduler.NewCore(workload.ClusterProcs, true)
 				// The arbiter is configuration: install a fresh rebalancer
 				// before replay so journaled ticks recompute their plans.
-				c.SetArbiter(mkArbiter(&crashPlans))
+				c.SetArbiter(planRecorder(t, &crashPlans))
 				return c, nil
 			})
 			if err != nil {

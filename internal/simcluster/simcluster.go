@@ -95,17 +95,33 @@ type Result struct {
 	Utilization float64 // fraction of available cpu-seconds assigned to jobs
 }
 
-// MeanQueueWait averages start-minus-submit over all jobs — the headline
-// metric of the FCFS-vs-arbiter comparison.
-func (r *Result) MeanQueueWait() float64 {
+// mean averages f over all jobs in job order (0 for an empty result).
+func (r *Result) mean(f func(JobResult) float64) float64 {
 	if len(r.Jobs) == 0 {
 		return 0
 	}
 	s := 0.0
 	for _, j := range r.Jobs {
-		s += j.QueueWait()
+		s += f(j)
 	}
 	return s / float64(len(r.Jobs))
+}
+
+// MeanQueueWait averages start-minus-submit over all jobs — the headline
+// metric of the FCFS-vs-arbiter comparison.
+func (r *Result) MeanQueueWait() float64 { return r.mean(JobResult.QueueWait) }
+
+// MeanTurnaround averages completion-minus-submit over all jobs.
+func (r *Result) MeanTurnaround() float64 { return r.mean(JobResult.Turnaround) }
+
+// nearestRank is the nearest-rank q-th percentile (0 < q <= 1) of an
+// ascending slice, 0 for an empty one.
+func nearestRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // QueueWaitP99 is the 99th-percentile queue wait (nearest-rank over all
@@ -113,28 +129,12 @@ func (r *Result) MeanQueueWait() float64 {
 // cluster-wide optimizer must not buy mean improvements by starving the
 // unlucky tail.
 func (r *Result) QueueWaitP99() float64 {
-	return r.QueueWaitPercentile(0.99)
-}
-
-// QueueWaitPercentile is the nearest-rank q-th percentile (0 < q <= 1) of
-// queue waits across all jobs.
-func (r *Result) QueueWaitPercentile(q float64) float64 {
-	if len(r.Jobs) == 0 {
-		return 0
-	}
 	waits := make([]float64, len(r.Jobs))
 	for i, j := range r.Jobs {
 		waits[i] = j.QueueWait()
 	}
 	sort.Float64s(waits)
-	rank := int(math.Ceil(q * float64(len(waits))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(waits) {
-		rank = len(waits)
-	}
-	return waits[rank-1]
+	return nearestRank(waits, 0.99)
 }
 
 // tenantWaits collects the queue waits of one tenant's jobs, sorted
@@ -169,27 +169,7 @@ func (r *Result) TenantMeanQueueWait(tenant string) float64 {
 // tenant's jobs (0 if the tenant submitted none) — the noisy-neighbor
 // gate's victim metric.
 func (r *Result) TenantQueueWaitP99(tenant string) float64 {
-	waits := r.tenantWaits(tenant)
-	if len(waits) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(0.99 * float64(len(waits))))
-	if rank < 1 {
-		rank = 1
-	}
-	return waits[rank-1]
-}
-
-// MeanTurnaround averages completion-minus-submit over all jobs.
-func (r *Result) MeanTurnaround() float64 {
-	if len(r.Jobs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, j := range r.Jobs {
-		s += j.Turnaround()
-	}
-	return s / float64(len(r.Jobs))
+	return nearestRank(r.tenantWaits(tenant), 0.99)
 }
 
 // Sim runs one simulation. Virtual time is its timeline: arrivals, resize

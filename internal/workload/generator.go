@@ -369,20 +369,13 @@ func LoadSweep(total int, params *perfmodel.Params, jobs, seed int64, interarriv
 		if err != nil {
 			return nil, fmt.Errorf("workload: sweep dynamic ia=%.0f: %w", ia, err)
 		}
-		pt := SweepPoint{
+		points = append(points, SweepPoint{
 			MeanInterarrival: ia,
 			StaticUtil:       st.Utilization,
 			DynamicUtil:      dy.Utilization,
-		}
-		for _, j := range st.Jobs {
-			pt.StaticMeanTurn += j.Turnaround()
-		}
-		for _, j := range dy.Jobs {
-			pt.DynamicMeanTurn += j.Turnaround()
-		}
-		pt.StaticMeanTurn /= float64(len(st.Jobs))
-		pt.DynamicMeanTurn /= float64(len(dy.Jobs))
-		points = append(points, pt)
+			StaticMeanTurn:   st.MeanTurnaround(),
+			DynamicMeanTurn:  dy.MeanTurnaround(),
+		})
 	}
 	return points, nil
 }
