@@ -45,6 +45,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -78,12 +79,26 @@ func checkArbiterFlags(arb, tenantWeights string, rebalanceEvery time.Duration) 
 	return nil
 }
 
+// arbiterUsage is the -arbiter flag's help: every mode modes.Build knows,
+// with what it does.
+func arbiterUsage() string {
+	var b strings.Builder
+	b.WriteString("resize arbitration:")
+	for i, m := range modes.Names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s (%s)", m, modes.Summary(m))
+	}
+	b.WriteString("; fairshare reads -tenant-weights, rebalance -rebalance-every")
+	return b.String()
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address")
 	procs := flag.Int("procs", 16, "number of processors in the pool")
 	backfill := flag.Bool("backfill", true, "enable simple backfill in addition to FCFS")
-	arb := flag.String("arbiter", "fcfs",
-		"resize arbitration: fcfs (published single-job policy), benefit (cluster-wide benefit ranking with priorities, aging and coordinated shrink), fairshare (tenant-weighted shares arbitrated above benefit; see -tenant-weights) or rebalance (benefit plus periodic curve-driven global replanning; see -rebalance-every)")
+	arb := flag.String("arbiter", "fcfs", arbiterUsage())
 	tenantWeights := flag.String("tenant-weights", "",
 		"fair-share weights as tenant=weight pairs, e.g. \"acme=3,beta=1\" (unlisted tenants weigh 1; requires -arbiter fairshare)")
 	tenantRate := flag.Float64("tenant-rate", 0,

@@ -8,6 +8,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/scheduler/modes"
 )
 
 func TestCheckArbiterFlags(t *testing.T) {
@@ -94,5 +96,35 @@ func TestSIGTERMShutsDownCleanly(t *testing.T) {
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("daemon exited with %v after SIGTERM:\n%s", err, strings.Join(log, "\n"))
+	}
+}
+
+// TestHelpNamesEveryMode builds reshaped and asks it for -h: the -arbiter
+// help names every mode modes.Build accepts, with its summary.
+func TestHelpNamesEveryMode(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build the daemon with")
+	}
+	bin := filepath.Join(t.TempDir(), "reshaped")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	_, help, ok := strings.Cut(string(out), "  -arbiter ")
+	if !ok {
+		t.Fatalf("-h does not list -arbiter:\n%s", out)
+	}
+	help, _, _ = strings.Cut(help, "\n  -")
+	for _, m := range modes.Names {
+		if _, err := modes.Build(m, modes.Inputs{}); err != nil {
+			t.Errorf("mode %s: %v", m, err)
+		}
+		if s := modes.Summary(m); s == "" || !strings.Contains(help, m+" ("+s+")") {
+			t.Errorf("-arbiter help does not name %s with its summary %q:\n%s", m, s, help)
+		}
 	}
 }

@@ -202,8 +202,9 @@ func (d *Decoder) Float() float64 {
 	return v
 }
 
-// bytes reads a length-prefixed byte string without copying it.
-func (d *Decoder) bytes() []byte {
+// Bytes reads a length-prefixed byte string without copying it: the result
+// aliases the payload.
+func (d *Decoder) Bytes() []byte {
 	n := d.Uint()
 	if d.err != nil {
 		return nil
@@ -219,7 +220,7 @@ func (d *Decoder) bytes() []byte {
 
 // Str reads a length-prefixed string into a fresh allocation.
 func (d *Decoder) Str() string {
-	b := d.bytes()
+	b := d.Bytes()
 	if len(b) == 0 {
 		return ""
 	}
@@ -230,7 +231,7 @@ func (d *Decoder) Str() string {
 // codes, states, app and tenant names): with a Symbols table a repeated
 // value costs no allocation.
 func (d *Decoder) Sym() string {
-	b := d.bytes()
+	b := d.Bytes()
 	if len(b) == 0 {
 		return ""
 	}

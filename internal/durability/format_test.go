@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/grid"
 	"repro/internal/scheduler"
 )
 
@@ -140,6 +141,97 @@ func TestDecodedSnapshotMatchesPersistedState(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, blob.State) {
 			t.Fatalf("step %d: decoded state differs from the persisted one", i)
+		}
+	}
+}
+
+// redistPayload encodes a one-job snapshot whose profile holds a pair under
+// each of keys, in order, as if written by a snapshot that could hold any.
+func redistPayload(keys ...string) []byte {
+	const placeholder = "1x1->1x1"
+	pairs := make([]scheduler.RedistPair, len(keys))
+	for i := range pairs {
+		pairs[i] = scheduler.RedistPair{From: grid.Topology{Rows: 1, Cols: 1}, To: grid.Topology{Rows: 1, Cols: 1}, Seconds: float64(i)}
+	}
+	good := appendSnapshot(nil, &snapshotBlob{State: &scheduler.CoreState{Total: 16, NextID: 1, Jobs: []scheduler.PersistedJob{
+		{Profile: &scheduler.Profile{Redist: pairs}},
+	}}})
+	var out []byte
+	for i, k := range keys {
+		at := bytes.Index(good, codec.AppendString(nil, placeholder))
+		out = append(out, good[:at]...)
+		out = codec.AppendString(out, k)
+		good = good[at+1+len(placeholder):]
+		if i == len(keys)-1 {
+			out = append(out, good...)
+		}
+	}
+	return out
+}
+
+// malformedRedistKeys are keys no snapshot writer produced: no "->", a
+// topology that is not "RxC" in strconv.AppendInt's digits, a non-positive
+// dimension or one past an int, trailing bytes.
+var malformedRedistKeys = []string{
+	"", "2x2", "2x2-2x4", "2x2>2x4", "2x2->", "->2x4", "2x2->->2x4",
+	"2x->2x4", "x2->2x4", "2y2->2x4", "2x2->2x4x", "2x2->2x4->1x1", "2x2 ->2x4",
+	"0x2->2x4", "2x0->2x4", "2x2->0x4", "-2x2->2x4", "2x-2->2x4", "+2x2->2x4",
+	"02x2->2x4", "2x2->2x04", "99999999999999999999x2->2x4",
+}
+
+// TestDecodeSnapshotRejectsMalformedRedistKeys: a redistribution key that
+// does not parse into two valid topologies, or a pair decoded twice, fails
+// the decode with ErrBadRecord; well-formed keys in any order decode to
+// their pairs.
+func TestDecodeSnapshotRejectsMalformedRedistKeys(t *testing.T) {
+	blob, err := decodeSnapshot(redistPayload("2x4->2x2", "12x1->2x4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := blob.State.Jobs[0].Profile.Redist
+	want := []scheduler.RedistPair{
+		{From: grid.Topology{Rows: 2, Cols: 4}, To: grid.Topology{Rows: 2, Cols: 2}, Seconds: 0},
+		{From: grid.Topology{Rows: 12, Cols: 1}, To: grid.Topology{Rows: 2, Cols: 4}, Seconds: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded pairs %v, want %v", got, want)
+	}
+	for _, keys := range append([][]string{{"2x2->2x4", "2x2->2x4"}, {"1x2->2x2", "2x2->2x4", "1x2->2x2"}},
+		func() (ks [][]string) {
+			for _, k := range malformedRedistKeys {
+				ks = append(ks, []string{"1x2->2x2", k})
+			}
+			return ks
+		}()...) {
+		if _, err := decodeSnapshot(redistPayload(keys...)); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("keys %q: decode error %v, want ErrBadRecord", keys, err)
+		}
+	}
+}
+
+// TestParentFormatSnapshotsRecapture: each snapshot the parent commit wrote,
+// restored into a core and captured again, encodes to the file's bytes.
+func TestParentFormatSnapshotsRecapture(t *testing.T) {
+	names, err := filepath.Glob(filepath.Join(parentFormatDir, "snap-*.snap"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no snapshots in %s: %v", parentFormatDir, err)
+	}
+	for _, name := range names {
+		blob, err := readSnapshot(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core, err := scheduler.NewCoreFromState(blob.State)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := &snapshotBlob{Index: blob.Index, Seq: blob.Seq, Clock: blob.Clock, State: core.PersistState()}
+		if body := file[len(snapMagic)+4:]; !bytes.Equal(appendSnapshot(nil, again), body) {
+			t.Errorf("%s: restored and captured again, it encodes to other bytes", filepath.Base(name))
 		}
 	}
 }

@@ -79,6 +79,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(appendSnapshot(nil, &snapshotBlob{Index: 4, Seq: 9, Clock: 10, State: core.PersistState()}))
 	f.Add(appendSnapshot(nil, &snapshotBlob{State: &scheduler.CoreState{Total: 1}}))
 	f.Add([]byte{0x00})
+	// Redistribution keys: well-formed ones out of order, then each
+	// malformed one after a good one.
+	f.Add(redistPayload("8x1->4x1", "10x1->8x1"))
+	for _, k := range malformedRedistKeys {
+		f.Add(redistPayload("1x2->2x2", k))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		blob, err := decodeSnapshot(payload)
 		if err != nil {

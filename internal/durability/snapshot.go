@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/scheduler"
@@ -52,8 +52,10 @@ func snapName(index uint64) string {
 }
 
 // appendSnapshot encodes the blob with the same bounds-friendly varint
-// vocabulary as the WAL records. The redistribution map is emitted in
-// sorted key order, so identical states encode to identical bytes.
+// vocabulary as the WAL records. Each redistribution pair is written under
+// its "RxC->RxC" key, in the state's order: PersistState gives the pairs in
+// ascending key order, the order the format has always had, so identical
+// states encode to identical bytes.
 func appendSnapshot(dst []byte, blob *snapshotBlob) []byte {
 	dst = codec.AppendUint(dst, blob.Index)
 	dst = codec.AppendUint(dst, blob.Seq)
@@ -100,20 +102,50 @@ func appendSnapshot(dst []byte, blob *snapshotBlob) []byte {
 	return dst
 }
 
-// appendRedist encodes one profile's redistribution-cost map in sorted
-// key order: identical states must encode to identical bytes.
-func appendRedist(dst []byte, redist map[string]float64) []byte {
-	keys := make([]string, 0, len(redist))
-	for k := range redist {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = codec.AppendUint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = codec.AppendString(dst, k)
-		dst = codec.AppendFloat(dst, redist[k])
+// appendRedist encodes one profile's redistribution pairs, each as its
+// length-prefixed key and its cost. The key is formatted here, at capture,
+// so the profile never holds one.
+func appendRedist(dst []byte, redist []scheduler.RedistPair) []byte {
+	dst = codec.AppendUint(dst, uint64(len(redist)))
+	for i := range redist {
+		r := &redist[i]
+		var key [64]byte
+		k := r.AppendKey(key[:0])
+		dst = codec.AppendUint(dst, uint64(len(k)))
+		dst = append(dst, k...)
+		dst = codec.AppendFloat(dst, r.Seconds)
 	}
 	return dst
+}
+
+// decodeRedist decodes the pairs appendRedist wrote into p. A key that
+// scheduler.ParseRedistKey refuses, or a pair already decoded, is
+// malformed: a live profile holds one cost per pair.
+func decodeRedist(d *codec.Decoder, p *scheduler.Profile) {
+	// An empty list stays nil, as in a live profile before its first
+	// redistribution (see scheduler.Profile).
+	n := d.Count(codec.MaxChainLen, 9)
+	if n == 0 {
+		return
+	}
+	p.Redist = make([]scheduler.RedistPair, n)
+	for i := range p.Redist {
+		from, to, ok := scheduler.ParseRedistKey(d.Bytes())
+		if d.Err() != nil {
+			return
+		}
+		if !ok {
+			d.Fail("bad redistribution key")
+			return
+		}
+		if slices.ContainsFunc(p.Redist[:i], func(r scheduler.RedistPair) bool {
+			return r.From == from && r.To == to
+		}) {
+			d.Fail("duplicate redistribution key")
+			return
+		}
+		p.Redist[i] = scheduler.RedistPair{From: from, To: to, Seconds: d.Float()}
+	}
 }
 
 // decodeSnapshot decodes one payload produced by appendSnapshot. Like
@@ -167,16 +199,7 @@ func decodeSnapshot(payload []byte) (*snapshotBlob, error) {
 				}
 			}
 		}
-		// An empty map stays nil, as in a live profile before its first
-		// redistribution (see scheduler.Profile).
-		nredist := d.Count(codec.MaxChainLen, 9)
-		if nredist > 0 {
-			p.Redist = make(map[string]float64, nredist)
-		}
-		for ri := 0; ri < nredist; ri++ {
-			k := d.Str()
-			p.Redist[k] = d.Float()
-		}
+		decodeRedist(&d, p)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, err

@@ -35,23 +35,34 @@ type jobRecord struct {
 
 // Chunk sizes of the job arena. A chunk is retained while any job carved
 // from it is, so what the arena holds is bounded by the live jobs times a
-// chunk, not by history.
+// chunk, not by history. A request over an eighth of a chunk is allocated
+// alone, so at most an eighth of a chunk is left unused when the next one
+// is started.
 const (
-	// recordChunk job records fill the 24 KB size class
+	// recordChunk job records and the header the runtime puts before an
+	// object with pointers fill the 24 KB size class
 	// (TestJobRecordFitsSizeClass).
-	recordChunk = 64
+	recordChunk = 63
 	// iterChunk iteration times (32 KB) back the reservations of many jobs.
-	// A reservation over an eighth of it is allocated alone, so at most an
-	// eighth of a chunk is left unused when the next one is started.
 	iterChunk = 1 << 12
+	// growChunk visits or redistribution pairs (5 KB each) back the
+	// profiles of the jobs that resize, a few of them per chunk: a small
+	// core pays little for the chunks, a large one few allocations.
+	// growFirst is the room a profile's first carve gives it, each later
+	// carve doubles it, so a carve of 32 or more is allocated alone.
+	growChunk = 128
+	growFirst = 4
 )
 
-// jobArena hands out job records and iteration-time reservations from
+// jobArena hands out job records, iteration-time reservations and the room
+// a resizing job's visits and redistribution pairs grow into, all from
 // chunks, so a job costs no allocation of its own. The Core is externally
 // synchronized, so the arena needs no lock.
 type jobArena struct {
 	records []jobRecord
 	iters   []float64
+	visits  []Visit
+	pairs   []RedistPair
 }
 
 // newJob carves a zeroed record and returns its Job, whose Profile points
@@ -67,19 +78,33 @@ func (a *jobArena) newJob() *Job {
 	return &r.job
 }
 
-// reserve returns an empty slice with room for n iteration times. Its
-// capacity is clipped to n, so an append past it reallocates instead of
-// writing into the times of the job carved next to it.
-func (a *jobArena) reserve(n int) []float64 {
-	if n > iterChunk/8 {
-		return make([]float64, 0, n)
+// reserve returns an empty slice with room for n iteration times.
+func (a *jobArena) reserve(n int) []float64 { return carve(&a.iters, n, iterChunk) }
+
+// carve returns an empty slice with room for n elements from *chunk,
+// starting a new chunk of size elements when the current one lacks the
+// room. Its capacity is clipped to n, so an append past it reallocates
+// instead of writing into the elements carved next to it.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if n > size/8 {
+		return make([]T, 0, n)
 	}
-	if cap(a.iters)-len(a.iters) < n {
-		a.iters = make([]float64, 0, iterChunk)
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, size)
 	}
-	i := len(a.iters)
-	a.iters = a.iters[:i+n]
-	return a.iters[i : i : i+n]
+	i := len(*chunk)
+	*chunk = (*chunk)[:i+n]
+	return (*chunk)[i : i : i+n]
+}
+
+// grow returns s if it has room for one more element, else a copy of s
+// carved from *chunk with twice its room (growFirst at least). The room s
+// leaves behind is not reused.
+func grow[T any](chunk *[]T, s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return append(carve(chunk, max(2*cap(s), growFirst), growChunk), s...)
 }
 
 // remainingIters estimates how many outer iterations the job still has to
@@ -90,12 +115,16 @@ func remainingIters(j *Job) int { return j.Spec.Iterations - j.itersDone }
 // profile and counts it, so remainingIters never re-sums the visits. A
 // job's first iteration opens its first visit on a reservation for as many
 // times as its spec declares (at most maxReservedIters), so later ones
-// allocate nothing until the reservation runs out; see Profile.
+// allocate nothing until the reservation runs out, and a visit opened with
+// the visits' room full opens in room carved from the arena; see Profile.
 func (c *Core) recordIteration(j *Job, iterTime float64) {
-	if p := j.Profile; len(p.Visits) == 0 {
+	switch p := j.Profile; {
+	case len(p.Visits) == 0:
 		if n := min(max(j.Spec.Iterations, 0), maxReservedIters); n > 0 {
 			p.Visits = append(p.Visits, Visit{Topo: j.Topo, IterTimes: c.arena.reserve(n)})
 		}
+	case p.Visits[len(p.Visits)-1].Topo != j.Topo:
+		p.Visits = grow(&c.arena.visits, p.Visits)
 	}
 	j.Profile.RecordIteration(j.Topo, iterTime)
 	j.itersDone++
@@ -529,12 +558,16 @@ func (r *runningSet) applyDecision(j *Job, d Decision, free *int, record func(ki
 }
 
 // finishResize records the redistribution cost of a completed resize in the
-// profiler and returns the number of processors a pending shrink should now
-// release (0 when the resize freed nothing). The caller returns them to the
-// pool and then reports the give-back as released.
-func (r *runningSet) finishResize(j *Job, redistTime float64) int {
-	if j.resizeFrom.IsValid() {
-		j.Profile.RecordRedist(j.resizeFrom, j.Topo, redistTime)
+// profiler, a new pair in room carved from the arena, and returns the
+// number of processors a pending shrink should now release (0 when the
+// resize freed nothing). The caller returns them to the pool and then
+// reports the give-back as released.
+func (r *runningSet) finishResize(j *Job, redistTime float64, arena *jobArena) int {
+	if p := j.Profile; j.resizeFrom.IsValid() {
+		if len(p.Redist) == cap(p.Redist) && p.redistIndex(j.resizeFrom, j.Topo) < 0 {
+			p.Redist = grow(&arena.pairs, p.Redist)
+		}
+		p.RecordRedist(j.resizeFrom, j.Topo, redistTime)
 		j.resizeFrom = grid.Topology{}
 		r.changed(j)
 	}

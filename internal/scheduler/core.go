@@ -133,7 +133,7 @@ type Core struct {
 	nextID int
 	queue  jobQueue
 	jobs   jobTable
-	arena  jobArena // the chunks jobs' records and iteration times are carved from
+	arena  jobArena // the chunks jobs' records, iteration times and profile growth are carved from
 	// running indexes the running jobs and keeps the per-tenant, in-flight
 	// and shrinkable aggregates arbiter snapshots carry.
 	running runningSet
@@ -518,7 +518,7 @@ func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Jo
 	if err := c.journalOp(Op{Kind: OpResizeComplete, Now: now, JobID: jobID, RedistTime: redistTime}); err != nil {
 		return nil, err
 	}
-	if freed := c.running.finishResize(j, redistTime); freed > 0 {
+	if freed := c.running.finishResize(j, redistTime, &c.arena); freed > 0 {
 		c.free += freed
 		c.running.released(j)
 		return c.TrySchedule(now), nil

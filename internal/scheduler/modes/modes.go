@@ -20,6 +20,22 @@ import (
 // rebalancer over it.
 var Names = []string{"fcfs", "benefit", "fairshare", "rebalance"}
 
+// Summary describes a mode of Names in a few words, for command-line help;
+// it is "" for a name Build does not know.
+func Summary(mode string) string {
+	switch mode {
+	case "fcfs":
+		return "published single-job policy"
+	case "benefit":
+		return "cluster-wide benefit ranking with priorities, aging and coordinated shrink"
+	case "fairshare":
+		return "tenant-weighted shares arbitrated above benefit"
+	case "rebalance":
+		return "benefit plus periodic curve-driven global replanning"
+	}
+	return ""
+}
+
 // Inputs configures a mode. The zero value is reshaped's configuration:
 // equal tenant weights and no predictor, so a configuration a job has never
 // run is a probe candidate and a move it has never made is priced at 0 s.

@@ -1,8 +1,9 @@
 package scheduler
 
 import (
+	"bytes"
 	"fmt"
-	"maps"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -80,8 +81,10 @@ func (c *Core) PersistState() *CoreState {
 // cloneProfile deep-copies a performance profile into exact-length slices
 // and leaves what is empty nil: Visits before the first iteration, Redist
 // before the first redistribution (as a live profile does), IterTimes of an
-// empty visit. The snapshot decoder gives the same shape, so a state cloned
-// here and one decoded from its bytes compare equal field by field.
+// empty visit. The pairs are put in ascending key order, the order
+// snapshots store them in, whatever order the job recorded them in. The
+// snapshot decoder gives the same shape, so a state cloned here and one
+// decoded from its bytes compare equal field by field.
 func cloneProfile(p *Profile) *Profile {
 	out := &Profile{}
 	if p == nil {
@@ -94,9 +97,16 @@ func cloneProfile(p *Profile) *Profile {
 		out.Visits[i] = Visit{Topo: v.Topo, IterTimes: append([]float64(nil), v.IterTimes...)}
 	}
 	if len(p.Redist) > 0 {
-		out.Redist = maps.Clone(p.Redist)
+		out.Redist = slices.Clone(p.Redist)
+		slices.SortFunc(out.Redist, compareRedistKeys)
 	}
 	return out
+}
+
+// compareRedistKeys orders two pairs as their snapshot keys sort.
+func compareRedistKeys(a, b RedistPair) int {
+	var ka, kb [64]byte
+	return bytes.Compare(a.AppendKey(ka[:0]), b.AppendKey(kb[:0]))
 }
 
 // NewCoreFromState rebuilds a Core from a snapshot: queued jobs re-enter
@@ -130,11 +140,11 @@ func NewCoreFromState(st *CoreState) (*Core, error) {
 		j.ID, j.Spec, j.State, j.Topo = pj.ID, pj.Spec, pj.State, pj.Topo
 		j.SubmitTime, j.StartTime, j.EndTime = pj.SubmitTime, pj.StartTime, pj.EndTime
 		j.pendingFree, j.resizeFrom = pj.PendingFree, pj.ResizeFrom
-		// The restored profile takes the state's visits and map as they
+		// The restored profile takes the state's visits and pairs as they
 		// are: nil Redist and nil IterTimes are what a live profile holds
-		// when empty (RecordRedist makes the map on first use). A job with
-		// no visits yet reserves at its first iteration like a new one; the
-		// exact-length slices of one with visits record by ordinary append.
+		// when empty. A job with no visits yet reserves at its first
+		// iteration like a new one; the exact-length slices of one with
+		// visits or pairs grow into carved room at the next visit or pair.
 		if p := pj.Profile; p != nil {
 			if len(p.Visits) > 0 {
 				j.Profile.Visits = p.Visits

@@ -100,3 +100,32 @@ func TestRestoredIDGapsAreHoles(t *testing.T) {
 		t.Errorf("round trip through a restored core with gaps:\n got %+v\nwant %+v", got, &st)
 	}
 }
+
+// TestPersistStateOrdersRedistPairsByKey: PersistState hands a profile's
+// pairs over in ascending "RxC->RxC" key order, the order snapshots store
+// them in, whatever order the job recorded them in, and leaves the live
+// profile's order alone.
+func TestPersistStateOrdersRedistPairsByKey(t *testing.T) {
+	c := NewCore(64, false)
+	j, _, err := c.Submit(spec("a", topo(4, 1), 8000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := []grid.Topology{topo(8, 1), topo(4, 1), topo(10, 1), topo(8, 1), topo(16, 1)}
+	for i, to := range recorded {
+		j.resizeFrom, j.Topo = j.Topo, to
+		c.running.finishResize(j, float64(i), &c.arena)
+	}
+	var live, persisted []string
+	for _, r := range j.Profile.Redist {
+		live = append(live, string(r.AppendKey(nil)))
+	}
+	for _, r := range c.PersistState().Jobs[0].Profile.Redist {
+		persisted = append(persisted, string(r.AppendKey(nil)))
+	}
+	want := slices.Clone(live)
+	slices.Sort(want)
+	if !slices.Equal(persisted, want) || slices.Equal(live, want) {
+		t.Fatalf("live pairs %q, persisted %q: want the persisted ones sorted, %q", live, persisted, want)
+	}
+}

@@ -243,10 +243,11 @@ func TestProfileRedistCosts(t *testing.T) {
 	}
 }
 
-// TestRedistKeyMatchesFmt pins the Redist key bytes to the format snapshots
-// and testdata/parent-format/ were written with: a cost recorded through the
-// key builder sits under fmt's "%s->%s" key, a cost a restored snapshot put
-// under fmt's key is found by RedistCost, and the lookup does not allocate.
+// TestRedistKeyMatchesFmt pins the pair keys to the format snapshots and
+// testdata/parent-format/ were written with: a recorded pair's key is fmt's
+// "%s->%s", ParseRedistKey gives the pair back from fmt's key, a profile
+// restored from parsed keys answers RedistCost as the recording one does,
+// and the lookup does not allocate.
 func TestRedistKeyMatchesFmt(t *testing.T) {
 	dims := []int{1, 2, 9, 10, 12, 99, 100, 128, 999, 1000, 4096}
 	var topos []grid.Topology
@@ -260,16 +261,20 @@ func TestRedistKeyMatchesFmt(t *testing.T) {
 		to := topos[(i*7+3)%len(topos)]
 		key := fmt.Sprintf("%s->%s", from, to)
 		recorded.RecordRedist(from, to, float64(i))
-		if v, ok := recorded.Redist[key]; !ok || v != float64(i) || len(recorded.Redist) != i+1 {
-			t.Fatalf("RecordRedist(%v, %v): nothing under key %q (%d keys)", from, to, key, len(recorded.Redist))
+		if n := len(recorded.Redist); n != i+1 || string(recorded.Redist[i].AppendKey(nil)) != key {
+			t.Fatalf("RecordRedist(%v, %v): pair %d of %d is not under key %q", from, to, i, n, key)
 		}
-		restored.Redist[key] = float64(i)
+		pf, pt, ok := ParseRedistKey([]byte(key))
+		if !ok || pf != from || pt != to {
+			t.Fatalf("ParseRedistKey(%q) = %v, %v, %v", key, pf, pt, ok)
+		}
+		restored.Redist = append(restored.Redist, RedistPair{From: pf, To: pt, Seconds: float64(i)})
 		if v, ok := restored.RedistCost(from, to); !ok || v != float64(i) {
 			t.Fatalf("RedistCost(%v, %v) = %v/%v, want %d from key %q", from, to, v, ok, i, key)
 		}
 	}
-	from, to := topo(128, 4096), topo(999, 1000)
-	restored.Redist[fmt.Sprintf("%s->%s", from, to)] = 1
+	last := len(topos) - 1 // the last pair recorded: the longest scan
+	from, to := topos[last], topos[(last*7+3)%len(topos)]
 	if n := testing.AllocsPerRun(100, func() { restored.RedistCost(from, to) }); n != 0 {
 		t.Fatalf("RedistCost allocates %.0f times per lookup", n)
 	}

@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"bytes"
 	"slices"
+	"strconv"
 
 	"repro/internal/grid"
 )
@@ -33,11 +35,50 @@ func (v *Visit) Mean() float64 {
 	return s / float64(len(v.IterTimes))
 }
 
+// RedistPair is one measured redistribution: the last observed cost, in
+// seconds, of moving the job from one configuration to another.
+type RedistPair struct {
+	From, To grid.Topology
+	Seconds  float64
+}
+
+// AppendKey appends the pair's snapshot key "RxC->RxC" to b. Snapshots
+// persist pairs under these keys, so the bytes are frozen
+// (TestRedistKeyMatchesFmt).
+func (r *RedistPair) AppendKey(b []byte) []byte {
+	b = r.From.Append(b)
+	b = append(b, "->"...)
+	return r.To.Append(b)
+}
+
+// ParseRedistKey parses a key AppendKey wrote. It accepts exactly the bytes
+// AppendKey writes for two valid topologies, so a key it accepts re-encodes
+// to itself; anything else (no "->", a bad "RxC", a non-positive dimension,
+// a sign or a leading zero) is refused with ok false.
+func ParseRedistKey(key []byte) (from, to grid.Topology, ok bool) {
+	f, t, _ := bytes.Cut(key, []byte("->"))
+	r := RedistPair{From: parseTopo(f), To: parseTopo(t)}
+	var buf [64]byte
+	if !r.From.IsValid() || !r.To.IsValid() || !bytes.Equal(r.AppendKey(buf[:0]), key) {
+		return grid.Topology{}, grid.Topology{}, false
+	}
+	return r.From, r.To, true
+}
+
+// parseTopo parses "RxC", leaving a dimension it cannot parse 0.
+func parseTopo(b []byte) grid.Topology {
+	r, c, _ := bytes.Cut(b, []byte("x"))
+	rows, _ := strconv.Atoi(string(r))
+	cols, _ := strconv.Atoi(string(c))
+	return grid.Topology{Rows: rows, Cols: cols}
+}
+
 // Profile is the Performance Profiler's per-job record: the chronological
 // list of configurations the job has run on (with observed iteration times)
-// and the redistribution costs measured between configurations. Shrink
-// points — configurations the job may legally shrink back to — are exactly
-// the previously visited smaller configurations.
+// and the redistribution costs measured between configurations, one typed
+// pair per (from, to). Shrink points — configurations the job may legally
+// shrink back to — are exactly the previously visited smaller
+// configurations.
 //
 // A core's job shares its record with its profile, and its iteration times
 // share one array, which the job's first iteration reserves for as many as
@@ -46,13 +87,21 @@ func (v *Visit) Mean() float64 {
 // capacity runs to the end of the reservation, and opening the next visit
 // clips the previous one to its length and hands the new one the unused
 // tail, so recording an iteration allocates nothing until the reservation
-// runs out. A profile without a reservation (NewProfile, a restored or
-// cloned one, whose slices have exact length) grows by ordinary append.
-// Redist stays nil until the first RecordRedist.
+// runs out. The record holds the first two visits; the core carves room
+// for more visits and for the redistribution pairs from its chunks as a
+// resizing job needs it (see grow), so a job that never resizes
+// reserves nothing and one that does allocates nothing of its own. A
+// profile outside a core (NewProfile, a restored or cloned one, whose
+// slices have exact length) grows by ordinary append. Redist stays nil
+// until the first RecordRedist.
+//
+// Snapshots persist each pair under its "RxC->RxC" key (RedistPair.AppendKey)
+// in ascending key order, the encoding of the map this slice replaced, and
+// PersistState hands the pairs over in that order.
 type Profile struct {
 	Visits []Visit
-	Redist map[string]float64 // "RxC->RxC" -> last observed redistribution seconds
-	stamp  uint64             // see Stamp; not persisted: a restored or cloned profile restarts at 0
+	Redist []RedistPair // at most one per (From, To)
+	stamp  uint64       // see Stamp; not persisted: a restored or cloned profile restarts at 0
 }
 
 // maxReservedIters caps a job's reservation. The count comes from the
@@ -65,11 +114,8 @@ const maxReservedIters = 1 << 12
 // profile holds while the stamp does. Stamps of two profiles do not compare.
 func (p *Profile) Stamp() uint64 { return p.stamp }
 
-// NewProfile returns an empty profile whose Redist map is ready for direct
-// writes.
-func NewProfile() *Profile {
-	return &Profile{Redist: make(map[string]float64)}
-}
+// NewProfile returns an empty profile.
+func NewProfile() *Profile { return &Profile{} }
 
 // RecordIteration appends an iteration time observed on topo, opening a new
 // visit if the configuration changed.
@@ -90,48 +136,34 @@ func (p *Profile) RecordIteration(topo grid.Topology, iterTime float64) {
 }
 
 // RecordRedist stores an observed redistribution cost between two
-// configurations.
+// configurations: it rewrites the pair's cost in place, or appends the pair.
 func (p *Profile) RecordRedist(from, to grid.Topology, seconds float64) {
-	if p.Redist == nil {
-		p.Redist = make(map[string]float64)
-	}
-	var buf [64]byte
-	key := appendRedistKey(buf[:0], from, to)
-	// Only a lookup converts key without allocating, so only a new pair
-	// pays for the string the map keeps. An existing pair is rewritten
-	// through the map's own key; a job has moved between few pairs.
-	switch old, ok := p.Redist[string(key)]; {
-	case !ok:
-		p.Redist[string(key)] = seconds
-	case old != seconds:
-		for k := range p.Redist {
-			if k == string(key) {
-				p.Redist[k] = seconds
-				break
-			}
-		}
+	if i := p.redistIndex(from, to); i >= 0 {
+		p.Redist[i].Seconds = seconds
+	} else {
+		p.Redist = append(p.Redist, RedistPair{From: from, To: to, Seconds: seconds})
 	}
 	p.stamp++
 }
 
 // RedistCost returns the recorded redistribution cost between two
 // configurations, if any. The planning tick asks for every rung of every
-// running job, so the lookup neither formats nor allocates.
+// running job; a job has moved between few pairs, so a scan is the lookup.
 func (p *Profile) RedistCost(from, to grid.Topology) (float64, bool) {
-	if len(p.Redist) == 0 {
-		return 0, false
+	if i := p.redistIndex(from, to); i >= 0 {
+		return p.Redist[i].Seconds, true
 	}
-	var buf [64]byte
-	v, ok := p.Redist[string(appendRedistKey(buf[:0], from, to))]
-	return v, ok
+	return 0, false
 }
 
-// appendRedistKey appends the Redist key "RxC->RxC" to b. Snapshots persist
-// these keys, so the bytes are frozen (TestRedistKeyMatchesFmt).
-func appendRedistKey(b []byte, from, to grid.Topology) []byte {
-	b = from.Append(b)
-	b = append(b, "->"...)
-	return to.Append(b)
+// redistIndex returns the index of the (from, to) pair in Redist, or -1.
+func (p *Profile) redistIndex(from, to grid.Topology) int {
+	for i := range p.Redist {
+		if r := &p.Redist[i]; r.From == from && r.To == to {
+			return i
+		}
+	}
+	return -1
 }
 
 // Current returns the visit the job is currently in, or nil before the

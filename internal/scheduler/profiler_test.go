@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"repro/internal/grid"
 )
 
 // TestRecordIterationAllocatesNothing pins the profile's reservation: once
@@ -90,11 +92,19 @@ func TestReservationIsBounded(t *testing.T) {
 
 // TestJobRecordFitsSizeClass pins the arena's chunk of job records, each the
 // Job with its profile and first two visits, to the 24 KB size class: a
-// record that grows past 384 bytes costs the next class up, about 11 %,
-// on every chunk.
+// chunk that grows past it costs the next class up, about 11 %, on every
+// chunk. It counts what the runtime allocates, so the header the runtime
+// puts before an object with pointers is counted too.
 func TestJobRecordFitsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof([recordChunk]jobRecord{}); n > 24<<10 {
-		t.Fatalf("a chunk of %d job records is %d bytes, over the 24 KB size class", recordChunk, n)
+	var a jobArena
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	a.newJob()
+	runtime.ReadMemStats(&m1)
+	if n := m1.TotalAlloc - m0.TotalAlloc; n > 24<<10 {
+		t.Fatalf("a chunk of %d job records of %d bytes costs %d bytes, over the 24 KB size class",
+			recordChunk, unsafe.Sizeof(jobRecord{}), n)
 	}
 }
 
@@ -139,8 +149,7 @@ func TestNeighbouringReservationsStayApart(t *testing.T) {
 }
 
 // TestRecordRedistReusesItsKey: re-recording a pair already on file, at the
-// same cost or a new one, allocates nothing; only a new pair pays for its
-// key.
+// same cost or a new one, rewrites it in place and allocates nothing.
 func TestRecordRedistReusesItsKey(t *testing.T) {
 	p := NewProfile()
 	from, to := topo(2, 2), topo(2, 4)
@@ -154,5 +163,94 @@ func TestRecordRedistReusesItsKey(t *testing.T) {
 	}
 	if got, ok := p.RedistCost(from, to); !ok || got != cost || len(p.Redist) != 1 {
 		t.Fatalf("Redist %v, want only %v->%v at %v", p.Redist, from, to, cost)
+	}
+}
+
+// TestCarvedRedistAllocatesNothing: in room carved from the arena, recording
+// a new pair, re-recording a pair on file and looking a pair up allocate
+// nothing.
+func TestCarvedRedistAllocatesNothing(t *testing.T) {
+	var a jobArena
+	p := a.newJob().Profile
+	p.RecordRedist(topo(1, 2), topo(2, 2), 1)
+	p.Redist = grow(&a.pairs, p.Redist)
+	if cap(p.Redist) != growFirst {
+		t.Fatalf("the first carve gives room for %d pairs, want %d", cap(p.Redist), growFirst)
+	}
+	from, to := topo(2, 2), topo(2, 4)
+	if n := testing.AllocsPerRun(100, func() {
+		p.Redist = p.Redist[:1]
+		p.RecordRedist(from, to, 2) // a new pair
+		p.RecordRedist(from, to, 3) // the same pair again
+		if v, ok := p.RedistCost(from, to); !ok || v != 3 {
+			t.Fatalf("RedistCost = %v/%v, want 3", v, ok)
+		}
+	}); n != 0 {
+		t.Errorf("recording into carved room allocates %.1f times, want 0", n)
+	}
+}
+
+// TestResizingJobAllocatesNothing pins the carved growth of a resizing
+// job's profile: once the arena's chunks exist, a job that moves through
+// more visits and more redistribution pairs than its record holds records
+// every iteration, visit and cost without an allocation of its own, and
+// jobs carved side by side keep their own visits and pairs.
+func TestResizingJobAllocatesNothing(t *testing.T) {
+	const moves = 12
+	chain := []grid.Topology{topo(1, 2), topo(2, 2), topo(2, 4), topo(4, 4)}
+	c := NewCore(64, false)
+	submit := func() *Job {
+		s := spec("a", chain[0], 8000)
+		s.Iterations = 2 * moves
+		j, _, err := c.Submit(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.recordIteration(j, 0) // the first iteration reserves
+		return j
+	}
+	// tour moves j up and down the chain, one iteration per stay: moves
+	// visits past the first and six distinct pairs, some recorded again.
+	tour := func(j *Job, base float64) {
+		for m := 1; m <= moves; m++ {
+			k := m % 6
+			if k > 3 {
+				k = 6 - k
+			}
+			j.resizeFrom, j.Topo = j.Topo, chain[k]
+			c.running.finishResize(j, base+float64(m), &c.arena)
+			c.recordIteration(j, base+float64(m))
+		}
+	}
+	tour(submit(), 0) // the first tour starts the visit and pair chunks
+	jobs := []*Job{submit(), submit()}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i, j := range jobs {
+		tour(j, float64(100*(i+1)))
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Errorf("two tours of %d resizes each allocate %d times", moves, n)
+	}
+	for i, j := range jobs {
+		p, base := j.Profile, float64(100*(i+1))
+		if len(p.Visits) != moves+1 || len(p.Redist) != 6 {
+			t.Fatalf("job %d: %d visits and %d pairs, want %d and 6", i, len(p.Visits), len(p.Redist), moves+1)
+		}
+		for m, v := range p.Visits[1:] {
+			if len(v.IterTimes) != 1 || v.IterTimes[0] != base+float64(m+1) {
+				t.Fatalf("job %d: visit %d holds %v, want [%v]", i, m+1, v.IterTimes, base+float64(m+1))
+			}
+		}
+		// The last six moves make the six pairs once each, so each pair
+		// costs what its move among them did.
+		for m := moves - 5; m <= moves; m++ {
+			from, to := p.Visits[m-1].Topo, p.Visits[m].Topo
+			if v, ok := p.RedistCost(from, to); !ok || v != base+float64(m) {
+				t.Fatalf("job %d: %v->%v costs %v/%v, want %v", i, from, to, v, ok, base+float64(m))
+			}
+		}
 	}
 }

@@ -14,13 +14,14 @@ import (
 // TestRunAllocsPerJob pins the heap allocations Run makes per job on small
 // versions of the benchmark's three simulator mixes: the published FCFS
 // path on the scaling-curve mix, and the backlogged three-tenant mix under
-// fair share and under the rebalancer. A job's record (the Job and its
-// profile) and its iteration-time reservation are carved from the core's
-// chunks; what a job still costs is a list of visits past two and its
-// redistribution costs, and what the arbiters add is their plans and
-// directives. A budget that breaks means something on the per-job path
-// allocates again. The budgets hold under -race too, where the counts rise
-// (the rebalancer mix from 0.46 to 0.77 allocs/job).
+// fair share and under the rebalancer, whose runs keep the allocation trace
+// as the benchmark's do. A job's record (the Job and its profile), its
+// iteration-time reservation and the room its visits and redistribution
+// pairs grow into are carved from the core's chunks; what is left is the
+// trace and what the arbiters add, their plans and directives. A budget that
+// breaks means something on the per-job path allocates again. The race
+// detector's instrumentation allocates too, so -race runs have budgets of
+// their own.
 func TestRunAllocsPerJob(t *testing.T) {
 	params := perfmodel.SystemX()
 	tenants := func(n, iters int) workload.GenConfig {
@@ -35,23 +36,29 @@ func TestRunAllocsPerJob(t *testing.T) {
 			},
 		}
 	}
+	// Measured: 0.108, 0.493 and 0.240 allocs/job (0.109, 0.622 and 0.535
+	// under -race); each budget is about 15 % over.
 	for _, tc := range []struct {
-		name   string
-		gen    workload.GenConfig
-		budget float64
-		tick   float64
+		name               string
+		gen                workload.GenConfig
+		budget, raceBudget float64
+		tick               float64
 	}{
-		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 1, 0},
-		{"fairshare", tenants(2000, 10), 2, 0},
-		{"rebalance", tenants(6000, 4), 0.9, 60},
+		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 0.125, 0.125, 0},
+		{"fairshare", tenants(2000, 10), 0.57, 0.72, 0},
+		{"rebalance", tenants(6000, 4), 0.28, 0.62, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mix, err := workload.Generate(tc.gen)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// As in the benchmark, the million-job configuration drops the
+			// allocation trace and the arbiter mixes keep it.
 			core := scheduler.NewCore(1024, true)
-			core.DisableTrace()
+			if tc.name == "fcfs" {
+				core.DisableTrace()
+			}
 			sim := simcluster.New(1024, simcluster.Dynamic, params, mix).WithCore(core).WithoutIterRecords().
 				WithArbiter(build(t, tc.name, modes.Inputs{
 					Predict: simcluster.Predictor(params, mix), RedistCost: simcluster.RedistPredictor(params, mix),
@@ -67,9 +74,13 @@ func TestRunAllocsPerJob(t *testing.T) {
 				t.Fatalf("%d of %d jobs finished", len(res.Jobs), len(mix))
 			}
 			perJob := float64(m1.Mallocs-m0.Mallocs) / float64(len(mix))
-			t.Logf("%.2f allocs/job over %d jobs", perJob, len(mix))
-			if perJob > tc.budget {
-				t.Errorf("Run allocates %.2f times per job, budget %.1f", perJob, tc.budget)
+			t.Logf("%.4f allocs/job over %d jobs", perJob, len(mix))
+			budget := tc.budget
+			if raceEnabled {
+				budget = tc.raceBudget
+			}
+			if perJob > budget {
+				t.Errorf("Run allocates %.4f times per job, budget %.3f", perJob, budget)
 			}
 		})
 	}
