@@ -760,14 +760,24 @@ func BenchmarkMPISpawnMerge(b *testing.B) {
 	}
 }
 
+// paperArbiter decides through a ClusterSnapshot narrowed to the published
+// policy's input.
+type paperArbiter struct{}
+
+func (paperArbiter) Name() string { return "paper" }
+func (paperArbiter) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
+	return scheduler.Decide(snap.RemapInput())
+}
+
 // BenchmarkSchedulerContact isolates the per-contact cost of the resize
 // decision path — the loop every running job drives at every iteration.
 // Tracing is off so the numbers reflect the decision machinery, and
 // allocations are reported: the steady-state contact path (snapshot
 // construction, queued-window views, policy decision) is required to stay
 // at ~0 allocs/op. "steady" is the published single-job path on an idle
-// queue; "steady-arbiter" routes the same contact through the default
-// cluster-wide arbiter so the ClusterSnapshot path is measured;
+// queue; "steady-arbiter" routes the same contact through an arbiter that
+// narrows a ClusterSnapshot to the published policy, so the snapshot path
+// is measured;
 // "backlog-arbiter" adds a wait-queue backlog so the queued-window cache
 // and queue-pressure policy branches are on the hot path;
 // "fairshare-backlog" is a contact under the fair-share arbiter against 200
@@ -806,13 +816,13 @@ func BenchmarkSchedulerContact(b *testing.B) {
 	b.Run("steady-arbiter", func(b *testing.B) {
 		core := scheduler.NewCore(50, true)
 		core.DisableTrace()
-		core.SetArbiter(scheduler.PolicyArbiter{})
+		core.SetArbiter(paperArbiter{})
 		contactLoop(b, core, submit(b, core, 12, 0))
 	})
 	b.Run("backlog-arbiter", func(b *testing.B) {
 		core := scheduler.NewCore(50, false) // no backfill: the backlog stays queued
 		core.DisableTrace()
-		core.SetArbiter(scheduler.PolicyArbiter{})
+		core.SetArbiter(paperArbiter{})
 		job := submit(b, core, 12, 0)
 		submit(b, core, 36, 0) // occupies the rest of the pool
 		for i := 0; i < 30; i++ {

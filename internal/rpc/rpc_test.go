@@ -2,6 +2,8 @@ package rpc_test
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -96,6 +98,15 @@ func TestServerReportsErrors(t *testing.T) {
 	}
 	if _, err := cl.Submit(ctx, scheduler.JobSpec{Name: "big", InitialTopo: topo(4, 4)}); err == nil {
 		t.Error("oversized job should fail")
+	}
+	id, err := cl.Submit(ctx, scheduler.JobSpec{Name: "j", App: "lu", ProblemSize: 8000, Iterations: 10,
+		InitialTopo: topo(1, 2), Chain: grid.GrowthChain(topo(1, 2), 8000, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *reshape.ServerError
+	if _, err := cl.Contact(ctx, id, topo(1, 2), math.NaN(), 0); !errors.As(err, &se) {
+		t.Errorf("contact with a NaN iteration time: %v, want a ServerError", err)
 	}
 }
 

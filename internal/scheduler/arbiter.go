@@ -6,21 +6,13 @@ import (
 	"repro/internal/grid"
 )
 
-// This file defines the cluster-wide arbitration layer. Historically every
-// Contact answered the calling job in isolation through Policy.Decide; the
-// Arbiter generalizes that hook to cluster scope: at each resize point it
-// sees a snapshot of the whole scheduler — idle pool, the queued-job window
-// with priorities and submission times, and (lazily) every running job's
-// profile and configuration chain — and returns the decision for the
-// contacting job.
-// Stateful arbiters can plan multi-job reallocations across contacts, e.g.
+// This file defines the cluster-wide arbitration layer: the snapshot an
+// Arbiter decides from at a resize point, and the Planner and StartPicker
+// extensions (the package doc sets out the two decision paths). Stateful
+// arbiters can plan multi-job reallocations across contacts, e.g.
 // coordinating shrinks of several running jobs so that together they free
 // exactly enough processors to start the queue head (see
 // internal/scheduler/arbiter for the benefit-ranked implementation).
-//
-// The default PolicyArbiter reproduces the published single-job policy
-// bit-identically, so cores without an explicit arbiter behave exactly as
-// before the arbitration layer existed (pinned by TestPolicyArbiterMatchesPublishedDecide).
 
 // ContactView is a read-only view of one running job handed to arbiters.
 // The Profile pointer and the Chain slice alias live scheduler state:
@@ -78,8 +70,8 @@ func TenantProcs(tenants []TenantUsage, name string) int {
 // EachExpandable only the jobs whose next step contends for a window of the
 // idle pool, and Running looks one job up. A planning tick, the one decision
 // that ranks every job, keeps its own per-job state and reads Changes for the
-// jobs to bring up to date, walking EachRunning only to resync. The default
-// arbiter calls none of it.
+// jobs to bring up to date, walking EachRunning only to resync. A core with
+// no arbiter calls none of it.
 //
 // A running job's view changes only through the core's ops (a start,
 // Contact, ResizeComplete, Finish, Fail): the Profile a view points to must
@@ -138,17 +130,15 @@ type ClusterSnapshot struct {
 	// Caller is the job at the resize point.
 	Caller ContactView
 	// Queued is the head window of the wait queue in queue order (nil when
-	// nothing waits). Like RemapInput.QueuedNeeds, Core caps it at
-	// QueuedNeedsWindow entries — arbiters must therefore react only to the
-	// jobs they can see (the head, in practice) and never assume the window
-	// is the full queue. QueueLen has the full queue length.
+	// nothing waits). Core caps it at QueuedNeedsWindow entries — arbiters
+	// must therefore react only to the jobs they can see (the head, in
+	// practice) and never assume the window is the full queue.
 	//
 	// Queued is scratch owned by the snapshot's producer (Core reuses one
 	// buffer across contacts): arbiters must read it during Decide/Rebalance
 	// and never retain it across calls, the same rule that already covers
 	// the Profile pointers.
-	Queued   []QueuedView
-	QueueLen int
+	Queued []QueuedView
 	// Tenants lists every tenant with running jobs in ascending name order:
 	// Running counts them and Procs sums their Topo.Count() (processors an
 	// in-flight shrink has yet to release are in PendingFree, not here);
@@ -161,14 +151,6 @@ type ClusterSnapshot struct {
 	PendingFree int
 	// Cluster lazily exposes the running jobs.
 	Cluster ClusterView
-
-	// queuedNeeds, when non-nil, is the pre-materialized need list matching
-	// Queued. Core fills it from its version-keyed window cache so the
-	// published policy path gets its QueuedNeeds without allocating per
-	// contact; snapshots built by hand (tests, tools) leave it nil and
-	// fall back to materializing on demand. Same
-	// ownership rule as Queued: scratch, never retain.
-	queuedNeeds []int
 }
 
 // RunningViews is a fixed running set, in ascending id order, for snapshots
@@ -239,33 +221,19 @@ func (v RunningViews) Aggregates() (tenants []TenantUsage, pendingFree int) {
 	return tenants, pendingFree
 }
 
-// QueuedNeeds flattens the queued window into the processor-need list the
-// published policy consumes (nil when nothing waits). The result may be
-// producer-owned scratch: use it during the call, don't keep it.
-func (s *ClusterSnapshot) QueuedNeeds() []int {
-	if s.queuedNeeds != nil {
-		return s.queuedNeeds
-	}
-	if len(s.Queued) == 0 {
-		return nil
-	}
-	needs := make([]int, len(s.Queued))
-	for i, q := range s.Queued {
-		needs[i] = q.Need
-	}
-	return needs
-}
-
 // RemapInput converts the snapshot into the single-job policy input.
 func (s *ClusterSnapshot) RemapInput() RemapInput {
-	return RemapInput{
+	in := RemapInput{
 		Current:        s.Caller.Topo,
 		Chain:          s.Caller.Chain,
 		Profile:        s.Caller.Profile,
 		IdleProcs:      s.Idle,
-		QueuedNeeds:    s.QueuedNeeds(),
 		RemainingIters: s.Caller.RemainingIters,
 	}
+	if len(s.Queued) > 0 {
+		in.HeadNeed = s.Queued[0].Need
+	}
+	return in
 }
 
 // Arbiter decides what happens at a resize point, seeing the whole cluster.
@@ -330,31 +298,3 @@ type StartSnapshot struct {
 type StartPicker interface {
 	PickStart(snap StartSnapshot) int
 }
-
-// PolicyArbiter adapts a single-job Policy to the Arbiter interface: the
-// cluster snapshot is narrowed to the published RemapInput and the policy
-// decides as if it were wired into Contact directly. It is the behavior of
-// every core without an explicit SetArbiter call.
-type PolicyArbiter struct {
-	// Policy defaults to PaperPolicy.
-	Policy Policy
-}
-
-// Name identifies the arbiter.
-func (a PolicyArbiter) Name() string {
-	if a.Policy == nil {
-		return "single-job(paper)"
-	}
-	return "single-job(" + a.Policy.Name() + ")"
-}
-
-// Decide applies the wrapped policy to the caller's slice of the snapshot.
-func (a PolicyArbiter) Decide(snap ClusterSnapshot) Decision {
-	pol := a.Policy
-	if pol == nil {
-		pol = PaperPolicy{}
-	}
-	return pol.Decide(snap.RemapInput())
-}
-
-var _ Arbiter = PolicyArbiter{}

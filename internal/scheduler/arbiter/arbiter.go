@@ -156,7 +156,7 @@ func (a *BenefitRanked) agedPriority(q scheduler.QueuedView, now float64) int {
 // processors to strictly greater predicted benefit.
 func (a *BenefitRanked) expand(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	in := snap.RemapInput()
-	in.QueuedNeeds = nil // priority exemption: decide as if nothing waited
+	in.HeadNeed = 0 // priority exemption: decide as if nothing waited
 	d := scheduler.Decide(in)
 	if d.Action != scheduler.ActionExpand {
 		return d

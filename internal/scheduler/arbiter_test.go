@@ -7,20 +7,18 @@ import (
 	"repro/internal/grid"
 )
 
-// needsWindow appends the processor needs of the first k queued jobs in
-// head order to dst.
-func (q *jobQueue) needsWindow(dst []int, k int) []int {
-	for _, j := range q.window(nil, k) {
-		dst = append(dst, j.Spec.InitialTopo.Count())
-	}
-	return dst
-}
+// policyArbiter decides through a snapshot: it narrows it to the published
+// policy's input, the snapshot path held to the no-arbiter one.
+type policyArbiter struct{}
 
-// referenceDecision is the pre-arbiter Contact decision path verbatim (PR
-// 1): record the iteration on the profile, count completed iterations,
-// build the RemapInput from the core's idle pool and queued-needs window,
-// and run the published policy. The arbitration refactor must reproduce it
-// bit for bit.
+func (policyArbiter) Name() string                         { return "paper" }
+func (policyArbiter) Decide(snap ClusterSnapshot) Decision { return Decide(snap.RemapInput()) }
+
+// referenceDecision is the pre-arbiter Contact decision path: record the
+// iteration on the profile, count completed iterations, build the
+// RemapInput from the core's idle pool and the need of the queue window's
+// first job, and run the published policy. Both decision paths must
+// reproduce it bit for bit.
 func referenceDecision(c *Core, j *Job, iterTime float64) Decision {
 	prof := cloneProfile(j.Profile)
 	prof.RecordIteration(j.Topo, iterTime)
@@ -28,33 +26,34 @@ func referenceDecision(c *Core, j *Job, iterTime float64) Decision {
 	for _, v := range prof.Visits {
 		done += len(v.IterTimes)
 	}
-	var needs []int
-	if c.queue.len() > 0 {
-		needs = c.queue.needsWindow(nil, QueuedNeedsWindow)
+	headNeed := 0
+	if w := c.queue.window(nil, 1); len(w) > 0 {
+		headNeed = w[0].Spec.InitialTopo.Count()
 	}
 	return Decide(RemapInput{
 		Current:        j.Topo,
 		Chain:          j.Spec.Chain,
 		Profile:        prof,
 		IdleProcs:      c.free,
-		QueuedNeeds:    needs,
+		HeadNeed:       headNeed,
 		RemainingIters: j.Spec.Iterations - done,
 	})
 }
 
-// TestPolicyArbiterMatchesPublishedDecide drives the arbitered Core with
-// random operation traces and checks every Contact against the published
+// TestPolicyArbiterMatchesPublishedDecide drives the Core with random
+// operation traces and checks every Contact against the published
 // single-job decision computed independently from the same pre-contact
-// state. This pins the default arbitration path to the PR 1 semantics
+// state. Every seed runs twice: deciding on the no-arbiter path, then
+// through a snapshot and policyArbiter, so both are pinned to it
 // bit-identically.
 func TestPolicyArbiterMatchesPublishedDecide(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+	for run := int64(0); run < 40; run++ {
+		seed := run / 2
 		rng := rand.New(rand.NewSource(seed))
 		total := 8 + rng.Intn(56)
 		c := NewCore(total, rng.Intn(2) == 0)
-		if seed%2 == 1 {
-			// The explicit default arbiter and the nil path must agree too.
-			c.SetArbiter(PolicyArbiter{})
+		if run%2 == 1 {
+			c.SetArbiter(policyArbiter{})
 		}
 		now := 0.0
 		var running []*Job
@@ -151,15 +150,15 @@ func TestSnapshotViews(t *testing.T) {
 	if snap.Caller.Profile != a.Profile {
 		t.Fatal("caller profile must alias the job's live profile")
 	}
-	if len(snap.Queued) != 1 || snap.QueueLen != 1 {
-		t.Fatalf("queued window %v (len %d)", snap.Queued, snap.QueueLen)
+	if len(snap.Queued) != 1 {
+		t.Fatalf("queued window %v", snap.Queued)
 	}
 	qv := snap.Queued[0]
 	if qv.ID != q.ID || qv.Priority != 4 || qv.Need != 8 || qv.Submit != 5 || snap.Now-qv.Submit != 4 {
 		t.Fatalf("queued view %+v", qv)
 	}
-	if got := snap.QueuedNeeds(); len(got) != 1 || got[0] != 8 {
-		t.Fatalf("QueuedNeeds %v", got)
+	if got := snap.RemapInput().HeadNeed; got != 8 {
+		t.Fatalf("HeadNeed %d, want 8", got)
 	}
 
 	var ids []int

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -164,7 +165,13 @@ func (v *ContactView) fill(j *Job) {
 // state, so journaling cores can persist the op between validation and
 // the profile mutation (only valid ops reach the journal; replay can
 // therefore treat an op that fails to re-apply as corruption).
-func validateContact(jobs *jobTable, jobID int, topo grid.Topology) (*Job, error) {
+func validateContact(jobs *jobTable, jobID int, topo grid.Topology, iterTime, redistTime float64) (*Job, error) {
+	if err := checkTime(jobID, "iteration time", iterTime); err != nil {
+		return nil, err
+	}
+	if err := checkTime(jobID, "redistribution time", redistTime); err != nil {
+		return nil, err
+	}
 	j := jobs.get(jobID)
 	if j == nil {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)
@@ -179,23 +186,34 @@ func validateContact(jobs *jobTable, jobID int, topo grid.Topology) (*Job, error
 	return j, nil
 }
 
-// defaultDecide is the published single-job decision path: exactly the
-// narrowing PolicyArbiter performs, minus the cluster snapshot — so the
-// default (no-arbiter) contact stays allocation-identical to the
-// pre-arbiter code. TestPolicyArbiterMatchesPublishedDecide holds the two
-// assembly paths to identical decisions.
-func defaultDecide(pol Policy, j *Job, idle int, queuedNeeds []int) Decision {
-	if pol == nil {
-		pol = PaperPolicy{}
+// checkTime refuses a time a job reports that is NaN, infinite or
+// negative. The profile would keep it, and a NaN compares false against
+// every time: the policy would read an expansion measured with one as a
+// gain, and a benefit ranking could never outrank it.
+func checkTime(jobID int, what string, t float64) error {
+	if !(t >= 0) || math.IsInf(t, 1) {
+		return fmt.Errorf("scheduler: job %d reports %s %v, want a finite time >= 0", jobID, what, t)
 	}
-	return pol.Decide(RemapInput{
+	return nil
+}
+
+// defaultDecide is the published single-job decision path of a core with
+// no arbiter: the policy sees the caller, the idle pool and the need of the
+// queue head, read in O(1), and no snapshot is built.
+// TestPolicyArbiterMatchesPublishedDecide holds it and the snapshot path
+// (ClusterSnapshot.RemapInput) to identical decisions.
+func (c *Core) defaultDecide(j *Job) Decision {
+	in := RemapInput{
 		Current:        j.Topo,
 		Chain:          j.Spec.Chain,
 		Profile:        j.Profile,
-		IdleProcs:      idle,
-		QueuedNeeds:    queuedNeeds,
+		IdleProcs:      c.free,
 		RemainingIters: remainingIters(j),
-	})
+	}
+	if h := c.queue.head(); h != nil {
+		in.HeadNeed = h.Spec.InitialTopo.Count()
+	}
+	return c.policy.Decide(in)
 }
 
 // runningSet is Core's running-job bookkeeping: the id indexes behind

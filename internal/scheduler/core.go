@@ -95,14 +95,12 @@ type AllocEvent struct {
 	Busy  int // busy processors immediately after the event
 }
 
-// QueuedNeedsWindow caps the queue-pressure view Core hands to policies and
-// arbiters: RemapInput.QueuedNeeds and ClusterSnapshot.Queued list at most
-// this many waiting jobs, head first. The published policy only consults
-// the head of the queue, and the bounded window keeps Contact O(log n) even
-// with hundreds of thousands of waiting jobs — so policies must size their
-// reaction to the jobs they can see (in particular: never shrink more than
-// the head needs on the basis of a truncated tail; see
-// TestTruncatedWindowNeverOverShrinks).
+// QueuedNeedsWindow caps the queue-pressure view Core hands to arbiters:
+// ClusterSnapshot.Queued lists at most this many waiting jobs, head first.
+// The bounded window keeps an arbitered Contact O(log n) even with hundreds
+// of thousands of waiting jobs — so arbiters must size their reaction to the
+// jobs they can see (in particular: never shrink more than the head needs on
+// the basis of a truncated tail; see TestTruncatedWindowNeverOverShrinks).
 const QueuedNeedsWindow = 8
 
 // Core is the passive scheduler state machine: clock-independent (every
@@ -117,12 +115,10 @@ const QueuedNeedsWindow = 8
 type Core struct {
 	Total    int
 	Backfill bool
-	// Policy is the Remap Scheduler strategy; defaults to PaperPolicy. It
-	// is consulted through the default single-job arbiter unless SetArbiter
-	// installs a cluster-wide one.
-	Policy Policy
-
-	arb Arbiter
+	// policy is the Remap Scheduler strategy (PaperPolicy unless SetPolicy
+	// replaces it), consulted at every contact while no arbiter is set.
+	policy Policy
+	arb    Arbiter
 	// journal, when installed, persists every validated input op before it
 	// is applied (see journal.go).
 	journal JournalFunc
@@ -148,22 +144,16 @@ type Core struct {
 	lastBusy     int
 	lastBusyTime float64
 
-	// Materialized queued-window caches. Arbiter snapshots and the default
-	// policy path consult the head window on every contact; rebuilding it
-	// per event dominated the million-job profile. The caches are keyed on
-	// the queue's version counter alone (a QueuedView carries its submission
-	// time, not its age), so every contact between two queue changes shares
-	// one O(k) rebuild into reusable scratch. The slices returned to callers
-	// are therefore owned by Core: snapshot consumers must not retain them
-	// across calls (already the arbiter contract).
+	// winViews caches the queued window arbiter snapshots hand out at every
+	// contact, keyed on the queue's version alone (a QueuedView carries its
+	// submission time, not its age), so contacts between two queue changes
+	// share one O(k) rebuild. Core owns the slice: snapshot consumers must
+	// not retain it across calls.
 	winJobs   []*Job       // scratch: raw window from jobQueue.window
-	winNeeds  []int        // queuedNeeds cache, valid for needsVer
 	winViews  []QueuedView // queuedWindow cache, valid for viewsVer
 	headJobs  []*Job       // startPicked scratch: per-tenant queue heads
 	headViews []QueuedView // startPicked scratch: the same heads as views
 	started   []*Job       // TrySchedule's result, reused by the next call
-	needsVer  uint64
-	needsOK   bool
 	viewsVer  uint64
 	viewsOK   bool
 }
@@ -174,7 +164,7 @@ func NewCore(total int, backfill bool) *Core {
 	c := &Core{
 		Total:    total,
 		Backfill: backfill,
-		Policy:   PaperPolicy{},
+		policy:   PaperPolicy{},
 		free:     total,
 		trace:    true,
 	}
@@ -202,12 +192,17 @@ func (c *Core) Busy() int { return c.Total - c.free }
 // QueueLen returns the number of waiting jobs.
 func (c *Core) QueueLen() int { return c.queue.len() }
 
-// SetPolicy replaces the Remap Scheduler policy.
-func (c *Core) SetPolicy(p Policy) { c.Policy = p }
+// SetPolicy replaces the Remap Scheduler policy; nil restores PaperPolicy.
+func (c *Core) SetPolicy(p Policy) {
+	if p == nil {
+		p = PaperPolicy{}
+	}
+	c.policy = p
+}
 
 // SetArbiter installs a cluster-wide resize arbiter. A nil arbiter restores
-// the default: the single-job PolicyArbiter over c.Policy, which reproduces
-// the published Contact behavior bit-identically.
+// the default: every contact is decided by the policy alone, from the
+// caller, the idle pool and the queue head's need, with no snapshot built.
 //
 // If the arbiter also implements StartPicker, the queue's per-tenant index
 // is enabled (and backfilled from any already-queued jobs) so TrySchedule
@@ -400,26 +395,6 @@ func (c *Core) start(j *Job, now float64) {
 	c.started = append(c.started, j)
 }
 
-// queuedNeeds lists the processor requirements of the first waiting jobs
-// in queue order, capped at QueuedNeedsWindow. The returned slice is
-// Core-owned scratch, rebuilt only when the queue has changed since the
-// last call; policies receive it via RemapInput.QueuedNeeds and must not
-// retain it.
-func (c *Core) queuedNeeds() []int {
-	if c.queue.len() == 0 {
-		return nil
-	}
-	if !c.needsOK || c.needsVer != c.queue.version {
-		c.winJobs = c.queue.window(c.winJobs[:0], QueuedNeedsWindow)
-		c.winNeeds = c.winNeeds[:0]
-		for _, j := range c.winJobs {
-			c.winNeeds = append(c.winNeeds, j.Spec.InitialTopo.Count())
-		}
-		c.needsVer, c.needsOK = c.queue.version, true
-	}
-	return c.winNeeds
-}
-
 // queuedWindow lists the first waiting jobs in queue order as arbiter
 // views, capped at QueuedNeedsWindow (nil when nothing waits). The slice is
 // Core-owned scratch rebuilt only when the queue has changed since the last
@@ -451,10 +426,9 @@ func queuedView(j *Job) QueuedView {
 }
 
 // snapshot assembles the arbiter's view of the cluster at a resize point.
-// Queued and queuedNeeds come from the version-keyed window caches and
-// Tenants from the running set's usage list, each rebuilt only when it
-// changed, so a snapshot between two such changes copies a few words and
-// allocates nothing.
+// Queued comes from the version-keyed window cache and Tenants from the
+// running set's usage list, each rebuilt only when it changed, so a snapshot
+// between two such changes copies a few words and allocates nothing.
 func (c *Core) snapshot(j *Job, now float64) ClusterSnapshot {
 	snap := c.globalSnapshot(now)
 	snap.Caller.fill(j)
@@ -471,22 +445,21 @@ func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
 		Idle:        c.free,
 		Caller:      ContactView{ID: -1},
 		Queued:      c.queuedWindow(),
-		QueueLen:    c.queue.len(),
 		Tenants:     c.running.tenants(),
 		PendingFree: c.running.pendingFree,
 		Cluster:     &c.running,
-		queuedNeeds: c.queuedNeeds(),
 	}
 }
 
 // Contact is the Remap Scheduler entry point: a running job reports its
 // latest iteration time (and the redistribution time of its previous
 // resize, if any) from a resize point, and receives the expand/shrink/none
-// decision from the arbitration layer. Expansion reserves the additional
+// decision of the arbiter, or of the policy when no arbiter is set (a NaN,
+// infinite or negative time is refused). Expansion reserves the additional
 // processors immediately; shrinking releases processors only when the
 // resize library confirms with ResizeComplete.
 func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float64, now float64) (Decision, error) {
-	j, err := validateContact(&c.jobs, jobID, topo)
+	j, err := validateContact(&c.jobs, jobID, topo, iterTime, redistTime)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -501,7 +474,7 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	if c.arb != nil {
 		d = c.arb.Decide(c.snapshot(j, now))
 	} else {
-		d = defaultDecide(c.Policy, j, c.free, c.queuedNeeds())
+		d = c.defaultDecide(j)
 	}
 	return c.running.applyDecision(j, d, &c.free, func(kind string) { c.record(now, j, kind) }), nil
 }
@@ -509,8 +482,12 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 // ResizeComplete confirms that a granted resize finished: the redistribution
 // cost is recorded in the profiler and, for shrinks, the freed processors
 // return to the pool and queued jobs are scheduled onto them. It returns any
-// jobs started as a result.
+// jobs started as a result. A redistribution time that is NaN, infinite or
+// negative is refused before the op is journaled.
 func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Job, error) {
+	if err := checkTime(jobID, "redistribution time", redistTime); err != nil {
+		return nil, err
+	}
 	j := c.jobs.get(jobID)
 	if j == nil {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)

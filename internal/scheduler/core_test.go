@@ -440,7 +440,7 @@ func (a conservingArbiter) Decide(snap ClusterSnapshot) Decision {
 	if snap.Idle < 0 || snap.Idle+held+snap.PendingFree != snap.Total {
 		a.t.Errorf("conservation: idle %d + held %d + pending %d != %d", snap.Idle, held, snap.PendingFree, snap.Total)
 	}
-	return PolicyArbiter{}.Decide(snap)
+	return policyArbiter{}.Decide(snap)
 }
 
 // TestJobFitsSizeClass pins Job to the 256-byte allocation size class: the

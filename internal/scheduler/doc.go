@@ -18,8 +18,8 @@
 //   - Indexed wait queue. jobQueue files each job by priority, processor
 //     need and (for a fair-share StartPicker) tenant, each in a dir: a few
 //     sorted keys beside their buckets. The FCFS head, the best backfill
-//     fit and the queue-pressure window handed to policies need no scan of
-//     the queue. The running set's expandable and active-tenant indexes
+//     fit and the queued window handed to arbiters need no scan of the
+//     queue. The running set's expandable and active-tenant indexes
 //     are dirs too.
 //
 //   - One idle-processor counter. The paper's single pool of idle
@@ -27,15 +27,18 @@
 //     their caller (the Server's lock, or the single-threaded simulator),
 //     so it needs no lock.
 //
-// Decision-making at resize points flows through the arbitration layer
-// (arbiter.go): each Contact assembles a ClusterSnapshot — idle pool,
-// priority/age-annotated queued window, lazy access to every running
-// job's profile — and hands it to an Arbiter. The default PolicyArbiter
-// narrows the snapshot to the published single-job RemapInput, pinned
-// bit-identical to the pre-arbiter path; package
-// internal/scheduler/arbiter provides the cluster-wide benefit-ranked
-// implementation (coordinated multi-job shrink, starvation aging).
-//
+// A Contact is decided on one of two paths. With no arbiter set, the
+// default, the Policy (PaperPolicy unless SetPolicy replaces it) decides
+// from a RemapInput: the caller's topology, chain and profile, the idle
+// pool and HeadNeed, the queue head's processor need (0 when nothing
+// waits), the three inputs of the paper's Remap Scheduler; no snapshot is
+// built. With an Arbiter set (SetArbiter; arbiter.go), the Contact hands it
+// a ClusterSnapshot: idle pool, priority/age-annotated queued window, lazy
+// access to every running job's profile. ClusterSnapshot.RemapInput
+// narrows a snapshot back to the policy's input, and
+// TestPolicyArbiterMatchesPublishedDecide holds both paths to the published
+// decision. Package internal/scheduler/arbiter provides the benefit-ranked
+// arbiter (coordinated multi-job shrink, starvation aging).
 // The pre-refactor linear-scan core survives as recorded outputs: golden
 // files under testdata/ hold Core to its answers on seeded op sequences and
 // on the paper's W1/W2, and queue-level tests hold the indexed queue's

@@ -63,9 +63,8 @@ func TestSingleTenantDelegatesVerbatim(t *testing.T) {
 		}
 		return over(scheduler.ClusterSnapshot{
 			Now: 50, Total: 36, Idle: 2,
-			Caller:   caller,
-			Queued:   []scheduler.QueuedView{{ID: 1, Need: 4, Submit: 40}},
-			QueueLen: 1,
+			Caller: caller,
+			Queued: []scheduler.QueuedView{{ID: 1, Need: 4, Submit: 40}},
 		}, caller)
 	}
 	fs := New(nil)
@@ -138,9 +137,8 @@ func TestOverShareCallerDrafted(t *testing.T) {
 	}
 	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 12,
-		Caller:   caller,
-		Queued:   []scheduler.QueuedView{{ID: 1, Tenant: "victim", Need: 16, Submit: 95}},
-		QueueLen: 1,
+		Caller: caller,
+		Queued: []scheduler.QueuedView{{ID: 1, Tenant: "victim", Need: 16, Submit: 95}},
 	}, caller)
 	d := New(nil).Decide(snap)
 	if d.Action != scheduler.ActionShrink || d.Target != topo(2, 6) {
@@ -160,9 +158,8 @@ func TestUnderShareExpansionCapped(t *testing.T) {
 	other := scheduler.ContactView{ID: 1, Tenant: "victim", Topo: topo(4, 4), Profile: scheduler.NewProfile()}
 	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 4,
-		Caller:   caller,
-		Queued:   []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}},
-		QueueLen: 1,
+		Caller: caller,
+		Queued: []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}},
 	}, caller, other)
 	// Sanity: the wrapped arbiter alone would let the exempt caller probe
 	// its next rung.
@@ -187,9 +184,8 @@ func TestAtShareExpansionGranted(t *testing.T) {
 	other := scheduler.ContactView{ID: 1, Tenant: "victim", Topo: topo(4, 4), Profile: scheduler.NewProfile()}
 	snap := over(scheduler.ClusterSnapshot{
 		Now: 100, Total: 36, Idle: 4,
-		Caller:   caller,
-		Queued:   []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}},
-		QueueLen: 1,
+		Caller: caller,
+		Queued: []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}},
 	}, caller, other)
 	d := New(nil).Decide(snap)
 	if d.Action != scheduler.ActionExpand || d.Target != topo(3, 6) {

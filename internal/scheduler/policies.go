@@ -42,7 +42,7 @@ func (p ThresholdPolicy) Name() string {
 // Decide behaves like the paper policy but holds (or shrinks back) once the
 // relative improvement of the last expansion falls below the threshold.
 func (p ThresholdPolicy) Decide(in RemapInput) Decision {
-	if len(in.QueuedNeeds) > 0 {
+	if in.HeadNeed > 0 {
 		return Decide(in) // queue pressure handling is unchanged
 	}
 	if before, after, ok := in.Profile.LastExpansion(); ok && in.Current == after.Topo && len(after.IterTimes) > 0 {

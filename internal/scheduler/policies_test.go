@@ -43,7 +43,7 @@ func TestThresholdPolicyDefersQueueHandling(t *testing.T) {
 	)
 	in := RemapInput{
 		Current: topo(2, 3), Chain: chain12000(), Profile: p,
-		IdleProcs: 0, QueuedNeeds: []int{2},
+		IdleProcs: 0, HeadNeed: 2,
 	}
 	d := ThresholdPolicy{MinImprovement: 0.05}.Decide(in)
 	if d.Action != ActionShrink {
@@ -192,7 +192,7 @@ func TestServerJobError(t *testing.T) {
 
 func TestCoreCustomPolicyWiring(t *testing.T) {
 	c := NewCore(50, true)
-	c.Policy = ThresholdPolicy{MinImprovement: 0.5} // absurdly strict
+	c.SetPolicy(ThresholdPolicy{MinImprovement: 0.5}) // absurdly strict
 	j, _, _ := c.Submit(spec("a", topo(1, 2), 12000), 0)
 	c.Contact(j.ID, topo(1, 2), 100, 0, 1)
 	c.ResizeComplete(j.ID, 1, 1)
@@ -210,10 +210,10 @@ func TestCoreCustomPolicyWiring(t *testing.T) {
 func TestRemainingItersReachesPolicy(t *testing.T) {
 	var seen []int
 	c := NewCore(50, true)
-	c.Policy = policyFunc(func(in RemapInput) Decision {
+	c.SetPolicy(policyFunc(func(in RemapInput) Decision {
 		seen = append(seen, in.RemainingIters)
 		return Decision{Action: ActionNone}
-	})
+	}))
 	j, _, _ := c.Submit(spec("a", topo(2, 2), 8000), 0) // 10 iterations
 	c.Contact(j.ID, topo(2, 2), 1, 0, 1)
 	c.Contact(j.ID, topo(2, 2), 1, 0, 2)

@@ -41,11 +41,10 @@ type RemapInput struct {
 	Profile *Profile
 	// IdleProcs is the number of currently unallocated processors.
 	IdleProcs int
-	// QueuedNeeds lists the processor requirements of queued jobs in queue
-	// order (head first). Empty means nothing is waiting. The Core caps
-	// this view at a small window (the published policy only consults the
-	// head), so policies must not treat it as the whole queue.
-	QueuedNeeds []int
+	// HeadNeed is the processor requirement of the job at the head of the
+	// wait queue, the only queued job the published policy consults; 0
+	// means nothing is waiting.
+	HeadNeed int
 	// RemainingIters is the number of outer iterations the job still has to
 	// run (0 when unknown); cost-aware policies use it to amortize
 	// redistribution costs.
@@ -71,15 +70,14 @@ func Decide(in RemapInput) Decision {
 	prof := in.Profile
 
 	// Queue pressure: try to accommodate the first waiting job.
-	if len(in.QueuedNeeds) > 0 {
+	if in.HeadNeed > 0 {
 		pts := prof.ShrinkPoints(cur)
 		if len(pts) == 0 {
 			return Decision{Action: ActionNone, Reason: "queue waiting but no shrink points"}
 		}
-		headNeed := in.QueuedNeeds[0]
 		for _, sp := range pts { // largest first
 			freed := cur.Count() - sp.Count()
-			if in.IdleProcs+freed >= headNeed {
+			if in.IdleProcs+freed >= in.HeadNeed {
 				return Decision{Action: ActionShrink, Target: sp,
 					Reason: "shrink to accommodate queued job"}
 			}

@@ -106,7 +106,7 @@ func TestDecideShrinkForQueuedJobPrefersLargestShrinkPoint(t *testing.T) {
 	)
 	d := Decide(RemapInput{
 		Current: topo(3, 4), Chain: chain12000(), Profile: p,
-		IdleProcs: 1, QueuedNeeds: []int{4},
+		IdleProcs: 1, HeadNeed: 4,
 	})
 	if d.Action != ActionShrink || d.Target != topo(3, 3) {
 		t.Fatalf("decision %+v, want shrink to 3x3", d)
@@ -123,7 +123,7 @@ func TestDecideShrinkToSmallestWhenInsufficient(t *testing.T) {
 	)
 	d := Decide(RemapInput{
 		Current: topo(3, 4), Chain: chain12000(), Profile: p,
-		IdleProcs: 0, QueuedNeeds: []int{40},
+		IdleProcs: 0, HeadNeed: 40,
 	})
 	if d.Action != ActionShrink || d.Target != topo(2, 2) {
 		t.Fatalf("decision %+v, want shrink to smallest (2x2)", d)
@@ -135,7 +135,7 @@ func TestDecideQueuedButNoShrinkPoints(t *testing.T) {
 	p := profileWith(Visit{Topo: topo(2, 2), IterTimes: []float64{100}})
 	d := Decide(RemapInput{
 		Current: topo(2, 2), Chain: chain12000(), Profile: p,
-		IdleProcs: 0, QueuedNeeds: []int{4},
+		IdleProcs: 0, HeadNeed: 4,
 	})
 	if d.Action != ActionNone {
 		t.Fatalf("decision %+v, want none", d)

@@ -190,9 +190,10 @@ func TestQueueScansAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestPublishedContactAllocatesNothing pins the published single-job
-// Contact at zero allocations when the queue changed since the previous
-// contact, so the queued-needs window is rebuilt into the core's scratch.
+// TestPublishedContactAllocatesNothing pins both ways to the published
+// policy's input at zero allocations under queue pressure: a Contact on a
+// core with no arbiter and a backlog, and RemapInput on a hand-built
+// snapshot with a queued window.
 func TestPublishedContactAllocatesNothing(t *testing.T) {
 	c := NewCore(50, false) // no backfill: the backlog stays queued
 	c.DisableTrace()
@@ -211,18 +212,26 @@ func TestPublishedContactAllocatesNothing(t *testing.T) {
 	}
 	now := 0.0
 	allocs := testing.AllocsPerRun(100, func() {
-		c.queue.version++ // what any push or take does to the window caches
 		now++
 		if _, err := c.Contact(job.ID, job.Topo, 50, 0, now); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Contact after a queue change allocates %.1f times, want 0", allocs)
+		t.Errorf("Contact with %d jobs queued allocates %.1f times, want 0", c.QueueLen(), allocs)
 	}
-	if c.QueueLen() != 30 || c.needsVer != c.queue.version {
-		t.Fatalf("%d jobs queued, window built at version %d of %d: the rebuild went unexercised",
-			c.QueueLen(), c.needsVer, c.queue.version)
+	if c.QueueLen() != 30 {
+		t.Fatalf("%d jobs queued, want 30: the backlog went unexercised", c.QueueLen())
+	}
+
+	snap := ClusterSnapshot{Idle: 2, Caller: contactView(job),
+		Queued: []QueuedView{{ID: 1, Need: 36}, {ID: 2, Need: 6}}}
+	var in RemapInput
+	if allocs := testing.AllocsPerRun(100, func() { in = snap.RemapInput() }); allocs != 0 {
+		t.Errorf("RemapInput on a hand-built snapshot allocates %.1f times, want 0", allocs)
+	}
+	if in.HeadNeed != 36 {
+		t.Fatalf("HeadNeed %d, want the head's 36", in.HeadNeed)
 	}
 }
 

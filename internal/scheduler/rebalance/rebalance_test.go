@@ -38,7 +38,6 @@ func snapOf(idle, total int, queued []scheduler.QueuedView, views ...scheduler.C
 		Idle:        idle,
 		Caller:      scheduler.ContactView{ID: -1},
 		Queued:      queued,
-		QueueLen:    len(queued),
 		Tenants:     tenants,
 		PendingFree: pendingFree,
 		Cluster:     running,

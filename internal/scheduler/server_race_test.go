@@ -167,5 +167,5 @@ func (snoopArbiter) Decide(snap ClusterSnapshot) Decision {
 	if procs > snap.Total {
 		return Decision{Action: ActionNone, Reason: "accounting violation"}
 	}
-	return PolicyArbiter{}.Decide(snap)
+	return policyArbiter{}.Decide(snap)
 }

@@ -2,9 +2,15 @@ package scheduler
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/grid"
 )
 
 // TestAbandonedServerEndsItsPipeline drops servers, volatile and behind a
@@ -51,5 +57,138 @@ func TestAbandonedServerEndsItsPipeline(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// countingJournal installs a journal hook on core that counts the records of
+// each op kind.
+func countingJournal(core *Core) func(OpKind) int {
+	var mu sync.Mutex
+	n := map[OpKind]int{}
+	core.SetJournal(func(op Op) error {
+		mu.Lock()
+		n[op.Kind]++
+		mu.Unlock()
+		return nil
+	})
+	return func(k OpKind) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n[k]
+	}
+}
+
+// TestServerRefusesBadTimes reports NaN, +Inf and -1 as a contact's
+// iteration and redistribution time and as a resize's redistribution time:
+// each call fails, and none reaches the journal.
+func TestServerRefusesBadTimes(t *testing.T) {
+	ctx := context.Background()
+	core := NewCore(8, true)
+	journaled := countingJournal(core)
+	srv := NewServerCore(core, nil)
+	id, err := srv.Submit(ctx, spec("a", topo(1, 2), 8000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := srv.Contact(ctx, id, topo(1, 2), bad, 0); err == nil {
+			t.Errorf("contact with iteration time %v accepted", bad)
+		}
+		if _, err := srv.Contact(ctx, id, topo(1, 2), 1, bad); err == nil {
+			t.Errorf("contact with redistribution time %v accepted", bad)
+		}
+		if err := srv.ResizeComplete(ctx, id, bad); err == nil {
+			t.Errorf("resize completion with redistribution time %v accepted", bad)
+		}
+	}
+	if n, m := journaled(OpContact), journaled(OpResizeComplete); n != 0 || m != 0 {
+		t.Fatalf("refused calls journaled %d contacts and %d resize completions", n, m)
+	}
+	if _, err := srv.Contact(ctx, id, topo(1, 2), 1, 0); err != nil || journaled(OpContact) != 1 {
+		t.Fatalf("a good contact: err %v, %d journaled", err, journaled(OpContact))
+	}
+}
+
+// TestServerRebalanceJournalsTicks drives planning ticks through a Server:
+// each one is journaled under a Planner arbiter, and none is with no
+// arbiter.
+func TestServerRebalanceJournalsTicks(t *testing.T) {
+	ctx := context.Background()
+	for _, planner := range []bool{true, false} {
+		core := NewCore(8, true)
+		if planner {
+			core.SetArbiter(&diceArbiter{rng: rand.New(rand.NewSource(1)), check: func(ClusterSnapshot) {}})
+		}
+		journaled := countingJournal(core)
+		srv := NewServerCore(core, nil)
+		const ticks = 5
+		for range ticks {
+			if err := srv.Rebalance(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := 0
+		if planner {
+			want = ticks
+		}
+		if n := journaled(OpRebalance); n != want {
+			t.Errorf("planner %v: %d ticks journaled %d records, want %d", planner, ticks, n, want)
+		}
+	}
+}
+
+// TestRelaunchRunningStartsOnlyRunningJobs recovers a core holding running,
+// queued and done jobs: RelaunchRunning starts each running job exactly
+// once and returns exactly those.
+func TestRelaunchRunningStartsOnlyRunningJobs(t *testing.T) {
+	c := NewCore(8, false)
+	for i, initial := range []grid.Topology{topo(2, 2), topo(1, 2), topo(1, 2)} {
+		if _, _, err := c.Submit(spec("r", initial, 8000), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Finish(1, 3); err != nil { // done
+		t.Fatal(err)
+	}
+	if _, _, err := c.Submit(spec("r", topo(1, 2), 8000), 4); err != nil { // runs as job 3
+		t.Fatal(err)
+	}
+	if _, _, err := c.Submit(spec("q", topo(2, 2), 8000), 5); err != nil { // waits as job 4
+		t.Fatal(err)
+	}
+	restored, err := NewCoreFromState(c.PersistState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j1, _ := restored.Job(1); j1.State != Done || restored.QueueLen() != 1 {
+		t.Fatalf("setup: job 1 %v, %d queued; want done and one waiting", j1.State, restored.QueueLen())
+	}
+	started := make(chan int, 8)
+	srv := NewServerRecovered(restored, 0, 5, func(j *Job) { started <- j.ID })
+	var ids []int
+	for _, j := range srv.RelaunchRunning() {
+		ids = append(ids, j.ID)
+	}
+	want := []int{0, 2, 3}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("relaunched %v, want the running jobs %v", ids, want)
+	}
+	var launched []int
+	for range want {
+		select {
+		case id := <-started:
+			launched = append(launched, id)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("starter ran for %v only, want %v", launched, want)
+		}
+	}
+	select {
+	case id := <-started:
+		t.Fatalf("starter ran again, for job %d", id)
+	case <-time.After(20 * time.Millisecond):
+	}
+	slices.Sort(launched)
+	if !slices.Equal(launched, want) {
+		t.Fatalf("starter ran for %v, want %v", launched, want)
 	}
 }
