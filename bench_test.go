@@ -896,7 +896,7 @@ func fairshareVeto(tb testing.TB, n int) (*scheduler.Core, *scheduler.Job) {
 	}
 	caller := running[0]
 	d, err := core.Contact(caller.ID, caller.Topo, 50, 0, 2)
-	if err != nil || d.Reason != "yielding idle pool to job 1 (higher benefit per processor)" {
+	if err != nil || d.Text() != "yielding idle pool to job 1 (higher benefit per processor)" {
 		tb.Fatalf("fixture: first veto contact answered %+v, %v", d, err)
 	}
 	return core, caller
@@ -945,7 +945,7 @@ func fairshareBacklog(tb testing.TB) (*scheduler.Core, *scheduler.Job) {
 	}
 	caller := running[1]
 	d, err := core.Contact(caller.ID, caller.Topo, 50, 0, 2)
-	if err != nil || d.Reason != "shrink assigned to other jobs" {
+	if err != nil || d.Text() != "shrink assigned to other jobs" {
 		tb.Fatalf("fixture: warm-up contact answered %+v, %v", d, err)
 	}
 	return core, caller
@@ -961,7 +961,7 @@ func TestFairshareContactAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		now += 0.01
 		d, err := core.Contact(job.ID, job.Topo, 50, 0, now)
-		if err != nil || d.Reason != "shrink assigned to other jobs" {
+		if err != nil || d.Text() != "shrink assigned to other jobs" {
 			t.Fatalf("contact answered %+v, %v", d, err)
 		}
 	})
@@ -971,22 +971,27 @@ func TestFairshareContactAllocs(t *testing.T) {
 }
 
 // TestFairshareVetoContactAllocs holds a fair-share contact whose expansion
-// is vetoed to one allocation — the veto's formatted reason — at 200 and at
-// 2 000 running jobs alike: the walk's state and callback live on the
-// arbiter, and it visits only the contending jobs.
+// is vetoed to no allocation at 200 and at 2 000 running jobs alike: the
+// walk's state and callback live on the arbiter, it visits only the
+// contending jobs, and the veto's reason is a code and the rival's id,
+// rendered only when read.
 func TestFairshareVetoContactAllocs(t *testing.T) {
 	for _, n := range []int{200, 2000} {
 		core, job := fairshareVeto(t, n)
 		now := 2.0
+		var d scheduler.Decision
 		allocs := testing.AllocsPerRun(500, func() {
 			now += 0.01
-			d, err := core.Contact(job.ID, job.Topo, 50, 0, now)
-			if err != nil || d.Reason != "yielding idle pool to job 1 (higher benefit per processor)" {
+			var err error
+			if d, err = core.Contact(job.ID, job.Topo, 50, 0, now); err != nil || d.Code != scheduler.ReasonYield {
 				t.Fatalf("%d running: contact answered %+v, %v", n, d, err)
 			}
 		})
-		if allocs != 1 {
-			t.Fatalf("%d running: vetoed fair-share contact made %.2f allocations, want 1", n, allocs)
+		if d.Text() != "yielding idle pool to job 1 (higher benefit per processor)" {
+			t.Fatalf("%d running: contact answered %q", n, d.Text())
+		}
+		if allocs != 0 {
+			t.Fatalf("%d running: vetoed fair-share contact made %.2f allocations, want 0", n, allocs)
 		}
 	}
 }

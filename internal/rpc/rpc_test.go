@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,5 +227,50 @@ func TestRemoteSchedulerDrivesRealApp(t *testing.T) {
 	}
 	if st.Jobs[0].State != "done" {
 		t.Errorf("state %v", st.Jobs[0].State)
+	}
+}
+
+// TestUngrantedResizeCompleteRefused confirms, over rpc/v2, a resize for a
+// running job granted none, a queued job and a finished job: each call
+// fails with a ServerError and nothing reaches the journal.
+func TestUngrantedResizeCompleteRefused(t *testing.T) {
+	ctx := context.Background()
+	core := scheduler.NewCore(4, false)
+	var journaled atomic.Int32
+	core.SetJournal(func(op scheduler.Op) error {
+		if op.Kind == scheduler.OpResizeComplete {
+			journaled.Add(1)
+		}
+		return nil
+	})
+	srv, err := rpc.Serve("127.0.0.1:0", scheduler.NewServerCore(core, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := dial(t, srv.Addr())
+	submit := func(name string, at grid.Topology) int {
+		id, err := cl.Submit(ctx, scheduler.JobSpec{Name: name, App: "lu", ProblemSize: 8000, Iterations: 10,
+			InitialTopo: at, Chain: grid.GrowthChain(at, 8000, 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	running, queued := submit("running", topo(1, 4)), submit("queued", topo(1, 2))
+	var se *reshape.ServerError
+	for what, id := range map[string]int{"running": running, "queued": queued} {
+		if err := cl.ResizeComplete(ctx, id, 0.5); !errors.As(err, &se) {
+			t.Errorf("%s job: %v, want a ServerError", what, err)
+		}
+	}
+	if err := cl.JobEnd(ctx, running); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ResizeComplete(ctx, running, 0.5); !errors.As(err, &se) {
+		t.Errorf("finished job: %v, want a ServerError", err)
+	}
+	if n := journaled.Load(); n != 0 {
+		t.Fatalf("refused confirmations journaled %d records", n)
 	}
 }

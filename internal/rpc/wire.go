@@ -312,7 +312,9 @@ func appendReply(b []byte, r *Reply) []byte {
 	case payloadDecision:
 		b = codec.AppendInt(b, int(r.Decision.Action))
 		b = codec.AppendTopo(b, r.Decision.Target)
-		b = codec.AppendString(b, r.Decision.Reason)
+		var buf [128]byte
+		text := r.Decision.AppendText(buf[:0]) // the reason's text, rendered on the stack
+		b = append(codec.AppendUint(b, uint64(len(text))), text...)
 	case payloadStatus:
 		b = appendStatus(b, r.Status)
 	case payloadEvent:
@@ -507,7 +509,11 @@ func decodeReply(d *codec.Decoder, r *Reply) {
 	case payloadJobID:
 		r.JobID = d.Int()
 	case payloadDecision:
-		r.Decision.Action = scheduler.Action(d.Int())
+		act := d.Int() // outside none..shrink is malformed, not truncated to a byte
+		if act < int(scheduler.ActionNone) || act > int(scheduler.ActionShrink) {
+			d.Fail("unknown decision action")
+		}
+		r.Decision.Action = scheduler.Action(act)
 		r.Decision.Target = d.Topo()
 		r.Decision.Reason = d.Sym()
 	case payloadStatus:

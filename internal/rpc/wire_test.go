@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/scheduler"
 )
@@ -287,7 +288,7 @@ func (g gen) reply(k int) Reply {
 	case 1:
 		r.JobID = g.int()
 	case 2:
-		r.Decision = scheduler.Decision{Action: scheduler.Action(g.int()), Target: g.topo(), Reason: g.str()}
+		r.Decision = scheduler.Decision{Action: scheduler.Action(g.Intn(3)), Target: g.topo(), Reason: g.str()}
 	case 3:
 		st := &scheduler.ClusterStatus{Total: g.int(), Free: g.int(), Busy: g.int(), QueueLen: g.int()}
 		if n, isNil := g.nilOrEmpty(4); !isNil {
@@ -310,6 +311,50 @@ func (g gen) reply(k int) Reply {
 			Kind: g.str(), Topo: g.topo(), Busy: g.int(), Free: g.int()}
 	}
 	return r
+}
+
+// decisionReply is a framed decision reply carrying action, written by hand
+// because the encoder cannot write an action outside Action's range.
+func decisionReply(action int) []byte {
+	p := append(codec.AppendUint(nil, 300), payloadDecision<<1|1)
+	p = codec.AppendString(codec.AppendString(p, ""), "")
+	p = codec.AppendTopo(codec.AppendInt(p, action), grid.Topology{Rows: 2, Cols: 4})
+	p = codec.AppendString(p, "expand into idle processors")
+	return append(codec.AppendUint(nil, uint64(len(p))), p...)
+}
+
+// TestDecisionActionRange: a reply whose action is none, expand or shrink
+// decodes; any other value, 257 (expand, truncated to a byte) included, is
+// a malformed frame.
+func TestDecisionActionRange(t *testing.T) {
+	for action := -1; action <= 257; action++ {
+		var r Reply
+		err := NewFrameReader(bytes.NewReader(decisionReply(action))).Read(&r)
+		switch valid := action >= 0 && action <= 2; {
+		case valid && (err != nil || int(r.Decision.Action) != action):
+			t.Errorf("action %d: decoded %+v, %v", action, r.Decision, err)
+		case !valid && !errors.Is(err, ErrMalformed):
+			t.Errorf("action %d: decoded %+v, %v; want ErrMalformed", action, r.Decision, err)
+		}
+	}
+}
+
+// TestCodedReasonOnTheWire: a decision whose reason is a code and operand
+// goes out as exactly the bytes of its text, and renders without
+// allocating.
+func TestCodedReasonOnTheWire(t *testing.T) {
+	coded := Reply{ID: 300, Final: true,
+		Decision: scheduler.JobReason(scheduler.ActionShrink, grid.Topology{Rows: 1, Cols: 2}, scheduler.ReasonCoordinatedShrink, 1<<40)}
+	text := coded
+	text.Decision = scheduler.Decision{Action: scheduler.ActionShrink, Target: coded.Decision.Target,
+		Reason: "coordinated shrink to start queued job 1099511627776"}
+	if got, want := appendReply(nil, &coded), appendReply(nil, &text); !bytes.Equal(got, want) {
+		t.Fatalf("coded reply encodes to %x, its text to %x", got, want)
+	}
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() { buf = appendReply(buf[:0], &coded) }); allocs != 0 {
+		t.Fatalf("encoding a coded reply: %.2f allocations, want 0", allocs)
+	}
 }
 
 // TestV2RoundTripProperty streams 2 000 seeded frames and 2 000 seeded
@@ -398,6 +443,9 @@ func wireSeeds(replies bool) [][]byte {
 			add(f)
 		}
 		add(Frame{ID: 5, Op: "future-op"})
+	}
+	if replies {
+		seeds = append(seeds, decisionReply(257))
 	}
 	var gobbed bytes.Buffer
 	_ = gob.NewEncoder(&gobbed).Encode(Frame{ID: 1, Op: OpStatus})

@@ -363,7 +363,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 				_, err = core.Contact(j.ID, j.Topo, 10+rng.Float64()*90, 0, now)
 			case k < 8:
 				step = "resize-complete"
-				_, err = core.ResizeComplete(pick().ID, rng.Float64(), now)
+				_, err = confirmResize(core, pick().ID, rng.Float64(), now)
 			case k == 8:
 				step = "finish"
 				if rng.Intn(3) == 0 {
@@ -518,7 +518,7 @@ func TestLateIndexMatchesEarlyIndex(t *testing.T) {
 				j, _ := c.Job(pick)
 				_, err = c.Contact(pick, j.Topo, iterTime, 0, now)
 			case kind < 8:
-				_, err = c.ResizeComplete(pick, 1, now)
+				_, err = confirmResize(c, pick, 1, now)
 			default:
 				_, err = c.Finish(pick, now)
 			}

@@ -170,8 +170,9 @@ func (v RunningViews) EachRunning(yield func(*ContactView) bool) {
 
 // EachShrinkable implements ClusterView.
 func (v RunningViews) EachShrinkable(yield func(*ContactView) bool) {
+	var buf [16]grid.Topology
 	for i := range v {
-		if r := &v[i]; r.Profile != nil && len(r.Profile.ShrinkPoints(r.Topo)) > 0 && !yield(r) {
+		if r := &v[i]; r.Profile != nil && len(r.Profile.AppendShrinkPoints(buf[:0], r.Topo)) > 0 && !yield(r) {
 			return
 		}
 	}

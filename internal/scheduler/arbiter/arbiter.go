@@ -29,7 +29,6 @@ package arbiter
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/grid"
@@ -162,10 +161,7 @@ func (a *BenefitRanked) expand(snap scheduler.ClusterSnapshot) scheduler.Decisio
 		return d
 	}
 	if rival, ok := a.betterCandidate(snap, d.Target); ok {
-		return scheduler.Decision{
-			Action: scheduler.ActionNone,
-			Reason: fmt.Sprintf("yielding idle pool to job %d (higher benefit per processor)", rival),
-		}
+		return scheduler.JobReason(scheduler.ActionNone, grid.Topology{}, scheduler.ReasonYield, rival)
 	}
 	return d
 }
@@ -275,18 +271,15 @@ func (a *BenefitRanked) shrink(snap scheduler.ClusterSnapshot, head scheduler.Qu
 		// donor finished, frees landed): re-pick the shallowest of the
 		// caller's shrink points that still covers it, never deeper than
 		// planned — coordinated shrinking frees exactly enough.
-		for _, p := range snap.Caller.Profile.ShrinkPoints(snap.Caller.Topo) {
+		var buf [16]grid.Topology
+		for _, p := range snap.Caller.Profile.AppendShrinkPoints(buf[:0], snap.Caller.Topo) {
 			if snap.Caller.Topo.Count()-p.Count() >= deficit && p.Count() >= target.Count() {
 				target = p
 				break
 			}
 		}
 		if target.Count() < snap.Caller.Topo.Count() {
-			return scheduler.Decision{
-				Action: scheduler.ActionShrink,
-				Target: target,
-				Reason: fmt.Sprintf("coordinated shrink to start queued job %d", head.ID),
-			}
+			return scheduler.JobReason(scheduler.ActionShrink, target, scheduler.ReasonCoordinatedShrink, head.ID)
 		}
 	}
 	if len(a.plan.demands) > 0 {

@@ -197,7 +197,7 @@ func TestRankedExpansionYieldsToHigherBenefit(t *testing.T) {
 	}
 	now++
 	da := contact(t, c, a, 100, now)
-	if da.Action != scheduler.ActionNone || !strings.Contains(da.Reason, "yielding idle pool to job 1") {
+	if da.Action != scheduler.ActionNone || !strings.Contains(da.Text(), "yielding idle pool to job 1") {
 		t.Fatalf("low-benefit job got %+v, want yield to job 1", da)
 	}
 	now++
@@ -334,7 +334,7 @@ func TestExemptRunnersNeverDrafted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dhi.Action != scheduler.ActionNone || dhi.Reason != "already at largest configuration" {
+	if dhi.Action != scheduler.ActionNone || dhi.Text() != "already at largest configuration" {
 		t.Fatalf("exempt runner got %+v, want the no-queue expand path", dhi)
 	}
 	// The draftable donor must be demanded even though the exempt runner
@@ -470,5 +470,44 @@ func TestBuildPlanAllocatesNothing(t *testing.T) {
 	}
 	if probe.allocs != 0 {
 		t.Errorf("building a plan over %d donors allocates %.2f times", len(jobs), probe.allocs)
+	}
+}
+
+// TestCodedReasonsAllocateNothing: a yield and a coordinated shrink carry
+// their job id as an operand, so deciding either over a hand-built
+// snapshot allocates nothing once the arbiter's scratch is warm.
+func TestCodedReasonsAllocateNothing(t *testing.T) {
+	measured := func(id int, topo grid.Topology, visits ...int) scheduler.ContactView {
+		p := scheduler.NewProfile()
+		for i, procs := range visits {
+			p.RecordIteration(grid.Topology{Rows: 1, Cols: procs}, 100-float64(10*i))
+		}
+		return scheduler.ContactView{ID: id, Topo: topo, Chain: chain1D(2, 4, 6, 8), Profile: p, RemainingIters: 10}
+	}
+	predict := func(jobID int, tp grid.Topology) (float64, bool) {
+		return 85 - 45*float64(jobID), tp.Count() == 6 // job 1 gains more
+	}
+	caller, rival := measured(0, chain1D(4)[0], 4), measured(1, chain1D(4)[0], 4)
+	donor := measured(0, chain1D(6)[0], 2, 4, 6)
+	for _, tc := range []struct {
+		name string
+		snap scheduler.ClusterSnapshot
+		want string
+	}{
+		{"yield", scheduler.ClusterSnapshot{Now: 1, Total: 16, Idle: 2, Caller: caller,
+			Cluster: scheduler.RunningViews{caller, rival}}, "yielding idle pool to job 1 (higher benefit per processor)"},
+		{"coordinated-shrink", scheduler.ClusterSnapshot{Now: 1, Total: 16, Idle: 4, Caller: donor,
+			Queued:  []scheduler.QueuedView{{ID: 9, Need: 12}},
+			Cluster: scheduler.RunningViews{donor}}, "coordinated shrink to start queued job 9"},
+	} {
+		a := &BenefitRanked{Predict: predict}
+		a.Decide(tc.snap)
+		var d scheduler.Decision
+		if allocs := testing.AllocsPerRun(100, func() { d = a.Decide(tc.snap) }); allocs != 0 {
+			t.Errorf("%s: %.2f allocations, want 0", tc.name, allocs)
+		}
+		if d.Text() != tc.want {
+			t.Errorf("%s: decided %+v, reading %q, want %q", tc.name, d, d.Text(), tc.want)
+		}
 	}
 }

@@ -287,7 +287,7 @@ func vetoTieAcrossBuckets(t *testing.T) {
 	// 4 idle: the caller's 2-proc step contends with both rivals' steps (3
 	// and 4 processors), whose gains are equal and higher than the caller's.
 	d := contact(t, c, caller, 100, 3)
-	if d.Action != scheduler.ActionNone || !strings.Contains(d.Reason, "yielding idle pool to job 1") {
+	if d.Action != scheduler.ActionNone || !strings.Contains(d.Text(), "yielding idle pool to job 1") {
 		t.Fatalf("caller got %+v, want a yield to job 1 (equal gain, lower id)", d)
 	}
 	if probe.checked == 0 {

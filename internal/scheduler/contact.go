@@ -551,16 +551,17 @@ func (r *runningSet) Running(id int) (ContactView, bool) {
 
 // applyDecision actuates an arbitration decision on the job. Expansions
 // take the delta from the core's idle counter *free; shrinks mark the
-// give-back as pending until ResizeComplete. It returns the decision
+// give-back as pending until ResizeComplete. It leaves in *d the decision
 // actually applied: an expansion the idle processors cannot cover degrades
 // to ActionNone instead of driving the counter negative (unreachable for
 // the fit-checked published policy).
-func (r *runningSet) applyDecision(j *Job, d Decision, free *int, record func(kind string)) Decision {
+func (r *runningSet) applyDecision(j *Job, d *Decision, free *int, record func(kind string)) {
 	switch d.Action {
 	case ActionExpand:
 		delta := d.Target.Count() - j.Topo.Count()
 		if delta > *free {
-			return Decision{Action: ActionNone, Reason: "idle processors claimed concurrently"}
+			*d = Decision{Action: ActionNone, Reason: "idle processors claimed concurrently"}
+			return
 		}
 		*free -= delta
 		r.retopo(j, d.Target)
@@ -572,7 +573,6 @@ func (r *runningSet) applyDecision(j *Job, d Decision, free *int, record func(ki
 		r.retopo(j, d.Target)
 		record("shrink")
 	}
-	return d
 }
 
 // finishResize records the redistribution cost of a completed resize in the

@@ -476,21 +476,33 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	} else {
 		d = c.defaultDecide(j)
 	}
-	return c.running.applyDecision(j, d, &c.free, func(kind string) { c.record(now, j, kind) }), nil
+	c.running.applyDecision(j, &d, &c.free, func(kind string) { c.record(now, j, kind) })
+	return d, nil
 }
 
 // ResizeComplete confirms that a granted resize finished: the redistribution
 // cost is recorded in the profiler and, for shrinks, the freed processors
 // return to the pool and queued jobs are scheduled onto them. It returns any
 // jobs started as a result. A redistribution time that is NaN, infinite or
-// negative is refused before the op is journaled.
+// negative, or a confirmation from a job that is not running or was granted
+// no resize, is refused before the op is journaled.
 func (c *Core) ResizeComplete(jobID int, redistTime float64, now float64) ([]*Job, error) {
+	return c.resizeComplete(jobID, redistTime, now, true)
+}
+
+// resizeComplete checks that a resize was granted only when live: a log
+// written before that check may hold a confirmation it refuses, and replay
+// applies it as it was applied then.
+func (c *Core) resizeComplete(jobID int, redistTime, now float64, live bool) ([]*Job, error) {
 	if err := checkTime(jobID, "redistribution time", redistTime); err != nil {
 		return nil, err
 	}
 	j := c.jobs.get(jobID)
 	if j == nil {
 		return nil, fmt.Errorf("scheduler: unknown job %d", jobID)
+	}
+	if live && (j.State != Running || !j.resizeFrom.IsValid()) {
+		return nil, fmt.Errorf("scheduler: job %d confirmed a resize while %v with none granted", jobID, j.State)
 	}
 	if err := c.journalOp(Op{Kind: OpResizeComplete, Now: now, JobID: jobID, RedistTime: redistTime}); err != nil {
 		return nil, err

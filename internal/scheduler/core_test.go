@@ -244,11 +244,8 @@ func TestPoolPartialRelease(t *testing.T) {
 		t.Fatalf("after release: free %d, want %d (a %d, b %d)", c.Free(), want, a.Topo.Count(), b.Topo.Count())
 	}
 	started, err := c.ResizeComplete(a.ID, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(started) != 0 || c.Free() != want {
-		t.Fatalf("repeated ResizeComplete released again: free %d, want %d", c.Free(), want)
+	if err == nil || len(started) != 0 || c.Free() != want {
+		t.Fatalf("repeated ResizeComplete: err %v, free %d, want a refusal and %d", err, c.Free(), want)
 	}
 	c.Finish(a.ID, 8)
 	c.Finish(b.ID, 9)
@@ -305,11 +302,12 @@ func TestServerLifecycleWithStarter(t *testing.T) {
 		mu.Unlock()
 		// Simulate a short run with one resize point.
 		ctx := context.Background()
-		if _, err := srv.Contact(ctx, j.ID, j.Topo, 0.01, 0); err != nil {
+		d, err := srv.Contact(ctx, j.ID, j.Topo, 0.01, 0)
+		if err != nil {
 			t.Errorf("contact: %v", err)
 		}
-		if err := srv.ResizeComplete(ctx, j.ID, 0.001); err != nil {
-			t.Errorf("resize complete: %v", err)
+		if err := srv.ResizeComplete(ctx, j.ID, 0.001); (err != nil) != (d.Action == ActionNone) {
+			t.Errorf("resize complete after %v: %v", d.Action, err)
 		}
 		if err := srv.JobEnd(ctx, j.ID); err != nil {
 			t.Errorf("job end: %v", err)

@@ -77,15 +77,15 @@ func recordReference() []byte {
 				j, _ := c.Job(pick)
 				var d Decision
 				d, err = c.Contact(pick, j.Topo, iter, 0, now)
-				r, ok := reasons[d.Reason]
+				r, ok := reasons[d.Text()]
 				if !ok {
 					r = len(reasons)
-					reasons[d.Reason] = r
-					fmt.Fprintf(&out, "reason r%d %q\n", r, d.Reason)
+					reasons[d.Text()] = r
+					fmt.Fprintf(&out, "reason r%d %q\n", r, d.Text())
 				}
 				line = fmt.Sprintf("contact %d %s %s r%d", pick, d.Action, d.Target, r)
 			case 2:
-				started, err = c.ResizeComplete(pick, red, now)
+				started, err = confirmResize(c, pick, red, now)
 				line = fmt.Sprintf("resized %d", pick)
 			case 3:
 				started, err = c.Finish(pick, now)
@@ -113,6 +113,24 @@ func recordReference() []byte {
 			strconv.FormatFloat(c.BusySeconds(now), 'g', -1, 64))
 	}
 	return out.Bytes()
+}
+
+// confirmResize sends a random op sequence's ResizeComplete. The reference
+// core took a confirmation from a running job that was granted no resize
+// as a no-op; Core refuses it instead, leaving the state alike, so such a
+// confirmation must fail and then reads as the reference's no-op. Any other
+// outcome is returned as is.
+func confirmResize(c *Core, jobID int, redistTime, now float64) ([]*Job, error) {
+	j := c.jobs.get(jobID)
+	granted := j == nil || j.resizeFrom.IsValid()
+	started, err := c.ResizeComplete(jobID, redistTime, now)
+	switch {
+	case granted:
+		return started, err
+	case err == nil:
+		return started, fmt.Errorf("job %d confirmed a resize it was not granted", jobID)
+	}
+	return nil, nil
 }
 
 // checkGolden holds got to testdata/name, reporting the first differing

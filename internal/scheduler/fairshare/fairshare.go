@@ -32,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/grid"
 	"repro/internal/scheduler"
 	"repro/internal/scheduler/arbiter"
 )
@@ -54,7 +55,15 @@ type FairShare struct {
 	Inner *arbiter.BenefitRanked
 
 	rows []tenantRow // shares scratch
+	// texts caches the reasons a (caller tenant, victim tenant) pair gives,
+	// built at the pair's first use so no decision formats them; past 4 096
+	// pairs it starts over.
+	texts map[[2]string]pairTexts
 }
+
+// pairTexts are the tenant level's two reasons for one caller tenant while
+// another tenant waits under its share: the draft and the expansion cap.
+type pairTexts struct{ draft, capped string }
 
 // tenantRow is one active tenant in a Decide call: its running processors
 // and its entitled share of the cluster.
@@ -147,11 +156,12 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 		// Convergence to the share is gradual by design — each contact
 		// re-evaluates usage, so the drafting stops the moment the tenant
 		// is back inside its entitlement.
-		if pts := snap.Caller.Profile.ShrinkPoints(snap.Caller.Topo); len(pts) > 0 {
+		var buf [16]grid.Topology
+		if pts := snap.Caller.Profile.AppendShrinkPoints(buf[:0], snap.Caller.Topo); len(pts) > 0 {
 			return scheduler.Decision{
 				Action: scheduler.ActionShrink,
 				Target: pts[0],
-				Reason: fmt.Sprintf("fair-share: tenant %q over weighted share while tenant %q waits under share", ct, victim),
+				Reason: a.pairText(ct, victim).draft,
 			}
 		}
 		return scheduler.Decision{
@@ -165,11 +175,30 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 		if float64(grown) > mine.share {
 			return scheduler.Decision{
 				Action: scheduler.ActionNone,
-				Reason: fmt.Sprintf("fair-share cap: expansion would exceed tenant %q share while tenant %q waits", ct, victim),
+				Reason: a.pairText(ct, victim).capped,
 			}
 		}
 	}
 	return d
+}
+
+// pairText returns the tenant level's reasons for a caller tenant while
+// victim waits, building and caching them at the pair's first use.
+func (a *FairShare) pairText(tenant, victim string) pairTexts {
+	key := [2]string{tenant, victim}
+	t, ok := a.texts[key]
+	if !ok {
+		tq, vq := strconv.Quote(tenant), strconv.Quote(victim)
+		t = pairTexts{
+			draft:  "fair-share: tenant " + tq + " over weighted share while tenant " + vq + " waits under share",
+			capped: "fair-share cap: expansion would exceed tenant " + tq + " share while tenant " + vq + " waits",
+		}
+		if a.texts == nil || len(a.texts) >= 1<<12 {
+			a.texts = make(map[[2]string]pairTexts)
+		}
+		a.texts[key] = t
+	}
+	return t
 }
 
 // shares lists the active tenants — the caller's, every tenant with running

@@ -1,7 +1,9 @@
 package fairshare
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -224,6 +226,63 @@ func TestParseWeights(t *testing.T) {
 	for _, bad := range []string{"a", "a=0", "a=-1", "a=x", "a=NaN,b=1", "a=Inf,b=1", "a=-Inf", "a=1,a=3"} {
 		if _, err := ParseWeights(bad); err == nil {
 			t.Fatalf("ParseWeights(%q) accepted", bad)
+		}
+	}
+}
+
+// TestPairTextMatchesFormat holds the tenant level's cached reasons to the
+// %q formats they replaced, for tenant names that need escaping.
+func TestPairTextMatchesFormat(t *testing.T) {
+	names := []string{"", "blue", `say "hi"`, `back\slash`, "naïve-租户", "bad\xff\xfeutf8", "tab\there"}
+	a := New(nil)
+	for _, tenant := range names {
+		for _, victim := range names {
+			got := a.pairText(tenant, victim)
+			if want := fmt.Sprintf("fair-share: tenant %q over weighted share while tenant %q waits under share", tenant, victim); got.draft != want {
+				t.Errorf("draft text %q, want %q", got.draft, want)
+			}
+			if want := fmt.Sprintf("fair-share cap: expansion would exceed tenant %q share while tenant %q waits", tenant, victim); got.capped != want {
+				t.Errorf("cap text %q, want %q", got.capped, want)
+			}
+		}
+	}
+}
+
+// TestTenantReasonsAllocateNothing: once a (tenant, victim) pair has given
+// a reason, the tenant level's draft and cap decide without allocating.
+func TestTenantReasonsAllocateNothing(t *testing.T) {
+	drafted := scheduler.ContactView{
+		ID: 0, Tenant: "noisy", Topo: topo(4, 6),
+		Chain:   []grid.Topology{topo(2, 6), topo(4, 6), topo(6, 6)},
+		Profile: prof(visit(topo(2, 6), 100), visit(topo(4, 6), 60)),
+	}
+	capped := scheduler.ContactView{
+		ID: 0, Tenant: "noisy", Priority: 1, Topo: topo(4, 4),
+		Chain:   []grid.Topology{topo(4, 4), topo(4, 5), topo(4, 8)},
+		Profile: prof(visit(topo(4, 4), 100)),
+	}
+	other := scheduler.ContactView{ID: 1, Tenant: "victim", Topo: topo(4, 4), Profile: scheduler.NewProfile()}
+	for _, tc := range []struct {
+		name string
+		snap scheduler.ClusterSnapshot
+		want scheduler.Action
+	}{
+		{"draft", over(scheduler.ClusterSnapshot{Now: 100, Total: 36, Idle: 12, Caller: drafted,
+			Queued: []scheduler.QueuedView{{ID: 1, Tenant: "victim", Need: 16, Submit: 95}}}, drafted), scheduler.ActionShrink},
+		{"cap", over(scheduler.ClusterSnapshot{Now: 100, Total: 36, Idle: 4, Caller: capped,
+			Queued: []scheduler.QueuedView{{ID: 2, Tenant: "victim", Need: 4, Submit: 95}}}, capped, other), scheduler.ActionNone},
+	} {
+		a := New(nil)
+		first := a.Decide(tc.snap)
+		if first.Action != tc.want || !strings.Contains(first.Text(), `tenant "victim"`) {
+			t.Fatalf("%s: decision %+v, want %v naming the victim", tc.name, first, tc.want)
+		}
+		var d scheduler.Decision
+		if allocs := testing.AllocsPerRun(100, func() { d = a.Decide(tc.snap) }); allocs != 0 {
+			t.Errorf("%s: %.2f allocations after the pair's first use, want 0", tc.name, allocs)
+		}
+		if d != first {
+			t.Errorf("%s: repeat decided %+v, first %+v", tc.name, d, first)
 		}
 	}
 }

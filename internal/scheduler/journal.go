@@ -125,7 +125,7 @@ func (c *Core) Apply(op Op) error {
 		_, err := c.Contact(op.JobID, op.Topo, op.IterTime, op.RedistTime, op.Now)
 		return err
 	case OpResizeComplete:
-		_, err := c.ResizeComplete(op.JobID, op.RedistTime, op.Now)
+		_, err := c.resizeComplete(op.JobID, op.RedistTime, op.Now, false)
 		return err
 	case OpFinish:
 		_, err := c.Finish(op.JobID, op.Now)

@@ -129,3 +129,41 @@ func TestPersistStateOrdersRedistPairsByKey(t *testing.T) {
 		t.Fatalf("live pairs %q, persisted %q: want the persisted ones sorted, %q", live, persisted, want)
 	}
 }
+
+// TestResizeCompleteAcrossRestoreAndReplay: a job persisted mid-resize
+// confirms on the restored core, recording the redistribution cost, and a
+// confirmation the live path refuses — as a log written before that check
+// may still hold one — replays as the no-op it was applied as.
+func TestResizeCompleteAcrossRestoreAndReplay(t *testing.T) {
+	c := NewCore(16, false)
+	j, _, err := c.Submit(spec("a", topo(1, 2), 8000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Contact(j.ID, j.Topo, 10, 0, 1)
+	if err != nil || d.Action != ActionExpand {
+		t.Fatalf("contact: %+v, %v", d, err)
+	}
+	restored, err := NewCoreFromState(c.PersistState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.ResizeComplete(j.ID, 0.5, 2); err != nil {
+		t.Fatalf("job restored mid-resize: %v", err)
+	}
+	rj, _ := restored.Job(j.ID)
+	if cost, ok := rj.Profile.RedistCost(topo(1, 2), d.Target); !ok || cost != 0.5 {
+		t.Fatalf("restored confirmation recorded %v, %v; want 0.5", cost, ok)
+	}
+	before := restored.PersistState()
+	op := Op{Kind: OpResizeComplete, Now: 3, JobID: j.ID, RedistTime: 0.7}
+	if _, err := restored.ResizeComplete(op.JobID, op.RedistTime, op.Now); err == nil {
+		t.Fatal("a second confirmation was accepted")
+	}
+	if err := restored.Apply(op); err != nil {
+		t.Fatalf("replaying an old log's second confirmation: %v", err)
+	}
+	if after := restored.PersistState(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the replayed confirmation changed the state:\n%+v\n%+v", before, after)
+	}
+}

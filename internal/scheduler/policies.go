@@ -1,6 +1,9 @@
 package scheduler
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Policy decides what happens at a resize point. The Core uses PaperPolicy
 // by default; alternative policies implement the strategies the paper
@@ -52,8 +55,7 @@ func (p ThresholdPolicy) Decide(in RemapInput) Decision {
 				Reason: "expansion degraded iteration time"}
 		}
 		if gain < p.MinImprovement {
-			return Decision{Action: ActionShrink, Target: before.Topo,
-				Reason: fmt.Sprintf("expansion gain %.1f%% below threshold", 100*gain)}
+			return GainReason(ActionShrink, before.Topo, ReasonBelowThreshold, gain)
 		}
 	}
 	return Decide(in)
@@ -108,9 +110,9 @@ func (p CostAwarePolicy) Decide(in RemapInput) Decision {
 			Reason: "cost-aware: no expected per-iteration benefit"}
 	}
 	if cost > perIter*float64(in.RemainingIters) {
-		return Decision{Action: ActionNone,
-			Reason: fmt.Sprintf("cost-aware: redistribution %.1fs exceeds %.1fs amortizable benefit",
-				cost, perIter*float64(in.RemainingIters))}
+		return Decision{Action: ActionNone, Reason: "cost-aware: redistribution " +
+			strconv.FormatFloat(cost, 'f', 1, 64) + "s exceeds " +
+			strconv.FormatFloat(perIter*float64(in.RemainingIters), 'f', 1, 64) + "s amortizable benefit"}
 	}
 	return d
 }

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -66,6 +67,9 @@ func TestCostAwareVetoesUnamortizableExpansion(t *testing.T) {
 	d := CostAwarePolicy{}.Decide(in)
 	if d.Action != ActionNone {
 		t.Fatalf("cost-aware %+v, want veto", d)
+	}
+	if want := fmt.Sprintf("cost-aware: redistribution %.1fs exceeds %.1fs amortizable benefit", 100.0, 15.0); d.Text() != want {
+		t.Fatalf("cost-aware veto reads %q, want %q", d.Text(), want)
 	}
 	// With 100 iterations remaining the same expansion is worth it.
 	in.RemainingIters = 100

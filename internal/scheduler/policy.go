@@ -1,9 +1,14 @@
 package scheduler
 
-import "repro/internal/grid"
+import (
+	"math"
+	"strconv"
+
+	"repro/internal/grid"
+)
 
 // Action is the Remap Scheduler's verdict at a resize point.
-type Action int
+type Action uint8
 
 const (
 	// ActionNone continues on the current processor set.
@@ -27,10 +32,71 @@ func (a Action) String() string {
 }
 
 // Decision is the Remap Scheduler's response to a contact_scheduler call.
+// Its reason is text that costs nothing to set (Reason), or a Code and one
+// operand rendered only when read, so no decision formats text (48 bytes,
+// TestDecisionSize).
 type Decision struct {
 	Action Action
+	Code   ReasonCode    // ReasonText: Reason is the whole text
 	Target grid.Topology // meaningful for Expand/Shrink
-	Reason string        // human-readable policy trace
+	Reason string
+	arg    uint64 // Code's operand: a job id, or a gain's IEEE-754 bits
+}
+
+// ReasonCode names a reason that AppendText renders around an operand.
+type ReasonCode uint8
+
+const (
+	ReasonText              ReasonCode = iota // no operand
+	ReasonYield                               // the rival given the idle pool (job id)
+	ReasonCoordinatedShrink                   // the queued head the caller donates to (job id)
+	ReasonPlannedShrink                       // a rebalancer directive's net gain (seconds)
+	ReasonPlannedExpand                       // a rebalancer directive's net gain (seconds)
+	ReasonBelowThreshold                      // ThresholdPolicy's relative expansion gain
+)
+
+// JobReason and GainReason return a decision whose reason is code's text
+// around a job id or a gain.
+func JobReason(a Action, target grid.Topology, code ReasonCode, jobID int) Decision {
+	return Decision{Action: a, Code: code, Target: target, arg: uint64(jobID)}
+}
+
+func GainReason(a Action, target grid.Topology, code ReasonCode, gain float64) Decision {
+	return Decision{Action: a, Code: code, Target: target, arg: math.Float64bits(gain)}
+}
+
+// Text renders the decision's reason.
+//
+//lint:allow testonly oracle: the decision traces, TestDecisionTextMatchesFormat and the arbiter tests read reasons through it; the wire renders with AppendText
+func (d Decision) Text() string {
+	if d.Code == ReasonText {
+		return d.Reason
+	}
+	var buf [128]byte
+	return string(d.AppendText(buf[:0]))
+}
+
+// AppendText appends the decision's reason to b, byte for byte the text
+// Text returns.
+func (d Decision) AppendText(b []byte) []byte {
+	id, gain := int64(d.arg), math.Float64frombits(d.arg)
+	switch d.Code {
+	case ReasonYield:
+		b = strconv.AppendInt(append(b, "yielding idle pool to job "...), id, 10)
+		return append(b, " (higher benefit per processor)"...)
+	case ReasonCoordinatedShrink:
+		return strconv.AppendInt(append(b, "coordinated shrink to start queued job "...), id, 10)
+	case ReasonPlannedShrink:
+		b = strconv.AppendFloat(append(b, "rebalance: planned shrink (past fitted knee, net gain "...), gain, 'g', 3, 64)
+		return append(b, "s)"...)
+	case ReasonPlannedExpand:
+		b = strconv.AppendFloat(append(b, "rebalance: planned expansion (net gain "...), gain, 'g', 3, 64)
+		return append(b, "s)"...)
+	case ReasonBelowThreshold:
+		b = strconv.AppendFloat(append(b, "expansion gain "...), 100*gain, 'f', 1, 64)
+		return append(b, "% below threshold"...)
+	}
+	return append(b, d.Reason...)
 }
 
 // RemapInput gathers everything the published policy (§3.1) consults at a

@@ -41,7 +41,6 @@
 package rebalance
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -168,18 +167,10 @@ func (r *Rebalancer) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 			delete(r.directives, snap.Caller.ID)
 		} else if !d.Expand() {
 			delete(r.directives, snap.Caller.ID)
-			return scheduler.Decision{
-				Action: scheduler.ActionShrink,
-				Target: d.To,
-				Reason: fmt.Sprintf("rebalance: planned shrink (past fitted knee, net gain %.3gs)", d.Gain),
-			}
+			return scheduler.GainReason(scheduler.ActionShrink, d.To, scheduler.ReasonPlannedShrink, d.Gain)
 		} else if free := r.grantable(snap); d.To.Count()-d.From.Count() <= free {
 			delete(r.directives, snap.Caller.ID)
-			return scheduler.Decision{
-				Action: scheduler.ActionExpand,
-				Target: d.To,
-				Reason: fmt.Sprintf("rebalance: planned expansion (net gain %.3gs)", d.Gain),
-			}
+			return scheduler.GainReason(scheduler.ActionExpand, d.To, scheduler.ReasonPlannedExpand, d.Gain)
 		}
 		// An expansion that no longer fits the grantable pool stays
 		// pending — the processors it was planned against are in flight

@@ -1,6 +1,7 @@
 package rebalance
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -297,6 +298,41 @@ func TestRebalanceScratchNotAliased(t *testing.T) {
 			!slices.Equal(got.rungs, want.rungs) || !slices.Equal(got.shrinks, want.shrinks) ||
 			!slices.Equal(got.measured, want.measured) || !slices.Equal(got.redist, want.redist) {
 			t.Fatalf("view %d carries residue of an earlier tick:\n reused %+v\n fresh  %+v", i, *got, *want)
+		}
+	}
+}
+
+// TestPlannedMovesAllocateNothing: delivering a planned shrink or expansion
+// carries the directive's gain as an operand, so it allocates nothing, and
+// the reason reads as the planned move.
+func TestPlannedMovesAllocateNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		j    scheduler.ContactView
+		want string
+	}{
+		{"shrink", runningJob(1, 1, []int{4, 8, 16}, [][2]float64{{4, 10}, {8, 7}, {16, 9}}, 40),
+			"rebalance: planned shrink (past fitted knee, net gain %.3gs)"},
+		{"expand", runningJob(1, 1, []int{4, 8, 16}, [][2]float64{{4, 16}, {8, 8}}, 100),
+			"rebalance: planned expansion (net gain %.3gs)"},
+	} {
+		r := New(nil)
+		r.Rebalance(snapOf(16, 64, nil, tc.j))
+		ds := r.Directives()
+		if len(ds) != 1 {
+			t.Fatalf("%s: want one directive, got %+v", tc.name, ds)
+		}
+		snap := snapOf(16, 64, nil, tc.j)
+		snap.Caller = tc.j
+		var d scheduler.Decision
+		if allocs := testing.AllocsPerRun(100, func() {
+			r.directives[tc.j.ID] = ds[0]
+			d = r.Decide(snap)
+		}); allocs != 0 {
+			t.Errorf("%s: %.2f allocations per delivery, want 0", tc.name, allocs)
+		}
+		if want := fmt.Sprintf(tc.want, ds[0].Gain); d.Target != ds[0].To || d.Text() != want {
+			t.Errorf("%s: delivered %+v reading %q, want %v reading %q", tc.name, d, d.Text(), ds[0].To, want)
 		}
 	}
 }

@@ -79,8 +79,8 @@ func countingJournal(core *Core) func(OpKind) int {
 }
 
 // TestServerRefusesBadTimes reports NaN, +Inf and -1 as a contact's
-// iteration and redistribution time and as a resize's redistribution time:
-// each call fails, and none reaches the journal.
+// iteration and redistribution time and as a granted resize's
+// redistribution time: each call fails, and none reaches the journal.
 func TestServerRefusesBadTimes(t *testing.T) {
 	ctx := context.Background()
 	core := NewCore(8, true)
@@ -97,15 +97,57 @@ func TestServerRefusesBadTimes(t *testing.T) {
 		if _, err := srv.Contact(ctx, id, topo(1, 2), 1, bad); err == nil {
 			t.Errorf("contact with redistribution time %v accepted", bad)
 		}
+	}
+	if n := journaled(OpContact); n != 0 {
+		t.Fatalf("refused calls journaled %d contacts", n)
+	}
+	if d, err := srv.Contact(ctx, id, topo(1, 2), 1, 0); err != nil || d.Action != ActionExpand || journaled(OpContact) != 1 {
+		t.Fatalf("a good contact: %+v, err %v, %d journaled", d, err, journaled(OpContact))
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
 		if err := srv.ResizeComplete(ctx, id, bad); err == nil {
 			t.Errorf("resize completion with redistribution time %v accepted", bad)
 		}
 	}
-	if n, m := journaled(OpContact), journaled(OpResizeComplete); n != 0 || m != 0 {
-		t.Fatalf("refused calls journaled %d contacts and %d resize completions", n, m)
+	if n := journaled(OpResizeComplete); n != 0 {
+		t.Fatalf("refused calls journaled %d resize completions", n)
 	}
-	if _, err := srv.Contact(ctx, id, topo(1, 2), 1, 0); err != nil || journaled(OpContact) != 1 {
-		t.Fatalf("a good contact: err %v, %d journaled", err, journaled(OpContact))
+}
+
+// TestServerRefusesUngrantedResizeComplete confirms a resize for a running
+// job that was granted none, for a queued job and for a finished one: each
+// call fails and none reaches the journal.
+func TestServerRefusesUngrantedResizeComplete(t *testing.T) {
+	ctx := context.Background()
+	core := NewCore(4, false)
+	journaled := countingJournal(core)
+	srv := NewServerCore(core, nil)
+	running, err := srv.Submit(ctx, spec("running", topo(1, 4), 8000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := srv.Submit(ctx, spec("queued", topo(1, 2), 8000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := func(what string, id int) {
+		t.Helper()
+		if err := srv.ResizeComplete(ctx, id, 0.5); err == nil {
+			t.Errorf("%s job %d confirmed a resize it was never granted", what, id)
+		}
+	}
+	refuse("running", running)
+	refuse("queued", queued)
+	if d, err := srv.Contact(ctx, running, topo(1, 4), 1, 0); err != nil || d.Action != ActionNone {
+		t.Fatalf("contact on a full pool: %+v, %v", d, err)
+	}
+	refuse("running", running)
+	if err := srv.JobEnd(ctx, running); err != nil {
+		t.Fatal(err)
+	}
+	refuse("finished", running)
+	if n := journaled(OpResizeComplete); n != 0 {
+		t.Fatalf("refused confirmations journaled %d records", n)
 	}
 }
 

@@ -24,7 +24,7 @@ type traceLog struct{ bytes.Buffer }
 
 func (l *traceLog) decision(snap scheduler.ClusterSnapshot, d scheduler.Decision) {
 	fmt.Fprintf(l, "%s job=%d %s %s %q\n",
-		strconv.FormatFloat(snap.Now, 'g', -1, 64), snap.Caller.ID, d.Action, d.Target, d.Reason)
+		strconv.FormatFloat(snap.Now, 'g', -1, 64), snap.Caller.ID, d.Action, d.Target, d.Text())
 }
 
 // build is modes.Build for a test: an unknown mode fails it.
