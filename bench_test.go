@@ -22,7 +22,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
 	"repro/internal/redistrib"
-	"repro/internal/resize"
 	"repro/internal/scheduler"
 	"repro/internal/scheduler/fairshare"
 	"repro/internal/scheduler/modes"
@@ -402,9 +401,9 @@ func BenchmarkRealRedistribute1D(b *testing.B) {
 // ranks: three arrays over one grid pair in one execution, with msgs/op
 // counting the fused messages (9 on the expansion, 32 on the shrink; one
 // execution per array would send 3x as many). MB/s and B/op track how
-// often each byte is touched: session-oscillate drives a real
-// resize.Session back and forth between two grids, where recycled pieces
-// and pooled wire buffers should leave B/op far below the bytes moved.
+// often each byte is touched. pkg/reshape's BenchmarkRedistribute adds the
+// session-oscillate row: the same arrays resized back and forth by a job's
+// ranks.
 func BenchmarkRedistribute(b *testing.B) {
 	const m, nb = 240, 8
 	mkCase := func(nArrays int, from, to grid.Topology) ([]blockcyclic.Layout, []blockcyclic.Layout, [][]*blockcyclic.Matrix, int) {
@@ -466,54 +465,6 @@ func BenchmarkRedistribute(b *testing.B) {
 			b.ReportMetric(float64(msgs.Load())/float64(b.N), "msgs/op")
 		})
 	}
-	b.Run("session-oscillate", func(b *testing.B) {
-		small, large := grid.Topology{Rows: 2, Cols: 2}, grid.Topology{Rows: 3, Cols: 3}
-		cycle := func(s *resize.Session) error {
-			if err := s.RedistributeAll(small, large); err != nil {
-				return err
-			}
-			return s.RedistributeAll(large, small)
-		}
-		// One op is a full cycle: every array crosses the wire twice.
-		b.SetBytes(int64(2 * nArrays * m * m * 8))
-		b.ReportAllocs()
-		err := mpi.Run(large.Count(), func(c *mpi.Comm) error {
-			s, err := resize.NewSession(resize.NullClient{}, 1, c, small, nil)
-			if err != nil {
-				return err
-			}
-			for a := 0; a < nArrays; a++ {
-				arr := &resize.Array{Name: string(rune('A' + a)), M: m, N: m, MB: nb, NB: nb}
-				if c.Rank() < small.Count() {
-					arr.Data = make([]float64, arr.LayoutFor(small).LocalSize(c.Rank()))
-				}
-				s.RegisterArray(arr)
-			}
-			// Warm-up: plans cached, spares and wire buffers in place.
-			for i := 0; i < 3; i++ {
-				if err := cycle(s); err != nil {
-					return err
-				}
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				b.ResetTimer()
-			}
-			for i := 0; i < b.N; i++ {
-				if err := cycle(s); err != nil {
-					return err
-				}
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				b.StopTimer()
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
 	// Plan-construction cost the process-wide plan cache amortizes away on
 	// repeated oscillation between the same grid pair.
 	b.Run("plan-build-3arrays", func(b *testing.B) {

@@ -3,8 +3,8 @@
 // SUMMA matrix-matrix multiplication (PDGEMM), a dense iterative Jacobi
 // solver, a 2-D FFT image transform, and a synthetic master-worker
 // application with fixed-time work units. All are resizable: they register
-// their global arrays with the resize session and call Resize at the end of
-// every outer iteration.
+// their global arrays with the SDK's Context and reach a resize point at the
+// end of every outer iteration.
 package apps
 
 import (

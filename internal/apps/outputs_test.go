@@ -67,7 +67,7 @@ func (f *finalArrays) Iterate(rc *reshape.Context) error {
 	if rc.Iter() != f.last || rc.Rank() >= rc.Topo().Count() {
 		return nil
 	}
-	for _, a := range rc.Session().Arrays() {
+	for _, a := range rc.Arrays() {
 		l := a.LayoutFor(rc.Topo())
 		f.mu.Lock()
 		g := f.global[a.Name]

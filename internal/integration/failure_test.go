@@ -9,30 +9,24 @@ import (
 	"repro/internal/apps"
 	"repro/internal/durability"
 	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/reshape"
-	"repro/internal/resize"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
+	sdk "repro/pkg/reshape"
 )
 
-// crashingWorker fails after two iterations, exercising the System
-// Monitor's job-error recovery path end to end. All ranks fail together —
-// just as an MPI job aborts as a whole when one process dies.
-func crashingWorker(s *resize.Session) error {
-	for s.Iter() < 10 {
-		if s.Iter() == 2 {
-			return fmt.Errorf("injected fault at iteration %d on rank %d", s.Iter(), s.Comm().Rank())
-		}
-		st, err := s.ResizeAveraged(0.001)
-		if err != nil {
-			return err
-		}
-		if st == resize.Retired {
-			return nil
-		}
+// crashingApp fails at iteration 2, exercising the System Monitor's
+// job-error recovery path end to end. All ranks fail together — just as an
+// MPI job aborts as a whole when one process dies.
+type crashingApp struct{}
+
+func (crashingApp) Init(*sdk.Context) error { return nil }
+
+func (crashingApp) Iterate(rc *sdk.Context) error {
+	if rc.Iter() == 2 {
+		return fmt.Errorf("injected fault at iteration %d on rank %d", rc.Iter(), rc.Rank())
 	}
-	return s.Done()
+	return nil
 }
 
 func TestJobErrorRecoversProcessorsAndStartsQueue(t *testing.T) {
@@ -40,14 +34,8 @@ func TestJobErrorRecoversProcessorsAndStartsQueue(t *testing.T) {
 	srv = scheduler.NewServer(4, false, func(j *scheduler.Job) {
 		switch j.Spec.Name {
 		case "crasher":
-			world := mpi.NewWorld()
-			err := world.Run(j.Topo.Count(), func(c *mpi.Comm) error {
-				sess, err := resize.NewSession(srv, j.ID, c, j.Topo, crashingWorker)
-				if err != nil {
-					return err
-				}
-				return crashingWorker(sess)
-			})
+			_, err := sdk.Run(context.Background(), crashingApp{},
+				sdk.WithScheduler(srv), sdk.WithJobID(j.ID), sdk.WithTopology(j.Topo), sdk.WithMaxIterations(10))
 			if err == nil {
 				t.Error("crasher should have failed")
 			}

@@ -103,7 +103,7 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 		return fmt.Errorf("running set counts %d jobs, the Running jobs are %v", c.running.count, running)
 	}
 	for _, j := range jobs {
-		if j.State == Running && len(j.Profile.ShrinkPoints(j.Topo)) > 0 {
+		if j.State == Running && len(j.Profile.AppendShrinkPoints(nil, j.Topo)) > 0 {
 			shrinkable = append(shrinkable, j.ID)
 		}
 		if j.shrinkable {
@@ -280,7 +280,7 @@ func (a *diceArbiter) Decide(snap ClusterSnapshot) Decision {
 			return Decision{Action: ActionExpand, Target: next}
 		}
 	case 1:
-		if pts := snap.Caller.Profile.ShrinkPoints(snap.Caller.Topo); len(pts) > 0 {
+		if pts := snap.Caller.Profile.AppendShrinkPoints(nil, snap.Caller.Topo); len(pts) > 0 {
 			return Decision{Action: ActionShrink, Target: pts[a.rng.Intn(len(pts))]}
 		}
 	}

@@ -86,7 +86,8 @@ type ClusterView interface {
 	EachRunning(yield func(*ContactView) bool)
 	// EachShrinkable yields, in the same order and under the same rule, the
 	// running jobs that have visited a configuration smaller than their
-	// current one — exactly those with len(Profile.ShrinkPoints(Topo)) > 0.
+	// current one — exactly those whose Profile.AppendShrinkPoints(nil,
+	// Topo) is not empty.
 	EachShrinkable(yield func(*ContactView) bool)
 	// EachExpandable yields, under the same rule, the running jobs whose next
 	// chain step adds between lo and hi processors inclusive — exactly those

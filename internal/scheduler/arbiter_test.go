@@ -234,7 +234,7 @@ func TestTruncatedWindowNeverOverShrinks(t *testing.T) {
 	// The largest shrink point covering the head alone is the right target;
 	// anything deeper would be over-shrinking for jobs the policy cannot
 	// even see past the window.
-	pts := j.Profile.ShrinkPoints(j.Topo)
+	pts := j.Profile.AppendShrinkPoints(nil, j.Topo)
 	if len(pts) < 2 {
 		t.Fatalf("setup: only %d shrink points", len(pts))
 	}

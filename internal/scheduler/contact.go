@@ -227,7 +227,7 @@ func (c *Core) defaultDecide(j *Job) Decision {
 //	count              == |{j : j.State == Running}|
 //	Σ active[i].procs  == Σ Topo.Count() over the running jobs
 //	pendingFree        == Σ pendingFree over the running jobs
-//	j.shrinkable       ⇔ j is running and len(j.Profile.ShrinkPoints(j.Topo)) > 0
+//	j.shrinkable       ⇔ j is running and j.Profile.AppendShrinkPoints(nil, j.Topo) is not empty
 //	j in jobs          ⇔ j is running
 //	j in shrinkable    ⇔ j.shrinkable
 //	j in expandable[Δ] ⇔ NextInChain(j.Spec.Chain, j.Topo) adds Δ processors

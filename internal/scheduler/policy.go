@@ -137,7 +137,8 @@ func Decide(in RemapInput) Decision {
 
 	// Queue pressure: try to accommodate the first waiting job.
 	if in.HeadNeed > 0 {
-		pts := prof.ShrinkPoints(cur)
+		var buf [16]grid.Topology
+		pts := prof.AppendShrinkPoints(buf[:0], cur)
 		if len(pts) == 0 {
 			return Decision{Action: ActionNone, Reason: "queue waiting but no shrink points"}
 		}

@@ -130,6 +130,26 @@ func TestDecideShrinkToSmallestWhenInsufficient(t *testing.T) {
 	}
 }
 
+// TestDecideQueuePressureAllocatesNothing: the published policy reads the
+// shrink points into a stack buffer, so a queue-pressure contact makes no
+// allocation.
+func TestDecideQueuePressureAllocatesNothing(t *testing.T) {
+	p := profileWith(
+		Visit{Topo: topo(2, 2), IterTimes: []float64{100}},
+		Visit{Topo: topo(2, 3), IterTimes: []float64{80}},
+		Visit{Topo: topo(3, 3), IterTimes: []float64{70}},
+		Visit{Topo: topo(3, 4), IterTimes: []float64{65}},
+	)
+	in := RemapInput{Current: topo(3, 4), Chain: chain12000(), Profile: p, IdleProcs: 1, HeadNeed: 4}
+	var d Decision
+	if allocs := testing.AllocsPerRun(100, func() { d = Decide(in) }); allocs != 0 {
+		t.Errorf("queue-pressure Decide: %.2f allocations, want 0", allocs)
+	}
+	if d.Action != ActionShrink || d.Target != topo(3, 3) {
+		t.Fatalf("decision %+v, want shrink to 3x3", d)
+	}
+}
+
 func TestDecideQueuedButNoShrinkPoints(t *testing.T) {
 	// A job still at its starting configuration cannot shrink.
 	p := profileWith(Visit{Topo: topo(2, 2), IterTimes: []float64{100}})
@@ -176,7 +196,7 @@ func TestProfileShrinkPointsSortedDescending(t *testing.T) {
 		Visit{Topo: topo(2, 3), IterTimes: []float64{1}},
 		Visit{Topo: topo(1, 2), IterTimes: []float64{1}}, // revisit: no duplicate
 	)
-	pts := p.ShrinkPoints(topo(3, 3))
+	pts := p.AppendShrinkPoints(nil, topo(3, 3))
 	if len(pts) != 3 || pts[0] != topo(2, 3) || pts[1] != topo(2, 2) || pts[2] != topo(1, 2) {
 		t.Fatalf("shrink points %v", pts)
 	}
@@ -205,8 +225,8 @@ func TestAppendShrinkPointsMatchesSortSlice(t *testing.T) {
 			}
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].Count() > want[j].Count() })
-		if got := p.ShrinkPoints(cur); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: ShrinkPoints(%v) = %v, sort.Slice gave %v", trial, cur, got, want)
+		if got := p.AppendShrinkPoints(nil, cur); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: AppendShrinkPoints(nil, %v) = %v, sort.Slice gave %v", trial, cur, got, want)
 		}
 		prefix := []grid.Topology{topo(9, 9), topo(1, 1)}
 		got := p.AppendShrinkPoints(prefix, cur)

@@ -187,16 +187,11 @@ func (p *Profile) LastExpansion() (before, after *Visit, ok bool) {
 	return nil, nil, false
 }
 
-// ShrinkPoints returns the distinct previously visited configurations
-// strictly smaller than cur, sorted by descending processor count (the
-// least-damaging shrink first). Applications can only shrink to
-// configurations on which they have previously run.
-func (p *Profile) ShrinkPoints(cur grid.Topology) []grid.Topology {
-	return p.AppendShrinkPoints(nil, cur)
-}
-
-// AppendShrinkPoints appends ShrinkPoints(cur) to dst, for callers that keep
-// the storage (the planning tick asks once per running job).
+// AppendShrinkPoints appends to dst the job's shrink points: the distinct
+// previously visited configurations strictly smaller than cur, sorted by
+// descending processor count (the least-damaging shrink first).
+// Applications can only shrink to configurations on which they have
+// previously run. Callers pass storage they keep, or a stack buffer.
 func (p *Profile) AppendShrinkPoints(dst []grid.Topology, cur grid.Topology) []grid.Topology {
 	// Deduplicate by linear scan and order by stable insertion: a job visits
 	// a handful of chain configurations, so this beats a map and a

@@ -47,13 +47,12 @@
 // client (internal/reshape) both satisfy the full resize.Scheduler
 // interface, so applications are transport-agnostic.
 //
-// Layering: App → Run → resize.Session → scheduler (see DESIGN.md, "The
-// application SDK"). The Context is a thin adapter over resize.Session;
-// Session (and the advanced per-stage API it exposes) remains available
-// through Context.Session for code that needs the mechanism directly.
+// Layering: App → Run → scheduler (see DESIGN.md, "The application SDK").
+// Each rank's Context is also the resizing library: it contacts the
+// scheduler, spawns or retires ranks and redistributes the arrays.
 //
 // App implementations are shared by every rank (ranks are goroutines of
 // one process), so they must be safe for concurrent method calls; keep
-// rank-local state in the Context's session — registered arrays and
+// rank-local state in the Context — registered arrays and
 // replicated buffers — not in App struct fields.
 package reshape

@@ -36,7 +36,8 @@ type Option func(*config)
 // capability. The in-process scheduler.Server and the rpc/v2 client
 // (internal/reshape) both implement the full resize.Scheduler interface
 // and are interchangeable here. Without this option the run uses
-// resize.NullClient and never resizes (static execution).
+// resize.NullClient and never resizes (static execution); Run refuses a
+// nil client.
 func WithScheduler(c resize.Client) Option { return func(o *config) { o.client = c } }
 
 // WithJobID sets the scheduler job id reported from resize points.

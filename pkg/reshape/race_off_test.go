@@ -1,5 +1,5 @@
 //go:build !race
 
-package resize
+package reshape
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package resize
+package reshape
 
 // raceEnabled reports that the race detector is on; its instrumentation
 // may allocate, so exact zero-allocation counts are not asserted under it.

@@ -8,15 +8,22 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/perfmodel"
-	"repro/internal/resize"
 )
+
+// Record is one entry of the iteration log.
+type Record struct {
+	Iter      int
+	Topo      grid.Topology
+	AvgTime   float64
+	RedistSec float64
+}
 
 // Report is what Run returns once every rank has finished: rank 0's view
 // of the completed execution.
 type Report struct {
 	// Records is the iteration log: one entry per outer iteration with the
 	// topology it ran on and the grid-averaged time.
-	Records []resize.IterationRecord
+	Records []Record
 	// Iterations is the number of completed outer iterations.
 	Iterations int
 	// FinalTopo is the topology the application finished on.
@@ -49,6 +56,9 @@ func Run(ctx context.Context, app App, opts ...Option) (*Report, error) {
 	for _, opt := range opts {
 		opt(cfg)
 	}
+	if cfg.client == nil {
+		return nil, fmt.Errorf("reshape: WithScheduler needs a non-nil client")
+	}
 	if cfg.topo.Count() <= 0 {
 		return nil, fmt.Errorf("reshape: topology %v has no processors", cfg.topo)
 	}
@@ -63,26 +73,25 @@ func Run(ctx context.Context, app App, opts ...Option) (*Report, error) {
 	var mu sync.Mutex
 	var rep *Report
 	err := mpi.Run(cfg.topo.Count(), func(c *mpi.Comm) error {
-		s, err := resize.NewSession(cfg.client, cfg.jobID, c, cfg.topo, r.worker())
+		rc, err := r.newContext(c, cfg.topo)
 		if err != nil {
-			return fmt.Errorf("reshape: session: %w", err)
+			return fmt.Errorf("reshape: grid: %w", err)
 		}
-		rc := &Context{s: s}
 		if err := app.Init(rc); err != nil {
 			return fmt.Errorf("reshape: init: %w", err)
 		}
 		if c.Rank() == 0 {
-			r.emit(Event{Kind: EventInit, Topo: s.Topo()})
+			r.emit(Event{Kind: EventInit, Topo: rc.topo})
 		}
 		if err := r.loop(rc); err != nil {
 			return err
 		}
 		// Original rank 0 survives every expansion (parents precede
 		// children in the merged communicator) and every shrink (survivor
-		// prefix), so its session holds the authoritative record.
-		if s.Comm().Rank() == 0 {
+		// prefix), so its context holds the authoritative record.
+		if rc.comm.Rank() == 0 {
 			mu.Lock()
-			rep = report(s, rc.resizes)
+			rep = rc.report()
 			mu.Unlock()
 		}
 		return nil
@@ -96,26 +105,19 @@ func Run(ctx context.Context, app App, opts ...Option) (*Report, error) {
 	return rep, nil
 }
 
-// report snapshots rank 0's session into a Report. resizes is the
+// report snapshots rank 0's context into a Report. Resizes is the
 // topology-change count rank 0's loop witnessed — it cannot be derived
 // from the redistribution observations, which stay empty for applications
 // with no registered arrays.
-func report(s *resize.Session, resizes int) *Report {
-	rep := &Report{
-		Records:            append([]resize.IterationRecord{}, s.LogRecords()...),
-		Iterations:         s.Iter(),
-		FinalTopo:          s.Topo(),
-		Resizes:            resizes,
-		Replicated:         map[string][]float64{},
-		RedistObservations: append([]perfmodel.RedistObservation{}, s.RedistObservations()...),
+func (rc *Context) report() *Report {
+	return &Report{
+		Records:            append([]Record{}, rc.log...),
+		Iterations:         rc.iter,
+		FinalTopo:          rc.topo,
+		Resizes:            rc.resizes,
+		Replicated:         copyReplicated(rc.replicated),
+		RedistObservations: append([]perfmodel.RedistObservation{}, rc.redistObs...),
 	}
-	for _, name := range s.ReplicatedNames() {
-		v := s.Replicated(name)
-		cp := make([]float64, len(v))
-		copy(cp, v)
-		rep.Replicated[name] = cp
-	}
-	return rep
 }
 
 // runner drives one Run: the shared configuration and the cancellation
@@ -134,93 +136,85 @@ func (r *runner) emit(ev Event) {
 	}
 }
 
-// worker is the entry point for ranks spawned by an expansion: give the
+// joined is the entry point for ranks spawned by an expansion: give the
 // app its OnResize(Joined) notification and join the iteration loop.
-func (r *runner) worker() resize.Worker {
-	return func(s *resize.Session) error {
-		rc := &Context{s: s}
-		if h, ok := r.app.(ResizeHandler); ok {
-			ev := ResizeEvent{Kind: Joined, To: s.Topo(), Iter: s.Iter()}
-			if err := h.OnResize(rc, ev); err != nil {
-				return fmt.Errorf("reshape: on-resize (joined): %w", err)
-			}
+func (r *runner) joined(rc *Context) error {
+	if h, ok := r.app.(ResizeHandler); ok {
+		ev := ResizeEvent{Kind: Joined, To: rc.topo, Iter: rc.iter}
+		if err := h.OnResize(rc, ev); err != nil {
+			return fmt.Errorf("reshape: on-resize (joined): %w", err)
 		}
-		return r.loop(rc)
 	}
+	return r.loop(rc)
 }
 
 // cancelled collectively agrees on ctx cancellation: rank 0 observes the
 // context and broadcasts the verdict so every rank leaves the loop at the
 // same iteration boundary (a rank returning alone would strand the others
 // in collectives). Skipped entirely for non-cancellable contexts.
-func (r *runner) cancelled(s *resize.Session) bool {
+func (r *runner) cancelled(comm *mpi.Comm) bool {
 	if r.ctx.Done() == nil {
 		return false
 	}
 	flag := 0
-	if s.Comm().Rank() == 0 && r.ctx.Err() != nil {
+	if comm.Rank() == 0 && r.ctx.Err() != nil {
 		flag = 1
 	}
-	return s.Comm().BcastInt(0, flag) != 0
+	return comm.BcastInt(0, flag) != 0
 }
 
-// loop is the canonical outer loop of a ReSHAPE application — the code
-// every pre-SDK app duplicated in its worker closure.
+// loop is the canonical outer loop of a ReSHAPE application: iterate, log
+// the iteration time, and at a resize point continue on a (possibly
+// different) processor set or retire.
 func (r *runner) loop(rc *Context) error {
-	s := rc.s
 	h, isResizeHandler := r.app.(ResizeHandler)
-	for s.Iter() < r.cfg.maxIter {
-		if r.cancelled(s) {
+	for rc.iter < r.cfg.maxIter {
+		if r.cancelled(rc.comm) {
 			return r.ctx.Err()
 		}
 		t0 := r.cfg.now()
 		if err := r.app.Iterate(rc); err != nil {
-			return fmt.Errorf("reshape: iterate %d: %w", s.Iter(), err)
+			return fmt.Errorf("reshape: iterate %d: %w", rc.iter, err)
 		}
 		elapsed := r.cfg.now().Sub(t0).Seconds()
-		avg := s.Log(elapsed)
-		if s.Comm().Rank() == 0 {
-			// The iteration just finished but the session counter advances
-			// only at the resize point / Advance, so +1 keeps every event
-			// kind on the same completed-iteration convention.
-			r.emit(Event{Kind: EventIterate, Iter: s.Iter() + 1, Topo: s.Topo(), Seconds: avg})
+		avg := rc.logIteration(elapsed)
+		rc.iter++
+		if rc.comm.Rank() == 0 {
+			r.emit(Event{Kind: EventIterate, Iter: rc.iter, Topo: rc.topo, Seconds: avg})
 		}
-
-		if (s.Iter()+1)%r.cfg.resizeEvery != 0 {
-			// Not a resize point: count the iteration and keep going.
-			s.Advance()
-			continue
+		if rc.iter%r.cfg.resizeEvery != 0 {
+			continue // not a resize point
 		}
-		prev := s.Topo()
-		// Log already allreduced the iteration time; reuse its average
-		// instead of paying Resize's second cluster-wide reduction.
-		status, err := s.ResizeAveraged(avg)
+		prev := rc.topo
+		// logIteration already allreduced the iteration time; the resize
+		// point reuses its average.
+		retired, err := rc.resizePoint(avg)
 		if err != nil {
 			return fmt.Errorf("reshape: resize point: %w", err)
 		}
-		if status == resize.Retired {
-			r.emit(Event{Kind: EventRetire, Iter: s.Iter(), Topo: prev, Rank: s.Comm().Rank()})
+		if retired {
+			r.emit(Event{Kind: EventRetire, Iter: rc.iter, Topo: prev, Rank: rc.comm.Rank()})
 			return nil
 		}
-		if cur := s.Topo(); cur != prev {
+		if cur := rc.topo; cur != prev {
 			rc.resizes++
 			kind := Expanded
 			if cur.Count() < prev.Count() {
 				kind = Shrunk
 			}
 			if isResizeHandler {
-				ev := ResizeEvent{Kind: kind, From: prev, To: cur, Seconds: s.LastRedist(), Iter: s.Iter()}
+				ev := ResizeEvent{Kind: kind, From: prev, To: cur, Seconds: rc.lastRedist, Iter: rc.iter}
 				if err := h.OnResize(rc, ev); err != nil {
 					return fmt.Errorf("reshape: on-resize: %w", err)
 				}
 			}
-			if s.Comm().Rank() == 0 {
-				r.emit(Event{Kind: EventResize, Iter: s.Iter(), From: prev, Topo: cur, Seconds: s.LastRedist()})
+			if rc.comm.Rank() == 0 {
+				r.emit(Event{Kind: EventResize, Iter: rc.iter, From: prev, Topo: cur, Seconds: rc.lastRedist})
 			}
 		}
 	}
-	if s.Comm().Rank() == 0 {
-		r.emit(Event{Kind: EventDone, Iter: s.Iter(), Topo: s.Topo()})
+	if rc.comm.Rank() == 0 {
+		r.emit(Event{Kind: EventDone, Iter: rc.iter, Topo: rc.topo})
 	}
-	return s.Done()
+	return rc.done()
 }

@@ -14,6 +14,11 @@ import (
 
 func topo(r, c int) grid.Topology { return grid.Topology{Rows: r, Cols: c} }
 
+type noopApp struct{}
+
+func (noopApp) Init(rc *reshape.Context) error    { return nil }
+func (noopApp) Iterate(rc *reshape.Context) error { return nil }
+
 // countingApp counts lifecycle calls across all ranks.
 type countingApp struct {
 	inits    atomic.Int64
@@ -243,6 +248,9 @@ func TestRunValidatesOptions(t *testing.T) {
 	}
 	if _, err := reshape.Run(context.Background(), app, reshape.WithTopology(grid.Topology{})); err == nil {
 		t.Error("empty topology accepted")
+	}
+	if _, err := reshape.Run(context.Background(), app, reshape.WithScheduler(nil)); err == nil {
+		t.Error("nil scheduler accepted")
 	}
 }
 
