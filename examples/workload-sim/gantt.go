@@ -1,6 +1,7 @@
-// Package trace renders scheduler allocation histories as ASCII Gantt
-// charts, the reproduction's terminal counterparts of Figures 4 and 5.
-package trace
+package main
+
+// This file renders the scheduler's allocation history as an ASCII Gantt
+// chart, the terminal counterpart of Figures 4 and 5.
 
 import (
 	"fmt"
@@ -13,11 +14,11 @@ import (
 // gantt shade levels from idle to fully allocated.
 var shades = []rune{' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'}
 
-// Gantt renders the allocation history as an ASCII chart: one row per job,
+// gantt renders the allocation history as an ASCII chart: one row per job,
 // column = time bucket, glyph intensity = processors held (relative to the
 // maximum any job holds). Deterministic and dependency-free, for terminal
 // inspection of Figure 4(a)/5(a)-style histories.
-func Gantt(events []scheduler.AllocEvent, width int) string {
+func gantt(events []scheduler.AllocEvent, width int) string {
 	if width <= 0 {
 		width = 72
 	}

@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"strings"
@@ -21,7 +21,7 @@ func sampleEvents() []scheduler.AllocEvent {
 }
 
 func TestGanttRendersRows(t *testing.T) {
-	out := Gantt(sampleEvents(), 40)
+	out := gantt(sampleEvents(), 40)
 	if !strings.Contains(out, "LU") {
 		t.Fatalf("missing job row: %q", out)
 	}
@@ -37,7 +37,7 @@ func TestGanttRendersRows(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	if out := Gantt(nil, 10); !strings.Contains(out, "no events") {
+	if out := gantt(nil, 10); !strings.Contains(out, "no events") {
 		t.Errorf("empty gantt: %q", out)
 	}
 }
@@ -48,7 +48,7 @@ func TestGanttMultipleJobs(t *testing.T) {
 		scheduler.AllocEvent{Time: 20, Job: "MM", Kind: "start", Topo: t22, Busy: 8},
 		scheduler.AllocEvent{Time: 40, Job: "MM", Kind: "error", Topo: t22, Busy: 4},
 	)
-	out := Gantt(events, 40)
+	out := gantt(events, 40)
 	if !strings.Contains(out, "MM") {
 		t.Fatalf("missing MM row: %q", out)
 	}

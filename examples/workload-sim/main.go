@@ -29,7 +29,6 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 	"repro/internal/simcluster"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -59,7 +58,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("\nas a Gantt chart (glyph intensity = processors held):")
-	fmt.Print(trace.Gantt(w1.Dynamic.Events, 72))
+	fmt.Print(gantt(w1.Dynamic.Events, 72))
 
 	fmt.Println()
 	w2, err := experiments.RunW2(params)

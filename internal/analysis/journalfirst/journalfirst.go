@@ -32,7 +32,7 @@ var GuardedFields = map[string]map[string]bool{
 	// free is derived from the running jobs' allocations; restore recomputes
 	// it, so a write elsewhere would leave the idle count disagreeing with
 	// the state replay reconstructs.
-	"Core": set("free", "nextID", "jobs", "queue", "running", "busySeconds", "lastBusy", "lastBusyTime", "Events"),
+	"Core": set("free", "nextID", "jobs", "queue", "running", "busySeconds", "lastBusy", "lastBusyTime", "events"),
 	// tenant, itersDone and shrinkable are derived from the journaled fields
 	// (contact.go's runningSet keeps them); a write elsewhere would leave
 	// arbiter snapshots disagreeing with the state replay reconstructs.
@@ -89,7 +89,7 @@ func run(pass *analysis.Pass) error {
 // checkWrite reports lhs if it denotes (or indexes into) a guarded field.
 func checkWrite(pass *analysis.Pass, file string, lhs ast.Expr) {
 	lhs = ast.Unparen(lhs)
-	// A write through an index expression (c.Events[i] = e) mutates the
+	// A write through an index expression (c.events[i] = r) mutates the
 	// guarded slice or map just as directly as replacing it.
 	if ix, ok := lhs.(*ast.IndexExpr); ok {
 		lhs = ast.Unparen(ix.X)

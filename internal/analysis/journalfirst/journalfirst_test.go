@@ -20,7 +20,7 @@ func TestJournalfirst(t *testing.T) {
 // guarded set is exactly the persisted state and what restore derives from
 // it: if PersistState grows a field, the guard must grow with it.
 func TestGuardedFieldsMirrorPersistState(t *testing.T) {
-	for _, f := range []string{"nextID", "jobs", "queue", "running", "busySeconds", "Events"} {
+	for _, f := range []string{"nextID", "jobs", "queue", "running", "busySeconds", "events"} {
 		if !journalfirst.GuardedFields["Core"][f] {
 			t.Errorf("Core.%s must be guarded: it is part of the persisted state image", f)
 		}

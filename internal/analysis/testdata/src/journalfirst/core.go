@@ -24,7 +24,7 @@ type Core struct {
 	free         int
 	nextID       int
 	jobs         map[int]*Job
-	Events       []int
+	events       []int
 	lastBusyTime float64
 }
 
@@ -33,7 +33,7 @@ func (c *Core) Submit(j *Job) {
 	c.free -= j.Topo
 	c.nextID++
 	c.jobs[j.ID] = j
-	c.Events = append(c.Events, j.ID)
+	c.events = append(c.events, j.ID)
 	j.State = 1
 	j.Spec.Tenant = "stamped-at-submit"
 }

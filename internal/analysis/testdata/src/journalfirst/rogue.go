@@ -7,7 +7,7 @@ func Hijack(c *Core, j *Job) {
 	c.free += 4                     // want "write to journaled state Core.free"
 	c.nextID++                      // want "write to journaled state Core.nextID"
 	c.jobs[j.ID] = j                // want "write to journaled state Core.jobs"
-	c.Events = append(c.Events, 99) // want "write to journaled state Core.Events"
+	c.events = append(c.events, 99) // want "write to journaled state Core.events"
 	j.State = 2                     // want "write to journaled state Job.State"
 	j.pendingFree += 4              // want "write to journaled state Job.pendingFree"
 	j.EndTime = 1.5                 // want "write to journaled state Job.EndTime"
@@ -28,5 +28,5 @@ func Inspect(c *Core) int {
 // Sanctioned shows the escape hatch on a genuinely non-replayed cache.
 func Sanctioned(c *Core) {
 	//lint:allow journalfirst rebuilding a derived index, not acknowledged state
-	c.Events = nil
+	c.events = nil
 }

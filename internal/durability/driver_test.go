@@ -180,6 +180,15 @@ func requireSameState(t *testing.T, want, got *scheduler.Core) {
 	}
 }
 
+// allEvents copies a core's allocation trace out.
+func allEvents(c *scheduler.Core) []scheduler.AllocEvent {
+	var out []scheduler.AllocEvent
+	for _, e := range c.Events {
+		out = append(out, e)
+	}
+	return out
+}
+
 // buildRecovered is the standard Restore callback for the driver cluster.
 func buildRecovered(st *scheduler.CoreState) (*scheduler.Core, error) {
 	return buildOn(driverProcs)(st)

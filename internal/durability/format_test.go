@@ -27,7 +27,7 @@ func writeFormatFixture(t *testing.T, dir string) *scheduler.Core {
 	st, _, err := Open(dir, Options{
 		Sync:          SyncNone,
 		SnapshotEvery: 16,
-		Capture:       func() (*scheduler.CoreState, uint64) { return core.PersistState(), uint64(len(core.Events)) },
+		Capture:       func() (*scheduler.CoreState, uint64) { return core.PersistState(), uint64(core.EventCount()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestParentFormatDirectoryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameState(t, want, got)
-	if info.Seq != uint64(len(want.Events)) {
-		t.Fatalf("recovered seq %d, want %d", info.Seq, len(want.Events))
+	if info.Seq != uint64(want.EventCount()) {
+		t.Fatalf("recovered seq %d, want %d", info.Seq, want.EventCount())
 	}
 }
 

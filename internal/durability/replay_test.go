@@ -66,8 +66,8 @@ func TestReplayW1BitIdentical(t *testing.T) {
 		t.Fatalf("replayed %d of %d records", info.Replayed, len(rec.Ops))
 	}
 	requireSameState(t, core, recovered)
-	if !reflect.DeepEqual(core.Events, recovered.Events) {
-		t.Fatalf("allocation trace diverged: %d events vs %d", len(core.Events), len(recovered.Events))
+	if !reflect.DeepEqual(allEvents(core), allEvents(recovered)) {
+		t.Fatalf("allocation trace diverged: %d events vs %d", core.EventCount(), recovered.EventCount())
 	}
 	if res.Makespan <= 0 {
 		t.Fatal("W1 produced no makespan")

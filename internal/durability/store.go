@@ -251,7 +251,7 @@ func (r *Recovery) Restore(build func(st *scheduler.CoreState) (*scheduler.Core,
 	// the original server published exactly those events after the
 	// snapshot, so the recovered sequence number is the snapshot's plus
 	// the replayed trace length.
-	info.Seq = r.seq + uint64(len(core.Events))
+	info.Seq = r.seq + uint64(core.EventCount())
 	info.Jobs = len(core.Jobs())
 	if r.store != nil {
 		core.SetCommit(r.store.Commit)

@@ -291,3 +291,97 @@ func TestWatchLagIsLossless(t *testing.T) {
 		t.Errorf("lagging subscriber dropped %d events", d)
 	}
 }
+
+// TestWatchStreamMirrorsTrace holds what a v2 watch delivers to the core's
+// allocation trace, field by field: event i of the trace arrives as Seq
+// i+1 with its time, job, kind, topology and busy count, and Free is the
+// pool minus Busy. A one-job watch gets that job's events with the same
+// numbers.
+func TestWatchStreamMirrorsTrace(t *testing.T) {
+	sched := scheduler.NewServer(8, false, nil)
+	srv, err := rpc.Serve("127.0.0.1:0", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cl := dial(t, srv.Addr())
+	all, err := cl.Watch(ctx, scheduler.AllJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := cl.Watch(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sched.Subscribers() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+
+	chain := []grid.Topology{{Rows: 1, Cols: 2}, {Rows: 2, Cols: 2}, {Rows: 2, Cols: 4}}
+	spec := func(name string) scheduler.JobSpec {
+		return scheduler.JobSpec{Name: name, App: "lu", ProblemSize: 8000, Iterations: 10, InitialTopo: chain[0], Chain: chain}
+	}
+	a, err := sched.Submit(ctx, spec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sched.Submit(ctx, spec("beta"))
+	if err != nil || b != 1 {
+		t.Fatalf("second submit got job %d, %v; the one-job watch is on job 1", b, err)
+	}
+	d, err := sched.Contact(ctx, a, chain[0], 100, 0)
+	if err != nil || d.Action != scheduler.ActionExpand {
+		t.Fatalf("contact: %+v, %v; want an expansion", d, err)
+	}
+	if err := sched.ResizeComplete(ctx, a, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.JobError(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.JobEnd(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+
+	core := sched.Core()
+	var want []scheduler.JobEvent
+	for i, e := range core.Events {
+		want = append(want, scheduler.JobEvent{
+			Seq: uint64(i + 1), Time: e.Time, JobID: e.JobID, Job: e.Job, Kind: e.Kind,
+			Topo: e.Topo, Busy: e.Busy, Free: core.Total - e.Busy,
+		})
+	}
+	if len(want) != 7 {
+		t.Fatalf("trace holds %d events, want 7", len(want))
+	}
+	recv := func(sub *scheduler.Subscription, n int) []scheduler.JobEvent {
+		var got []scheduler.JobEvent
+		for len(got) < n {
+			select {
+			case ev := <-sub.C:
+				got = append(got, ev)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("got %d of %d events", len(got), n)
+			}
+		}
+		return got
+	}
+	for i, ev := range recv(all, len(want)) {
+		if ev != want[i] {
+			t.Errorf("event %d: got %+v, want %+v", i, ev, want[i])
+		}
+	}
+	var mine []scheduler.JobEvent
+	for _, ev := range want {
+		if ev.JobID == b {
+			mine = append(mine, ev)
+		}
+	}
+	for i, ev := range recv(one, len(mine)) {
+		if ev != mine[i] {
+			t.Errorf("job %d event %d: got %+v, want %+v", b, i, ev, mine[i])
+		}
+	}
+}

@@ -123,9 +123,9 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if !slices.Equal(inRunning, running) {
 		return fmt.Errorf("running set holds %v, the Running jobs are %v", inRunning, running)
 	}
-	for i := 1; i < len(c.Events); i++ {
-		if c.Events[i].Time < c.Events[i-1].Time {
-			return fmt.Errorf("alloc event %d at t=%v follows one at t=%v", i, c.Events[i].Time, c.Events[i-1].Time)
+	for i := 1; i < c.EventCount(); i++ {
+		if t, prev := eventAt(c, i).Time, eventAt(c, i-1).Time; t < prev {
+			return fmt.Errorf("alloc event %d at t=%v follows one at t=%v", i, t, prev)
 		}
 	}
 	for i, q := range snap.Queued {

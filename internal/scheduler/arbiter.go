@@ -152,7 +152,26 @@ type ClusterSnapshot struct {
 	PendingFree int
 	// Cluster lazily exposes the running jobs.
 	Cluster ClusterView
+
+	stamp Stamp
 }
+
+// Stamp identifies the state a core snapshot's Tenants and Queued were
+// taken in: two snapshots with the same non-zero stamp come from one core
+// with the same per-tenant usage and the same queued window, whatever their
+// clock or caller. The zero Stamp, which every snapshot built by hand has,
+// identifies nothing. An arbiter may keep what it derives from those fields
+// (and Total, fixed per core) under the stamp, and must recompute it for a
+// zero or different one.
+type Stamp struct {
+	set          *runningSet
+	usage, queue uint64
+}
+
+// Stamp returns the snapshot's stamp. A wrapper that passes on a copy of a
+// snapshot with Tenants, Queued or Total changed must build the copy as a
+// new literal, so its stamp is zero.
+func (s *ClusterSnapshot) Stamp() Stamp { return s.stamp }
 
 // RunningViews is a fixed running set, in ascending id order, for snapshots
 // built by hand (tests, tools): it implements ClusterView by sweeping, and

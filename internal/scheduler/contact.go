@@ -265,13 +265,15 @@ type runningSet struct {
 
 	// accts holds one accumulator per tenant name ever submitted; active
 	// files the ones with running jobs by name, the order snapshots list
-	// them in. usage is what tenants() last built from active, current
-	// while usageOK: only a start, retopo or finish moves it.
-	accts   map[string]*tenantAcct
-	active  dir[string, *tenantAcct]
-	usage   []TenantUsage
-	usageOK bool
-	view    ContactView // each() scratch
+	// them in. usageVer counts the starts, retopos and finishes, the only
+	// ops that move the usage; usage is what tenants() last built from
+	// active, at usageVer usageAt.
+	accts    map[string]*tenantAcct
+	active   dir[string, *tenantAcct]
+	usage    []TenantUsage
+	usageVer uint64
+	usageAt  uint64
+	view     ContactView // each() scratch
 }
 
 // tenantAcct accumulates one tenant's part of the running set. A job
@@ -325,7 +327,7 @@ func (r *runningSet) start(j *Job) {
 	}
 	a.jobs++
 	a.procs += j.Topo.Count()
-	r.usageOK = false
+	r.usageVer++
 	r.pendingFree += j.pendingFree
 	r.reindexShrinkable(j)
 	r.fileExpandable(j)
@@ -346,7 +348,7 @@ func (r *runningSet) finish(j *Job) {
 		i, _ := r.active.at(a.name)
 		r.active.del(i, i+1)
 	}
-	r.usageOK = false
+	r.usageVer++
 	r.released(j)
 	if j.shrinkable && r.indexed {
 		r.shrinkable = removeByID(r.shrinkable, j)
@@ -358,7 +360,7 @@ func (r *runningSet) finish(j *Job) {
 // retopo moves a running job to its granted configuration.
 func (r *runningSet) retopo(j *Job, to grid.Topology) {
 	j.tenant.procs += to.Count() - j.Topo.Count()
-	r.usageOK = false
+	r.usageVer++
 	r.unfileExpandable(j)
 	j.resizeFrom = j.Topo
 	j.Topo = to
@@ -471,12 +473,12 @@ func (r *runningSet) Changes(c Cursor, yield func(id int)) (Cursor, bool) {
 // call. The slice is scratch the set reuses: snapshot consumers read it
 // during the call they were handed it in.
 func (r *runningSet) tenants() []TenantUsage {
-	if !r.usageOK {
+	if r.usageAt != r.usageVer {
 		r.usage = r.usage[:0]
 		for _, a := range r.active.vals {
 			r.usage = append(r.usage, TenantUsage{Tenant: a.name, Running: a.jobs, Procs: a.procs})
 		}
-		r.usageOK = true
+		r.usageAt = r.usageVer
 	}
 	return r.usage
 }
@@ -555,7 +557,7 @@ func (r *runningSet) Running(id int) (ContactView, bool) {
 // actually applied: an expansion the idle processors cannot cover degrades
 // to ActionNone instead of driving the counter negative (unreachable for
 // the fit-checked published policy).
-func (r *runningSet) applyDecision(j *Job, d *Decision, free *int, record func(kind string)) {
+func (r *runningSet) applyDecision(j *Job, d *Decision, free *int, record func(kind eventKind)) {
 	switch d.Action {
 	case ActionExpand:
 		delta := d.Target.Count() - j.Topo.Count()
@@ -565,13 +567,13 @@ func (r *runningSet) applyDecision(j *Job, d *Decision, free *int, record func(k
 		}
 		*free -= delta
 		r.retopo(j, d.Target)
-		record("expand")
+		record(evExpand)
 	case ActionShrink:
 		freed := j.Topo.Count() - d.Target.Count()
 		j.pendingFree += freed
 		r.pendingFree += freed
 		r.retopo(j, d.Target)
-		record("shrink")
+		record(evShrink)
 	}
 }
 

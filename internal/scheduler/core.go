@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -90,9 +91,56 @@ type AllocEvent struct {
 	Time  float64
 	JobID int
 	Job   string
-	Kind  string // "submit", "start", "expand", "shrink", "end"
+	Kind  string // "submit", "start", "expand", "shrink", "end", "error"
 	Topo  grid.Topology
 	Busy  int // busy processors immediately after the event
+}
+
+// eventKind codes an AllocEvent's Kind in the trace; eventKinds names it.
+type eventKind uint8
+
+const (
+	evSubmit eventKind = iota
+	evStart
+	evExpand
+	evShrink
+	evEnd
+	evError
+)
+
+var eventKinds = [...]string{"submit", "start", "expand", "shrink", "end", "error"}
+
+// allocRecord is how the trace stores an AllocEvent: 32 bytes and no
+// pointers, so the trace costs the collector nothing to scan and a
+// pre-sized one nothing to grow. The job's name is read from the job table
+// and the kind's from eventKinds when the event is read. Job ids and grid
+// dimensions fit 32 bits: the job table holds a pointer per id, and a
+// dimension is at most the pool size.
+type allocRecord struct {
+	time       float64
+	busy       int
+	job        int32
+	rows, cols int32
+	kind       eventKind
+}
+
+// traceView is a prefix of a core's trace with the job table its records
+// name jobs from. A reader holding one reads neither slice past its length,
+// and the core writes neither below it: it only appends records, and files
+// new jobs under new ids. So a view taken under the lock the core is
+// mutated under can be read without it (the watch feed does).
+type traceView struct {
+	recs []allocRecord
+	jobs []*Job
+}
+
+// at materializes event i, allocating nothing.
+func (v traceView) at(i int) AllocEvent {
+	r := &v.recs[i]
+	return AllocEvent{
+		Time: r.time, JobID: int(r.job), Job: v.jobs[r.job].Spec.Name, Kind: eventKinds[r.kind],
+		Topo: grid.Topology{Rows: int(r.rows), Cols: int(r.cols)}, Busy: r.busy,
+	}
 }
 
 // QueuedNeedsWindow caps the queue-pressure view Core hands to arbiters:
@@ -134,10 +182,11 @@ type Core struct {
 	// and shrinkable aggregates arbiter snapshots carry.
 	running runningSet
 
-	// Events is the allocation trace. Tracing can be disabled for huge
-	// simulations (DisableTrace); utilization accounting stays exact either
-	// way via the busy-time integral.
-	Events []AllocEvent
+	// events is the allocation trace, read through Events and EventCount.
+	// Tracing can be disabled for huge simulations (DisableTrace);
+	// utilization accounting stays exact either way via the busy-time
+	// integral.
+	events []allocRecord
 
 	trace        bool
 	busySeconds  float64 // integral of busy processors over virtual time
@@ -182,6 +231,33 @@ func DefaultShards(int) int { return 1 }
 // accumulating). Use for very large workloads where the trace itself would
 // dominate memory.
 func (c *Core) DisableTrace() { c.trace = false }
+
+// ReserveEvents makes room in the trace for n more events, so a caller that
+// knows roughly how many it will record (the simulator, from its mix) pays
+// for the trace once instead of at every regrowth. With tracing disabled it
+// reserves nothing.
+func (c *Core) ReserveEvents(n int) {
+	if c.trace {
+		c.events = slices.Grow(c.events, n)
+	}
+}
+
+// EventCount returns the number of events in the trace.
+func (c *Core) EventCount() int { return len(c.events) }
+
+// Events yields the trace in order, with each event's index, allocating
+// nothing: for i, e := range c.Events.
+func (c *Core) Events(yield func(int, AllocEvent) bool) {
+	v := c.traceView()
+	for i := range v.recs {
+		if !yield(i, v.at(i)) {
+			return
+		}
+	}
+}
+
+// traceView returns the whole trace as a view.
+func (c *Core) traceView() traceView { return traceView{recs: c.events, jobs: c.jobs.byID} }
 
 // Free returns the number of idle processors.
 func (c *Core) Free() int { return c.free }
@@ -266,7 +342,7 @@ func (c *Core) Jobs() []*Job {
 	return out
 }
 
-func (c *Core) record(now float64, j *Job, kind string) {
+func (c *Core) record(now float64, j *Job, kind eventKind) {
 	busy := c.Busy()
 	if now > c.lastBusyTime {
 		c.busySeconds += float64(c.lastBusy) * (now - c.lastBusyTime)
@@ -274,8 +350,9 @@ func (c *Core) record(now float64, j *Job, kind string) {
 	}
 	c.lastBusy = busy
 	if c.trace {
-		c.Events = append(c.Events, AllocEvent{
-			Time: now, JobID: j.ID, Job: j.Spec.Name, Kind: kind, Topo: j.Topo, Busy: busy,
+		c.events = append(c.events, allocRecord{
+			time: now, busy: busy, job: int32(j.ID),
+			rows: int32(j.Topo.Rows), cols: int32(j.Topo.Cols), kind: kind,
 		})
 	}
 }
@@ -300,7 +377,7 @@ func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 	j.tenant = c.running.account(spec.Tenant)
 	c.jobs.put(j)
 	c.queue.push(j)
-	c.record(now, j, "submit")
+	c.record(now, j, evSubmit)
 	started := c.TrySchedule(now)
 	return j, started, nil
 }
@@ -391,7 +468,7 @@ func (c *Core) start(j *Job, now float64) {
 	j.Topo = j.Spec.InitialTopo
 	c.free -= j.Topo.Count()
 	c.running.start(j)
-	c.record(now, j, "start")
+	c.record(now, j, evStart)
 	c.started = append(c.started, j)
 }
 
@@ -448,6 +525,7 @@ func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
 		Tenants:     c.running.tenants(),
 		PendingFree: c.running.pendingFree,
 		Cluster:     &c.running,
+		stamp:       Stamp{set: &c.running, usage: c.running.usageVer, queue: c.queue.version},
 	}
 }
 
@@ -476,7 +554,7 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	} else {
 		d = c.defaultDecide(j)
 	}
-	c.running.applyDecision(j, &d, &c.free, func(kind string) { c.record(now, j, kind) })
+	c.running.applyDecision(j, &d, &c.free, func(kind eventKind) { c.record(now, j, kind) })
 	return d, nil
 }
 
@@ -518,23 +596,23 @@ func (c *Core) resizeComplete(jobID int, redistTime, now float64, live bool) ([]
 // Finish marks a job done (the System Monitor's job-end signal), releases
 // its processors and schedules waiting jobs. It returns any jobs started.
 func (c *Core) Finish(jobID int, now float64) ([]*Job, error) {
-	return c.complete(jobID, now, "end")
+	return c.complete(jobID, now, evEnd)
 }
 
 // Fail handles the System Monitor's job-error signal: the job is deleted
 // and its resources recovered, exactly like normal completion except for
 // the recorded event kind.
 func (c *Core) Fail(jobID int, now float64) ([]*Job, error) {
-	return c.complete(jobID, now, "error")
+	return c.complete(jobID, now, evError)
 }
 
-func (c *Core) complete(jobID int, now float64, kind string) ([]*Job, error) {
-	j, err := validateFinish(&c.jobs, jobID, kind)
+func (c *Core) complete(jobID int, now float64, kind eventKind) ([]*Job, error) {
+	j, err := validateFinish(&c.jobs, jobID, eventKinds[kind])
 	if err != nil {
 		return nil, err
 	}
 	opKind := OpFinish
-	if kind == "error" {
+	if kind == evError {
 		opKind = OpFail
 	}
 	if err := c.journalOp(Op{Kind: opKind, Now: now, JobID: jobID}); err != nil {

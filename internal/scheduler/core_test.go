@@ -260,7 +260,7 @@ func TestCoreEventsTraceAllocationHistory(t *testing.T) {
 	c.Contact(a.ID, topo(1, 2), 130, 0, 10)
 	c.ResizeComplete(a.ID, 8, 10)
 	c.Finish(a.ID, 50)
-	kinds := make([]string, len(c.Events))
+	kinds := make([]string, c.EventCount())
 	for i, e := range c.Events {
 		kinds[i] = e.Kind
 	}
@@ -273,11 +273,11 @@ func TestCoreEventsTraceAllocationHistory(t *testing.T) {
 			t.Fatalf("events %v, want %v", kinds, want)
 		}
 	}
-	if c.Events[2].Busy != 4 {
-		t.Fatalf("busy after expand = %d", c.Events[2].Busy)
+	if b := eventAt(c, 2).Busy; b != 4 {
+		t.Fatalf("busy after expand = %d", b)
 	}
-	if c.Events[3].Busy != 0 {
-		t.Fatalf("busy after end = %d", c.Events[3].Busy)
+	if b := eventAt(c, 3).Busy; b != 0 {
+		t.Fatalf("busy after end = %d", b)
 	}
 }
 

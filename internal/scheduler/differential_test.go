@@ -104,12 +104,11 @@ func recordReference() []byte {
 			fmt.Fprintf(&out, " f%d q%d\n", c.Free(), c.QueueLen())
 		}
 		h := sha256.New()
-		events := c.Events
-		for _, e := range events {
+		for _, e := range c.Events {
 			fmt.Fprintf(h, "%s %d %s %s %s %d\n", strconv.FormatFloat(e.Time, 'g', -1, 64),
 				e.JobID, e.Job, e.Kind, e.Topo, e.Busy)
 		}
-		fmt.Fprintf(&out, "events %d sha256=%x busy-seconds=%s\n", len(events), h.Sum(nil),
+		fmt.Fprintf(&out, "events %d sha256=%x busy-seconds=%s\n", c.EventCount(), h.Sum(nil),
 			strconv.FormatFloat(c.BusySeconds(now), 'g', -1, 64))
 	}
 	return out.Bytes()

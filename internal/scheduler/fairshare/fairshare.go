@@ -18,10 +18,12 @@
 // Determinism contract: like every arbiter, FairShare must be a pure
 // function of the cluster snapshot and its own configuration — decisions
 // are replayed from the journal on recovery. Shares are therefore computed
-// from the snapshot alone, weight sums are accumulated in sorted tenant
-// order (float addition is not associative), and no map is ever ranged
-// into an ordered result. The package is inside reshapelint's detcore
-// scope, which enforces the wall-clock and map-order rules statically.
+// from the snapshot alone (the table Decide keeps across contacts is kept
+// under the snapshot's stamp, so it is what the snapshot alone gives),
+// weight sums are accumulated in sorted tenant order (float addition is
+// not associative), and no map is ever ranged into an ordered result. The
+// package is inside reshapelint's detcore scope, which enforces the
+// wall-clock and map-order rules statically.
 package fairshare
 
 import (
@@ -54,7 +56,7 @@ type FairShare struct {
 	// Its Predict hook keeps its meaning.
 	Inner *arbiter.BenefitRanked
 
-	rows []tenantRow // shares scratch
+	table tenantTable
 	// texts caches the reasons a (caller tenant, victim tenant) pair gives,
 	// built at the pair's first use so no decision formats them; past 4 096
 	// pairs it starts over.
@@ -65,12 +67,35 @@ type FairShare struct {
 // another tenant waits under its share: the draft and the expansion cap.
 type pairTexts struct{ draft, capped string }
 
-// tenantRow is one active tenant in a Decide call: its running processors
-// and its entitled share of the cluster.
+// tenantTable is what Decide derives from a snapshot's tenants and queued
+// window. It is kept across contacts: while the snapshot's stamp stays put,
+// a contact reads it as it is, and when the stamp moves the table re-reads
+// the running processors and finds the waiting tenants under their share
+// again. Its names and shares are rebuilt only when the active tenants or
+// the pool size change.
+type tenantTable struct {
+	stamp scheduler.Stamp // the snapshot the table is up to date with
+	total int             // the pool size the shares divide
+	// rows lists the active tenants — every tenant with running jobs,
+	// the caller's and every tenant in the queued window — in ascending
+	// name order.
+	rows []tenantRow
+	// under holds the first two tenants of the queued window, in window
+	// order, that sit under their share: a caller's victim is the first of
+	// them that is not its own tenant.
+	under  [2]string
+	nUnder int
+	// rebuilds counts the rebuilds of rows' names and shares.
+	rebuilds int
+}
+
+// tenantRow is one active tenant: its running processors and its entitled
+// share of the cluster. seen marks the row while fill matches it.
 type tenantRow struct {
 	name  string
 	procs int
 	share float64
+	seen  bool
 }
 
 var (
@@ -138,13 +163,14 @@ func headLess(a, b scheduler.QueuedView) bool {
 // while a victim waits. Spare capacity stays work-conserving: with no
 // under-share tenant waiting, expansion beyond the share is allowed.
 func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
-	rows := a.shares(snap)
-	if len(rows) <= 1 {
+	t := &a.table
+	a.sync(&snap)
+	if len(t.rows) <= 1 {
 		return a.Inner.Decide(snap)
 	}
 	ct := snap.Caller.Tenant
-	mine := rows[search(rows, ct)]
-	victim, pressed := victimTenant(snap, ct, rows)
+	mine := t.rows[search(t.rows, ct)]
+	victim, pressed := t.victim(ct)
 	if pressed && float64(mine.procs) > mine.share {
 		if snap.Caller.PendingFree > 0 {
 			return scheduler.Decision{
@@ -201,34 +227,113 @@ func (a *FairShare) pairText(tenant, victim string) pairTexts {
 	return t
 }
 
-// shares lists the active tenants — the caller's, every tenant with running
-// jobs and every tenant in the queued window — in ascending name order, each
-// with its running processors and entitled share. With at most one active
-// tenant the tenant level vanishes and the shares are left unset. The
-// snapshot's usage list arrives sorted and the few other names are inserted
-// in place, so the weight sum — and with it every share — is accumulated in
-// one deterministic order. The rows are scratch reused by the next call.
-func (a *FairShare) shares(snap scheduler.ClusterSnapshot) []tenantRow {
-	rows := a.rows[:0]
-	for _, u := range snap.Tenants {
-		rows = append(rows, tenantRow{name: u.Tenant, procs: u.Procs})
+// sync brings the table up to date with snap unless it already is: the
+// stamp is non-zero and the table's own. A caller whose tenant runs nothing
+// (only a snapshot built by hand has one) adds a row another caller's
+// table would lack, so such a table keeps no stamp.
+func (a *FairShare) sync(snap *scheduler.ClusterSnapshot) {
+	t := &a.table
+	st := snap.Stamp()
+	if st != (scheduler.Stamp{}) && st == t.stamp {
+		return
 	}
-	note := func(t string) {
-		if i := search(rows, t); i == len(rows) || rows[i].name != t {
-			rows = slices.Insert(rows, i, tenantRow{name: t})
+	if snap.Total != t.total || !t.fill(snap) {
+		a.rebuild(snap)
+	}
+	t.nUnder = 0
+	for _, q := range snap.Queued {
+		if t.nUnder == len(t.under) {
+			break
+		}
+		if slices.Contains(t.under[:t.nUnder], q.Tenant) {
+			continue
+		}
+		if r := &t.rows[search(t.rows, q.Tenant)]; float64(r.procs) < r.share {
+			t.under[t.nUnder] = q.Tenant
+			t.nUnder++
 		}
 	}
-	note(snap.Caller.Tenant)
+	t.stamp = st
+	if scheduler.TenantProcs(snap.Tenants, snap.Caller.Tenant) == 0 {
+		t.stamp = scheduler.Stamp{}
+	}
+}
+
+// fill sets every row's processors from snap's usage list and reports
+// whether the rows are exactly snap's active tenants. When it reports
+// false the rows are left for rebuild.
+func (t *tenantTable) fill(snap *scheduler.ClusterSnapshot) bool {
+	rows := t.rows
+	for i := range rows {
+		rows[i].procs, rows[i].seen = 0, false
+	}
+	seen := 0
+	// see marks the row of name at or after from and returns its index, or
+	// -1 when name has no row.
+	see := func(name string, from int) int {
+		i := from + search(rows[from:], name)
+		if i == len(rows) || rows[i].name != name {
+			return -1
+		}
+		if !rows[i].seen {
+			rows[i].seen = true
+			seen++
+		}
+		return i
+	}
+	// The usage list is name-sorted too, so its rows are found in one walk.
+	k := 0
+	for _, u := range snap.Tenants {
+		if k = see(u.Tenant, k); k < 0 {
+			return false
+		}
+		rows[k].procs = u.Procs
+	}
+	return eachUnlisted(snap, func(name string) bool { return see(name, 0) >= 0 }) && seen == len(rows)
+}
+
+// eachUnlisted calls f with the active tenants the usage list may lack —
+// the caller's, then each in the queued window, a run of one tenant's jobs
+// once — while f returns true, and reports whether it always did.
+func eachUnlisted(snap *scheduler.ClusterSnapshot, f func(name string) bool) bool {
+	if !f(snap.Caller.Tenant) {
+		return false
+	}
 	last := snap.Caller.Tenant
 	for _, q := range snap.Queued {
-		if q.Tenant != last { // a run of one tenant's jobs is noted once
-			note(q.Tenant)
+		if q.Tenant != last {
+			if !f(q.Tenant) {
+				return false
+			}
 			last = q.Tenant
 		}
 	}
-	a.rows = rows
+	return true
+}
+
+// rebuild lists snap's active tenants in ascending name order, each with
+// its running processors and entitled share. With at most one active
+// tenant the tenant level vanishes and the shares are left unset. The
+// usage list arrives sorted and the few other names are inserted in place,
+// so the weight sum — and with it every share — is accumulated in one
+// deterministic order.
+func (a *FairShare) rebuild(snap *scheduler.ClusterSnapshot) {
+	t := &a.table
+	t.rebuilds++
+	t.total = snap.Total
+	rows := t.rows[:0]
+	for _, u := range snap.Tenants {
+		rows = append(rows, tenantRow{name: u.Tenant, procs: u.Procs})
+	}
+	eachUnlisted(snap, func(name string) bool {
+		if i := search(rows, name); i == len(rows) || rows[i].name != name {
+			rows = slices.Insert(rows, i, tenantRow{name: name})
+		}
+		return true
+	})
+	t.rows = rows
 	if len(rows) <= 1 {
-		return rows
+		return
 	}
 	var totalW float64
 	for _, r := range rows {
@@ -237,7 +342,6 @@ func (a *FairShare) shares(snap scheduler.ClusterSnapshot) []tenantRow {
 	for i := range rows {
 		rows[i].share = float64(snap.Total) * a.weight(rows[i].name) / totalW
 	}
-	return rows
 }
 
 // search returns the position of a tenant in name-sorted rows, or where it
@@ -246,19 +350,13 @@ func search(rows []tenantRow, name string) int {
 	return sort.Search(len(rows), func(k int) bool { return rows[k].name >= name })
 }
 
-// victimTenant scans the queued window in queue order for a job from a
-// tenant other than the caller's that sits under its entitled share — the
-// condition under which the tenant level overrides within-tenant logic. A
-// run of one tenant's jobs is looked up once.
-func victimTenant(snap scheduler.ClusterSnapshot, caller string, rows []tenantRow) (string, bool) {
-	last := caller
-	for _, q := range snap.Queued {
-		if q.Tenant == caller || q.Tenant == last {
-			continue
-		}
-		last = q.Tenant
-		if r := rows[search(rows, q.Tenant)]; float64(r.procs) < r.share {
-			return q.Tenant, true
+// victim returns the first tenant of the queued window, in window order,
+// that is not the caller's and sits under its entitled share — the
+// condition under which the tenant level overrides within-tenant logic.
+func (t *tenantTable) victim(caller string) (string, bool) {
+	for _, v := range t.under[:t.nUnder] {
+		if v != caller {
+			return v, true
 		}
 	}
 	return "", false

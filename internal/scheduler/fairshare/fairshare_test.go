@@ -174,6 +174,33 @@ func TestUnderShareExpansionCapped(t *testing.T) {
 	}
 }
 
+// TestVictimSkipsCallersOwnTenant: a caller's own tenant at the head of
+// the window is no victim, and the under-share tenant behind it still caps
+// the caller's expansion.
+func TestVictimSkipsCallersOwnTenant(t *testing.T) {
+	caller := scheduler.ContactView{
+		ID: 0, Tenant: "noisy", Priority: 1, Topo: topo(4, 4), // 16 of 36
+		Chain:   []grid.Topology{topo(4, 4), topo(4, 5), topo(4, 8)},
+		Profile: prof(visit(topo(4, 4), 100)),
+	}
+	other := scheduler.ContactView{ID: 1, Tenant: "victim", Topo: topo(4, 4), Profile: scheduler.NewProfile()}
+	snap := over(scheduler.ClusterSnapshot{
+		Now: 100, Total: 36, Idle: 4,
+		Caller: caller,
+		Queued: []scheduler.QueuedView{
+			{ID: 2, Tenant: "noisy", Need: 4, Submit: 90},
+			{ID: 3, Tenant: "victim", Need: 4, Submit: 95},
+		},
+	}, caller, other)
+	if d := (&arbiter.BenefitRanked{}).Decide(snap); d.Action != scheduler.ActionExpand {
+		t.Fatalf("setup: bare arbiter decided %+v, want expand", d)
+	}
+	d := New(nil).Decide(snap)
+	if d.Action != scheduler.ActionNone || !strings.Contains(d.Text(), `tenant "victim" waits`) {
+		t.Fatalf("decision %+v %q, want none capped for tenant victim", d, d.Text())
+	}
+}
+
 // TestAtShareExpansionGranted: the cap counts the caller's growth, not
 // its new size on top of its old one. An expansion that lands the tenant
 // exactly on its share is granted while a victim tenant waits.

@@ -166,7 +166,7 @@ func TestCoreFailRecoversResources(t *testing.T) {
 	if c.Free() != 4 || len(started) != 1 || started[0] != b {
 		t.Fatalf("free=%d started=%v", c.Free(), started)
 	}
-	last := c.Events[len(c.Events)-2] // error event precedes b's start
+	last := eventAt(c, c.EventCount()-2) // error event precedes b's start
 	if last.Kind != "error" {
 		t.Fatalf("event kind %q", last.Kind)
 	}

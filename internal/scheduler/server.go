@@ -62,11 +62,11 @@ type Server struct {
 	epoch   time.Time
 	done    map[int]chan struct{}
 
-	// Event broker state (see watch.go): core.Events[i] is published as
-	// Seq seq0 + (i - idx0) + 1. applied is the Seq of the last event
-	// recorded, published or still waiting for its commit. It is atomic so
-	// durability snapshots can read it from inside the journal hook, which
-	// runs while the apply goroutine holds s.mu.
+	// Event broker state (see watch.go): event i of the core's trace is
+	// published as Seq seq0 + (i - idx0) + 1. applied is the Seq of the last
+	// event recorded, published or still waiting for its commit. It is
+	// atomic so durability snapshots can read it from inside the journal
+	// hook, which runs while the apply goroutine holds s.mu.
 	watch   watchFeed
 	idx0    int
 	seq0    uint64
@@ -132,8 +132,8 @@ func NewServerRecovered(core *Core, seq uint64, clock float64, starter JobStarte
 // after them, and launches the pipeline goroutines, the committer only
 // behind a commit barrier.
 func (s *Server) start() {
-	s.idx0 = len(s.core.Events)
-	s.watch.events = s.core.Events
+	s.idx0 = s.core.EventCount()
+	s.watch.events = s.core.traceView()
 	s.watch.wake.L = &s.watch.mu
 	s.intake = s.run(applyLoop)
 	if s.core.commit != nil {
@@ -336,7 +336,7 @@ func applyLoop(q *callQueue) {
 		for _, c := range batch {
 			s.apply(c)
 		}
-		mark := len(s.core.Events)
+		mark := s.core.EventCount()
 		if s.durable == nil {
 			s.publishLocked(mark)
 			s.mu.Unlock()
@@ -412,7 +412,7 @@ func (s *Server) apply(c *Call) {
 		c.Err = fmt.Errorf("scheduler: unknown op kind %d", c.Kind)
 	}
 	c.started = append(c.started[:0], started...)
-	s.applied.Store(s.seq0 + uint64(len(s.core.Events)-s.idx0))
+	s.applied.Store(s.seq0 + uint64(s.core.EventCount()-s.idx0))
 }
 
 // complete ends each call of a batch whose events are published, or whose

@@ -104,11 +104,12 @@ func (s *Subscription) Dropped() uint64 { return 0 }
 
 // watchFeed is the published prefix of the core's allocation trace, which
 // every Watch reads through a cursor of its own without taking the server
-// lock: an event below the prefix is never written again.
+// lock: an event below the prefix is never written again, and the view's
+// job table names every job the prefix holds (see traceView).
 type watchFeed struct {
 	mu       sync.Mutex
 	wake     sync.Cond    // broadcast when events grows or a watch stops
-	events   []AllocEvent // core.Events[:published]
+	events   traceView    // the core's trace up to the published event
 	watchers atomic.Int64 // live subscriptions
 }
 
@@ -205,7 +206,7 @@ func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 	// it belongs to a batch still waiting for its commit, which publishes it
 	// to this subscriber too.
 	f.mu.Lock()
-	next := len(f.events)
+	next := len(f.events.recs)
 	f.mu.Unlock()
 	f.watchers.Add(1)
 	unhook := context.AfterFunc(ctx, stop)
@@ -215,7 +216,7 @@ func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 		defer unhook()
 		for {
 			f.mu.Lock()
-			for next == len(f.events) && !stopped {
+			for next == len(f.events.recs) && !stopped {
 				f.wake.Wait()
 			}
 			evs, end := f.events, stopped
@@ -223,11 +224,11 @@ func (s *Server) Watch(ctx context.Context, jobID int) (*Subscription, error) {
 			if end {
 				return
 			}
-			for ; next < len(evs); next++ {
-				e := &evs[next]
-				if jobID != AllJobs && jobID != e.JobID {
+			for ; next < len(evs.recs); next++ {
+				if jobID != AllJobs && jobID != int(evs.recs[next].job) {
 					continue
 				}
+				e := evs.at(next)
 				select {
 				case ch <- JobEvent{
 					Seq:  s.seq0 + uint64(next-s.idx0) + 1,
@@ -255,8 +256,9 @@ func (s *Server) Subscribers() int { return int(s.watch.watchers.Load()) }
 func (s *Server) publishLocked(hwm int) {
 	f := &s.watch
 	f.mu.Lock()
-	if hwm > len(f.events) {
-		f.events = s.core.Events[:hwm]
+	if hwm > len(f.events.recs) {
+		f.events = s.core.traceView()
+		f.events.recs = f.events.recs[:hwm]
 		f.wake.Broadcast()
 	}
 	f.mu.Unlock()

@@ -220,9 +220,9 @@ func TestServerCommitBarrierOrdersPublication(t *testing.T) {
 		}
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) || ev.Kind != core.Events[i].Kind || ev.JobID != core.Events[i].JobID {
+		if e := eventAt(core, i); ev.Seq != uint64(i+1) || ev.Kind != e.Kind || ev.JobID != e.JobID {
 			t.Fatalf("event %d is %q of job %d with seq %d; the trace has %q of job %d",
-				i, ev.Kind, ev.JobID, ev.Seq, core.Events[i].Kind, core.Events[i].JobID)
+				i, ev.Kind, ev.JobID, ev.Seq, eventAt(core, i).Kind, eventAt(core, i).JobID)
 		}
 	}
 	<-launched
@@ -245,7 +245,7 @@ func TestServerCommitBarrierOrdersPublication(t *testing.T) {
 		t.Fatalf("job %d launched by an op whose commit failed", id)
 	default:
 	}
-	if got := srv.Seq(); got != uint64(len(core.Events)) {
-		t.Fatalf("Seq %d, trace holds %d events", got, len(core.Events))
+	if got := srv.Seq(); got != uint64(core.EventCount()) {
+		t.Fatalf("Seq %d, trace holds %d events", got, core.EventCount())
 	}
 }

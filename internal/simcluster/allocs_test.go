@@ -18,26 +18,15 @@ import (
 // as the benchmark's do. A job's record (the Job and its profile), its
 // iteration-time reservation and the room its visits and redistribution
 // pairs grow into are carved from the core's chunks, and a decision's reason
-// is a code rendered only when read; what is left is the trace and what the
-// arbiters add, their plans, directives and cached tenant texts. A budget that
+// is a code rendered only when read; what is left is the trace (reserved
+// once, and copied once into the result) and what the arbiters add, their
+// plans, directives and cached tenant texts. A budget that
 // breaks means something on the per-job path allocates again. The race
 // detector's instrumentation allocates too, so -race runs have budgets of
 // their own.
 func TestRunAllocsPerJob(t *testing.T) {
 	params := perfmodel.SystemX()
-	tenants := func(n, iters int) workload.GenConfig {
-		return workload.GenConfig{
-			Seed: 1, MaxProcs: 64, PriorityLevels: 3, Iterations: iters,
-			Tenants: []workload.TenantSpec{
-				{Name: "bursty", Jobs: n * 6 / 10, MeanInterarrival: 0.5,
-					Pattern: workload.Bursty, Burst: 10, BurstFactor: 100},
-				{Name: "steady", Jobs: n * 2 / 10, MeanInterarrival: 1.5},
-				{Name: "diurnal", Jobs: n * 2 / 10, MeanInterarrival: 1.5,
-					Pattern: workload.Diurnal, Period: 3600},
-			},
-		}
-	}
-	// Measured: 0.107, 0.170 and 0.104 allocs/job (0.107, 0.184 and 0.356
+	// Measured: 0.046, 0.161 and 0.101 allocs/job (0.046, 0.176 and 0.353
 	// under -race); each budget is about 15 % over.
 	for _, tc := range []struct {
 		name               string
@@ -45,9 +34,9 @@ func TestRunAllocsPerJob(t *testing.T) {
 		budget, raceBudget float64
 		tick               float64
 	}{
-		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 0.125, 0.125, 0},
-		{"fairshare", tenants(2000, 10), 0.195, 0.21, 0},
-		{"rebalance", tenants(6000, 4), 0.12, 0.41, 60},
+		{"fcfs", workload.GenConfig{Seed: 1, Jobs: 5000, MeanInterarrival: 2, MaxProcs: 64}, 0.055, 0.055, 0},
+		{"fairshare", tenantMix(2000, 10), 0.185, 0.2, 0},
+		{"rebalance", tenantMix(6000, 4), 0.12, 0.41, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mix, err := workload.Generate(tc.gen)

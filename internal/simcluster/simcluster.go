@@ -364,6 +364,9 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	s.arrivals = byArrival(s.inputs)
 	s.states = make([]jobState, len(s.arrivals))
+	// Every job records its submit, start and end; on the benchmark's
+	// arbiter mixes resizes add less than one event per job on average.
+	s.core.ReserveEvents(4 * len(s.arrivals))
 	if s.rebalanceEvery > 0 {
 		s.tl.at(s.rebalanceEvery, evRebalance, -1)
 	}
@@ -513,10 +516,17 @@ func (s *Sim) handleRebalance(e event) error {
 }
 
 // collect assembles the result, each job's from its state and its arrival
-// entry. Utilization comes from the core's exact busy-time integral, so it
-// is available even when event tracing is disabled for very large runs.
+// entry, and the core's trace at its exact length. Utilization comes from
+// the core's exact busy-time integral, so it is available even when event
+// tracing is disabled for very large runs.
 func (s *Sim) collect() (*Result, error) {
-	res := &Result{Mode: s.mode, Total: s.total, Events: s.core.Events}
+	res := &Result{Mode: s.mode, Total: s.total}
+	if n := s.core.EventCount(); n > 0 {
+		res.Events = make([]scheduler.AllocEvent, 0, n)
+		for _, e := range s.core.Events {
+			res.Events = append(res.Events, e)
+		}
+	}
 	jobs := s.core.Jobs()
 	res.Jobs = make([]JobResult, 0, len(jobs))
 	for _, j := range jobs {
