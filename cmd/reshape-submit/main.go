@@ -42,6 +42,14 @@ func main() {
 	wait := flag.Bool("wait", false, "block until the job completes")
 	flag.Parse()
 
+	// A job that has no configuration to start on is refused before the
+	// daemon is dialed.
+	initial, chain, err := jobChain(*app, *n, grid.Topology{Rows: *rows, Cols: *cols}, *maxProcs)
+	if err != nil && !*status && !*watch {
+		fmt.Fprintln(os.Stderr, "reshape-submit:", err)
+		os.Exit(2)
+	}
+
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -62,23 +70,6 @@ func main() {
 	if *watch {
 		streamEvents(ctx, cl)
 		return
-	}
-
-	initial := grid.Topology{Rows: *rows, Cols: *cols}
-	var chain []grid.Topology
-	if *app == "lu" || *app == "mm" {
-		chain = grid.GrowthChain(initial, *n, *maxProcs)
-	} else {
-		for _, p := range grid.Chain1D(*n, initial.Count(), *maxProcs) {
-			chain = append(chain, grid.Row1D(p))
-		}
-		if len(chain) == 0 || *app == "mw" {
-			chain = nil
-			for p := initial.Count(); p <= *maxProcs; p += 2 {
-				chain = append(chain, grid.Row1D(p))
-			}
-		}
-		initial = chain[0]
 	}
 
 	id, err := cl.Submit(ctx, scheduler.JobSpec{
@@ -125,6 +116,32 @@ func main() {
 			}
 		}
 	}
+}
+
+// jobChain returns the configuration a job starts on and its chain up to
+// maxProcs processors. lu and mm grow along their grid; any other app runs
+// on row counts: the problem size's divisors from the initial count on, or
+// (mw, or no such divisor) every second count. A 1-D job whose initial
+// count exceeds maxProcs has no chain and is refused.
+func jobChain(app string, n int, initial grid.Topology, maxProcs int) (grid.Topology, []grid.Topology, error) {
+	if app == "lu" || app == "mm" {
+		return initial, grid.GrowthChain(initial, n, maxProcs), nil
+	}
+	var chain []grid.Topology
+	if app != "mw" {
+		for _, p := range grid.Chain1D(n, initial.Count(), maxProcs) {
+			chain = append(chain, grid.Row1D(p))
+		}
+	}
+	if len(chain) == 0 {
+		for p := initial.Count(); p <= maxProcs; p += 2 {
+			chain = append(chain, grid.Row1D(p))
+		}
+	}
+	if len(chain) == 0 {
+		return initial, nil, fmt.Errorf("-app %s starts on %d processors, more than -max %d", app, initial.Count(), maxProcs)
+	}
+	return chain[0], chain, nil
 }
 
 func printStatus(ctx context.Context, cl *reshape.Client) {

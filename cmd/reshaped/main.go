@@ -300,15 +300,6 @@ func applySummary(ps scheduler.Stats) string {
 
 // startJob launches one allocated job through the application SDK.
 func startJob(srv *scheduler.Server, j *scheduler.Job) {
-	cfg := apps.Config{
-		App:        j.Spec.App,
-		N:          j.Spec.ProblemSize,
-		NB:         j.Spec.BlockSize,
-		Iterations: j.Spec.Iterations,
-	}
-	if cfg.NB <= 0 {
-		cfg.NB = 2
-	}
 	log.Printf("starting job %d (%s) on %v", j.ID, j.Spec.Name, j.Topo)
 	// The job runs through the application SDK; its lifecycle events
 	// surface the resize trajectory in the daemon log.
@@ -318,7 +309,7 @@ func startJob(srv *scheduler.Server, j *scheduler.Job) {
 				j.ID, j.Spec.Name, ev.From, ev.Topo, ev.Seconds)
 		}
 	})
-	if err := apps.Launch(srv, j.ID, j.Topo, cfg, sdk.WithLogger(logger)); err != nil {
+	if err := apps.Launch(srv, j.ID, j.Topo, apps.SpecConfig(j.Spec), sdk.WithLogger(logger)); err != nil {
 		log.Printf("job %d failed: %v", j.ID, err)
 		_ = srv.JobError(context.Background(), j.ID)
 		return

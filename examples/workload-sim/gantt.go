@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -17,35 +18,28 @@ var shades = []rune{' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'}
 // gantt renders the allocation history as an ASCII chart: one row per job,
 // column = time bucket, glyph intensity = processors held (relative to the
 // maximum any job holds). Deterministic and dependency-free, for terminal
-// inspection of Figure 4(a)/5(a)-style histories.
-func gantt(events []scheduler.AllocEvent, width int) string {
+// inspection of Figure 4(a)/5(a)-style histories. It reads the trace once,
+// as an iterator such as a run's Result.Events.
+func gantt(events iter.Seq2[int, scheduler.AllocEvent], width int) string {
 	if width <= 0 {
 		width = 72
 	}
-	end := 0.0
-	jobSet := map[string]bool{}
-	var jobOrder []string
-	for _, e := range events {
-		if e.Time > end {
-			end = e.Time
-		}
-		if !jobSet[e.Job] {
-			jobSet[e.Job] = true
-			jobOrder = append(jobOrder, e.Job)
-		}
-	}
-	if end == 0 || len(jobOrder) == 0 {
-		return "(no events)\n"
-	}
-
-	// Build per-job step functions of processor count.
+	// Build per-job step functions of processor count, jobs in order of
+	// first appearance.
 	type step struct {
 		t     float64
 		procs int
 	}
+	end := 0.0
 	perJob := map[string][]step{}
+	var jobOrder []string
 	maxProcs := 1
 	for _, e := range events {
+		end = max(end, e.Time)
+		if _, seen := perJob[e.Job]; !seen {
+			jobOrder = append(jobOrder, e.Job)
+			perJob[e.Job] = nil
+		}
 		var p int
 		switch e.Kind {
 		case "start", "expand", "shrink":
@@ -56,9 +50,10 @@ func gantt(events []scheduler.AllocEvent, width int) string {
 			continue // submit: not yet allocated
 		}
 		perJob[e.Job] = append(perJob[e.Job], step{e.Time, p})
-		if p > maxProcs {
-			maxProcs = p
-		}
+		maxProcs = max(maxProcs, p)
+	}
+	if end == 0 || len(jobOrder) == 0 {
+		return "(no events)\n"
 	}
 
 	var b strings.Builder

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func sampleEvents() []scheduler.AllocEvent {
 }
 
 func TestGanttRendersRows(t *testing.T) {
-	out := gantt(sampleEvents(), 40)
+	out := gantt(slices.All(sampleEvents()), 40)
 	if !strings.Contains(out, "LU") {
 		t.Fatalf("missing job row: %q", out)
 	}
@@ -37,7 +38,7 @@ func TestGanttRendersRows(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	if out := gantt(nil, 10); !strings.Contains(out, "no events") {
+	if out := gantt(slices.All([]scheduler.AllocEvent(nil)), 10); !strings.Contains(out, "no events") {
 		t.Errorf("empty gantt: %q", out)
 	}
 }
@@ -48,7 +49,7 @@ func TestGanttMultipleJobs(t *testing.T) {
 		scheduler.AllocEvent{Time: 20, Job: "MM", Kind: "start", Topo: t22, Busy: 8},
 		scheduler.AllocEvent{Time: 40, Job: "MM", Kind: "error", Topo: t22, Busy: 4},
 	)
-	out := gantt(events, 40)
+	out := gantt(slices.All(events), 40)
 	if !strings.Contains(out, "MM") {
 		t.Fatalf("missing MM row: %q", out)
 	}

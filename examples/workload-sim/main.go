@@ -28,7 +28,6 @@ import (
 	"repro/internal/reshape"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
-	"repro/internal/simcluster"
 )
 
 func main() {
@@ -52,7 +51,7 @@ func main() {
 	fmt.Println("\nworkload 1 dynamic allocation history (Figure 4(a)):")
 	for _, name := range []string{"LU", "MM", "Master-Worker", "Jacobi", "2D FFT"} {
 		fmt.Printf("  %-14s", name)
-		for _, pt := range simcluster.AllocSeries(w1.Dynamic.Events, name) {
+		for _, pt := range w1.Dynamic.AllocSeries(name) {
 			fmt.Printf(" (t=%.0fs, %0.f procs)", pt[0], pt[1])
 		}
 		fmt.Println()
@@ -83,13 +82,9 @@ func runLive(procs int) {
 	var clientp atomic.Pointer[reshape.Client]
 	sched := scheduler.NewServer(procs, true, func(j *scheduler.Job) {
 		client := clientp.Load()
-		cfg := apps.Config{App: j.Spec.App, N: j.Spec.ProblemSize, NB: j.Spec.BlockSize, Iterations: j.Spec.Iterations}
-		if cfg.NB <= 0 {
-			cfg.NB = 2
-		}
 		// The launched ranks talk to the scheduler over the wire client,
 		// exactly as they would against a remote daemon.
-		if err := apps.Launch(client, j.ID, j.Topo, cfg); err != nil {
+		if err := apps.Launch(client, j.ID, j.Topo, apps.SpecConfig(j.Spec)); err != nil {
 			log.Printf("job %d failed: %v", j.ID, err)
 			_ = client.JobError(context.Background(), j.ID)
 		}

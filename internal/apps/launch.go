@@ -6,8 +6,20 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/resize"
+	"repro/internal/scheduler"
 	"repro/pkg/reshape"
 )
+
+// SpecConfig is the configuration a scheduler job's spec launches: its
+// application, problem size, block size (2 when the spec gives none) and
+// iteration count.
+func SpecConfig(spec scheduler.JobSpec) Config {
+	cfg := Config{App: spec.App, N: spec.ProblemSize, NB: spec.BlockSize, Iterations: spec.Iterations}
+	if cfg.NB <= 0 {
+		cfg.NB = 2
+	}
+	return cfg
+}
 
 // Launch runs one application job on a fresh set of ranks (its own world),
 // wired to the given scheduler client — the body of the paper's Job

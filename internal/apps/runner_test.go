@@ -130,3 +130,17 @@ func TestJacobiSolutionMatchesAcrossTopologies(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecConfig: a job's spec maps onto the configuration it launches
+// field for field, and a spec without a block size gets 2.
+func TestSpecConfig(t *testing.T) {
+	for _, tc := range []struct {
+		nb, wantNB int
+	}{{4, 4}, {1, 1}, {0, 2}, {-3, 2}} {
+		spec := scheduler.JobSpec{App: "lu", ProblemSize: 64, BlockSize: tc.nb, Iterations: 7}
+		want := Config{App: "lu", N: 64, NB: tc.wantNB, Iterations: 7}
+		if got := SpecConfig(spec); got != want {
+			t.Errorf("block size %d: %+v, want %+v", tc.nb, got, want)
+		}
+	}
+}

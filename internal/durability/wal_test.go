@@ -280,3 +280,38 @@ func TestSnapshotFallback(t *testing.T) {
 		t.Fatalf("corrupt snapshot skip was not logged: %v", logged)
 	}
 }
+
+// TestParseSyncPolicy: the three -wal-sync words parse to their policies
+// and print back as themselves; any other word, the empty one and other
+// casings included, is refused with the valid words named.
+func TestParseSyncPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want SyncPolicy
+		ok   bool
+	}{
+		{"always", SyncAlways, true},
+		{"interval", SyncInterval, true},
+		{"none", SyncNone, true},
+		{"", 0, false},
+		{"Always", 0, false},
+		{"fsync", 0, false},
+	} {
+		got, err := ParseSyncPolicy(tc.in)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "want always, interval or none") {
+				t.Errorf("%q: policy %v, error %v; want refused", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%q: policy %v, error %v; want %v", tc.in, got, err, tc.want)
+		}
+		if got.String() != tc.in {
+			t.Errorf("%q parses to a policy that prints as %q", tc.in, got.String())
+		}
+	}
+	if s := SyncPolicy(99).String(); s != "unknown" {
+		t.Errorf("an undefined policy prints as %q, want unknown", s)
+	}
+}

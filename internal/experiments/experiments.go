@@ -308,7 +308,7 @@ func PrintAllocHistory(w io.Writer, title string, res *simcluster.Result, jobNam
 	fmt.Fprintf(w, "# %s: processor allocation history\n", title)
 	fmt.Fprintln(w, "job,time_s,procs")
 	for _, name := range jobNames {
-		for _, pt := range simcluster.AllocSeries(res.Events, name) {
+		for _, pt := range res.AllocSeries(name) {
 			fmt.Fprintf(w, "%s,%.1f,%.0f\n", name, pt[0], pt[1])
 		}
 	}
@@ -319,10 +319,10 @@ func PrintAllocHistory(w io.Writer, title string, res *simcluster.Result, jobNam
 func PrintBusySeries(w io.Writer, title string, cmp *workload.Comparison) {
 	fmt.Fprintf(w, "# %s: busy processors over time\n", title)
 	fmt.Fprintln(w, "strategy,time_s,busy")
-	for _, pt := range simcluster.BusySeries(cmp.Static.Events) {
+	for _, pt := range cmp.Static.BusySeries() {
 		fmt.Fprintf(w, "static,%.1f,%.0f\n", pt[0], pt[1])
 	}
-	for _, pt := range simcluster.BusySeries(cmp.Dynamic.Events) {
+	for _, pt := range cmp.Dynamic.BusySeries() {
 		fmt.Fprintf(w, "dynamic,%.1f,%.0f\n", pt[0], pt[1])
 	}
 }

@@ -117,27 +117,35 @@ func (c *Core) journalOp(op Op) error {
 // Replayed ops were validated before they were journaled, so an error here
 // means the journal does not match the state it is being replayed into.
 func (c *Core) Apply(op Op) error {
+	_, _, _, err := c.apply(&op, false)
+	return err
+}
+
+// apply runs one op, live from a Server or replayed by Apply, and returns
+// the job it concerns (a submit's new job), a contact's decision and the
+// jobs the op started; live is resizeComplete's.
+func (c *Core) apply(op *Op, live bool) (jobID int, d Decision, started []*Job, err error) {
+	jobID = op.JobID
 	switch op.Kind {
 	case OpSubmit:
-		_, _, err := c.Submit(op.Spec, op.Now)
-		return err
+		var j *Job
+		if j, started, err = c.Submit(op.Spec, op.Now); err == nil {
+			jobID = j.ID
+		}
 	case OpContact:
-		_, err := c.Contact(op.JobID, op.Topo, op.IterTime, op.RedistTime, op.Now)
-		return err
+		d, err = c.Contact(op.JobID, op.Topo, op.IterTime, op.RedistTime, op.Now)
 	case OpResizeComplete:
-		_, err := c.resizeComplete(op.JobID, op.RedistTime, op.Now, false)
-		return err
+		started, err = c.resizeComplete(op.JobID, op.RedistTime, op.Now, live)
 	case OpFinish:
-		_, err := c.Finish(op.JobID, op.Now)
-		return err
+		started, err = c.Finish(op.JobID, op.Now)
 	case OpFail:
-		_, err := c.Fail(op.JobID, op.Now)
-		return err
+		started, err = c.Fail(op.JobID, op.Now)
 	case OpRebalance:
-		return c.Rebalance(op.Now)
+		err = c.Rebalance(op.Now)
 	default:
-		return fmt.Errorf("scheduler: apply: unknown op kind %d", op.Kind)
+		err = fmt.Errorf("scheduler: unknown op kind %d", op.Kind)
 	}
+	return jobID, d, started, err
 }
 
 // Rebalance is the global rebalancer's planning tick: when the installed

@@ -387,29 +387,14 @@ func commitLoop(q *callQueue) {
 func (s *Server) apply(c *Call) {
 	c.Now = s.Now()
 	var started []*Job
-	switch c.Kind {
-	case OpSubmit:
-		var job *Job
-		if job, started, c.Err = s.core.Submit(c.Spec, c.Now); c.Err == nil {
-			c.JobID = job.ID
-			s.done[job.ID] = make(chan struct{})
-		}
-	case OpContact:
-		c.Decision, c.Err = s.core.Contact(c.JobID, c.Topo, c.IterTime, c.RedistTime, c.Now)
-	case OpResizeComplete:
-		started, c.Err = s.core.ResizeComplete(c.JobID, c.RedistTime, c.Now)
-	case OpFinish, OpFail:
-		fn := s.core.Finish
-		if c.Kind == OpFail {
-			fn = s.core.Fail
-		}
-		if started, c.Err = fn(c.JobID, c.Now); c.Err == nil {
+	c.JobID, c.Decision, started, c.Err = s.core.apply(&c.Op, true)
+	if c.Err == nil {
+		switch c.Kind {
+		case OpSubmit:
+			s.done[c.JobID] = make(chan struct{})
+		case OpFinish, OpFail:
 			c.done = s.done[c.JobID]
 		}
-	case OpRebalance:
-		c.Err = s.core.Rebalance(c.Now)
-	default:
-		c.Err = fmt.Errorf("scheduler: unknown op kind %d", c.Kind)
 	}
 	c.started = append(c.started[:0], started...)
 	s.applied.Store(s.seq0 + uint64(s.core.EventCount()-s.idx0))

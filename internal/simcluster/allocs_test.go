@@ -19,14 +19,14 @@ import (
 // iteration-time reservation and the room its visits and redistribution
 // pairs grow into are carved from the core's chunks, and a decision's reason
 // is a code rendered only when read; what is left is the trace (reserved
-// once, and copied once into the result) and what the arbiters add, their
+// once, and read in place by Result.Events) and what the arbiters add, their
 // plans, directives and cached tenant texts. A budget that
 // breaks means something on the per-job path allocates again. The race
 // detector's instrumentation allocates too, so -race runs have budgets of
 // their own.
 func TestRunAllocsPerJob(t *testing.T) {
 	params := perfmodel.SystemX()
-	// Measured: 0.046, 0.161 and 0.101 allocs/job (0.046, 0.176 and 0.353
+	// Measured: 0.046, 0.160 and 0.101 allocs/job (0.046, 0.175 and 0.352
 	// under -race); each budget is about 15 % over.
 	for _, tc := range []struct {
 		name               string

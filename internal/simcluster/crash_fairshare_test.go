@@ -2,7 +2,7 @@ package simcluster_test
 
 import (
 	"errors"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -148,8 +148,8 @@ func TestCrashRestartFairsharePerTenant(t *testing.T) {
 			}
 			if tc.snapshotEvery == 0 {
 				// Genesis replay regenerates the full allocation trace.
-				if !reflect.DeepEqual(res.Events, baseline.Events) {
-					t.Fatalf("allocation trace diverged: %d events vs %d", len(res.Events), len(baseline.Events))
+				if got, want := collected(res), collected(baseline); !slices.Equal(got, want) {
+					t.Fatalf("allocation trace diverged: %d events vs %d", len(got), len(want))
 				}
 			}
 			for _, tenant := range tenants(baseline) {

@@ -3,7 +3,7 @@ package simcluster_test
 import (
 	"errors"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/durability"
@@ -109,8 +109,8 @@ func TestCrashRestartMatchesBaseline(t *testing.T) {
 			}
 			if tc.snapshotEvery == 0 {
 				// Genesis replay regenerates the full allocation trace.
-				if !reflect.DeepEqual(res.Events, baseline.Events) {
-					t.Fatalf("allocation trace diverged: %d events vs %d", len(res.Events), len(baseline.Events))
+				if got, want := collected(res), collected(baseline); !slices.Equal(got, want) {
+					t.Fatalf("allocation trace diverged: %d events vs %d", len(got), len(want))
 				}
 			}
 		})

@@ -1,10 +1,21 @@
 package simcluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/perfmodel"
+	"repro/internal/scheduler"
 )
+
+// collected gathers a result's trace into a slice, for comparing runs.
+func collected(r *Result) []scheduler.AllocEvent {
+	var out []scheduler.AllocEvent
+	for _, e := range r.Events {
+		out = append(out, e)
+	}
+	return out
+}
 
 // TestSimulationDeterminism: identical inputs must produce byte-identical
 // traces — the simulator has no hidden randomness or map-iteration order
@@ -29,13 +40,9 @@ func TestSimulationDeterminism(t *testing.T) {
 		t.Fatalf("summary differs: %v/%v vs %v/%v",
 			a.Makespan, a.Utilization, b.Makespan, b.Utilization)
 	}
-	if len(a.Events) != len(b.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
-		}
+	ea, eb := collected(a), collected(b)
+	if len(ea) == 0 || !slices.Equal(ea, eb) {
+		t.Fatalf("traces differ: %d vs %d events", len(ea), len(eb))
 	}
 	for i := range a.Jobs {
 		if a.Jobs[i].End != b.Jobs[i].End || len(a.Jobs[i].Iters) != len(b.Jobs[i].Iters) {

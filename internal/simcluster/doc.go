@@ -11,9 +11,13 @@
 // equal timestamps, so identical inputs replay to byte-identical traces.
 // Arrivals stream from the arrival-ordered mix beside it and win every
 // tie, so the heap never holds more than the running jobs plus one tick.
-// Each job's simulation state, its JobResult included, is a value in one
-// slice indexed by job id that Run sizes to the mix, so tracking a job
-// allocates nothing; its scheduler.Job is the one allocation Submit makes.
+// Each job's simulation state, its JobResult and current processor grid
+// included, is a value in one slice indexed by job id that Run sizes to the
+// mix, so tracking a job allocates nothing, and the simulator reads no job
+// back from the core: a crash/restart that swaps the core leaves the
+// simulator's record as it was. Result.Jobs is built from that record;
+// Result.Events is an iterator over the finished core's allocation trace,
+// read in place, so a run never copies its trace.
 // WithCore hands the simulator a prepared scheduler.Core (untraced for the
 // 100k- and 1M-job runs of BenchmarkSchedulerThroughput, journaled for the
 // crash tests), and golden files pin the W1/W2 schedules and every arbiter

@@ -90,9 +90,43 @@ type Result struct {
 	Mode        Mode
 	Total       int
 	Jobs        []JobResult
-	Events      []scheduler.AllocEvent
 	Makespan    float64
 	Utilization float64 // fraction of available cpu-seconds assigned to jobs
+
+	core *scheduler.Core // the finished run's core, whose trace Events reads
+}
+
+// Events yields the run's allocation trace with each event's index, read
+// in place from the finished core's log: for i, e := range res.Events.
+func (r *Result) Events(yield func(int, scheduler.AllocEvent) bool) { r.core.Events(yield) }
+
+// BusySeries converts the trace into (time, busy) step points for Figures
+// 4(b)/5(b).
+func (r *Result) BusySeries() [][2]float64 {
+	var out [][2]float64
+	for _, e := range r.Events {
+		out = append(out, [2]float64{e.Time, float64(e.Busy)})
+	}
+	return out
+}
+
+// AllocSeries extracts one job's processor-allocation history as (time,
+// procs) step points for Figures 4(a)/5(a). The series ends with the job's
+// completion at zero processors.
+func (r *Result) AllocSeries(jobName string) [][2]float64 {
+	var out [][2]float64
+	for _, e := range r.Events {
+		if e.Job != jobName {
+			continue
+		}
+		switch e.Kind {
+		case "start", "expand", "shrink":
+			out = append(out, [2]float64{e.Time, float64(e.Topo.Count())})
+		case "end":
+			out = append(out, [2]float64{e.Time, 0})
+		}
+	}
+	return out
 }
 
 // mean averages f over all jobs in job order (0 for an empty result).
@@ -201,20 +235,16 @@ type Sim struct {
 
 // jobState is what the simulator tracks of one submitted job. Its result
 // gathers the job's times as they happen; collect adds what the job's
-// arrival entry says of it.
+// arrival entry says of it. topo is the job's grid: the one it started on,
+// then each granted resize's target (Core.Contact refuses any other).
 type jobState struct {
 	in        *JobInput // the job's entry in Sim.arrivals
 	id        int
 	itersDone int
 	lastIter  float64 // duration of the iteration in flight / just completed
 	lastRed   float64
+	topo      grid.Topology
 	result    JobResult
-	// job caches the scheduler's object for id, avoiding a map lookup per
-	// event; jobCore remembers which core it came from so the cache is
-	// refreshed after a crash/restart swaps the core (the old core's Job
-	// pointers are dead state).
-	job     *scheduler.Job
-	jobCore *scheduler.Core
 }
 
 // New prepares a simulation over a cluster with total processors. The
@@ -240,20 +270,10 @@ func (s *Sim) WithoutIterRecords() *Sim {
 
 // state returns the tracked state for a job id, or nil before its arrival.
 func (s *Sim) state(id int) *jobState {
-	if id < 0 || id >= len(s.states) || s.states[id].job == nil {
+	if id < 0 || id >= len(s.states) || s.states[id].in == nil {
 		return nil
 	}
 	return &s.states[id]
-}
-
-// job resolves the scheduler's object for a tracked job through the
-// per-state cache.
-func (s *Sim) job(js *jobState) *scheduler.Job {
-	if js.job == nil || js.jobCore != s.core {
-		j, _ := s.core.Job(js.id)
-		js.job, js.jobCore = j, s.core
-	}
-	return js.job
 }
 
 // WithPolicy overrides the Remap Scheduler policy for this simulation (used
@@ -378,8 +398,7 @@ func (s *Sim) Run() (*Result, error) {
 
 // startIteration schedules the next resize point for a running job.
 func (s *Sim) startIteration(js *jobState, now float64) error {
-	job := s.job(js)
-	dur, err := s.params.IterTime(js.in.Model, job.Topo)
+	dur, err := s.params.IterTime(js.in.Model, js.topo)
 	if err != nil {
 		return err
 	}
@@ -394,11 +413,11 @@ func (s *Sim) handleArrival(e event) error {
 	if err != nil {
 		return err
 	}
-	for job.ID >= len(s.states) {
-		s.states = append(s.states, jobState{})
+	if job.ID != e.job {
+		return fmt.Errorf("simcluster: the core numbered arrival %d job %d; it must start fresh", e.job, job.ID)
 	}
 	js := &s.states[job.ID]
-	js.in, js.id, js.job, js.jobCore = in, job.ID, job, s.core
+	js.in, js.id = in, job.ID
 	js.result.Submit = e.time
 	return s.beginStarted(started, e.time)
 }
@@ -410,7 +429,7 @@ func (s *Sim) beginStarted(started []*scheduler.Job, now float64) error {
 		if js == nil {
 			return fmt.Errorf("simcluster: started unknown job %d", j.ID)
 		}
-		js.result.Start = now
+		js.result.Start, js.topo = now, j.Topo
 		if err := s.startIteration(js, now); err != nil {
 			return err
 		}
@@ -445,10 +464,9 @@ func (s *Sim) recordIter(js *jobState, topo grid.Topology, redist float64) {
 
 func (s *Sim) handleResizePoint(e event) error {
 	js := s.state(e.job)
-	job := s.job(js)
 	now := e.time
 	js.itersDone++
-	topo := job.Topo
+	topo := js.topo
 
 	if js.itersDone >= js.in.Spec.Iterations {
 		s.recordIter(js, topo, 0)
@@ -483,7 +501,7 @@ func (s *Sim) handleResizePoint(e event) error {
 	} else {
 		cost = s.params.RedistTime(js.in.Model, topo, d.Target)
 	}
-	js.lastRed = cost
+	js.topo, js.lastRed = d.Target, cost
 	js.result.TotalRedist += cost
 	s.recordIter(js, topo, cost)
 	s.tl.at(now+cost, evResizeDone, e.job)
@@ -516,63 +534,24 @@ func (s *Sim) handleRebalance(e event) error {
 }
 
 // collect assembles the result, each job's from its state and its arrival
-// entry, and the core's trace at its exact length. Utilization comes from
-// the core's exact busy-time integral, so it is available even when event
-// tracing is disabled for very large runs.
+// entry, in id order; the trace stays in the core, where Result.Events
+// reads it. Utilization comes from the core's exact busy-time integral, so
+// it is available even when event tracing is disabled for very large runs.
 func (s *Sim) collect() (*Result, error) {
-	res := &Result{Mode: s.mode, Total: s.total}
-	if n := s.core.EventCount(); n > 0 {
-		res.Events = make([]scheduler.AllocEvent, 0, n)
-		for _, e := range s.core.Events {
-			res.Events = append(res.Events, e)
-		}
-	}
-	jobs := s.core.Jobs()
-	res.Jobs = make([]JobResult, 0, len(jobs))
-	for _, j := range jobs {
-		js := s.state(j.ID)
-		if j.State != scheduler.Done {
-			return nil, fmt.Errorf("simcluster: job %q never finished (state %v)", j.Spec.Name, j.State)
-		}
+	res := &Result{Mode: s.mode, Total: s.total, core: s.core, Jobs: make([]JobResult, len(s.states))}
+	for i := range s.states {
+		js := &s.states[i]
 		spec := &js.in.Spec
-		r := js.result
-		r.Name, r.App, r.Tenant, r.InitialProc = spec.Name, spec.App, spec.Tenant, spec.InitialTopo.Count()
-		res.Jobs = append(res.Jobs, r)
-		if js.result.End > res.Makespan {
-			res.Makespan = js.result.End
+		if want := max(spec.Iterations, 1); js.itersDone < want {
+			return nil, fmt.Errorf("simcluster: job %q never finished (%d of %d iterations)", spec.Name, js.itersDone, want)
 		}
+		r := &res.Jobs[i]
+		*r = js.result
+		r.Name, r.App, r.Tenant, r.InitialProc = spec.Name, spec.App, spec.Tenant, spec.InitialTopo.Count()
+		res.Makespan = max(res.Makespan, r.End)
 	}
 	if res.Makespan > 0 && s.total > 0 {
 		res.Utilization = s.core.BusySeconds(res.Makespan) / (float64(s.total) * res.Makespan)
 	}
 	return res, nil
-}
-
-// BusySeries converts the event trace into (time, busy) step points for
-// Figures 4(b)/5(b).
-func BusySeries(events []scheduler.AllocEvent) [][2]float64 {
-	var out [][2]float64
-	for _, e := range events {
-		out = append(out, [2]float64{e.Time, float64(e.Busy)})
-	}
-	return out
-}
-
-// AllocSeries extracts one job's processor-allocation history as (time,
-// procs) step points for Figures 4(a)/5(a). The series ends with the job's
-// completion at zero processors.
-func AllocSeries(events []scheduler.AllocEvent, jobName string) [][2]float64 {
-	var out [][2]float64
-	for _, e := range events {
-		if e.Job != jobName {
-			continue
-		}
-		switch e.Kind {
-		case "start", "expand", "shrink":
-			out = append(out, [2]float64{e.Time, float64(e.Topo.Count())})
-		case "end":
-			out = append(out, [2]float64{e.Time, 0})
-		}
-	}
-	return out
 }

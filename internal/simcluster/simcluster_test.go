@@ -207,7 +207,7 @@ func TestAllocAndBusySeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc := AllocSeries(res.Events, "LU")
+	alloc := res.AllocSeries("LU")
 	if len(alloc) < 3 {
 		t.Fatalf("alloc series too short: %v", alloc)
 	}
@@ -217,7 +217,7 @@ func TestAllocAndBusySeries(t *testing.T) {
 	if alloc[len(alloc)-1][1] != 0 {
 		t.Errorf("series should end at 0 procs: %v", alloc[len(alloc)-1])
 	}
-	busy := BusySeries(res.Events)
+	busy := res.BusySeries()
 	for _, pt := range busy {
 		if pt[1] < 0 || pt[1] > 20 {
 			t.Errorf("busy point %v out of range", pt)
