@@ -29,7 +29,9 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -93,29 +95,11 @@ func lookup(results []result, bench, metric string) (float64, error) {
 
 func main() {
 	var gates gateFlags
-	args := os.Args[1:]
-	for len(args) > 0 {
-		switch {
-		case args[0] == "-gate" || args[0] == "--gate":
-			if len(args) < 2 {
-				fmt.Fprintln(os.Stderr, "benchjson: -gate needs an argument")
-				os.Exit(2)
-			}
-			if err := gates.Set(args[1]); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: -gate:", err)
-				os.Exit(2)
-			}
-			args = args[2:]
-		case strings.HasPrefix(args[0], "-gate=") || strings.HasPrefix(args[0], "--gate="):
-			if err := gates.Set(args[0][strings.Index(args[0], "=")+1:]); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: -gate:", err)
-				os.Exit(2)
-			}
-			args = args[1:]
-		default:
-			fmt.Fprintf(os.Stderr, "benchjson: unknown flag %q\n", args[0])
-			os.Exit(2)
-		}
+	flag.Var(&gates, "gate", "a `num:den:min` gate, num and den each bench/name:metric: fail unless num >= min * den (repeatable)")
+	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
 	}
 
 	results := []result{} // encode [] (not null) when nothing parses
@@ -139,34 +123,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-
-	failed := false
-	for _, g := range gates {
-		num, err := lookup(results, g.numBench, g.numMetric)
-		if err == nil {
-			var den float64
-			den, err = lookup(results, g.denBench, g.denMetric)
-			if err == nil {
-				ratio := 0.0
-				if den != 0 {
-					ratio = num / den
-				}
-				status := "ok"
-				if num < g.min*den {
-					status = "FAIL"
-					failed = true
-				}
-				fmt.Fprintf(os.Stderr, "benchjson: gate %s: %s:%s / %s:%s = %.3f (min %.3f)\n",
-					status, g.numBench, g.numMetric, g.denBench, g.denMetric, ratio, g.min)
-				continue
-			}
-		}
-		fmt.Fprintln(os.Stderr, "benchjson: gate:", err)
-		failed = true
-	}
-	if failed {
+	if !checkGates(os.Stderr, results, gates) {
 		os.Exit(1)
 	}
+}
+
+// checkGates reports every gate on w and returns whether all of them
+// passed. A gate naming a benchmark or metric missing from results fails.
+func checkGates(w io.Writer, results []result, gates []gate) bool {
+	passed := true
+	for _, g := range gates {
+		num, err := lookup(results, g.numBench, g.numMetric)
+		var den float64
+		if err == nil {
+			den, err = lookup(results, g.denBench, g.denMetric)
+		}
+		if err != nil {
+			fmt.Fprintln(w, "benchjson: gate:", err)
+			passed = false
+			continue
+		}
+		ratio := 0.0
+		if den != 0 {
+			ratio = num / den
+		}
+		status := "ok"
+		if num < g.min*den {
+			status = "FAIL"
+			passed = false
+		}
+		fmt.Fprintf(w, "benchjson: gate %s: %s:%s / %s:%s = %.3f (min %.3f)\n",
+			status, g.numBench, g.numMetric, g.denBench, g.denMetric, ratio, g.min)
+	}
+	return passed
 }
 
 // parse decodes one `Benchmark<Name>-P  N  <value> <unit> ...` line.

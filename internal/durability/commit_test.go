@@ -656,6 +656,40 @@ func TestCommitIsANoOpWithoutSyncAlways(t *testing.T) {
 	}
 }
 
+// TestSyncFlushesUnderSyncNone: under SyncNone only Sync (or Close)
+// makes appended records durable. One Sync flushes them all at once, a
+// second with nothing new appended is a no-op, and Sync after Close
+// returns nil.
+func TestSyncFlushesUnderSyncNone(t *testing.T) {
+	st, _, err := Open(t.TempDir(), Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := sampleOps()
+	for _, op := range ops {
+		if err := st.Append(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.Stats(); got.Syncs != 0 {
+		t.Fatalf("%d flushes before Sync", got.Syncs)
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats(); got.Syncs != 1 || got.MaxBatch != uint64(len(ops)) {
+			t.Fatalf("after Sync %d: %d flushes, largest batch %d; want 1 flush of %d", i+1, got.Syncs, got.MaxBatch, len(ops))
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatalf("Sync after Close: %v", err)
+	}
+}
+
 // TestSyncIntervalLoopFlushes: under SyncInterval the background loop
 // alone makes appended records durable, with no Commit or Sync call, and
 // Close returns only once the loop has stopped.

@@ -58,22 +58,6 @@ func PolicyAblation(params *perfmodel.Params) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// PrintPolicyAblation writes the policy ablation table.
-func PrintPolicyAblation(w io.Writer, params *perfmodel.Params) error {
-	rows, err := PolicyAblation(params)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Policy ablation on workload 1")
-	fmt.Fprintf(w, "%-22s %10s %16s %14s %8s\n",
-		"policy", "util(%)", "mean turnarnd(s)", "total redist(s)", "resizes")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %10.1f %16.1f %14.1f %8d\n",
-			r.Policy, 100*r.Utilization, r.MeanTurnaround, r.TotalRedist, r.Resizes)
-	}
-	return nil
-}
-
 // ScheduleAblationRow compares the circulant schedule against the naive
 // single-phase exchange for one grid transition.
 type ScheduleAblationRow struct {
@@ -116,18 +100,32 @@ func naiveContention(from, to grid.Topology) int {
 	return r * c
 }
 
-// PrintScheduleAblation writes the schedule ablation table.
-func PrintScheduleAblation(w io.Writer) {
+// printAblations writes the policy ablation table, a blank line and the
+// schedule ablation table.
+func printAblations(w io.Writer, params *perfmodel.Params) error {
+	rows, err := PolicyAblation(params)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "# Policy ablation on workload 1")
+	fmt.Fprintf(w, "%-22s %10s %16s %14s %8s\n",
+		"policy", "util(%)", "mean turnarnd(s)", "total redist(s)", "resizes")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-22s %10.1f %16.1f %14.1f %8d\n",
+			r.Policy, 100*r.Utilization, r.MeanTurnaround, r.TotalRedist, r.Resizes)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintln(w, "# Schedule ablation: circulant steps vs naive receive contention")
 	fmt.Fprintf(w, "%-14s %16s %18s\n", "transition", "circulant steps", "naive contention")
 	for _, r := range ScheduleAblation() {
 		fmt.Fprintf(w, "%-14s %16d %18d\n", r.Transition, r.CirculantSteps, r.NaiveContention)
 	}
+	return nil
 }
 
-// PrintLoadSweep writes a static-vs-dynamic utilization/turnaround sweep
+// printLoadSweep writes a static-vs-dynamic utilization/turnaround sweep
 // over synthetic arrival rates (a generated 20-job mix).
-func PrintLoadSweep(w io.Writer, params *perfmodel.Params) error {
+func printLoadSweep(w io.Writer, params *perfmodel.Params) error {
 	points, err := workload.LoadSweep(workload.ClusterProcs, params, 20, 1,
 		[]float64{50, 100, 200, 400, 800, 1600})
 	if err != nil {

@@ -64,12 +64,11 @@ func TestScheduleAblationValues(t *testing.T) {
 
 func TestAblationPrinters(t *testing.T) {
 	var buf bytes.Buffer
-	if err := PrintPolicyAblation(&buf, perfmodel.SystemX()); err != nil {
+	if err := printAblations(&buf, perfmodel.SystemX()); err != nil {
 		t.Fatal(err)
 	}
-	PrintScheduleAblation(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "Policy ablation") || !strings.Contains(out, "cost-aware") {
+	if !strings.Contains(out, "Policy ablation") || !strings.Contains(out, "cost-aware") || !strings.Contains(out, "Schedule ablation") {
 		t.Errorf("missing content: %q", out)
 	}
 }

@@ -1,11 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4). Each experiment has a typed generator (used by tests and
-// benchmarks) and a printer that emits the series/rows the paper reports.
+// examples) and a printer that emits the series/rows the paper reports;
+// Artefacts lists the printers in the one order reshape-bench runs them.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
@@ -13,6 +15,53 @@ import (
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
+
+// Artefact is one evaluation artefact: the name reshape-bench -exp selects
+// it by and the printer that writes it.
+type Artefact struct {
+	Name  string
+	Print func(io.Writer) error
+}
+
+// Artefacts returns every artefact in print order: the paper's Table 2,
+// Figures 2-5 and Tables 4-5, the ablations, the load sweep, the scheduler
+// scale table over scaleJobs (nil runs the default 1k/10k mixes) and the
+// arbiter mode matrix. W1 and W2 are simulated at most once per returned
+// slice, by the first entry that prints them.
+func Artefacts(params *perfmodel.Params, scaleJobs []int) []Artefact {
+	w1 := sync.OnceValues(func() (*workload.Comparison, error) { return RunW1(params) })
+	w2 := sync.OnceValues(func() (*workload.Comparison, error) { return RunW2(params) })
+	on := func(run func() (*workload.Comparison, error), write func(io.Writer, *workload.Comparison)) func(io.Writer) error {
+		return func(w io.Writer) error {
+			cmp, err := run()
+			if err == nil {
+				write(w, cmp)
+			}
+			return err
+		}
+	}
+	return []Artefact{
+		{"table2", func(w io.Writer) error { printTable2(w); return nil }},
+		{"fig2a", func(w io.Writer) error { return printFig2a(w, params) }},
+		{"fig2b", func(w io.Writer) error { printFig2b(w, params); return nil }},
+		{"fig3a", func(w io.Writer) error { return printFig3a(w, params) }},
+		{"fig3b", func(w io.Writer) error { return printFig3b(w, params) }},
+		{"fig4a", on(w1, func(w io.Writer, c *workload.Comparison) {
+			printAllocHistory(w, "Figure 4(a) workload 1", c.Dynamic, []string{"LU", "MM", "Master-Worker", "Jacobi", "2D FFT"})
+		})},
+		{"fig4b", on(w1, func(w io.Writer, c *workload.Comparison) { printBusySeries(w, "Figure 4(b) workload 1", c) })},
+		{"table4", on(w1, func(w io.Writer, c *workload.Comparison) { PrintTurnaroundTable(w, "Table 4 workload 1", c) })},
+		{"fig5a", on(w2, func(w io.Writer, c *workload.Comparison) {
+			printAllocHistory(w, "Figure 5(a) workload 2", c.Dynamic, []string{"LU", "Jacobi", "Master-Worker", "2D FFT"})
+		})},
+		{"fig5b", on(w2, func(w io.Writer, c *workload.Comparison) { printBusySeries(w, "Figure 5(b) workload 2", c) })},
+		{"table5", on(w2, func(w io.Writer, c *workload.Comparison) { PrintTurnaroundTable(w, "Table 5 workload 2", c) })},
+		{"ablation", func(w io.Writer) error { return printAblations(w, params) }},
+		{"loadsweep", func(w io.Writer) error { return printLoadSweep(w, params) }},
+		{"scale", func(w io.Writer) error { return printSchedulerScale(w, params, scaleJobs) }},
+		{"modes", func(w io.Writer) error { return printModes(w, params) }},
+	}
+}
 
 // LUSizes are the LU/MM problem sizes of Table 2 / Figure 2.
 var LUSizes = []int{8000, 12000, 14000, 16000, 20000, 21000, 24000}
@@ -74,8 +123,8 @@ func Table2() []Table2Row {
 	return rows
 }
 
-// PrintTable2 writes Table 2.
-func PrintTable2(w io.Writer) {
+// printTable2 writes Table 2.
+func printTable2(w io.Writer) {
 	fmt.Fprintln(w, "# Table 2: processor configurations per problem size")
 	for _, r := range Table2() {
 		fmt.Fprintf(w, "%-24s", r.Problem)
@@ -115,8 +164,8 @@ func Fig2a(params *perfmodel.Params) (map[int][]SeriesPoint, error) {
 	return out, nil
 }
 
-// PrintFig2a writes the Figure 2(a) series.
-func PrintFig2a(w io.Writer, params *perfmodel.Params) error {
+// printFig2a writes the Figure 2(a) series.
+func printFig2a(w io.Writer, params *perfmodel.Params) error {
 	data, err := Fig2a(params)
 	if err != nil {
 		return err
@@ -153,8 +202,8 @@ func Fig2b(params *perfmodel.Params) map[int][]SeriesPoint {
 	return out
 }
 
-// PrintFig2b writes the Figure 2(b) series.
-func PrintFig2b(w io.Writer, params *perfmodel.Params) {
+// printFig2b writes the Figure 2(b) series.
+func printFig2b(w io.Writer, params *perfmodel.Params) {
 	fmt.Fprintln(w, "# Figure 2(b): redistribution overhead (s) for expansion")
 	fmt.Fprintln(w, "size,transition,procs,seconds")
 	for _, n := range LUSizes {
@@ -184,8 +233,8 @@ func Fig3a(params *perfmodel.Params) ([]simcluster.IterRecord, error) {
 	return res.Jobs[0].Iters, nil
 }
 
-// PrintFig3a writes the Figure 3(a) table.
-func PrintFig3a(w io.Writer, params *perfmodel.Params) error {
+// printFig3a writes the Figure 3(a) table.
+func printFig3a(w io.Writer, params *perfmodel.Params) error {
 	iters, err := Fig3a(params)
 	if err != nil {
 		return err
@@ -274,8 +323,8 @@ func Fig3b(params *perfmodel.Params) ([]Fig3bRow, error) {
 	return rows, nil
 }
 
-// PrintFig3b writes the Figure 3(b) comparison.
-func PrintFig3b(w io.Writer, params *perfmodel.Params) error {
+// printFig3b writes the Figure 3(b) comparison.
+func printFig3b(w io.Writer, params *perfmodel.Params) error {
 	rows, err := Fig3b(params)
 	if err != nil {
 		return err
@@ -303,8 +352,8 @@ func RunW2(params *perfmodel.Params) (*workload.Comparison, error) {
 	return workload.Compare(workload.ClusterProcs, workload.W2(), params)
 }
 
-// PrintAllocHistory writes a Figure 4(a)/5(a)-style allocation history.
-func PrintAllocHistory(w io.Writer, title string, res *simcluster.Result, jobNames []string) {
+// printAllocHistory writes a Figure 4(a)/5(a)-style allocation history.
+func printAllocHistory(w io.Writer, title string, res *simcluster.Result, jobNames []string) {
 	fmt.Fprintf(w, "# %s: processor allocation history\n", title)
 	fmt.Fprintln(w, "job,time_s,procs")
 	for _, name := range jobNames {
@@ -314,9 +363,9 @@ func PrintAllocHistory(w io.Writer, title string, res *simcluster.Result, jobNam
 	}
 }
 
-// PrintBusySeries writes a Figure 4(b)/5(b)-style busy-processor trace for
+// printBusySeries writes a Figure 4(b)/5(b)-style busy-processor trace for
 // the static and dynamic runs.
-func PrintBusySeries(w io.Writer, title string, cmp *workload.Comparison) {
+func printBusySeries(w io.Writer, title string, cmp *workload.Comparison) {
 	fmt.Fprintf(w, "# %s: busy processors over time\n", title)
 	fmt.Fprintln(w, "strategy,time_s,busy")
 	for _, pt := range cmp.Static.BusySeries() {

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -209,31 +212,35 @@ func TestW2ShrinkToAccommodate(t *testing.T) {
 	}
 }
 
-func TestPrintersProduceOutput(t *testing.T) {
-	p := perfmodel.SystemX()
-	var buf bytes.Buffer
-	PrintTable2(&buf)
-	if err := PrintFig2a(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	PrintFig2b(&buf, p)
-	if err := PrintFig3a(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := PrintFig3b(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	cmp, err := RunW1(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	PrintAllocHistory(&buf, "Figure 4(a)", cmp.Dynamic, []string{"LU", "MM"})
-	PrintBusySeries(&buf, "Figure 4(b)", cmp)
-	PrintTurnaroundTable(&buf, "Table 4", cmp)
-	out := buf.String()
-	for _, want := range []string{"Table 2", "Figure 2(a)", "Figure 3(a)", "utilization"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
+var update = flag.Bool("update", false, "rewrite testdata/<artefact>.golden")
+
+// TestArtefactsGolden holds every artefact's bytes to
+// testdata/<name>.golden. A file changes only under -update, and a change
+// to modes.golden is a change in scheduling. scale prints wall-clock rows,
+// so TestPrintSchedulerScale covers it instead.
+func TestArtefactsGolden(t *testing.T) {
+	for _, a := range Artefacts(perfmodel.SystemX(), nil) {
+		t.Run(a.Name, func(t *testing.T) {
+			if a.Name == "scale" {
+				t.Skip("wall-clock rows")
+			}
+			var b bytes.Buffer
+			if err := a.Print(&b); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", a.Name+".golden")
+			if *update {
+				if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to record it)", err)
+			}
+			if !bytes.Equal(b.Bytes(), want) {
+				t.Errorf("%s differs from %s:\n%s", a.Name, path, b.String())
+			}
+		})
 	}
 }

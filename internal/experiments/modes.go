@@ -107,12 +107,10 @@ func ModeComparison(params *perfmodel.Params, oracle bool) ([]ModeRun, error) {
 	return runs, nil
 }
 
-// PrintModes writes the mode matrix at full float precision: a row per mix
+// printModes writes the mode matrix at full float precision: a row per mix
 // and mode, each arbiter mode with the oracle predictor and blind, fcfs
 // once. A mix with tenants adds a line per tenant after each row.
-//
-//lint:allow testonly experiment driver: TestModesGolden pins it as testdata/modes.golden until a reshape-bench mode prints it
-func PrintModes(w io.Writer, params *perfmodel.Params) error {
+func printModes(w io.Writer, params *perfmodel.Params) error {
 	oracle, err := ModeComparison(params, true)
 	if err != nil {
 		return err

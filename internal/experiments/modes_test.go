@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -14,8 +10,6 @@ import (
 	"repro/internal/simcluster"
 	"repro/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/modes.golden")
 
 // collected gathers a result's trace into a slice, for comparing runs.
 func collected(r *simcluster.Result) []scheduler.AllocEvent {
@@ -122,29 +116,6 @@ func TestFairshareProtectsVictims(t *testing.T) {
 		if tenant != "noisy" && fp >= bp {
 			t.Errorf("%s: fair-share p99 wait %.1fs not better than benefit %.1fs", tenant, fp, bp)
 		}
-	}
-}
-
-// TestModesGolden holds PrintModes to testdata/modes.golden. The file
-// changes only under -update, and a change to it is a change in
-// scheduling.
-func TestModesGolden(t *testing.T) {
-	var b bytes.Buffer
-	if err := PrintModes(&b, perfmodel.SystemX()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("testdata", "modes.golden")
-	if *update {
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record it)", err)
-	}
-	if !bytes.Equal(b.Bytes(), want) {
-		t.Errorf("mode matrix differs from %s:\n%s", path, b.String())
 	}
 }
 

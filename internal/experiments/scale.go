@@ -60,10 +60,10 @@ func SchedulerScale(params *perfmodel.Params, jobCounts []int) ([]ScaleRow, erro
 	return rows, nil
 }
 
-// PrintSchedulerScale writes the scheduler scale table. With no explicit
-// jobCounts it runs the default 1k/10k mixes; reshape-bench's -scale-jobs
-// flag passes larger counts (e.g. the 1M profiling mix) through here.
-func PrintSchedulerScale(w io.Writer, params *perfmodel.Params, jobCounts ...int) error {
+// printSchedulerScale writes the scheduler scale table. With no jobCounts
+// it runs the default 1k/10k mixes; reshape-bench's -scale-jobs flag
+// passes larger counts (e.g. the 1M profiling mix) through Artefacts.
+func printSchedulerScale(w io.Writer, params *perfmodel.Params, jobCounts []int) error {
 	if len(jobCounts) == 0 {
 		jobCounts = []int{1000, 10000}
 	}

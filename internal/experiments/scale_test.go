@@ -29,7 +29,7 @@ func TestPrintSchedulerScale(t *testing.T) {
 		t.Skip("runs 1000- and 10000-job simulations")
 	}
 	var sb strings.Builder
-	if err := PrintSchedulerScale(&sb, perfmodel.SystemX()); err != nil {
+	if err := printSchedulerScale(&sb, perfmodel.SystemX(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "jobs/s") {

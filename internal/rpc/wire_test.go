@@ -541,7 +541,10 @@ func TestStaleMagicRefused(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := scheduler.NewServer(4, false, nil)
-			srv, err := Serve("127.0.0.1:0", sched)
+			var logged []string // read only after Close has waited out the server's goroutines
+			srv, err := Serve("127.0.0.1:0", sched, WithLogf(func(format string, args ...any) {
+				logged = append(logged, fmt.Sprintf(format, args...))
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -567,6 +570,10 @@ func TestStaleMagicRefused(t *testing.T) {
 			}
 			if st := srv.Stats(); st.Malformed != 1 || st.Requests != 0 || st.Conns != 0 {
 				t.Fatalf("stats %+v: want one malformed opener and nothing dispatched", st)
+			}
+			srv.Close()
+			if len(logged) != 1 || !strings.Contains(logged[0], "not MagicV2") {
+				t.Fatalf("log %q: want one \"not MagicV2\" line for the refused opener", logged)
 			}
 		})
 	}
