@@ -28,6 +28,12 @@ func sweepRunning(jobs []*Job) RunningViews {
 	return views
 }
 
+// tickSnapshot is the caller-less snapshot a planning tick at now is handed.
+func tickSnapshot(c *Core, now float64) (s ClusterSnapshot) {
+	c.snapshot(&s, nil, now)
+	return s
+}
+
 // runningJobs lists the core's running jobs in id order.
 func runningJobs(c *Core) []*Job {
 	var running []*Job
@@ -48,10 +54,18 @@ func viewIDs(each func(func(*ContactView) bool)) []int {
 	return ids
 }
 
-// indexedSet returns rs once its id indexes are built, and until then a copy
+// sortedIDs is viewIDs in ascending order, for a producer that yields in
+// its own order.
+func sortedIDs(each func(func(*ContactView) bool)) []int {
+	ids := viewIDs(each)
+	slices.Sort(ids)
+	return ids
+}
+
+// indexedSet returns rs once its indexes are built, and until then a copy
 // of rs with them built from the same job table, so checking a core never
-// builds its indexes. The copy shares nothing the build writes: unbuilt
-// indexes are nil.
+// builds its indexes. Of what the build writes the copy shares only the
+// jobs' positions, which an unbuilt set never reads and its own build drops.
 func indexedSet(rs *runningSet) *runningSet {
 	if rs.indexed {
 		return rs
@@ -66,12 +80,14 @@ func indexedSet(rs *runningSet) *runningSet {
 //   - the idle count conserves processors: idle >= 0, and idle plus every
 //     running job's Topo and pending give-back is the cluster;
 //   - every job is in exactly one of queue, running set or done: the queue
-//     holds exactly the Queued jobs, the running set counts exactly the
-//     Running ones and flags exactly the shrinkable ones among them;
-//   - the running set's id indexes, and the snapshot an arbiter would be
-//     handed, equal a plain sweep over the jobs, and every queued view is the
-//     one queuedView builds for its job. Until the indexes are built, a copy
-//     built from the job table is held to the sweep instead;
+//     holds exactly the Queued jobs and the running set counts exactly the
+//     Running ones;
+//   - the running set's views and indexes, and the snapshot an arbiter would
+//     be handed, equal a plain sweep over the jobs (the indexes as sets), every
+//     member of an index records its place in it and no other running job
+//     records one, and every queued view is the one queuedView builds for its
+//     job. Until the indexes are built, a copy built from the job table is
+//     held to the sweep instead;
 //   - allocation-event timestamps never decrease.
 func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	jobs := c.Jobs()
@@ -91,7 +107,7 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if snap.Idle < 0 || snap.Idle+held != snap.Total {
 		return fmt.Errorf("idle %d + held %d != total %d", snap.Idle, held, snap.Total)
 	}
-	var inQueue, inRunning, shrinkable, flagged []int
+	var inQueue []int
 	for _, j := range c.queue.window(nil, c.queue.len()) {
 		inQueue = append(inQueue, j.ID)
 	}
@@ -102,26 +118,28 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if c.running.count != len(running) {
 		return fmt.Errorf("running set counts %d jobs, the Running jobs are %v", c.running.count, running)
 	}
-	for _, j := range jobs {
-		if j.State == Running && len(j.Profile.AppendShrinkPoints(nil, j.Topo)) > 0 {
-			shrinkable = append(shrinkable, j.ID)
-		}
-		if j.shrinkable {
-			flagged = append(flagged, j.ID)
-		}
-	}
-	if !slices.Equal(flagged, shrinkable) {
-		return fmt.Errorf("jobs %v are flagged shrinkable, the shrinkable running jobs are %v", flagged, shrinkable)
-	}
 	if snap.Cluster != ClusterView(&c.running) {
 		return fmt.Errorf("snapshot's Cluster is %T %p, not the core's running set", snap.Cluster, snap.Cluster)
 	}
 	rs := indexedSet(&c.running)
-	for _, j := range rs.jobs {
-		inRunning = append(inRunning, j.ID)
-	}
-	if !slices.Equal(inRunning, running) {
-		return fmt.Errorf("running set holds %v, the Running jobs are %v", inRunning, running)
+	for k, sets := range [][][]*Job{inShrinkable: {rs.shrinkable}, inExpandable: rs.expandable.vals} {
+		filed := 0
+		for _, set := range sets {
+			for i, j := range set {
+				if j.at[k] != int32(i+1) {
+					return fmt.Errorf("index %d: job %d sits at %d and records %d", k, j.ID, i+1, j.at[k])
+				}
+			}
+			filed += len(set)
+		}
+		for _, j := range jobs {
+			if j.State == Running && j.at[k] > 0 {
+				filed--
+			}
+		}
+		if filed != 0 {
+			return fmt.Errorf("index %d: %d more members than running jobs that record a place", k, filed)
+		}
 	}
 	for i := 1; i < c.EventCount(); i++ {
 		if t, prev := eventAt(c, i).Time, eventAt(c, i-1).Time; t < prev {
@@ -153,7 +171,7 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	if snap.PendingFree != pendingFree {
 		return fmt.Errorf("PendingFree %d, sweep gives %d", snap.PendingFree, pendingFree)
 	}
-	if gotIDs, wantIDs := viewIDs(rs.EachShrinkable), viewIDs(want.EachShrinkable); !reflect.DeepEqual(gotIDs, wantIDs) {
+	if gotIDs, wantIDs := sortedIDs(rs.EachShrinkable), viewIDs(want.EachShrinkable); !reflect.DeepEqual(gotIDs, wantIDs) {
 		return fmt.Errorf("shrinkable %v, sweep gives %v", gotIDs, wantIDs)
 	}
 	if err := checkExpandable(rs, want); err != nil {
@@ -309,7 +327,7 @@ func (a *diceArbiter) PickStart(snap StartSnapshot) int {
 // running views with a plain sweep over the jobs (checkInvariants), and
 // holds the change feed to the jobs' own keys through a reader that keeps
 // its cursor across ops. The arbiter never walks the running set, so the
-// core's id indexes stay unbuilt until the test builds them at a seeded op
+// core's indexes stay unbuilt until the test builds them at a seeded op
 // before the restore, and the restored core's at a seeded op after it:
 // both regimes are checked on both sides of the restore. Each sequence
 // ends by draining the cluster, which must leave no job queued and no
@@ -383,9 +401,9 @@ func TestAggregatesMatchSweep(t *testing.T) {
 					t.Fatalf("seed %d op %d: the indexes were built before the test asked", seed, op)
 				}
 				step += " + index"
-				core.running.EachRunning(func(*ContactView) bool { return false })
+				core.running.EachShrinkable(func(*ContactView) bool { return false })
 				if !core.running.indexed {
-					t.Fatalf("seed %d op %d: EachRunning left the indexes unbuilt", seed, op)
+					t.Fatalf("seed %d op %d: EachShrinkable left the indexes unbuilt", seed, op)
 				}
 			}
 			if op == restoreAt {
@@ -396,7 +414,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 				}
 				install(restored)
 			}
-			if err := checkInvariants(core, core.globalSnapshot(now)); err != nil {
+			if err := checkInvariants(core, tickSnapshot(core, now)); err != nil {
 				t.Fatalf("seed %d op %d after %s: %v", seed, op, step, err)
 			}
 			if err := feed.check(&core.running, core.Jobs()); err != nil {
@@ -413,7 +431,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 					t.Fatalf("seed %d drain: finish %d: %v", seed, j.ID, err)
 				}
 			}
-			if err := checkInvariants(core, core.globalSnapshot(now)); err != nil {
+			if err := checkInvariants(core, tickSnapshot(core, now)); err != nil {
 				t.Fatalf("seed %d drain: %v", seed, err)
 			}
 		}
@@ -424,7 +442,7 @@ func TestAggregatesMatchSweep(t *testing.T) {
 	}
 }
 
-// TestPublishedPathNeverBuildsExpandableIndex: the running set's id indexes
+// TestPublishedPathNeverBuildsExpandableIndex: the running set's indexes
 // and the change log exist for arbiters that ask for them. A core on the
 // published single-job path — no arbiter — starts, expands, shrinks and
 // finishes jobs without ever filing one in any of them.
@@ -459,9 +477,9 @@ func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 	if resized == 0 {
 		t.Fatal("no contact resized a job: the retopo path went unexercised")
 	}
-	if r := &c.running; r.indexed || r.jobs != nil || r.shrinkable != nil || r.expandable.keys != nil {
-		t.Fatalf("published path built the id indexes: %d running, %d shrinkable, %d expandable buckets",
-			len(r.jobs), len(r.shrinkable), len(r.expandable.keys))
+	if r := &c.running; r.indexed || r.shrinkable != nil || r.expandable.keys != nil {
+		t.Fatalf("published path built the indexes: %d shrinkable, %d expandable buckets",
+			len(r.shrinkable), len(r.expandable.keys))
 	}
 	if c.running.logging || c.running.log != nil {
 		t.Fatalf("published path kept a change log: %d entries", len(c.running.log))
@@ -469,11 +487,13 @@ func TestPublishedPathNeverBuildsExpandableIndex(t *testing.T) {
 }
 
 // TestLateIndexMatchesEarlyIndex drives two cores through the same seeded
-// ops, one whose id indexes are built before its first op and one whose are
-// built after 1 000, and from then on holds every EachRunning,
-// EachShrinkable and EachExpandable id list of the late core to the early
-// one's: a build from the job table must file exactly what start, finish
-// and every move have filed since the beginning.
+// ops, one whose indexes are built before its first op and one whose are
+// built after 1 000, and from then on holds every EachRunning id list, and
+// every EachShrinkable and EachExpandable membership, of the late core to
+// the early one's: a build from the job table must file exactly what start,
+// finish and every move have filed since the beginning. The indexes are
+// sets, whose order is their history's, so their members are compared
+// sorted.
 func TestLateIndexMatchesEarlyIndex(t *testing.T) {
 	const total, buildAt, ops = 64, 1000, 1600
 	var cores [2]*Core
@@ -482,11 +502,11 @@ func TestLateIndexMatchesEarlyIndex(t *testing.T) {
 		cores[i].SetArbiter(&diceArbiter{rng: rand.New(rand.NewSource(5)), check: func(ClusterSnapshot) {}})
 	}
 	early, late := cores[0], cores[1]
-	early.running.EachRunning(func(*ContactView) bool { return true })
+	early.running.EachShrinkable(func(*ContactView) bool { return true })
 	lists := func(c *Core) [][]int {
-		out := [][]int{viewIDs(c.running.EachRunning), viewIDs(c.running.EachShrinkable)}
+		out := [][]int{viewIDs(c.running.EachRunning), sortedIDs(c.running.EachShrinkable)}
 		for lo := 0; lo <= total; lo += 4 {
-			out = append(out, viewIDs(func(y func(*ContactView) bool) { c.running.EachExpandable(lo, lo+3, y) }))
+			out = append(out, sortedIDs(func(y func(*ContactView) bool) { c.running.EachExpandable(lo, lo+3, y) }))
 		}
 		return out
 	}

@@ -21,8 +21,10 @@ import (
 // keeps RemainingIters as a counter rather than re-summing the profile.
 type ContactView struct {
 	ID int
-	// Tenant is the submitting principal ("" for the default tenant).
+	// Tenant is the submitting principal ("" for the default tenant), and
+	// TenantID its index as in QueuedView.
 	Tenant   string
+	TenantID int
 	Priority int
 	Topo     grid.Topology
 	Chain    []grid.Topology
@@ -40,8 +42,12 @@ type ContactView struct {
 // QueuedView is a read-only view of one waiting job.
 type QueuedView struct {
 	ID int
-	// Tenant is the submitting principal ("" for the default tenant).
+	// Tenant is the submitting principal ("" for the default tenant), and
+	// TenantID its dense index in the core that built the view (0, 1, 2, …
+	// as the core first saw each tenant; never persisted). A view built by
+	// hand leaves it 0, so check the name of what an id finds.
 	Tenant   string
+	TenantID int
 	Priority int
 	// Need is the job's initial processor requirement.
 	Need int
@@ -50,16 +56,6 @@ type QueuedView struct {
 	// timestamp rather than the age keeps the view valid as the clock moves,
 	// so Core rebuilds its queued window only when the queue changes.
 	Submit float64
-}
-
-// TenantProcs returns the running processors of one tenant from a
-// name-sorted usage list (0 for a tenant with nothing running).
-func TenantProcs(tenants []TenantUsage, name string) int {
-	i := sort.Search(len(tenants), func(k int) bool { return tenants[k].Tenant >= name })
-	if i < len(tenants) && tenants[i].Tenant == name {
-		return tenants[i].Procs
-	}
-	return 0
 }
 
 // ClusterView grants an arbiter lazy access to the running jobs, which
@@ -84,17 +80,17 @@ type ClusterView interface {
 	// during yield, copy it (*v) to keep it for the rest of the call, and do
 	// not start another sweep from inside yield.
 	EachRunning(yield func(*ContactView) bool)
-	// EachShrinkable yields, in the same order and under the same rule, the
-	// running jobs that have visited a configuration smaller than their
-	// current one — exactly those whose Profile.AppendShrinkPoints(nil,
-	// Topo) is not empty.
+	// EachShrinkable yields, under the same rule, the running jobs that have
+	// visited a configuration smaller than their current one — exactly those
+	// whose Profile.AppendShrinkPoints(nil, Topo) is not empty. The order is
+	// deterministic but the producer's own (Core's index yields in set
+	// order, RunningViews by job id): a caller that ranks jobs breaks ties.
 	EachShrinkable(yield func(*ContactView) bool)
 	// EachExpandable yields, under the same rule, the running jobs whose next
 	// chain step adds between lo and hi processors inclusive — exactly those
 	// with NextInChain(Chain, Topo) ok and lo <= next.Count()-Topo.Count() <= hi.
-	// The order is deterministic but the producer's own (Core's index yields
-	// by ascending step size, then job id; RunningViews by job id), so a
-	// caller that ranks the jobs must break its ties explicitly.
+	// The order is the producer's own, as for EachShrinkable (Core's index
+	// yields by ascending step size, then in set order).
 	EachExpandable(lo, hi int, yield func(*ContactView) bool)
 	// Running returns the view of one running job (false when the id is
 	// queued, done or unknown).
@@ -121,7 +117,9 @@ type Cursor struct {
 
 // ClusterSnapshot is everything an Arbiter sees at one resize point. The
 // calling job's iteration has already been recorded in its profile when the
-// snapshot is taken (matching the published Contact semantics).
+// snapshot is taken (matching the published Contact semantics). Core fills
+// one in place and copies it once, into Decide or Rebalance; wrapping
+// arbiters pass it on by pointer (BenefitRanked.DecideOn).
 type ClusterSnapshot struct {
 	// Now is the scheduler clock at the contact.
 	Now float64

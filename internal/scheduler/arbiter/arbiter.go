@@ -130,11 +130,17 @@ func (a *BenefitRanked) Name() string { return "benefit-ranked" }
 
 // Decide implements scheduler.Arbiter.
 func (a *BenefitRanked) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
+	return a.DecideOn(&snap)
+}
+
+// DecideOn is Decide on a borrowed snapshot, which the arbiters wrapping
+// this one hand on instead of copying it. It reads snap only during the call.
+func (a *BenefitRanked) DecideOn(snap *scheduler.ClusterSnapshot) scheduler.Decision {
 	if len(snap.Queued) == 0 {
 		a.plan.live = false
 		return a.expand(snap)
 	}
-	head := snap.Queued[0]
+	head := &snap.Queued[0]
 	if snap.Caller.Priority > a.agedPriority(head, snap.Now) {
 		// A strictly higher-priority runner is exempt from queue pressure —
 		// until the waiting job ages up to parity.
@@ -145,7 +151,7 @@ func (a *BenefitRanked) Decide(snap scheduler.ClusterSnapshot) scheduler.Decisio
 
 // agedPriority is a queued job's effective priority after starvation aging
 // at time now.
-func (a *BenefitRanked) agedPriority(q scheduler.QueuedView, now float64) int {
+func (a *BenefitRanked) agedPriority(q *scheduler.QueuedView, now float64) int {
 	return q.Priority + int((now-q.Submit)/DefaultAgingSeconds)
 }
 
@@ -153,7 +159,7 @@ func (a *BenefitRanked) agedPriority(q scheduler.QueuedView, now float64) int {
 // published single-job logic decides, then the ranking veto applies — the
 // grant is withheld when a rival running job would use the contested idle
 // processors to strictly greater predicted benefit.
-func (a *BenefitRanked) expand(snap scheduler.ClusterSnapshot) scheduler.Decision {
+func (a *BenefitRanked) expand(snap *scheduler.ClusterSnapshot) scheduler.Decision {
 	in := snap.RemapInput()
 	in.HeadNeed = 0 // priority exemption: decide as if nothing waited
 	d := scheduler.Decide(in)
@@ -202,7 +208,7 @@ func (a *BenefitRanked) expandGain(r *scheduler.ContactView, next grid.Topology)
 // on the rival's step size, Idle−Δmine < Δr ≤ Idle, so the walk visits only
 // the jobs EachExpandable files there and prices each of them. Of equal
 // gains the lowest job id wins, whatever order the view yields in.
-func (a *BenefitRanked) betterCandidate(snap scheduler.ClusterSnapshot, target grid.Topology) (int, bool) {
+func (a *BenefitRanked) betterCandidate(snap *scheduler.ClusterSnapshot, target grid.Topology) (int, bool) {
 	caller := &snap.Caller
 	step, ok := scheduler.NextInChain(caller.Chain, caller.Topo)
 	if !ok {
@@ -247,7 +253,7 @@ func (a *BenefitRanked) rival(r *scheduler.ContactView) bool {
 // has one. A covered deficit answers in O(1), a standing plan is revalidated
 // over its own demands, and only a rebuild looks at the cluster — at the
 // shrinkable jobs, the only ones a demand can be drawn from.
-func (a *BenefitRanked) shrink(snap scheduler.ClusterSnapshot, head scheduler.QueuedView) scheduler.Decision {
+func (a *BenefitRanked) shrink(snap *scheduler.ClusterSnapshot, head *scheduler.QueuedView) scheduler.Decision {
 	// In-flight frees are real whoever promised them, priority-exempt
 	// runners included.
 	deficit := head.Need - snap.Idle - snap.PendingFree

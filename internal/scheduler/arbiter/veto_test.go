@@ -10,8 +10,9 @@ import (
 )
 
 // sweepVeto is the expansion veto as it was written over EachRunning: every
-// running job in id order, the contention test first, then the price. It is
-// the reference the index walk is held to.
+// running job, the contention test first, then the price, equal gains going
+// to the lowest id whatever order the walk yields in. It is the reference
+// the index walk is held to.
 func sweepVeto(a *BenefitRanked, snap scheduler.ClusterSnapshot, target grid.Topology) (int, bool) {
 	caller := &snap.Caller
 	step, ok := scheduler.NextInChain(caller.Chain, caller.Topo)
@@ -36,7 +37,7 @@ func sweepVeto(a *BenefitRanked, snap scheduler.ClusterSnapshot, target grid.Top
 		if deltaR > snap.Idle || snap.Idle >= deltaMine+deltaR {
 			return true
 		}
-		if gain, known := a.expandGain(r, next); known && gain > bestGain {
+		if gain, known := a.expandGain(r, next); known && (gain > bestGain || gain == bestGain && best >= 0 && r.ID < best) {
 			best, bestGain = r.ID, gain
 		}
 		return true
@@ -110,7 +111,7 @@ func checkVeto(t *testing.T, a *BenefitRanked, snap scheduler.ClusterSnapshot, t
 	cv := &countingView{ClusterView: snap.Cluster}
 	counted := snap
 	counted.Cluster = cv
-	gotID, got := a.betterCandidate(counted, target)
+	gotID, got := a.betterCandidate(&counted, target)
 	if gotID != wantID || got != want {
 		t.Fatalf("%s: veto names (%d, %v), the sweep names (%d, %v)", where, gotID, got, wantID, want)
 	}

@@ -140,7 +140,8 @@ func TestSnapshotViews(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := c.snapshot(a, 9)
+	var snap ClusterSnapshot
+	c.snapshot(&snap, a, 9)
 	if snap.Total != 16 || snap.Idle != 2 {
 		t.Fatalf("total/idle %d/%d", snap.Total, snap.Idle)
 	}

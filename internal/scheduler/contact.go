@@ -3,8 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"repro/internal/grid"
 )
@@ -98,14 +96,19 @@ func carve[T any](chunk *[]T, n, size int) []T {
 	return (*chunk)[i : i : i+n]
 }
 
-// grow returns s if it has room for one more element, else a copy of s
-// carved from *chunk with twice its room (growFirst at least). The room s
-// leaves behind is not reused.
+// grow returns s if it has room for one more element, else s with twice its
+// room (growFirst at least): in place when s is *chunk's last carve and the
+// chunk has the room, else copied into a new carve, leaving s's room unused.
 func grow[T any](chunk *[]T, s []T) []T {
 	if len(s) < cap(s) {
 		return s
 	}
-	return append(carve(chunk, max(2*cap(s), growFirst), growChunk), s...)
+	n, c := max(2*cap(s), growFirst), *chunk
+	if i := len(c) - cap(s); cap(s) > 0 && i >= 0 && n <= growChunk/8 && i+n <= cap(c) && &c[i] == &s[0] {
+		*chunk = c[:i+n]
+		return c[i : i+len(s) : i+n]
+	}
+	return append(carve(chunk, n, growChunk), s...)
 }
 
 // remainingIters estimates how many outer iterations the job still has to
@@ -153,6 +156,7 @@ func contactView(j *Job) (v ContactView) {
 func (v *ContactView) fill(j *Job) {
 	v.ID = j.ID
 	v.Tenant = j.Spec.Tenant
+	v.TenantID = j.tenant.id
 	v.Priority = j.Spec.Priority
 	v.Topo = j.Topo
 	v.Chain = j.Spec.Chain
@@ -216,10 +220,10 @@ func (c *Core) defaultDecide(j *Job) Decision {
 	return c.policy.Decide(in)
 }
 
-// runningSet is Core's running-job bookkeeping: the id indexes behind
-// EachRunning, EachShrinkable and EachExpandable plus the aggregates
-// cluster-wide arbiters would otherwise recompute by sweeping the running
-// jobs at every contact.
+// runningSet is Core's running-job bookkeeping: the indexes behind
+// EachShrinkable and EachExpandable plus the aggregates cluster-wide
+// arbiters would otherwise recompute by sweeping the running jobs at every
+// contact; EachRunning walks the job table and needs no index.
 // Each is maintained where the quantity changes — start, expand, shrink,
 // ResizeComplete, finish — and is a pure function of the running jobs, so a
 // core restored from a snapshot rebuilds it by starting every restored job:
@@ -227,37 +231,32 @@ func (c *Core) defaultDecide(j *Job) Decision {
 //	count              == |{j : j.State == Running}|
 //	Σ active[i].procs  == Σ Topo.Count() over the running jobs
 //	pendingFree        == Σ pendingFree over the running jobs
-//	j.shrinkable       ⇔ j is running and j.Profile.AppendShrinkPoints(nil, j.Topo) is not empty
-//	j in jobs          ⇔ j is running
-//	j in shrinkable    ⇔ j.shrinkable
+//	j in shrinkable    ⇔ j is running and j.Profile.AppendShrinkPoints(nil, j.Topo) is not empty
 //	j in expandable[Δ] ⇔ NextInChain(j.Spec.Chain, j.Topo) adds Δ processors
 //
-// The three id indexes exist for arbiters: the first EachRunning,
-// EachShrinkable or EachExpandable builds them in one walk of the job table
-// and indexed keeps them filed from then on. Until then start, finish and a
-// move keep only count and the shrinkable flags: keeping the indexes from
-// the start cost sim-fcfs, whose arbiter never asks, 7–9 % of its CPU in
-// their sorted inserts and deletes (event-100k profiles, 2 vCPUs). Their
+// The two indexes exist for arbiters: the first EachShrinkable or
+// EachExpandable builds them in one walk of the job table and indexed keeps
+// them filed from then on; until then start, finish and a move keep only
+// count, so sim-fcfs, whose arbiter never asks, pays nothing for them. Each
+// is a set whose members keep their position in j.at: filing a job appends
+// it, and withdrawing one moves the last member into its place. Their
 // lengths are bounded by the pool size (every running job holds at least
 // one processor), not by job history.
 type runningSet struct {
 	table   *jobTable // every job the core knows, which the indexes are built from
 	count   int       // running jobs
 	indexed bool
-	jobs    []*Job // ascending id
-	// shrinkable is the id-ordered subset with at least one previously
-	// visited smaller configuration: the only jobs a shrink plan can draw a
-	// demand from. Iterations are recorded on the current topology, which is
-	// never smaller than itself, so membership moves only when Topo does.
+	// shrinkable holds the jobs with a previously visited smaller
+	// configuration: the only jobs a shrink plan can draw a demand from.
+	// Membership moves only when Topo does.
 	shrinkable  []*Job
 	pendingFree int // processors promised back by in-flight shrinks
 	// expandable files the jobs with a next chain step under the processors
-	// that step adds, id-ordered within a bucket, so an expansion veto walks
-	// only the steps that contend for the idle pool. The chain is fixed, so
-	// a job moves only when Topo does.
+	// that step adds, so an expansion veto walks only the steps that contend
+	// for the idle pool. A job moves only when Topo does.
 	expandable dir[int, []*Job]
 	// log is the change feed behind Changes, from feed position logBase on.
-	// Like the id indexes, and for the same sim-fcfs cost, it is kept only
+	// Like the indexes, and for the same sim-fcfs cost, it is kept only
 	// once an arbiter asks (logging). It is never persisted or journaled.
 	log     []int
 	logBase uint64
@@ -281,6 +280,7 @@ type runningSet struct {
 // pay pointer arithmetic rather than a string-keyed map operation.
 type tenantAcct struct {
 	name  string
+	id    int // dense, in the order the core first saw the tenant: the views' TenantID
 	procs int // Σ Topo.Count() over the tenant's running jobs
 	jobs  int // running jobs
 }
@@ -293,34 +293,38 @@ func (r *runningSet) account(name string) *tenantAcct {
 		if r.accts == nil {
 			r.accts = make(map[string]*tenantAcct)
 		}
-		a = &tenantAcct{name: name}
+		a = &tenantAcct{name: name, id: len(r.accts)}
 		r.accts[name] = a
 	}
 	return a
 }
 
-// insertByID adds j to an id-sorted index.
-func insertByID(index []*Job, j *Job) []*Job {
-	i := sort.Search(len(index), func(k int) bool { return index[k].ID >= j.ID })
-	return slices.Insert(index, i, j)
+// The indexes whose positions j.at records.
+const (
+	inShrinkable = iota
+	inExpandable
+)
+
+// addTo files j at the end of index k's set.
+func addTo(set []*Job, j *Job, k int) []*Job {
+	j.at[k] = int32(len(set)) + 1
+	return append(set, j)
 }
 
-// removeByID drops j from an id-sorted index.
-func removeByID(index []*Job, j *Job) []*Job {
-	i := sort.Search(len(index), func(k int) bool { return index[k].ID >= j.ID })
-	if i < len(index) && index[i] == j {
-		index = slices.Delete(index, i, i+1)
-	}
-	return index
+// dropFrom withdraws j from index k's set, the last member taking its place.
+func dropFrom(set []*Job, j *Job, k int) []*Job {
+	i, last := j.at[k]-1, len(set)-1
+	set[i] = set[last]
+	set[i].at[k] = i + 1
+	set[last] = nil
+	j.at[k] = 0
+	return set[:last]
 }
 
 // start enters a job that holds j.Topo (plus j.pendingFree, when it is
-// restored mid-shrink) into the index and every aggregate.
+// restored mid-shrink) into the indexes and every aggregate.
 func (r *runningSet) start(j *Job) {
 	r.count++
-	if r.indexed {
-		r.jobs = insertByID(r.jobs, j)
-	}
 	a := j.tenant
 	if a.jobs == 0 {
 		*r.active.get(a.name) = a
@@ -338,9 +342,6 @@ func (r *runningSet) start(j *Job) {
 // caller returns all of its processors to the pool. released logs it.
 func (r *runningSet) finish(j *Job) {
 	r.count--
-	if r.indexed {
-		r.jobs = removeByID(r.jobs, j)
-	}
 	a := j.tenant
 	a.procs -= j.Topo.Count()
 	a.jobs--
@@ -350,10 +351,7 @@ func (r *runningSet) finish(j *Job) {
 	}
 	r.usageVer++
 	r.released(j)
-	if j.shrinkable && r.indexed {
-		r.shrinkable = removeByID(r.shrinkable, j)
-	}
-	j.shrinkable = false
+	r.reindexShrinkable(j)
 	r.unfileExpandable(j)
 }
 
@@ -369,24 +367,23 @@ func (r *runningSet) retopo(j *Job, to grid.Topology) {
 	r.changed(j)
 }
 
-// reindexShrinkable flags j, and files it once the indexes are built, under
-// its current topology.
+// reindexShrinkable files j in the shrinkable index while it runs and has
+// visited a configuration smaller than its current one, and withdraws it
+// otherwise, once the indexes are built.
 func (r *runningSet) reindexShrinkable(j *Job) {
+	if !r.indexed {
+		return
+	}
 	can := false
-	for i := range j.Profile.Visits {
-		if j.Profile.Visits[i].Topo.Count() < j.Topo.Count() {
-			can = true
-			break
-		}
+	for i := 0; i < len(j.Profile.Visits) && j.State == Running && !can; i++ {
+		can = j.Profile.Visits[i].Topo.Count() < j.Topo.Count()
 	}
-	switch {
-	case !r.indexed:
-	case can && !j.shrinkable:
-		r.shrinkable = insertByID(r.shrinkable, j)
-	case !can && j.shrinkable:
-		r.shrinkable = removeByID(r.shrinkable, j)
+	switch filed := j.at[inShrinkable] > 0; {
+	case can && !filed:
+		r.shrinkable = addTo(r.shrinkable, j, inShrinkable)
+	case !can && filed:
+		r.shrinkable = dropFrom(r.shrinkable, j, inShrinkable)
 	}
-	j.shrinkable = can
 }
 
 // stepDelta is how many processors j's next chain step adds (false at the
@@ -408,7 +405,7 @@ func (r *runningSet) fileExpandable(j *Job) {
 		return
 	}
 	b := r.expandable.get(d)
-	*b = insertByID(*b, j)
+	*b = addTo(*b, j, inExpandable)
 }
 
 // unfileExpandable withdraws j from the bucket of its current topology's
@@ -422,7 +419,7 @@ func (r *runningSet) unfileExpandable(j *Job) {
 		return
 	}
 	if i, ok := r.expandable.at(d); ok {
-		r.expandable.vals[i] = removeByID(r.expandable.vals[i], j)
+		r.expandable.vals[i] = dropFrom(r.expandable.vals[i], j, inExpandable)
 	}
 }
 
@@ -483,8 +480,8 @@ func (r *runningSet) tenants() []TenantUsage {
 	return r.usage
 }
 
-// index builds the id indexes on first ask, in one walk of the job table in
-// id order; start, finish and every move keep them filed from then on.
+// index builds the indexes on first ask in one walk of the job table (a job
+// keeps no earlier position); start, finish and moves keep them filed.
 func (r *runningSet) index() {
 	if r.indexed {
 		return
@@ -494,29 +491,28 @@ func (r *runningSet) index() {
 		if j == nil || j.State != Running {
 			continue
 		}
-		r.jobs = append(r.jobs, j)
-		if j.shrinkable {
-			r.shrinkable = append(r.shrinkable, j)
-		}
+		j.at = [2]int32{}
+		r.reindexShrinkable(j)
 		r.fileExpandable(j)
 	}
 }
 
 // EachRunning implements ClusterView: every running job in ascending id
-// order. Arbiters call it lazily; the default single-job path never does.
+// order, walked from the job table. Arbiters call it lazily; the default
+// single-job path never does.
 func (r *runningSet) EachRunning(yield func(*ContactView) bool) {
-	r.index()
-	r.each(r.jobs, yield)
+	r.each(r.table.byID, yield)
 }
 
-// EachShrinkable implements ClusterView over the shrinkable index.
+// EachShrinkable implements ClusterView over the shrinkable index, in its
+// set order.
 func (r *runningSet) EachShrinkable(yield func(*ContactView) bool) {
 	r.index()
 	r.each(r.shrinkable, yield)
 }
 
 // EachExpandable implements ClusterView over the expandable index: the
-// buckets from lo through hi, each in id order.
+// buckets from lo through hi, each in its set order.
 func (r *runningSet) EachExpandable(lo, hi int, yield func(*ContactView) bool) {
 	r.index()
 	e := &r.expandable
@@ -527,11 +523,15 @@ func (r *runningSet) EachExpandable(lo, hi int, yield func(*ContactView) bool) {
 	}
 }
 
-// each yields one reused view per job, so a sweep copies each job's fields
-// once and allocates nothing. It reports whether yield asked for more.
-func (r *runningSet) each(index []*Job, yield func(*ContactView) bool) bool {
+// each yields one reused view per running job of jobs, so a sweep copies
+// each job's fields once and allocates nothing. It reports whether yield
+// asked for more.
+func (r *runningSet) each(jobs []*Job, yield func(*ContactView) bool) bool {
 	more := true
-	for _, j := range index {
+	for _, j := range jobs {
+		if j == nil || j.State != Running {
+			continue
+		}
 		r.view.fill(j)
 		if more = yield(&r.view); !more {
 			break

@@ -74,12 +74,13 @@ type Job struct {
 	pendingFree int
 	// resizeFrom remembers the pre-resize configuration for profiling.
 	resizeFrom grid.Topology
-	// tenant, itersDone and shrinkable are derived state the running-set
+	// tenant, itersDone and at are derived state the running-set
 	// bookkeeping keeps (see runningSet): the Spec.Tenant accumulator, the
-	// count of profiled iterations, and membership in the shrinkable index.
-	tenant     *tenantAcct
-	itersDone  int
-	shrinkable bool
+	// count of profiled iterations, and 1 + the job's position in the
+	// shrinkable index and in its expandable bucket (0: not filed).
+	tenant    *tenantAcct
+	itersDone int
+	at        [2]int32
 	// qprev/qnext thread the job into its wait-queue priority bucket (see
 	// jobQueue.prioList); both are nil except while State == Queued.
 	qprev, qnext *Job
@@ -364,7 +365,7 @@ func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 	if err := validateSpec(&spec, c.Total); err != nil {
 		return nil, nil, err
 	}
-	if err := c.journalOp(Op{Kind: OpSubmit, Now: now, Spec: spec}); err != nil {
+	if err := c.journalOp(&Op{Kind: OpSubmit, Now: now, Spec: spec}); err != nil {
 		return nil, nil, err
 	}
 	j := c.arena.newJob()
@@ -496,37 +497,30 @@ func queuedView(j *Job) QueuedView {
 	return QueuedView{
 		ID:       j.ID,
 		Tenant:   j.Spec.Tenant,
+		TenantID: j.tenant.id,
 		Priority: j.Spec.Priority,
 		Need:     j.Spec.InitialTopo.Count(),
 		Submit:   j.SubmitTime,
 	}
 }
 
-// snapshot assembles the arbiter's view of the cluster at a resize point.
-// Queued comes from the version-keyed window cache and Tenants from the
-// running set's usage list, each rebuilt only when it changed, so a snapshot
-// between two such changes copies a few words and allocates nothing.
-func (c *Core) snapshot(j *Job, now float64) ClusterSnapshot {
-	snap := c.globalSnapshot(now)
-	snap.Caller.fill(j)
-	return snap
-}
-
-// globalSnapshot assembles the caller-less cluster snapshot a planning
-// tick hands to a Planner arbiter: identical to a contact snapshot except
-// that no job is at a resize point, marked by a zero Caller with ID -1.
-func (c *Core) globalSnapshot(now float64) ClusterSnapshot {
-	return ClusterSnapshot{
-		Now:         now,
-		Total:       c.Total,
-		Idle:        c.free,
-		Caller:      ContactView{ID: -1},
-		Queued:      c.queuedWindow(),
-		Tenants:     c.running.tenants(),
-		PendingFree: c.running.pendingFree,
-		Cluster:     &c.running,
-		stamp:       Stamp{set: &c.running, usage: c.running.usageVer, queue: c.queue.version},
+// snapshot fills s for a contact by caller at now, or for a planning tick
+// when caller is nil (a zero Caller with ID -1). Queued and Tenants are
+// rebuilt only when they changed, so a snapshot between two such changes
+// writes a few words and allocates nothing. Callers fill one in their own
+// frame: Go copies it into the Arbiter or Planner call once, where one kept
+// behind a pointer would be copied twice, through a temporary.
+func (c *Core) snapshot(s *ClusterSnapshot, caller *Job, now float64) {
+	s.Now, s.Total, s.Idle = now, c.Total, c.free
+	s.Caller.ID = -1
+	if caller != nil {
+		s.Caller.fill(caller)
 	}
+	s.Queued = c.queuedWindow()
+	s.Tenants = c.running.tenants()
+	s.PendingFree = c.running.pendingFree
+	s.Cluster = &c.running
+	s.stamp = Stamp{set: &c.running, usage: c.running.usageVer, queue: c.queue.version}
 }
 
 // Contact is the Remap Scheduler entry point: a running job reports its
@@ -541,7 +535,7 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	if err != nil {
 		return Decision{}, err
 	}
-	if err := c.journalOp(Op{
+	if err := c.journalOp(&Op{
 		Kind: OpContact, Now: now, JobID: jobID, Topo: topo,
 		IterTime: iterTime, RedistTime: redistTime,
 	}); err != nil {
@@ -550,7 +544,9 @@ func (c *Core) Contact(jobID int, topo grid.Topology, iterTime, redistTime float
 	c.recordIteration(j, iterTime)
 	var d Decision
 	if c.arb != nil {
-		d = c.arb.Decide(c.snapshot(j, now))
+		var snap ClusterSnapshot
+		c.snapshot(&snap, j, now)
+		d = c.arb.Decide(snap)
 	} else {
 		d = c.defaultDecide(j)
 	}
@@ -582,7 +578,7 @@ func (c *Core) resizeComplete(jobID int, redistTime, now float64, live bool) ([]
 	if live && (j.State != Running || !j.resizeFrom.IsValid()) {
 		return nil, fmt.Errorf("scheduler: job %d confirmed a resize while %v with none granted", jobID, j.State)
 	}
-	if err := c.journalOp(Op{Kind: OpResizeComplete, Now: now, JobID: jobID, RedistTime: redistTime}); err != nil {
+	if err := c.journalOp(&Op{Kind: OpResizeComplete, Now: now, JobID: jobID, RedistTime: redistTime}); err != nil {
 		return nil, err
 	}
 	if freed := c.running.finishResize(j, redistTime, &c.arena); freed > 0 {
@@ -615,7 +611,7 @@ func (c *Core) complete(jobID int, now float64, kind eventKind) ([]*Job, error) 
 	if kind == evError {
 		opKind = OpFail
 	}
-	if err := c.journalOp(Op{Kind: opKind, Now: now, JobID: jobID}); err != nil {
+	if err := c.journalOp(&Op{Kind: opKind, Now: now, JobID: jobID}); err != nil {
 		return nil, err
 	}
 	j.State = Done

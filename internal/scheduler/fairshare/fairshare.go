@@ -80,13 +80,17 @@ type tenantTable struct {
 	// the caller's and every tenant in the queued window — in ascending
 	// name order.
 	rows []tenantRow
-	// under holds the first two tenants of the queued window, in window
-	// order, that sit under their share: a caller's victim is the first of
-	// them that is not its own tenant.
-	under  [2]string
+	// at and usageAt file 1 + the row, and the usage list position, a
+	// view's tenant was last found at under its TenantID (see find).
+	at, usageAt []int32
+	// under holds the rows of the first two tenants of the queued window,
+	// in window order, that sit under their share: a caller's victim is the
+	// first of them that is not its own tenant.
+	under  [2]int
 	nUnder int
-	// rebuilds counts the rebuilds of rows' names and shares.
-	rebuilds int
+	// rebuilds, fills and lookups count the rebuilds of rows' names and
+	// shares, the refills of their processors and the searches by name.
+	rebuilds, fills, lookups int
 }
 
 // tenantRow is one active tenant: its running processors and its entitled
@@ -130,12 +134,16 @@ func (a *FairShare) weight(tenant string) float64 {
 // better-fitting tenant — backfill, when enabled, may still use the idle
 // remainder. With one tenant this is exactly the published FCFS head loop.
 func (a *FairShare) PickStart(snap scheduler.StartSnapshot) int {
-	best := -1
+	best, tenants := -1, snap.Tenants
 	var bestNorm float64
-	for i, h := range snap.Heads {
-		norm := float64(scheduler.TenantProcs(snap.Tenants, h.Tenant)) / a.weight(h.Tenant)
+	for i := range snap.Heads {
+		h, procs := &snap.Heads[i], 0
+		if k := a.table.find(&a.table.usageAt, len(tenants), func(k int) string { return tenants[k].Tenant }, h.Tenant, h.TenantID); k >= 0 {
+			procs = tenants[k].Procs
+		}
+		norm := float64(procs) / a.weight(h.Tenant)
 		if best < 0 || norm < bestNorm ||
-			(norm == bestNorm && headLess(h, snap.Heads[best])) {
+			(norm == bestNorm && headLess(h, &snap.Heads[best])) {
 			best, bestNorm = i, norm
 		}
 	}
@@ -147,7 +155,7 @@ func (a *FairShare) PickStart(snap scheduler.StartSnapshot) int {
 
 // headLess orders queue heads the way the queue itself does: higher
 // priority first, then earlier submission.
-func headLess(a, b scheduler.QueuedView) bool {
+func headLess(a, b *scheduler.QueuedView) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
@@ -164,13 +172,12 @@ func headLess(a, b scheduler.QueuedView) bool {
 // under-share tenant waiting, expansion beyond the share is allowed.
 func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	t := &a.table
-	a.sync(&snap)
+	me := a.sync(&snap)
 	if len(t.rows) <= 1 {
-		return a.Inner.Decide(snap)
+		return a.Inner.DecideOn(&snap)
 	}
-	ct := snap.Caller.Tenant
-	mine := t.rows[search(t.rows, ct)]
-	victim, pressed := t.victim(ct)
+	mine := &t.rows[me]
+	victim, pressed := t.victim(me)
 	if pressed && float64(mine.procs) > mine.share {
 		if snap.Caller.PendingFree > 0 {
 			return scheduler.Decision{
@@ -187,7 +194,7 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 			return scheduler.Decision{
 				Action: scheduler.ActionShrink,
 				Target: pts[0],
-				Reason: a.pairText(ct, victim).draft,
+				Reason: a.pairText(mine.name, victim).draft,
 			}
 		}
 		return scheduler.Decision{
@@ -195,13 +202,13 @@ func (a *FairShare) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 			Reason: "fair-share: over share but no shrink point",
 		}
 	}
-	d := a.Inner.Decide(snap)
+	d := a.Inner.DecideOn(&snap)
 	if d.Action == scheduler.ActionExpand && pressed {
 		grown := mine.procs + d.Target.Count() - snap.Caller.Topo.Count()
 		if float64(grown) > mine.share {
 			return scheduler.Decision{
 				Action: scheduler.ActionNone,
-				Reason: a.pairText(ct, victim).capped,
+				Reason: a.pairText(mine.name, victim).capped,
 			}
 		}
 	}
@@ -227,82 +234,85 @@ func (a *FairShare) pairText(tenant, victim string) pairTexts {
 	return t
 }
 
-// sync brings the table up to date with snap unless it already is: the
-// stamp is non-zero and the table's own. A caller whose tenant runs nothing
-// (only a snapshot built by hand has one) adds a row another caller's
-// table would lack, so such a table keeps no stamp.
-func (a *FairShare) sync(snap *scheduler.ClusterSnapshot) {
+// sync returns the caller's row, first bringing the table up to date with
+// snap unless the stamp is non-zero and the table's own and the row is filed
+// under the caller's TenantID. A caller whose tenant runs nothing (only a
+// hand-built snapshot has one) adds a row, so such a table keeps no stamp.
+func (a *FairShare) sync(snap *scheduler.ClusterSnapshot) (me int) {
 	t := &a.table
 	st := snap.Stamp()
-	if st != (scheduler.Stamp{}) && st == t.stamp {
-		return
+	if me = filedAt(t.at, snap.Caller.TenantID); st != (scheduler.Stamp{}) && st == t.stamp &&
+		uint(me) < uint(len(t.rows)) && t.rows[me].name == snap.Caller.Tenant {
+		return me
 	}
 	if snap.Total != t.total || !t.fill(snap) {
 		a.rebuild(snap)
 	}
+	me = t.row(snap.Caller.Tenant, snap.Caller.TenantID)
 	t.nUnder = 0
-	for _, q := range snap.Queued {
-		if t.nUnder == len(t.under) {
-			break
-		}
-		if slices.Contains(t.under[:t.nUnder], q.Tenant) {
-			continue
-		}
-		if r := &t.rows[search(t.rows, q.Tenant)]; float64(r.procs) < r.share {
-			t.under[t.nUnder] = q.Tenant
+	for i := 0; i < len(snap.Queued) && t.nUnder < len(t.under); i++ {
+		q := &snap.Queued[i]
+		k := t.row(q.Tenant, q.TenantID)
+		if r := &t.rows[k]; float64(r.procs) < r.share && !slices.Contains(t.under[:t.nUnder], k) {
+			t.under[t.nUnder] = k
 			t.nUnder++
 		}
 	}
 	t.stamp = st
-	if scheduler.TenantProcs(snap.Tenants, snap.Caller.Tenant) == 0 {
+	if t.rows[me].procs == 0 {
 		t.stamp = scheduler.Stamp{}
 	}
+	return me
 }
 
 // fill sets every row's processors from snap's usage list and reports
 // whether the rows are exactly snap's active tenants. When it reports
 // false the rows are left for rebuild.
 func (t *tenantTable) fill(snap *scheduler.ClusterSnapshot) bool {
+	t.fills++
 	rows := t.rows
 	for i := range rows {
 		rows[i].procs, rows[i].seen = 0, false
 	}
 	seen := 0
-	// see marks the row of name at or after from and returns its index, or
-	// -1 when name has no row.
-	see := func(name string, from int) int {
-		i := from + search(rows[from:], name)
-		if i == len(rows) || rows[i].name != name {
-			return -1
+	// see marks row i and reports whether there is one.
+	see := func(i int) bool {
+		if uint(i) >= uint(len(rows)) {
+			return false
 		}
 		if !rows[i].seen {
 			rows[i].seen = true
 			seen++
 		}
-		return i
+		return true
 	}
 	// The usage list is name-sorted too, so its rows are found in one walk.
 	k := 0
-	for _, u := range snap.Tenants {
-		if k = see(u.Tenant, k); k < 0 {
+	for i := range snap.Tenants {
+		u := &snap.Tenants[i]
+		for k < len(rows) && rows[k].name != u.Tenant {
+			k++
+		}
+		if !see(k) {
 			return false
 		}
 		rows[k].procs = u.Procs
 	}
-	return eachUnlisted(snap, func(name string) bool { return see(name, 0) >= 0 }) && seen == len(rows)
+	return eachUnlisted(snap, func(name string, id int) bool { return see(t.row(name, id)) }) && seen == len(rows)
 }
 
 // eachUnlisted calls f with the active tenants the usage list may lack —
 // the caller's, then each in the queued window, a run of one tenant's jobs
-// once — while f returns true, and reports whether it always did.
-func eachUnlisted(snap *scheduler.ClusterSnapshot, f func(name string) bool) bool {
-	if !f(snap.Caller.Tenant) {
+// once — and their TenantIDs, while f returns true, and reports whether it
+// always did.
+func eachUnlisted(snap *scheduler.ClusterSnapshot, f func(name string, id int) bool) bool {
+	if !f(snap.Caller.Tenant, snap.Caller.TenantID) {
 		return false
 	}
 	last := snap.Caller.Tenant
-	for _, q := range snap.Queued {
-		if q.Tenant != last {
-			if !f(q.Tenant) {
+	for i := range snap.Queued {
+		if q := &snap.Queued[i]; q.Tenant != last {
+			if !f(q.Tenant, q.TenantID) {
 				return false
 			}
 			last = q.Tenant
@@ -325,8 +335,9 @@ func (a *FairShare) rebuild(snap *scheduler.ClusterSnapshot) {
 	for _, u := range snap.Tenants {
 		rows = append(rows, tenantRow{name: u.Tenant, procs: u.Procs})
 	}
-	eachUnlisted(snap, func(name string) bool {
-		if i := search(rows, name); i == len(rows) || rows[i].name != name {
+	eachUnlisted(snap, func(name string, _ int) bool {
+		t.lookups++
+		if i := sort.Search(len(rows), func(k int) bool { return rows[k].name >= name }); i == len(rows) || rows[i].name != name {
 			rows = slices.Insert(rows, i, tenantRow{name: name})
 		}
 		return true
@@ -344,19 +355,46 @@ func (a *FairShare) rebuild(snap *scheduler.ClusterSnapshot) {
 	}
 }
 
-// search returns the position of a tenant in name-sorted rows, or where it
-// would be inserted.
-func search(rows []tenantRow, name string) int {
-	return sort.Search(len(rows), func(k int) bool { return rows[k].name >= name })
+// row returns the row of a view's tenant (-1: none).
+func (t *tenantTable) row(tenant string, id int) int {
+	return t.find(&t.at, len(t.rows), func(k int) string { return t.rows[k].name }, tenant, id)
+}
+
+// find returns the position of tenant among n ascending names, name(k) the
+// k-th (-1: absent): the one filed under id in *at when the name there is
+// tenant's (so a view built by hand costs a lookup, never a wrong row), else
+// the one a lookup finds, which it files there.
+func (t *tenantTable) find(at *[]int32, n int, name func(int) string, tenant string, id int) int {
+	if i := filedAt(*at, id); uint(i) < uint(n) && name(i) == tenant {
+		return i
+	}
+	t.lookups++
+	i := sort.Search(n, func(k int) bool { return name(k) >= tenant })
+	if i == n || name(i) != tenant {
+		return -1
+	}
+	if id >= 0 {
+		*at = append(*at, make([]int32, max(0, id+1-len(*at)))...)
+		(*at)[id] = int32(i) + 1
+	}
+	return i
+}
+
+// filedAt returns the position filed under id in at (-1: none).
+func filedAt(at []int32, id int) int {
+	if uint(id) < uint(len(at)) {
+		return int(at[id]) - 1
+	}
+	return -1
 }
 
 // victim returns the first tenant of the queued window, in window order,
 // that is not the caller's and sits under its entitled share — the
 // condition under which the tenant level overrides within-tenant logic.
-func (t *tenantTable) victim(caller string) (string, bool) {
+func (t *tenantTable) victim(me int) (string, bool) {
 	for _, v := range t.under[:t.nUnder] {
-		if v != caller {
-			return v, true
+		if v != me {
+			return t.rows[v].name, true
 		}
 	}
 	return "", false

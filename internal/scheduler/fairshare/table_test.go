@@ -30,15 +30,22 @@ func (f freshTable) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	return f.FairShare.Decide(stampless(snap))
 }
 
-// counted counts the contacts its FairShare decides.
+// counted counts the contacts its FairShare decides, and those that looked
+// a tenant up by name outside a rebuild or fill of the table.
 type counted struct {
 	*FairShare
-	decides int
+	decides, strayLookups int
 }
 
 func (c *counted) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	c.decides++
-	return c.FairShare.Decide(snap)
+	t := &c.table
+	rebuilds, fills, lookups := t.rebuilds, t.fills, t.lookups
+	d := c.FairShare.Decide(snap)
+	if t.lookups != lookups && t.fills == fills && t.rebuilds == rebuilds {
+		c.strayLookups++
+	}
+	return d
 }
 
 // lockstep drives two cores through the same seeded op sequence and fails
@@ -177,7 +184,7 @@ func (n noting) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 	if snap.Stamp() == (scheduler.Stamp{}) {
 		n.l.t.Fatal("a core snapshot carries no stamp")
 	}
-	active := scheduler.TenantProcs(snap.Tenants, "c") > 0 || snap.Caller.Tenant == "c"
+	active := snap.Caller.Tenant == "c" || slices.ContainsFunc(snap.Tenants, func(u scheduler.TenantUsage) bool { return u.Tenant == "c" })
 	for _, q := range snap.Queued {
 		active = active || q.Tenant == "c"
 	}
@@ -222,6 +229,9 @@ func TestKeptTableMatchesFreshTable(t *testing.T) {
 				if l.cached.decides == 0 || l.cached.table.rebuilds >= l.cached.decides {
 					t.Errorf("%d rebuilds over %d contacts", l.cached.table.rebuilds, l.cached.decides)
 				}
+				if l.cached.strayLookups != 0 {
+					t.Errorf("%d contacts looked a tenant up by name outside a rebuild or fill", l.cached.strayLookups)
+				}
 			})
 		}
 	}
@@ -229,7 +239,11 @@ func TestKeptTableMatchesFreshTable(t *testing.T) {
 
 // TestTableRebuildsFallTenfold counts the tenant-table rebuilds on the
 // allocation budget's 2 000-job fair-share mix: before the table was kept,
-// every contact rebuilt it.
+// every contact rebuilt it. It also counts the searches for a tenant by
+// name, contacts' and start picks' alike: a contact searches only inside a
+// rebuild or fill of the table, and none searches once its tenant's row is
+// filed under its TenantID. Before the ids, every contact searched the
+// table for its caller's tenant.
 func TestTableRebuildsFallTenfold(t *testing.T) {
 	params := perfmodel.SystemX()
 	mix, err := workload.Generate(workload.GenConfig{
@@ -250,9 +264,15 @@ func TestTableRebuildsFallTenfold(t *testing.T) {
 	if _, err := simcluster.New(1024, simcluster.Dynamic, params, mix).WithoutIterRecords().WithArbiter(fs).Run(); err != nil {
 		t.Fatal(err)
 	}
-	rebuilds := fs.table.rebuilds
-	t.Logf("%d rebuilds over %d contacts", rebuilds, fs.decides)
+	rebuilds, lookups := fs.table.rebuilds, fs.table.lookups
+	t.Logf("%d rebuilds, %d fills and %d tenant lookups over %d contacts", rebuilds, fs.table.fills, lookups, fs.decides)
 	if fs.decides == 0 || 10*rebuilds > fs.decides {
 		t.Errorf("%d tenant-table rebuilds over %d contacts, want at most a tenth", rebuilds, fs.decides)
+	}
+	if fs.strayLookups != 0 {
+		t.Errorf("%d contacts looked a tenant up by name outside a rebuild or fill", fs.strayLookups)
+	}
+	if 100*lookups > fs.decides {
+		t.Errorf("%d tenant lookups over %d contacts, want at most one in a hundred", lookups, fs.decides)
 	}
 }

@@ -102,11 +102,11 @@ func (c *Core) SetCommit(fn CommitFunc) { c.commit = fn }
 func (c *Core) SetJournal(fn JournalFunc) { c.journal = fn }
 
 // journalOp emits one validated op through the installed hook.
-func (c *Core) journalOp(op Op) error {
+func (c *Core) journalOp(op *Op) error {
 	if c.journal == nil {
 		return nil
 	}
-	if err := c.journal(op); err != nil {
+	if err := c.journal(*op); err != nil {
 		return fmt.Errorf("scheduler: journal refused %s: %w", op.Kind, err)
 	}
 	return nil
@@ -164,9 +164,11 @@ func (c *Core) Rebalance(now float64) error {
 	if !ok {
 		return nil
 	}
-	if err := c.journalOp(Op{Kind: OpRebalance, Now: now}); err != nil {
+	if err := c.journalOp(&Op{Kind: OpRebalance, Now: now}); err != nil {
 		return err
 	}
-	pl.Rebalance(c.globalSnapshot(now))
+	var snap ClusterSnapshot
+	c.snapshot(&snap, nil, now)
+	pl.Rebalance(snap)
 	return nil
 }

@@ -148,6 +148,30 @@ func TestNeighbouringReservationsStayApart(t *testing.T) {
 	}
 }
 
+// TestGrowExtendsTheLastCarve: a slice that is its chunk's last carve grows
+// into the room after it, keeping its elements; once another carve follows
+// it, it grows into a copy and leaves that carve alone.
+func TestGrowExtendsTheLastCarve(t *testing.T) {
+	var chunk []int
+	s := append(carve(&chunk, growFirst, growChunk), 1, 2, 3, 4)
+	grown := grow(&chunk, s)
+	if &grown[0] != &s[0] || cap(grown) != 2*growFirst || len(chunk) != 2*growFirst {
+		t.Fatalf("last carve grew to cap %d at %p from %p, chunk holds %d: want cap %d in place, chunk %d",
+			cap(grown), &grown[0], &s[0], len(chunk), 2*growFirst, 2*growFirst)
+	}
+	next := append(carve(&chunk, 1, growChunk), -1)
+	grown = append(grown, 5, 6, 7, 8)
+	moved := append(grow(&chunk, grown), 9)
+	if &moved[0] == &grown[0] || next[0] != -1 {
+		t.Fatalf("a carve that is not the last grew in place (next carve holds %d)", next[0])
+	}
+	for i, v := range moved {
+		if v != i+1 {
+			t.Fatalf("grown slice holds %v, want 1..9", moved)
+		}
+	}
+}
+
 // TestRecordRedistReusesItsKey: re-recording a pair already on file, at the
 // same cost or a new one, rewrites it in place and allocates nothing.
 func TestRecordRedistReusesItsKey(t *testing.T) {

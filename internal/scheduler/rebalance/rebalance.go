@@ -168,7 +168,7 @@ func (r *Rebalancer) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 		} else if !d.Expand() {
 			delete(r.directives, snap.Caller.ID)
 			return scheduler.GainReason(scheduler.ActionShrink, d.To, scheduler.ReasonPlannedShrink, d.Gain)
-		} else if free := r.grantable(snap); d.To.Count()-d.From.Count() <= free {
+		} else if free := r.grantable(&snap); d.To.Count()-d.From.Count() <= free {
 			delete(r.directives, snap.Caller.ID)
 			return scheduler.GainReason(scheduler.ActionExpand, d.To, scheduler.ReasonPlannedExpand, d.Gain)
 		}
@@ -179,7 +179,7 @@ func (r *Rebalancer) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 		// job moves meanwhile the staleness check above retires the
 		// directive at its next contact.
 	}
-	return r.Inner.Decide(snap)
+	return r.Inner.DecideOn(&snap)
 }
 
 // grantable is the idle-pool share a planned expansion may take at
@@ -187,7 +187,7 @@ func (r *Rebalancer) Decide(snap scheduler.ClusterSnapshot) scheduler.Decision {
 // pool, mirroring the reservation the planning tick made when the plan
 // was computed — queue pressure that arrived after the tick must not be
 // expanded over either.
-func (r *Rebalancer) grantable(snap scheduler.ClusterSnapshot) int {
+func (r *Rebalancer) grantable(snap *scheduler.ClusterSnapshot) int {
 	free := snap.Idle
 	if len(snap.Queued) > 0 {
 		free -= snap.Queued[0].Need
@@ -328,7 +328,7 @@ func (r *Rebalancer) redistCost(j *jobView, to grid.Topology) float64 {
 // from a caller-less cluster snapshot. The previous plan is discarded
 // wholesale — directives represent the latest tick's view only.
 func (r *Rebalancer) Rebalance(snap scheduler.ClusterSnapshot) {
-	r.collect(snap)
+	r.collect(&snap)
 
 	// Expansion budget: the idle pool, minus the queue head's full need
 	// when anything waits (planning must not expand over the job the
@@ -467,7 +467,7 @@ func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 // tick, a restored core, another set, an overflowed feed), every view is
 // dropped and EachRunning rebuilds them: stamps compare only within one
 // running set.
-func (r *Rebalancer) collect(snap scheduler.ClusterSnapshot) {
+func (r *Rebalancer) collect(snap *scheduler.ClusterSnapshot) {
 	if r.refreshFn == nil {
 		r.refreshFn, r.walkFn = r.refresh, r.walk
 	}
