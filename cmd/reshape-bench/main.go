@@ -1,28 +1,26 @@
 // Command reshape-bench regenerates the paper's tables and figures, the
 // ablations and the arbiter mode matrix: experiments.Artefacts names them
-// in the order -exp all prints them. See DESIGN.md "Benchmarks and
-// experiments".
+// in the order -exp all prints them, and each prints the same bytes on
+// every run. See DESIGN.md "Benchmarks and experiments".
 //
 // Usage:
 //
 //	reshape-bench -exp all
 //	reshape-bench -exp <name>    # one artefact; -h lists the names
 //
-// The -cpuprofile/-memprofile flags wrap the selected experiments in pprof
-// collection; combined with -exp scale -scale-jobs they reproduce the
-// million-job scheduler profiles DESIGN.md's scaling section is based on:
+// Scheduler throughput is measured, and profiled, by the root package's
+// BenchmarkSchedulerThroughput (DESIGN.md "Scaling to a million jobs"):
 //
-//	reshape-bench -exp scale -scale-jobs 1000000 -cpuprofile cpu.prof -memprofile mem.prof
+//	go test -run XXX -bench 'BenchmarkSchedulerThroughput/event-1M' -benchtime 1x -cpuprofile cpu.prof -memprofile mem.prof .
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -30,67 +28,43 @@ import (
 )
 
 func main() {
-	params := perfmodel.SystemX()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command on its arguments and streams; it returns the exit
+// status: 2 for a usage error, 1 when an artefact fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	artefacts := experiments.Artefacts(perfmodel.SystemX())
 	var names []string
-	for _, a := range experiments.Artefacts(params, nil) {
+	for _, a := range artefacts {
 		names = append(names, a.Name)
 	}
-	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
-	scaleJobs := flag.String("scale-jobs", "", "comma-separated job counts for -exp scale (default 1000,10000)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile taken after the selected experiments to this file")
-	flag.Parse()
-
-	var scaleCounts []int
-	if *scaleJobs != "" {
-		for _, part := range strings.Split(*scaleJobs, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "reshape-bench: bad -scale-jobs entry %q\n", part)
-				os.Exit(2)
-			}
-			scaleCounts = append(scaleCounts, n)
+	fs := flag.NewFlagSet("reshape-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	artefacts := experiments.Artefacts(params, scaleCounts)
+
 	if *exp != "all" {
 		i := slices.IndexFunc(artefacts, func(a experiments.Artefact) bool { return a.Name == *exp })
 		if i < 0 {
-			fmt.Fprintf(os.Stderr, "reshape-bench: unknown experiment %q (want all, %s)\n", *exp, strings.Join(names, ", "))
-			os.Exit(2)
+			fmt.Fprintf(stderr, "reshape-bench: unknown experiment %q (want all, %s)\n", *exp, strings.Join(names, ", "))
+			return 2
 		}
 		artefacts = artefacts[i : i+1]
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		check(err)
-		check(pprof.StartCPUProfile(f))
-		defer func() {
-			pprof.StopCPUProfile()
-			check(f.Close())
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			check(err)
-			runtime.GC()
-			check(pprof.WriteHeapProfile(f))
-			check(f.Close())
-		}()
-	}
-
 	for _, a := range artefacts {
-		check(a.Print(os.Stdout))
+		if err := a.Print(stdout); err != nil {
+			fmt.Fprintln(stderr, "reshape-bench:", err)
+			return 1
+		}
 		if *exp == "all" {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reshape-bench:", err)
-		os.Exit(1)
-	}
+	return 0
 }

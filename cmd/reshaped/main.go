@@ -30,7 +30,8 @@
 // running, is a startup error (exit 2) that creates no -wal-dir:
 // -tenant-weights needs -arbiter fairshare, -rebalance-every needs
 // -arbiter rebalance. So is a weight list with a malformed, non-finite,
-// non-positive or repeated entry.
+// non-positive or repeated entry, a -procs below 1 and a negative
+// -rebalance-every.
 //
 // SIGINT or SIGTERM stops the daemon cleanly: it closes the log and logs
 // the rpc, apply-pipeline and journal counters.
@@ -58,12 +59,16 @@ import (
 	sdk "repro/pkg/reshape"
 )
 
-// checkArbiterFlags refuses a mode modes.Build does not know, flags that
-// configure an arbiter other than the selected one, and a weight list
-// fairshare.ParseWeights rejects: started anyway, the daemon would run a
-// different scheduler than its command line says. It runs before -wal-dir
-// is opened, so a refused command line leaves no directory behind.
-func checkArbiterFlags(arb, tenantWeights string, rebalanceEvery time.Duration) error {
+// checkFlags refuses a pool with no processors, a mode modes.Build does not
+// know, flags that configure an arbiter other than the selected one, a
+// weight list fairshare.ParseWeights rejects and a negative planning
+// interval: started anyway, the daemon would run a different scheduler
+// than its command line says. It runs before -wal-dir is opened, so a
+// refused command line leaves no directory behind.
+func checkFlags(procs int, arb, tenantWeights string, rebalanceEvery time.Duration) error {
+	if procs < 1 {
+		return fmt.Errorf("reshaped: -procs %d: the pool needs at least one processor", procs)
+	}
 	if _, err := modes.Build(arb, modes.Inputs{}); err != nil {
 		return fmt.Errorf("reshaped: -arbiter: %w", err)
 	}
@@ -72,6 +77,9 @@ func checkArbiterFlags(arb, tenantWeights string, rebalanceEvery time.Duration) 
 	}
 	if _, err := fairshare.ParseWeights(tenantWeights); err != nil {
 		return fmt.Errorf("reshaped: -tenant-weights: %w", err)
+	}
+	if rebalanceEvery < 0 {
+		return fmt.Errorf("reshaped: -rebalance-every %v is negative", rebalanceEvery)
 	}
 	if rebalanceEvery != 0 && arb != "rebalance" {
 		return fmt.Errorf("reshaped: -rebalance-every needs -arbiter rebalance (have -arbiter %s)", arb)
@@ -126,7 +134,7 @@ func main() {
 	// The arbiter is configuration, not journaled state: a recovering
 	// daemon must install the same arbitration the previous process ran
 	// before any journal record replays through the core.
-	if err := checkArbiterFlags(*arb, *tenantWeights, *rebalanceEvery); err != nil {
+	if err := checkFlags(*procs, *arb, *tenantWeights, *rebalanceEvery); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -14,25 +14,30 @@ import (
 
 func TestCheckArbiterFlags(t *testing.T) {
 	for _, tc := range []struct {
+		procs        int
 		arb, weights string
 		every        time.Duration
 		ok           bool
 	}{
-		{"fcfs", "", 0, true},
-		{"fairshare", "acme=3", 0, true},
-		{"rebalance", "", 30 * time.Second, true},
-		{"benefit", "acme=3", 0, false},
-		{"rebalance", "acme=3", time.Second, false},
-		{"fcfs", "", time.Second, false},
-		{"fairshare", "", time.Second, false},
-		{"fairshare", "a=NaN,b=1", 0, false},
-		{"fairshare", "a=Inf,b=1", 0, false},
-		{"fairshare", "a=1,a=3", 0, false},
-		{"bogus", "", 0, false},
-		{"", "", 0, false},
+		{16, "fcfs", "", 0, true},
+		{16, "fairshare", "acme=3", 0, true},
+		{16, "rebalance", "", 30 * time.Second, true},
+		{1, "fcfs", "", 0, true},
+		{16, "benefit", "acme=3", 0, false},
+		{16, "rebalance", "acme=3", time.Second, false},
+		{16, "fcfs", "", time.Second, false},
+		{16, "fairshare", "", time.Second, false},
+		{16, "fairshare", "a=NaN,b=1", 0, false},
+		{16, "fairshare", "a=Inf,b=1", 0, false},
+		{16, "fairshare", "a=1,a=3", 0, false},
+		{16, "bogus", "", 0, false},
+		{16, "", "", 0, false},
+		{0, "fcfs", "", 0, false},
+		{-4, "fcfs", "", 0, false},
+		{16, "rebalance", "", -time.Second, false},
 	} {
-		if err := checkArbiterFlags(tc.arb, tc.weights, tc.every); (err == nil) != tc.ok {
-			t.Errorf("-arbiter %s -tenant-weights %q -rebalance-every %v: %v", tc.arb, tc.weights, tc.every, err)
+		if err := checkFlags(tc.procs, tc.arb, tc.weights, tc.every); (err == nil) != tc.ok {
+			t.Errorf("-procs %d -arbiter %s -tenant-weights %q -rebalance-every %v: %v", tc.procs, tc.arb, tc.weights, tc.every, err)
 		}
 	}
 }

@@ -24,11 +24,10 @@ type Artefact struct {
 }
 
 // Artefacts returns every artefact in print order: the paper's Table 2,
-// Figures 2-5 and Tables 4-5, the ablations, the load sweep, the scheduler
-// scale table over scaleJobs (nil runs the default 1k/10k mixes) and the
-// arbiter mode matrix. W1 and W2 are simulated at most once per returned
-// slice, by the first entry that prints them.
-func Artefacts(params *perfmodel.Params, scaleJobs []int) []Artefact {
+// Figures 2-5 and Tables 4-5, the ablations, the load sweep and the arbiter
+// mode matrix. W1 and W2 are simulated at most once per returned slice, by
+// the first entry that prints them.
+func Artefacts(params *perfmodel.Params) []Artefact {
 	w1 := sync.OnceValues(func() (*workload.Comparison, error) { return RunW1(params) })
 	w2 := sync.OnceValues(func() (*workload.Comparison, error) { return RunW2(params) })
 	on := func(run func() (*workload.Comparison, error), write func(io.Writer, *workload.Comparison)) func(io.Writer) error {
@@ -58,7 +57,6 @@ func Artefacts(params *perfmodel.Params, scaleJobs []int) []Artefact {
 		{"table5", on(w2, func(w io.Writer, c *workload.Comparison) { PrintTurnaroundTable(w, "Table 5 workload 2", c) })},
 		{"ablation", func(w io.Writer) error { return printAblations(w, params) }},
 		{"loadsweep", func(w io.Writer) error { return printLoadSweep(w, params) }},
-		{"scale", func(w io.Writer) error { return printSchedulerScale(w, params, scaleJobs) }},
 		{"modes", func(w io.Writer) error { return printModes(w, params) }},
 	}
 }

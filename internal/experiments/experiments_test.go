@@ -216,14 +216,10 @@ var update = flag.Bool("update", false, "rewrite testdata/<artefact>.golden")
 
 // TestArtefactsGolden holds every artefact's bytes to
 // testdata/<name>.golden. A file changes only under -update, and a change
-// to modes.golden is a change in scheduling. scale prints wall-clock rows,
-// so TestPrintSchedulerScale covers it instead.
+// to modes.golden is a change in scheduling.
 func TestArtefactsGolden(t *testing.T) {
-	for _, a := range Artefacts(perfmodel.SystemX(), nil) {
+	for _, a := range Artefacts(perfmodel.SystemX()) {
 		t.Run(a.Name, func(t *testing.T) {
-			if a.Name == "scale" {
-				t.Skip("wall-clock rows")
-			}
 			var b bytes.Buffer
 			if err := a.Print(&b); err != nil {
 				t.Fatal(err)

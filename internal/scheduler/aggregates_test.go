@@ -28,6 +28,12 @@ func sweepRunning(jobs []*Job) RunningViews {
 	return views
 }
 
+// contactView builds the view of a running job that the running set lends.
+func contactView(j *Job) (v ContactView) {
+	v.fill(j)
+	return v
+}
+
 // tickSnapshot is the caller-less snapshot a planning tick at now is handed.
 func tickSnapshot(c *Core, now float64) (s ClusterSnapshot) {
 	c.snapshot(&s, nil, now)
@@ -158,6 +164,10 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 	want := sweepRunning(jobs)
 	var got RunningViews
 	rs.EachRunning(func(v *ContactView) bool {
+		// A lookup during a walk must leave the walk's view alone.
+		if len(want) > 0 {
+			rs.Running(want[0].ID)
+		}
 		got = append(got, *v)
 		return true
 	})
@@ -181,8 +191,8 @@ func checkInvariants(c *Core, snap ClusterSnapshot) error {
 		if j.itersDone != profiledIters(j.Profile) {
 			return fmt.Errorf("job %d: itersDone %d, profile holds %d", j.ID, j.itersDone, profiledIters(j.Profile))
 		}
-		if v, ok := rs.Running(j.ID); ok != (j.State == Running) || ok && v.ID != j.ID {
-			return fmt.Errorf("Running(%d) = %+v, %v while the job is %v", j.ID, v, ok, j.State)
+		if v := rs.Running(j.ID); (v != nil) != (j.State == Running) || v != nil && v.ID != j.ID {
+			return fmt.Errorf("Running(%d) = %+v while the job is %v", j.ID, v, j.State)
 		}
 	}
 	return nil

@@ -92,9 +92,11 @@ type ClusterView interface {
 	// The order is the producer's own, as for EachShrinkable (Core's index
 	// yields by ascending step size, then in set order).
 	EachExpandable(lo, hi int, yield func(*ContactView) bool)
-	// Running returns the view of one running job (false when the id is
-	// queued, done or unknown).
-	Running(id int) (ContactView, bool)
+	// Running lends the view of one running job (nil when the id is queued,
+	// done or unknown). The producer reuses the view at the next Running
+	// call, but not during a walk: a yield may call Running without
+	// overwriting the view it was handed.
+	Running(id int) *ContactView
 	// Changes yields, in no set order and perhaps more than once, the id of
 	// every job that started or finished since c was handed out, and of
 	// every running job whose Topo, RemainingIters, PendingFree or
@@ -208,13 +210,13 @@ func (v RunningViews) EachExpandable(lo, hi int, yield func(*ContactView) bool) 
 }
 
 // Running implements ClusterView.
-func (v RunningViews) Running(id int) (ContactView, bool) {
-	for _, r := range v {
-		if r.ID == id {
-			return r, true
+func (v RunningViews) Running(id int) *ContactView {
+	for i := range v {
+		if v[i].ID == id {
+			return &v[i]
 		}
 	}
-	return ContactView{}, false
+	return nil
 }
 
 // Changes implements ClusterView: a fixed set keeps no feed, so every reader

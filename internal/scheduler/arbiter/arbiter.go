@@ -301,8 +301,7 @@ func (a *BenefitRanked) shrink(snap *scheduler.ClusterSnapshot, head *scheduler.
 func (a *BenefitRanked) coverage(cluster scheduler.ClusterView, agedHead int) int {
 	freed := 0
 	for _, d := range a.plan.demands {
-		r, ok := cluster.Running(d.jobID)
-		if ok && r.Priority <= agedHead && d.target.Count() < r.Topo.Count() {
+		if r := cluster.Running(d.jobID); r != nil && r.Priority <= agedHead && d.target.Count() < r.Topo.Count() {
 			freed += r.Topo.Count() - d.target.Count()
 		}
 	}

@@ -144,14 +144,8 @@ func profiledIters(p *Profile) int {
 	return done
 }
 
-// contactView builds the arbiter's read-only view of a running job.
-func contactView(j *Job) (v ContactView) {
-	v.fill(j)
-	return v
-}
-
 // fill overwrites the view with j's, field by field: sweeps refill one view
-// per job, and assigning a whole ContactView there would build it on the
+// per job, Running one view per call, and assigning a whole ContactView there would build it on the
 // stack first and copy it over.
 func (v *ContactView) fill(j *Job) {
 	v.ID = j.ID
@@ -273,6 +267,7 @@ type runningSet struct {
 	usageVer uint64
 	usageAt  uint64
 	view     ContactView // each() scratch
+	one      ContactView // Running() scratch, apart from view so a yield may call it
 }
 
 // tenantAcct accumulates one tenant's part of the running set. A job
@@ -543,12 +538,13 @@ func (r *runningSet) each(jobs []*Job, yield func(*ContactView) bool) bool {
 
 // Running implements ClusterView: one running job by id, looked up in the
 // job table, so it needs no index.
-func (r *runningSet) Running(id int) (ContactView, bool) {
+func (r *runningSet) Running(id int) *ContactView {
 	j := r.table.get(id)
 	if j == nil || j.State != Running {
-		return ContactView{}, false
+		return nil
 	}
-	return contactView(j), true
+	r.one.fill(j)
+	return &r.one
 }
 
 // applyDecision actuates an arbitration decision on the job. Expansions

@@ -365,8 +365,11 @@ func (c *Core) Submit(spec JobSpec, now float64) (*Job, []*Job, error) {
 	if err := validateSpec(&spec, c.Total); err != nil {
 		return nil, nil, err
 	}
-	if err := c.journalOp(&Op{Kind: OpSubmit, Now: now, Spec: spec}); err != nil {
-		return nil, nil, err
+	// The op copies the spec, so it is built only for a journal.
+	if c.journal != nil {
+		if err := c.journalOp(&Op{Kind: OpSubmit, Now: now, Spec: spec}); err != nil {
+			return nil, nil, err
+		}
 	}
 	j := c.arena.newJob()
 	j.ID = c.nextID

@@ -485,8 +485,8 @@ func (r *Rebalancer) collect(snap *scheduler.ClusterSnapshot) {
 
 // refresh brings the view of one job the feed names up to date.
 func (r *Rebalancer) refresh(id int) {
-	if v, ok := r.cluster.Running(id); ok && v.PendingFree == 0 {
-		r.file(&v)
+	if v := r.cluster.Running(id); v != nil && v.PendingFree == 0 {
+		r.file(v)
 		return
 	}
 	if id >= len(r.at) || r.at[id] == 0 {

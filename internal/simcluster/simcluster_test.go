@@ -163,6 +163,8 @@ func TestQueuedJobTriggersShrink(t *testing.T) {
 	}
 }
 
+// TestUtilizationBounds holds utilization within (0, 1], and to the same
+// bits with the trace off: both runs read the core's busy-time integral.
 func TestUtilizationBounds(t *testing.T) {
 	p := perfmodel.SystemX()
 	jobs := []JobInput{
@@ -170,12 +172,23 @@ func TestUtilizationBounds(t *testing.T) {
 		luJob("B", 8000, topo(2, 2), 100, 5),
 	}
 	for _, mode := range []Mode{Static, Dynamic} {
-		res, err := New(20, mode, p, jobs).Run()
-		if err != nil {
-			t.Fatal(err)
+		var util, busy [2]float64
+		for i, traced := range []bool{true, false} {
+			core := scheduler.NewCore(20, true)
+			if !traced {
+				core.DisableTrace()
+			}
+			res, err := New(20, mode, p, jobs).WithCore(core).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			util[i], busy[i] = res.Utilization, core.BusySeconds(res.Makespan)
 		}
-		if res.Utilization <= 0 || res.Utilization > 1 {
-			t.Errorf("%v utilization %v out of range", mode, res.Utilization)
+		if util[0] <= 0 || util[0] > 1 {
+			t.Errorf("%v utilization %v out of range", mode, util[0])
+		}
+		if util[1] != util[0] || busy[1] != busy[0] {
+			t.Errorf("%v: trace off gives utilization %v and busy %v s, traced %v and %v s", mode, util[1], busy[1], util[0], busy[0])
 		}
 	}
 }
