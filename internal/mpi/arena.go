@@ -7,14 +7,17 @@ import (
 )
 
 // arenaMaxBytes bounds the bytes of capacity the float arena keeps on its
-// free lists: about twice the 67 MB the repository benchmark's app-resize
-// workload (six applications, each toured over up to nine ranks) keeps
-// there at its peak. A buffer larger than the bound is never kept.
+// free lists: about one and a half times the 87 MB the repository
+// benchmark's app-resize workload (six applications, each toured over up
+// to nine ranks) keeps there at its peak, 92 MB when traced, with no
+// start-over. A buffer larger than the bound is never kept.
 const arenaMaxBytes = 128 << 20
 
 // arena is the process-wide store of float buffers the data plane moves:
 // redistribution wire buffers and pieces, the applications' working
-// copies and packed exchange buffers. Buffers are kept in power-of-two
+// copies and packed exchange buffers. It is the one place that decides
+// reuse: a redistribution takes every new piece from it and returns each
+// piece it moved out of at once. Buffers are kept in power-of-two
 // size classes — free[k] holds buffers whose capacity is in [2^k, 2^(k+1))
 // — on plain free lists, which, unlike a sync.Pool, the garbage collector
 // never empties.

@@ -19,9 +19,9 @@
 // as distributed memory allows: a float that changes rank is packed into a
 // wire buffer from the mpi float arena, handed to the receiver by
 // reference and unpacked out of it (two copies); a float the rank keeps
-// goes block row to block row (one copy); and ExecuteInto writes the new
-// pieces into storage the caller recycles, or into arena buffers. The
-// ownership rule: a sender never touches a wire buffer after Send, and
+// goes block row to block row (one copy); and ExecuteStats takes the new
+// pieces from the arena too, which is the one module that decides reuse.
+// The ownership rule: a sender never touches a wire buffer after Send, and
 // only the receiver, once it has unpacked, returns it to the arena. Tests
 // check every execution against blockcyclic.Distribute.
 //

@@ -155,23 +155,11 @@ func (mp *MultiPlan) frame(sizes []int, ri, ci int) (total int) {
 
 // ExecuteStats redistributes every array at once. srcData holds the
 // caller's local piece of each array in plan order (entries may be nil on
-// ranks outside the source grid or with empty local pieces); the result
-// holds the new local pieces (nil entries on ranks outside the destination
-// grid), taken from the mpi float arena and owned by the caller, plus the
-// rank's traffic. srcData is only read.
-func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64, Stats) {
-	dst := make([][]float64, len(mp.arrays))
-	return dst, mp.ExecuteInto(c, srcData, dst)
-}
-
-// ExecuteInto is ExecuteStats writing the new local pieces into
-// caller-supplied storage: on return dst[a] is array a's new piece (nil on
-// ranks outside the destination grid). An entry with enough capacity is
-// resliced and overwritten in full — it need not be zeroed, because the
-// block classes of the inbound steps tile the destination piece exactly —
-// and any other entry is replaced by a buffer from the mpi float arena (the
-// entry it replaces stays the caller's). dst[a] must not share storage
-// with srcData[a], which is only read.
+// ranks outside the source grid or with empty local pieces) and is only
+// read; the result holds the new local pieces (nil entries on ranks
+// outside the destination grid), taken from the mpi float arena and owned
+// by the caller, plus the rank's traffic. A new piece is not cleared: the
+// block classes of the inbound steps tile it exactly.
 //
 // Collective over c: ranks 0..P-1 of c hold the source grid (row-major)
 // and ranks 0..Q-1 the destination grid. Every float is copied as few
@@ -190,7 +178,7 @@ func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64
 // depends on how the ranks are scheduled, and a later execution could
 // still find the arena one short and allocate. A MultiPlan is immutable,
 // so one plan may be executed by every rank concurrently.
-func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
+func (mp *MultiPlan) ExecuteStats(c *mpi.Comm, srcData [][]float64) ([][]float64, Stats) {
 	base := &mp.arrays[0]
 	me := c.Rank()
 	p := base.src.Grid.Count()
@@ -198,23 +186,20 @@ func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 	if c.Size() < p || c.Size() < q {
 		panic(fmt.Sprintf("redistrib: communicator size %d smaller than grids (%d src, %d dst)", c.Size(), p, q))
 	}
-	if len(srcData) != len(mp.arrays) || len(dst) != len(mp.arrays) {
-		panic(fmt.Sprintf("redistrib: %d source and %d destination slices for %d fused arrays", len(srcData), len(dst), len(mp.arrays)))
+	if len(srcData) != len(mp.arrays) {
+		panic(fmt.Sprintf("redistrib: %d source slices for %d fused arrays", len(srcData), len(mp.arrays)))
 	}
 	inSrc := me < p
 	inDst := me < q
+	dst := make([][]float64, len(mp.arrays))
 	for a := range mp.arrays {
 		arr := &mp.arrays[a]
 		if inSrc && len(srcData[a]) != arr.src.LocalSize(me) {
 			panic(fmt.Sprintf("redistrib: rank %d array %d has %d floats, layout expects %d",
 				me, a, len(srcData[a]), arr.src.LocalSize(me)))
 		}
-		if !inDst {
-			dst[a] = nil
-		} else if n := arr.dst.LocalSize(me); dst[a] == nil || cap(dst[a]) < n {
-			dst[a] = mpi.GetFloats(n)
-		} else {
-			dst[a] = dst[a][:n]
+		if inDst {
+			dst[a] = mpi.GetFloats(arr.dst.LocalSize(me))
 		}
 	}
 
@@ -304,7 +289,7 @@ func (mp *MultiPlan) ExecuteInto(c *mpi.Comm, srcData, dst [][]float64) Stats {
 			stats.FloatsRecv += total
 		}
 	}
-	return stats
+	return dst, stats
 }
 
 // payloadSize computes the exact number of floats the array exchanges for

@@ -3,6 +3,7 @@ package redistrib
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,9 +13,7 @@ import (
 	"repro/internal/mpi"
 )
 
-// poisoned returns n NaNs: a recycled destination piece is not cleared, so
-// any float the inbound block classes fail to overwrite stays NaN and
-// compares unequal to everything.
+// poisoned returns n NaNs.
 func poisoned(n int) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
@@ -23,11 +22,48 @@ func poisoned(n int) []float64 {
 	return xs
 }
 
+// nanStock returns NaN-filled buffers to the mpi float arena for one
+// execution of mp on world ranks: in the size class of every non-empty
+// destination piece, more than the execution takes from that class in all
+// (each rank takes one piece per array and at most one wire buffer per
+// step). The arena hands out the buffer returned last first, and an
+// execution returns nothing to it before every rank holds its new pieces,
+// so each new piece starts as NaN: a float the inbound block classes fail
+// to overwrite compares unequal to everything. The result names the
+// stocked buffers, for checkStocked.
+func nanStock(mp *MultiPlan, dsts []blockcyclic.Layout, world int) map[*float64]bool {
+	classes := make(map[int]bool)
+	for _, l := range dsts {
+		for r := 0; r < l.Grid.Count(); r++ {
+			if n := l.LocalSize(r); n > 0 {
+				classes[1<<bits.Len(uint(n-1))] = true
+			}
+		}
+	}
+	stock := make(map[*float64]bool)
+	for c := range classes {
+		for i := 0; i < world*(len(dsts)+mp.Steps()); i++ {
+			buf := poisoned(c)
+			stock[&buf[0]] = true
+			mpi.PutFloats(buf)
+		}
+	}
+	return stock
+}
+
+// checkStocked reports a non-empty new piece that did not come from the
+// NaN stock, so a check that relies on the stock cannot pass without it.
+func checkStocked(stock map[*float64]bool, rank, array int, piece []float64) error {
+	if len(piece) > 0 && !stock[&piece[0]] {
+		return fmt.Errorf("rank %d array %d: new piece not taken from the NaN stock", rank, array)
+	}
+	return nil
+}
+
 // runFused distributes random global matrices for every array, executes
-// the MultiPlan on them and requires every new piece to equal a direct
-// distribution under the destination layouts. The engine runs three times:
-// into fresh pieces, into NaN-filled pieces of the exact size, and into
-// NaN-filled over-capacity spares of the wrong length.
+// the MultiPlan on them, with the arena stocked with NaN buffers, and
+// requires every new piece to equal a direct distribution under the
+// destination layouts.
 func runFused(srcs, dsts []blockcyclic.Layout, seed int64) error {
 	n := len(srcs)
 	srcPieces := make([][]*blockcyclic.Matrix, n)
@@ -42,6 +78,7 @@ func runFused(srcs, dsts []blockcyclic.Layout, seed int64) error {
 		return err
 	}
 	p, q := srcs[0].Grid.Count(), dsts[0].Grid.Count()
+	stock := nanStock(mp, dsts, max(p, q))
 	return mpi.Run(max(p, q), func(c *mpi.Comm) error {
 		mine := make([][]float64, n)
 		if c.Rank() < p {
@@ -49,39 +86,19 @@ func runFused(srcs, dsts []blockcyclic.Layout, seed int64) error {
 				mine[a] = srcPieces[a][c.Rank()].Data
 			}
 		}
-		fresh, freshStats := mp.ExecuteStats(c, mine)
-		exact, roomy := make([][]float64, n), make([][]float64, n)
-		spares := make([][]float64, n)
-		for a := 0; a < n; a++ {
-			size := 3 // ranks outside the destination grid must drop what they offer
-			if c.Rank() < q {
-				size = dsts[a].LocalSize(c.Rank())
-			}
-			exact[a] = poisoned(size)
-			spares[a] = poisoned(size + 5)
-			roomy[a] = spares[a][:1]
-		}
-		exactStats := mp.ExecuteInto(c, mine, exact)
-		roomyStats := mp.ExecuteInto(c, mine, roomy)
-		if exactStats != freshStats || roomyStats != freshStats {
-			return fmt.Errorf("rank %d: stats differ by destination: fresh %+v exact %+v roomy %+v",
-				c.Rank(), freshStats, exactStats, roomyStats)
-		}
+		got, _ := mp.ExecuteStats(c, mine)
 		for a := 0; a < n; a++ {
 			if c.Rank() >= q {
-				if fresh[a] != nil || exact[a] != nil || roomy[a] != nil {
+				if got[a] != nil {
 					return fmt.Errorf("rank %d outside dst grid received data for array %d", c.Rank(), a)
 				}
 				continue
 			}
-			want := wantPieces[a][c.Rank()].Data
-			if len(want) > 0 && &roomy[a][0] != &spares[a][0] {
-				return fmt.Errorf("array %d rank %d: a spare with room was not reused", a, c.Rank())
+			if err := checkStocked(stock, c.Rank(), a, got[a]); err != nil {
+				return err
 			}
-			for name, fused := range map[string][]float64{"fresh": fresh[a], "exact": exact[a], "roomy": roomy[a]} {
-				if err := samePiece(c.Rank(), fused, want); err != nil {
-					return fmt.Errorf("array %d %s: %w", a, name, err)
-				}
+			if err := samePiece(c.Rank(), got[a], wantPieces[a][c.Rank()].Data); err != nil {
+				return fmt.Errorf("array %d: %w", a, err)
 			}
 		}
 		return nil

@@ -22,8 +22,8 @@ func runRedistribution(t *testing.T, src, dst blockcyclic.Layout, seed int64) {
 }
 
 // checkRedistribution is the assertion core shared with the property test.
-// The new pieces are NaN-poisoned spares, so a float no inbound block class
-// writes fails the comparison.
+// The new pieces come from a NaN stock (nanStock), so a float no inbound
+// block class writes fails the comparison.
 func checkRedistribution(src, dst blockcyclic.Layout, seed int64) error {
 	global := randomGlobal(src, seed)
 	srcPieces := blockcyclic.Distribute(global, src)
@@ -33,21 +33,21 @@ func checkRedistribution(src, dst blockcyclic.Layout, seed int64) error {
 		return err
 	}
 	p, q := src.Grid.Count(), dst.Grid.Count()
+	stock := nanStock(mp, []blockcyclic.Layout{dst}, max(p, q))
 	return mpi.Run(max(p, q), func(c *mpi.Comm) error {
 		var mine []float64
 		if c.Rank() < p {
 			mine = srcPieces[c.Rank()].Data
 		}
-		got := [][]float64{poisoned(3)}
-		if c.Rank() < q {
-			got[0] = poisoned(dst.LocalSize(c.Rank()))
-		}
-		mp.ExecuteInto(c, [][]float64{mine}, got)
+		got, _ := mp.ExecuteStats(c, [][]float64{mine})
 		if c.Rank() >= q {
 			if got[0] != nil {
 				return fmt.Errorf("rank %d outside dst grid received data", c.Rank())
 			}
 			return nil
+		}
+		if err := checkStocked(stock, c.Rank(), 0, got[0]); err != nil {
+			return err
 		}
 		return samePiece(c.Rank(), got[0], wantPieces[c.Rank()].Data)
 	})
@@ -126,10 +126,13 @@ func TestRedistributeIdentityGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	pieces := blockcyclic.Distribute(randomGlobal(l, 6), l)
+	stock := nanStock(mp, []blockcyclic.Layout{l}, 4)
 	err = mpi.Run(4, func(c *mpi.Comm) error {
 		want := pieces[c.Rank()].Data
-		got := [][]float64{poisoned(len(want))}
-		stats := mp.ExecuteInto(c, [][]float64{want}, got)
+		got, stats := mp.ExecuteStats(c, [][]float64{want})
+		if err := checkStocked(stock, c.Rank(), 0, got[0]); err != nil {
+			return err
+		}
 		if stats.MessagesSent != 0 || stats.MessagesRecv != 0 {
 			return fmt.Errorf("identity redistribution sent %d/recv %d messages", stats.MessagesSent, stats.MessagesRecv)
 		}

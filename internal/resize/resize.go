@@ -56,11 +56,11 @@ var _ Scheduler = (*scheduler.Server)(nil)
 // Data holds the calling rank's local piece under the rank's current
 // topology (nil on ranks outside the grid).
 //
-// A resize replaces Data with a different slice, and the storage behind the
-// old one is recycled: it holds the piece of the resize after that, or it
-// goes back to the mpi float arena and may then hold any rank's data. Fetch
-// Data after every resize point; a slice taken before one is invalid after
-// it. Data itself is never recycled at job end.
+// A resize replaces Data with a different slice taken from the mpi float
+// arena, and the storage behind the old one goes back to the arena at once,
+// where it may come to hold any rank's data. Fetch Data after every resize
+// point; a slice taken before one is invalid after it. Data itself is never
+// recycled at job end.
 type Array struct {
 	Name   string
 	M, N   int

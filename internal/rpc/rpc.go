@@ -78,7 +78,6 @@ type Server struct {
 	shed         atomic.Uint64
 	framesOut    atomic.Uint64
 	flushes      atomic.Uint64
-	lastErr      atomic.Value // error
 
 	// Admission control (see admission.go). limits is fixed at Serve time;
 	// admTenants grows one entry per distinct tenant name.
@@ -137,15 +136,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Err returns the most recent transient accept error (nil if accepting has
-// been healthy). It complements the WithLogf hook for callers that poll.
-func (s *Server) Err() error {
-	if e, ok := s.lastErr.Load().(error); ok {
-		return e
-	}
-	return nil
-}
-
 // Close stops accepting, severs live connections (in-flight waits and
 // watches end with a cancelled error) and waits for handlers to drain.
 func (s *Server) Close() error {
@@ -188,7 +178,6 @@ func (s *Server) acceptLoop() {
 				return
 			}
 			s.acceptErrors.Add(1)
-			s.lastErr.Store(err)
 			s.logf("rpc: accept: %v (retrying in %v)", err, backoff)
 			select {
 			case <-s.baseCtx.Done():

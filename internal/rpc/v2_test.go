@@ -3,8 +3,10 @@ package rpc
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -273,10 +275,17 @@ func TestV2RejectsDuplicateInFlightID(t *testing.T) {
 
 func TestAcceptLoopBacksOffAfterListenerClose(t *testing.T) {
 	// Kill the listener out from under the accept loop (without marking the
-	// server done): the loop must record the error and back off instead of
-	// hot-spinning, and Err() must surface it.
+	// server done): the loop must count the error, report it through the
+	// WithLogf hook and back off instead of hot-spinning.
+	lines := make(chan string, 64)
+	logf := func(format string, args ...any) {
+		select {
+		case lines <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}
 	sched := scheduler.NewServer(4, false, nil)
-	srv, err := Serve("127.0.0.1:0", sched)
+	srv, err := Serve("127.0.0.1:0", sched, WithLogf(logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,23 +293,27 @@ func TestAcceptLoopBacksOffAfterListenerClose(t *testing.T) {
 
 	_ = srv.ln.Close()
 	deadline := time.After(2 * time.Second)
-	for srv.Err() == nil {
+	for srv.Stats().AcceptErrors == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("accept error never surfaced via Err()")
+			t.Fatal("accept error never counted in Stats().AcceptErrors")
 		default:
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	time.Sleep(50 * time.Millisecond)
-	st := srv.Stats()
-	if st.AcceptErrors == 0 {
-		t.Fatal("accept errors not counted")
+	select {
+	case line := <-lines:
+		if !strings.HasPrefix(line, "rpc: accept: ") {
+			t.Fatalf("first logged line %q, want an rpc: accept: line", line)
+		}
+	case <-deadline:
+		t.Fatal("accept error never reached the WithLogf hook")
 	}
+	time.Sleep(50 * time.Millisecond)
 	// With a min backoff of 1ms doubling to 1s, 50ms of failures can
 	// produce at most ~7 attempts; hot-spinning would produce thousands.
-	if st.AcceptErrors > 20 {
-		t.Fatalf("accept loop hot-spinning: %d errors in 50ms", st.AcceptErrors)
+	if n := srv.Stats().AcceptErrors; n > 20 {
+		t.Fatalf("accept loop hot-spinning: %d errors in 50ms", n)
 	}
 }
 

@@ -47,8 +47,8 @@ func BenchmarkRunOverhead(b *testing.B) {
 
 // BenchmarkRedistribute/session-oscillate drives a job's ranks back and
 // forth between two grids with three 240x240 arrays (the root package's
-// BenchmarkRedistribute cases): recycled pieces and pooled wire buffers
-// should leave B/op far below the bytes moved.
+// BenchmarkRedistribute cases): pieces and wire buffers recycled through
+// the one float arena should leave B/op far below the bytes moved.
 func BenchmarkRedistribute(b *testing.B) {
 	const m, nb, nArrays = 240, 8, 3
 	b.Run("session-oscillate", func(b *testing.B) {
@@ -73,7 +73,7 @@ func BenchmarkRedistribute(b *testing.B) {
 					arr.Data = make([]float64, arr.LayoutFor(small).LocalSize(c.Rank()))
 				}
 			}
-			// Warm-up: plans cached, spares and wire buffers in place.
+			// Warm-up: plans cached, pieces and wire buffers in the arena.
 			for i := 0; i < 3; i++ {
 				if err := cycle(rc); err != nil {
 					return err

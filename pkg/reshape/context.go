@@ -17,12 +17,7 @@ type Context struct {
 	grid *blacs.Context
 	topo grid.Topology
 
-	arrays []*resize.Array
-	// spares[i] is the piece arrays[i] last moved out of: dead storage the
-	// next redistribution writes the new piece into when it is large
-	// enough, so oscillating between two grids stops allocating. Only this
-	// rank holds it. Nil until the first redistribution.
-	spares     [][]float64
+	arrays     []*resize.Array
 	replicated map[string][]float64
 
 	iter       int     // completed outer iterations

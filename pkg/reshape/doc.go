@@ -32,9 +32,9 @@
 // runner. Registered arrays ride the fused block-cyclic redistribution at
 // every topology change; replicated buffers are re-broadcast from rank 0.
 //
-// A resize gives every registered array a new Data slice and recycles the
-// storage behind the old one, at the resize after that or through the
-// process-wide float arena, where any job may reuse it. Read Array.Data
+// A resize gives every registered array a new Data slice and returns the
+// storage behind the old one to the process-wide float arena at once,
+// where any job may reuse it. Read Array.Data
 // (and Replicated buffers) afresh in every Iterate, as the example does; a
 // slice taken before a resize point is invalid after it.
 //

@@ -17,7 +17,7 @@ import (
 // TestOscillationRecyclesPieces drives a job's ranks back and forth between
 // 2x2 and 3x3 for ten cycles, with a garbage collection before each.
 // Arrays must come back bit-identical to the pieces they started as, and
-// once the first cycle has stocked the spares and the arena, a resize must
+// once the first cycle has stocked the arena, a resize must
 // allocate under 1 % of the bytes it moves: the collector does not empty
 // the arena. The budget is held on the median cycle: how many wire buffers
 // are in flight at once depends on how the ranks are scheduled, so a later
@@ -98,8 +98,8 @@ func TestOscillationRecyclesPieces(t *testing.T) {
 }
 
 // TestRecyclingLeavesSessionStateAlone runs real expansions and shrinks
-// 2x2 -> 3x3 -> 2x2 -> 3x3 -> 2x2: survivors recycle their pieces, spawned
-// ranks take theirs from the arena, retired ranks return theirs to it.
+// 2x2 -> 3x3 -> 2x2 -> 3x3 -> 2x2: every rank takes its new pieces from the
+// arena and returns the ones it moved out of to it at once.
 // Replicated buffers, the redistribution observations and the resize costs
 // must be what they are without recycling, and a retired rank must end
 // with nil Data.
@@ -203,9 +203,9 @@ func (tourApp) Init(rc *Context) error {
 func (tourApp) Iterate(*Context) error { return nil }
 
 // TestTourRecyclesWithGCOn runs a job laps times around 2x2 -> 2x3 -> 3x3
-// -> 2x3 -> 2x2, twice over, with the collector on: spawned ranks take
-// their pieces from the arena, retired ranks and job end give theirs back,
-// and the next job's FillArray draws from them. Once the first run has
+// -> 2x3 -> 2x2, twice over, with the collector on: every resize takes its
+// new pieces from the arena and gives the old ones back, and the next
+// job's FillArray draws from them. Once the first run has
 // stocked the arena, the second must allocate under 10 % of the bytes it
 // redistributes (about a third when spawned and grown pieces were
 // allocated). Most of what it does allocate replaces the first run's final

@@ -75,23 +75,12 @@ func (rc *Context) resized(comm *mpi.Comm, target grid.Topology, start time.Time
 }
 
 // done signals job completion to the scheduler (rank 0 only), mirroring the
-// application monitor's job-end message, and returns the rank's spare
-// pieces to the arena. Array.Data stays the caller's.
+// application monitor's job-end message. Array.Data stays the caller's.
 func (rc *Context) done() error {
-	rc.recycleSpares()
 	if rc.comm.Rank() == 0 {
 		return rc.r.cfg.client.JobEnd(context.Background(), rc.r.cfg.jobID)
 	}
 	return nil
-}
-
-// recycleSpares returns every spare piece, which only this rank holds, to
-// the arena.
-func (rc *Context) recycleSpares() {
-	for i, s := range rc.spares {
-		mpi.PutFloats(s)
-		rc.spares[i] = nil
-	}
 }
 
 // copyReplicated deep-copies a replicated-buffer map.
@@ -203,11 +192,7 @@ func (rc *Context) shrink(target grid.Topology) (retired bool, err error) {
 	}
 	sub := rc.comm.Sub(survivors)
 	if sub == nil {
-		// This rank was shrunk away and must exit. The redistribution
-		// packed every float it held into wire buffers of its own, so no
-		// rank reads its old pieces again: they go back to the arena.
-		rc.recycleSpares()
-		return true, nil
+		return true, nil // this rank was shrunk away and must exit
 	}
 	return false, rc.resized(sub, target, start)
 }
@@ -307,28 +292,16 @@ func (rc *Context) redistribute(comm *mpi.Comm, from, to grid.Topology) error {
 	}
 	start := time.Now()
 	srcData := make([][]float64, len(rc.arrays))
-	newData := make([][]float64, len(rc.arrays))
-	me := comm.Rank()
 	for i, a := range rc.arrays {
 		srcData[i] = a.Data
-		if i >= len(rc.spares) {
-			continue // registered since the last redistribution: no spare
-		}
-		// A spare too small for the new piece goes back to the arena, and
-		// ExecuteInto takes the piece from there instead. The rank is the
-		// spare's only owner: no rank reads a piece after the
-		// redistribution that moved out of it.
-		if me >= to.Count() || cap(rc.spares[i]) < a.LayoutFor(to).LocalSize(me) {
-			mpi.PutFloats(rc.spares[i])
-		} else {
-			newData[i] = rc.spares[i]
-		}
 	}
-	stats := mp.ExecuteInto(comm, srcData, newData)
+	newData, stats := mp.ExecuteStats(comm, srcData)
 	for i, a := range rc.arrays {
+		// Only this rank read the piece it just moved out of, packing it
+		// into wire buffers of its own: it goes back to the arena at once.
+		mpi.PutFloats(a.Data)
 		a.Data = newData[i]
 	}
-	rc.spares = srcData // the pieces just moved out of
 	totals := comm.Allreduce([]float64{float64(stats.FloatsSent), float64(stats.FloatsCopied)}, mpi.SumOp)
 	if comm.Rank() == 0 {
 		rc.redistObs = append(rc.redistObs, perfmodel.RedistObservation{
